@@ -8,7 +8,7 @@
 //! end-points only; per-column traceback for the final report is recomputed
 //! with a banded global alignment over the (small) aligned ranges.
 
-use crate::matrix::{GapPenalties, Scorer};
+use crate::matrix::{GapPenalties, Scorer, BLOSUM62};
 
 const NEG: i32 = i32::MIN / 4;
 
@@ -23,40 +23,38 @@ pub struct ExtensionResult {
     pub s_ext: usize,
 }
 
-/// Reusable DP buffers for the X-drop gapped extension. One gapped
-/// extension needs five subject-length rows plus two reversed-prefix
-/// copies; allocating them per call dominated the extension cost on the
-/// hot path, so [`xdrop_extend_with`]/[`extend_gapped_with`] recycle the
-/// buffers here across calls (and, via `ScanWorkspace`, across subjects,
-/// fragments and batched queries).
+/// Reusable DP rows for the X-drop gapped extension: one `h` and one `f`
+/// row, updated in place. They only ever grow, and only as far as the
+/// widest band any extension reached — never to the subject's length —
+/// and are not cleared between calls (see [`xdrop_extend_with`] for why no
+/// stale cell is ever read). `ScanWorkspace`/`BatchScanWorkspace` recycle
+/// one of these across subjects, fragments and batched queries.
 #[derive(Debug, Default)]
 pub struct GappedWorkspace {
-    h_prev: Vec<i32>,
-    f_prev: Vec<i32>,
-    h_row: Vec<i32>,
-    e_row: Vec<i32>,
-    f_row: Vec<i32>,
-    left_q: Vec<u8>,
-    left_s: Vec<u8>,
+    h: Vec<i32>,
+    f: Vec<i32>,
 }
 
 impl GappedWorkspace {
-    /// Empty workspace; buffers grow to the largest extension seen.
+    /// Empty workspace; rows grow to the widest band seen.
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-/// Reset `buf` to `n` copies of `v` without shrinking capacity.
-#[inline]
-fn refill(buf: &mut Vec<i32>, n: usize, v: i32) {
-    buf.clear();
-    buf.resize(n, v);
+    /// Make column `j` addressable in both rows.
+    #[inline]
+    fn ensure(&mut self, j: usize) {
+        if j >= self.h.len() {
+            let len = (j + 1).next_power_of_two().max(64);
+            self.h.resize(len, NEG);
+            self.f.resize(len, NEG);
+        }
+    }
 }
 
 /// X-drop gapped extension of `query` vs `subject` starting at their
-/// beginnings (callers slice/reverse to anchor). Affine gaps; `x_drop` in
-/// raw score units. Allocates fresh DP rows; hot paths should use
+/// beginnings (callers slice to anchor). Affine gaps; `x_drop` in raw
+/// score units. Allocates fresh DP rows; hot paths should use
 /// [`xdrop_extend_with`].
 pub fn xdrop_extend(
     query: &[u8],
@@ -75,10 +73,44 @@ pub fn xdrop_extend(
     )
 }
 
-/// [`xdrop_extend`] with caller-provided DP buffers. The rows are
-/// re-initialized to the exact state the allocating version starts from,
-/// so results are identical call for call.
-#[allow(clippy::needless_range_loop)] // absolute-j indexing mirrors the DP recurrences
+/// [`xdrop_extend`] with caller-provided DP rows.
+///
+/// The recurrence, with `best` the running maximum over all cells so far
+/// in row-major order:
+///
+/// ```text
+/// F(i,j) = max(H(i-1,j) - open - ext, F(i-1,j) - ext)      gap in subject
+/// E(i,j) = max(H(i,j-1) - open - ext, E(i,j-1) - ext)      gap in query
+/// H(i,j) = max(H(i-1,j-1) + s(q_i, s_j), E(i,j), F(i,j))
+/// live(i,j) = H(i,j) >= best - x_drop
+/// ```
+///
+/// Invariants that define the answers (pinned against the previous
+/// five-row implementation, kept as the test oracle):
+///
+/// * a dead cell stores `NEG` in `H` and `F` and carries `NEG` in `E`, so
+///   it breaks the `E` chain and contributes nothing to the row below;
+/// * row `i` spans columns `lo(i-1) ..= min(hi(i-1) + 1, n)` where
+///   `lo`/`hi` are the first/last live columns of the row above: the band
+///   grows at most one column to the right per row, however far `E`
+///   could have carried;
+/// * `best` is updated inside the row, so a cell is judged against every
+///   cell before it, and only a strictly greater `H` moves the best cell:
+///   the first best cell in row-major order wins;
+/// * the extension ends at the first row with no live cell.
+///
+/// `h`/`f` are updated in place: at column `j` they still hold row `i-1`
+/// until overwritten; `H(i-1,j-1)`, `H(i,j-1)` and `E(i,j-1)` ride in
+/// registers. Liveness is a select, not a branch — on unrelated sequences
+/// it is a coin flip per cell, and mispredicting it was most of the cost.
+///
+/// No stale cell is read, although the rows are never cleared: row `i`
+/// reads `h[j]`/`f[j]` only for `j` in its own span, which lies inside
+/// `lo(i-1) ..= hi(i-1) + 1`. Columns up to `hi(i-1)` were written by row
+/// `i-1` (whose span contains its live columns; row 0 writes its whole
+/// span), and column `hi(i-1) + 1` is set to a dead sentinel before the
+/// row starts. The work done is the number of band cells, independent of
+/// the subject's length.
 pub fn xdrop_extend_with(
     query: &[u8],
     subject: &[u8],
@@ -87,104 +119,203 @@ pub fn xdrop_extend_with(
     x_drop: i32,
     ws: &mut GappedWorkspace,
 ) -> ExtensionResult {
-    let n = subject.len();
-    if n == 0 || query.is_empty() {
+    xdrop_directed::<false>(query, subject, scorer, gaps, x_drop, ws)
+}
+
+/// Resolve the scorer once per extension so the cell loop sees a plain
+/// closure. `REV` extends from the *ends* of `query` and `subject`
+/// backwards (the left half of a bidirectional extension) without copying
+/// either.
+fn xdrop_directed<const REV: bool>(
+    query: &[u8],
+    subject: &[u8],
+    scorer: &Scorer,
+    gaps: GapPenalties,
+    x_drop: i32,
+    ws: &mut GappedWorkspace,
+) -> ExtensionResult {
+    match *scorer {
+        Scorer::Nucleotide { reward, penalty } => xdrop_kernel::<REV>(
+            query,
+            subject,
+            |a, b| if a == b { reward } else { penalty },
+            gaps,
+            x_drop,
+            ws,
+        ),
+        Scorer::Blosum62 => xdrop_kernel::<REV>(
+            query,
+            subject,
+            |a, b| BLOSUM62[a as usize][b as usize],
+            gaps,
+            x_drop,
+            ws,
+        ),
+    }
+}
+
+/// What the cell loop carries from cell to cell. A row's live span is
+/// read back from the row afterwards instead, so the loop keeps few enough
+/// values live to stay in registers.
+struct Carry {
+    /// Running best score over all cells so far.
+    best: i32,
+    /// Column where the current row first raised `best`, if it did.
+    best_j: usize,
+    /// `H(i-1, j-1)`.
+    diag: i32,
+    /// `H(i, j-1)`.
+    h_left: i32,
+    /// `E(i, j-1)`.
+    e_left: i32,
+}
+
+/// Sentinel for [`Carry::best_j`]: the row has not raised `best`.
+const NO_COLUMN: usize = usize::MAX;
+
+#[derive(Clone, Copy)]
+struct Costs {
+    open_ext: i32,
+    ext: i32,
+    x_drop: i32,
+}
+
+/// `if c { a } else { b }` the compiler may not turn into a branch. On
+/// unrelated sequences every comparison in the cell is a coin flip, and a
+/// conditional move costs a cycle where a mispredicted branch costs
+/// fifteen; left to itself LLVM's x86 back end converts the selects of a
+/// loop-carried chain like this one into branches.
+#[inline(always)]
+fn pick<T>(c: bool, a: T, b: T) -> T {
+    std::hint::select_unpredictable(c, a, b)
+}
+
+#[inline(always)]
+fn max(a: i32, b: i32) -> i32 {
+    pick(a > b, a, b)
+}
+
+impl Carry {
+    /// One DP cell at column `j`; `h`/`f` hold row `i-1` on entry and row
+    /// `i` on return. `sub` is the substitution score of the pair.
+    #[inline(always)]
+    fn cell(&mut self, j: usize, sub: i32, h: &mut i32, f: &mut i32, c: Costs) {
+        let up = *h;
+        let fv = max(up - c.open_ext, *f - c.ext);
+        let ev = max(self.h_left - c.open_ext, self.e_left - c.ext);
+        let hv = max(max(self.diag + sub, ev), fv);
+        let live = hv >= self.best - c.x_drop;
+        let better = live & (hv > self.best);
+        self.best = pick(better, hv, self.best);
+        self.best_j = pick(better, j, self.best_j);
+        self.diag = up;
+        self.h_left = pick(live, hv, NEG);
+        self.e_left = pick(live, ev, NEG);
+        *h = self.h_left;
+        *f = pick(live, fv, NEG);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// DP cells computed by this thread (row 0 included).
+    static CELLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn xdrop_kernel<const REV: bool>(
+    query: &[u8],
+    subject: &[u8],
+    score: impl Fn(u8, u8) -> i32,
+    gaps: GapPenalties,
+    x_drop: i32,
+    ws: &mut GappedWorkspace,
+) -> ExtensionResult {
+    let (m, n) = (query.len(), subject.len());
+    if m == 0 || n == 0 {
         return ExtensionResult {
             score: 0,
             q_ext: 0,
             s_ext: 0,
         };
     }
-    let open_ext = gaps.open + gaps.extend;
-    let ext = gaps.extend;
-
-    let mut best = 0;
-    let mut best_cell = (0usize, 0usize);
-
-    // Previous row (absolute j indexing over [lo_prev, hi_prev]).
-    let mut lo_prev = 0usize;
-    let mut hi_prev = 0usize;
-    refill(&mut ws.h_prev, n + 1, 0);
-    refill(&mut ws.f_prev, n + 1, NEG);
-    let h_prev = &mut ws.h_prev;
-    let f_prev = &mut ws.f_prev;
-    // Row 0: leading gap in the query.
+    let costs = Costs {
+        open_ext: gaps.open + gaps.extend,
+        ext: gaps.extend,
+        x_drop,
+    };
+    // Row 0: a leading gap in the query, as far as it stays live.
+    let (mut lo, mut hi) = (0, 0);
+    ws.ensure(0);
+    ws.h[0] = 0;
+    ws.f[0] = NEG;
     for j in 1..=n {
-        let v = -gaps.open - ext * j as i32;
+        let v = -gaps.open - gaps.extend * j as i32;
         if v <= -x_drop {
             break;
         }
-        h_prev[j] = v;
-        hi_prev = j;
+        ws.ensure(j);
+        ws.h[j] = v;
+        ws.f[j] = NEG;
+        hi = j;
     }
-
-    refill(&mut ws.h_row, n + 1, NEG);
-    refill(&mut ws.e_row, n + 1, NEG);
-    refill(&mut ws.f_row, n + 1, NEG);
-    let h_row = &mut ws.h_row;
-    let e_row = &mut ws.e_row;
-    let f_row = &mut ws.f_row;
-
-    for i in 1..=query.len() {
-        let qc = query[i - 1];
-        let jlo = lo_prev;
-        let jhi = (hi_prev + 1).min(n);
-        let mut row_lo = usize::MAX;
-        let mut row_hi = 0usize;
-        for j in jlo..=jhi {
-            // F: gap in subject (vertical), from previous row same j.
-            let f = if j >= lo_prev && j <= hi_prev {
-                (h_prev[j] - open_ext).max(f_prev[j] - ext)
-            } else {
-                NEG
-            };
-            // E: gap in query (horizontal), from current row j-1.
-            let e = if j > jlo {
-                (h_row[j - 1] - open_ext).max(e_row[j - 1] - ext)
-            } else {
-                NEG
-            };
-            // M: diagonal from previous row j-1.
-            let m = if j >= 1 && j > lo_prev && j - 1 <= hi_prev && h_prev[j - 1] > NEG / 2 {
-                h_prev[j - 1] + scorer.score(qc, subject[j - 1])
-            } else {
-                NEG
-            };
-            let mut h = m.max(e).max(f);
-            if h < best - x_drop {
-                h = NEG;
-            }
-            h_row[j] = h;
-            e_row[j] = if h > NEG / 2 { e } else { NEG };
-            f_row[j] = if h > NEG / 2 { f } else { NEG };
-            if h > NEG / 2 {
-                if h > best {
-                    best = h;
-                    best_cell = (i, j);
-                }
-                if row_lo == usize::MAX {
-                    row_lo = j;
-                }
-                row_hi = j;
-            }
+    #[cfg(test)]
+    CELLS.with(|c| c.set(c.get() + hi as u64 + 1));
+    let mut best_cell = (0, 0);
+    let mut carry = Carry {
+        best: 0,
+        best_j: NO_COLUMN,
+        diag: NEG,
+        h_left: NEG,
+        e_left: NEG,
+    };
+    for i in 1..=m {
+        let qc = if REV { query[m - i] } else { query[i - 1] };
+        let (jlo, jhi) = (lo, (hi + 1).min(n));
+        if jhi > hi {
+            // The one column this row adds: dead above. `NEG + ext` makes
+            // F come out at exactly NEG, as if nothing were there.
+            ws.ensure(jhi);
+            ws.h[jhi] = NEG;
+            ws.f[jhi] = NEG + costs.ext;
         }
-        if row_lo == usize::MAX {
+        #[cfg(test)]
+        CELLS.with(|c| c.set(c.get() + (jhi - jlo) as u64 + 1));
+        carry.best_j = NO_COLUMN;
+        carry.diag = NEG;
+        carry.h_left = NEG;
+        carry.e_left = NEG + costs.ext; // E comes out at exactly NEG
+        let (h0, h) = ws.h[jlo..=jhi].split_first_mut().expect("jlo <= jhi");
+        let (f0, f) = ws.f[jlo..=jhi].split_first_mut().expect("jlo <= jhi");
+        // Column `jlo` has nothing to its left or on its diagonal (column 0
+        // pairs with no subject residue at all): only F can reach it.
+        carry.cell(jlo, 0, h0, f0, costs);
+        // The other columns pair with subject residues `jlo..jhi`, read
+        // back to front under `REV`.
+        let s = if REV {
+            &subject[n - jhi..n - jlo]
+        } else {
+            &subject[jlo..jhi]
+        };
+        let w = h.len();
+        assert!(s.len() == w && f.len() == w);
+        for (k, (h, f)) in h.iter_mut().zip(f).enumerate() {
+            let sc = if REV { s[w - 1 - k] } else { s[k] };
+            carry.cell(jlo + 1 + k, score(qc, sc), h, f, costs);
+        }
+        if carry.best_j != NO_COLUMN {
+            best_cell = (i, carry.best_j);
+        }
+        // The live span is what is left after trimming this row's dead
+        // ends; cells die a few at a time, so both scans are short.
+        let row = &ws.h[jlo..=jhi];
+        let Some(first) = row.iter().position(|&h| h != NEG) else {
             break; // row died: extension complete
-        }
-        // Current row becomes the previous row; clear only the touched span.
-        for j in jlo..=jhi {
-            h_prev[j] = h_row[j];
-            f_prev[j] = f_row[j];
-            h_row[j] = NEG;
-            e_row[j] = NEG;
-            f_row[j] = NEG;
-        }
-        lo_prev = row_lo;
-        hi_prev = row_hi;
+        };
+        let last = row.iter().rposition(|&h| h != NEG).expect("a live cell");
+        (lo, hi) = (jlo + first, jlo + last);
     }
-
     ExtensionResult {
-        score: best,
+        score: carry.best,
         q_ext: best_cell.0,
         s_ext: best_cell.1,
     }
@@ -214,7 +345,9 @@ pub fn extend_gapped(
     )
 }
 
-/// [`extend_gapped`] with reusable DP rows and reversed-prefix buffers.
+/// [`extend_gapped`] with reusable DP rows. The left half reads the two
+/// prefixes backwards in place, so an extension costs its band cells and
+/// nothing that grows with `q0` or `s0`.
 #[allow(clippy::too_many_arguments)]
 pub fn extend_gapped_with(
     query: &[u8],
@@ -226,18 +359,8 @@ pub fn extend_gapped_with(
     x_drop: i32,
     ws: &mut GappedWorkspace,
 ) -> (i32, std::ops::Range<usize>, std::ops::Range<usize>) {
-    let right = xdrop_extend_with(&query[q0..], &subject[s0..], scorer, gaps, x_drop, ws);
-    // Take the reversed-prefix buffers out so the workspace rows can be
-    // borrowed mutably for the left extension.
-    let mut left_q = std::mem::take(&mut ws.left_q);
-    let mut left_s = std::mem::take(&mut ws.left_s);
-    left_q.clear();
-    left_q.extend(query[..q0].iter().rev().copied());
-    left_s.clear();
-    left_s.extend(subject[..s0].iter().rev().copied());
-    let left = xdrop_extend_with(&left_q, &left_s, scorer, gaps, x_drop, ws);
-    ws.left_q = left_q;
-    ws.left_s = left_s;
+    let right = xdrop_directed::<false>(&query[q0..], &subject[s0..], scorer, gaps, x_drop, ws);
+    let left = xdrop_directed::<true>(&query[..q0], &subject[..s0], scorer, gaps, x_drop, ws);
     (
         left.score + right.score,
         (q0 - left.q_ext)..(q0 + right.q_ext),
@@ -464,10 +587,148 @@ pub fn align_stats(query: &[u8], subject: &[u8], ops: &[AlignOp]) -> AlignStats 
     st
 }
 
+/// The five-row X-drop extension this module used before the in-place
+/// kernel, kept verbatim as the oracle the new kernel is pinned against.
+#[cfg(test)]
+mod oracle {
+    use super::{ExtensionResult, NEG};
+    use crate::matrix::{GapPenalties, Scorer};
+
+    #[allow(clippy::needless_range_loop)] // absolute-j indexing mirrors the DP recurrences
+    pub fn xdrop_extend(
+        query: &[u8],
+        subject: &[u8],
+        scorer: &Scorer,
+        gaps: GapPenalties,
+        x_drop: i32,
+    ) -> ExtensionResult {
+        let n = subject.len();
+        if n == 0 || query.is_empty() {
+            return ExtensionResult {
+                score: 0,
+                q_ext: 0,
+                s_ext: 0,
+            };
+        }
+        let open_ext = gaps.open + gaps.extend;
+        let ext = gaps.extend;
+
+        let mut best = 0;
+        let mut best_cell = (0usize, 0usize);
+
+        // Previous row (absolute j indexing over [lo_prev, hi_prev]).
+        let mut lo_prev = 0usize;
+        let mut hi_prev = 0usize;
+        let mut h_prev = vec![0; n + 1];
+        let mut f_prev = vec![NEG; n + 1];
+        // Row 0: leading gap in the query.
+        for j in 1..=n {
+            let v = -gaps.open - ext * j as i32;
+            if v <= -x_drop {
+                break;
+            }
+            h_prev[j] = v;
+            hi_prev = j;
+        }
+
+        let mut h_row = vec![NEG; n + 1];
+        let mut e_row = vec![NEG; n + 1];
+        let mut f_row = vec![NEG; n + 1];
+
+        for i in 1..=query.len() {
+            let qc = query[i - 1];
+            let jlo = lo_prev;
+            let jhi = (hi_prev + 1).min(n);
+            let mut row_lo = usize::MAX;
+            let mut row_hi = 0usize;
+            for j in jlo..=jhi {
+                // F: gap in subject (vertical), from previous row same j.
+                let f = if j >= lo_prev && j <= hi_prev {
+                    (h_prev[j] - open_ext).max(f_prev[j] - ext)
+                } else {
+                    NEG
+                };
+                // E: gap in query (horizontal), from current row j-1.
+                let e = if j > jlo {
+                    (h_row[j - 1] - open_ext).max(e_row[j - 1] - ext)
+                } else {
+                    NEG
+                };
+                // M: diagonal from previous row j-1.
+                let m = if j >= 1 && j > lo_prev && j - 1 <= hi_prev && h_prev[j - 1] > NEG / 2 {
+                    h_prev[j - 1] + scorer.score(qc, subject[j - 1])
+                } else {
+                    NEG
+                };
+                let mut h = m.max(e).max(f);
+                if h < best - x_drop {
+                    h = NEG;
+                }
+                h_row[j] = h;
+                e_row[j] = if h > NEG / 2 { e } else { NEG };
+                f_row[j] = if h > NEG / 2 { f } else { NEG };
+                if h > NEG / 2 {
+                    if h > best {
+                        best = h;
+                        best_cell = (i, j);
+                    }
+                    if row_lo == usize::MAX {
+                        row_lo = j;
+                    }
+                    row_hi = j;
+                }
+            }
+            if row_lo == usize::MAX {
+                break; // row died: extension complete
+            }
+            // Current row becomes the previous row; clear only the touched span.
+            for j in jlo..=jhi {
+                h_prev[j] = h_row[j];
+                f_prev[j] = f_row[j];
+                h_row[j] = NEG;
+                e_row[j] = NEG;
+                f_row[j] = NEG;
+            }
+            lo_prev = row_lo;
+            hi_prev = row_hi;
+        }
+
+        ExtensionResult {
+            score: best,
+            q_ext: best_cell.0,
+            s_ext: best_cell.1,
+        }
+    }
+
+    /// Bidirectional extension the old way: reverse-copy both prefixes.
+    pub fn extend_gapped(
+        query: &[u8],
+        subject: &[u8],
+        q0: usize,
+        s0: usize,
+        scorer: &Scorer,
+        gaps: GapPenalties,
+        x_drop: i32,
+    ) -> (i32, std::ops::Range<usize>, std::ops::Range<usize>) {
+        let right = xdrop_extend(&query[q0..], &subject[s0..], scorer, gaps, x_drop);
+        let left_q: Vec<u8> = query[..q0].iter().rev().copied().collect();
+        let left_s: Vec<u8> = subject[..s0].iter().rev().copied().collect();
+        let left = xdrop_extend(&left_q, &left_s, scorer, gaps, x_drop);
+        (
+            left.score + right.score,
+            (q0 - left.q_ext)..(q0 + right.q_ext),
+            (s0 - left.s_ext)..(s0 + right.s_ext),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use parblast_seqdb::encode_nt_seq;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn nt() -> Scorer {
         Scorer::Nucleotide {
@@ -566,5 +827,105 @@ mod tests {
         assert_eq!(score, -(5 + 2 * 3));
         let r = xdrop_extend(&[], &q, &nt(), g(), 10);
         assert_eq!(r.score, 0);
+    }
+
+    /// `len` residues over `alphabet` letters; with `related`, a mutated
+    /// copy of `of` instead (substitutions and short indels), which is
+    /// what drives long extensions through gaps.
+    fn residues(rng: &mut StdRng, len: usize, alphabet: u8, related: Option<&[u8]>) -> Vec<u8> {
+        let Some(of) = related else {
+            return (0..len).map(|_| rng.random_range(0..alphabet)).collect();
+        };
+        let mut out = Vec::with_capacity(len + 8);
+        for &c in of {
+            match rng.random_range(0..40u32) {
+                0 => out.push(rng.random_range(0..alphabet)), // substitution
+                1 => {}                                       // deletion
+                2 => {
+                    out.push(c);
+                    for _ in 0..rng.random_range(1..4u32) {
+                        out.push(rng.random_range(0..alphabet)); // insertion
+                    }
+                }
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The in-place kernel returns what the five-row oracle returns:
+        /// one-directional and bidirectional, both scorers, unrelated and
+        /// related pairs, empty inputs included, with one workspace reused
+        /// (and so left dirty) across every case.
+        #[test]
+        fn in_place_kernel_matches_five_row_oracle(
+            seed in any::<u64>(),
+            qlen in 0usize..160,
+            slen in 0usize..220,
+            x_drop in 5i32..45,
+            protein in any::<bool>(),
+            related in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (scorer, gaps, alphabet) = if protein {
+                (Scorer::Blosum62, GapPenalties::blastp(), 20u8)
+            } else {
+                (nt(), g(), 4u8)
+            };
+            let q = residues(&mut rng, qlen, alphabet, None);
+            let s = if related {
+                residues(&mut rng, 0, alphabet, Some(&q))
+            } else {
+                residues(&mut rng, slen, alphabet, None)
+            };
+            // One workspace per test thread, never cleared.
+            thread_local! {
+                static WS: std::cell::RefCell<GappedWorkspace> =
+                    std::cell::RefCell::new(GappedWorkspace::new());
+            }
+            WS.with(|ws| {
+                let ws = &mut *ws.borrow_mut();
+                let want = oracle::xdrop_extend(&q, &s, &scorer, gaps, x_drop);
+                let got = xdrop_extend_with(&q, &s, &scorer, gaps, x_drop, ws);
+                prop_assert_eq!(got, want, "forward q={:?} s={:?}", &q, &s);
+                let q0 = rng.random_range(0..q.len() + 1);
+                let s0 = rng.random_range(0..s.len() + 1);
+                let want = oracle::extend_gapped(&q, &s, q0, s0, &scorer, gaps, x_drop);
+                let got = extend_gapped_with(&q, &s, q0, s0, &scorer, gaps, x_drop, ws);
+                prop_assert_eq!(got, want, "anchored at ({}, {}) q={:?} s={:?}", q0, s0, &q, &s);
+                Ok(())
+            })?;
+        }
+    }
+
+    #[test]
+    fn extension_cost_does_not_depend_on_subject_length() {
+        // A 40-nt seed region in the middle of a 100 kb random subject: the
+        // extension leaves the seed, meets noise and dies within an X-drop
+        // of it. The DP must touch that neighbourhood only.
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut subject = residues(&mut rng, 100_000, 4, None);
+        let mut query = residues(&mut rng, 400, 4, None);
+        let core = residues(&mut rng, 40, 4, None);
+        subject.splice(50_000..50_040, core.iter().copied());
+        query.splice(180..220, core.iter().copied());
+        let mut ws = GappedWorkspace::new();
+        let before = CELLS.with(|c| c.get());
+        let got = extend_gapped_with(&query, &subject, 200, 50_020, &nt(), g(), 30, &mut ws);
+        let cells = CELLS.with(|c| c.get()) - before;
+        assert_eq!(
+            got,
+            oracle::extend_gapped(&query, &subject, 200, 50_020, &nt(), g(), 30)
+        );
+        assert!(got.0 >= 40, "the planted core aligns: {got:?}");
+        assert!(cells < 10_000, "{cells} cells for a 40-nt core");
+        assert!(
+            ws.h.len() < 1024 && ws.f.len() == ws.h.len(),
+            "rows grew to {} columns",
+            ws.h.len()
+        );
     }
 }

@@ -58,7 +58,8 @@ pub use report::{tabular, Hit, Hsp};
 pub use search::{
     rank_hits, search_packed, search_packed_batch, search_packed_batch_with,
     search_packed_range_with, search_packed_with, search_volume, search_volume_with,
-    BatchScanWorkspace, DbStats, Program, ScanWorkspace, SearchParams, MAX_FUSED_BATCH,
+    BatchScanWorkspace, DbStats, PreparedBatch, Program, ScanWorkspace, SearchParams,
+    MAX_FUSED_BATCH,
 };
 pub use translate::{six_frames, translate_codon, translate_frame, Frame};
 pub use workspace::DiagTracker;

@@ -199,7 +199,7 @@ impl ScanWorkspace {
 /// Most queries one fused kernel pass can serve: each blastn query brings
 /// two strand contexts and the batched lookup holds
 /// [`MAX_BATCH_CONTEXTS`] contexts. Larger batches are chunked
-/// transparently by [`search_packed_batch_with`].
+/// transparently by [`PreparedBatch`].
 pub const MAX_FUSED_BATCH: usize = MAX_BATCH_CONTEXTS / 2;
 
 /// Per-context scratch for the fused batched scan: its own diagonal
@@ -706,20 +706,9 @@ pub fn search_packed_batch(
 }
 
 /// [`search_packed_batch`] with a caller-provided reusable
-/// [`BatchScanWorkspace`].
-///
-/// For blastn this is the fused hot path: the batch's seed tables are
-/// merged into one [`BatchedNtLookup`] and the seed word rolls across the
-/// packed volume bytes **once per fragment for the whole batch** instead
-/// of once per query — scan cost is per-pass, extension cost stays
-/// per-query. Batches larger than [`MAX_FUSED_BATCH`] queries are chunked.
-/// Results are hit-for-hit identical to `queries.len()` sequential
-/// [`search_packed_with`] calls: same candidates in the same insertion
-/// order, so every downstream tie-break (stable score sort, containment
-/// cull, E-value ranking) resolves identically.
-///
-/// Programs other than blastn have no fused kernel and fall back to the
-/// sequential per-query path.
+/// [`BatchScanWorkspace`]: [`PreparedBatch::new`] then
+/// [`PreparedBatch::search`]. Callers that search more than one volume
+/// with the same batch should keep the [`PreparedBatch`] instead.
 pub fn search_packed_batch_with(
     program: Program,
     queries: &[&[u8]],
@@ -728,153 +717,234 @@ pub fn search_packed_batch_with(
     db: DbStats,
     ws: &mut BatchScanWorkspace,
 ) -> Vec<Vec<Hit>> {
-    match program {
-        Program::Blastn => {
-            assert_eq!(volume.seq_type, SeqType::Nucleotide, "blastn needs a nt db");
-            let mut out = Vec::with_capacity(queries.len());
-            for chunk in queries.chunks(MAX_FUSED_BATCH) {
-                out.extend(search_blastn_batch(chunk, volume, params, db, ws));
+    PreparedBatch::new(program, queries, params, db).search(volume, ws)
+}
+
+/// One fused chunk (≤ [`MAX_FUSED_BATCH`] queries) of a prepared blastn
+/// batch. Context index `2q` is query q's plus strand, `2q + 1` its minus
+/// strand — the order the sequential path scans them.
+struct PreparedChunk {
+    ctxs: Vec<[QueryCtx; 2]>,
+    stats: Vec<StatsCtx>,
+    lookup: BatchedNtLookup,
+}
+
+enum Prepared<'a> {
+    /// blastn: the fused kernel, one chunk per pass over a volume.
+    Fused(Vec<PreparedChunk>),
+    /// Programs without a fused kernel run the sequential per-query path.
+    PerQuery {
+        program: Program,
+        db: DbStats,
+        queries: Vec<&'a [u8]>,
+    },
+}
+
+/// Everything a batch search needs that depends on the queries and not on
+/// the volume: for blastn both strands of every query, their DUST masks
+/// folded into one merged [`BatchedNtLookup`] per chunk of at most
+/// [`MAX_FUSED_BATCH`] queries, and the per-query statistics. It is
+/// immutable after [`PreparedBatch::new`], so one instance serves every
+/// fragment of a job and every worker thread at once (each with its own
+/// [`BatchScanWorkspace`]); a batch of one query is the degenerate case
+/// and still scans both strands in a single pass.
+pub struct PreparedBatch<'a> {
+    params: &'a SearchParams,
+    prepared: Prepared<'a>,
+}
+
+impl<'a> PreparedBatch<'a> {
+    /// Prepare `queries` for `program`.
+    pub fn new(
+        program: Program,
+        queries: &[&'a [u8]],
+        params: &'a SearchParams,
+        db: DbStats,
+    ) -> Self {
+        let prepared = match program {
+            Program::Blastn => Prepared::Fused(
+                queries
+                    .chunks(MAX_FUSED_BATCH)
+                    .map(|chunk| PreparedChunk::new(chunk, params, db))
+                    .collect(),
+            ),
+            _ => Prepared::PerQuery {
+                program,
+                db,
+                queries: queries.to_vec(),
+            },
+        };
+        PreparedBatch { params, prepared }
+    }
+
+    /// Search one packed volume with the whole batch; one `Vec<Hit>` per
+    /// query, in input order.
+    ///
+    /// For blastn this is the fused hot path: the seed word rolls across
+    /// the packed volume bytes **once per chunk for the whole chunk**
+    /// instead of once per query — scan cost is per-pass, extension cost
+    /// stays per-query. Results are hit-for-hit identical to sequential
+    /// [`search_packed_with`] calls: same candidates in the same insertion
+    /// order, so every downstream tie-break (stable score sort,
+    /// containment cull, E-value ranking) resolves identically.
+    pub fn search(&self, volume: &PackedVolume, ws: &mut BatchScanWorkspace) -> Vec<Vec<Hit>> {
+        match &self.prepared {
+            Prepared::Fused(chunks) => {
+                assert_eq!(volume.seq_type, SeqType::Nucleotide, "blastn needs a nt db");
+                chunks
+                    .iter()
+                    .flat_map(|chunk| chunk.search(volume, self.params, ws))
+                    .collect()
             }
-            out
+            Prepared::PerQuery {
+                program,
+                db,
+                queries,
+            } => queries
+                .iter()
+                .map(|q| search_packed_with(*program, q, volume, self.params, *db, &mut ws.solo))
+                .collect(),
         }
-        _ => queries
-            .iter()
-            .map(|q| search_packed_with(program, q, volume, params, db, &mut ws.solo))
-            .collect(),
     }
 }
 
-/// One fused chunk (≤ [`MAX_FUSED_BATCH`] queries) of the batched blastn
-/// search: one merged lookup, one rolled pass per subject, per-context
-/// demux into the sequential candidate order.
-fn search_blastn_batch(
-    queries: &[&[u8]],
-    volume: &PackedVolume,
-    params: &SearchParams,
-    db: DbStats,
-    ws: &mut BatchScanWorkspace,
-) -> Vec<Vec<Hit>> {
-    let b = queries.len();
-    if b == 0 {
-        return Vec::new();
-    }
-    // Per-query statistics and strand contexts; context index `2q` is
-    // query q's plus strand, `2q + 1` its minus strand — the order the
-    // sequential path scans them.
-    let stats: Vec<StatsCtx> = queries
-        .iter()
-        .map(|q| stats_ctx(params, q.len(), db))
-        .collect();
-    let ctxs: Vec<[QueryCtx; 2]> = queries
-        .iter()
-        .map(|q| {
-            [
-                QueryCtx {
-                    codes: q.to_vec(),
-                    frame: 1,
-                },
-                QueryCtx {
-                    codes: reverse_complement(q),
-                    frame: -1,
-                },
-            ]
-        })
-        .collect();
-    let masks: Vec<Vec<(usize, usize)>> = ctxs
-        .iter()
-        .flat_map(|pair| pair.iter())
-        .map(|c| {
-            params
-                .dust
-                .map(|d| dust_mask(&c.codes, d))
-                .unwrap_or_default()
-        })
-        .collect();
-    let merged_ctxs: Vec<MaskedContext> = ctxs
-        .iter()
-        .flat_map(|pair| pair.iter())
-        .zip(&masks)
-        .map(|(c, m)| (c.codes.as_slice(), m.as_slice()))
-        .collect();
-    let lookup = BatchedNtLookup::build_masked(&merged_ctxs, params.word_size);
-
-    if ws.ctx.len() < 2 * b {
-        ws.ctx.resize_with(2 * b, CtxScratch::default);
-    }
-    // Split the workspace into disjoint field borrows once: the scan
-    // closure needs the context scratch, the shared unpack buffer, and
-    // the gapped rows simultaneously.
-    let BatchScanWorkspace {
-        ctx: ctx_ws,
-        subject,
-        unpacks,
-        merged,
-        kept,
-        gapped,
-        ..
-    } = ws;
-
-    let mut per_query: Vec<Vec<Hit>> = (0..b).map(|_| Vec::new()).collect();
-    for si in 0..volume.nseq() {
-        let bytes = volume.packed(si);
-        let slen = volume.seq_len(si);
-        let mut subject_valid = false;
-        for (c, cs) in ctx_ws.iter_mut().enumerate().take(2 * b) {
-            cs.cands.clear();
-            cs.diag_end.begin(ctxs[c / 2][c % 2].codes.len() + slen + 1);
-        }
-        lookup.scan_packed_batched(bytes, slen, |ctx, qp, sp| {
-            if !subject_valid {
-                unpack_2bit_into(bytes, slen, subject);
-                subject_valid = true;
-                *unpacks += 1;
-            }
-            let c = ctx as usize;
-            let qctx = &ctxs[c / 2][c % 2];
-            let cs = &mut ctx_ws[c];
-            nt_hit(
-                &qctx.codes,
-                subject,
-                qp as usize,
-                sp as usize,
-                lookup.word,
-                qctx.frame,
-                qctx.frame, // s_frame mirrors the context, as sequentially
-                params,
-                &stats[c / 2],
-                &mut cs.diag_end,
-                gapped,
-                &mut cs.cands,
-            );
-        });
-        for (qi, hits) in per_query.iter_mut().enumerate() {
-            // Reassemble this query's sequential candidate order: the
-            // whole plus-strand scan precedes the whole minus-strand
-            // scan, exactly as `search_blastn_range` appends them.
-            merged.clear();
-            merged.append(&mut ctx_ws[2 * qi].cands);
-            merged.append(&mut ctx_ws[2 * qi + 1].cands);
-            if merged.is_empty() {
-                continue;
-            }
-            // Any candidate implies a seed hit, so the shared lazy
-            // unpack has filled `subject` by now.
-            let codes: &[u8] = subject;
-            let subject_ctxs = [(1i8, codes), (-1i8, codes)];
-            let hsps = finalize(merged, kept, &ctxs[qi], &subject_ctxs, params, &stats[qi]);
-            if !hsps.is_empty() {
-                hits.push(Hit {
-                    subject_id: volume.id(si),
-                    subject_index: si,
-                    hsps,
-                });
-            }
+impl PreparedChunk {
+    fn new(queries: &[&[u8]], params: &SearchParams, db: DbStats) -> Self {
+        let stats = queries
+            .iter()
+            .map(|q| stats_ctx(params, q.len(), db))
+            .collect();
+        let ctxs: Vec<[QueryCtx; 2]> = queries
+            .iter()
+            .map(|q| {
+                [
+                    QueryCtx {
+                        codes: q.to_vec(),
+                        frame: 1,
+                    },
+                    QueryCtx {
+                        codes: reverse_complement(q),
+                        frame: -1,
+                    },
+                ]
+            })
+            .collect();
+        let masks: Vec<Vec<(usize, usize)>> = ctxs
+            .iter()
+            .flatten()
+            .map(|c| {
+                params
+                    .dust
+                    .map(|d| dust_mask(&c.codes, d))
+                    .unwrap_or_default()
+            })
+            .collect();
+        let merged_ctxs: Vec<MaskedContext> = ctxs
+            .iter()
+            .flatten()
+            .zip(&masks)
+            .map(|(c, m)| (c.codes.as_slice(), m.as_slice()))
+            .collect();
+        let lookup = BatchedNtLookup::build_masked(&merged_ctxs, params.word_size);
+        PreparedChunk {
+            ctxs,
+            stats,
+            lookup,
         }
     }
-    per_query
-        .into_iter()
-        .map(|hits| rank(hits, params.max_hits))
-        .collect()
+
+    /// One rolled pass per subject, per-context demux into the sequential
+    /// candidate order.
+    fn search(
+        &self,
+        volume: &PackedVolume,
+        params: &SearchParams,
+        ws: &mut BatchScanWorkspace,
+    ) -> Vec<Vec<Hit>> {
+        let PreparedChunk {
+            ctxs,
+            stats,
+            lookup,
+        } = self;
+        let b = ctxs.len();
+        if ws.ctx.len() < 2 * b {
+            ws.ctx.resize_with(2 * b, CtxScratch::default);
+        }
+        // Split the workspace into disjoint field borrows once: the scan
+        // closure needs the context scratch, the shared unpack buffer, and
+        // the gapped rows simultaneously.
+        let BatchScanWorkspace {
+            ctx: ctx_ws,
+            subject,
+            unpacks,
+            merged,
+            kept,
+            gapped,
+            ..
+        } = ws;
+
+        let mut per_query: Vec<Vec<Hit>> = (0..b).map(|_| Vec::new()).collect();
+        for si in 0..volume.nseq() {
+            let bytes = volume.packed(si);
+            let slen = volume.seq_len(si);
+            let mut subject_valid = false;
+            for (c, cs) in ctx_ws.iter_mut().enumerate().take(2 * b) {
+                cs.cands.clear();
+                cs.diag_end.begin(ctxs[c / 2][c % 2].codes.len() + slen + 1);
+            }
+            lookup.scan_packed_batched(bytes, slen, |ctx, qp, sp| {
+                if !subject_valid {
+                    unpack_2bit_into(bytes, slen, subject);
+                    subject_valid = true;
+                    *unpacks += 1;
+                }
+                let c = ctx as usize;
+                let qctx = &ctxs[c / 2][c % 2];
+                let cs = &mut ctx_ws[c];
+                nt_hit(
+                    &qctx.codes,
+                    subject,
+                    qp as usize,
+                    sp as usize,
+                    lookup.word,
+                    qctx.frame,
+                    qctx.frame, // s_frame mirrors the context, as sequentially
+                    params,
+                    &stats[c / 2],
+                    &mut cs.diag_end,
+                    gapped,
+                    &mut cs.cands,
+                );
+            });
+            for (qi, hits) in per_query.iter_mut().enumerate() {
+                // Reassemble this query's sequential candidate order: the
+                // whole plus-strand scan precedes the whole minus-strand
+                // scan, exactly as `search_blastn_range` appends them.
+                merged.clear();
+                merged.append(&mut ctx_ws[2 * qi].cands);
+                merged.append(&mut ctx_ws[2 * qi + 1].cands);
+                if merged.is_empty() {
+                    continue;
+                }
+                // Any candidate implies a seed hit, so the shared lazy
+                // unpack has filled `subject` by now.
+                let codes: &[u8] = subject;
+                let subject_ctxs = [(1i8, codes), (-1i8, codes)];
+                let hsps = finalize(merged, kept, &ctxs[qi], &subject_ctxs, params, &stats[qi]);
+                if !hsps.is_empty() {
+                    hits.push(Hit {
+                        subject_id: volume.id(si),
+                        subject_index: si,
+                        hsps,
+                    });
+                }
+            }
+        }
+        per_query
+            .into_iter()
+            .map(|hits| rank(hits, params.max_hits))
+            .collect()
+    }
 }
 
 /// The blastn subject source: a decoded volume or a packed one.
@@ -1462,34 +1532,41 @@ mod tests {
     fn batched_search_is_hit_for_hit_identical_to_sequential() {
         use parblast_seqdb::{extract_query, SyntheticConfig, SyntheticNt, VolumeWriter};
 
-        let mut g = SyntheticNt::new(SyntheticConfig {
-            total_residues: 60_000,
-            seed: 33,
-            ..Default::default()
-        });
-        let mut buf = std::io::Cursor::new(Vec::new());
-        let mut w = VolumeWriter::new(&mut buf, SeqType::Nucleotide).unwrap();
+        // Two fragments, so one `PreparedBatch` is searched over more than
+        // one volume the way a job shares it.
         let mut sources = Vec::new();
-        while let Some((d, c)) = g.next() {
-            sources.push(c.clone());
-            w.add_codes(&d, &c).unwrap();
-        }
-        w.finish().unwrap();
-        let bytes = buf.into_inner();
-        let packed = PackedVolume::read_from(&mut bytes.as_slice()).unwrap();
+        let volumes: Vec<PackedVolume> = [33u64, 34]
+            .iter()
+            .map(|&seed| {
+                let mut g = SyntheticNt::new(SyntheticConfig {
+                    total_residues: 60_000,
+                    seed,
+                    ..Default::default()
+                });
+                let mut buf = std::io::Cursor::new(Vec::new());
+                let mut w = VolumeWriter::new(&mut buf, SeqType::Nucleotide).unwrap();
+                while let Some((d, c)) = g.next() {
+                    sources.push(c.clone());
+                    w.add_codes(&d, &c).unwrap();
+                }
+                w.finish().unwrap();
+                let bytes = buf.into_inner();
+                PackedVolume::read_from(&mut bytes.as_slice()).unwrap()
+            })
+            .collect();
         let db = DbStats {
-            residues: packed.residues(),
-            nseq: packed.nseq() as u64,
+            residues: volumes.iter().map(|v| v.residues()).sum(),
+            nseq: volumes.iter().map(|v| v.nseq() as u64).sum(),
         };
         let params = SearchParams::blastn();
-        // A mix of planted queries (each hits a different subject, one on
-        // the minus strand) and random misses; 10 queries forces the
-        // MAX_FUSED_BATCH chunking path.
+        // A mix of planted queries (each hits a different subject, some on
+        // the minus strand) and random misses.
         let mut rng = StdRng::seed_from_u64(33);
         let queries: Vec<Vec<u8>> = (0..10)
             .map(|i| {
                 if i % 3 == 0 {
-                    let q = extract_query(&sources[i % sources.len()], 300, 0.02, 33 + i as u64);
+                    let q =
+                        extract_query(&sources[(7 * i) % sources.len()], 300, 0.02, 33 + i as u64);
                     if i % 6 == 0 {
                         reverse_complement(&q)
                     } else {
@@ -1503,30 +1580,48 @@ mod tests {
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
 
         let mut ws = ScanWorkspace::new();
-        let sequential: Vec<Vec<Hit>> = refs
+        let sequential: Vec<Vec<Vec<Hit>>> = volumes
             .iter()
-            .map(|q| search_packed_with(Program::Blastn, q, &packed, &params, db, &mut ws))
+            .map(|v| {
+                refs.iter()
+                    .map(|q| search_packed_with(Program::Blastn, q, v, &params, db, &mut ws))
+                    .collect()
+            })
             .collect();
-        assert!(
-            sequential.iter().any(|h| !h.is_empty()),
-            "vacuous comparison"
-        );
+        for per_volume in &sequential {
+            assert!(
+                per_volume.iter().any(|h| !h.is_empty()),
+                "vacuous comparison"
+            );
+        }
 
+        // Every batch size up to 10: 1 is the degenerate batch `run`
+        // drives, 9 and 10 cross the MAX_FUSED_BATCH chunk boundary.
         let mut bws = BatchScanWorkspace::new();
-        let batched =
-            search_packed_batch_with(Program::Blastn, &refs, &packed, &params, db, &mut bws);
-        assert_eq!(
-            format!("{sequential:?}"),
-            format!("{batched:?}"),
-            "fused batch must be hit-for-hit identical"
-        );
+        for b in 1..=refs.len() {
+            let prepared = PreparedBatch::new(Program::Blastn, &refs[..b], &params, db);
+            for (v, want) in volumes.iter().zip(&sequential) {
+                let want = format!("{:?}", &want[..b]);
+                assert_eq!(
+                    format!("{:?}", prepared.search(v, &mut bws)),
+                    want,
+                    "prepared batch of {b} must be hit-for-hit identical"
+                );
+                let oneshot =
+                    search_packed_batch_with(Program::Blastn, &refs[..b], v, &params, db, &mut bws);
+                assert_eq!(format!("{oneshot:?}"), want, "one-shot batch of {b}");
+            }
+        }
         // The whole batch shares one unpack per seeded subject: strictly
         // fewer unpacks than the per-query path on this hit-heavy mix.
+        let (seq_unpacks, before) = (ws.unpacks(), bws.unpacks());
+        PreparedBatch::new(Program::Blastn, &refs, &params, db).search(&volumes[0], &mut bws);
+        PreparedBatch::new(Program::Blastn, &refs, &params, db).search(&volumes[1], &mut bws);
         assert!(
-            bws.unpacks() < ws.unpacks(),
+            bws.unpacks() - before < seq_unpacks,
             "batched unpacks {} !< sequential {}",
-            bws.unpacks(),
-            ws.unpacks()
+            bws.unpacks() - before,
+            seq_unpacks
         );
     }
 

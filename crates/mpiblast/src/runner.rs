@@ -18,12 +18,13 @@
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use parblast_blast::{
-    search_packed_batch_with, search_packed_with, BatchScanWorkspace, DbStats, Hit, Program,
-    ScanWorkspace, SearchParams, MAX_FUSED_BATCH,
+    search_packed_with, BatchScanWorkspace, DbStats, Hit, PreparedBatch, Program, ScanWorkspace,
+    SearchParams, MAX_FUSED_BATCH,
 };
 use parblast_seqdb::PackedVolume;
 
@@ -134,13 +135,12 @@ struct FragmentResult {
 /// persistent one surfaces as the job's error).
 const MAX_TASK_ATTEMPTS: u32 = 3;
 
-/// One unit of work: a fragment to search with a (sub-)query whose first
-/// residue sits at `q_offset` of the original query.
+/// One unit of work: a fragment to search with one window of the query
+/// (an index into the job's `(offset, len)` window list).
 #[derive(Debug, Clone)]
 struct Task {
     fragment: String,
-    q_offset: usize,
-    q_len: usize,
+    window: usize,
 }
 
 /// Per-query result of a batch run.
@@ -185,6 +185,42 @@ fn next_task<T>(task_rx: &channel::Receiver<T>, in_pipeline: usize) -> Option<T>
     }
 }
 
+/// Add one fragment's `hit` to the master's list. Under query
+/// segmentation the same subject can be found by several pieces: their
+/// HSP lists are merged per subject, an HSP a piece overlap found twice
+/// counting once.
+fn merge_hit(hits: &mut Vec<Hit>, hit: Hit) {
+    let Some(existing) = hits.iter_mut().find(|h| h.subject_id == hit.subject_id) else {
+        hits.push(hit);
+        return;
+    };
+    for hsp in hit.hsps {
+        let dup = existing
+            .hsps
+            .iter()
+            .any(|e| e.s_start == hsp.s_start && e.s_end == hsp.s_end && e.q_start == hsp.q_start);
+        if !dup {
+            existing.hsps.push(hsp);
+        }
+    }
+    existing.hsps.sort_by_key(|h| std::cmp::Reverse(h.score));
+}
+
+/// Master merge: rank across fragments by E-value then score, like
+/// mpiBLAST's score-ordered merge, and keep the best `max_hits`. The
+/// subject id breaks ties so the order does not depend on which fragment
+/// arrived first.
+fn rank_merged(hits: &mut Vec<Hit>, max_hits: usize) {
+    hits.sort_by(|a, b| {
+        a.best_evalue()
+            .partial_cmp(&b.best_evalue())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(b.best_score().cmp(&a.best_score()))
+            .then_with(|| a.subject_id.cmp(&b.subject_id))
+    });
+    hits.truncate(max_hits);
+}
+
 impl ParallelBlast {
     /// Run a batch of queries over the fragment set: each worker task
     /// searches one fragment with *all* queries (one pass over the data,
@@ -215,6 +251,15 @@ impl ParallelBlast {
         let (res_tx, res_rx) = channel::unbounded::<io::Result<Vec<(usize, Vec<Hit>)>>>();
         let clocks = IoClocks::default();
         let depth = if self.prefetch { 2 } else { 1 };
+        // Strands, masks, statistics and the merged lookup depend on the
+        // queries alone: built once per batch, by whichever search thread
+        // first has a fetch in flight to hide the work behind, and shared
+        // by every worker and fragment from then on.
+        let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+        let prepared = OnceLock::new();
+        let prepare = || {
+            prepared.get_or_init(|| PreparedBatch::new(self.program, &refs, &self.params, self.db))
+        };
         std::thread::scope(|scope| {
             for w in 0..self.workers.max(1) {
                 let task_rx = task_rx.clone();
@@ -223,6 +268,7 @@ impl ParallelBlast {
                 let clocks = &clocks;
                 let kernel_passes = &kernel_passes;
                 let passes_saved = &passes_saved;
+                let prepare = &prepare;
                 // Worker pair: the search thread feeds fragment names to
                 // its fetcher, which sends back decoded volumes. One read
                 // of each fragment serves every query; nucleotide data
@@ -249,6 +295,9 @@ impl ParallelBlast {
                                 Some(f) => {
                                     fetch_tx.send(f).expect("fetcher alive");
                                     in_pipeline += 1;
+                                    if kernel == BatchKernel::Fused {
+                                        prepare();
+                                    }
                                 }
                                 None => break,
                             }
@@ -262,18 +311,7 @@ impl ParallelBlast {
                         in_pipeline -= 1;
                         let r = fetched.map(|volume| {
                             let per_query: Vec<Vec<Hit>> = match kernel {
-                                BatchKernel::Fused => {
-                                    let refs: Vec<&[u8]> =
-                                        queries.iter().map(|q| q.as_slice()).collect();
-                                    search_packed_batch_with(
-                                        self.program,
-                                        &refs,
-                                        &volume,
-                                        &self.params,
-                                        self.db,
-                                        &mut bws,
-                                    )
-                                }
+                                BatchKernel::Fused => prepare().search(&volume, &mut bws),
                                 BatchKernel::PerQuery => queries
                                     .iter()
                                     .map(|q| {
@@ -315,14 +353,7 @@ impl ParallelBlast {
                 }
             }
             for hits in &mut per_query {
-                hits.sort_by(|a, b| {
-                    a.best_evalue()
-                        .partial_cmp(&b.best_evalue())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.best_score().cmp(&a.best_score()))
-                        .then_with(|| a.subject_id.cmp(&b.subject_id))
-                });
-                hits.truncate(self.params.max_hits);
+                rank_merged(hits, self.params.max_hits);
             }
             Ok(BatchOutcome {
                 per_query,
@@ -350,33 +381,41 @@ impl ParallelBlast {
             .collect()
     }
 
-    /// Run the job for one query.
+    /// Run the job for one query: the kernel [`Self::run_batch`] drives, as
+    /// a batch of one (both strands in one pass over each fragment), plus
+    /// what a job has and a batch does not — query segmentation, task
+    /// reassignment after a failure, the traced result writes.
     pub fn run(&self, query: &[u8]) -> io::Result<RunOutcome> {
         let t0 = Instant::now();
-        let tasks: Vec<Task> = match self.parallelization {
-            Parallelization::DatabaseSegmentation => self
-                .fragments
-                .iter()
-                .map(|f| Task {
-                    fragment: f.clone(),
-                    q_offset: 0,
-                    q_len: query.len(),
-                })
-                .collect(),
+        // Database segmentation searches every fragment with the whole
+        // query; query segmentation searches every fragment once *per
+        // piece* — the whole database is read `pieces` times, the §2.2 I/O
+        // overhead.
+        let windows = match self.parallelization {
+            Parallelization::DatabaseSegmentation => vec![(0, query.len())],
             Parallelization::QuerySegmentation { pieces, overlap } => {
-                // Every piece searches every fragment: the whole database
-                // is read once *per piece* — the §2.2 I/O overhead.
                 Self::query_windows(query.len(), pieces, overlap)
-                    .into_iter()
-                    .flat_map(|(q_offset, q_len)| {
-                        self.fragments.iter().map(move |f| Task {
-                            fragment: f.clone(),
-                            q_offset,
-                            q_len,
-                        })
-                    })
-                    .collect()
             }
+        };
+        let tasks: Vec<Task> = (0..windows.len())
+            .flat_map(|window| {
+                self.fragments.iter().map(move |f| Task {
+                    fragment: f.clone(),
+                    window,
+                })
+            })
+            .collect();
+        // The same prepared fused kernel `run_batch` drives, as a batch of
+        // one per window: built by the first search thread to queue a fetch
+        // for that window, shared by every worker and fragment after.
+        let prepared: Vec<OnceLock<PreparedBatch>> =
+            windows.iter().map(|_| OnceLock::new()).collect();
+        let prepare = |window: usize| {
+            prepared[window].get_or_init(|| {
+                let (offset, len) = windows[window];
+                let piece = &query[offset..offset + len];
+                PreparedBatch::new(self.program, &[piece], &self.params, self.db)
+            })
         };
         // The master keeps the task sender so failed tasks can be handed
         // back out (abort-and-reassign); workers exit when it is dropped.
@@ -396,6 +435,7 @@ impl ParallelBlast {
                 let fetch_tracer = self.tracer.clone();
                 let tracer = self.tracer.clone();
                 let clocks = &clocks;
+                let (prepare, windows) = (&prepare, &windows);
                 // Worker pair: search thread → fetcher via `fetch_tx`,
                 // fetcher → search thread via `vol_tx`.
                 let (fetch_tx, fetch_rx) = channel::unbounded::<(Task, u32)>();
@@ -411,7 +451,7 @@ impl ParallelBlast {
                 });
                 scope.spawn(move || {
                     // Workspace reused across every task this worker runs.
-                    let mut ws = ScanWorkspace::new();
+                    let mut bws = BatchScanWorkspace::new();
                     let mut in_pipeline = 0usize;
                     loop {
                         // Keep `depth` fragments in flight: with prefetch,
@@ -419,8 +459,10 @@ impl ParallelBlast {
                         while in_pipeline < depth {
                             match next_task(&task_rx, in_pipeline) {
                                 Some(t) => {
+                                    let window = t.0.window;
                                     fetch_tx.send(t).expect("fetcher alive");
                                     in_pipeline += 1;
+                                    prepare(window);
                                 }
                                 None => break,
                             }
@@ -432,22 +474,18 @@ impl ParallelBlast {
                         let (task, attempt, fetched) = vol_rx.recv().expect("fetcher alive");
                         IoClocks::add(&clocks.stall_ns, w0.elapsed());
                         in_pipeline -= 1;
-                        let piece = &query[task.q_offset..task.q_offset + task.q_len];
                         let r = fetched.map(|volume| {
                             let s0 = Instant::now();
-                            let mut hits = search_packed_with(
-                                self.program,
-                                piece,
-                                &volume,
-                                &self.params,
-                                self.db,
-                                &mut ws,
-                            );
+                            let mut hits = prepare(task.window)
+                                .search(&volume, &mut bws)
+                                .pop()
+                                .expect("one query in, one hit list out");
                             // Map piece coordinates back onto the query.
+                            let q_offset = windows[task.window].0;
                             for hit in &mut hits {
                                 for h in &mut hit.hsps {
-                                    h.q_start += task.q_offset;
-                                    h.q_end += task.q_offset;
+                                    h.q_start += q_offset;
+                                    h.q_end += q_offset;
                                 }
                             }
                             // Small result write, as instrumented in the
@@ -494,42 +532,14 @@ impl ParallelBlast {
                 };
                 per_fragment.push((fr.worker, fr.search_s));
                 for hit in fr.hits {
-                    // Under query segmentation the same subject can be
-                    // found by several pieces: merge HSP lists per subject.
-                    if let Some(existing) = hits.iter_mut().find(|h| h.subject_id == hit.subject_id)
-                    {
-                        for hsp in hit.hsps {
-                            let dup = existing.hsps.iter().any(|e| {
-                                e.s_start == hsp.s_start
-                                    && e.s_end == hsp.s_end
-                                    && e.q_start == hsp.q_start
-                            });
-                            if !dup {
-                                existing.hsps.push(hsp);
-                            }
-                        }
-                        existing.hsps.sort_by_key(|h| std::cmp::Reverse(h.score));
-                    } else {
-                        hits.push(hit);
-                    }
+                    merge_hit(&mut hits, hit);
                 }
             }
             drop(task_tx); // all tasks done (or job failed): workers exit
             if let Some(e) = failure {
                 return Err(e);
             }
-            // Master merge: rank across fragments by E-value then score,
-            // like mpiBLAST's score-ordered merge.
-            hits.sort_by(|a, b| {
-                a.best_evalue()
-                    .partial_cmp(&b.best_evalue())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.best_score().cmp(&a.best_score()))
-                    // Deterministic merge regardless of fragment arrival
-                    // order: tie-break on the subject id.
-                    .then_with(|| a.subject_id.cmp(&b.subject_id))
-            });
-            hits.truncate(self.params.max_hits);
+            rank_merged(&mut hits, self.params.max_hits);
             Ok(RunOutcome {
                 hits,
                 wall_s: t0.elapsed().as_secs_f64(),
@@ -703,6 +713,77 @@ mod tests {
                 .collect()
         };
         assert_eq!(key(&batch.per_query[0]), key(&single1.hits));
+    }
+
+    #[test]
+    fn run_is_run_batch_of_one_for_every_scheme_and_query_segmentation_too() {
+        let base = tmp("run_eq");
+        let schemes = [
+            Scheme::local_at(&base.join("l"), 2).unwrap(),
+            Scheme::pvfs_at(&base.join("p"), 4, 64 << 10).unwrap(),
+            Scheme::ceft_at(&base.join("c"), 2, 64 << 10).unwrap(),
+        ];
+        for (si, scheme) in schemes.into_iter().enumerate() {
+            let (fragments, query, db) = setup(&base, &scheme, 4);
+            for prefetch in [false, true] {
+                let mk = |workers, parallelization| ParallelBlast {
+                    program: Program::Blastn,
+                    params: SearchParams::blastn(),
+                    db,
+                    fragments: fragments.clone(),
+                    workers,
+                    scheme: scheme.clone(),
+                    tracer: Tracer::disabled(),
+                    parallelization,
+                    prefetch,
+                    list_io: false,
+                };
+                let whole = mk(2, Parallelization::DatabaseSegmentation);
+                let single = whole.run(&query).unwrap();
+                assert!(!single.hits.is_empty(), "vacuous comparison");
+                let mut batch = whole.run_batch(std::slice::from_ref(&query)).unwrap();
+                assert_eq!(
+                    format!("{:?}", single.hits),
+                    format!("{:?}", batch.per_query.remove(0)),
+                    "scheme {si} prefetch {prefetch}"
+                );
+
+                // Query segmentation: every window is its own batch of one.
+                // One worker, because which of two overlap duplicates
+                // survives the merge depends on arrival order.
+                let (pieces, overlap) = (3, 120);
+                let segmented = mk(1, Parallelization::QuerySegmentation { pieces, overlap })
+                    .run(&query)
+                    .unwrap();
+                let windows = ParallelBlast::query_windows(query.len(), pieces, overlap);
+                let per_piece: Vec<Vec<u8>> = windows
+                    .iter()
+                    .map(|&(offset, len)| query[offset..offset + len].to_vec())
+                    .collect();
+                let mut want = Vec::new();
+                let found = whole.run_batch(&per_piece).unwrap().per_query;
+                for (&(offset, _), hits) in windows.iter().zip(found) {
+                    for mut hit in hits {
+                        for h in &mut hit.hsps {
+                            h.q_start += offset;
+                            h.q_end += offset;
+                        }
+                        merge_hit(&mut want, hit);
+                    }
+                }
+                rank_merged(&mut want, whole.params.max_hits);
+                assert!(
+                    want.iter().any(|h| h.hsps.len() > 1),
+                    "no subject was found by two pieces"
+                );
+                assert_eq!(
+                    format!("{:?}", segmented.hits),
+                    format!("{want:?}"),
+                    "query segmentation, scheme {si} prefetch {prefetch}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]
@@ -971,17 +1052,21 @@ mod tests {
     #[test]
     fn sequential_stall_accounts_for_the_whole_fetch() {
         // With the pipeline depth forced to one the search thread waits
-        // out every fetch, so stall ≈ fetch; the bench's hidden fraction
-        // is measured against exactly this baseline.
+        // out every fetch but its first, which hides behind the query
+        // preparation: stall ≈ fetch. The bench's hidden fraction is
+        // measured against exactly this baseline. The servers are paced
+        // so that a fetch is milliseconds of waiting, not microseconds of
+        // page-cache copying the scheduler can hide.
         let base = tmp("stall");
         let scheme = Scheme::pvfs_at(&base.join("p"), 4, 64 << 10).unwrap();
-        let (fragments, query, db) = setup(&base, &scheme, 4);
+        scheme.set_io_throttle(1 << 20);
+        let (fragments, query, db) = setup(&base, &scheme, 8);
         let job = ParallelBlast {
             program: Program::Blastn,
             params: SearchParams::blastn(),
             db,
             fragments,
-            workers: 2,
+            workers: 1,
             scheme,
             tracer: Tracer::disabled(),
             parallelization: Parallelization::DatabaseSegmentation,

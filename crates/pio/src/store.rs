@@ -10,7 +10,7 @@
 //!   directories with dual-half reads and hot-spot skipping (CEFT-PVFS).
 
 use std::fs::{self, File};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::integrity;
@@ -135,9 +135,7 @@ impl LocalStore {
 impl ObjectStore for LocalStore {
     fn put(&self, name: &str, data: &[u8]) -> io::Result<()> {
         let path = self.path_of(name);
-        let mut f = File::create(&path)?;
-        f.write_all(data)?;
-        f.flush()?;
+        integrity::replace_file(&path, data)?;
         integrity::write_sums(&path, data, integrity::DEFAULT_STRIPE)
     }
 
@@ -214,6 +212,32 @@ mod tests {
         r.read_at(50_000, &mut mid).unwrap();
         assert_eq!(&mid[..], &data[50_000..51_000]);
         assert_eq!(read_all(&st, "frag.000").unwrap(), data);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn put_replaces_in_place_and_cuts_to_length() {
+        let dir = tmp("replace");
+        let st = LocalStore::new(&dir).unwrap();
+        let object = |len: u32, salt: u32| -> Vec<u8> {
+            (0..len).map(|i| ((i ^ salt) % 251) as u8).collect()
+        };
+        // Longer, shorter (also across a stripe boundary), longer, empty:
+        // after every put the file is exactly the new bytes and the
+        // sidecar covers exactly the new stripes.
+        for (len, salt) in [(300_000, 1), (70_000, 2), (500_000, 3), (0, 4), (10, 5)] {
+            let data = object(len, salt);
+            st.put("frag", &data).unwrap();
+            assert_eq!(st.size("frag").unwrap(), data.len() as u64);
+            assert_eq!(fs::read(st.path_of("frag")).unwrap(), data);
+            let sums = integrity::load_sums(&st.path_of("frag"));
+            assert_eq!(
+                sums,
+                integrity::stripe_sums(&data, integrity::DEFAULT_STRIPE)
+            );
+            let mut unpaced = crate::pool::RateLimiter::new(0);
+            assert!(st.scrub_object("frag", &mut unpaced).unwrap().is_empty());
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -111,9 +111,21 @@ pub fn reverse_complement(codes: &[u8]) -> Vec<u8> {
 /// Pack 2-bit nucleotide codes, 4 per byte (big-endian within the byte,
 /// like NCBI's ncbi2na).
 pub fn pack_2bit(codes: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; codes.len().div_ceil(4)];
-    for (i, &c) in codes.iter().enumerate() {
-        out[i / 4] |= (c & 3) << (6 - 2 * (i % 4));
+    let mut out = Vec::with_capacity(codes.len().div_ceil(4));
+    let mut quads = codes.chunks_exact(4);
+    // Four bases per output byte; formatting a database is mostly this.
+    out.extend(
+        quads
+            .by_ref()
+            .map(|q| (q[0] & 3) << 6 | (q[1] & 3) << 4 | (q[2] & 3) << 2 | (q[3] & 3)),
+    );
+    let tail = quads.remainder();
+    if !tail.is_empty() {
+        out.push(
+            tail.iter()
+                .enumerate()
+                .fold(0, |b, (i, &c)| b | (c & 3) << (6 - 2 * i)),
+        );
     }
     out
 }

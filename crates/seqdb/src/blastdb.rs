@@ -171,10 +171,19 @@ impl VolumeHeader {
     }
 }
 
-/// Streaming volume writer.
+/// Sequence data is handed to the sink in pieces of about this size.
+const WRITE_CHUNK: usize = 1 << 20;
+
+/// Streaming volume writer. Sequence data is gathered into chunks of about
+/// 1 MiB before it reaches the sink — one `write` per sequence is tens of
+/// thousands of system calls per formatted database — so a write error
+/// surfaces at a later [`VolumeWriter::add_codes`] or at
+/// [`VolumeWriter::finish`], never silently.
 pub struct VolumeWriter<W: Write + Seek> {
     out: W,
     seq_type: SeqType,
+    /// Sequence data not yet handed to `out`.
+    pending: Vec<u8>,
     data_cursor: u64,
     index: Vec<u8>,
     deflines: Vec<u8>,
@@ -197,6 +206,7 @@ impl<W: Write + Seek> VolumeWriter<W> {
         Ok(VolumeWriter {
             out,
             seq_type,
+            pending: Vec::new(),
             data_cursor: HEADER_LEN,
             index: Vec::new(),
             deflines: Vec::new(),
@@ -230,16 +240,26 @@ impl<W: Write + Seek> VolumeWriter<W> {
         put_u64(&mut self.index, self.deflines.len() as u64);
         put_u64(&mut self.index, def.len() as u64);
         self.deflines.extend_from_slice(def);
-        self.out.write_all(bytes)?;
+        self.pending.extend_from_slice(bytes);
         self.data_cursor += bytes.len() as u64;
         self.nseq += 1;
         self.residues += codes.len() as u64;
+        if self.pending.len() >= WRITE_CHUNK {
+            self.write_pending()?;
+        }
+        Ok(())
+    }
+
+    fn write_pending(&mut self) -> io::Result<()> {
+        self.out.write_all(&self.pending)?;
+        self.pending.clear();
         Ok(())
     }
 
     /// Write the index, deflines and header; returns `(nseq, residues,
     /// file size)`.
     pub fn finish(mut self) -> io::Result<(u64, u64, u64)> {
+        self.write_pending()?;
         let index_offset = self.data_cursor;
         let defline_offset = index_offset + self.index.len() as u64;
         self.out.write_all(&self.index)?;
@@ -865,5 +885,69 @@ mod tests {
         let v = Volume::read_from(&mut f).unwrap();
         assert_eq!(v.sequences[0].codes.len(), 8);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sink that counts `write` calls.
+    struct CountingSink {
+        inner: Cursor<Vec<u8>>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl Seek for CountingSink {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn sequence_data_reaches_the_sink_in_chunks_and_whole() {
+        // ~2.6 MiB of packed data in 3000 sequences of ragged lengths:
+        // crosses the write chunk twice and ends on a partial one.
+        let seqs: Vec<(String, Vec<u8>)> = (0..3000usize)
+            .map(|i| {
+                let codes = (0..3400 + i % 7)
+                    .map(|k| ((k * 7 + i * 13) % 4) as u8)
+                    .collect();
+                (format!("s{i} sequence number {i}"), codes)
+            })
+            .collect();
+        let mut sink = CountingSink {
+            inner: Cursor::new(Vec::new()),
+            writes: 0,
+        };
+        let mut w = VolumeWriter::new(&mut sink, SeqType::Nucleotide).unwrap();
+        for (d, c) in &seqs {
+            w.add_codes(d, c).unwrap();
+        }
+        let (nseq, _, total) = w.finish().unwrap();
+        assert_eq!(nseq, 3000);
+        assert!(
+            sink.writes < 12,
+            "{} writes for 3000 sequences",
+            sink.writes
+        );
+        let bytes = sink.inner.into_inner();
+        assert_eq!(bytes.len() as u64, total);
+        // The layout is what one write per sequence produced: header, every
+        // sequence's packed bytes back to back, index, deflines.
+        let data: Vec<u8> = seqs.iter().flat_map(|(_, c)| pack_2bit(c)).collect();
+        let start = HEADER_LEN as usize;
+        assert!(bytes[start..start + data.len()] == data[..], "data region");
+        let v = Volume::read_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(v.sequences.len(), seqs.len());
+        for (got, (d, c)) in v.sequences.iter().zip(&seqs) {
+            assert_eq!(&got.defline, d);
+            assert!(got.codes == *c, "codes of {d}");
+        }
     }
 }

@@ -98,7 +98,14 @@ pub mod channel {
         fn drop(&mut self) {
             if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake blocked receivers so they observe the
-                // disconnect.
+                // disconnect. The queue lock is taken first because a
+                // receiver checks `senders` while holding it and only
+                // gives it up by parking on `ready`: once the lock is
+                // ours, every receiver has either parked (and is woken
+                // now) or will re-check and see zero. Notifying without
+                // it could fall between a receiver's check and its park,
+                // and that receiver would then wait for ever.
+                let _queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
                 self.inner.ready.notify_all();
             }
         }
@@ -256,5 +263,67 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         tx.send("hello").unwrap();
         assert_eq!(h.join().unwrap(), "hello");
+    }
+
+    /// `Sender::drop` once notified without the queue lock: a receiver
+    /// that had just seen one sender left and not yet parked missed the
+    /// wake-up and hung (about once in a million rounds of this shape,
+    /// which is how `ParallelBlast::run_batch` ends every batch). Two
+    /// threads each send one message and drop their sender while the
+    /// receiver iterates to the disconnect.
+    #[test]
+    fn last_sender_drop_never_loses_the_wakeup() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+
+        const ROUNDS: u64 = 2_000_000;
+        // Channels are handed out a batch at a time, so a round costs the
+        // sends, drops and receives under test and nothing else.
+        const BATCH: u64 = 500;
+        let done = Arc::new(AtomicU64::new(0));
+        let (finished_tx, finished_rx) = mpsc::channel::<()>();
+        let progress = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let hands: Vec<mpsc::Sender<Vec<channel::Sender<u64>>>> = (0..2)
+                .map(|_| {
+                    let (hand_tx, hand_rx) = mpsc::channel::<Vec<channel::Sender<u64>>>();
+                    std::thread::spawn(move || {
+                        for tx in hand_rx.into_iter().flatten() {
+                            tx.send(1).expect("receiver alive");
+                        }
+                    });
+                    hand_tx
+                })
+                .collect();
+            for _ in 0..ROUNDS / BATCH {
+                let (first, (second, receivers)): (Vec<_>, (Vec<_>, Vec<_>)) = (0..BATCH)
+                    .map(|_| {
+                        let (tx, rx) = channel::unbounded::<u64>();
+                        (tx.clone(), (tx, rx))
+                    })
+                    .unzip();
+                hands[0].send(first).expect("sender thread alive");
+                hands[1].send(second).expect("sender thread alive");
+                for rx in receivers {
+                    assert_eq!(rx.into_iter().sum::<u64>(), 2);
+                    progress.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            finished_tx.send(()).expect("test alive");
+        });
+        // Watchdog: a lost wake-up parks the round for good.
+        let mut seen = 0;
+        loop {
+            match finished_rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(()) => break,
+                Err(_) => {
+                    let now = done.load(Ordering::Relaxed);
+                    assert!(now > seen, "receiver hung in round {now} of {ROUNDS}");
+                    seen = now;
+                }
+            }
+        }
+        assert_eq!(done.load(Ordering::Relaxed), ROUNDS);
     }
 }
