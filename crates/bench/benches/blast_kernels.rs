@@ -5,11 +5,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use parblast_core::blast::{
-    banded_global, extend_gapped, extend_ungapped, scorer_params, search_volume, DbStats,
-    GapPenalties, NtLookup, Program, Scorer, SearchParams,
+    banded_global, extend_gapped, extend_ungapped, scorer_params, search_volume, BatchedNtLookup,
+    DbStats, GapPenalties, Program, Scorer, SearchParams,
 };
 use parblast_core::seqdb::blastdb::DbSequence;
-use parblast_core::seqdb::{extract_query, SeqType, SyntheticConfig, SyntheticNt, Volume};
+use parblast_core::seqdb::{
+    extract_query, pack_2bit, reverse_complement, SeqType, SyntheticConfig, SyntheticNt, Volume,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -28,13 +30,15 @@ fn nt_scorer() -> Scorer {
 fn bench_word_scan(c: &mut Criterion) {
     let query = random_nt(1, 568);
     let subject = random_nt(2, 1 << 20);
-    let lookup = NtLookup::build(&query, 11);
+    let packed = pack_2bit(&subject);
+    // Both strands in one lookup, as every blastn search scans.
+    let lookup = BatchedNtLookup::build(&[&query, &reverse_complement(&query)], 11);
     let mut g = c.benchmark_group("word_scan");
     g.throughput(Throughput::Bytes(subject.len() as u64));
-    g.bench_function("w11_568nt_query_1MiB_subject", |b| {
+    g.bench_function("w11_568nt_query_1Mi_bases_packed", |b| {
         b.iter(|| {
             let mut hits = 0u64;
-            lookup.scan(&subject, |_, _| hits += 1);
+            lookup.scan_packed_batched(&packed, subject.len(), |_, _, _| hits += 1);
             hits
         })
     });

@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices DESIGN.md §5 calls out:
 //!
 //! 1. CEFT dual-half reads vs naive primary-only reads (the optimization
-//!    of [6] that Figure 7 relies on);
+//!    of \[6\] that Figure 7 relies on);
 //! 2. hot-spot skip-threshold sensitivity (Figure 9's detector);
 //! 3. elevator write-batch size vs stress degradation (the Figure 8/9
 //!    mechanism knob);

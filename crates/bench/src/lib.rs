@@ -38,17 +38,42 @@ pub fn arg_value(key: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Parse a `--key N` numeric argument with a default.
+/// The number a `--key` was given, or what to tell the user.
+fn parse_u64(key: &str, value: &str) -> Result<u64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{key} takes a non-negative integer, not `{value}`"))
+}
+
+/// Parse a `--key N` numeric argument with a default. A value that is not
+/// a number ends the process with status 2: falling back to the default
+/// would run `--db-bytes abc` against the full 2.7 GB database.
 pub fn arg_u64(key: &str, default: u64) -> u64 {
-    arg_value(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(value) = arg_value(key) else {
+        return default;
+    };
+    parse_u64(key, &value).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
     #[test]
     fn arg_u64_default() {
-        assert_eq!(super::arg_u64("--nope", 7), 7);
+        assert_eq!(arg_u64("--nope", 7), 7);
+    }
+
+    #[test]
+    fn a_value_that_is_not_a_number_is_an_error_naming_key_and_value() {
+        assert_eq!(parse_u64("--db-bytes", "201326592"), Ok(201326592));
+        for bad in ["abc", "-1", "1e6", "", "12 "] {
+            let message = parse_u64("--db-bytes", bad).unwrap_err();
+            assert!(message.contains("--db-bytes"), "{message}");
+            assert!(message.contains(&format!("`{bad}`")), "{message}");
+        }
     }
 }

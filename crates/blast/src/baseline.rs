@@ -1,17 +1,18 @@
-//! Frozen pre-optimization blastn kernel, kept as the benchmark baseline.
+//! The reference blastn kernel: what [`crate::PreparedBatch`] must
+//! reproduce hit for hit.
 //!
-//! This is the kernel as it stood before the packed-scan rewrite: every
-//! subject arrives fully decoded (one byte per residue), seeds come from
-//! the byte-at-a-time scanner over a full-CSR prefix-sum lookup (rebuilt
-//! with its two 16 MB sweeps for every query context), diagonals are
-//! tracked in a per-subject `HashMap`, every gapped extension allocates
-//! fresh DP rows, and `finalize` receives per-subject clones of the
-//! subject codes. It
-//! produces hit-for-hit identical output to [`crate::search_volume`] /
-//! [`crate::search_packed`] — `bench --bin engine` verifies that and
-//! measures the speedup, and `tests/determinism.rs` pins the shared
-//! output. Not for production use; kept verbatim so the "pre-PR kernel"
-//! in EXPERIMENTS.md stays measurable.
+//! This is the kernel as it stood before the packed-scan rewrite, frozen:
+//! every subject arrives fully decoded (one byte per residue), each query
+//! strand is scanned on its own by a byte-at-a-time scanner over a
+//! full-CSR prefix-sum lookup (rebuilt with its two 16 MB sweeps for every
+//! query context), diagonals are tracked in a per-subject `HashMap`, every
+//! gapped extension allocates fresh DP rows, and `finalize` receives
+//! per-subject clones of the subject codes. It shares no lookup, scanner,
+//! tracker or workspace with the production kernel, which is what makes it
+//! an oracle: the proptests in `search.rs` and `tests/determinism.rs`
+//! compare the two on random batches, `bench --bin engine` asserts
+//! identity on every rep, and the golden digests in `tests/determinism.rs`
+//! were captured from it. Not for production use.
 
 use std::collections::HashMap;
 
@@ -23,7 +24,7 @@ use crate::gapped::{align_stats, banded_global, extend_gapped};
 use crate::report::{Hit, Hsp};
 use crate::search::{rank, stats_ctx, Candidate, DbStats, QueryCtx, SearchParams, StatsCtx};
 
-/// The pre-rewrite blastn lookup, frozen alongside the kernel: full-CSR
+/// The reference lookup, frozen alongside the kernel: full-CSR
 /// direct table built with a prefix-sum sweep over all 4^w cells (and a
 /// 16 MB cursor clone) instead of the sparse sorted-pairs build, and no
 /// presence bit vector in front of the `starts` probes.
@@ -92,7 +93,8 @@ impl BaselineNtLookup {
     }
 }
 
-/// Pre-rewrite blastn over a decoded volume. See the module docs.
+/// Reference blastn for one query over a decoded volume. See the module
+/// docs.
 pub fn search_blastn_baseline(
     query: &[u8],
     volume: &Volume,
@@ -289,12 +291,12 @@ fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{search_packed, search_volume, Program};
+    use crate::search::{search_volume, PreparedBatch, Program, ScanWorkspace};
     use parblast_seqdb::blastdb::DbSequence;
     use parblast_seqdb::{extract_query, PackedVolume, SyntheticConfig, SyntheticNt, VolumeWriter};
 
     #[test]
-    fn baseline_matches_rewritten_kernel_on_both_paths() {
+    fn baseline_matches_the_kernel_on_decoded_and_packed_volumes() {
         let mut g = SyntheticNt::new(SyntheticConfig {
             total_residues: 60_000,
             seed: 5,
@@ -329,9 +331,14 @@ mod tests {
         let params = SearchParams::blastn();
         let base = search_blastn_baseline(&query, &volume, &params, db);
         let new = search_volume(Program::Blastn, &query, &volume, &params, db);
-        let pk = search_packed(Program::Blastn, &query, &packed, &params, db);
+        let pk = PreparedBatch::new(Program::Blastn, &[&query], &params, db)
+            .search(&packed, &mut ScanWorkspace::new())
+            .remove(0);
         assert!(!base.is_empty(), "vacuous comparison");
         assert_eq!(format!("{base:?}"), format!("{new:?}"), "decoded path");
         assert_eq!(format!("{base:?}"), format!("{pk:?}"), "packed path");
+        // `blastall` derives the same statistics from the volume itself.
+        let all = crate::blastall(Program::Blastn, &query, &volume, &params);
+        assert_eq!(format!("{base:?}"), format!("{all:?}"), "blastall");
     }
 }

@@ -52,12 +52,11 @@ pub use gapped::{
     AlignOp, AlignStats, GappedWorkspace,
 };
 pub use karlin::{gapped_params, scorer_params, ungapped_params, KarlinParams};
-pub use lookup::{AaLookup, BatchedNtLookup, NtLookup, MAX_BATCH_CONTEXTS};
+pub use lookup::{AaLookup, BatchedNtLookup, MAX_BATCH_CONTEXTS};
 pub use matrix::{GapPenalties, Scorer, AA_BACKGROUND, BLOSUM62};
 pub use report::{tabular, Hit, Hsp};
 pub use search::{
-    rank_hits, search_packed, search_packed_batch, search_packed_batch_with,
-    search_packed_range_with, search_packed_with, search_volume, search_volume_with,
+    search_packed_batch_with, search_packed_with, search_volume, search_volume_with,
     BatchScanWorkspace, DbStats, PreparedBatch, Program, ScanWorkspace, SearchParams,
     MAX_FUSED_BATCH,
 };

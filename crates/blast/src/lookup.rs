@@ -1,172 +1,14 @@
 //! Query word lookup tables.
 //!
-//! * [`NtLookup`] — blastn: exact `w`-mer matching via a direct-address
-//!   table over the 2-bit alphabet (4^w cells, CSR-packed positions), the
-//!   same structure NCBI's blastn scanner uses for its default `W=11`.
+//! * [`BatchedNtLookup`] — blastn: exact `w`-mer matching via a
+//!   direct-address table over the 2-bit alphabet (4^w cells, CSR-packed
+//!   positions), the same structure NCBI's blastn scanner uses for its
+//!   default `W=11`, shared by up to 16 query contexts.
 //! * [`AaLookup`] — blastp: 3-mer *neighborhood* lookup: every database
 //!   word scoring ≥ T against some query word hits that query position.
 
 use crate::dust::word_masked;
 use crate::matrix::Scorer;
-
-/// blastn exact-word lookup.
-pub struct NtLookup {
-    /// Word size (≤ 12 for the direct table).
-    pub word: usize,
-    mask: u32,
-    /// Direct-address table: `0` = empty cell, else 1-based index into
-    /// `ranges`. Allocated zeroed (so the kernel hands back untouched
-    /// zero pages) and only the ~one-page-per-query-word cells are ever
-    /// written — building never sweeps the 4^w cells, which is what made
-    /// the old full-CSR prefix-sum build cost ~30 ms per query context.
-    table: Vec<u32>,
-    /// `[start, end)` slices of `positions`, one per non-empty cell.
-    ranges: Vec<(u32, u32)>,
-    positions: Vec<u32>,
-    /// Presence bit vector (NCBI's `pv_array`): bit `c` set iff cell `c`
-    /// has at least one query position. 4^11 bits = 512 KB vs the 16 MB
-    /// `table`, so the almost-always-miss probe in the scan inner loop
-    /// stays cache-resident. Only [`Self::scan_packed`] consults it;
-    /// [`Self::scan`] is kept as the pre-optimization reference scanner.
-    pv: Vec<u64>,
-}
-
-impl NtLookup {
-    /// Build over a 2-bit-coded query (one "context"). Panics if `word`
-    /// is 0 or > 12.
-    pub fn build(query: &[u8], word: usize) -> Self {
-        Self::build_masked(query, word, &[])
-    }
-
-    /// Build with soft masking: query words overlapping a masked interval
-    /// produce no seeds (NCBI blastn's DUST behaviour).
-    pub fn build_masked(query: &[u8], word: usize, mask: &[(usize, usize)]) -> Self {
-        assert!(word > 0 && word <= 12, "word size must be 1..=12");
-        let cells = 1usize << (2 * word);
-        let code_mask = (cells - 1) as u32;
-        // Collect (cell, qpos) once, then stable-sort by cell: work is
-        // O(query) instead of O(4^w), and the stable sort preserves the
-        // ascending-qpos order per cell the scanners emit.
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(query.len());
-        let mut w = 0u32;
-        for (i, &c) in query.iter().enumerate() {
-            w = ((w << 2) | c as u32) & code_mask;
-            if i + 1 >= word && !word_masked(mask, i + 1 - word, word) {
-                pairs.push((w, (i + 1 - word) as u32));
-            }
-        }
-        pairs.sort_by_key(|&(cell, _)| cell);
-        let mut table = vec![0u32; cells];
-        let mut pv = vec![0u64; cells.div_ceil(64)];
-        let mut ranges: Vec<(u32, u32)> = Vec::new();
-        let mut positions = Vec::with_capacity(pairs.len());
-        for &(cell, qpos) in &pairs {
-            let c = cell as usize;
-            if table[c] == 0 {
-                ranges.push((positions.len() as u32, positions.len() as u32));
-                table[c] = ranges.len() as u32;
-                pv[c >> 6] |= 1u64 << (c & 63);
-            }
-            positions.push(qpos);
-            ranges.last_mut().expect("just pushed").1 = positions.len() as u32;
-        }
-        NtLookup {
-            word,
-            mask: code_mask,
-            table,
-            ranges,
-            positions,
-            pv,
-        }
-    }
-
-    /// Emit all hits for the rolled word `w` whose last residue is at
-    /// subject index `i - 1`. The presence bit is checked first so the
-    /// common no-hit case never touches the big direct table.
-    #[inline(always)]
-    fn probe<F: FnMut(u32, u32)>(&self, w: u32, i: usize, f: &mut F) {
-        let cell = w as usize;
-        if self.pv[cell >> 6] & (1u64 << (cell & 63)) == 0 {
-            return;
-        }
-        let (lo, hi) = self.ranges[self.table[cell] as usize - 1];
-        let spos = (i - self.word) as u32;
-        for &qpos in &self.positions[lo as usize..hi as usize] {
-            f(qpos, spos);
-        }
-    }
-
-    /// Query positions whose `word`-mer equals `w`.
-    #[inline]
-    pub fn hits(&self, w: u32) -> &[u32] {
-        let w = (w & self.mask) as usize;
-        match self.table[w] {
-            0 => &[],
-            r => {
-                let (lo, hi) = self.ranges[r as usize - 1];
-                &self.positions[lo as usize..hi as usize]
-            }
-        }
-    }
-
-    /// Scan a 2-bit-coded subject, invoking `f(qpos, spos)` for every word
-    /// hit.
-    pub fn scan<F: FnMut(u32, u32)>(&self, subject: &[u8], mut f: F) {
-        if subject.len() < self.word {
-            return;
-        }
-        let mut w = 0u32;
-        for (i, &c) in subject.iter().enumerate() {
-            w = ((w << 2) | c as u32) & self.mask;
-            if i + 1 >= self.word {
-                let spos = (i + 1 - self.word) as u32;
-                for &qpos in self.hits(w) {
-                    f(qpos, spos);
-                }
-            }
-        }
-    }
-
-    /// Scan a 2-bit *packed* subject (4 bases per byte, [`pack_2bit`]
-    /// layout) of `nbases` residues, invoking `f(qpos, spos)` for every
-    /// word hit — exactly the pairs [`Self::scan`] reports on the unpacked
-    /// codes, in the same order. This is the blastn hot path: the seed
-    /// word rolls across whole packed bytes so the subject never has to be
-    /// expanded, and each candidate word is screened against the
-    /// cache-resident presence bit vector so the big CSR arrays are only
-    /// touched on a genuine hit (≈0.03% of probes for a 568-nt query at
-    /// `W=11`).
-    ///
-    /// [`pack_2bit`]: parblast_seqdb::pack_2bit
-    pub fn scan_packed<F: FnMut(u32, u32)>(&self, packed: &[u8], nbases: usize, mut f: F) {
-        if nbases < self.word {
-            return;
-        }
-        debug_assert!(packed.len() >= nbases.div_ceil(4));
-        let mut w = 0u32;
-        let mut i = 0usize; // residues consumed so far
-        let full = nbases / 4;
-        for &b in &packed[..full] {
-            // Four rolled updates per byte, big-endian within the byte.
-            for c in [(b >> 6) & 3, (b >> 4) & 3, (b >> 2) & 3, b & 3] {
-                w = ((w << 2) | c as u32) & self.mask;
-                i += 1;
-                if i >= self.word {
-                    self.probe(w, i, &mut f);
-                }
-            }
-        }
-        // Ragged tail: 1–3 residues in the final partial byte.
-        for idx in full * 4..nbases {
-            let c = (packed[idx / 4] >> (6 - 2 * (idx % 4))) & 3;
-            w = ((w << 2) | c as u32) & self.mask;
-            i += 1;
-            if i >= self.word {
-                self.probe(w, i, &mut f);
-            }
-        }
-    }
-}
 
 /// Most contexts a [`BatchedNtLookup`] can merge: 8 queries × 2 strands.
 /// The per-cell context tag is a `u16` bitmask, so this is a hard cap.
@@ -176,26 +18,28 @@ pub const MAX_BATCH_CONTEXTS: usize = 16;
 /// soft-mask intervals to exclude from seeding (empty slice = unmasked).
 pub type MaskedContext<'a> = (&'a [u8], &'a [(usize, usize)]);
 
-/// Fused multi-context blastn lookup: merges up to [`MAX_BATCH_CONTEXTS`]
-/// query contexts (each query contributes a plus- and a minus-strand
-/// context) into ONE direct-address table, so a single rolled pass over a
-/// packed fragment serves the whole batch.
+/// The blastn seed lookup: merges up to [`MAX_BATCH_CONTEXTS`] query
+/// contexts (each query contributes a plus- and a minus-strand context)
+/// into ONE direct-address table, so a single rolled pass over a packed
+/// fragment serves the whole batch. A single query is a batch of one: its
+/// two strands still share the pass.
 ///
-/// Layout mirrors [`NtLookup`] — direct table of 1-based `ranges`
-/// indices, CSR-packed hit lists, 512 KB presence bit vector — with two
-/// batch extensions:
-///
+/// * `table` is the direct-address table: `0` = empty cell, else a
+///   1-based index into `ranges`. It is allocated zeroed (so the kernel
+///   hands back untouched zero pages) and only the ~one-page-per-query-word
+///   cells are ever written — building never sweeps the 4^w cells.
+/// * `pv` is the presence bit vector (NCBI's `pv_array`): bit `c` set iff
+///   cell `c` has at least one query position in *any* context. 4^11 bits
+///   = 512 KB against the 16 MB `table`, so the almost-always-miss probe in
+///   the scan inner loop stays cache-resident; probe density grows with
+///   the batch but the scan still rolls the word across the packed bytes
+///   exactly once per fragment.
 /// * every hit-list entry is `(ctx, qpos)` so the scanner can demux each
 ///   seed to its owning context's diagonal tracker and extension stage;
 /// * `ranges` is paired with a per-cell `ctx_masks` bitmask (bit `c` set
-///   iff context `c` has at least one position in the cell). The merged
-///   `pv` answers "does *anyone* want this word?" in one cache-resident
-///   probe — the union of the B per-query vectors, which is the
-///   "widened" presence structure: probe density grows with the batch
-///   but the scan still rolls the word across the packed bytes exactly
-///   once per fragment.
+///   iff context `c` has at least one position in the cell).
 pub struct BatchedNtLookup {
-    /// Word size (≤ 12, same direct-table cap as [`NtLookup`]).
+    /// Word size (≤ 12 for the direct table).
     pub word: usize,
     mask: u32,
     nctx: usize,
@@ -221,8 +65,8 @@ impl BatchedNtLookup {
         Self::build_masked(&masked, word)
     }
 
-    /// Build with per-context soft masking (same DUST semantics as
-    /// [`NtLookup::build_masked`], applied context by context).
+    /// Build with per-context soft masking: query words overlapping a
+    /// masked interval produce no seeds (NCBI blastn's DUST behaviour).
     pub fn build_masked(contexts: &[MaskedContext], word: usize) -> Self {
         assert!(word > 0 && word <= 12, "word size must be 1..=12");
         assert!(
@@ -310,10 +154,17 @@ impl BatchedNtLookup {
 
     /// Scan a 2-bit packed subject of `nbases` residues ONCE for the
     /// whole batch, invoking `f(ctx, qpos, spos)` for every word hit of
-    /// every merged context. For each context `c`, the subsequence of
-    /// calls with `ctx == c` is exactly what that context's own
-    /// [`NtLookup::scan_packed`] would report, in the same order — the
-    /// fused pass is a strict interleaving of the B per-context scans.
+    /// every merged context: the seed word rolls across whole packed bytes
+    /// ([`pack_2bit`] layout), so the subject never has to be expanded, and
+    /// each candidate word is screened against the presence bit vector so
+    /// the CSR arrays are only touched on a genuine hit (≈0.03% of probes
+    /// for a 568-nt query at `W=11`). For each context `c`, the
+    /// subsequence of calls with `ctx == c` is every exact word match of
+    /// that context against the subject, ordered by subject position and
+    /// then query position — the fused pass is a strict interleaving of
+    /// the B per-context scans.
+    ///
+    /// [`pack_2bit`]: parblast_seqdb::pack_2bit
     pub fn scan_packed_batched<F: FnMut(u16, u32, u32)>(
         &self,
         packed: &[u8],
@@ -347,10 +198,9 @@ impl BatchedNtLookup {
     }
 }
 
-/// blastp neighborhood lookup over 3-mers. Like [`NtLookup`], the table
-/// is CSR-packed: one `starts` prefix-sum over the direct-address cells
-/// plus one flat `positions` array, instead of a `Vec` allocation per
-/// non-empty cell.
+/// blastp neighborhood lookup over 3-mers. The table is CSR-packed: one
+/// `starts` prefix-sum over the direct-address cells plus one flat
+/// `positions` array, instead of a `Vec` allocation per non-empty cell.
 pub struct AaLookup {
     /// Word size (fixed 3 in practice; 2 allowed for tests).
     pub word: usize,
@@ -473,96 +323,81 @@ fn enumerate_neighbors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parblast_seqdb::{encode_aa_seq, encode_nt_seq};
+    use parblast_seqdb::{encode_aa_seq, encode_nt_seq, pack_2bit};
+
+    /// Every exact `word`-mer match of `query` in `subject` as `(qpos,
+    /// spos)`, by subject position and then query position: what a scan
+    /// must report for one context, found without any table.
+    fn brute_force(query: &[u8], subject: &[u8], word: usize) -> Vec<(u32, u32)> {
+        let mut out = vec![];
+        if query.len() < word || subject.len() < word {
+            return out;
+        }
+        for sp in 0..=subject.len() - word {
+            for qp in 0..=query.len() - word {
+                if query[qp..qp + word] == subject[sp..sp + word] {
+                    out.push((qp as u32, sp as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// Scan `subject` (packed here) with a lookup of one context.
+    fn scan_one(query: &[u8], word: usize, subject: &[u8]) -> Vec<(u32, u32)> {
+        let lk = BatchedNtLookup::build(&[query], word);
+        let mut hits = vec![];
+        lk.scan_packed_batched(&pack_2bit(subject), subject.len(), |ctx, qp, sp| {
+            assert_eq!(ctx, 0);
+            hits.push((qp, sp));
+        });
+        hits
+    }
 
     #[test]
     fn nt_lookup_finds_exact_words() {
         let q = encode_nt_seq(b"ACGTACGTTT");
-        let lk = NtLookup::build(&q, 4);
         // Word "ACGT" occurs at positions 0 and 4.
-        let subject = encode_nt_seq(b"GGACGTGG");
-        let mut hits = vec![];
-        lk.scan(&subject, |qp, sp| hits.push((qp, sp)));
+        let hits = scan_one(&q, 4, &encode_nt_seq(b"GGACGTGG"));
         assert_eq!(hits, vec![(0, 2), (4, 2)]);
     }
 
     #[test]
     fn nt_lookup_no_false_hits() {
         let q = encode_nt_seq(b"AAAAAAAA");
-        let lk = NtLookup::build(&q, 6);
-        let subject = encode_nt_seq(b"CCCCCCCCCC");
-        let mut hits = 0;
-        lk.scan(&subject, |_, _| hits += 1);
-        assert_eq!(hits, 0);
+        assert!(scan_one(&q, 6, &encode_nt_seq(b"CCCCCCCCCC")).is_empty());
     }
 
     #[test]
     fn nt_lookup_word_11_default() {
         // The blastn default word size used in the paper's searches.
         let q: Vec<u8> = (0..64).map(|i| (i % 4) as u8).collect();
-        let lk = NtLookup::build(&q, 11);
-        let mut hits = vec![];
-        lk.scan(&q, |qp, sp| hits.push((qp, sp)));
+        let hits = scan_one(&q, 11, &q);
         // Self-scan must include the diagonal (qp == sp) for every word.
         let diag = hits.iter().filter(|&&(q, s)| q == s).count();
         assert_eq!(diag, 64 - 10);
     }
 
     #[test]
-    fn scan_packed_matches_scan_including_ragged_tails() {
-        use parblast_seqdb::pack_2bit;
-        for len in [7usize, 16, 33, 250, 255] {
-            let subject: Vec<u8> = (0..len).map(|i| ((i * 31 + 7) % 4) as u8).collect();
-            let q: Vec<u8> = (0..40).map(|i| ((i * 31 + 7) % 4) as u8).collect();
-            for word in [4usize, 8, 11, 12] {
-                let lk = NtLookup::build(&q, word);
-                let mut a = vec![];
-                lk.scan(&subject, |qp, sp| a.push((qp, sp)));
-                let mut b = vec![];
-                lk.scan_packed(&pack_2bit(&subject), len, |qp, sp| b.push((qp, sp)));
-                assert_eq!(a, b, "len {len} word {word}");
-                assert!(
-                    word > 8 || len < word || !a.is_empty(),
-                    "len {len} word {word}: vacuous comparison"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn scan_packed_subject_shorter_than_word() {
         let q = encode_nt_seq(b"ACGTACGTACGT");
-        let lk = NtLookup::build(&q, 8);
-        let mut hits = 0;
-        let subj = encode_nt_seq(b"ACGTA");
-        lk.scan_packed(&parblast_seqdb::pack_2bit(&subj), subj.len(), |_, _| {
-            hits += 1
-        });
-        assert_eq!(hits, 0);
+        assert!(scan_one(&q, 8, &encode_nt_seq(b"ACGTA")).is_empty());
     }
 
     #[test]
-    fn nt_subject_shorter_than_word() {
-        let q = encode_nt_seq(b"ACGTACGTACGT");
-        let lk = NtLookup::build(&q, 8);
-        let mut hits = 0;
-        lk.scan(&encode_nt_seq(b"ACG"), |_, _| hits += 1);
-        assert_eq!(hits, 0);
-    }
-
-    #[test]
-    fn batched_lookup_matches_per_context_scans() {
-        use parblast_seqdb::pack_2bit;
+    fn batched_lookup_matches_brute_force_including_ragged_tails() {
         for len in [7usize, 16, 33, 250, 255] {
             let subject: Vec<u8> = (0..len).map(|i| ((i * 31 + 7) % 4) as u8).collect();
-            let queries: Vec<Vec<u8>> = (0..5)
-                .map(|q| {
-                    (0..30 + q * 7)
-                        .map(|i| ((i * 13 + q * 5 + 3) % 4) as u8)
-                        .collect()
-                })
-                .collect();
-            for word in [4usize, 8, 11] {
+            // The first query is cut from the subject's own stream, so the
+            // comparison is not of empty lists.
+            let mut queries: Vec<Vec<u8>> =
+                vec![(0..40).map(|i| ((i * 31 + 7) % 4) as u8).collect()];
+            queries.extend((0..4).map(|q| {
+                (0..30 + q * 7)
+                    .map(|i| ((i * 13 + q * 5 + 3) % 4) as u8)
+                    .collect()
+            }));
+            for word in [4usize, 8, 11, 12] {
                 let ctxs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
                 let blk = BatchedNtLookup::build(&ctxs, word);
                 let mut fused: Vec<Vec<(u32, u32)>> = vec![vec![]; queries.len()];
@@ -570,11 +405,13 @@ mod tests {
                     fused[ctx as usize].push((qp, sp))
                 });
                 for (ci, q) in queries.iter().enumerate() {
-                    let lk = NtLookup::build(q, word);
-                    let mut solo = vec![];
-                    lk.scan_packed(&pack_2bit(&subject), len, |qp, sp| solo.push((qp, sp)));
-                    assert_eq!(fused[ci], solo, "len {len} word {word} ctx {ci}");
+                    let want = brute_force(q, &subject, word);
+                    assert_eq!(fused[ci], want, "len {len} word {word} ctx {ci}");
                 }
+                assert!(
+                    word > 8 || len < word || !fused[0].is_empty(),
+                    "len {len} word {word}: vacuous comparison"
+                );
             }
         }
     }

@@ -5,6 +5,13 @@
 //! seeds and one-hit triggering; protein searches (blastp and the
 //! translated programs) use the 3-mer neighborhood lookup with two-hit
 //! triggering on a diagonal, like NCBI BLAST 2.x.
+//!
+//! blastn has one kernel: [`PreparedBatch`] merges the strands of up to
+//! [`MAX_FUSED_BATCH`] queries into one lookup and rolls it over each
+//! packed subject once. A single query is a batch of one and a decoded
+//! [`Volume`] is packed first, so every entry point below ends there;
+//! [`crate::baseline`] is the independent reference the tests compare it
+//! with.
 
 use parblast_seqdb::{reverse_complement, unpack_2bit_into, PackedVolume, SeqType, Volume};
 
@@ -12,7 +19,7 @@ use crate::dust::{dust_mask, DustParams};
 use crate::extend::extend_ungapped;
 use crate::gapped::{align_stats, banded_global, extend_gapped_with, GappedWorkspace};
 use crate::karlin::{gapped_params, scorer_params, KarlinParams};
-use crate::lookup::{AaLookup, BatchedNtLookup, MaskedContext, NtLookup, MAX_BATCH_CONTEXTS};
+use crate::lookup::{AaLookup, BatchedNtLookup, MaskedContext, MAX_BATCH_CONTEXTS};
 use crate::matrix::{GapPenalties, Scorer};
 use crate::report::{Hit, Hsp};
 use crate::translate::six_frames;
@@ -163,167 +170,63 @@ pub(crate) struct Candidate {
     pub(crate) gapped: bool,
 }
 
-/// Reusable per-thread scratch for [`search_volume_with`] /
-/// [`search_packed_with`]: flat diagonal trackers, the lazy subject-unpack
-/// buffer, candidate lists, and the gapped-DP rows. One workspace serves
-/// any number of searches — subjects, fragments, and batched queries all
-/// recycle the same memory, so the per-subject scan path performs no heap
-/// allocation at all.
-#[derive(Default)]
-pub struct ScanWorkspace {
-    diag_end: DiagTracker,
-    last_hit: DiagTracker,
-    subject: Vec<u8>,
-    subject_valid: bool,
-    unpacks: u64,
-    cands: Vec<Candidate>,
-    kept: Vec<Candidate>,
-    gapped: GappedWorkspace,
-}
-
-impl ScanWorkspace {
-    /// Empty workspace; buffers grow to the largest subject seen.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// How many subject unpacks this workspace has performed (lifetime
-    /// count). In the sequential per-query path every query that seeds a
-    /// given subject re-unpacks it; the batched path shares one unpack —
-    /// the engine bench asserts the drop.
-    pub fn unpacks(&self) -> u64 {
-        self.unpacks
-    }
-}
-
 /// Most queries one fused kernel pass can serve: each blastn query brings
 /// two strand contexts and the batched lookup holds
 /// [`MAX_BATCH_CONTEXTS`] contexts. Larger batches are chunked
 /// transparently by [`PreparedBatch`].
 pub const MAX_FUSED_BATCH: usize = MAX_BATCH_CONTEXTS / 2;
 
-/// Per-context scratch for the fused batched scan: its own diagonal
+/// Per-context scratch for the fused blastn scan: its own diagonal
 /// tracker (diagonal redundancy is a per-context notion) and its own
 /// candidate list (so the interleaved fused scan can be demuxed back into
-/// exactly the sequential per-context candidate order).
+/// the per-context candidate order: a query's whole plus-strand scan, then
+/// its whole minus-strand scan).
 #[derive(Default)]
 struct CtxScratch {
     diag_end: DiagTracker,
     cands: Vec<Candidate>,
 }
 
-/// Reusable scratch for [`search_packed_batch_with`]: per-context diagonal
-/// trackers and candidate lists, ONE shared subject-unpack buffer for the
-/// whole batch, and shared gapped-DP rows. Like [`ScanWorkspace`], one
-/// workspace serves any number of batches and grows to the largest
-/// subject/batch seen.
+/// Reusable per-thread scratch for every search entry point: per-context
+/// diagonal trackers and candidate lists and ONE shared subject-unpack
+/// buffer for blastn batches, the two-hit trackers of the protein
+/// programs, and the candidate lists and gapped-DP rows both share. One
+/// workspace serves any number of searches — subjects, fragments and
+/// batches all recycle the same memory, which grows to the largest
+/// subject and batch seen, so the per-subject scan path performs no heap
+/// allocation at all.
 #[derive(Default)]
-pub struct BatchScanWorkspace {
+pub struct ScanWorkspace {
     ctx: Vec<CtxScratch>,
     subject: Vec<u8>,
     unpacks: u64,
-    merged: Vec<Candidate>,
+    diag_end: DiagTracker,
+    last_hit: DiagTracker,
+    cands: Vec<Candidate>,
     kept: Vec<Candidate>,
     gapped: GappedWorkspace,
-    /// Fallback scratch for programs without a fused kernel (everything
-    /// but blastn), which run the sequential per-query path.
-    solo: ScanWorkspace,
 }
 
-impl BatchScanWorkspace {
-    /// Empty workspace; buffers grow to the largest batch seen.
+/// The batch entry points' workspace before the two were folded into
+/// [`ScanWorkspace`]; `benchmark/` is frozen and imports both names.
+pub type BatchScanWorkspace = ScanWorkspace;
+
+impl ScanWorkspace {
+    /// Empty workspace; buffers grow to the largest subject and batch seen.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// How many subject unpacks this workspace has performed (lifetime
-    /// count, including any sequential-fallback searches).
+    /// count). A blastn pass unpacks a subject at most once, on its first
+    /// seed hit, however many queries of the batch go on to hit it.
     pub fn unpacks(&self) -> u64 {
-        self.unpacks + self.solo.unpacks
-    }
-}
-
-/// A nucleotide subject in either representation the scanner accepts.
-#[derive(Clone, Copy)]
-enum SubjectRef<'a> {
-    /// Decoded codes, one residue per byte.
-    Codes(&'a [u8]),
-    /// 2-bit packed bytes plus residue count.
-    Packed { bytes: &'a [u8], len: usize },
-}
-
-impl SubjectRef<'_> {
-    fn len(&self) -> usize {
-        match self {
-            SubjectRef::Codes(c) => c.len(),
-            SubjectRef::Packed { len, .. } => *len,
-        }
-    }
-}
-
-/// Search one subject (one frame) with one nucleotide query context. For
-/// packed subjects the codes are unpacked lazily into `ws.subject` on the
-/// first seed hit — subjects that never seed are scanned entirely in
-/// packed form.
-fn scan_nt_context(
-    lookup: &NtLookup,
-    qctx: &QueryCtx,
-    subject: SubjectRef<'_>,
-    s_frame: i8,
-    params: &SearchParams,
-    st: &StatsCtx,
-    ws: &mut ScanWorkspace,
-) {
-    let query = &qctx.codes;
-    let qlen = query.len();
-    ws.diag_end.begin(qlen + subject.len() + 1);
-    match subject {
-        SubjectRef::Codes(codes) => {
-            lookup.scan(codes, |qp, sp| {
-                nt_hit(
-                    query,
-                    codes,
-                    qp as usize,
-                    sp as usize,
-                    lookup.word,
-                    qctx.frame,
-                    s_frame,
-                    params,
-                    st,
-                    &mut ws.diag_end,
-                    &mut ws.gapped,
-                    &mut ws.cands,
-                );
-            });
-        }
-        SubjectRef::Packed { bytes, len } => {
-            lookup.scan_packed(bytes, len, |qp, sp| {
-                if !ws.subject_valid {
-                    unpack_2bit_into(bytes, len, &mut ws.subject);
-                    ws.subject_valid = true;
-                    ws.unpacks += 1;
-                }
-                nt_hit(
-                    query,
-                    &ws.subject,
-                    qp as usize,
-                    sp as usize,
-                    lookup.word,
-                    qctx.frame,
-                    s_frame,
-                    params,
-                    st,
-                    &mut ws.diag_end,
-                    &mut ws.gapped,
-                    &mut ws.cands,
-                );
-            });
-        }
+        self.unpacks
     }
 }
 
 /// One nucleotide seed hit: diagonal-redundancy check, ungapped extension,
-/// candidate emission. Mirrors the pre-workspace kernel exactly, with the
+/// candidate emission. Mirrors [`crate::baseline`] exactly, with the
 /// diagonal `HashMap` replaced by the flat tracker (`diag = s − q + qlen`).
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -556,8 +459,9 @@ fn finalize(
     out
 }
 
-/// Run `program` for one query over one database volume. Convenience
-/// wrapper over [`search_volume_with`] with a throwaway workspace.
+/// Run `program` for one query over one decoded database volume.
+/// Convenience wrapper over [`search_volume_with`] with a throwaway
+/// workspace.
 pub fn search_volume(
     program: Program,
     query: &[u8],
@@ -575,9 +479,10 @@ pub fn search_volume(
     )
 }
 
-/// [`search_volume`] with a caller-provided [`ScanWorkspace`], so repeated
-/// searches (across fragments, worker-thread jobs, or batched queries)
-/// reuse scan and DP buffers instead of reallocating them.
+/// [`search_volume`] with a caller-provided [`ScanWorkspace`]. blastn has
+/// one kernel, which reads packed subjects: the volume is packed once
+/// ([`PackedVolume::from_volume`]) and searched as a batch of one. The
+/// protein programs read the decoded subjects as they are.
 pub fn search_volume_with(
     program: Program,
     query: &[u8],
@@ -587,84 +492,16 @@ pub fn search_volume_with(
     ws: &mut ScanWorkspace,
 ) -> Vec<Hit> {
     match program {
-        Program::Blastn => {
-            assert_eq!(volume.seq_type, SeqType::Nucleotide, "blastn needs a nt db");
-            search_blastn(query, NtSubjects::Decoded(volume), params, db, ws)
-        }
-        Program::Blastp => {
-            assert_eq!(volume.seq_type, SeqType::Protein, "blastp needs an aa db");
-            let ctxs = vec![QueryCtx {
-                codes: query.to_vec(),
-                frame: 1,
-            }];
-            search_protein(&ctxs, query.len(), volume, false, params, db, true, ws)
-        }
-        Program::Blastx => {
-            assert_eq!(volume.seq_type, SeqType::Protein, "blastx needs an aa db");
-            let ctxs: Vec<QueryCtx> = six_frames(query)
-                .into_iter()
-                .map(|f| QueryCtx {
-                    codes: f.codes,
-                    frame: f.frame,
-                })
-                .collect();
-            let eff_len = query.len() / 3;
-            search_protein(&ctxs, eff_len, volume, false, params, db, true, ws)
-        }
-        Program::Tblastn => {
-            assert_eq!(
-                volume.seq_type,
-                SeqType::Nucleotide,
-                "tblastn needs a nt db"
-            );
-            let ctxs = vec![QueryCtx {
-                codes: query.to_vec(),
-                frame: 1,
-            }];
-            search_protein(&ctxs, query.len(), volume, true, params, db, true, ws)
-        }
-        Program::Tblastx => {
-            assert_eq!(
-                volume.seq_type,
-                SeqType::Nucleotide,
-                "tblastx needs a nt db"
-            );
-            let ctxs: Vec<QueryCtx> = six_frames(query)
-                .into_iter()
-                .map(|f| QueryCtx {
-                    codes: f.codes,
-                    frame: f.frame,
-                })
-                .collect();
-            let eff_len = query.len() / 3;
-            // NCBI tblastx is ungapped-only.
-            search_protein(&ctxs, eff_len, volume, true, params, db, false, ws)
-        }
+        Program::Blastn => PreparedBatch::new(program, &[query], params, db)
+            .search(&PackedVolume::from_volume(volume), ws)
+            .pop()
+            .expect("one query in, one hit list out"),
+        _ => search_decoded(program, query, volume, params, db, ws),
     }
 }
 
-/// Run `program` for one query over a packed volume. For blastn this is
-/// the zero-decode hot path: the scanner reads 2-bit packed subject bytes
-/// directly and only seed-hit subjects are unpacked. Other programs decode
-/// the volume first (exactly what [`Volume::read_from`] used to do).
-pub fn search_packed(
-    program: Program,
-    query: &[u8],
-    volume: &PackedVolume,
-    params: &SearchParams,
-    db: DbStats,
-) -> Vec<Hit> {
-    search_packed_with(
-        program,
-        query,
-        volume,
-        params,
-        db,
-        &mut ScanWorkspace::new(),
-    )
-}
-
-/// [`search_packed`] with a caller-provided reusable [`ScanWorkspace`].
+/// One query over a packed volume, as a batch of one. `benchmark/` is
+/// frozen and calls it by this name.
 pub fn search_packed_with(
     program: Program,
     query: &[u8],
@@ -673,56 +510,103 @@ pub fn search_packed_with(
     db: DbStats,
     ws: &mut ScanWorkspace,
 ) -> Vec<Hit> {
-    match program {
-        Program::Blastn => {
-            assert_eq!(volume.seq_type, SeqType::Nucleotide, "blastn needs a nt db");
-            search_blastn(query, NtSubjects::Packed(volume), params, db, ws)
-        }
-        _ => {
-            let decoded = volume.to_volume();
-            search_volume_with(program, query, &decoded, params, db, ws)
-        }
-    }
+    let mut found = PreparedBatch::new(program, &[query], params, db).search(volume, ws);
+    found.pop().expect("one query in, one hit list out")
 }
 
-/// Run `program` for a whole batch of queries over one packed volume with
-/// the fused multi-query kernel. Convenience wrapper over
-/// [`search_packed_batch_with`] with a throwaway workspace.
-pub fn search_packed_batch(
-    program: Program,
-    queries: &[&[u8]],
-    volume: &PackedVolume,
-    params: &SearchParams,
-    db: DbStats,
-) -> Vec<Vec<Hit>> {
-    search_packed_batch_with(
-        program,
-        queries,
-        volume,
-        params,
-        db,
-        &mut BatchScanWorkspace::new(),
-    )
-}
-
-/// [`search_packed_batch`] with a caller-provided reusable
-/// [`BatchScanWorkspace`]: [`PreparedBatch::new`] then
-/// [`PreparedBatch::search`]. Callers that search more than one volume
-/// with the same batch should keep the [`PreparedBatch`] instead.
+/// Run `program` for a whole batch of queries over one packed volume:
+/// [`PreparedBatch::new`] then [`PreparedBatch::search`]. Callers that
+/// search more than one volume with the same batch should keep the
+/// [`PreparedBatch`] instead.
 pub fn search_packed_batch_with(
     program: Program,
     queries: &[&[u8]],
     volume: &PackedVolume,
     params: &SearchParams,
     db: DbStats,
-    ws: &mut BatchScanWorkspace,
+    ws: &mut ScanWorkspace,
 ) -> Vec<Vec<Hit>> {
     PreparedBatch::new(program, queries, params, db).search(volume, ws)
 }
 
+/// A protein program (everything but blastn) for one query over decoded
+/// subjects.
+fn search_decoded(
+    program: Program,
+    query: &[u8],
+    volume: &Volume,
+    params: &SearchParams,
+    db: DbStats,
+    ws: &mut ScanWorkspace,
+) -> Vec<Hit> {
+    let one_frame = || {
+        vec![QueryCtx {
+            codes: query.to_vec(),
+            frame: 1,
+        }]
+    };
+    let all_frames = || -> Vec<QueryCtx> {
+        six_frames(query)
+            .into_iter()
+            .map(|f| QueryCtx {
+                codes: f.codes,
+                frame: f.frame,
+            })
+            .collect()
+    };
+    match program {
+        Program::Blastn => unreachable!("blastn runs the packed kernel"),
+        Program::Blastp => {
+            assert_eq!(volume.seq_type, SeqType::Protein, "blastp needs an aa db");
+            search_protein(
+                &one_frame(),
+                query.len(),
+                volume,
+                false,
+                params,
+                db,
+                true,
+                ws,
+            )
+        }
+        Program::Blastx => {
+            assert_eq!(volume.seq_type, SeqType::Protein, "blastx needs an aa db");
+            let eff_len = query.len() / 3;
+            search_protein(&all_frames(), eff_len, volume, false, params, db, true, ws)
+        }
+        Program::Tblastn => {
+            assert_eq!(
+                volume.seq_type,
+                SeqType::Nucleotide,
+                "tblastn needs a nt db"
+            );
+            search_protein(
+                &one_frame(),
+                query.len(),
+                volume,
+                true,
+                params,
+                db,
+                true,
+                ws,
+            )
+        }
+        Program::Tblastx => {
+            assert_eq!(
+                volume.seq_type,
+                SeqType::Nucleotide,
+                "tblastx needs a nt db"
+            );
+            let eff_len = query.len() / 3;
+            // NCBI tblastx is ungapped-only.
+            search_protein(&all_frames(), eff_len, volume, true, params, db, false, ws)
+        }
+    }
+}
+
 /// One fused chunk (≤ [`MAX_FUSED_BATCH`] queries) of a prepared blastn
 /// batch. Context index `2q` is query q's plus strand, `2q + 1` its minus
-/// strand — the order the sequential path scans them.
+/// strand — the order [`crate::baseline`] scans them.
 struct PreparedChunk {
     ctxs: Vec<[QueryCtx; 2]>,
     stats: Vec<StatsCtx>,
@@ -732,8 +616,9 @@ struct PreparedChunk {
 enum Prepared<'a> {
     /// blastn: the fused kernel, one chunk per pass over a volume.
     Fused(Vec<PreparedChunk>),
-    /// Programs without a fused kernel run the sequential per-query path.
-    PerQuery {
+    /// The protein programs have no fused kernel: one search per query
+    /// over the decoded volume.
+    Decoded {
         program: Program,
         db: DbStats,
         queries: Vec<&'a [u8]>,
@@ -746,7 +631,7 @@ enum Prepared<'a> {
 /// [`MAX_FUSED_BATCH`] queries, and the per-query statistics. It is
 /// immutable after [`PreparedBatch::new`], so one instance serves every
 /// fragment of a job and every worker thread at once (each with its own
-/// [`BatchScanWorkspace`]); a batch of one query is the degenerate case
+/// [`ScanWorkspace`]); a batch of one query is the degenerate case
 /// and still scans both strands in a single pass.
 pub struct PreparedBatch<'a> {
     params: &'a SearchParams,
@@ -768,7 +653,7 @@ impl<'a> PreparedBatch<'a> {
                     .map(|chunk| PreparedChunk::new(chunk, params, db))
                     .collect(),
             ),
-            _ => Prepared::PerQuery {
+            _ => Prepared::Decoded {
                 program,
                 db,
                 queries: queries.to_vec(),
@@ -783,11 +668,11 @@ impl<'a> PreparedBatch<'a> {
     /// For blastn this is the fused hot path: the seed word rolls across
     /// the packed volume bytes **once per chunk for the whole chunk**
     /// instead of once per query — scan cost is per-pass, extension cost
-    /// stays per-query. Results are hit-for-hit identical to sequential
-    /// [`search_packed_with`] calls: same candidates in the same insertion
-    /// order, so every downstream tie-break (stable score sort,
+    /// stays per-query. Results are hit-for-hit identical to one
+    /// [`crate::baseline`] search per query: same candidates in the same
+    /// insertion order, so every downstream tie-break (stable score sort,
     /// containment cull, E-value ranking) resolves identically.
-    pub fn search(&self, volume: &PackedVolume, ws: &mut BatchScanWorkspace) -> Vec<Vec<Hit>> {
+    pub fn search(&self, volume: &PackedVolume, ws: &mut ScanWorkspace) -> Vec<Vec<Hit>> {
         match &self.prepared {
             Prepared::Fused(chunks) => {
                 assert_eq!(volume.seq_type, SeqType::Nucleotide, "blastn needs a nt db");
@@ -796,14 +681,18 @@ impl<'a> PreparedBatch<'a> {
                     .flat_map(|chunk| chunk.search(volume, self.params, ws))
                     .collect()
             }
-            Prepared::PerQuery {
+            Prepared::Decoded {
                 program,
                 db,
                 queries,
-            } => queries
-                .iter()
-                .map(|q| search_packed_with(*program, q, volume, self.params, *db, &mut ws.solo))
-                .collect(),
+            } => {
+                // Decoded once for the whole batch, not once per query.
+                let decoded = volume.to_volume();
+                queries
+                    .iter()
+                    .map(|q| search_decoded(*program, q, &decoded, self.params, *db, ws))
+                    .collect()
+            }
         }
     }
 }
@@ -853,13 +742,13 @@ impl PreparedChunk {
         }
     }
 
-    /// One rolled pass per subject, per-context demux into the sequential
+    /// One rolled pass per subject, per-context demux into the per-query
     /// candidate order.
     fn search(
         &self,
         volume: &PackedVolume,
         params: &SearchParams,
-        ws: &mut BatchScanWorkspace,
+        ws: &mut ScanWorkspace,
     ) -> Vec<Vec<Hit>> {
         let PreparedChunk {
             ctxs,
@@ -873,11 +762,11 @@ impl PreparedChunk {
         // Split the workspace into disjoint field borrows once: the scan
         // closure needs the context scratch, the shared unpack buffer, and
         // the gapped rows simultaneously.
-        let BatchScanWorkspace {
+        let ScanWorkspace {
             ctx: ctx_ws,
             subject,
             unpacks,
-            merged,
+            cands,
             kept,
             gapped,
             ..
@@ -908,7 +797,7 @@ impl PreparedChunk {
                     sp as usize,
                     lookup.word,
                     qctx.frame,
-                    qctx.frame, // s_frame mirrors the context, as sequentially
+                    qctx.frame, // minus-strand matches carry s_frame −1
                     params,
                     &stats[c / 2],
                     &mut cs.diag_end,
@@ -917,20 +806,20 @@ impl PreparedChunk {
                 );
             });
             for (qi, hits) in per_query.iter_mut().enumerate() {
-                // Reassemble this query's sequential candidate order: the
-                // whole plus-strand scan precedes the whole minus-strand
-                // scan, exactly as `search_blastn_range` appends them.
-                merged.clear();
-                merged.append(&mut ctx_ws[2 * qi].cands);
-                merged.append(&mut ctx_ws[2 * qi + 1].cands);
-                if merged.is_empty() {
-                    continue;
+                // Reassemble this query's candidate order: the whole
+                // plus-strand scan precedes the whole minus-strand scan,
+                // as if each context had been scanned on its own.
+                cands.clear();
+                cands.append(&mut ctx_ws[2 * qi].cands);
+                cands.append(&mut ctx_ws[2 * qi + 1].cands);
+                if cands.is_empty() {
+                    continue; // hitless subject: nothing to report
                 }
                 // Any candidate implies a seed hit, so the shared lazy
                 // unpack has filled `subject` by now.
                 let codes: &[u8] = subject;
                 let subject_ctxs = [(1i8, codes), (-1i8, codes)];
-                let hsps = finalize(merged, kept, &ctxs[qi], &subject_ctxs, params, &stats[qi]);
+                let hsps = finalize(cands, kept, &ctxs[qi], &subject_ctxs, params, &stats[qi]);
                 if !hsps.is_empty() {
                     hits.push(Hit {
                         subject_id: volume.id(si),
@@ -945,142 +834,6 @@ impl PreparedChunk {
             .map(|hits| rank(hits, params.max_hits))
             .collect()
     }
-}
-
-/// The blastn subject source: a decoded volume or a packed one.
-#[derive(Clone, Copy)]
-enum NtSubjects<'a> {
-    Decoded(&'a Volume),
-    Packed(&'a PackedVolume),
-}
-
-impl NtSubjects<'_> {
-    fn nseq(&self) -> usize {
-        match self {
-            NtSubjects::Decoded(v) => v.sequences.len(),
-            NtSubjects::Packed(p) => p.nseq(),
-        }
-    }
-
-    fn id(&self, i: usize) -> String {
-        match self {
-            NtSubjects::Decoded(v) => v.sequences[i].id().to_string(),
-            NtSubjects::Packed(p) => p.id(i),
-        }
-    }
-}
-
-/// Search only subjects `[range.start, range.end)` of a packed nucleotide
-/// volume, returning **unranked** hits (blastn only). Per-subject scanning
-/// is independent and the final ranking is a single sort over all hits, so
-/// concatenating range results in subject order and applying [`rank_hits`]
-/// once reproduces [`search_packed_with`] hit for hit — the property the
-/// streaming scan path relies on: search subjects as their bytes arrive
-/// through a [`parblast_seqdb::PackedVolumeStream`], rank at the end.
-pub fn search_packed_range_with(
-    query: &[u8],
-    volume: &PackedVolume,
-    range: std::ops::Range<usize>,
-    params: &SearchParams,
-    db: DbStats,
-    ws: &mut ScanWorkspace,
-) -> Vec<Hit> {
-    assert_eq!(volume.seq_type, SeqType::Nucleotide, "blastn needs a nt db");
-    search_blastn_range(query, NtSubjects::Packed(volume), range, params, db, ws)
-}
-
-/// The final ranking applied by every search entry point: sort by best
-/// E-value (ties broken by score) and keep the top `max_hits`. Exposed so
-/// range-searched hits can be merged and ranked exactly once.
-pub fn rank_hits(hits: Vec<Hit>, max_hits: usize) -> Vec<Hit> {
-    rank(hits, max_hits)
-}
-
-fn search_blastn(
-    query: &[u8],
-    subjects: NtSubjects<'_>,
-    params: &SearchParams,
-    db: DbStats,
-    ws: &mut ScanWorkspace,
-) -> Vec<Hit> {
-    let nseq = subjects.nseq();
-    let hits = search_blastn_range(query, subjects, 0..nseq, params, db, ws);
-    rank(hits, params.max_hits)
-}
-
-fn search_blastn_range(
-    query: &[u8],
-    subjects: NtSubjects<'_>,
-    range: std::ops::Range<usize>,
-    params: &SearchParams,
-    db: DbStats,
-    ws: &mut ScanWorkspace,
-) -> Vec<Hit> {
-    let st = stats_ctx(params, query.len(), db);
-    let ctxs = [
-        QueryCtx {
-            codes: query.to_vec(),
-            frame: 1,
-        },
-        QueryCtx {
-            codes: reverse_complement(query),
-            frame: -1,
-        },
-    ];
-    let lookups: Vec<NtLookup> = ctxs
-        .iter()
-        .map(|c| {
-            let mask = params
-                .dust
-                .map(|d| dust_mask(&c.codes, d))
-                .unwrap_or_default();
-            NtLookup::build_masked(&c.codes, params.word_size, &mask)
-        })
-        .collect();
-    let mut hits = Vec::new();
-    for si in range {
-        ws.cands.clear();
-        ws.subject_valid = false;
-        let sref = match subjects {
-            NtSubjects::Decoded(v) => SubjectRef::Codes(&v.sequences[si].codes),
-            NtSubjects::Packed(p) => SubjectRef::Packed {
-                bytes: p.packed(si),
-                len: p.seq_len(si),
-            },
-        };
-        for (ctx, lk) in ctxs.iter().zip(&lookups) {
-            // Minus-strand matches carry s_frame −1 (reported with
-            // reversed subject coordinates, NCBI-style).
-            let s_frame = ctx.frame;
-            scan_nt_context(lk, ctx, sref, s_frame, params, &st, ws);
-        }
-        if ws.cands.is_empty() {
-            continue; // hitless subject: never unpacked, nothing to report
-        }
-        // Any candidate implies at least one seed hit, so for the packed
-        // path the lazy unpack has filled `ws.subject` by now.
-        let codes: &[u8] = match subjects {
-            NtSubjects::Decoded(v) => &v.sequences[si].codes,
-            NtSubjects::Packed(_) => &ws.subject,
-        };
-        let subject_ctxs = [(1i8, codes), (-1i8, codes)];
-        let hsps = finalize(
-            &mut ws.cands,
-            &mut ws.kept,
-            &ctxs,
-            &subject_ctxs,
-            params,
-            &st,
-        );
-        if !hsps.is_empty() {
-            hits.push(Hit {
-                subject_id: subjects.id(si),
-                subject_index: si,
-                hsps,
-            });
-        }
-    }
-    hits
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1169,8 +922,10 @@ pub(crate) fn rank(mut hits: Vec<Hit>, max_hits: usize) -> Vec<Hit> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::search_blastn_baseline;
     use parblast_seqdb::blastdb::DbSequence;
     use parblast_seqdb::{encode_aa_seq, encode_nt_seq};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -1528,107 +1283,150 @@ mod tests {
         assert_eq!(hits[1].subject_id, "half");
     }
 
-    #[test]
-    fn batched_search_is_hit_for_hit_identical_to_sequential() {
-        use parblast_seqdb::{extract_query, SyntheticConfig, SyntheticNt, VolumeWriter};
+    /// Two fragments, so one `PreparedBatch` is searched over more than
+    /// one volume the way a job shares it, and ten queries: a mix of
+    /// planted ones (each hits a different subject, some on the minus
+    /// strand) and random misses.
+    struct Fixture {
+        packed: Vec<PackedVolume>,
+        decoded: Vec<Volume>,
+        queries: Vec<Vec<u8>>,
+        db: DbStats,
+    }
 
-        // Two fragments, so one `PreparedBatch` is searched over more than
-        // one volume the way a job shares it.
-        let mut sources = Vec::new();
-        let volumes: Vec<PackedVolume> = [33u64, 34]
-            .iter()
-            .map(|&seed| {
-                let mut g = SyntheticNt::new(SyntheticConfig {
-                    total_residues: 60_000,
-                    seed,
-                    ..Default::default()
-                });
-                let mut buf = std::io::Cursor::new(Vec::new());
-                let mut w = VolumeWriter::new(&mut buf, SeqType::Nucleotide).unwrap();
-                while let Some((d, c)) = g.next() {
-                    sources.push(c.clone());
-                    w.add_codes(&d, &c).unwrap();
-                }
-                w.finish().unwrap();
-                let bytes = buf.into_inner();
-                PackedVolume::read_from(&mut bytes.as_slice()).unwrap()
-            })
-            .collect();
-        let db = DbStats {
-            residues: volumes.iter().map(|v| v.residues()).sum(),
-            nseq: volumes.iter().map(|v| v.nseq() as u64).sum(),
-        };
-        let params = SearchParams::blastn();
-        // A mix of planted queries (each hits a different subject, some on
-        // the minus strand) and random misses.
-        let mut rng = StdRng::seed_from_u64(33);
-        let queries: Vec<Vec<u8>> = (0..10)
-            .map(|i| {
-                if i % 3 == 0 {
-                    let q =
-                        extract_query(&sources[(7 * i) % sources.len()], 300, 0.02, 33 + i as u64);
-                    if i % 6 == 0 {
-                        reverse_complement(&q)
-                    } else {
-                        q
+    fn fixture() -> &'static Fixture {
+        use parblast_seqdb::{extract_query, SyntheticConfig, SyntheticNt};
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let mut sources = Vec::new();
+            let decoded: Vec<Volume> = [33u64, 34]
+                .iter()
+                .map(|&seed| {
+                    let mut g = SyntheticNt::new(SyntheticConfig {
+                        total_residues: 40_000,
+                        seed,
+                        ..Default::default()
+                    });
+                    let mut seqs = Vec::new();
+                    while let Some((d, c)) = g.next() {
+                        sources.push(c.clone());
+                        seqs.push((d, c));
                     }
-                } else {
-                    random_nt(&mut rng, 350)
-                }
-            })
-            .collect();
-        let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+                    Volume {
+                        seq_type: SeqType::Nucleotide,
+                        sequences: seqs
+                            .into_iter()
+                            .map(|(defline, codes)| DbSequence { defline, codes })
+                            .collect(),
+                    }
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(33);
+            let queries = (0..10)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        let src = &sources[(7 * i) % sources.len()];
+                        let q = extract_query(src, 300, 0.02, 33 + i as u64);
+                        if i % 6 == 0 {
+                            reverse_complement(&q)
+                        } else {
+                            q
+                        }
+                    } else {
+                        random_nt(&mut rng, 350)
+                    }
+                })
+                .collect();
+            Fixture {
+                packed: decoded.iter().map(PackedVolume::from_volume).collect(),
+                db: DbStats {
+                    residues: decoded.iter().map(Volume::residues).sum(),
+                    nseq: decoded.iter().map(|v| v.sequences.len() as u64).sum(),
+                },
+                decoded,
+                queries,
+            }
+        })
+    }
 
-        let mut ws = ScanWorkspace::new();
-        let sequential: Vec<Vec<Vec<Hit>>> = volumes
-            .iter()
-            .map(|v| {
-                refs.iter()
-                    .map(|q| search_packed_with(Program::Blastn, q, v, &params, db, &mut ws))
-                    .collect()
-            })
-            .collect();
-        for per_volume in &sequential {
-            assert!(
-                per_volume.iter().any(|h| !h.is_empty()),
-                "vacuous comparison"
-            );
-        }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
-        // Every batch size up to 10: 1 is the degenerate batch `run`
-        // drives, 9 and 10 cross the MAX_FUSED_BATCH chunk boundary.
-        let mut bws = BatchScanWorkspace::new();
-        for b in 1..=refs.len() {
-            let prepared = PreparedBatch::new(Program::Blastn, &refs[..b], &params, db);
-            for (v, want) in volumes.iter().zip(&sequential) {
-                let want = format!("{:?}", &want[..b]);
-                assert_eq!(
-                    format!("{:?}", prepared.search(v, &mut bws)),
-                    want,
-                    "prepared batch of {b} must be hit-for-hit identical"
+        /// The one kernel against the one reference: a prepared batch of
+        /// any size (1 is what `run` drives, 9 and 10 cross the
+        /// MAX_FUSED_BATCH chunk boundary), any supported word size, gapped
+        /// or not, searched over both volumes with one dirty workspace,
+        /// reports for every query exactly what the baseline reports for
+        /// that query alone.
+        #[test]
+        fn prepared_batch_equals_the_baseline_query_by_query(
+            b in 1usize..=10,
+            first in 0usize..10,
+            word in 4usize..=12,
+            gapped in any::<bool>(),
+        ) {
+            let fx = fixture();
+            let mut params = SearchParams::blastn();
+            params.word_size = word;
+            params.gapped = gapped;
+            let batch: Vec<&[u8]> = (0..b)
+                .map(|i| fx.queries[(first + i) % fx.queries.len()].as_slice())
+                .collect();
+            let prepared = PreparedBatch::new(Program::Blastn, &batch, &params, fx.db);
+            let mut ws = ScanWorkspace::new();
+            for (packed, decoded) in fx.packed.iter().zip(&fx.decoded) {
+                let want: Vec<Vec<Hit>> = batch
+                    .iter()
+                    .map(|q| search_blastn_baseline(q, decoded, &params, fx.db))
+                    .collect();
+                prop_assert_eq!(
+                    format!("{:?}", prepared.search(packed, &mut ws)),
+                    format!("{want:?}")
                 );
-                let oneshot =
-                    search_packed_batch_with(Program::Blastn, &refs[..b], v, &params, db, &mut bws);
-                assert_eq!(format!("{oneshot:?}"), want, "one-shot batch of {b}");
             }
         }
-        // The whole batch shares one unpack per seeded subject: strictly
-        // fewer unpacks than the per-query path on this hit-heavy mix.
-        let (seq_unpacks, before) = (ws.unpacks(), bws.unpacks());
-        PreparedBatch::new(Program::Blastn, &refs, &params, db).search(&volumes[0], &mut bws);
-        PreparedBatch::new(Program::Blastn, &refs, &params, db).search(&volumes[1], &mut bws);
-        assert!(
-            bws.unpacks() - before < seq_unpacks,
-            "batched unpacks {} !< sequential {}",
-            bws.unpacks() - before,
-            seq_unpacks
-        );
     }
 
     #[test]
-    fn batched_search_non_blastn_falls_back_to_sequential() {
+    fn the_fixture_hits_on_both_strands_and_a_batch_shares_unpacks() {
+        let fx = fixture();
+        let params = SearchParams::blastn();
+        let refs: Vec<&[u8]> = fx.queries.iter().map(Vec::as_slice).collect();
+        let mut ws = ScanWorkspace::new();
+        let mut alone = 0;
+        for packed in &fx.packed {
+            // The proptest above must not compare empty lists.
+            let frames: std::collections::BTreeSet<i8> = refs
+                .iter()
+                .flat_map(|q| {
+                    let before = ws.unpacks();
+                    let hits =
+                        search_packed_with(Program::Blastn, q, packed, &params, fx.db, &mut ws);
+                    alone += ws.unpacks() - before;
+                    hits
+                })
+                .flat_map(|h| h.hsps)
+                .map(|h| h.q_frame)
+                .collect();
+            assert_eq!(frames.into_iter().collect::<Vec<_>>(), [-1, 1]);
+        }
+        // The whole batch shares one unpack per seeded subject: strictly
+        // fewer unpacks than ten batches of one on this hit-heavy mix.
+        let before = ws.unpacks();
+        let prepared = PreparedBatch::new(Program::Blastn, &refs, &params, fx.db);
+        for packed in &fx.packed {
+            prepared.search(packed, &mut ws);
+        }
+        let together = ws.unpacks() - before;
+        assert!(together < alone, "batched {together} !< one by one {alone}");
+    }
+
+    #[test]
+    fn a_blastp_batch_equals_single_searches() {
         let q1 = encode_aa_seq(b"MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFKALVLIAFAQYLQQ");
         let q2 = encode_aa_seq(b"GAGAGAGAGAGAGAGA");
+        let q3 = encode_aa_seq(b"RGVFRRDAHKSEVAHRFKDLGEENF");
+        let q4 = encode_aa_seq(b"PPPPPPPPWWWWWWWW");
         let mut subj = encode_aa_seq(b"GGGGGGGGGG");
         subj.extend_from_slice(&q1);
         let v = Volume {
@@ -1638,109 +1436,16 @@ mod tests {
                 codes: subj,
             }],
         };
-        let packed = {
-            let mut buf = std::io::Cursor::new(Vec::new());
-            let mut w = parblast_seqdb::VolumeWriter::new(&mut buf, SeqType::Protein).unwrap();
-            for s in &v.sequences {
-                w.add_codes(&s.defline, &s.codes).unwrap();
-            }
-            w.finish().unwrap();
-            let bytes = buf.into_inner();
-            PackedVolume::read_from(&mut bytes.as_slice()).unwrap()
-        };
         let params = SearchParams::blastp();
         let db = db_stats(&v);
-        let refs: Vec<&[u8]> = vec![&q1, &q2];
-        let batched = search_packed_batch(Program::Blastp, &refs, &packed, &params, db);
-        let sequential: Vec<Vec<Hit>> = refs
+        let refs: Vec<&[u8]> = vec![&q1, &q2, &q3, &q4];
+        let batched = PreparedBatch::new(Program::Blastp, &refs, &params, db)
+            .search(&PackedVolume::from_volume(&v), &mut ScanWorkspace::new());
+        let single: Vec<Vec<Hit>> = refs
             .iter()
-            .map(|q| search_packed(Program::Blastp, q, &packed, &params, db))
+            .map(|q| search_volume(Program::Blastp, q, &v, &params, db))
             .collect();
-        assert_eq!(format!("{sequential:?}"), format!("{batched:?}"));
-        assert!(!batched[0].is_empty());
-    }
-
-    #[test]
-    fn range_search_concatenated_and_ranked_equals_full_search() {
-        use parblast_seqdb::{
-            extract_query, PackedVolumeStream, SyntheticConfig, SyntheticNt, VolumeWriter,
-        };
-
-        let mut g = SyntheticNt::new(SyntheticConfig {
-            total_residues: 80_000,
-            seed: 21,
-            ..Default::default()
-        });
-        let mut buf = std::io::Cursor::new(Vec::new());
-        let mut w = VolumeWriter::new(&mut buf, SeqType::Nucleotide).unwrap();
-        let mut query_src = None;
-        let mut i = 0;
-        while let Some((d, c)) = g.next() {
-            if i == 2 {
-                query_src = Some(c.clone());
-            }
-            w.add_codes(&d, &c).unwrap();
-            i += 1;
-        }
-        w.finish().unwrap();
-        let bytes = buf.into_inner();
-        let packed = PackedVolume::read_from(&mut bytes.as_slice()).unwrap();
-        let query = extract_query(&query_src.unwrap(), 400, 0.03, 21);
-        let db = DbStats {
-            residues: packed.residues(),
-            nseq: packed.nseq() as u64,
-        };
-        let params = SearchParams::blastn();
-        let full = search_packed(Program::Blastn, &query, &packed, &params, db);
-        assert!(!full.is_empty(), "vacuous comparison");
-
-        // Arbitrary subject split points, searched range by range with one
-        // final rank.
-        let mut ws = ScanWorkspace::new();
-        let cuts = [0, 1, packed.nseq() / 2, packed.nseq()];
-        let mut merged = Vec::new();
-        for pair in cuts.windows(2) {
-            merged.extend(search_packed_range_with(
-                &query,
-                &packed,
-                pair[0]..pair[1],
-                &params,
-                db,
-                &mut ws,
-            ));
-        }
-        let merged = rank_hits(merged, params.max_hits);
-        assert_eq!(format!("{full:?}"), format!("{merged:?}"), "split ranges");
-
-        // The streaming consumption pattern: scan each subject the moment
-        // its bytes arrive, rank once at the end.
-        let mut src = bytes.as_slice();
-        let mut stream = PackedVolumeStream::begin(&mut src).unwrap();
-        let mut scanned = 0;
-        let mut streamed = Vec::new();
-        loop {
-            let n = stream.feed(&mut src, 1536).unwrap();
-            while scanned < stream.ready_seqs() {
-                streamed.extend(search_packed_range_with(
-                    &query,
-                    stream.volume(),
-                    scanned..scanned + 1,
-                    &params,
-                    db,
-                    &mut ws,
-                ));
-                scanned += 1;
-            }
-            if n == 0 {
-                break;
-            }
-        }
-        assert_eq!(scanned, packed.nseq());
-        let streamed = rank_hits(streamed, params.max_hits);
-        assert_eq!(
-            format!("{full:?}"),
-            format!("{streamed:?}"),
-            "streamed scan"
-        );
+        assert_eq!(format!("{single:?}"), format!("{batched:?}"));
+        assert!(!batched[0].is_empty() && !batched[2].is_empty());
     }
 }

@@ -26,7 +26,7 @@ use crate::group::MirroredLayout;
 use crate::msg::{CeftOpen, CeftOpenResp, ServerId, SkipUpdate};
 
 /// CEFT duplex write protocols (the four protocols studied in the
-/// companion write-performance paper, ref. [7]; we implement three).
+/// companion write-performance paper, ref. \[7\]; we implement three).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteProtocol {
     /// Client sends the data to both groups and waits for both acks
@@ -46,7 +46,7 @@ pub enum WriteProtocol {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadMode {
     /// First half from one group, second half from the other — all 2N
-    /// servers participate (the paper's design, [6]).
+    /// servers participate (the paper's design, \[6\]).
     DualHalf,
     /// Naive mirroring: read everything from the primary group (the
     /// ablation baseline the dual-half design was measured against).

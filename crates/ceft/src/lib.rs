@@ -8,7 +8,7 @@
 //!
 //! * **Doubled read parallelism** — every read fetches its first half from
 //!   one group and its second half from the other, so all `2N` servers
-//!   participate (§3, "Improved read performance" [6]);
+//!   participate (§3, "Improved read performance" \[6\]);
 //! * **Hot-spot skipping** — load monitors report per-server disk
 //!   utilization to the metadata server each heartbeat; servers that stay
 //!   hot while their mirror partner stays cool are put in a skip set that

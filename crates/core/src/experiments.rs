@@ -673,11 +673,9 @@ pub fn serve_sweep(
         let mut cfg = sim_base(8, 9, scheme);
         cfg.db_bytes = db_bytes;
         cfg.search_rate = SERVE_SEARCH_RATE;
-        // The serving tier runs the fused multi-query kernel (`bench --bin
-        // serve` measures the real path), so the service model does too:
-        // compute grows sublinearly in batch size per
-        // `SimBlastConfig::batch_compute_factor`.
-        cfg.fused_kernel = true;
+        // Compute grows sublinearly in batch size
+        // (`SimBlastConfig::batch_compute_factor`), as `bench --bin serve`
+        // measures on the real path.
         let mut model = ServiceModel::new(cfg);
         // Probe every batch size once up front; the executors below clone
         // the warmed cache and never touch the simulator again.

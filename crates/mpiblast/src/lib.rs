@@ -20,7 +20,7 @@ pub mod simblast;
 pub mod trace;
 
 pub use parblast_pio::{ScrubTotals, Scrubber};
-pub use runner::{BatchKernel, BatchOutcome, ParallelBlast, Parallelization, RunOutcome};
+pub use runner::{BatchOutcome, ParallelBlast, Parallelization, RunOutcome};
 pub use scheme::{Scheme, TracedSource};
 pub use simblast::{
     run_simblast, SimBlastConfig, SimOutcome, SimScheme, WorkerStats, FRAG_FILE_BASE,

@@ -23,8 +23,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use parblast_blast::{
-    search_packed_with, BatchScanWorkspace, DbStats, Hit, PreparedBatch, Program, ScanWorkspace,
-    SearchParams, MAX_FUSED_BATCH,
+    DbStats, Hit, PreparedBatch, Program, ScanWorkspace, SearchParams, MAX_FUSED_BATCH,
 };
 use parblast_seqdb::PackedVolume;
 
@@ -75,13 +74,14 @@ pub struct ParallelBlast {
     pub parallelization: Parallelization,
     /// Double-buffer fragment I/O: while a worker searches fragment k its
     /// fetch thread pulls fragment k+1 in the background. Off = the
-    /// sequential fetch-then-search loop the paper measured.
+    /// sequential fetch-then-search loop the paper measured. (`benchmark/`
+    /// is frozen and builds this struct by literal, so the field stays.)
     pub prefetch: bool,
     /// List I/O: after the volume header, fetch the index, packed data,
     /// and defline regions in ONE vectored request per storage server
     /// (`read_many_at`) instead of one request per region. Bytes read,
     /// traced events, and results are identical either way — only the
-    /// request count changes.
+    /// request count changes. (Stays for the same reason as `prefetch`.)
     pub list_io: bool,
 }
 
@@ -123,24 +123,27 @@ impl IoClocks {
     }
 }
 
-struct FragmentResult {
-    worker: usize,
-    search_s: f64,
-    hits: Vec<Hit>,
-}
-
 /// How many times the master hands out the same task before giving up and
 /// failing the whole job (mpiBLAST-style abort-and-reassign: a transient
 /// worker/I/O failure re-queues the fragment for another worker; a
 /// persistent one surfaces as the job's error).
 const MAX_TASK_ATTEMPTS: u32 = 3;
 
-/// One unit of work: a fragment to search with one window of the query
-/// (an index into the job's `(offset, len)` window list).
+/// One unit of work: a fragment to search with one of the job's query
+/// batches (an index into its batch list).
 #[derive(Debug, Clone)]
 struct Task {
     fragment: String,
-    window: usize,
+    batch: usize,
+}
+
+/// One finished task, as a search thread hands it to the master.
+struct Searched {
+    batch: usize,
+    worker: usize,
+    search_s: f64,
+    /// Hits per query of the batch, for this fragment alone.
+    per_query: Vec<Vec<Hit>>,
 }
 
 /// Per-query result of a batch run.
@@ -154,24 +157,12 @@ pub struct BatchOutcome {
     pub io_fetch_s: f64,
     /// Seconds search threads waited for fragment data.
     pub io_stall_s: f64,
-    /// Seed-scan kernel passes actually executed (one fused pass serves
-    /// up to [`MAX_FUSED_BATCH`] queries per fragment).
+    /// Seed-scan kernel passes executed (one fused pass serves up to
+    /// [`MAX_FUSED_BATCH`] queries per fragment).
     pub kernel_passes: u64,
-    /// Kernel passes the fused kernel avoided versus the per-query path
-    /// (`queries × fragments − kernel_passes` over the searched volumes).
+    /// Kernel passes the fused kernel avoided versus one scan per query
+    /// (`queries × fragments − kernel_passes`).
     pub passes_saved: u64,
-}
-
-/// Which seed-scan kernel a batch run drives. [`BatchKernel::Fused`] is
-/// the production path; [`BatchKernel::PerQuery`] preserves the
-/// pre-fusion per-query loop so benches can interleave the two and assert
-/// they are hit-for-hit identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchKernel {
-    /// One merged-lookup pass per fragment serves the whole batch.
-    Fused,
-    /// Every query runs its own seed scan over every fragment.
-    PerQuery,
 }
 
 /// Pull the next task for a worker's pipeline: block when the pipeline is
@@ -225,144 +216,40 @@ impl ParallelBlast {
     /// Run a batch of queries over the fragment set: each worker task
     /// searches one fragment with *all* queries (one pass over the data,
     /// the way production blastall streams query batches), so the database
-    /// is still read only once in total. Drives the fused multi-query
-    /// kernel: the batch's merged seed table rolls over each fragment's
-    /// packed bytes once per [`MAX_FUSED_BATCH`]-query chunk instead of
-    /// once per query, with hit-for-hit identical results.
+    /// is still read only once in total. The batch's merged seed table
+    /// rolls over each fragment's packed bytes once per
+    /// [`MAX_FUSED_BATCH`]-query chunk instead of once per query.
     pub fn run_batch(&self, queries: &[Vec<u8>]) -> io::Result<BatchOutcome> {
-        self.run_batch_with_kernel(queries, BatchKernel::Fused)
-    }
-
-    /// [`Self::run_batch`] with an explicit kernel choice; the per-query
-    /// kernel exists for interleaved fused-vs-per-query benchmarking.
-    pub fn run_batch_with_kernel(
-        &self,
-        queries: &[Vec<u8>],
-        kernel: BatchKernel,
-    ) -> io::Result<BatchOutcome> {
         let t0 = Instant::now();
-        let kernel_passes = AtomicU64::new(0);
-        let passes_saved = AtomicU64::new(0);
-        let (task_tx, task_rx) = channel::unbounded::<String>();
-        for f in &self.fragments {
-            task_tx.send(f.clone()).expect("queue");
-        }
-        drop(task_tx);
-        let (res_tx, res_rx) = channel::unbounded::<io::Result<Vec<(usize, Vec<Hit>)>>>();
-        let clocks = IoClocks::default();
-        let depth = if self.prefetch { 2 } else { 1 };
-        // Strands, masks, statistics and the merged lookup depend on the
-        // queries alone: built once per batch, by whichever search thread
-        // first has a fetch in flight to hide the work behind, and shared
-        // by every worker and fragment from then on.
         let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
-        let prepared = OnceLock::new();
-        let prepare = || {
-            prepared.get_or_init(|| PreparedBatch::new(self.program, &refs, &self.params, self.db))
-        };
-        std::thread::scope(|scope| {
-            for w in 0..self.workers.max(1) {
-                let task_rx = task_rx.clone();
-                let res_tx = res_tx.clone();
-                let tracer = self.tracer.clone();
-                let clocks = &clocks;
-                let kernel_passes = &kernel_passes;
-                let passes_saved = &passes_saved;
-                let prepare = &prepare;
-                // Worker pair: the search thread feeds fragment names to
-                // its fetcher, which sends back decoded volumes. One read
-                // of each fragment serves every query; nucleotide data
-                // stays 2-bit packed.
-                let (fetch_tx, fetch_rx) = channel::unbounded::<String>();
-                let (vol_tx, vol_rx) = channel::unbounded::<io::Result<PackedVolume>>();
-                scope.spawn(move || {
-                    while let Ok(fragment) = fetch_rx.recv() {
-                        let r = self.fetch_volume(w, &fragment, &tracer, clocks);
-                        if vol_tx.send(r).is_err() {
-                            break;
-                        }
-                    }
-                });
-                scope.spawn(move || {
-                    // One workspace per worker: scan and DP buffers are
-                    // recycled across every fragment and every query.
-                    let mut ws = ScanWorkspace::new();
-                    let mut bws = BatchScanWorkspace::new();
-                    let mut in_pipeline = 0usize;
-                    loop {
-                        while in_pipeline < depth {
-                            match next_task(&task_rx, in_pipeline) {
-                                Some(f) => {
-                                    fetch_tx.send(f).expect("fetcher alive");
-                                    in_pipeline += 1;
-                                    if kernel == BatchKernel::Fused {
-                                        prepare();
-                                    }
-                                }
-                                None => break,
-                            }
-                        }
-                        if in_pipeline == 0 {
-                            break;
-                        }
-                        let w0 = Instant::now();
-                        let fetched = vol_rx.recv().expect("fetcher alive");
-                        IoClocks::add(&clocks.stall_ns, w0.elapsed());
-                        in_pipeline -= 1;
-                        let r = fetched.map(|volume| {
-                            let per_query: Vec<Vec<Hit>> = match kernel {
-                                BatchKernel::Fused => prepare().search(&volume, &mut bws),
-                                BatchKernel::PerQuery => queries
-                                    .iter()
-                                    .map(|q| {
-                                        search_packed_with(
-                                            self.program,
-                                            q,
-                                            &volume,
-                                            &self.params,
-                                            self.db,
-                                            &mut ws,
-                                        )
-                                    })
-                                    .collect(),
-                            };
-                            // Only blastn has a fused kernel; everything
-                            // else scans once per query either way.
-                            let passes = match (kernel, self.program) {
-                                (BatchKernel::Fused, Program::Blastn) => {
-                                    queries.len().div_ceil(MAX_FUSED_BATCH) as u64
-                                }
-                                _ => queries.len() as u64,
-                            };
-                            kernel_passes.fetch_add(passes, Ordering::Relaxed);
-                            passes_saved
-                                .fetch_add(queries.len() as u64 - passes, Ordering::Relaxed);
-                            per_query.into_iter().enumerate().collect()
-                        });
-                        if res_tx.send(r).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            let mut per_query: Vec<Vec<Hit>> = vec![Vec::new(); queries.len()];
-            for r in res_rx {
-                for (qi, hits) in r? {
-                    per_query[qi].extend(hits);
+        let mut per_query: Vec<Vec<Hit>> = vec![Vec::new(); queries.len()];
+        let clocks = self.pipeline(
+            &[refs],
+            |_| {},
+            |searched| {
+                for (merged, found) in per_query.iter_mut().zip(searched.per_query) {
+                    merged.extend(found);
                 }
-            }
-            for hits in &mut per_query {
-                rank_merged(hits, self.params.max_hits);
-            }
-            Ok(BatchOutcome {
-                per_query,
-                wall_s: t0.elapsed().as_secs_f64(),
-                io_fetch_s: IoClocks::secs(&clocks.fetch_ns),
-                io_stall_s: IoClocks::secs(&clocks.stall_ns),
-                kernel_passes: kernel_passes.load(Ordering::Relaxed),
-                passes_saved: passes_saved.load(Ordering::Relaxed),
-            })
+            },
+        )?;
+        for hits in &mut per_query {
+            rank_merged(hits, self.params.max_hits);
+        }
+        // Only blastn has a fused kernel; everything else scans once per
+        // query. A job that succeeds searched every fragment exactly once.
+        let nq = queries.len() as u64;
+        let passes_per_fragment = match self.program {
+            Program::Blastn => queries.len().div_ceil(MAX_FUSED_BATCH) as u64,
+            _ => nq,
+        };
+        let fragments = self.fragments.len() as u64;
+        Ok(BatchOutcome {
+            per_query,
+            wall_s: t0.elapsed().as_secs_f64(),
+            io_fetch_s: IoClocks::secs(&clocks.fetch_ns),
+            io_stall_s: IoClocks::secs(&clocks.stall_ns),
+            kernel_passes: fragments * passes_per_fragment,
+            passes_saved: fragments * (nq - passes_per_fragment),
         })
     }
 
@@ -381,10 +268,10 @@ impl ParallelBlast {
             .collect()
     }
 
-    /// Run the job for one query: the kernel [`Self::run_batch`] drives, as
-    /// a batch of one (both strands in one pass over each fragment), plus
-    /// what a job has and a batch does not — query segmentation, task
-    /// reassignment after a failure, the traced result writes.
+    /// Run the job for one query: a batch of one per query window (both
+    /// strands in one pass over each fragment), plus what the paper's job
+    /// has and a served batch does not — query segmentation and the traced
+    /// result writes.
     pub fn run(&self, query: &[u8]) -> io::Result<RunOutcome> {
         let t0 = Instant::now();
         // Database segmentation searches every fragment with the whole
@@ -397,61 +284,112 @@ impl ParallelBlast {
                 Self::query_windows(query.len(), pieces, overlap)
             }
         };
-        let tasks: Vec<Task> = (0..windows.len())
-            .flat_map(|window| {
-                self.fragments.iter().map(move |f| Task {
-                    fragment: f.clone(),
-                    window,
-                })
-            })
+        let batches: Vec<Vec<&[u8]>> = windows
+            .iter()
+            .map(|&(offset, len)| vec![&query[offset..offset + len]])
             .collect();
-        // The same prepared fused kernel `run_batch` drives, as a batch of
-        // one per window: built by the first search thread to queue a fetch
-        // for that window, shared by every worker and fragment after.
+        let mut hits: Vec<Hit> = Vec::new();
+        let mut per_fragment = Vec::new();
+        let clocks = self.pipeline(
+            &batches,
+            |searched| {
+                let hits = &mut searched.per_query[0];
+                // Map piece coordinates back onto the query.
+                let q_offset = windows[searched.batch].0;
+                for hit in hits.iter_mut() {
+                    for h in &mut hit.hsps {
+                        h.q_start += q_offset;
+                        h.q_end += q_offset;
+                    }
+                }
+                // Small result write, as instrumented in the paper's
+                // Figure 4 (temporary result files of 50–778 bytes).
+                let table = parblast_blast::tabular("query", hits);
+                let result_bytes = table.len().clamp(50, 778) as u64;
+                self.tracer
+                    .record(searched.worker as u32, IoKind::Write, result_bytes);
+            },
+            |searched| {
+                per_fragment.push((searched.worker, searched.search_s));
+                for hit in searched.per_query.into_iter().flatten() {
+                    merge_hit(&mut hits, hit);
+                }
+            },
+        )?;
+        rank_merged(&mut hits, self.params.max_hits);
+        Ok(RunOutcome {
+            hits,
+            wall_s: t0.elapsed().as_secs_f64(),
+            copy_s: IoClocks::secs(&clocks.copy_ns),
+            io_fetch_s: IoClocks::secs(&clocks.fetch_ns),
+            io_stall_s: IoClocks::secs(&clocks.stall_ns),
+            per_fragment,
+        })
+    }
+
+    /// The job behind [`Self::run`] and [`Self::run_batch`]: every fragment
+    /// is searched with every batch of `batches`, one task per (batch,
+    /// fragment) pair. Each worker is a fetch thread and a search thread;
+    /// `after_search` runs on the search thread once a task's hits are
+    /// found, `merge` on the master as results arrive. A task that fails is
+    /// handed out again up to [`MAX_TASK_ATTEMPTS`] times; after that the
+    /// job drains and returns the first error.
+    fn pipeline(
+        &self,
+        batches: &[Vec<&[u8]>],
+        after_search: impl Fn(&mut Searched) + Sync,
+        mut merge: impl FnMut(Searched),
+    ) -> io::Result<IoClocks> {
+        // Strands, masks, statistics and the merged lookup depend on the
+        // queries alone: built once per batch, by whichever search thread
+        // first has a fetch for it in flight to hide the work behind, and
+        // shared by every worker and fragment from then on.
         let prepared: Vec<OnceLock<PreparedBatch>> =
-            windows.iter().map(|_| OnceLock::new()).collect();
-        let prepare = |window: usize| {
-            prepared[window].get_or_init(|| {
-                let (offset, len) = windows[window];
-                let piece = &query[offset..offset + len];
-                PreparedBatch::new(self.program, &[piece], &self.params, self.db)
+            batches.iter().map(|_| OnceLock::new()).collect();
+        let prepare = |batch: usize| {
+            prepared[batch].get_or_init(|| {
+                PreparedBatch::new(self.program, &batches[batch], &self.params, self.db)
             })
         };
         // The master keeps the task sender so failed tasks can be handed
         // back out (abort-and-reassign); workers exit when it is dropped.
         let (task_tx, task_rx) = channel::unbounded::<(Task, u32)>();
-        let mut outstanding = tasks.len();
-        for t in tasks {
-            task_tx.send((t, 1)).expect("queue");
+        let mut outstanding = 0usize;
+        for batch in 0..batches.len() {
+            for fragment in &self.fragments {
+                let fragment = fragment.clone();
+                task_tx.send((Task { fragment, batch }, 1)).expect("queue");
+                outstanding += 1;
+            }
         }
-        let (res_tx, res_rx) = channel::unbounded::<(Task, u32, io::Result<FragmentResult>)>();
+        let (res_tx, res_rx) = channel::unbounded::<(Task, u32, io::Result<Searched>)>();
         let clocks = IoClocks::default();
         let depth = if self.prefetch { 2 } else { 1 };
 
-        std::thread::scope(|scope| {
+        let failure = std::thread::scope(|scope| {
             for w in 0..self.workers.max(1) {
                 let task_rx = task_rx.clone();
                 let res_tx = res_tx.clone();
-                let fetch_tracer = self.tracer.clone();
-                let tracer = self.tracer.clone();
-                let clocks = &clocks;
-                let (prepare, windows) = (&prepare, &windows);
+                let (clocks, prepare, after_search) = (&clocks, &prepare, &after_search);
                 // Worker pair: search thread → fetcher via `fetch_tx`,
-                // fetcher → search thread via `vol_tx`.
+                // fetcher → search thread via `vol_tx`. One read of each
+                // fragment serves the whole batch; nucleotide data stays
+                // 2-bit packed.
                 let (fetch_tx, fetch_rx) = channel::unbounded::<(Task, u32)>();
                 let (vol_tx, vol_rx) =
                     channel::unbounded::<(Task, u32, io::Result<PackedVolume>)>();
                 scope.spawn(move || {
                     while let Ok((task, attempt)) = fetch_rx.recv() {
-                        let r = self.fetch_volume(w, &task.fragment, &fetch_tracer, clocks);
+                        let r = self.fetch_volume(w, &task.fragment, clocks);
                         if vol_tx.send((task, attempt, r)).is_err() {
                             break;
                         }
                     }
                 });
                 scope.spawn(move || {
-                    // Workspace reused across every task this worker runs.
-                    let mut bws = BatchScanWorkspace::new();
+                    // One workspace per worker: scan and DP buffers are
+                    // recycled across every task it runs.
+                    let mut ws = ScanWorkspace::new();
                     let mut in_pipeline = 0usize;
                     loop {
                         // Keep `depth` fragments in flight: with prefetch,
@@ -459,10 +397,10 @@ impl ParallelBlast {
                         while in_pipeline < depth {
                             match next_task(&task_rx, in_pipeline) {
                                 Some(t) => {
-                                    let window = t.0.window;
+                                    let batch = t.0.batch;
                                     fetch_tx.send(t).expect("fetcher alive");
                                     in_pipeline += 1;
-                                    prepare(window);
+                                    prepare(batch);
                                 }
                                 None => break,
                             }
@@ -476,29 +414,15 @@ impl ParallelBlast {
                         in_pipeline -= 1;
                         let r = fetched.map(|volume| {
                             let s0 = Instant::now();
-                            let mut hits = prepare(task.window)
-                                .search(&volume, &mut bws)
-                                .pop()
-                                .expect("one query in, one hit list out");
-                            // Map piece coordinates back onto the query.
-                            let q_offset = windows[task.window].0;
-                            for hit in &mut hits {
-                                for h in &mut hit.hsps {
-                                    h.q_start += q_offset;
-                                    h.q_end += q_offset;
-                                }
-                            }
-                            // Small result write, as instrumented in the
-                            // paper's Figure 4 (temporary result files of
-                            // 50–778 bytes).
-                            let table = parblast_blast::tabular("query", &hits);
-                            let result_bytes = table.len().clamp(50, 778) as u64;
-                            tracer.record(w as u32, IoKind::Write, result_bytes);
-                            FragmentResult {
+                            let mut searched = Searched {
+                                batch: task.batch,
                                 worker: w,
-                                search_s: s0.elapsed().as_secs_f64(),
-                                hits,
-                            }
+                                search_s: 0.0,
+                                per_query: prepare(task.batch).search(&volume, &mut ws),
+                            };
+                            after_search(&mut searched);
+                            searched.search_s = s0.elapsed().as_secs_f64();
+                            searched
                         });
                         if res_tx.send((task, attempt, r)).is_err() {
                             break;
@@ -507,48 +431,33 @@ impl ParallelBlast {
                 });
             }
             drop(res_tx);
-            let mut hits: Vec<Hit> = Vec::new();
-            let mut per_fragment = Vec::new();
             let mut failure: Option<io::Error> = None;
             while outstanding > 0 {
                 let (task, attempt, r) = res_rx.recv().expect("workers alive");
                 outstanding -= 1;
-                let fr = match r {
-                    Ok(fr) => fr,
+                match r {
+                    Ok(searched) => merge(searched),
                     Err(_) if attempt < MAX_TASK_ATTEMPTS && failure.is_none() => {
                         // Reassign: another worker (or the same one later)
                         // retries the fragment — a CEFT-backed scheme will
                         // have failed over to the mirror by then.
                         task_tx.send((task, attempt + 1)).expect("queue");
                         outstanding += 1;
-                        continue;
                     }
                     Err(e) => {
                         // Attempts exhausted: stop reassigning, drain the
                         // in-flight tasks, and report the first error.
                         failure.get_or_insert(e);
-                        continue;
                     }
-                };
-                per_fragment.push((fr.worker, fr.search_s));
-                for hit in fr.hits {
-                    merge_hit(&mut hits, hit);
                 }
             }
             drop(task_tx); // all tasks done (or job failed): workers exit
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            rank_merged(&mut hits, self.params.max_hits);
-            Ok(RunOutcome {
-                hits,
-                wall_s: t0.elapsed().as_secs_f64(),
-                copy_s: IoClocks::secs(&clocks.copy_ns),
-                io_fetch_s: IoClocks::secs(&clocks.fetch_ns),
-                io_stall_s: IoClocks::secs(&clocks.stall_ns),
-                per_fragment,
-            })
-        })
+            failure
+        });
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(clocks),
+        }
     }
 
     /// Fetch one fragment through the scheme and decode it: the fetch
@@ -558,12 +467,11 @@ impl ParallelBlast {
         &self,
         worker: usize,
         fragment: &str,
-        tracer: &Tracer,
         clocks: &IoClocks,
     ) -> io::Result<PackedVolume> {
         let t0 = Instant::now();
         let (reader, copy) = self.scheme.open_for_worker(worker, fragment)?;
-        let mut src = TracedSource::new(reader, tracer.clone(), worker as u32);
+        let mut src = TracedSource::new(reader, self.tracer.clone(), worker as u32);
         let volume = if self.list_io {
             PackedVolume::read_from_listio(&mut src)?
         } else {
@@ -686,36 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_run_matches_individual_runs() {
-        let base = tmp("batch");
-        let scheme = Scheme::local_at(&base.join("io"), 3).unwrap();
-        let (fragments, q1, db) = setup(&base, &scheme, 4);
-        // A second query from a different region.
-        let q2: Vec<u8> = q1.iter().map(|&c| (c + 1) & 3).collect();
-        let job = ParallelBlast {
-            program: Program::Blastn,
-            params: SearchParams::blastn(),
-            db,
-            fragments,
-            workers: 3,
-            scheme,
-            tracer: Tracer::disabled(),
-            parallelization: Parallelization::DatabaseSegmentation,
-            prefetch: true,
-            list_io: false,
-        };
-        let batch = job.run_batch(&[q1.clone(), q2.clone()]).unwrap();
-        assert_eq!(batch.per_query.len(), 2);
-        let single1 = job.run(&q1).unwrap();
-        let key = |hits: &[parblast_blast::Hit]| -> Vec<(String, i32)> {
-            hits.iter()
-                .map(|h| (h.subject_id.clone(), h.best_score()))
-                .collect()
-        };
-        assert_eq!(key(&batch.per_query[0]), key(&single1.hits));
-    }
-
-    #[test]
     fn run_is_run_batch_of_one_for_every_scheme_and_query_segmentation_too() {
         let base = tmp("run_eq");
         let schemes = [
@@ -787,9 +665,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernel_matches_per_query_kernel_and_counts_passes() {
+    fn a_batch_of_ten_matches_ten_jobs_of_one_and_counts_passes() {
         let base = tmp("fused");
-        let scheme = Scheme::local_at(&base.join("io"), 2).unwrap();
+        let scheme = Scheme::local_at(&base.join("io"), 3).unwrap();
         let (fragments, q1, db) = setup(&base, &scheme, 4);
         let nfrag = fragments.len() as u64;
         let job = ParallelBlast {
@@ -797,34 +675,30 @@ mod tests {
             params: SearchParams::blastn(),
             db,
             fragments,
-            workers: 2,
+            workers: 3,
             scheme,
             tracer: Tracer::disabled(),
             parallelization: Parallelization::DatabaseSegmentation,
-            prefetch: false,
+            prefetch: true,
             list_io: false,
         };
         // 10 queries exercises the MAX_FUSED_BATCH=8 chunking inside the
-        // fused kernel (2 passes per fragment instead of 10).
+        // kernel (2 passes per fragment instead of 10).
         let queries: Vec<Vec<u8>> = (0..10)
             .map(|i| q1.iter().map(|&c| (c + i) & 3).collect())
             .collect();
-        let fused = job
-            .run_batch_with_kernel(&queries, BatchKernel::Fused)
-            .unwrap();
-        let seq = job
-            .run_batch_with_kernel(&queries, BatchKernel::PerQuery)
-            .unwrap();
+        let batch = job.run_batch(&queries).unwrap();
+        let singly: Vec<Vec<Hit>> = queries.iter().map(|q| job.run(q).unwrap().hits).collect();
         assert_eq!(
-            format!("{:?}", fused.per_query),
-            format!("{:?}", seq.per_query),
-            "fused kernel must be hit-for-hit identical"
+            format!("{:?}", batch.per_query),
+            format!("{singly:?}"),
+            "a query's hits must not depend on its batch"
         );
-        assert!(!fused.per_query[0].is_empty(), "vacuous comparison");
-        assert_eq!(fused.kernel_passes, 2 * nfrag);
-        assert_eq!(fused.passes_saved, 8 * nfrag);
-        assert_eq!(seq.kernel_passes, 10 * nfrag);
-        assert_eq!(seq.passes_saved, 0);
+        assert!(!batch.per_query[0].is_empty(), "vacuous comparison");
+        assert_eq!(batch.kernel_passes, 2 * nfrag);
+        assert_eq!(batch.passes_saved, 8 * nfrag);
+        let one = job.run_batch(&queries[..1]).unwrap();
+        assert_eq!((one.kernel_passes, one.passes_saved), (nfrag, 0));
         std::fs::remove_dir_all(&base).ok();
     }
 

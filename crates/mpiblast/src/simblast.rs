@@ -87,19 +87,14 @@ pub struct SimBlastConfig {
     pub result_write_bytes: u64,
     /// Queries sharing each fragment scan (the serving layer's
     /// scan-sharing batch). One fragment read serves the whole batch, so
-    /// I/O stays per-pass while compute and result writes scale by the
-    /// batch size. `1` (the default) is the paper's single-query job and
-    /// leaves the simulation event-for-event unchanged.
+    /// I/O stays per-pass; result writes scale by the batch size, and
+    /// compute by [`SimBlastConfig::batch_compute_factor`] — the batch's
+    /// merged lookup table rolls over each chunk's packed bytes once per
+    /// 8-query chunk, so only the per-query *extension* work scales with
+    /// the batch (see [`FUSED_SCAN_FRAC`]). `1` (the default) is the
+    /// paper's single-query job and leaves the simulation event-for-event
+    /// unchanged.
     pub queries_per_pass: u32,
-    /// Fused multi-query seed-scan kernel: the batch's merged lookup
-    /// table rolls over each chunk's packed bytes once per
-    /// 8-query chunk instead of once per query, so only the per-query
-    /// *extension* work still scales with the batch (see
-    /// [`FUSED_SCAN_FRAC`]). `false` (the default) is the per-query
-    /// kernel — compute scales linearly with `queries_per_pass` — and
-    /// leaves the simulation event-for-event unchanged; either way a
-    /// single-query pass costs exactly the same.
-    pub fused_kernel: bool,
     /// Chunk read-ahead depth: how many chunks a worker keeps in flight
     /// or buffered *while computing*. `0` (the default) is the paper's
     /// synchronous loop — read, then compute, then read — and leaves the
@@ -163,7 +158,6 @@ impl Default for SimBlastConfig {
             result_writes: 2,
             result_write_bytes: 690,
             queries_per_pass: 1,
-            fused_kernel: false,
             read_ahead: 0,
             list_io: false,
             io_tracer: None,
@@ -180,35 +174,29 @@ impl Default for SimBlastConfig {
     }
 }
 
-/// Fraction of a single-query fragment search the fused kernel *shares*
-/// across the batch: the seed-scan pass over the packed bytes. The
+/// Fraction of a single-query fragment search the kernel *shares* across
+/// the batch: the seed-scan pass over the packed bytes. The
 /// remaining `1 − FUSED_SCAN_FRAC` is per-query work (ungapped/gapped
 /// extension, finalization) that still scales with the batch size.
 ///
-/// Provenance: `bench --bin engine` fused batch-scaling curve
-/// (BENCH_engine.json, `batch_scaling` section) on the scan-bound mix.
-/// Solving the model's fused/sequential time ratio
-/// `(B − (B − passes) × f) / B` (with `passes = ceil(B/8)`) for `f` at
-/// the measured cells gives f = 0.83 at B=4 (measured ratio 0.374) and
-/// f = 0.72 at B=8 (ratio 0.373); this constant is their mean. The
-/// measured fused kernel is even faster than the model at B=1 (it also
-/// merges the two strand contexts into one pass), but the model pins
-/// `factor(1) = 1` so an unbatched sim keeps the calibrated
-/// single-query service time.
+/// Provenance: the fused-vs-sequential batch-scaling curve `bench --bin
+/// engine` measured on the scan-bound mix while the per-query scan still
+/// existed (EXPERIMENTS.md, "Retired paths"). Solving the model's
+/// fused/sequential time ratio `(B − (B − passes) × f) / B` (with
+/// `passes = ceil(B/8)`) for `f` at the measured cells gives f = 0.83 at
+/// B=4 (measured ratio 0.374) and f = 0.72 at B=8 (ratio 0.373); this
+/// constant is their mean. The model pins `factor(1) = 1` so an unbatched
+/// sim keeps the calibrated single-query service time.
 pub const FUSED_SCAN_FRAC: f64 = 0.78;
 
 impl SimBlastConfig {
     /// Compute-cost multiplier of one scan pass relative to a
-    /// single-query pass. The per-query kernel scans once per query —
-    /// linear in `queries_per_pass`. The fused kernel executes
-    /// `ceil(B/8)` merged scan passes and only the extension share
-    /// scales per query: `B − saved_passes × FUSED_SCAN_FRAC`. A
-    /// single-query pass costs exactly `1.0` under either kernel.
+    /// single-query pass. One scan per query would cost `B`; the kernel
+    /// executes `ceil(B/8)` merged scan passes and only the extension
+    /// share scales per query: `B − saved_passes × FUSED_SCAN_FRAC`. A
+    /// single-query pass costs exactly `1.0`.
     pub fn batch_compute_factor(&self) -> f64 {
         let b = self.queries_per_pass.max(1);
-        if !self.fused_kernel {
-            return b as f64;
-        }
         let passes = u64::from(b).div_ceil(8);
         b as f64 - (u64::from(b) - passes) as f64 * FUSED_SCAN_FRAC
     }
@@ -481,8 +469,8 @@ struct SimWorker {
     result_writes: u32,
     result_write_bytes: u64,
     batch: u32,
-    /// Per-pass compute multiplier ([`SimBlastConfig::batch_compute_factor`]):
-    /// `batch` under the per-query kernel, sublinear under the fused one.
+    /// Per-pass compute multiplier ([`SimBlastConfig::batch_compute_factor`]),
+    /// sublinear in `batch`.
     compute_factor: f64,
     read_ahead: u32,
     list_io: bool,
@@ -1187,51 +1175,32 @@ mod tests {
     }
 
     #[test]
-    fn batched_pass_amortizes_io_not_compute() {
+    fn batched_pass_amortizes_io_and_the_scan_share_of_compute() {
         let mut cfg = small(SimScheme::Original, 2, 3);
-        let t1 = run_simblast(&cfg).makespan_s;
+        let one = run_simblast(&cfg);
+        assert_eq!(cfg.batch_compute_factor(), 1.0, "b=1 is the paper's job");
         cfg.queries_per_pass = 4;
-        let out4 = run_simblast(&cfg);
+        let four = run_simblast(&cfg);
         // Same single database pass...
-        let total_bytes: u64 = out4.per_worker.iter().map(|w| w.bytes_read).sum();
-        assert_eq!(total_bytes, cfg.db_bytes / 2 * 2);
-        // ...but 4 queries' worth of compute: longer than one query, far
-        // shorter than four sequential passes.
-        assert!(out4.makespan_s > t1 * 2.0, "t1={t1} t4={}", out4.makespan_s);
-        assert!(out4.makespan_s < t1 * 4.0, "t1={t1} t4={}", out4.makespan_s);
-        // I/O fraction shrinks when the scan is shared.
-        assert!(out4.io_fraction < 0.06, "io_fraction={}", out4.io_fraction);
-    }
-
-    #[test]
-    fn fused_kernel_amortizes_compute_sublinearly() {
-        let mut cfg = small(SimScheme::Original, 2, 3);
-        let t1 = run_simblast(&cfg).makespan_s;
-        cfg.queries_per_pass = 4;
-        let per_query = run_simblast(&cfg);
-        cfg.fused_kernel = true;
-        let fused = run_simblast(&cfg);
-        // Identical workload: same single shared database pass.
         let bytes = |o: &SimOutcome| o.per_worker.iter().map(|w| w.bytes_read).sum::<u64>();
-        assert_eq!(bytes(&fused), bytes(&per_query));
-        // Fused compute factor at b=4 is 4 - 3*FUSED_SCAN_FRAC ≈ 1.66, so
-        // the batch finishes well under the per-query kernel's makespan
-        // and under 2x a single-query run.
+        assert_eq!(bytes(&four), cfg.db_bytes / 2 * 2);
+        assert_eq!(bytes(&four), bytes(&one));
+        // ...and 4 queries' worth of extension work but one shared scan:
+        // 4 − 3 × FUSED_SCAN_FRAC ≈ 1.66 single-query computes, against
+        // the closed form B = 4 of one scan per query.
+        assert!((cfg.batch_compute_factor() - (4.0 - 3.0 * FUSED_SCAN_FRAC)).abs() < 1e-12);
+        let compute = |o: &SimOutcome| o.per_worker.iter().map(|w| w.compute_s).sum::<f64>();
+        let ratio = compute(&four) / compute(&one);
+        assert!(ratio > 1.0 && ratio < 0.6 * 4.0, "compute ratio {ratio}");
+        let (t1, t4) = (one.makespan_s, four.makespan_s);
+        assert!(t4 > t1 && t4 < t1 * 2.0, "t1={t1} t4={t4}");
+        // I/O fraction shrinks when the read is shared.
         assert!(
-            fused.makespan_s < per_query.makespan_s * 0.6,
-            "fused={} per_query={}",
-            fused.makespan_s,
-            per_query.makespan_s
+            four.io_fraction < one.io_fraction,
+            "io_fraction {} !< {}",
+            four.io_fraction,
+            one.io_fraction
         );
-        assert!(
-            fused.makespan_s < t1 * 2.0,
-            "t1={t1} fused={}",
-            fused.makespan_s
-        );
-        // b=1 is exactly the per-query model: fused changes nothing.
-        cfg.queries_per_pass = 1;
-        let f1 = run_simblast(&cfg).makespan_s;
-        assert!((f1 - t1).abs() < 1e-9, "t1={t1} f1={f1}");
     }
 
     #[test]

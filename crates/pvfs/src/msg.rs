@@ -424,7 +424,7 @@ pub struct IodWrite {
     pub forward_to: Option<(u32, CompId)>,
     /// With `forward_to` set: acknowledge the client only after the mirror
     /// acknowledges (`true`, the safe server-duplex protocol) or right
-    /// after the local write (`false`, the asynchronous protocol of [7]).
+    /// after the local write (`false`, the asynchronous protocol of \[7\]).
     pub forward_sync: bool,
 }
 

@@ -296,7 +296,7 @@ impl DbSequence {
 }
 
 /// A fully-decoded volume.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Volume {
     /// Residue type.
     pub seq_type: SeqType,
@@ -401,6 +401,34 @@ impl PackedVolume {
         let data = blob[index_len..index_len + data_len].to_vec();
         let deflines = blob[index_len + data_len..].to_vec();
         Self::assemble(&header, &index, data, deflines)
+    }
+
+    /// Pack a decoded volume: the inverse of [`Self::to_volume`]. Lossless,
+    /// because nucleotide codes are always `0..4` and protein codes are
+    /// stored one per byte either way.
+    pub fn from_volume(volume: &Volume) -> PackedVolume {
+        let mut data = Vec::new();
+        let mut deflines = Vec::new();
+        let mut entries = Vec::with_capacity(volume.sequences.len());
+        for s in &volume.sequences {
+            entries.push(PackedEntry {
+                data_start: data.len(),
+                nres: s.codes.len(),
+                def_start: deflines.len(),
+                def_len: s.defline.len(),
+            });
+            match volume.seq_type {
+                SeqType::Nucleotide => data.extend_from_slice(&pack_2bit(&s.codes)),
+                SeqType::Protein => data.extend_from_slice(&s.codes),
+            }
+            deflines.extend_from_slice(s.defline.as_bytes());
+        }
+        PackedVolume {
+            seq_type: volume.seq_type,
+            data,
+            entries,
+            deflines,
+        }
     }
 
     /// Shared parse tail: build the volume from its four raw regions.
@@ -731,6 +759,12 @@ mod tests {
                 } else {
                     assert_eq!(p.packed(i), s.codes.as_slice());
                 }
+            }
+            // Packing the decoded volume gives back what the file held.
+            let repacked = PackedVolume::from_volume(&v);
+            assert_eq!(repacked.to_volume(), v);
+            for i in 0..p.nseq() {
+                assert_eq!(repacked.packed(i), p.packed(i), "seq {i}");
             }
         }
     }

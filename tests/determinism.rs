@@ -145,12 +145,14 @@ fn blastn_digest(seed: u64, gapped: bool) -> String {
     format!("{}h/{}s/{:016x}", hits.len(), nhsps, h)
 }
 
-/// Golden-hits pin for the packed-scan kernel rewrite: blastn
-/// `search_volume` output (scores, ranges, E-values, order) must stay
-/// byte-identical to the pre-rewrite kernel (per-subject `unpack_2bit`,
-/// byte-at-a-time scanner, `HashMap` diagonal tracking). The digests below
-/// were captured from that kernel; the packed-scan/flat-diagonal kernel
-/// must reproduce them exactly, gapped and ungapped, on both strands.
+/// Golden-hits pin for the blastn kernel: `search_volume` output (scores,
+/// ranges, E-values, order) must stay byte-identical to the pre-rewrite
+/// kernel (per-subject `unpack_2bit`, byte-at-a-time scanner, `HashMap`
+/// diagonal tracking), which `blast::baseline` preserves. The digests below
+/// were captured from that kernel; the fused packed-scan kernel — here
+/// over a decoded volume packed by `PackedVolume::from_volume`, as a batch
+/// of one — must reproduce them exactly, gapped and ungapped, on both
+/// strands.
 #[test]
 fn blastn_results_pinned_across_kernel_rewrite() {
     const GOLDEN: [(u64, &str, &str); 3] = [
@@ -236,13 +238,15 @@ fn batched_serving_is_byte_identical_to_sequential() {
 }
 
 /// Fused multi-query kernel pin: for every seed, gapped and ungapped, the
-/// FNV digest of one `search_packed_batch` pass equals the digest of
-/// per-query `search_packed` passes — hit-for-hit, covering both strands,
-/// so subject order, HSP order, scores, E-values, coordinates, and
-/// tie-breaks all survive the kernel fusion.
+/// FNV digest of one `PreparedBatch` pass equals the digest of one
+/// reference-kernel (`search_blastn_baseline`) search per query —
+/// hit-for-hit, covering both strands, so subject order, HSP order,
+/// scores, E-values, coordinates, and tie-breaks all survive the kernel
+/// fusion.
 #[test]
 fn fused_batch_digest_matches_sequential() {
-    use parblast::blast::{search_packed, search_packed_batch, DbStats, Program, SearchParams};
+    use parblast::blast::baseline::search_blastn_baseline;
+    use parblast::blast::{DbStats, PreparedBatch, Program, ScanWorkspace, SearchParams};
     use parblast::seqdb::{
         extract_query, reverse_complement, PackedVolume, SeqType, SyntheticConfig, SyntheticNt,
         VolumeWriter,
@@ -272,6 +276,7 @@ fn fused_batch_digest_matches_sequential() {
         w.finish().unwrap();
         let bytes = buf.into_inner();
         let packed = PackedVolume::read_from(&mut bytes.as_slice()).unwrap();
+        let decoded = packed.to_volume();
         let db = DbStats {
             residues: g.residues(),
             nseq: g.sequences(),
@@ -302,10 +307,11 @@ fn fused_batch_digest_matches_sequential() {
         for gapped in [true, false] {
             let mut params = SearchParams::blastn();
             params.gapped = gapped;
-            let fused = search_packed_batch(Program::Blastn, &qrefs, &packed, &params, db);
+            let fused = PreparedBatch::new(Program::Blastn, &qrefs, &params, db)
+                .search(&packed, &mut ScanWorkspace::new());
             let sequential: Vec<_> = qrefs
                 .iter()
-                .map(|q| search_packed(Program::Blastn, q, &packed, &params, db))
+                .map(|q| search_blastn_baseline(q, &decoded, &params, db))
                 .collect();
             let frames: std::collections::BTreeSet<i8> = fused
                 .iter()

@@ -562,7 +562,14 @@ fn real_pvfs_reports_error_after_server_loss() {
     // reassigns each fragment MAX_TASK_ATTEMPTS times, every attempt hits
     // the same missing stripes, and the error surfaces.
     kill_server_dir(&base.join("p").join("iod0"));
-    let err = job(pvfs, fragments, db).run(&query).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    let job = job(pvfs, fragments, db);
+    // `run` and `run_batch` are one pipeline: both reassign, both give up.
+    let errors = [
+        job.run(&query).map(drop).unwrap_err(),
+        job.run_batch(&[query]).map(drop).unwrap_err(),
+    ];
+    for err in errors {
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    }
     std::fs::remove_dir_all(&base).ok();
 }

@@ -19,6 +19,35 @@ use parblast::seqdb::{
 use parblast::serve::{AdmissionQueue, Priority, Query};
 use parblast::simcore::SimTime;
 
+/// Every exact `word`-mer match of `query` in the decoded `subject` as
+/// `(qpos, spos)`, by subject position then query position: what the
+/// blastn scanner must report for one context, found with no table at all.
+fn byte_scan(query: &[u8], subject: &[u8], word: usize) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    if query.len() < word || subject.len() < word {
+        return out;
+    }
+    for sp in 0..=subject.len() - word {
+        for qp in 0..=query.len() - word {
+            if query[qp..qp + word] == subject[sp..sp + word] {
+                out.push((qp as u32, sp as u32));
+            }
+        }
+    }
+    out
+}
+
+/// One `scan_packed_batched` pass over the packed `subject` with the
+/// merged lookup of `contexts`; the `(qpos, spos)` stream of each context.
+fn scan_packed_batched(contexts: &[&[u8]], subject: &[u8], word: usize) -> Vec<Vec<(u32, u32)>> {
+    let lookup = parblast::blast::BatchedNtLookup::build(contexts, word);
+    let mut per_context = vec![Vec::new(); contexts.len()];
+    lookup.scan_packed_batched(&pack_2bit(subject), subject.len(), |ctx, qp, sp| {
+        per_context[ctx as usize].push((qp, sp));
+    });
+    per_context
+}
+
 proptest! {
     /// Every byte of any extent is covered exactly once by the stripe map.
     #[test]
@@ -163,28 +192,23 @@ proptest! {
         prop_assert_eq!(unpack_2bit(&packed, codes.len()), codes);
     }
 
-    /// Packed-scan equivalence oracle: rolling the seed word across 2-bit
-    /// packed subject bytes reports exactly the same `(qpos, spos)` pairs,
-    /// in the same order, as the byte-at-a-time scanner over the unpacked
-    /// codes — for random queries/subjects, every supported word size, and
-    /// ragged (non-multiple-of-4) subject lengths. (The issue asks for
-    /// word sizes up to 16; the direct-address table caps at 12 — 4^12
-    /// cells — which is also NCBI blastn's limit, so 4..=12 is the full
-    /// supported range.)
+    /// Packed-scan oracle: rolling the seed word across 2-bit packed
+    /// subject bytes reports exactly the `(qpos, spos)` pairs, in the same
+    /// order, that a brute-force word matcher finds in the unpacked codes —
+    /// for random queries/subjects, every supported word size, and ragged
+    /// (non-multiple-of-4) subject lengths. (The direct-address table caps
+    /// at 12 — 4^12 cells — which is also NCBI blastn's limit, so 4..=12
+    /// is the full supported range.)
     #[test]
     fn scan_packed_equals_byte_scan(
         query in proptest::collection::vec(0u8..4, 0..120),
         subject in proptest::collection::vec(0u8..4, 0..250),
         word in 4usize..=12,
     ) {
-        let lookup = parblast::blast::NtLookup::build(&query, word);
-        let mut by_bytes = Vec::new();
-        lookup.scan(&subject, |qp, sp| by_bytes.push((qp, sp)));
-        let mut by_packed = Vec::new();
-        lookup.scan_packed(&pack_2bit(&subject), subject.len(), |qp, sp| {
-            by_packed.push((qp, sp));
-        });
-        prop_assert_eq!(by_bytes, by_packed);
+        prop_assert_eq!(
+            scan_packed_batched(&[&query], &subject, word).remove(0),
+            byte_scan(&query, &subject, word)
+        );
     }
 
     /// Same oracle on self-similar sequences (subject = shifted copy of the
@@ -203,21 +227,15 @@ proptest! {
             subject.extend_from_slice(&seed);
         }
         subject.truncate(subject.len() - trim); // force ragged tails too
-        let lookup = parblast::blast::NtLookup::build(&query, word);
-        let mut by_bytes = Vec::new();
-        lookup.scan(&subject, |qp, sp| by_bytes.push((qp, sp)));
-        let mut by_packed = Vec::new();
-        lookup.scan_packed(&pack_2bit(&subject), subject.len(), |qp, sp| {
-            by_packed.push((qp, sp));
-        });
+        let by_bytes = byte_scan(&query, &subject, word);
         prop_assert!(!by_bytes.is_empty(), "self-similar subject must seed");
-        prop_assert_eq!(by_bytes, by_packed);
+        prop_assert_eq!(scan_packed_batched(&[&query], &subject, word).remove(0), by_bytes);
     }
 
     /// Fused-kernel oracle: one `scan_packed_batched` pass over the
-    /// merged lookup of B queries reports, per query, exactly the
-    /// `(qpos, spos)` stream B separate per-query `scan_packed` passes
-    /// report — for B ∈ 1..=8, every supported word size, and ragged
+    /// merged lookup of B contexts reports, per context, exactly the
+    /// `(qpos, spos)` stream B separate brute-force scans report — for
+    /// B ∈ 1..=8, every supported word size, and ragged
     /// (non-multiple-of-4) subject lengths. The union of per-query
     /// candidate sets is therefore identical, with per-context order
     /// preserved.
@@ -231,16 +249,9 @@ proptest! {
         word in 4usize..=12,
     ) {
         let ctxs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-        let batched = parblast::blast::BatchedNtLookup::build(&ctxs, word);
-        let packed = pack_2bit(&subject);
-        let mut fused: Vec<Vec<(u32, u32)>> = vec![Vec::new(); queries.len()];
-        batched.scan_packed_batched(&packed, subject.len(), |ctx, qp, sp| {
-            fused[ctx as usize].push((qp, sp));
-        });
+        let fused = scan_packed_batched(&ctxs, &subject, word);
         for (i, q) in queries.iter().enumerate() {
-            let lookup = parblast::blast::NtLookup::build(q, word);
-            let mut solo = Vec::new();
-            lookup.scan_packed(&packed, subject.len(), |qp, sp| solo.push((qp, sp)));
+            let solo = byte_scan(q, &subject, word);
             prop_assert_eq!(&fused[i], &solo, "query {} diverged from its solo scan", i);
         }
     }
