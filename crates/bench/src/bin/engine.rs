@@ -11,23 +11,28 @@
 //!   (decode the whole volume, byte scanner, HashMap diagonals, allocating
 //!   DP), identity asserted every rep. The kernel's byte rate is the
 //!   provenance for `SERVE_SEARCH_RATE` in `parblast_core::experiments`.
-//! * **batch scaling** — for B ∈ {1, 2, 4, 8} on a scan-bound and an
-//!   extend-bound query mix, one fused pass over the fragment: seconds,
-//!   query-bases searched per second, subject unpacks; every rep's hits
-//!   asserted identical to the reference kernel's, query by query.
+//! * **batch scaling** — for B ∈ {1, 2, 4, 8} on a scan-bound, an
+//!   extend-bound and a report-bound query mix, one fused pass over the
+//!   fragment: seconds, query-bases searched per second, subject unpacks;
+//!   every rep's hits asserted identical to the reference kernel's, query
+//!   by query.
+//! * **traceback** — [`banded_global_with`] alone, on the aligned ranges
+//!   the report-bound mix reports: HSPs and band cells per second.
 //!
-//! Writes `BENCH_engine.json` (CI archives it). The legacy byte scanner
-//! and the sequential per-query path these numbers used to be set against
-//! are gone; their last committed measurements are in EXPERIMENTS.md,
-//! "Retired paths".
+//! Writes `BENCH_engine.json` (CI archives it). The legacy byte scanner,
+//! the sequential per-query path and the six-matrix traceback these
+//! numbers used to be set against are gone; their last committed
+//! measurements are in EXPERIMENTS.md, "Retired paths".
 
 use std::time::Instant;
 
 use parblast_bench::{arg_u64, arg_value, print_table};
 use parblast_blast::baseline::search_blastn_baseline;
 use parblast_blast::{
-    BatchedNtLookup, DbStats, Hit, PreparedBatch, Program, ScanWorkspace, SearchParams,
+    banded_global_with, BatchedNtLookup, DbStats, GappedWorkspace, Hit, PreparedBatch, Program,
+    ScanWorkspace, SearchParams,
 };
+use parblast_seqdb::blastdb::DbSequence;
 use parblast_seqdb::{
     extract_query, reverse_complement, PackedVolume, SeqType, SyntheticConfig, SyntheticNt, Volume,
     VolumeWriter,
@@ -52,6 +57,19 @@ fn synth_volume_bytes(residues: u64, seed: u64) -> Vec<u8> {
 fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// Length of the planted family's members (the whole-path benchmark's).
+const FAMILY_LEN: usize = 1500;
+
+/// DP cells of a banded global alignment of `m` × `n` residues: rows
+/// `1..=m`, each `|m − n| + extra_band` columns either side of the diagonal,
+/// clipped to the matrix.
+fn band_cells(m: usize, n: usize, extra_band: usize) -> u64 {
+    let band = m.abs_diff(n) + extra_band;
+    (1..=m)
+        .map(|i| ((i + band).min(n) + 1 - i.saturating_sub(band)) as u64)
+        .sum()
 }
 
 /// The reference kernel, one query at a time.
@@ -200,10 +218,59 @@ fn main() {
     let extend_bound: Vec<Vec<u8>> = (0..8u64)
         .map(|i| extract_query(hot, 568.min(hot.len()), 0.02, 200 + i))
         .collect();
+    // Report-bound queries are cut from the seed of a homolog family
+    // planted in a small fragment of its own (60 members at 3–15%
+    // divergence among as many decoys, the whole-path benchmark's
+    // `serve_family` shape): every query reports ~60 full-length HSPs, so
+    // the reporting traceback — one banded DP per HSP — dominates.
+    let mut fgen = SyntheticNt::new(SyntheticConfig {
+        total_residues: 61 * 16 * FAMILY_LEN as u64,
+        seed: 1717,
+        ..Default::default()
+    });
+    let mut family_seqs: Vec<Vec<u8>> = std::iter::from_fn(|| fgen.next())
+        .filter(|(_, codes)| codes.len() >= FAMILY_LEN)
+        .take(61)
+        .map(|(_, mut codes)| {
+            codes.truncate(FAMILY_LEN);
+            codes
+        })
+        .collect();
+    assert_eq!(family_seqs.len(), 61, "family fragment stream too short");
+    let family = family_seqs.pop().expect("the family's seed sequence");
+    for c in 0..60u64 {
+        let divergence = 0.03 + 0.12 * c as f64 / 59.0;
+        family_seqs.push(extract_query(&family, FAMILY_LEN, divergence, 300 + c));
+    }
+    let family_volume = Volume {
+        seq_type: SeqType::Nucleotide,
+        sequences: family_seqs
+            .into_iter()
+            .enumerate()
+            .map(|(i, codes)| DbSequence {
+                defline: format!("fam{i} planted-family fragment"),
+                codes,
+            })
+            .collect(),
+    };
+    let family_packed = PackedVolume::from_volume(&family_volume);
+    let report_bound: Vec<Vec<u8>> = (0..8u64)
+        .map(|i| extract_query(&family, 568, 0.02, 400 + i))
+        .collect();
     let mut batch_rows: Vec<Vec<String>> = Vec::new();
     let mut scaling_json = String::from("[");
-    for (mix, pool) in [("scan_bound", &scan_bound), ("extend_bound", &extend_bound)] {
-        let want = reference(pool, &volume, &params, db);
+    for (mix, pool, packed, volume) in [
+        ("scan_bound", &scan_bound, &packed, &volume),
+        ("extend_bound", &extend_bound, &packed, &volume),
+        (
+            "report_bound",
+            &report_bound,
+            &family_packed,
+            &family_volume,
+        ),
+    ] {
+        let total_bases = volume.residues();
+        let want = reference(pool, volume, &params, db);
         let mut unpacks_at_1 = 0;
         for &b in &[1usize, 2, 4, 8] {
             let qs: Vec<&[u8]> = pool[..b].iter().map(|q| q.as_slice()).collect();
@@ -211,7 +278,7 @@ fn main() {
             let prepared = PreparedBatch::new(Program::Blastn, &qs, &params, db);
             let u0 = ws.unpacks();
             assert_eq!(
-                format!("{:?}", prepared.search(&packed, &mut ws)),
+                format!("{:?}", prepared.search(packed, &mut ws)),
                 want,
                 "kernel must be hit-for-hit identical to the reference ({mix}, B={b})"
             );
@@ -233,7 +300,7 @@ fn main() {
             for _ in 0..reps {
                 let t0 = Instant::now();
                 let found =
-                    PreparedBatch::new(Program::Blastn, &qs, &params, db).search(&packed, &mut ws);
+                    PreparedBatch::new(Program::Blastn, &qs, &params, db).search(packed, &mut ws);
                 times.push(t0.elapsed().as_secs_f64());
                 assert_eq!(format!("{found:?}"), want, "unstable kernel ({mix}, B={b})");
             }
@@ -257,6 +324,50 @@ fn main() {
         }
     }
     scaling_json.push(']');
+
+    // --- traceback alone ------------------------------------------------
+    // What `finalize` hands the traceback kernel on the report-bound mix:
+    // the aligned query and subject ranges of every plus-strand HSP.
+    let pairs: Vec<(&[u8], &[u8])> = reference(&report_bound, &family_volume, &params, db)
+        .iter()
+        .zip(&report_bound)
+        .flat_map(|(hits, q)| {
+            let subjects = &family_volume.sequences;
+            hits.iter().flat_map(move |hit| {
+                let subject = &subjects[hit.subject_index].codes;
+                hit.hsps
+                    .iter()
+                    .filter(|h| h.q_frame == 1)
+                    .map(move |h| (&q[h.q_start..h.q_end], &subject[h.s_start..h.s_end]))
+            })
+        })
+        .collect();
+    let cells: u64 = pairs
+        .iter()
+        .map(|(q, s)| band_cells(q.len(), s.len(), 16))
+        .sum();
+    let mut gws = GappedWorkspace::new();
+    let mut trace = || {
+        pairs
+            .iter()
+            .map(|(q, s)| banded_global_with(q, s, &params.scorer, params.gaps, 16, &mut gws).0)
+            .sum::<i32>()
+    };
+    let checksum = trace();
+    let trace_s = median(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert_eq!(
+                    std::hint::black_box(trace()),
+                    checksum,
+                    "unstable traceback"
+                );
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    );
+    let (hsps_per_s, cells_per_s) = (pairs.len() as f64 / trace_s, cells as f64 / trace_s);
 
     let scan_bps = total_bases as f64 / scan_s;
     let searched_bases = total_bases as f64 * nqueries as f64;
@@ -299,6 +410,26 @@ fn main() {
         &batch_rows,
     );
 
+    println!();
+    print_table(
+        &[
+            "stage",
+            "HSPs",
+            "band cells",
+            "time (s)",
+            "HSPs/s",
+            "Mcells/s",
+        ],
+        &[vec![
+            "traceback".into(),
+            format!("{}", pairs.len()),
+            format!("{cells}"),
+            format!("{trace_s:.5}"),
+            format!("{hsps_per_s:.0}"),
+            format!("{:.1}", cells_per_s / 1e6),
+        ]],
+    );
+
     let payload = format!(
         "{{\n  \"experiment\": \"engine\",\n  \"residues\": {},\n  \"nseq\": {},\n  \
          \"stats_residues\": {},\n  \"stats_nseq\": {},\n  \
@@ -308,6 +439,8 @@ fn main() {
          \"fragment_search\": {{\"baseline_s\": {:.6}, \"packed_s\": {:.6}, \
          \"baseline_bases_per_s\": {:.0}, \"packed_bases_per_s\": {:.0}, \
          \"packed_bytes_per_s\": {:.0}, \"speedup\": {:.3}}},\n  \
+         \"traceback\": {{\"hsps\": {}, \"band_cells\": {cells}, \"s\": {trace_s:.6}, \
+         \"hsps_per_s\": {hsps_per_s:.0}, \"cells_per_s\": {cells_per_s:.0}}},\n  \
          \"batch_scaling\": {scaling_json}\n}}\n",
         volume.residues(),
         volume.sequences.len(),
@@ -325,10 +458,11 @@ fn main() {
         kernel_bps,
         kernel_bytes_per_s,
         kernel_bps / base_bps,
+        pairs.len(),
     );
     std::fs::write(&out, &payload).expect("write BENCH_engine.json");
     println!(
         "\nwrote {out}\nexpected shape: the kernel searches fragments >= 2x faster than the \
-         reference with identical hits, and query-bases/s grows with B on both mixes"
+         reference with identical hits, and query-bases/s grows with B on every mix"
     );
 }

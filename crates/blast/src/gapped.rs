@@ -23,20 +23,27 @@ pub struct ExtensionResult {
     pub s_ext: usize,
 }
 
-/// Reusable DP rows for the X-drop gapped extension: one `h` and one `f`
-/// row, updated in place. They only ever grow, and only as far as the
-/// widest band any extension reached — never to the subject's length —
-/// and are not cleared between calls (see [`xdrop_extend_with`] for why no
-/// stale cell is ever read). `ScanWorkspace`/`BatchScanWorkspace` recycle
-/// one of these across subjects, fragments and batched queries.
+/// Reusable scratch for both gapped stages: one `h` and one `f` DP row,
+/// updated in place by the X-drop extension and by the traceback kernel,
+/// plus the traceback's byte matrix and its output ops. Everything only
+/// ever grows — the rows as far as the widest band any extension reached
+/// or the longest aligned subject range traced back, never to a whole
+/// subject's length — and nothing is cleared between calls (see
+/// [`xdrop_extend_with`] and [`banded_global_with`] for why no stale cell
+/// is ever read). `ScanWorkspace` recycles one of these across subjects,
+/// fragments and batched queries.
 #[derive(Debug, Default)]
 pub struct GappedWorkspace {
     h: Vec<i32>,
     f: Vec<i32>,
+    /// One byte per band cell, `(m + 1) × width` row-major ([`TB_SRC`]).
+    bt: Vec<u8>,
+    /// The last traceback's columns.
+    ops: Vec<AlignOp>,
 }
 
 impl GappedWorkspace {
-    /// Empty workspace; rows grow to the widest band seen.
+    /// Empty workspace; buffers grow to the largest problem seen.
     pub fn new() -> Self {
         Self::default()
     }
@@ -396,7 +403,8 @@ pub struct AlignStats {
 
 /// Banded global alignment of `query` vs `subject` with affine gaps and
 /// full traceback. `extra_band` widens the band beyond the length
-/// difference. Returns `(score, ops)`.
+/// difference. Returns `(score, ops)`. Allocates a fresh workspace; hot
+/// paths should use [`banded_global_with`].
 pub fn banded_global(
     query: &[u8],
     subject: &[u8],
@@ -404,146 +412,245 @@ pub fn banded_global(
     gaps: GapPenalties,
     extra_band: usize,
 ) -> (i32, Vec<AlignOp>) {
-    let (m, n) = (query.len(), subject.len());
-    if m == 0 {
-        return (
-            if n == 0 { 0 } else { -gaps.cost(n as i32) },
-            vec![AlignOp::InsSubject; n],
-        );
-    }
-    if n == 0 {
-        return (-gaps.cost(m as i32), vec![AlignOp::InsQuery; m]);
-    }
-    let band = (m as i64 - n as i64).unsigned_abs() as usize + extra_band.max(1);
-    let width = 2 * band + 1;
-    let idx = |i: usize, j: i64| -> Option<usize> {
-        // j ranges over [i - band, i + band] mapped onto [0, width).
-        let off = j - (i as i64 - band as i64);
-        if off < 0 || off >= width as i64 {
-            None
-        } else {
-            Some(off as usize)
-        }
-    };
-    let open_ext = gaps.open + gaps.extend;
-    let ext = gaps.extend;
-    // 3 DP matrices H/E/F stored banded; traceback bytes per state.
-    let mut h = vec![vec![NEG; width]; m + 1];
-    let mut e = vec![vec![NEG; width]; m + 1];
-    let mut f = vec![vec![NEG; width]; m + 1];
-    // Traceback: 0=diag,1=from E,2=from F for H; for E: bit, for F: bit.
-    let mut bt_h = vec![vec![0u8; width]; m + 1];
-    let mut bt_e = vec![vec![0u8; width]; m + 1];
-    let mut bt_f = vec![vec![0u8; width]; m + 1];
+    let mut ws = GappedWorkspace::new();
+    let score = banded_global_with(query, subject, scorer, gaps, extra_band, &mut ws).0;
+    (score, ws.ops)
+}
 
-    if let Some(k) = idx(0, 0) {
-        h[0][k] = 0;
+/// [`banded_global`] with caller-provided scratch; the ops borrow from it
+/// and are overwritten by the next call.
+///
+/// The band is `|m − n| + max(extra_band, 1)` cells either side of the
+/// main diagonal (`width = 2·band + 1` cells a row), and inside it:
+///
+/// ```text
+/// F(i,j) = max(H(i-1,j) - open - ext, F(i-1,j) - ext)      gap in subject
+/// E(i,j) = max(H(i,j-1) - open - ext, E(i,j-1) - ext)      gap in query
+/// H(i,j) = max(M(i,j), E(i,j), F(i,j))
+/// M(i,j) = H(i-1,j-1) + s(q_i, s_j)  if H(i-1,j-1) > NEG/2,  else NEG
+/// ```
+///
+/// Invariants that define the answers (pinned against the previous
+/// six-matrix implementation, kept as the test oracle):
+///
+/// * ties: `F` and `E` *open* a gap when opening scores `>=` extending
+///   one; `H` takes the diagonal when `M >= E` and `M >= F`, else `E` when
+///   `E >= F`, else `F`;
+/// * a cell outside the band reads `NEG` in every matrix, and `M` is `NEG`
+///   rather than `NEG + s` under such a cell (the `> NEG/2` guard);
+/// * column 0 pairs with no subject residue, so only `F` reaches it; row 0
+///   is a leading gap in the query as far as the band goes, opened at
+///   column 1 and extended after it;
+/// * the traceback starts at `(m, n)` in `H` and follows the recorded
+///   choices; an `H` cell that says "diagonal" on row or column 0 falls
+///   back to the gap that leaves the matrix (no finite path produces one).
+///
+/// `h`/`f` hold one row, indexed by subject column and updated in place as
+/// in [`xdrop_extend_with`]: at column `j` they still hold row `i-1` until
+/// overwritten, and `H(i-1,j-1)`, `H(i,j-1)`, `E(i,j-1)` ride in
+/// registers. Each cell's three choices go into ONE traceback byte (bits
+/// 0–1 the source of `H`: 0 diagonal, 1 `E`, 2 `F`; bit 2 set if `E`
+/// extended; bit 3 set if `F` did) of a flat `(m+1) × width` buffer. The
+/// row's windows of `h`, `f`, the traceback bytes and the subject are cut
+/// *before* the cell loop, which then zips four equally long slices and
+/// carries no bounds check, and every comparison is a select, the
+/// nucleotide match test included — off the main diagonal each is a coin
+/// flip.
+///
+/// No stale cell is read, although nothing is cleared between calls: row
+/// `i` reads `h[j]`/`f[j]` for its own columns `max(i-band, 0) ..=
+/// min(i+band, n)` and `h` of the column before them. All but the last
+/// were written by row `i-1` (row 0 writes its whole span); the last, when
+/// it is `i + band`, is new to the band and set to `NEG` before the row
+/// starts. The walk back visits only cells whose value is finite, and
+/// those were all written by this call.
+pub fn banded_global_with<'w>(
+    query: &[u8],
+    subject: &[u8],
+    scorer: &Scorer,
+    gaps: GapPenalties,
+    extra_band: usize,
+    ws: &'w mut GappedWorkspace,
+) -> (i32, &'w [AlignOp]) {
+    match *scorer {
+        Scorer::Nucleotide { reward, penalty } => banded_kernel(
+            query,
+            subject,
+            |a, b| pick(a == b, reward, penalty),
+            gaps,
+            extra_band,
+            ws,
+        ),
+        Scorer::Blosum62 => banded_kernel(
+            query,
+            subject,
+            |a, b| BLOSUM62[a as usize][b as usize],
+            gaps,
+            extra_band,
+            ws,
+        ),
     }
-    for j in 1..=n as i64 {
-        if let Some(k) = idx(0, j) {
-            e[0][k] = -gaps.open - ext * j as i32;
-            h[0][k] = e[0][k];
-            bt_h[0][k] = 1;
-            bt_e[0][k] = if j > 1 { 1 } else { 0 }; // 1 = extend, 0 = open
-        }
+}
+
+/// Where a traceback byte says `H` came from (bits 0–1), which doubles as
+/// the matrix the walk back is in: `H` itself moves diagonally.
+const TB_SRC: u8 = 0b11;
+const SRC_DIAG: u8 = 0;
+const SRC_E: u8 = 1;
+const SRC_F: u8 = 2;
+/// Bit positions of "`E` extended a gap" and "`F` extended a gap".
+const TB_E_EXT: u32 = 2;
+const TB_F_EXT: u32 = 3;
+
+/// What the traceback kernel's cell loop carries from cell to cell.
+struct TraceCarry {
+    /// `H(i-1, j-1)`.
+    diag: i32,
+    /// `H(i, j-1)`.
+    h_left: i32,
+    /// `E(i, j-1)`.
+    e_left: i32,
+    open_ext: i32,
+    ext: i32,
+}
+
+impl TraceCarry {
+    /// One DP cell; `h`/`f` hold row `i-1` on entry and row `i` on return,
+    /// `bt` receives the cell's three choices.
+    #[inline(always)]
+    fn cell(&mut self, sub: i32, h: &mut i32, f: &mut i32, bt: &mut u8) {
+        let up = *h;
+        let (f_open, f_ext) = (up - self.open_ext, *f - self.ext);
+        let f_extends = f_open < f_ext;
+        let fv = pick(f_extends, f_ext, f_open);
+        let (e_open, e_ext) = (self.h_left - self.open_ext, self.e_left - self.ext);
+        let e_extends = e_open < e_ext;
+        let ev = pick(e_extends, e_ext, e_open);
+        let mv = pick(self.diag > NEG / 2, self.diag + sub, NEG);
+        let from_diag = (mv >= ev) & (mv >= fv);
+        let from_e = ev >= fv;
+        let hv = pick(from_diag, mv, pick(from_e, ev, fv));
+        // SRC_DIAG, else SRC_E, else SRC_F — as arithmetic, because a
+        // select of constants comes out of LLVM as a branch.
+        let src = (!from_diag as u8) << (!from_e as u8);
+        *bt = src | (e_extends as u8) << TB_E_EXT | (f_extends as u8) << TB_F_EXT;
+        self.diag = up;
+        self.h_left = hv;
+        self.e_left = ev;
+        *h = hv;
+        *f = fv;
+    }
+}
+
+fn banded_kernel<'w>(
+    query: &[u8],
+    subject: &[u8],
+    score: impl Fn(u8, u8) -> i32,
+    gaps: GapPenalties,
+    extra_band: usize,
+    ws: &'w mut GappedWorkspace,
+) -> (i32, &'w [AlignOp]) {
+    let (m, n) = (query.len(), subject.len());
+    ws.ops.clear();
+    if m == 0 || n == 0 {
+        // One end-to-end gap, or nothing at all.
+        let (op, len) = if m == 0 {
+            (AlignOp::InsSubject, n)
+        } else {
+            (AlignOp::InsQuery, m)
+        };
+        ws.ops.resize(len, op);
+        let score = if len == 0 { 0 } else { -gaps.cost(len as i32) };
+        return (score, &ws.ops);
+    }
+    let band = m.abs_diff(n) + extra_band.max(1);
+    let width = 2 * band + 1;
+    let (open_ext, ext) = (gaps.open + gaps.extend, gaps.extend);
+    ws.ensure(n);
+    if ws.bt.len() < (m + 1) * width {
+        ws.bt.resize((m + 1) * width, 0);
+    }
+    let GappedWorkspace { h, f, bt, ops } = ws;
+    // Cell (i, j) has its byte at `i * width + j + band - i`.
+    // Row 0: a leading gap in the query, as far as the band goes.
+    h[0] = 0;
+    f[0] = NEG;
+    for j in 1..=band.min(n) {
+        h[j] = -gaps.open - ext * j as i32;
+        f[j] = NEG;
+        bt[band + j] = SRC_E | ((j > 1) as u8) << TB_E_EXT;
     }
     for i in 1..=m {
-        let jlo = (i as i64 - band as i64).max(0);
-        let jhi = (i as i64 + band as i64).min(n as i64);
-        for j in jlo..=jhi {
-            let k = idx(i, j).unwrap();
-            // F (gap in subject: vertical from i-1, same j).
-            let fv = {
-                let up_h = idx(i - 1, j).map_or(NEG, |k2| h[i - 1][k2]);
-                let up_f = idx(i - 1, j).map_or(NEG, |k2| f[i - 1][k2]);
-                if up_h - open_ext >= up_f - ext {
-                    bt_f[i][k] = 0;
-                    up_h - open_ext
-                } else {
-                    bt_f[i][k] = 1;
-                    up_f - ext
-                }
-            };
-            f[i][k] = fv;
-            // E (gap in query: horizontal from j-1, same i).
-            let ev = if j > 0 {
-                let left_h = idx(i, j - 1).map_or(NEG, |k2| h[i][k2]);
-                let left_e = idx(i, j - 1).map_or(NEG, |k2| e[i][k2]);
-                if left_h - open_ext >= left_e - ext {
-                    bt_e[i][k] = 0;
-                    left_h - open_ext
-                } else {
-                    bt_e[i][k] = 1;
-                    left_e - ext
-                }
-            } else {
-                NEG
-            };
-            e[i][k] = ev;
-            // H.
-            let diag = if j > 0 {
-                idx(i - 1, j - 1).map_or(NEG, |k2| h[i - 1][k2])
-            } else {
-                NEG
-            };
-            let mv = if diag > NEG / 2 {
-                diag + scorer.score(query[i - 1], subject[j as usize - 1])
-            } else {
-                NEG
-            };
-            let (hv, tb) = if mv >= ev && mv >= fv {
-                (mv, 0u8)
-            } else if ev >= fv {
-                (ev, 1u8)
-            } else {
-                (fv, 2u8)
-            };
-            h[i][k] = hv;
-            bt_h[i][k] = tb;
+        let qc = query[i - 1];
+        let (jlo, jhi) = (i.saturating_sub(band), (i + band).min(n));
+        if jhi == i + band {
+            // The one column this row adds has nothing above it.
+            h[jhi] = NEG;
+            f[jhi] = NEG;
+        }
+        let (diag, h_left, sub) = if jlo == 0 {
+            // Column 0 has nothing to its left or on its diagonal: only F
+            // can reach it. `NEG + open_ext` makes E come out at exactly
+            // NEG, and opened rather than extended.
+            (NEG, NEG + open_ext, 0)
+        } else {
+            // Left of the band reads NEG; the diagonal cell is the first
+            // of row i-1, which this row does not overwrite.
+            (h[jlo - 1], NEG, score(qc, subject[jlo - 1]))
+        };
+        let mut carry = TraceCarry {
+            diag,
+            h_left,
+            e_left: NEG,
+            open_ext,
+            ext,
+        };
+        let first = i * width + jlo + band - i;
+        let (h0, hs) = h[jlo..=jhi].split_first_mut().expect("jlo <= jhi");
+        let (f0, fs) = f[jlo..=jhi].split_first_mut().expect("jlo <= jhi");
+        let (b0, bs) = bt[first..=first + jhi - jlo]
+            .split_first_mut()
+            .expect("jlo <= jhi");
+        carry.cell(sub, h0, f0, b0);
+        // The other columns pair with subject residues `jlo..jhi`.
+        let s = &subject[jlo..jhi];
+        for (((h, f), b), &sc) in hs.iter_mut().zip(fs).zip(bs).zip(s) {
+            carry.cell(score(qc, sc), h, f, b);
         }
     }
-
-    let score = idx(m, n as i64).map_or(NEG, |k| h[m][k]);
-    // Traceback from (m, n) in state H.
-    let mut ops_rev = Vec::with_capacity(m + n);
-    let (mut i, mut j) = (m, n as i64);
-    let mut state = 0u8; // 0=H,1=E,2=F
+    let score = h[n];
+    let (mut i, mut j) = (m, n);
+    let mut state = SRC_DIAG;
     while i > 0 || j > 0 {
-        let k = idx(i, j).expect("in band");
+        let b = bt[i * width + j + band - i];
         match state {
-            0 => match bt_h[i][k] {
-                0 if i > 0 && j > 0 => {
-                    ops_rev.push(AlignOp::Sub);
+            SRC_DIAG => match b & TB_SRC {
+                SRC_DIAG if i > 0 && j > 0 => {
+                    ops.push(AlignOp::Sub);
                     i -= 1;
                     j -= 1;
                 }
-                1 => state = 1,
-                2 => state = 2,
-                _ => {
-                    // Degenerate: fall back to gaps to terminate.
-                    if j > 0 {
-                        state = 1;
-                    } else {
-                        state = 2;
-                    }
-                }
+                SRC_E => state = SRC_E,
+                SRC_F => state = SRC_F,
+                // Degenerate: fall back to gaps to terminate.
+                _ => state = if j > 0 { SRC_E } else { SRC_F },
             },
-            1 => {
-                ops_rev.push(AlignOp::InsSubject);
-                let was_extend = bt_e[i][k] == 1;
+            SRC_E => {
+                ops.push(AlignOp::InsSubject);
+                let extended = b & 1 << TB_E_EXT != 0;
+                state = if extended { SRC_E } else { SRC_DIAG };
                 j -= 1;
-                state = if was_extend { 1 } else { 0 };
             }
             _ => {
-                ops_rev.push(AlignOp::InsQuery);
-                let was_extend = bt_f[i][k] == 1;
+                ops.push(AlignOp::InsQuery);
+                let extended = b & 1 << TB_F_EXT != 0;
+                state = if extended { SRC_F } else { SRC_DIAG };
                 i -= 1;
-                state = if was_extend { 2 } else { 0 };
             }
         }
     }
-    ops_rev.reverse();
-    (score, ops_rev)
+    ops.reverse();
+    (score, ops)
 }
 
 /// Compute alignment statistics by walking ops over the aligned ranges.
@@ -591,7 +698,7 @@ pub fn align_stats(query: &[u8], subject: &[u8], ops: &[AlignOp]) -> AlignStats 
 /// kernel, kept verbatim as the oracle the new kernel is pinned against.
 #[cfg(test)]
 mod oracle {
-    use super::{ExtensionResult, NEG};
+    use super::{AlignOp, ExtensionResult, NEG};
     use crate::matrix::{GapPenalties, Scorer};
 
     #[allow(clippy::needless_range_loop)] // absolute-j indexing mirrors the DP recurrences
@@ -719,6 +826,157 @@ mod oracle {
             (q0 - left.q_ext)..(q0 + right.q_ext),
             (s0 - left.s_ext)..(s0 + right.s_ext),
         )
+    }
+
+    /// The six-matrix banded global alignment this module used before the
+    /// flat traceback kernel, kept verbatim as its oracle.
+    pub fn banded_global(
+        query: &[u8],
+        subject: &[u8],
+        scorer: &Scorer,
+        gaps: GapPenalties,
+        extra_band: usize,
+    ) -> (i32, Vec<AlignOp>) {
+        let (m, n) = (query.len(), subject.len());
+        if m == 0 {
+            return (
+                if n == 0 { 0 } else { -gaps.cost(n as i32) },
+                vec![AlignOp::InsSubject; n],
+            );
+        }
+        if n == 0 {
+            return (-gaps.cost(m as i32), vec![AlignOp::InsQuery; m]);
+        }
+        let band = (m as i64 - n as i64).unsigned_abs() as usize + extra_band.max(1);
+        let width = 2 * band + 1;
+        let idx = |i: usize, j: i64| -> Option<usize> {
+            // j ranges over [i - band, i + band] mapped onto [0, width).
+            let off = j - (i as i64 - band as i64);
+            if off < 0 || off >= width as i64 {
+                None
+            } else {
+                Some(off as usize)
+            }
+        };
+        let open_ext = gaps.open + gaps.extend;
+        let ext = gaps.extend;
+        // 3 DP matrices H/E/F stored banded; traceback bytes per state.
+        let mut h = vec![vec![NEG; width]; m + 1];
+        let mut e = vec![vec![NEG; width]; m + 1];
+        let mut f = vec![vec![NEG; width]; m + 1];
+        // Traceback: 0=diag,1=from E,2=from F for H; for E: bit, for F: bit.
+        let mut bt_h = vec![vec![0u8; width]; m + 1];
+        let mut bt_e = vec![vec![0u8; width]; m + 1];
+        let mut bt_f = vec![vec![0u8; width]; m + 1];
+
+        if let Some(k) = idx(0, 0) {
+            h[0][k] = 0;
+        }
+        for j in 1..=n as i64 {
+            if let Some(k) = idx(0, j) {
+                e[0][k] = -gaps.open - ext * j as i32;
+                h[0][k] = e[0][k];
+                bt_h[0][k] = 1;
+                bt_e[0][k] = if j > 1 { 1 } else { 0 }; // 1 = extend, 0 = open
+            }
+        }
+        for i in 1..=m {
+            let jlo = (i as i64 - band as i64).max(0);
+            let jhi = (i as i64 + band as i64).min(n as i64);
+            for j in jlo..=jhi {
+                let k = idx(i, j).unwrap();
+                // F (gap in subject: vertical from i-1, same j).
+                let fv = {
+                    let up_h = idx(i - 1, j).map_or(NEG, |k2| h[i - 1][k2]);
+                    let up_f = idx(i - 1, j).map_or(NEG, |k2| f[i - 1][k2]);
+                    if up_h - open_ext >= up_f - ext {
+                        bt_f[i][k] = 0;
+                        up_h - open_ext
+                    } else {
+                        bt_f[i][k] = 1;
+                        up_f - ext
+                    }
+                };
+                f[i][k] = fv;
+                // E (gap in query: horizontal from j-1, same i).
+                let ev = if j > 0 {
+                    let left_h = idx(i, j - 1).map_or(NEG, |k2| h[i][k2]);
+                    let left_e = idx(i, j - 1).map_or(NEG, |k2| e[i][k2]);
+                    if left_h - open_ext >= left_e - ext {
+                        bt_e[i][k] = 0;
+                        left_h - open_ext
+                    } else {
+                        bt_e[i][k] = 1;
+                        left_e - ext
+                    }
+                } else {
+                    NEG
+                };
+                e[i][k] = ev;
+                // H.
+                let diag = if j > 0 {
+                    idx(i - 1, j - 1).map_or(NEG, |k2| h[i - 1][k2])
+                } else {
+                    NEG
+                };
+                let mv = if diag > NEG / 2 {
+                    diag + scorer.score(query[i - 1], subject[j as usize - 1])
+                } else {
+                    NEG
+                };
+                let (hv, tb) = if mv >= ev && mv >= fv {
+                    (mv, 0u8)
+                } else if ev >= fv {
+                    (ev, 1u8)
+                } else {
+                    (fv, 2u8)
+                };
+                h[i][k] = hv;
+                bt_h[i][k] = tb;
+            }
+        }
+
+        let score = idx(m, n as i64).map_or(NEG, |k| h[m][k]);
+        // Traceback from (m, n) in state H.
+        let mut ops_rev = Vec::with_capacity(m + n);
+        let (mut i, mut j) = (m, n as i64);
+        let mut state = 0u8; // 0=H,1=E,2=F
+        while i > 0 || j > 0 {
+            let k = idx(i, j).expect("in band");
+            match state {
+                0 => match bt_h[i][k] {
+                    0 if i > 0 && j > 0 => {
+                        ops_rev.push(AlignOp::Sub);
+                        i -= 1;
+                        j -= 1;
+                    }
+                    1 => state = 1,
+                    2 => state = 2,
+                    _ => {
+                        // Degenerate: fall back to gaps to terminate.
+                        if j > 0 {
+                            state = 1;
+                        } else {
+                            state = 2;
+                        }
+                    }
+                },
+                1 => {
+                    ops_rev.push(AlignOp::InsSubject);
+                    let was_extend = bt_e[i][k] == 1;
+                    j -= 1;
+                    state = if was_extend { 1 } else { 0 };
+                }
+                _ => {
+                    ops_rev.push(AlignOp::InsQuery);
+                    let was_extend = bt_f[i][k] == 1;
+                    i -= 1;
+                    state = if was_extend { 2 } else { 0 };
+                }
+            }
+        }
+        ops_rev.reverse();
+        (score, ops_rev)
     }
 }
 
@@ -899,6 +1157,97 @@ mod tests {
                 Ok(())
             })?;
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The flat kernel returns the score and the very ops the
+        /// six-matrix oracle returns: both scorers, unrelated pairs and
+        /// pairs related through substitutions and indels, either side
+        /// empty, every band width the callers and tests use, with one
+        /// workspace reused (and so left dirty, by X-drop extensions too)
+        /// across every case.
+        #[test]
+        fn flat_traceback_matches_six_matrix_oracle(
+            seed in any::<u64>(),
+            m in 0usize..=600,
+            skew in -40isize..=40,
+            empty in 0u32..10,
+            band_ix in 0usize..5,
+            protein in any::<bool>(),
+            related in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let extra_band = [0, 1, 3, 8, 16][band_ix];
+            let (scorer, gaps, alphabet) = if protein {
+                (Scorer::Blosum62, GapPenalties::blastp(), 20u8)
+            } else {
+                (nt(), g(), 4u8)
+            };
+            let mut q = residues(&mut rng, m, alphabet, None);
+            let mut s = if related {
+                residues(&mut rng, 0, alphabet, Some(&q))
+            } else {
+                residues(&mut rng, m.saturating_add_signed(skew), alphabet, None)
+            };
+            // |m − n| <= 40 either way, so the oracle's matrices stay small.
+            s.truncate(m + 40);
+            match empty {
+                0 => q.clear(),
+                1 => s.clear(),
+                _ => {}
+            }
+            thread_local! {
+                static WS: std::cell::RefCell<GappedWorkspace> =
+                    std::cell::RefCell::new(GappedWorkspace::new());
+            }
+            WS.with(|ws| {
+                let ws = &mut *ws.borrow_mut();
+                let want = oracle::banded_global(&q, &s, &scorer, gaps, extra_band);
+                let got = banded_global_with(&q, &s, &scorer, gaps, extra_band, ws);
+                prop_assert_eq!(
+                    (got.0, got.1), (want.0, want.1.as_slice()),
+                    "band +{} q={:?} s={:?}", extra_band, &q, &s
+                );
+                // Leave X-drop's leftovers in the rows for the next case.
+                xdrop_extend_with(&q, &s, &scorer, gaps, 30, ws);
+                Ok(())
+            })?;
+        }
+    }
+
+    #[test]
+    fn a_repeated_traceback_grows_no_workspace_buffer() {
+        // The largest shape `finalize` asks for and the proptest above
+        // draws: 600 residues, a 40-residue length difference, band +16.
+        let mut rng = StdRng::seed_from_u64(17);
+        let q = residues(&mut rng, 600, 4, None);
+        let mut s = residues(&mut rng, 0, 4, Some(&q));
+        s.extend(residues(&mut rng, 640 - s.len().min(640), 4, None));
+        s.truncate(640);
+        let mut ws = GappedWorkspace::new();
+        let caps = |ws: &GappedWorkspace| {
+            (
+                (ws.h.len(), ws.h.capacity()),
+                (ws.f.len(), ws.f.capacity()),
+                (ws.bt.len(), ws.bt.capacity()),
+                ws.ops.capacity(),
+            )
+        };
+        let (score, ops) = banded_global_with(&q, &s, &nt(), g(), 16, &mut ws);
+        let first = (score, ops.to_vec());
+        assert_eq!(first, oracle::banded_global(&q, &s, &nt(), g(), 16));
+        assert!(
+            first.1.iter().any(|&op| op != AlignOp::Sub),
+            "a gapped case"
+        );
+        let before = caps(&ws);
+        // A smaller problem in between must not shrink anything either.
+        banded_global_with(&q[..50], &s[..60], &nt(), g(), 3, &mut ws);
+        let (score, ops) = banded_global_with(&q, &s, &nt(), g(), 16, &mut ws);
+        assert_eq!((score, ops), (first.0, first.1.as_slice()));
+        assert_eq!(caps(&ws), before);
     }
 
     #[test]

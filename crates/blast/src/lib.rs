@@ -48,8 +48,8 @@ pub mod workspace;
 pub use dust::{dust_mask, is_masked, word_masked, DustParams};
 pub use extend::{extend_ungapped, UngappedHsp};
 pub use gapped::{
-    align_stats, banded_global, extend_gapped, extend_gapped_with, xdrop_extend, xdrop_extend_with,
-    AlignOp, AlignStats, GappedWorkspace,
+    align_stats, banded_global, banded_global_with, extend_gapped, extend_gapped_with,
+    xdrop_extend, xdrop_extend_with, AlignOp, AlignStats, GappedWorkspace,
 };
 pub use karlin::{gapped_params, scorer_params, ungapped_params, KarlinParams};
 pub use lookup::{AaLookup, BatchedNtLookup, MAX_BATCH_CONTEXTS};

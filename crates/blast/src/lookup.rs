@@ -1,9 +1,10 @@
 //! Query word lookup tables.
 //!
 //! * [`BatchedNtLookup`] — blastn: exact `w`-mer matching via a
-//!   direct-address table over the 2-bit alphabet (4^w cells, CSR-packed
-//!   positions), the same structure NCBI's blastn scanner uses for its
-//!   default `W=11`, shared by up to 16 query contexts.
+//!   direct-address presence bit vector over the 2-bit alphabet (4^w
+//!   cells, as NCBI's blastn scanner keeps for its default `W=11`) in
+//!   front of a compact map from the non-empty cells to CSR-packed
+//!   positions, shared by up to 16 query contexts.
 //! * [`AaLookup`] — blastp: 3-mer *neighborhood* lookup: every database
 //!   word scoring ≥ T against some query word hits that query position.
 
@@ -24,16 +25,20 @@ pub type MaskedContext<'a> = (&'a [u8], &'a [(usize, usize)]);
 /// fragment serves the whole batch. A single query is a batch of one: its
 /// two strands still share the pass.
 ///
-/// * `table` is the direct-address table: `0` = empty cell, else a
-///   1-based index into `ranges`. It is allocated zeroed (so the kernel
-///   hands back untouched zero pages) and only the ~one-page-per-query-word
-///   cells are ever written — building never sweeps the 4^w cells.
-/// * `pv` is the presence bit vector (NCBI's `pv_array`): bit `c` set iff
-///   cell `c` has at least one query position in *any* context. 4^11 bits
-///   = 512 KB against the 16 MB `table`, so the almost-always-miss probe in
-///   the scan inner loop stays cache-resident; probe density grows with
-///   the batch but the scan still rolls the word across the packed bytes
-///   exactly once per fragment.
+/// * `pv` is the presence bit vector (NCBI's `pv_array`), the only
+///   direct-address structure: bit `c` set iff cell `c` has at least one
+///   query position in *any* context. 4^11 bits = 512 KB, so the
+///   almost-always-miss probe in the scan inner loop stays cache-resident;
+///   probe density grows with the batch but the scan still rolls the word
+///   across the packed bytes exactly once per fragment.
+/// * `slots` maps the few thousand non-empty cells to their `ranges`
+///   entry: an open-addressed `(cell, range index)` array at most half
+///   full (multiplicative hash, linear probing). A batch of eight 568-nt
+///   queries fills ~9 000 of the 4^11 cells, so the map is a few hundred
+///   KB where a direct-address `u32` table was 16 MB to allocate,
+///   page-fault and miss cache in on every genuine hit. It is consulted
+///   only after a `pv` hit, so the cell is present and the probe sequence
+///   ends at it.
 /// * every hit-list entry is `(ctx, qpos)` so the scanner can demux each
 ///   seed to its owning context's diagonal tracker and extension stage;
 /// * `ranges` is paired with a per-cell `ctx_masks` bitmask (bit `c` set
@@ -43,7 +48,8 @@ pub struct BatchedNtLookup {
     pub word: usize,
     mask: u32,
     nctx: usize,
-    table: Vec<u32>,
+    /// `(cell, index into ranges)`, or [`EMPTY_SLOT`].
+    slots: Vec<(u32, u32)>,
     ranges: Vec<(u32, u32)>,
     /// `(ctx, qpos)` hit-list entries; within a cell, grouped by context
     /// ascending with ascending `qpos` inside each context — exactly the
@@ -91,28 +97,36 @@ impl BatchedNtLookup {
             }
         }
         triples.sort_by_key(|&(cell, _, _)| cell);
-        let mut table = vec![0u32; cells];
         let mut pv = vec![0u64; cells.div_ceil(64)];
         let mut ranges: Vec<(u32, u32)> = Vec::new();
+        let mut cell_of_range: Vec<u32> = Vec::new();
         let mut ctx_masks: Vec<u16> = Vec::new();
         let mut entries = Vec::with_capacity(triples.len());
         for &(cell, ctx, qpos) in &triples {
-            let c = cell as usize;
-            if table[c] == 0 {
+            // Sorted by cell: a new cell is one that differs from the last.
+            if cell_of_range.last() != Some(&cell) {
                 ranges.push((entries.len() as u32, entries.len() as u32));
                 ctx_masks.push(0);
-                table[c] = ranges.len() as u32;
-                pv[c >> 6] |= 1u64 << (c & 63);
+                cell_of_range.push(cell);
+                pv[cell as usize >> 6] |= 1u64 << (cell & 63);
             }
             entries.push((ctx, qpos));
             ranges.last_mut().expect("just pushed").1 = entries.len() as u32;
             *ctx_masks.last_mut().expect("just pushed") |= 1u16 << ctx;
         }
+        let mut slots = vec![EMPTY_SLOT; (2 * ranges.len()).next_power_of_two().max(1024)];
+        for (r, &cell) in cell_of_range.iter().enumerate() {
+            let mut at = slot_of(cell, slots.len());
+            while slots[at] != EMPTY_SLOT {
+                at = (at + 1) & (slots.len() - 1);
+            }
+            slots[at] = (cell, r as u32);
+        }
         BatchedNtLookup {
             word,
             mask: code_mask,
             nctx: contexts.len(),
-            table,
+            slots,
             ranges,
             entries,
             pv,
@@ -130,10 +144,35 @@ impl BatchedNtLookup {
     /// least one query position whose word equals `w`.
     #[inline]
     pub fn cell_mask(&self, w: u32) -> u16 {
-        let cell = (w & self.mask) as usize;
-        match self.table[cell] {
-            0 => 0,
-            r => self.ctx_masks[r as usize - 1],
+        let cell = w & self.mask;
+        if self.present(cell) {
+            self.ctx_masks[self.range_of(cell)]
+        } else {
+            0
+        }
+    }
+
+    /// Whether any context has a query position in `cell`.
+    #[inline(always)]
+    fn present(&self, cell: u32) -> bool {
+        self.pv[cell as usize >> 6] & (1u64 << (cell & 63)) != 0
+    }
+
+    /// Index into `ranges`/`ctx_masks` of a cell that is [`present`]:
+    /// the probe sequence of a cell that was inserted reaches it before
+    /// any empty slot.
+    ///
+    /// [`present`]: Self::present
+    #[inline(always)]
+    fn range_of(&self, cell: u32) -> usize {
+        let mut at = slot_of(cell, self.slots.len());
+        loop {
+            let (c, r) = self.slots[at];
+            if c == cell {
+                return r as usize;
+            }
+            debug_assert!(c != EMPTY_SLOT.0, "cell {cell} is not in the map");
+            at = (at + 1) & (self.slots.len() - 1);
         }
     }
 
@@ -141,11 +180,10 @@ impl BatchedNtLookup {
     /// at subject index `i - 1`, as `f(ctx, qpos, spos)`.
     #[inline(always)]
     fn probe<F: FnMut(u16, u32, u32)>(&self, w: u32, i: usize, f: &mut F) {
-        let cell = w as usize;
-        if self.pv[cell >> 6] & (1u64 << (cell & 63)) == 0 {
+        if !self.present(w) {
             return;
         }
-        let (lo, hi) = self.ranges[self.table[cell] as usize - 1];
+        let (lo, hi) = self.ranges[self.range_of(w)];
         let spos = (i - self.word) as u32;
         for &(ctx, qpos) in &self.entries[lo as usize..hi as usize] {
             f(ctx, qpos, spos);
@@ -196,6 +234,16 @@ impl BatchedNtLookup {
             }
         }
     }
+}
+
+/// No cell: words are at most 24 bits wide.
+const EMPTY_SLOT: (u32, u32) = (u32::MAX, 0);
+
+/// Home slot of `cell` in a table of `len` (a power of two) slots:
+/// Fibonacci hashing, the top `log2(len)` bits of `cell × 2^32/φ`.
+#[inline(always)]
+fn slot_of(cell: u32, len: usize) -> usize {
+    (cell.wrapping_mul(0x9E37_79B9) >> (32 - len.trailing_zeros())) as usize
 }
 
 /// blastp neighborhood lookup over 3-mers. The table is CSR-packed: one
@@ -414,6 +462,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_full_batch_outgrows_the_minimum_cell_map() {
+        // 16 contexts of 600 residues: ~9 000 distinct cells, so the map is
+        // resized past its 1024-slot floor and probes collide.
+        let mut x = 12345u32;
+        let mut next = || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (x >> 30) as u8
+        };
+        let queries: Vec<Vec<u8>> = (0..MAX_BATCH_CONTEXTS)
+            .map(|_| (0..600).map(|_| next()).collect())
+            .collect();
+        let ctxs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let lk = BatchedNtLookup::build(&ctxs, 11);
+        assert!(lk.slots.len() > 1024 && lk.slots.len() >= 2 * lk.ranges.len());
+        let subject: Vec<u8> = queries[3][100..400]
+            .iter()
+            .copied()
+            .chain((0..300).map(|_| next()))
+            .collect();
+        let mut fused: Vec<Vec<(u32, u32)>> = vec![vec![]; queries.len()];
+        lk.scan_packed_batched(&pack_2bit(&subject), subject.len(), |ctx, qp, sp| {
+            fused[ctx as usize].push((qp, sp))
+        });
+        for (ci, q) in queries.iter().enumerate() {
+            assert_eq!(fused[ci], brute_force(q, &subject, 11), "ctx {ci}");
+        }
+        assert!(fused[3].len() >= 290);
     }
 
     #[test]

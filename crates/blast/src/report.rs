@@ -74,6 +74,7 @@ impl Hit {
 /// alignment length, mismatches, gap opens, qstart, qend, sstart, send
 /// (1-based inclusive), evalue, bit score.
 pub fn tabular(query_id: &str, hits: &[Hit]) -> String {
+    use std::fmt::Write;
     let mut out = String::new();
     for hit in hits {
         for h in &hit.hsps {
@@ -83,8 +84,9 @@ pub fn tabular(query_id: &str, hits: &[Hit]) -> String {
             } else {
                 (h.s_start + 1, h.s_end)
             };
-            out.push_str(&format!(
-                "{}\t{}\t{:.2}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.2e}\t{:.1}\n",
+            writeln!(
+                out,
+                "{}\t{}\t{:.2}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.2e}\t{:.1}",
                 query_id,
                 hit.subject_id,
                 h.percent_identity(),
@@ -97,7 +99,8 @@ pub fn tabular(query_id: &str, hits: &[Hit]) -> String {
                 se,
                 h.evalue,
                 h.bit_score,
-            ));
+            )
+            .expect("writing to a String cannot fail");
         }
     }
     out
@@ -163,6 +166,46 @@ mod tests {
         // Reversed: sstart > send.
         assert_eq!(fields[8], "60");
         assert_eq!(fields[9], "11");
+    }
+
+    #[test]
+    fn tabular_bytes_for_several_hits_on_both_strands() {
+        let mut minus = hsp();
+        minus.s_frame = -1;
+        minus.q_frame = -1;
+        minus.gap_opens = 2;
+        minus.evalue = 3.5e-7;
+        minus.bit_score = 40.14;
+        let mut short = hsp();
+        short.q_start = 7;
+        short.q_end = 31;
+        short.s_start = 1000;
+        short.s_end = 1025;
+        short.align_len = 25;
+        short.identities = 22;
+        short.mismatches = 2;
+        short.gap_opens = 1;
+        short.evalue = 0.0;
+        short.bit_score = 1096.0;
+        let hits = vec![
+            Hit {
+                subject_id: "gi|123|x".into(),
+                subject_index: 0,
+                hsps: vec![hsp(), minus],
+            },
+            Hit {
+                subject_id: "s2".into(),
+                subject_index: 4,
+                hsps: vec![short],
+            },
+        ];
+        assert_eq!(
+            tabular("q1", &hits),
+            "q1\tgi|123|x\t96.00\t50\t2\t0\t1\t50\t11\t60\t1.00e-20\t100.2\n\
+             q1\tgi|123|x\t96.00\t50\t2\t2\t1\t50\t60\t11\t3.50e-7\t40.1\n\
+             q1\ts2\t88.00\t25\t2\t1\t8\t31\t1001\t1025\t0.00e0\t1096.0\n"
+        );
+        assert_eq!(tabular("q1", &[]), "");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use parblast_seqdb::{reverse_complement, unpack_2bit_into, PackedVolume, SeqType
 
 use crate::dust::{dust_mask, DustParams};
 use crate::extend::extend_ungapped;
-use crate::gapped::{align_stats, banded_global, extend_gapped_with, GappedWorkspace};
+use crate::gapped::{align_stats, banded_global_with, extend_gapped_with, GappedWorkspace};
 use crate::karlin::{gapped_params, scorer_params, KarlinParams};
 use crate::lookup::{AaLookup, BatchedNtLookup, MaskedContext, MAX_BATCH_CONTEXTS};
 use crate::matrix::{GapPenalties, Scorer};
@@ -384,12 +384,14 @@ fn scan_aa_context(
 }
 
 /// Annotate candidates into final HSPs: cull contained duplicates, compute
-/// alignment statistics and E-values. `cands` and `kept` are workspace
-/// buffers (consumed and reused); `subject_ctxs` maps each subject frame
-/// to its decoded codes by linear search (at most six frames).
+/// alignment statistics and E-values. `cands`, `kept` and `gws` are
+/// workspace buffers (consumed and reused); `subject_ctxs` maps each
+/// subject frame to its decoded codes by linear search (at most six
+/// frames).
 fn finalize(
     cands: &mut [Candidate],
     kept: &mut Vec<Candidate>,
+    gws: &mut GappedWorkspace,
     query_ctxs: &[QueryCtx],
     subject_ctxs: &[(i8, &[u8])],
     params: &SearchParams,
@@ -429,8 +431,8 @@ fn finalize(
             .1;
         let qslice = &qctx.codes[c.q_range.clone()];
         let sslice = &subject[c.s_range.clone()];
-        let (_, ops) = banded_global(qslice, sslice, &params.scorer, params.gaps, 16);
-        let stats = align_stats(qslice, sslice, &ops);
+        let (_, ops) = banded_global_with(qslice, sslice, &params.scorer, params.gaps, 16, gws);
+        let stats = align_stats(qslice, sslice, ops);
         // Map minus-strand nucleotide query coordinates back to the
         // forward query (see module docs).
         let (q_start, q_end) = if c.q_frame == -1 && params.word_size > 3 {
@@ -819,7 +821,15 @@ impl PreparedChunk {
                 // unpack has filled `subject` by now.
                 let codes: &[u8] = subject;
                 let subject_ctxs = [(1i8, codes), (-1i8, codes)];
-                let hsps = finalize(cands, kept, &ctxs[qi], &subject_ctxs, params, &stats[qi]);
+                let hsps = finalize(
+                    cands,
+                    kept,
+                    gapped,
+                    &ctxs[qi],
+                    &subject_ctxs,
+                    params,
+                    &stats[qi],
+                );
                 if !hsps.is_empty() {
                     hits.push(Hit {
                         subject_id: volume.id(si),
@@ -892,6 +902,7 @@ fn search_protein(
         let hsps = finalize(
             &mut ws.cands,
             &mut ws.kept,
+            &mut ws.gapped,
             query_ctxs,
             &subject_frames,
             params,
@@ -1385,6 +1396,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The `serve_family` shape, where the reporting traceback is most of
+    /// the work: 24 members of one family at 3–15% divergence (every third
+    /// with an indel, so tracebacks are gapped) among decoys, and a full
+    /// chunk of eight queries cut from the family's seed. One workspace
+    /// serves every traceback of the batch; the baseline allocates per HSP.
+    #[test]
+    fn a_family_batch_of_eight_equals_the_baseline_query_by_query() {
+        use parblast_seqdb::extract_query;
+        let mut rng = StdRng::seed_from_u64(17);
+        let family = random_nt(&mut rng, 1500);
+        let mut seqs = Vec::new();
+        for c in 0..24u64 {
+            let divergence = 0.03 + 0.12 * c as f64 / 23.0;
+            let mut member = extract_query(&family, family.len(), divergence, 100 + c);
+            if c % 3 == 0 {
+                let at = rng.random_range(100..1400);
+                if c % 2 == 0 {
+                    member.splice(at..at, [0u8, 1, 2, 3]);
+                } else {
+                    member.drain(at..at + 2);
+                }
+            }
+            seqs.push(("member", member));
+            seqs.push(("decoy", random_nt(&mut rng, 1500)));
+        }
+        let v = nt_volume(&seqs);
+        let db = db_stats(&v);
+        let params = SearchParams::blastn();
+        let queries: Vec<Vec<u8>> = (0..MAX_FUSED_BATCH as u64)
+            .map(|i| extract_query(&family, 568, 0.02, 200 + i))
+            .collect();
+        let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+        let found = PreparedBatch::new(Program::Blastn, &refs, &params, db)
+            .search(&PackedVolume::from_volume(&v), &mut ScanWorkspace::new());
+        assert_eq!(found.len(), 8);
+        for (q, hits) in refs.iter().zip(&found) {
+            let want = search_blastn_baseline(q, &v, &params, db);
+            assert_eq!(format!("{hits:?}"), format!("{want:?}"));
+            assert!(hits.len() >= 20, "{} of 24 members found", hits.len());
+        }
+        let gapped = found.iter().flatten().flat_map(|h| &h.hsps);
+        assert!(gapped.filter(|h| h.gap_opens > 0).count() >= 8);
     }
 
     #[test]
