@@ -2,9 +2,13 @@
 //! ([`PreparedBatch`]) on a synthetic `nt`-like volume, with the reference
 //! kernel ([`search_blastn_baseline`]) as its hit-for-hit oracle.
 //!
-//! * **seed scan** — raw lookup-table scanning in bases/second:
-//!   [`BatchedNtLookup::scan_packed_batched`] rolling both strands of one
-//!   query across 2-bit packed bytes.
+//! * **seed scan** — raw lookup-table scanning:
+//!   [`BatchedNtLookup::scan_packed_batched`] over the 2-bit packed bytes
+//!   with both strands of one query (B=1) and of eight (B=8), in bases,
+//!   table windows and packed bytes per second, and as a fraction of what
+//!   a pass that only reads the same packed bytes reaches in this process
+//!   (the scan's roofline; the fragment is cache-resident, so that is
+//!   cache bandwidth and not DRAM's).
 //! * **fragment search** — the worker inner loop for a single-query job:
 //!   read the volume bytes, search every query as a batch of one, report
 //!   hits. Timed in interleaved pairs against the reference kernel
@@ -130,26 +134,58 @@ fn main() {
     );
 
     // --- seed-scan throughput -------------------------------------------
-    let minus = reverse_complement(&queries[0]);
-    let lookup = BatchedNtLookup::build(&[&queries[0], &minus], params.word_size);
     let total_bases: u64 = (0..packed.nseq()).map(|i| packed.seq_len(i) as u64).sum();
-    let scan = || {
-        let mut n = 0u64;
-        for i in 0..packed.nseq() {
-            lookup.scan_packed_batched(packed.packed(i), packed.seq_len(i), |_, _, _| n += 1);
-        }
-        n
+    let packed_bytes: u64 = (0..packed.nseq())
+        .map(|i| packed.packed(i).len() as u64)
+        .sum();
+    // At W=11 the scanner looks up the 8-mer at every fourth base.
+    let windows: u64 = (0..packed.nseq())
+        .map(|i| packed.seq_len(i) as u64)
+        .filter(|&len| len >= params.word_size as u64)
+        .map(|len| (len - 8) / 4 + 1)
+        .sum();
+    // The roofline: the same packed bytes, read and summed a word at a time.
+    let stream_s = (0..reps.max(5))
+        .map(|_| {
+            let t0 = Instant::now();
+            let sum = (0..packed.nseq())
+                .flat_map(|i| std::hint::black_box(packed.packed(i)).chunks_exact(8))
+                .fold(0u64, |sum, w| {
+                    sum.wrapping_add(u64::from_le_bytes(w.try_into().expect("8 bytes")))
+                });
+            std::hint::black_box(sum);
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    // Seeds and median seconds of one scan of the fragment with both
+    // strands of every query of `pool`.
+    let scan_row = |pool: &[Vec<u8>]| {
+        let strands: Vec<Vec<u8>> = pool
+            .iter()
+            .flat_map(|q| [q.clone(), reverse_complement(q)])
+            .collect();
+        let contexts: Vec<&[u8]> = strands.iter().map(|c| c.as_slice()).collect();
+        let lookup = BatchedNtLookup::build(&contexts, params.word_size);
+        let scan = || {
+            let mut n = 0u64;
+            for i in 0..packed.nseq() {
+                lookup.scan_packed_batched(packed.packed(i), packed.seq_len(i), |_, _, _| n += 1);
+            }
+            n
+        };
+        let seeds = scan();
+        let scan_s = median(
+            (0..reps)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    assert_eq!(scan(), seeds, "unstable scan");
+                    t0.elapsed().as_secs_f64()
+                })
+                .collect(),
+        );
+        (seeds, scan_s)
     };
-    let seeds = scan();
-    let scan_s = median(
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                assert_eq!(scan(), seeds, "unstable scan");
-                t0.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
+    let (seeds, scan_s) = scan_row(&queries[..1]);
 
     // --- end-to-end fragment search -------------------------------------
     // The two kernels are timed in interleaved pairs (after one warmup
@@ -195,7 +231,7 @@ fn main() {
     let kernel_s = median(kernel_times);
 
     // --- batch scaling ---------------------------------------------------
-    // The kernel rolls the seed word across the packed volume once per
+    // The kernel scans the packed volume once per
     // batch instead of once per query. Two mixes bracket the regimes:
     // scan-bound queries come from an independent stream (nearly every
     // subject misses, so the seed scan the batch shares dominates), while
@@ -214,6 +250,7 @@ fn main() {
             extract_query(&src, 568.min(src.len()), 0.03, 100 + i)
         })
         .collect();
+    let (seeds_b8, scan_b8_s) = scan_row(&scan_bound);
     let hot = &volume.sequences[7 % volume.sequences.len()].codes;
     let extend_bound: Vec<Vec<u8>> = (0..8u64)
         .map(|i| extract_query(hot, 568.min(hot.len()), 0.02, 200 + i))
@@ -369,7 +406,7 @@ fn main() {
     );
     let (hsps_per_s, cells_per_s) = (pairs.len() as f64 / trace_s, cells as f64 / trace_s);
 
-    let scan_bps = total_bases as f64 / scan_s;
+    let scan_rows = [(1, seeds, scan_s), (8, seeds_b8, scan_b8_s)];
     let searched_bases = total_bases as f64 * nqueries as f64;
     let base_bps = searched_bases / base_s;
     let kernel_bps = searched_bases / kernel_s;
@@ -378,15 +415,35 @@ fn main() {
     let kernel_bytes_per_s = bytes.len() as f64 * nqueries as f64 / kernel_s;
 
     print_table(
+        &[
+            "seed scan",
+            "seeds",
+            "time (s)",
+            "Mbases/s",
+            "Mwindows/s",
+            "packed MB/s",
+            "of a read pass",
+        ],
+        &scan_rows.map(|(b, seeds, s)| {
+            vec![
+                format!("packed, both strands, B={b}"),
+                format!("{seeds}"),
+                format!("{s:.4}"),
+                format!("{:.1}", total_bases as f64 / s / 1e6),
+                format!("{:.1}", windows as f64 / s / 1e6),
+                format!("{:.1}", packed_bytes as f64 / s / 1e6),
+                format!("{:.3}", stream_s / s),
+            ]
+        }),
+    );
+    println!(
+        "(a read pass over the {:.2} MB of packed bytes: {:.0} MB/s)\n",
+        packed_bytes as f64 / 1e6,
+        packed_bytes as f64 / stream_s / 1e6
+    );
+    print_table(
         &["stage", "kernel", "time (s)", "Mbases/s", "speedup"],
         &[
-            vec![
-                "seed scan".into(),
-                "packed, both strands".into(),
-                format!("{scan_s:.4}"),
-                format!("{:.1}", scan_bps / 1e6),
-                "".into(),
-            ],
             vec![
                 "fragment search".into(),
                 "reference".into(),
@@ -430,12 +487,25 @@ fn main() {
         ]],
     );
 
+    let scan_json = scan_rows
+        .map(|(b, seeds, s)| {
+            format!(
+                "{{\"batch\": {b}, \"seeds\": {seeds}, \"packed_s\": {s:.6}, \
+                 \"packed_bases_per_s\": {:.0}, \"windows_per_s\": {:.0}, \
+                 \"packed_bytes_per_s\": {:.0}, \"frac_of_mem\": {:.4}}}",
+                total_bases as f64 / s,
+                windows as f64 / s,
+                packed_bytes as f64 / s,
+                stream_s / s
+            )
+        })
+        .join(", ");
     let payload = format!(
         "{{\n  \"experiment\": \"engine\",\n  \"residues\": {},\n  \"nseq\": {},\n  \
          \"stats_residues\": {},\n  \"stats_nseq\": {},\n  \
          \"queries\": {},\n  \"reps\": {},\n  \"seeds\": {},\n  \"hits\": {},\n  \
          \"identical_hits\": true,\n  \
-         \"scan\": {{\"packed_s\": {:.6}, \"packed_bases_per_s\": {:.0}}},\n  \
+         \"stream_read_bytes_per_s\": {:.0},\n  \"scan\": [{scan_json}],\n  \
          \"fragment_search\": {{\"baseline_s\": {:.6}, \"packed_s\": {:.6}, \
          \"baseline_bases_per_s\": {:.0}, \"packed_bases_per_s\": {:.0}, \
          \"packed_bytes_per_s\": {:.0}, \"speedup\": {:.3}}},\n  \
@@ -450,8 +520,7 @@ fn main() {
         reps,
         seeds,
         nhits,
-        scan_s,
-        scan_bps,
+        packed_bytes as f64 / stream_s,
         base_s,
         kernel_s,
         base_bps,

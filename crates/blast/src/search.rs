@@ -7,8 +7,8 @@
 //! triggering on a diagonal, like NCBI BLAST 2.x.
 //!
 //! blastn has one kernel: [`PreparedBatch`] merges the strands of up to
-//! [`MAX_FUSED_BATCH`] queries into one lookup and rolls it over each
-//! packed subject once. A single query is a batch of one and a decoded
+//! [`MAX_FUSED_BATCH`] queries into one lookup and scans each packed
+//! subject with it once. A single query is a batch of one and a decoded
 //! [`Volume`] is packed first, so every entry point below ends there;
 //! [`crate::baseline`] is the independent reference the tests compare it
 //! with.
@@ -667,8 +667,8 @@ impl<'a> PreparedBatch<'a> {
     /// Search one packed volume with the whole batch; one `Vec<Hit>` per
     /// query, in input order.
     ///
-    /// For blastn this is the fused hot path: the seed word rolls across
-    /// the packed volume bytes **once per chunk for the whole chunk**
+    /// For blastn this is the fused hot path: the packed volume bytes are
+    /// scanned **once per chunk for the whole chunk**
     /// instead of once per query — scan cost is per-pass, extension cost
     /// stays per-query. Results are hit-for-hit identical to one
     /// [`crate::baseline`] search per query: same candidates in the same
@@ -744,7 +744,7 @@ impl PreparedChunk {
         }
     }
 
-    /// One rolled pass per subject, per-context demux into the per-query
+    /// One scan per subject, per-context demux into the per-query
     /// candidate order.
     fn search(
         &self,

@@ -217,7 +217,7 @@ impl ParallelBlast {
     /// searches one fragment with *all* queries (one pass over the data,
     /// the way production blastall streams query batches), so the database
     /// is still read only once in total. The batch's merged seed table
-    /// rolls over each fragment's packed bytes once per
+    /// scans each fragment's packed bytes once per
     /// [`MAX_FUSED_BATCH`]-query chunk instead of once per query.
     pub fn run_batch(&self, queries: &[Vec<u8>]) -> io::Result<BatchOutcome> {
         let t0 = Instant::now();

@@ -89,7 +89,7 @@ pub struct SimBlastConfig {
     /// scan-sharing batch). One fragment read serves the whole batch, so
     /// I/O stays per-pass; result writes scale by the batch size, and
     /// compute by [`SimBlastConfig::batch_compute_factor`] — the batch's
-    /// merged lookup table rolls over each chunk's packed bytes once per
+    /// merged lookup table scans each chunk's packed bytes once per
     /// 8-query chunk, so only the per-query *extension* work scales with
     /// the batch (see [`FUSED_SCAN_FRAC`]). `1` (the default) is the
     /// paper's single-query job and leaves the simulation event-for-event

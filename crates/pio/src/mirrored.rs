@@ -5,7 +5,7 @@
 //! * reads follow the dual-half schedule — first half of each request from
 //!   one group, second half from the other — doubling the number of
 //!   directories (disks) serving a single read;
-//! * a per-server latency monitor (EWMA over observed read times) marks
+//! * a per-server latency monitor (decayed, byte-weighted read times) marks
 //!   slow servers hot, and subsequent reads *skip* them, fetching the
 //!   affected ranges from the mirror partner instead — the §4.5 mechanism.
 
@@ -43,11 +43,15 @@ pub enum ResyncState {
 /// Latency-based hot-spot detector shared by all readers of a store.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    /// EWMA of per-byte read latency per server (seconds/byte).
-    ewma: Mutex<Vec<[f64; 2]>>,
+    /// Exponentially decayed `(seconds, bytes)` read per server; their
+    /// ratio is the server's per-byte latency. Every sample decays both
+    /// sums by `1 − alpha` and adds its own, so samples weigh by their
+    /// bytes: a 64-byte header read, whose fixed cost makes it ten times
+    /// a stripe read per byte, cannot outvote the 512 KB read before it.
+    load: Mutex<Vec<[(f64, f64); 2]>>,
     /// Smoothing factor.
     alpha: f64,
-    /// A server is hot when its EWMA exceeds `factor ×` the group median.
+    /// A server is hot when its latency exceeds `factor ×` the group median.
     factor: f64,
     /// Artificial per-read delays for fault injection (seconds).
     faults: Mutex<Vec<[f64; 2]>>,
@@ -65,7 +69,7 @@ impl HealthMonitor {
     /// New monitor for `n` servers per group.
     pub fn new(n: usize) -> Self {
         HealthMonitor {
-            ewma: Mutex::new(vec![[0.0; 2]; n]),
+            load: Mutex::new(vec![[(0.0, 0.0); 2]; n]),
             alpha: 0.3,
             factor: 4.0,
             faults: Mutex::new(vec![[0.0; 2]; n]),
@@ -110,7 +114,7 @@ impl HealthMonitor {
     pub fn complete_resync(&self, s: ServerId) {
         self.state.lock()[s.index as usize][s.group as usize] = ResyncState::Healthy;
         self.dead.lock()[s.index as usize][s.group as usize] = false;
-        self.ewma.lock()[s.index as usize][s.group as usize] = 0.0;
+        self.load.lock()[s.index as usize][s.group as usize] = (0.0, 0.0);
     }
 
     /// Count `n` stripes rewritten by read-repair or scrubbing.
@@ -145,14 +149,10 @@ impl HealthMonitor {
         if bytes == 0 {
             return;
         }
-        let per_byte = seconds / bytes as f64;
-        let mut e = self.ewma.lock();
-        let slot = &mut e[s.index as usize][s.group as usize];
-        *slot = if *slot == 0.0 {
-            per_byte
-        } else {
-            (1.0 - self.alpha) * *slot + self.alpha * per_byte
-        };
+        let mut load = self.load.lock();
+        let (secs, read) = &mut load[s.index as usize][s.group as usize];
+        *secs = (1.0 - self.alpha) * *secs + seconds;
+        *read = (1.0 - self.alpha) * *read + bytes as f64;
     }
 
     /// Servers currently considered hot or dead (skippable). Dead servers
@@ -160,8 +160,14 @@ impl HealthMonitor {
     /// to compute a group median.
     pub fn skips(&self) -> Vec<ServerId> {
         let mut out = self.dead();
-        let e = self.ewma.lock();
-        let mut all: Vec<f64> = e
+        // Per-byte latency; 0 for a server with no samples yet.
+        let latency: Vec<[f64; 2]> = self
+            .load
+            .lock()
+            .iter()
+            .map(|pair| pair.map(|(secs, read)| if read > 0.0 { secs / read } else { 0.0 }))
+            .collect();
+        let mut all: Vec<f64> = latency
             .iter()
             .flat_map(|pair| pair.iter().copied())
             .filter(|&x| x > 0.0)
@@ -174,7 +180,7 @@ impl HealthMonitor {
         if median <= 0.0 {
             return out;
         }
-        for (i, pair) in e.iter().enumerate() {
+        for (i, pair) in latency.iter().enumerate() {
             for (g, &v) in pair.iter().enumerate() {
                 let s = ServerId {
                     group: g as u8,
@@ -822,6 +828,61 @@ mod tests {
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 37 % 253) as u8).collect()
+    }
+
+    /// One 512 KB stripe read and one 64-byte header read at the paced
+    /// rate of the whole-path benchmark's servers (8 MB/s; a header costs
+    /// the fixed ~80 µs of any read).
+    const STRIPE_READ: (u64, f64) = (512 << 10, (512 << 10) as f64 / 8e6);
+    const HEADER_READ: (u64, f64) = (64, 80e-6);
+
+    fn all_servers(n: u32) -> impl Iterator<Item = ServerId> {
+        (0..2u8).flat_map(move |group| (0..n).map(move |index| ServerId { group, index }))
+    }
+
+    #[test]
+    fn header_reads_between_stripe_reads_flag_nobody() {
+        // Opening a volume reads a few headers from server 0 of a group;
+        // per byte they cost ten times a stripe read at the same device.
+        let mon = HealthMonitor::new(4);
+        for _ in 0..50 {
+            for s in all_servers(4) {
+                mon.record(s, STRIPE_READ.0, STRIPE_READ.1);
+            }
+            for _ in 0..3 {
+                mon.record(
+                    ServerId { group: 0, index: 0 },
+                    HEADER_READ.0,
+                    HEADER_READ.1,
+                );
+                assert_eq!(mon.skips(), vec![], "a header read marked a server hot");
+            }
+        }
+    }
+
+    #[test]
+    fn a_slow_server_is_flagged_as_soon_as_before_and_resync_forgets_it() {
+        let mon = HealthMonitor::new(4);
+        let slow = ServerId { group: 1, index: 2 };
+        for _ in 0..10 {
+            for s in all_servers(4) {
+                mon.record(s, STRIPE_READ.0, STRIPE_READ.1);
+            }
+        }
+        assert_eq!(mon.skips(), vec![]);
+        // Ten times slower: an average with weight 0.3 on each new read
+        // passes four times the median on the second one
+        // (1 + (1 − 0.7²) × 9 = 5.6), and so do the decayed sums.
+        mon.record(slow, STRIPE_READ.0, 10.0 * STRIPE_READ.1);
+        assert_eq!(mon.skips(), vec![]);
+        mon.record(slow, STRIPE_READ.0, 10.0 * STRIPE_READ.1);
+        assert_eq!(mon.skips(), vec![slow]);
+        // A rebuilt server starts over: its next read alone is its latency.
+        mon.begin_resync(slow);
+        mon.complete_resync(slow);
+        assert_eq!(mon.skips(), vec![]);
+        mon.record(slow, STRIPE_READ.0, STRIPE_READ.1);
+        assert_eq!(mon.skips(), vec![]);
     }
 
     #[test]

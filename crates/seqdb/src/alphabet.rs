@@ -137,18 +137,36 @@ pub fn unpack_2bit(packed: &[u8], len: usize) -> Vec<u8> {
     out
 }
 
-/// Unpack `len` 2-bit nucleotide codes into a reusable buffer (cleared
-/// first). The allocation-free counterpart of [`unpack_2bit`] for hot
-/// per-subject paths: full bytes expand four codes at a time.
-pub fn unpack_2bit_into(packed: &[u8], len: usize, out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(len);
-    let full = len / 4;
-    for &b in &packed[..full] {
-        out.extend_from_slice(&[(b >> 6) & 3, (b >> 4) & 3, (b >> 2) & 3, b & 3]);
+/// The four codes of every packed byte, first base first.
+const UNPACKED: [[u8; 4]; 256] = {
+    let mut table = [[0u8; 4]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [
+            (b >> 6) as u8 & 3,
+            (b >> 4) as u8 & 3,
+            (b >> 2) as u8 & 3,
+            b as u8 & 3,
+        ];
+        b += 1;
     }
-    for i in full * 4..len {
-        out.push((packed[i / 4] >> (6 - 2 * (i % 4))) & 3);
+    table
+};
+
+/// Unpack `len` 2-bit nucleotide codes into a reusable buffer (replacing
+/// its contents). The allocation-free counterpart of [`unpack_2bit`] for
+/// hot per-subject paths: every full packed byte is one table entry
+/// stored to its four-code slot.
+pub fn unpack_2bit_into(packed: &[u8], len: usize, out: &mut Vec<u8>) {
+    let packed = &packed[..len.div_ceil(4)];
+    out.resize(len, 0);
+    let mut quads = out.chunks_exact_mut(4);
+    for (quad, &b) in quads.by_ref().zip(packed) {
+        quad.copy_from_slice(&UNPACKED[b as usize]);
+    }
+    let tail = quads.into_remainder();
+    if let Some(&b) = packed.get(len / 4) {
+        tail.copy_from_slice(&UNPACKED[b as usize][..tail.len()]);
     }
 }
 
@@ -202,6 +220,37 @@ mod tests {
         assert_eq!(encode_aa(b'J'), Some(22)); // unknown → X
         assert_eq!(decode_aa(22), b'X');
         assert_eq!(encode_aa(b'1'), None);
+    }
+
+    /// The expansion `unpack_2bit_into` used before the table: one
+    /// `extend_from_slice` per full byte, then the tail code by code.
+    fn unpack_by_shifts(packed: &[u8], len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        let full = len / 4;
+        for &b in &packed[..full] {
+            out.extend_from_slice(&[(b >> 6) & 3, (b >> 4) & 3, (b >> 2) & 3, b & 3]);
+        }
+        for i in full * 4..len {
+            out.push((packed[i / 4] >> (6 - 2 * (i % 4))) & 3);
+        }
+        out
+    }
+
+    #[test]
+    fn table_unpack_equals_shift_unpack_at_every_length_and_tail() {
+        // Every byte value occurs, and the bits past a ragged tail are
+        // set, so a tail that copied too much would show.
+        let packed: Vec<u8> = (0..=255u8).rev().collect();
+        // A reused buffer, longer and shorter than what each call needs.
+        let mut out = vec![9u8; 40];
+        for len in 0..=67 {
+            unpack_2bit_into(&packed, len, &mut out);
+            assert_eq!(out, unpack_by_shifts(&packed, len), "len {len}");
+        }
+        for len in [1020, 1021, 1022, 1023, 1024] {
+            unpack_2bit_into(&packed, len, &mut out);
+            assert_eq!(out, unpack_by_shifts(&packed, len), "len {len}");
+        }
     }
 
     #[test]

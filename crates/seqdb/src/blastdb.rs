@@ -342,7 +342,7 @@ struct PackedEntry {
 /// A volume decoded only to its storage representation: nucleotide data
 /// stays 2-bit packed (4 bases per byte), protein data is one code per
 /// byte either way. This is the zero-copy substrate of the packed-scan
-/// blastn kernel — the scanner rolls its seed word directly across these
+/// blastn kernel — the scanner reads its table windows directly from these
 /// bytes and only subjects that produce seed hits are ever unpacked (into
 /// a caller-provided reusable buffer).
 #[derive(Debug, Clone)]
