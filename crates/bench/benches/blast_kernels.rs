@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use parblast_core::blast::{
     banded_global, extend_gapped, extend_ungapped, scorer_params, search_volume, BatchedNtLookup,
-    DbStats, GapPenalties, Program, Scorer, SearchParams,
+    DbStats, GapPenalties, Scorer, SearchParams,
 };
 use parblast_core::seqdb::blastdb::DbSequence;
 use parblast_core::seqdb::{
@@ -89,9 +89,6 @@ fn bench_statistics(c: &mut Criterion) {
     c.bench_function("karlin_params_blastn", |b| {
         b.iter(|| scorer_params(&nt_scorer()).unwrap())
     });
-    c.bench_function("karlin_params_blosum62", |b| {
-        b.iter(|| scorer_params(&Scorer::Blosum62).unwrap())
-    });
 }
 
 fn bench_full_search(c: &mut Criterion) {
@@ -123,7 +120,7 @@ fn bench_full_search(c: &mut Criterion) {
     g.bench_function("blastn_568nt_vs_1M_residues", |b| {
         b.iter_batched(
             || (),
-            |_| search_volume(Program::Blastn, &query, &volume, &params, db),
+            |_| search_volume(&query, &volume, &params, db),
             BatchSize::SmallInput,
         )
     });

@@ -33,7 +33,7 @@ use std::time::Instant;
 use parblast_bench::{arg_u64, arg_value, print_table};
 use parblast_blast::baseline::search_blastn_baseline;
 use parblast_blast::{
-    banded_global_with, BatchedNtLookup, DbStats, GappedWorkspace, Hit, PreparedBatch, Program,
+    banded_global_with, BatchedNtLookup, DbStats, GappedWorkspace, Hit, PreparedBatch,
     ScanWorkspace, SearchParams,
 };
 use parblast_seqdb::blastdb::DbSequence;
@@ -201,7 +201,7 @@ fn main() {
         queries
             .iter()
             .map(|q| {
-                PreparedBatch::new(Program::Blastn, &[q], &params, db)
+                PreparedBatch::new(&[q], &params, db)
                     .search(&p, ws)
                     .remove(0)
             })
@@ -312,7 +312,7 @@ fn main() {
         for &b in &[1usize, 2, 4, 8] {
             let qs: Vec<&[u8]> = pool[..b].iter().map(|q| q.as_slice()).collect();
             let want = format!("{:?}", &want[..b]);
-            let prepared = PreparedBatch::new(Program::Blastn, &qs, &params, db);
+            let prepared = PreparedBatch::new(&qs, &params, db);
             let u0 = ws.unpacks();
             assert_eq!(
                 format!("{:?}", prepared.search(packed, &mut ws)),
@@ -336,8 +336,7 @@ fn main() {
             let mut times = Vec::with_capacity(reps);
             for _ in 0..reps {
                 let t0 = Instant::now();
-                let found =
-                    PreparedBatch::new(Program::Blastn, &qs, &params, db).search(packed, &mut ws);
+                let found = PreparedBatch::new(&qs, &params, db).search(packed, &mut ws);
                 times.push(t0.elapsed().as_secs_f64());
                 assert_eq!(format!("{found:?}"), want, "unstable kernel ({mix}, B={b})");
             }

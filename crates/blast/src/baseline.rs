@@ -5,24 +5,25 @@
 //! every subject arrives fully decoded (one byte per residue), each query
 //! strand is scanned on its own by a byte-at-a-time scanner over a
 //! full-CSR prefix-sum lookup (rebuilt with its two 16 MB sweeps for every
-//! query context), diagonals are tracked in a per-subject `HashMap`, every
-//! gapped extension allocates fresh DP rows, and `finalize` receives
-//! per-subject clones of the subject codes. It shares no lookup, scanner,
-//! tracker or workspace with the production kernel, which is what makes it
-//! an oracle: the proptests in `search.rs` and `tests/determinism.rs`
-//! compare the two on random batches, `bench --bin engine` asserts
-//! identity on every rep, and the golden digests in `tests/determinism.rs`
-//! were captured from it. Not for production use.
+//! query context), diagonals are tracked in a per-subject `HashMap`, and
+//! every gapped extension allocates fresh DP rows. It shares no lookup,
+//! scanner, tracker or workspace with the production kernel, which is what
+//! makes it an oracle: the proptests in `search.rs` and
+//! `tests/determinism.rs` compare the two on random batches, `bench --bin
+//! engine` asserts identity on every rep, and the golden digests in
+//! `tests/determinism.rs` were captured from it. Not for production use.
+//! It does share the Karlin–Altschul statistics ([`crate::karlin`]), which
+//! the digests pin on their own.
 
 use std::collections::HashMap;
 
-use parblast_seqdb::{reverse_complement, SeqType, Volume};
+use parblast_seqdb::{reverse_complement, Volume};
 
 use crate::dust::{dust_mask, word_masked};
 use crate::extend::extend_ungapped;
 use crate::gapped::{align_stats, banded_global, extend_gapped};
 use crate::report::{Hit, Hsp};
-use crate::search::{rank, stats_ctx, Candidate, DbStats, QueryCtx, SearchParams, StatsCtx};
+use crate::search::{rank, Candidate, DbStats, Karlin, SearchParams, StatsCtx, STRANDS};
 
 /// The reference lookup, frozen alongside the kernel: full-CSR
 /// direct table built with a prefix-sum sweep over all 4^w cells (and a
@@ -101,39 +102,22 @@ pub fn search_blastn_baseline(
     params: &SearchParams,
     db: DbStats,
 ) -> Vec<Hit> {
-    assert_eq!(volume.seq_type, SeqType::Nucleotide, "blastn needs a nt db");
-    let st = stats_ctx(params, query.len(), db);
-    let ctxs = [
-        QueryCtx {
-            codes: query.to_vec(),
-            frame: 1,
-        },
-        QueryCtx {
-            codes: reverse_complement(query),
-            frame: -1,
-        },
-    ];
-    let lookups: Vec<BaselineNtLookup> = ctxs
+    let st = Karlin::new(params).for_query(params, query.len(), db);
+    let strands = [query.to_vec(), reverse_complement(query)];
+    let lookups: Vec<BaselineNtLookup> = strands
         .iter()
-        .map(|c| {
-            let mask = params
-                .dust
-                .map(|d| dust_mask(&c.codes, d))
-                .unwrap_or_default();
-            BaselineNtLookup::build_masked(&c.codes, params.word_size, &mask)
+        .map(|codes| {
+            let mask = params.dust.map(|d| dust_mask(codes, d)).unwrap_or_default();
+            BaselineNtLookup::build_masked(codes, params.word_size, &mask)
         })
         .collect();
     let mut hits = Vec::new();
     for (si, subject) in volume.sequences.iter().enumerate() {
         let mut cands = Vec::new();
-        for (ctx, lk) in ctxs.iter().zip(&lookups) {
-            let s_frame = ctx.frame;
-            scan_nt_context(lk, ctx, &subject.codes, s_frame, params, &st, &mut cands);
+        for ((codes, lk), strand) in strands.iter().zip(&lookups).zip(STRANDS) {
+            scan_nt_context(lk, codes, &subject.codes, strand, params, &st, &mut cands);
         }
-        let mut subject_ctxs = HashMap::new();
-        subject_ctxs.insert(1i8, subject.codes.clone());
-        subject_ctxs.insert(-1i8, subject.codes.clone());
-        let hsps = finalize(cands, &ctxs, &subject_ctxs, params, &st);
+        let hsps = finalize(cands, &strands, &subject.codes, params, &st);
         if !hsps.is_empty() {
             hits.push(Hit {
                 subject_id: subject.id().to_string(),
@@ -147,15 +131,14 @@ pub fn search_blastn_baseline(
 
 fn scan_nt_context(
     lookup: &BaselineNtLookup,
-    qctx: &QueryCtx,
+    query: &[u8],
     subject: &[u8],
-    s_frame: i8,
+    strand: i8,
     params: &SearchParams,
     st: &StatsCtx,
     out: &mut Vec<Candidate>,
 ) {
     let mut diag_end: HashMap<i64, usize> = HashMap::new();
-    let query = &qctx.codes;
     lookup.scan(subject, |qp, sp| {
         let (qp, sp) = (qp as usize, sp as usize);
         let diag = sp as i64 - qp as i64;
@@ -174,7 +157,7 @@ fn scan_nt_context(
             params.x_drop_ungapped,
         );
         diag_end.insert(diag, hsp.s_end);
-        push_candidate(hsp, query, subject, qctx.frame, s_frame, params, st, out);
+        push_candidate(hsp, query, subject, strand, params, st, out);
     });
 }
 
@@ -183,8 +166,7 @@ fn push_candidate(
     hsp: crate::extend::UngappedHsp,
     query: &[u8],
     subject: &[u8],
-    q_frame: i8,
-    s_frame: i8,
+    strand: i8,
     params: &SearchParams,
     st: &StatsCtx,
     out: &mut Vec<Candidate>,
@@ -205,8 +187,7 @@ fn push_candidate(
                 score,
                 q_range: qr,
                 s_range: sr,
-                q_frame,
-                s_frame,
+                strand,
                 gapped: true,
             });
         }
@@ -215,8 +196,7 @@ fn push_candidate(
             score: hsp.score,
             q_range: hsp.q_start..hsp.q_end,
             s_range: hsp.s_start..hsp.s_end,
-            q_frame,
-            s_frame,
+            strand,
             gapped: false,
         });
     }
@@ -224,8 +204,8 @@ fn push_candidate(
 
 fn finalize(
     candidates: Vec<Candidate>,
-    query_ctxs: &[QueryCtx],
-    subject_ctxs: &HashMap<i8, Vec<u8>>,
+    strands: &[Vec<u8>; 2],
+    subject: &[u8],
     params: &SearchParams,
     st: &StatsCtx,
 ) -> Vec<Hsp> {
@@ -234,8 +214,7 @@ fn finalize(
     let mut kept: Vec<Candidate> = Vec::new();
     'outer: for c in cands {
         for k in &kept {
-            if k.q_frame == c.q_frame
-                && k.s_frame == c.s_frame
+            if k.strand == c.strand
                 && c.q_range.start >= k.q_range.start
                 && c.q_range.end <= k.q_range.end
                 && c.s_range.start >= k.s_range.start
@@ -253,18 +232,13 @@ fn finalize(
         if evalue > params.evalue {
             continue;
         }
-        let qctx = query_ctxs
-            .iter()
-            .find(|q| q.frame == c.q_frame)
-            .expect("query context");
-        let subject = &subject_ctxs[&c.s_frame];
-        let qslice = &qctx.codes[c.q_range.clone()];
+        let query = &strands[usize::from(c.strand < 0)];
+        let qslice = &query[c.q_range.clone()];
         let sslice = &subject[c.s_range.clone()];
         let (_, ops) = banded_global(qslice, sslice, &params.scorer, params.gaps, 16);
         let stats = align_stats(qslice, sslice, &ops);
-        let (q_start, q_end) = if c.q_frame == -1 && params.word_size > 3 {
-            let m = qctx.codes.len();
-            (m - c.q_range.end, m - c.q_range.start)
+        let (q_start, q_end) = if c.strand < 0 {
+            (query.len() - c.q_range.end, query.len() - c.q_range.start)
         } else {
             (c.q_range.start, c.q_range.end)
         };
@@ -276,8 +250,8 @@ fn finalize(
             q_end,
             s_start: c.s_range.start,
             s_end: c.s_range.end,
-            q_frame: c.q_frame,
-            s_frame: c.s_frame,
+            q_frame: c.strand,
+            s_frame: c.strand,
             align_len: stats.length,
             identities: stats.identities,
             mismatches: stats.mismatches,
@@ -291,9 +265,11 @@ fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{search_volume, PreparedBatch, Program, ScanWorkspace};
+    use crate::search::{search_volume, PreparedBatch, ScanWorkspace};
     use parblast_seqdb::blastdb::DbSequence;
-    use parblast_seqdb::{extract_query, PackedVolume, SyntheticConfig, SyntheticNt, VolumeWriter};
+    use parblast_seqdb::{
+        extract_query, PackedVolume, SeqType, SyntheticConfig, SyntheticNt, VolumeWriter,
+    };
 
     #[test]
     fn baseline_matches_the_kernel_on_decoded_and_packed_volumes() {
@@ -330,15 +306,15 @@ mod tests {
         };
         let params = SearchParams::blastn();
         let base = search_blastn_baseline(&query, &volume, &params, db);
-        let new = search_volume(Program::Blastn, &query, &volume, &params, db);
-        let pk = PreparedBatch::new(Program::Blastn, &[&query], &params, db)
+        let new = search_volume(&query, &volume, &params, db);
+        let pk = PreparedBatch::new(&[&query], &params, db)
             .search(&packed, &mut ScanWorkspace::new())
             .remove(0);
         assert!(!base.is_empty(), "vacuous comparison");
         assert_eq!(format!("{base:?}"), format!("{new:?}"), "decoded path");
         assert_eq!(format!("{base:?}"), format!("{pk:?}"), "packed path");
         // `blastall` derives the same statistics from the volume itself.
-        let all = crate::blastall(Program::Blastn, &query, &volume, &params);
+        let all = crate::blastall(&query, &volume, &params);
         assert_eq!(format!("{base:?}"), format!("{all:?}"), "blastall");
     }
 }

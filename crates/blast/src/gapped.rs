@@ -8,7 +8,7 @@
 //! end-points only; per-column traceback for the final report is recomputed
 //! with a banded global alignment over the (small) aligned ranges.
 
-use crate::matrix::{GapPenalties, Scorer, BLOSUM62};
+use crate::matrix::{GapPenalties, Scorer};
 
 const NEG: i32 = i32::MIN / 4;
 
@@ -141,24 +141,15 @@ fn xdrop_directed<const REV: bool>(
     x_drop: i32,
     ws: &mut GappedWorkspace,
 ) -> ExtensionResult {
-    match *scorer {
-        Scorer::Nucleotide { reward, penalty } => xdrop_kernel::<REV>(
-            query,
-            subject,
-            |a, b| if a == b { reward } else { penalty },
-            gaps,
-            x_drop,
-            ws,
-        ),
-        Scorer::Blosum62 => xdrop_kernel::<REV>(
-            query,
-            subject,
-            |a, b| BLOSUM62[a as usize][b as usize],
-            gaps,
-            x_drop,
-            ws,
-        ),
-    }
+    let Scorer::Nucleotide { reward, penalty } = *scorer;
+    xdrop_kernel::<REV>(
+        query,
+        subject,
+        |a, b| if a == b { reward } else { penalty },
+        gaps,
+        x_drop,
+        ws,
+    )
 }
 
 /// What the cell loop carries from cell to cell. A row's live span is
@@ -472,24 +463,15 @@ pub fn banded_global_with<'w>(
     extra_band: usize,
     ws: &'w mut GappedWorkspace,
 ) -> (i32, &'w [AlignOp]) {
-    match *scorer {
-        Scorer::Nucleotide { reward, penalty } => banded_kernel(
-            query,
-            subject,
-            |a, b| pick(a == b, reward, penalty),
-            gaps,
-            extra_band,
-            ws,
-        ),
-        Scorer::Blosum62 => banded_kernel(
-            query,
-            subject,
-            |a, b| BLOSUM62[a as usize][b as usize],
-            gaps,
-            extra_band,
-            ws,
-        ),
-    }
+    let Scorer::Nucleotide { reward, penalty } = *scorer;
+    banded_kernel(
+        query,
+        subject,
+        |a, b| pick(a == b, reward, penalty),
+        gaps,
+        extra_band,
+        ws,
+    )
 }
 
 /// Where a traceback byte says `H` came from (bits 0–1), which doubles as
@@ -997,6 +979,14 @@ mod tests {
     fn g() -> GapPenalties {
         GapPenalties::blastn()
     }
+    /// The second scoring system the oracle proptests sweep: +1/−2 (a row
+    /// of the gapped-statistics table) with the same gaps.
+    fn nt_1_2() -> Scorer {
+        Scorer::Nucleotide {
+            reward: 1,
+            penalty: -2,
+        }
+    }
 
     #[test]
     fn xdrop_perfect_extension() {
@@ -1087,22 +1077,22 @@ mod tests {
         assert_eq!(r.score, 0);
     }
 
-    /// `len` residues over `alphabet` letters; with `related`, a mutated
-    /// copy of `of` instead (substitutions and short indels), which is
-    /// what drives long extensions through gaps.
-    fn residues(rng: &mut StdRng, len: usize, alphabet: u8, related: Option<&[u8]>) -> Vec<u8> {
+    /// `len` random bases; with `related`, a mutated copy of `of` instead
+    /// (substitutions and short indels), which is what drives long
+    /// extensions through gaps.
+    fn residues(rng: &mut StdRng, len: usize, related: Option<&[u8]>) -> Vec<u8> {
         let Some(of) = related else {
-            return (0..len).map(|_| rng.random_range(0..alphabet)).collect();
+            return (0..len).map(|_| rng.random_range(0..4u8)).collect();
         };
         let mut out = Vec::with_capacity(len + 8);
         for &c in of {
             match rng.random_range(0..40u32) {
-                0 => out.push(rng.random_range(0..alphabet)), // substitution
-                1 => {}                                       // deletion
+                0 => out.push(rng.random_range(0..4u8)), // substitution
+                1 => {}                                  // deletion
                 2 => {
                     out.push(c);
                     for _ in 0..rng.random_range(1..4u32) {
-                        out.push(rng.random_range(0..alphabet)); // insertion
+                        out.push(rng.random_range(0..4u8)); // insertion
                     }
                 }
                 _ => out.push(c),
@@ -1124,20 +1114,16 @@ mod tests {
             qlen in 0usize..160,
             slen in 0usize..220,
             x_drop in 5i32..45,
-            protein in any::<bool>(),
+            minus_two in any::<bool>(),
             related in any::<bool>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (scorer, gaps, alphabet) = if protein {
-                (Scorer::Blosum62, GapPenalties::blastp(), 20u8)
-            } else {
-                (nt(), g(), 4u8)
-            };
-            let q = residues(&mut rng, qlen, alphabet, None);
+            let (scorer, gaps) = (if minus_two { nt_1_2() } else { nt() }, g());
+            let q = residues(&mut rng, qlen, None);
             let s = if related {
-                residues(&mut rng, 0, alphabet, Some(&q))
+                residues(&mut rng, 0, Some(&q))
             } else {
-                residues(&mut rng, slen, alphabet, None)
+                residues(&mut rng, slen, None)
             };
             // One workspace per test thread, never cleared.
             thread_local! {
@@ -1175,21 +1161,17 @@ mod tests {
             skew in -40isize..=40,
             empty in 0u32..10,
             band_ix in 0usize..5,
-            protein in any::<bool>(),
+            minus_two in any::<bool>(),
             related in any::<bool>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let extra_band = [0, 1, 3, 8, 16][band_ix];
-            let (scorer, gaps, alphabet) = if protein {
-                (Scorer::Blosum62, GapPenalties::blastp(), 20u8)
-            } else {
-                (nt(), g(), 4u8)
-            };
-            let mut q = residues(&mut rng, m, alphabet, None);
+            let (scorer, gaps) = (if minus_two { nt_1_2() } else { nt() }, g());
+            let mut q = residues(&mut rng, m, None);
             let mut s = if related {
-                residues(&mut rng, 0, alphabet, Some(&q))
+                residues(&mut rng, 0, Some(&q))
             } else {
-                residues(&mut rng, m.saturating_add_signed(skew), alphabet, None)
+                residues(&mut rng, m.saturating_add_signed(skew), None)
             };
             // |m − n| <= 40 either way, so the oracle's matrices stay small.
             s.truncate(m + 40);
@@ -1222,9 +1204,9 @@ mod tests {
         // The largest shape `finalize` asks for and the proptest above
         // draws: 600 residues, a 40-residue length difference, band +16.
         let mut rng = StdRng::seed_from_u64(17);
-        let q = residues(&mut rng, 600, 4, None);
-        let mut s = residues(&mut rng, 0, 4, Some(&q));
-        s.extend(residues(&mut rng, 640 - s.len().min(640), 4, None));
+        let q = residues(&mut rng, 600, None);
+        let mut s = residues(&mut rng, 0, Some(&q));
+        s.extend(residues(&mut rng, 640 - s.len().min(640), None));
         s.truncate(640);
         let mut ws = GappedWorkspace::new();
         let caps = |ws: &GappedWorkspace| {
@@ -1256,9 +1238,9 @@ mod tests {
         // extension leaves the seed, meets noise and dies within an X-drop
         // of it. The DP must touch that neighbourhood only.
         let mut rng = StdRng::seed_from_u64(14);
-        let mut subject = residues(&mut rng, 100_000, 4, None);
-        let mut query = residues(&mut rng, 400, 4, None);
-        let core = residues(&mut rng, 40, 4, None);
+        let mut subject = residues(&mut rng, 100_000, None);
+        let mut query = residues(&mut rng, 400, None);
+        let core = residues(&mut rng, 40, None);
         subject.splice(50_000..50_040, core.iter().copied());
         query.splice(180..220, core.iter().copied());
         let mut ws = GappedWorkspace::new();

@@ -179,11 +179,6 @@ pub fn gapped_params(scorer: &Scorer, gaps: GapPenalties) -> Option<KarlinParams
             k: 0.46,
             h: 0.85,
         }),
-        (Scorer::Blosum62, 11, 1) => Some(KarlinParams {
-            lambda: 0.267,
-            k: 0.041,
-            h: 0.14,
-        }),
         _ => scorer_params(scorer),
     }
 }
@@ -258,15 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn blosum62_ungapped_params() {
-        // NCBI: ungapped BLOSUM62 λ≈0.3176, K≈0.134, H≈0.40.
-        let p = scorer_params(&Scorer::Blosum62).unwrap();
-        assert!((p.lambda - 0.3176).abs() < 0.01, "lambda = {}", p.lambda);
-        assert!((p.k - 0.134).abs() < 0.03, "K = {}", p.k);
-        assert!((p.h - 0.40).abs() < 0.05, "H = {}", p.h);
-    }
-
-    #[test]
     fn positive_mean_has_no_params() {
         // Match-heavy scoring with positive expectation: undefined stats.
         assert!(ungapped_params(-1, &[0.1, 0.0, 0.9]).is_none());
@@ -304,8 +290,14 @@ mod tests {
     fn gapped_table_hits_known_combos() {
         let g = gapped_params(&blastn_scorer(), GapPenalties::blastn()).unwrap();
         assert_eq!(g.lambda, 1.374);
-        let b = gapped_params(&Scorer::Blosum62, GapPenalties::blastp()).unwrap();
-        assert_eq!(b.lambda, 0.267);
+        let s = Scorer::Nucleotide {
+            reward: 1,
+            penalty: -2,
+        };
+        assert_eq!(
+            gapped_params(&s, GapPenalties::blastn()).unwrap().lambda,
+            1.28
+        );
         // Unknown combo falls back to ungapped.
         let other = gapped_params(
             &blastn_scorer(),

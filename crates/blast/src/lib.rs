@@ -1,13 +1,12 @@
 //! # parblast-blast
 //!
-//! A from-scratch implementation of the BLAST family of sequence-similarity
-//! search programs (Altschul et al. 1990/1997), standing in for the NCBI
-//! BLAST library the paper's mpiBLAST wraps:
+//! A from-scratch implementation of `blastn`, the nucleotide-vs-nucleotide
+//! BLAST program (Altschul et al. 1990/1997) the paper benchmarks, standing
+//! in for the NCBI BLAST library the paper's mpiBLAST wraps:
 //!
-//! * `blastn` — nucleotide vs nucleotide (the program the paper benchmarks);
-//! * `blastp` — protein vs protein (3-mer neighborhood, two-hit);
-//! * `blastx`/`tblastn`/`tblastx` — translated searches via six-frame
-//!   translation (§2.1 of the paper describes all five);
+//! * one kernel, [`PreparedBatch`]: both strands of up to
+//!   [`MAX_FUSED_BATCH`] queries seeded from one packed scan of each
+//!   subject, with exact-word hits and DUST soft masking;
 //! * Karlin-Altschul statistics (λ, K, H computed from first principles,
 //!   matching NCBI's published constants) with E-values, bit scores, and
 //!   length adjustment;
@@ -15,7 +14,7 @@
 //!   percent-identity reporting, and `-m 8` tabular output.
 //!
 //! ```
-//! use parblast_blast::{blastall, Program, SearchParams};
+//! use parblast_blast::{blastall, SearchParams};
 //! use parblast_seqdb::blastdb::DbSequence;
 //! use parblast_seqdb::{encode_nt_seq, SeqType, Volume};
 //!
@@ -27,7 +26,7 @@
 //! };
 //! let mut params = SearchParams::blastn();
 //! params.evalue = 1e3; // toy-sized sequences
-//! let hits = blastall(Program::Blastn, &query, &volume, &params);
+//! let hits = blastall(&query, &volume, &params);
 //! assert_eq!(hits[0].subject_id, "subj1");
 //! ```
 
@@ -42,7 +41,6 @@ pub mod lookup;
 pub mod matrix;
 pub mod report;
 pub mod search;
-pub mod translate;
 pub mod workspace;
 
 pub use dust::{dust_mask, is_masked, word_masked, DustParams};
@@ -52,30 +50,25 @@ pub use gapped::{
     xdrop_extend, xdrop_extend_with, AlignOp, AlignStats, GappedWorkspace,
 };
 pub use karlin::{gapped_params, scorer_params, ungapped_params, KarlinParams};
-pub use lookup::{AaLookup, BatchedNtLookup, MAX_BATCH_CONTEXTS};
-pub use matrix::{GapPenalties, Scorer, AA_BACKGROUND, BLOSUM62};
+pub use lookup::{BatchedNtLookup, MAX_BATCH_CONTEXTS};
+pub use matrix::{GapPenalties, Scorer};
 pub use report::{tabular, Hit, Hsp};
 pub use search::{
     search_packed_batch_with, search_packed_with, search_volume, search_volume_with,
     BatchScanWorkspace, DbStats, PreparedBatch, Program, ScanWorkspace, SearchParams,
     MAX_FUSED_BATCH,
 };
-pub use translate::{six_frames, translate_codon, translate_frame, Frame};
 pub use workspace::DiagTracker;
 
 use parblast_seqdb::Volume;
 
 /// Convenience entry point mirroring NCBI's `blastall` single interface
-/// (§2.1): derives the database statistics from the volume itself.
-pub fn blastall(
-    program: Program,
-    query: &[u8],
-    volume: &Volume,
-    params: &SearchParams,
-) -> Vec<Hit> {
+/// (§2.1) for blastn: derives the database statistics from the volume
+/// itself.
+pub fn blastall(query: &[u8], volume: &Volume, params: &SearchParams) -> Vec<Hit> {
     let db = DbStats {
         residues: volume.residues(),
         nseq: volume.sequences.len() as u64,
     };
-    search_volume(program, query, volume, params, db)
+    search_volume(query, volume, params, db)
 }

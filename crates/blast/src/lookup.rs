@@ -1,14 +1,11 @@
-//! Query word lookup tables.
+//! The blastn query word lookup.
 //!
-//! * [`BatchedNtLookup`] — blastn: exact `w`-mer matching through a table
-//!   over the first `min(w, 8)` bases of every query word (as NCBI's
-//!   blastn indexes byte-aligned 8-mers for its default `W=11`), scanned
-//!   a stride of bases at a time and shared by up to 16 query contexts.
-//! * [`AaLookup`] — blastp: 3-mer *neighborhood* lookup: every database
-//!   word scoring ≥ T against some query word hits that query position.
+//! [`BatchedNtLookup`]: exact `w`-mer matching through a table over the
+//! first `min(w, 8)` bases of every query word (as NCBI's blastn indexes
+//! byte-aligned 8-mers for its default `W=11`), scanned a stride of bases
+//! at a time and shared by up to 16 query contexts.
 
 use crate::dust::word_masked;
-use crate::matrix::Scorer;
 
 /// Most contexts a [`BatchedNtLookup`] can merge: 8 queries × 2 strands.
 pub const MAX_BATCH_CONTEXTS: usize = 16;
@@ -375,132 +372,10 @@ impl BatchedNtLookup {
     }
 }
 
-/// blastp neighborhood lookup over 3-mers. The table is CSR-packed: one
-/// `starts` prefix-sum over the direct-address cells plus one flat
-/// `positions` array, instead of a `Vec` allocation per non-empty cell.
-pub struct AaLookup {
-    /// Word size (fixed 3 in practice; 2 allowed for tests).
-    pub word: usize,
-    alpha: usize,
-    starts: Vec<u32>,
-    positions: Vec<u32>,
-}
-
-impl AaLookup {
-    /// Build over a protein query: cell for word `W` holds every query
-    /// position whose word scores ≥ `threshold` against `W` (including the
-    /// exact word itself if it passes).
-    pub fn build(query: &[u8], word: usize, scorer: &Scorer, threshold: i32) -> Self {
-        assert!(word == 2 || word == 3, "protein word size must be 2 or 3");
-        let alpha = scorer.alphabet();
-        let cells = alpha.pow(word as u32);
-        let nwords = query.len().saturating_sub(word - 1);
-        // For every query word, enumerate neighbor words scoring ≥ T.
-        // 24^3 = 13824 candidates per query word: fine for real queries.
-        // Collect (cell, qpos) pairs once, then counting-sort into CSR —
-        // the stable fill preserves the ascending-qpos order per cell that
-        // the old per-cell `Vec` pushes produced.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut stack_word = vec![0u8; word];
-        for qpos in 0..nwords {
-            let qw = &query[qpos..qpos + word];
-            // Depth-first enumeration with score-bound pruning.
-            enumerate_neighbors(
-                qw,
-                scorer,
-                threshold,
-                0,
-                0,
-                &mut stack_word,
-                &mut |cell_word: &[u8]| {
-                    let mut idx = 0usize;
-                    for &c in cell_word {
-                        idx = idx * alpha + c as usize;
-                    }
-                    pairs.push((idx as u32, qpos as u32));
-                },
-            );
-        }
-        let mut starts = vec![0u32; cells + 1];
-        for &(cell, _) in &pairs {
-            starts[cell as usize + 1] += 1;
-        }
-        for i in 1..=cells {
-            starts[i] += starts[i - 1];
-        }
-        let mut positions = vec![0u32; pairs.len()];
-        let mut cursor = starts.clone();
-        for &(cell, qpos) in &pairs {
-            positions[cursor[cell as usize] as usize] = qpos;
-            cursor[cell as usize] += 1;
-        }
-        AaLookup {
-            word,
-            alpha,
-            starts,
-            positions,
-        }
-    }
-
-    /// Query positions matching subject word starting at `sw`.
-    #[inline]
-    pub fn hits(&self, sw: &[u8]) -> &[u32] {
-        let mut idx = 0usize;
-        for &c in sw {
-            idx = idx * self.alpha + c as usize;
-        }
-        &self.positions[self.starts[idx] as usize..self.starts[idx + 1] as usize]
-    }
-
-    /// Scan a protein subject, invoking `f(qpos, spos)` for every
-    /// neighborhood hit.
-    pub fn scan<F: FnMut(u32, u32)>(&self, subject: &[u8], mut f: F) {
-        if subject.len() < self.word {
-            return;
-        }
-        for spos in 0..=subject.len() - self.word {
-            for &qpos in self.hits(&subject[spos..spos + self.word]) {
-                f(qpos, spos as u32);
-            }
-        }
-    }
-}
-
-/// Enumerate all words over the scorer's alphabet scoring ≥ `threshold`
-/// against `qw`, with branch-and-bound pruning on the best possible
-/// remaining score.
-fn enumerate_neighbors(
-    qw: &[u8],
-    scorer: &Scorer,
-    threshold: i32,
-    depth: usize,
-    score: i32,
-    current: &mut [u8],
-    emit: &mut impl FnMut(&[u8]),
-) {
-    if depth == qw.len() {
-        if score >= threshold {
-            emit(current);
-        }
-        return;
-    }
-    // Upper bound on the remaining positions: max matrix value (11 for
-    // BLOSUM62's W–W) per position.
-    let remaining_max = 11 * (qw.len() - depth - 1) as i32;
-    for c in 0..scorer.alphabet() as u8 {
-        let s = score + scorer.score(qw[depth], c);
-        if s + remaining_max < threshold {
-            continue;
-        }
-        current[depth] = c;
-        enumerate_neighbors(qw, scorer, threshold, depth + 1, s, current, emit);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parblast_seqdb::{encode_aa_seq, encode_nt_seq, pack_2bit};
+    use parblast_seqdb::{encode_nt_seq, pack_2bit};
     use proptest::prelude::*;
 
     /// Every exact `word`-mer match of `query` in `subject` as `(qpos,
@@ -787,54 +662,5 @@ mod tests {
         let q = encode_nt_seq(b"ACGTACGT");
         let ctxs: Vec<&[u8]> = (0..MAX_BATCH_CONTEXTS + 1).map(|_| &q[..]).collect();
         let _ = BatchedNtLookup::build(&ctxs, 4);
-    }
-
-    #[test]
-    fn aa_lookup_exact_word_hits_itself() {
-        let q = encode_aa_seq(b"MKWVLAAR");
-        let lk = AaLookup::build(&q, 3, &Scorer::Blosum62, 11);
-        let mut hits = vec![];
-        lk.scan(&q, |qp, sp| hits.push((qp, sp)));
-        // Every position whose self-word scores ≥ 11 must self-hit.
-        for qpos in 0..q.len() - 2 {
-            let w = &q[qpos..qpos + 3];
-            let self_score: i32 = w.iter().map(|&c| Scorer::Blosum62.score(c, c)).sum();
-            if self_score >= 11 {
-                assert!(
-                    hits.contains(&(qpos as u32, qpos as u32)),
-                    "missing self hit at {qpos}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn aa_lookup_neighborhood_includes_similar_words() {
-        // KKK vs RKK scores 2+5+5 = 12 ≥ 11 → neighbor.
-        let q = encode_aa_seq(b"KKK");
-        let lk = AaLookup::build(&q, 3, &Scorer::Blosum62, 11);
-        let subj = encode_aa_seq(b"RKK");
-        let mut hits = vec![];
-        lk.scan(&subj, |qp, sp| hits.push((qp, sp)));
-        assert_eq!(hits, vec![(0, 0)]);
-        // But an unrelated word must not hit: GGG vs KKK = 3×(−2) = −6.
-        let mut hits2 = 0;
-        lk.scan(&encode_aa_seq(b"GGG"), |_, _| hits2 += 1);
-        assert_eq!(hits2, 0);
-    }
-
-    #[test]
-    fn aa_threshold_controls_neighborhood_size() {
-        let q = encode_aa_seq(b"WWW");
-        let loose = AaLookup::build(&q, 3, &Scorer::Blosum62, 8);
-        let tight = AaLookup::build(&q, 3, &Scorer::Blosum62, 20);
-        let count = |lk: &AaLookup| -> usize {
-            (0..24u8)
-                .flat_map(|a| (0..24u8).flat_map(move |b| (0..24u8).map(move |c| [a, b, c])))
-                .map(|w| lk.hits(&w).len())
-                .sum()
-        };
-        assert!(count(&loose) > count(&tight));
-        assert!(count(&tight) >= 1); // WWW itself scores 33
     }
 }

@@ -1,46 +1,4 @@
-//! Scoring systems: match/mismatch scores for nucleotides (blastn) and the
-//! BLOSUM62 matrix for proteins, plus affine gap penalties.
-
-use parblast_seqdb::AA_ALPHABET;
-
-/// BLOSUM62 over the 24-letter alphabet `ARNDCQEGHILKMFPSTWYVBZX*`.
-#[rustfmt::skip]
-pub const BLOSUM62: [[i32; 24]; 24] = [
-    //A   R   N   D   C   Q   E   G   H   I   L   K   M   F   P   S   T   W   Y   V   B   Z   X   *
-    [ 4, -1, -2, -2,  0, -1, -1,  0, -2, -1, -1, -1, -1, -2, -1,  1,  0, -3, -2,  0, -2, -1,  0, -4],
-    [-1,  5,  0, -2, -3,  1,  0, -2,  0, -3, -2,  2, -1, -3, -2, -1, -1, -3, -2, -3, -1,  0, -1, -4],
-    [-2,  0,  6,  1, -3,  0,  0,  0,  1, -3, -3,  0, -2, -3, -2,  1,  0, -4, -2, -3,  3,  0, -1, -4],
-    [-2, -2,  1,  6, -3,  0,  2, -1, -1, -3, -4, -1, -3, -3, -1,  0, -1, -4, -3, -3,  4,  1, -1, -4],
-    [ 0, -3, -3, -3,  9, -3, -4, -3, -3, -1, -1, -3, -1, -2, -3, -1, -1, -2, -2, -1, -3, -3, -2, -4],
-    [-1,  1,  0,  0, -3,  5,  2, -2,  0, -3, -2,  1,  0, -3, -1,  0, -1, -2, -1, -2,  0,  3, -1, -4],
-    [-1,  0,  0,  2, -4,  2,  5, -2,  0, -3, -3,  1, -2, -3, -1,  0, -1, -3, -2, -2,  1,  4, -1, -4],
-    [ 0, -2,  0, -1, -3, -2, -2,  6, -2, -4, -4, -2, -3, -3, -2,  0, -2, -2, -3, -3, -1, -2, -1, -4],
-    [-2,  0,  1, -1, -3,  0,  0, -2,  8, -3, -3, -1, -2, -1, -2, -1, -2, -2,  2, -3,  0,  0, -1, -4],
-    [-1, -3, -3, -3, -1, -3, -3, -4, -3,  4,  2, -3,  1,  0, -3, -2, -1, -3, -1,  3, -3, -3, -1, -4],
-    [-1, -2, -3, -4, -1, -2, -3, -4, -3,  2,  4, -2,  2,  0, -3, -2, -1, -2, -1,  1, -4, -3, -1, -4],
-    [-1,  2,  0, -1, -3,  1,  1, -2, -1, -3, -2,  5, -1, -3, -1,  0, -1, -3, -2, -2,  0,  1, -1, -4],
-    [-1, -1, -2, -3, -1,  0, -2, -3, -2,  1,  2, -1,  5,  0, -2, -1, -1, -1, -1,  1, -3, -1, -1, -4],
-    [-2, -3, -3, -3, -2, -3, -3, -3, -1,  0,  0, -3,  0,  6, -4, -2, -2,  1,  3, -1, -3, -3, -1, -4],
-    [-1, -2, -2, -1, -3, -1, -1, -2, -2, -3, -3, -1, -2, -4,  7, -1, -1, -4, -3, -2, -2, -1, -2, -4],
-    [ 1, -1,  1,  0, -1,  0,  0,  0, -1, -2, -2,  0, -1, -2, -1,  4,  1, -3, -2, -2,  0,  0,  0, -4],
-    [ 0, -1,  0, -1, -1, -1, -1, -2, -2, -1, -1, -1, -1, -2, -1,  1,  5, -2, -2,  0, -1, -1,  0, -4],
-    [-3, -3, -4, -4, -2, -2, -3, -2, -2, -3, -2, -3, -1,  1, -4, -3, -2, 11,  2, -3, -4, -3, -2, -4],
-    [-2, -2, -2, -3, -2, -1, -2, -3,  2, -1, -1, -2, -1,  3, -3, -2, -2,  2,  7, -1, -3, -2, -1, -4],
-    [ 0, -3, -3, -3, -1, -2, -2, -3, -3,  3,  1, -2,  1, -1, -2, -2,  0, -3, -1,  4, -3, -2, -1, -4],
-    [-2, -1,  3,  4, -3,  0,  1, -1,  0, -3, -4,  0, -3, -3, -2,  0, -1, -4, -3, -3,  4,  1, -1, -4],
-    [-1,  0,  0,  1, -3,  3,  4, -2,  0, -3, -3,  1, -1, -3, -1,  0, -1, -3, -2, -2,  1,  4, -1, -4],
-    [ 0, -1, -1, -1, -2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -2,  0,  0, -2, -1, -1, -1, -1, -1, -4],
-    [-4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4,  1],
-];
-
-/// Robinson–Robinson amino-acid background frequencies (the standard
-/// composition used by BLAST statistics), indexed like `AA_LETTERS`;
-/// B/Z/X/* get zero background.
-pub const AA_BACKGROUND: [f64; 24] = [
-    0.07805, 0.05129, 0.04487, 0.05364, 0.01925, 0.04264, 0.06295, 0.07377, 0.02199, 0.05142,
-    0.09019, 0.05744, 0.02243, 0.03856, 0.05203, 0.07120, 0.05841, 0.01330, 0.03216, 0.06441, 0.0,
-    0.0, 0.0, 0.0,
-];
+//! Scoring: blastn's match/mismatch scores plus affine gap penalties.
 
 /// A scoring system.
 #[derive(Debug, Clone)]
@@ -52,66 +10,31 @@ pub enum Scorer {
         /// Score of a mismatch (default −3).
         penalty: i32,
     },
-    /// Protein matrix scoring (BLOSUM62).
-    Blosum62,
 }
 
 impl Scorer {
     /// Score of aligning codes `a` and `b`.
     #[inline]
     pub fn score(&self, a: u8, b: u8) -> i32 {
-        match self {
-            Scorer::Nucleotide { reward, penalty } => {
-                if a == b {
-                    *reward
-                } else {
-                    *penalty
-                }
-            }
-            Scorer::Blosum62 => BLOSUM62[a as usize][b as usize],
+        let Scorer::Nucleotide { reward, penalty } = *self;
+        if a == b {
+            reward
+        } else {
+            penalty
         }
     }
 
-    /// Alphabet size.
-    pub fn alphabet(&self) -> usize {
-        match self {
-            Scorer::Nucleotide { .. } => 4,
-            Scorer::Blosum62 => AA_ALPHABET,
-        }
-    }
-
-    /// Background letter frequencies for statistics.
-    pub fn background(&self) -> Vec<f64> {
-        match self {
-            Scorer::Nucleotide { .. } => vec![0.25; 4],
-            Scorer::Blosum62 => AA_BACKGROUND.to_vec(),
-        }
-    }
-
-    /// Probability distribution of pair scores under the background,
-    /// returned as `(min_score, probs[score - min_score])`.
+    /// Probability distribution of pair scores under the uniform base
+    /// background, returned as `(min_score, probs[score - min_score])`.
     pub fn score_distribution(&self) -> (i32, Vec<f64>) {
-        let bg = self.background();
-        let n = self.alphabet();
-        let mut lo = i32::MAX;
-        let mut hi = i32::MIN;
-        for a in 0..n {
-            for b in 0..n {
-                if bg[a] > 0.0 && bg[b] > 0.0 {
-                    let s = self.score(a as u8, b as u8);
-                    lo = lo.min(s);
-                    hi = hi.max(s);
-                }
-            }
-        }
+        const BASES: u8 = 4;
+        let bg = 1.0 / BASES as f64;
+        let pairs = || (0..BASES).flat_map(|a| (0..BASES).map(move |b| self.score(a, b)));
+        let lo = pairs().min().expect("four bases");
+        let hi = pairs().max().expect("four bases");
         let mut probs = vec![0.0; (hi - lo + 1) as usize];
-        for a in 0..n {
-            for b in 0..n {
-                if bg[a] > 0.0 && bg[b] > 0.0 {
-                    let s = self.score(a as u8, b as u8);
-                    probs[(s - lo) as usize] += bg[a] * bg[b];
-                }
-            }
+        for s in pairs() {
+            probs[(s - lo) as usize] += bg * bg;
         }
         (lo, probs)
     }
@@ -132,14 +55,6 @@ impl GapPenalties {
         GapPenalties { open: 5, extend: 2 }
     }
 
-    /// blastp defaults for BLOSUM62 (open 11, extend 1).
-    pub fn blastp() -> Self {
-        GapPenalties {
-            open: 11,
-            extend: 1,
-        }
-    }
-
     /// Total cost of a gap of `len` positions.
     #[inline]
     pub fn cost(&self, len: i32) -> i32 {
@@ -151,43 +66,6 @@ impl GapPenalties {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parblast_seqdb::encode_aa;
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn blosum62_is_symmetric() {
-        for a in 0..24 {
-            for b in 0..24 {
-                assert_eq!(BLOSUM62[a][b], BLOSUM62[b][a], "({a},{b})");
-            }
-        }
-    }
-
-    #[test]
-    fn blosum62_spot_values() {
-        let s = Scorer::Blosum62;
-        let w = encode_aa(b'W').unwrap();
-        let a = encode_aa(b'A').unwrap();
-        let c = encode_aa(b'C').unwrap();
-        assert_eq!(s.score(w, w), 11);
-        assert_eq!(s.score(a, a), 4);
-        assert_eq!(s.score(c, c), 9);
-        assert_eq!(s.score(a, w), -3);
-    }
-
-    #[test]
-    fn blosum62_expected_score_is_negative() {
-        // Required for Karlin-Altschul statistics to exist.
-        let (lo, probs) = Scorer::Blosum62.score_distribution();
-        let mean: f64 = probs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (lo + i as i32) as f64 * p)
-            .sum();
-        assert!(mean < 0.0, "mean = {mean}");
-        let total: f64 = probs.iter().sum();
-        assert!((total - 1.0).abs() < 1e-6);
-    }
 
     #[test]
     fn nucleotide_distribution() {
@@ -199,6 +77,8 @@ mod tests {
         assert_eq!(lo, -3);
         assert!((probs[0] - 0.75).abs() < 1e-12); // mismatch
         assert!((probs[4] - 0.25).abs() < 1e-12); // match at index 1-(-3)=4
+        let total: f64 = probs.iter().sum();
+        assert!((total - 1.0).abs() < 1e-12, "total = {total}");
     }
 
     #[test]
@@ -206,19 +86,5 @@ mod tests {
         let g = GapPenalties::blastn();
         assert_eq!(g.cost(1), 7);
         assert_eq!(g.cost(3), 11);
-    }
-
-    #[test]
-    fn background_sums_to_one() {
-        for s in [
-            Scorer::Nucleotide {
-                reward: 1,
-                penalty: -3,
-            },
-            Scorer::Blosum62,
-        ] {
-            let total: f64 = s.background().iter().sum();
-            assert!((total - 1.0).abs() < 2e-3, "total = {total}");
-        }
     }
 }

@@ -9,8 +9,8 @@ pub struct Hsp {
     pub bit_score: f64,
     /// Expectation value.
     pub evalue: f64,
-    /// Query start, 0-based inclusive (in query coordinates of the
-    /// original, untranslated query).
+    /// Query start, 0-based inclusive, on the forward query for either
+    /// strand.
     pub q_start: usize,
     /// Query end, 0-based exclusive.
     pub q_end: usize,
@@ -18,10 +18,12 @@ pub struct Hsp {
     pub s_start: usize,
     /// Subject end, 0-based exclusive.
     pub s_end: usize,
-    /// Query strand/frame (+1 forward, −1 reverse for blastn; reading
-    /// frame for translated searches).
+    /// Strand of the match: +1 for the query as given, −1 for its reverse
+    /// complement.
     pub q_frame: i8,
-    /// Subject strand/frame.
+    /// The same strand again: blastn always sets it equal to `q_frame`,
+    /// and [`tabular`] reads it to print minus-strand subject coordinates
+    /// reversed, as BLAST's `-m 8` does.
     pub s_frame: i8,
     /// Aligned columns.
     pub align_len: usize,

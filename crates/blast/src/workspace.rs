@@ -1,9 +1,9 @@
 //! Flat, reusable per-scan state for the seed-scanning hot path.
 //!
-//! The scanner tracks per-diagonal state (last extension end, last seed
-//! position) keyed by the NCBI-style offset diagonal `diag = s - q + qlen`
-//! ∈ `[0, qlen + slen]`. A `HashMap<i64, _>` there costs a hash + probe
-//! per seed hit and reallocates per subject; [`DiagTracker`] is the flat
+//! The scanner tracks the last extension end of every diagonal, keyed by
+//! the NCBI-style offset diagonal `diag = s - q + qlen` ∈ `[0, qlen +
+//! slen]`. A `HashMap<i64, _>` there costs a hash + probe per seed hit
+//! and reallocates per subject; [`DiagTracker`] is the flat
 //! replacement — one array slot per diagonal, validated by an epoch
 //! counter so moving to the next subject is O(1) instead of a clear.
 
@@ -54,15 +54,6 @@ impl DiagTracker {
         self.epoch[d] = self.cur;
         self.val[d] = v;
     }
-
-    /// Store `v` for diagonal `d`, returning the previously stored value
-    /// (the `HashMap::insert` return contract).
-    #[inline]
-    pub fn replace(&mut self, d: usize, v: u32) -> Option<u32> {
-        let prev = self.get(d);
-        self.set(d, v);
-        prev
-    }
 }
 
 #[cfg(test)]
@@ -78,7 +69,9 @@ mod tests {
         let ops = [(3usize, 7u32), (3, 9), (10, 1), (63, 2), (10, 4)];
         for (d, v) in ops {
             assert_eq!(t.get(d), m.get(&d).copied(), "get before insert {d}");
-            assert_eq!(t.replace(d, v), m.insert(d, v), "insert {d}");
+            t.set(d, v);
+            m.insert(d, v);
+            assert_eq!(t.get(d), Some(v), "get after insert {d}");
         }
         // New scan: everything reads empty again without clearing.
         t.begin(64);

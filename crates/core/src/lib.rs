@@ -13,8 +13,8 @@
 //!   parallel file systems, dual-half reads, hot-spot skipping);
 //! * [`pio`] — a *real* user-space parallel-I/O library with the same
 //!   striping/mirroring semantics over actual files;
-//! * [`seqdb`]/[`blast`] — a real sequence-database substrate and a
-//!   from-scratch BLAST engine (blastn/blastp/blastx/tblastn/tblastx);
+//! * [`seqdb`]/[`blast`] — a real nucleotide sequence-database substrate
+//!   and a from-scratch blastn engine, the program the paper runs;
 //! * [`mpiblast`] — the parallel BLAST layer, both as a real threaded job
 //!   and as a simulated twin;
 //! * [`experiments`] — one function per figure of the paper's evaluation.
@@ -43,7 +43,7 @@
 //!         .map(|(defline, codes)| DbSequence { defline, codes })
 //!         .collect(),
 //! };
-//! let hits = blastall(Program::Blastn, &query, &volume, &SearchParams::blastn());
+//! let hits = blastall(&query, &volume, &SearchParams::blastn());
 //! assert!(!hits.is_empty());
 //! ```
 

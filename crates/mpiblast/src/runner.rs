@@ -54,7 +54,9 @@ pub enum Parallelization {
 
 /// A configured parallel BLAST job.
 pub struct ParallelBlast {
-    /// Which program to run (the paper uses blastn).
+    /// Which program to run: always blastn, the one the paper uses. The
+    /// field stays because `benchmark/` is frozen and builds this struct
+    /// by literal.
     pub program: Program,
     /// Engine parameters.
     pub params: SearchParams,
@@ -235,13 +237,10 @@ impl ParallelBlast {
         for hits in &mut per_query {
             rank_merged(hits, self.params.max_hits);
         }
-        // Only blastn has a fused kernel; everything else scans once per
-        // query. A job that succeeds searched every fragment exactly once.
+        // One pass per chunk of the batch; a job that succeeds searched
+        // every fragment exactly once.
         let nq = queries.len() as u64;
-        let passes_per_fragment = match self.program {
-            Program::Blastn => queries.len().div_ceil(MAX_FUSED_BATCH) as u64,
-            _ => nq,
-        };
+        let passes_per_fragment = queries.len().div_ceil(MAX_FUSED_BATCH) as u64;
         let fragments = self.fragments.len() as u64;
         Ok(BatchOutcome {
             per_query,
@@ -347,9 +346,8 @@ impl ParallelBlast {
         let prepared: Vec<OnceLock<PreparedBatch>> =
             batches.iter().map(|_| OnceLock::new()).collect();
         let prepare = |batch: usize| {
-            prepared[batch].get_or_init(|| {
-                PreparedBatch::new(self.program, &batches[batch], &self.params, self.db)
-            })
+            prepared[batch]
+                .get_or_init(|| PreparedBatch::new(&batches[batch], &self.params, self.db))
         };
         // The master keeps the task sender so failed tasks can be handed
         // back out (abort-and-reassign); workers exit when it is dropped.

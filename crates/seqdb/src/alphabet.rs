@@ -1,8 +1,8 @@
-//! Sequence alphabets and encodings.
+//! The nucleotide alphabet and its encodings.
 //!
 //! Nucleotides use the compact 2-bit code `A=0 C=1 G=2 T=3` (ambiguity
 //! codes are canonicalized before packing, as `formatdb` does for its
-//! `.nsq` files); amino acids use the NCBIstdaa-like ordinal code below.
+//! `.nsq` files).
 
 /// Nucleotide codes.
 pub const NT_A: u8 = 0;
@@ -12,10 +12,6 @@ pub const NT_C: u8 = 1;
 pub const NT_G: u8 = 2;
 /// Thymine.
 pub const NT_T: u8 = 3;
-
-/// The 24-letter protein alphabet (20 standard + B, Z, X, *), indexed by
-/// ordinal code.
-pub const AA_LETTERS: &[u8; 24] = b"ARNDCQEGHILKMFPSTWYVBZX*";
 
 /// Encode one nucleotide ASCII letter to its 2-bit code. Ambiguity codes
 /// (N, R, Y, ...) map to a deterministic canonical base so packing stays
@@ -49,58 +45,9 @@ pub fn complement_nt(code: u8) -> u8 {
     3 - (code & 3)
 }
 
-/// Encode one amino-acid ASCII letter to its ordinal code. Unknowns map to
-/// `X`. Returns `None` only for bytes that are clearly not residue letters.
-pub fn encode_aa(c: u8) -> Option<u8> {
-    let u = c.to_ascii_uppercase();
-    if !u.is_ascii_uppercase() && u != b'*' {
-        return None;
-    }
-    Some(match u {
-        b'A' => 0,
-        b'R' => 1,
-        b'N' => 2,
-        b'D' => 3,
-        b'C' => 4,
-        b'Q' => 5,
-        b'E' => 6,
-        b'G' => 7,
-        b'H' => 8,
-        b'I' => 9,
-        b'L' => 10,
-        b'K' => 11,
-        b'M' => 12,
-        b'F' => 13,
-        b'P' => 14,
-        b'S' => 15,
-        b'T' => 16,
-        b'W' => 17,
-        b'Y' => 18,
-        b'V' => 19,
-        b'B' => 20,
-        b'Z' => 21,
-        b'*' => 23,
-        // J, O, U, X and anything else unknown → X.
-        _ => 22,
-    })
-}
-
-/// Decode an amino-acid ordinal code to its ASCII letter.
-pub fn decode_aa(code: u8) -> u8 {
-    AA_LETTERS[(code as usize).min(23)]
-}
-
-/// Number of amino-acid codes.
-pub const AA_ALPHABET: usize = 24;
-
 /// Encode an ASCII nucleotide sequence; non-sequence bytes are skipped.
 pub fn encode_nt_seq(ascii: &[u8]) -> Vec<u8> {
     ascii.iter().filter_map(|&c| encode_nt(c)).collect()
-}
-
-/// Encode an ASCII protein sequence; non-sequence bytes are skipped.
-pub fn encode_aa_seq(ascii: &[u8]) -> Vec<u8> {
-    ascii.iter().filter_map(|&c| encode_aa(c)).collect()
 }
 
 /// Reverse complement of a 2-bit-coded nucleotide sequence.
@@ -202,24 +149,6 @@ mod tests {
         let rc = reverse_complement(&encode_nt_seq(b"ACGT"));
         let ascii: Vec<u8> = rc.iter().map(|&c| decode_nt(c)).collect();
         assert_eq!(ascii, b"ACGT");
-    }
-
-    #[test]
-    fn aa_round_trip() {
-        for (i, &letter) in AA_LETTERS.iter().enumerate() {
-            if letter == b'X' {
-                continue;
-            }
-            assert_eq!(
-                encode_aa(letter),
-                Some(i as u8),
-                "letter {}",
-                letter as char
-            );
-        }
-        assert_eq!(encode_aa(b'J'), Some(22)); // unknown → X
-        assert_eq!(decode_aa(22), b'X');
-        assert_eq!(encode_aa(b'1'), None);
     }
 
     /// The expansion `unpack_2bit_into` used before the table: one

@@ -19,7 +19,7 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::alphabet::{encode_aa_seq, encode_nt_seq, pack_2bit, unpack_2bit_into};
+use crate::alphabet::{encode_nt_seq, pack_2bit, unpack_2bit_into};
 
 /// Magic bytes of a volume file.
 pub const MAGIC: [u8; 4] = *b"PBDB";
@@ -30,13 +30,15 @@ pub const HEADER_LEN: u64 = 48;
 /// Index entry size in bytes.
 pub const INDEX_ENTRY_LEN: u64 = 32;
 
-/// Residue type stored in a volume.
+/// Residue type stored in a volume: nucleotides, the only type this
+/// workspace formats or searches. The header keeps its type byte (0), and
+/// the enum its one variant because `benchmark/` is frozen and passes
+/// `SeqType::Nucleotide` to [`VolumeWriter::create`] and
+/// [`crate::segment_into_fragments`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeqType {
     /// Nucleotides, 2-bit packed.
     Nucleotide,
-    /// Amino acids, one code per byte.
-    Protein,
 }
 
 /// Positional read access (the seam between the decoder and the I/O
@@ -126,7 +128,6 @@ impl VolumeHeader {
         b.extend_from_slice(&VERSION.to_le_bytes());
         b.push(match self.seq_type {
             SeqType::Nucleotide => 0,
-            SeqType::Protein => 1,
         });
         b.extend_from_slice(&[0u8; 7]);
         put_u64(&mut b, self.nseq);
@@ -153,7 +154,13 @@ impl VolumeHeader {
         }
         let seq_type = match b[8] {
             0 => SeqType::Nucleotide,
-            1 => SeqType::Protein,
+            // Protein volumes: named, so the error says why.
+            1 => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "protein volume (sequence type 1): only nucleotide volumes are supported",
+                ))
+            }
             t => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -217,30 +224,19 @@ impl<W: Write + Seek> VolumeWriter<W> {
 
     /// Append one sequence given as raw ASCII letters.
     pub fn add_ascii(&mut self, defline: &str, ascii_seq: &[u8]) -> io::Result<()> {
-        let codes = match self.seq_type {
-            SeqType::Nucleotide => encode_nt_seq(ascii_seq),
-            SeqType::Protein => encode_aa_seq(ascii_seq),
-        };
-        self.add_codes(defline, &codes)
+        self.add_codes(defline, &encode_nt_seq(ascii_seq))
     }
 
-    /// Append one sequence given as alphabet codes.
+    /// Append one sequence given as 2-bit nucleotide codes.
     pub fn add_codes(&mut self, defline: &str, codes: &[u8]) -> io::Result<()> {
-        let packed;
-        let bytes: &[u8] = match self.seq_type {
-            SeqType::Nucleotide => {
-                packed = pack_2bit(codes);
-                &packed
-            }
-            SeqType::Protein => codes,
-        };
+        let bytes = pack_2bit(codes);
         let def = defline.as_bytes();
         put_u64(&mut self.index, self.data_cursor);
         put_u64(&mut self.index, codes.len() as u64);
         put_u64(&mut self.index, self.deflines.len() as u64);
         put_u64(&mut self.index, def.len() as u64);
         self.deflines.extend_from_slice(def);
-        self.pending.extend_from_slice(bytes);
+        self.pending.extend_from_slice(&bytes);
         self.data_cursor += bytes.len() as u64;
         self.nseq += 1;
         self.residues += codes.len() as u64;
@@ -284,7 +280,7 @@ impl<W: Write + Seek> VolumeWriter<W> {
 pub struct DbSequence {
     /// Defline (id + description).
     pub defline: String,
-    /// Alphabet codes (2-bit values for nucleotides, ordinals for protein).
+    /// Nucleotide codes, one 2-bit value per byte.
     pub codes: Vec<u8>,
 }
 
@@ -339,12 +335,11 @@ struct PackedEntry {
     def_len: usize,
 }
 
-/// A volume decoded only to its storage representation: nucleotide data
-/// stays 2-bit packed (4 bases per byte), protein data is one code per
-/// byte either way. This is the zero-copy substrate of the packed-scan
-/// blastn kernel — the scanner reads its table windows directly from these
-/// bytes and only subjects that produce seed hits are ever unpacked (into
-/// a caller-provided reusable buffer).
+/// A volume decoded only to its storage representation: the data stays
+/// 2-bit packed (4 bases per byte). This is the zero-copy substrate of the
+/// packed-scan blastn kernel — the scanner reads its table windows directly
+/// from these bytes and only subjects that produce seed hits are ever
+/// unpacked (into a caller-provided reusable buffer).
 #[derive(Debug, Clone)]
 pub struct PackedVolume {
     /// Residue type.
@@ -404,8 +399,7 @@ impl PackedVolume {
     }
 
     /// Pack a decoded volume: the inverse of [`Self::to_volume`]. Lossless,
-    /// because nucleotide codes are always `0..4` and protein codes are
-    /// stored one per byte either way.
+    /// because nucleotide codes are always `0..4`.
     pub fn from_volume(volume: &Volume) -> PackedVolume {
         let mut data = Vec::new();
         let mut deflines = Vec::new();
@@ -417,10 +411,7 @@ impl PackedVolume {
                 def_start: deflines.len(),
                 def_len: s.defline.len(),
             });
-            match volume.seq_type {
-                SeqType::Nucleotide => data.extend_from_slice(&pack_2bit(&s.codes)),
-                SeqType::Protein => data.extend_from_slice(&s.codes),
-            }
+            data.extend_from_slice(&pack_2bit(&s.codes));
             deflines.extend_from_slice(s.defline.as_bytes());
         }
         PackedVolume {
@@ -445,10 +436,7 @@ impl PackedVolume {
             let nres = get_u64(index, at + 8) as usize;
             let def_start = get_u64(index, at + 16) as usize;
             let dlen = get_u64(index, at + 24) as usize;
-            let stored = match header.seq_type {
-                SeqType::Nucleotide => nres.div_ceil(4),
-                SeqType::Protein => nres,
-            };
+            let stored = nres.div_ceil(4);
             if data_start + stored > data.len() || def_start + dlen > deflines.len() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -485,16 +473,11 @@ impl PackedVolume {
         self.entries[i].nres
     }
 
-    /// Stored bytes of sequence `i`: 2-bit packed for nucleotide volumes
-    /// (big-endian within the byte, [`crate::alphabet::pack_2bit`] layout),
-    /// one code per byte for protein volumes.
+    /// Stored bytes of sequence `i`: 2-bit packed, big-endian within the
+    /// byte ([`crate::alphabet::pack_2bit`] layout).
     pub fn packed(&self, i: usize) -> &[u8] {
         let e = &self.entries[i];
-        let stored = match self.seq_type {
-            SeqType::Nucleotide => e.nres.div_ceil(4),
-            SeqType::Protein => e.nres,
-        };
-        &self.data[e.data_start..e.data_start + stored]
+        &self.data[e.data_start..e.data_start + e.nres.div_ceil(4)]
     }
 
     /// Defline of sequence `i`.
@@ -512,21 +495,12 @@ impl PackedVolume {
             .to_string()
     }
 
-    /// Unpack sequence `i` into a reusable buffer (cleared first); for
-    /// protein volumes this is a plain copy.
+    /// Unpack sequence `i` into a reusable buffer (replacing its contents).
     pub fn unpack_into(&self, i: usize, out: &mut Vec<u8>) {
-        let e = &self.entries[i];
-        match self.seq_type {
-            SeqType::Nucleotide => unpack_2bit_into(self.packed(i), e.nres, out),
-            SeqType::Protein => {
-                out.clear();
-                out.extend_from_slice(self.packed(i));
-            }
-        }
+        unpack_2bit_into(self.packed(i), self.entries[i].nres, out)
     }
 
-    /// Decode every sequence into a [`Volume`] (the 1-byte-per-residue
-    /// representation the protein search paths and reporting use).
+    /// Decode every sequence into a [`Volume`], one byte per residue.
     pub fn to_volume(&self) -> Volume {
         let mut sequences = Vec::with_capacity(self.entries.len());
         for i in 0..self.entries.len() {
@@ -598,10 +572,7 @@ impl PackedVolumeStream {
             let nres = get_u64(&index, at + 8) as usize;
             let def_start = get_u64(&index, at + 16) as usize;
             let dlen = get_u64(&index, at + 24) as usize;
-            let stored = match header.seq_type {
-                SeqType::Nucleotide => nres.div_ceil(4),
-                SeqType::Protein => nres,
-            };
+            let stored = nres.div_ceil(4);
             if data_start + stored > data_len || def_start + dlen > deflines.len() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -727,21 +698,18 @@ mod tests {
 
     #[test]
     fn packed_volume_matches_decoded_volume() {
-        for (seq_type, seqs) in [
-            (
-                SeqType::Nucleotide,
-                vec![
-                    ("seq1 E. coli fragment", b"ACGTACGTACGTA".as_slice()),
-                    ("seq2", b"TTTTGGGG"),
-                    ("seq3 ragged", b"ACGTACG"),
-                ],
-            ),
-            (
-                SeqType::Protein,
-                vec![("p1 kinase", b"MKVLA".as_slice()), ("p2", b"ARNDCQE")],
-            ),
+        for seqs in [
+            vec![
+                ("seq1 E. coli fragment", b"ACGTACGTACGTA".as_slice()),
+                ("seq2", b"TTTTGGGG"),
+                ("seq3 ragged", b"ACGTACG"),
+            ],
+            vec![
+                ("n1 kinase gene", b"ATGAAAGTG".as_slice()),
+                ("n2", b"GATTACA"),
+            ],
         ] {
-            let bytes = build(seq_type, &seqs);
+            let bytes = build(SeqType::Nucleotide, &seqs);
             let v = Volume::read_from(&mut bytes.as_slice()).unwrap();
             let p = PackedVolume::read_from(&mut bytes.as_slice()).unwrap();
             assert_eq!(p.seq_type, v.seq_type);
@@ -754,11 +722,7 @@ mod tests {
                 assert_eq!(p.id(i), s.id());
                 p.unpack_into(i, &mut buf);
                 assert_eq!(buf, s.codes, "seq {i}");
-                if seq_type == SeqType::Nucleotide {
-                    assert_eq!(p.packed(i), crate::alphabet::pack_2bit(&s.codes));
-                } else {
-                    assert_eq!(p.packed(i), s.codes.as_slice());
-                }
+                assert_eq!(p.packed(i), crate::alphabet::pack_2bit(&s.codes));
             }
             // Packing the decoded volume gives back what the file held.
             let repacked = PackedVolume::from_volume(&v);
@@ -843,16 +807,16 @@ mod tests {
     #[test]
     fn stream_metadata_is_complete_before_any_data() {
         let bytes = build(
-            SeqType::Protein,
-            &[("p1 a protein", b"MKV" as &[u8]), ("p2 another", b"GG")],
+            SeqType::Nucleotide,
+            &[("n1 a gene", b"ACG" as &[u8]), ("n2 another", b"GG")],
         );
         let mut src = bytes.as_slice();
         let stream = PackedVolumeStream::begin(&mut src).unwrap();
         assert_eq!(stream.ready_seqs(), 0);
         assert_eq!(stream.volume().nseq(), 2);
         assert_eq!(stream.volume().seq_len(0), 3);
-        assert_eq!(stream.volume().id(0), "p1");
-        assert_eq!(stream.volume().id(1), "p2");
+        assert_eq!(stream.volume().id(0), "n1");
+        assert_eq!(stream.volume().id(1), "n2");
         assert!(!stream.is_complete());
     }
 
@@ -868,17 +832,31 @@ mod tests {
     }
 
     #[test]
-    fn protein_volume_round_trip() {
-        let bytes = build(
-            SeqType::Protein,
-            &[("p1 some protein", b"MKVLAARN"), ("p2", b"WWYY")],
-        );
-        let v = Volume::read_from(&mut bytes.as_slice()).unwrap();
-        assert_eq!(v.seq_type, SeqType::Protein);
-        assert_eq!(
-            v.sequences[0].codes,
-            crate::alphabet::encode_aa_seq(b"MKVLAARN")
-        );
+    fn every_reader_rejects_a_protein_volume_naming_its_type() {
+        // A well-formed volume whose header says type 1, the protein
+        // volumes of earlier formats.
+        let mut bytes = build(SeqType::Nucleotide, &[("a", b"ACGT"), ("b", b"GG")]);
+        bytes[8] = 1;
+        let src = || bytes.as_slice();
+        let errors = [
+            Volume::read_header(&mut src()).map(drop),
+            Volume::read_from(&mut src()).map(drop),
+            PackedVolume::read_from(&mut src()).map(drop),
+            PackedVolumeStream::begin(&mut src()).map(drop),
+        ];
+        for (reader, got) in errors.into_iter().enumerate() {
+            let err = got.expect_err("a protein volume must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "reader {reader}");
+            assert!(
+                err.to_string().contains("protein"),
+                "reader {reader}: {err}"
+            );
+        }
+        // Any other unknown type is rejected too, by its number.
+        bytes[8] = 7;
+        let err = Volume::read_header(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("type 7"), "{err}");
     }
 
     #[test]

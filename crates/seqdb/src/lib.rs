@@ -2,7 +2,7 @@
 //!
 //! The sequence-database substrate of the `parblast` workspace:
 //!
-//! * [`alphabet`] — nucleotide/protein encodings (2-bit packing, reverse
+//! * [`alphabet`] — the nucleotide encodings (2-bit packing, reverse
 //!   complement);
 //! * [`fasta`] — streaming FASTA I/O;
 //! * [`blastdb`] — formatted database volumes (the `formatdb` analogue)
@@ -22,8 +22,8 @@ pub mod segment;
 pub mod synthetic;
 
 pub use alphabet::{
-    complement_nt, decode_aa, decode_nt, encode_aa, encode_aa_seq, encode_nt, encode_nt_seq,
-    pack_2bit, reverse_complement, unpack_2bit, unpack_2bit_into, AA_ALPHABET,
+    complement_nt, decode_nt, encode_nt, encode_nt_seq, pack_2bit, reverse_complement, unpack_2bit,
+    unpack_2bit_into,
 };
 pub use blastdb::{
     DbSequence, PackedVolume, PackedVolumeStream, ReadAt, SeqType, Volume, VolumeHeader,

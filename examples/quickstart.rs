@@ -44,7 +44,7 @@ fn main() {
             .collect(),
     };
     let params = SearchParams::blastn();
-    let hits = blastall(Program::Blastn, &query, &volume, &params);
+    let hits = blastall(&query, &volume, &params);
 
     // 4. Report, BLAST tabular style.
     println!("\ntop hits (qid sid %id len mm go qs qe ss se evalue bits):");

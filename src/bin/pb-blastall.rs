@@ -18,6 +18,8 @@
 //!
 //! `-d` takes the fragment prefix (`<dir>/<name>`); all `<name>.NNN.pdb`
 //! volumes beside it are searched. Output is BLAST tabular (`-m 8`).
+//! `-p` accepts `blastn` only, the program the paper runs; any other value
+//! exits with status 2.
 //! Daemon results are byte-identical to the one-shot mode's (pinned in
 //! `tests/determinism.rs`); `--drain` finishes every accepted query
 //! before the daemon exits.
@@ -27,7 +29,7 @@ use std::sync::Arc;
 use parblast::blast::DbStats;
 use parblast::net::{BlastRunner, ClientConfig, NetClient, NetServer, QuotaConfig, ServerConfig};
 use parblast::prelude::*;
-use parblast::seqdb::encode_aa_seq;
+use parblast::seqdb::encode_nt_seq;
 
 fn arg(key: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -54,7 +56,7 @@ struct StagedJob {
     work_dir: std::path::PathBuf,
 }
 
-fn stage_job(db_prefix: &str, program: Program, workers: usize) -> std::io::Result<StagedJob> {
+fn stage_job(db_prefix: &str, workers: usize) -> std::io::Result<StagedJob> {
     // Discover fragments: <prefix>.NNN.pdb.
     let prefix = std::path::PathBuf::from(db_prefix);
     let dir = prefix.parent().unwrap_or(std::path::Path::new("."));
@@ -100,17 +102,14 @@ fn stage_job(db_prefix: &str, program: Program, workers: usize) -> std::io::Resu
         fragments.push(frag_name);
     }
 
-    let mut params = match program {
-        Program::Blastn => SearchParams::blastn(),
-        _ => SearchParams::blastp(),
-    };
+    let mut params = SearchParams::blastn();
     if let Some(e) = arg("--evalue").and_then(|v| v.parse().ok()) {
         params.evalue = e;
     }
 
     Ok(StagedJob {
         job: ParallelBlast {
-            program,
+            program: Program::Blastn,
             params,
             db,
             fragments,
@@ -128,39 +127,20 @@ fn stage_job(db_prefix: &str, program: Program, workers: usize) -> std::io::Resu
     })
 }
 
-fn read_queries(query_path: &str, program: Program) -> std::io::Result<Vec<(String, Vec<u8>)>> {
+fn read_queries(query_path: &str) -> std::io::Result<Vec<(String, Vec<u8>)>> {
     let records = FastaReader::open(query_path)?.read_all()?;
     assert!(!records.is_empty(), "no query records in {query_path}");
-    let protein_query = matches!(program, Program::Blastp | Program::Tblastn);
     Ok(records
         .into_iter()
-        .map(|r| {
-            let codes = if protein_query {
-                encode_aa_seq(&r.seq)
-            } else {
-                parblast::seqdb::encode_nt_seq(&r.seq)
-            };
-            (r.id, codes)
-        })
+        .map(|r| (r.id, encode_nt_seq(&r.seq)))
         .collect())
-}
-
-fn parse_program() -> Program {
-    match arg("-p").as_deref() {
-        Some("blastn") | None => Program::Blastn,
-        Some("blastp") => Program::Blastp,
-        Some("blastx") => Program::Blastx,
-        Some("tblastn") => Program::Tblastn,
-        Some("tblastx") => Program::Tblastx,
-        Some(p) => panic!("unknown program {p}"),
-    }
 }
 
 /// `--daemon <addr>`: serve the staged store over TCP until drained.
 fn daemon_mode(addr: &str) -> std::io::Result<()> {
     let db_prefix = arg("-d").expect("--daemon requires -d <dir>/<name>");
     let workers: usize = arg("--workers").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let staged = stage_job(&db_prefix, parse_program(), workers)?;
+    let staged = stage_job(&db_prefix, workers)?;
 
     let config = ServerConfig {
         shards: arg("--shards").and_then(|v| v.parse().ok()).unwrap_or(2),
@@ -253,7 +233,7 @@ fn connect_mode(addr: &str) -> std::io::Result<()> {
     }
 
     let query_path = arg("-i").expect("--connect requires -i <query.fa> (or --stats/--drain)");
-    let queries = read_queries(&query_path, parse_program())?;
+    let queries = read_queries(&query_path)?;
     let t0 = std::time::Instant::now();
     for (qid, codes) in &queries {
         // The daemon renders with the generic "query" id (so its bytes
@@ -278,6 +258,10 @@ fn connect_mode(addr: &str) -> std::io::Result<()> {
 }
 
 fn main() -> std::io::Result<()> {
+    if let Some(p) = arg("-p").filter(|p| p != "blastn") {
+        eprintln!("pb-blastall: -p {p}: only blastn is supported");
+        std::process::exit(2);
+    }
     if let Some(addr) = arg("--connect") {
         return connect_mode(&addr);
     }
@@ -287,20 +271,19 @@ fn main() -> std::io::Result<()> {
 
     let Some(db_prefix) = arg("-d") else {
         eprintln!(
-            "usage: pb-blastall -p blastn|blastp|blastx|tblastn|tblastx \
-             -d <dir>/<name> -i <query.fa> [--workers N] [--evalue E]\n\
-             \x20      pb-blastall --daemon <addr> -d <dir>/<name> [-p PROG] \
+            "usage: pb-blastall [-p blastn] -d <dir>/<name> -i <query.fa> \
+             [--workers N] [--evalue E]\n\
+             \x20      pb-blastall --daemon <addr> -d <dir>/<name> [-p blastn] \
              [--shards N] [--max-batch B] [--queue-cap C] [--quota-qps Q]\n\
              \x20      pb-blastall --connect <addr> -i <query.fa> [--tenant T] \
              [--deadline-us D] | --stats | --drain"
         );
         return Ok(());
     };
-    let program = parse_program();
     let query_path = arg("-i").expect("-i <query.fa>");
     let workers: usize = arg("--workers").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let staged = stage_job(&db_prefix, program, workers)?;
-    let queries = read_queries(&query_path, program)?;
+    let staged = stage_job(&db_prefix, workers)?;
+    let queries = read_queries(&query_path)?;
 
     let batch = staged
         .job

@@ -3,12 +3,15 @@
 //! `mpiformatdb` segmentation.
 //!
 //! ```sh
-//! pb-formatdb --in db.fa --out ./db --name nt --fragments 8 [--protein]
+//! pb-formatdb --in db.fa --out ./db --name nt --fragments 8
 //! pb-formatdb --synthetic 64000000 --out ./db --name nt --fragments 8
 //! ```
+//!
+//! Volumes hold nucleotides only, the residues blastn searches;
+//! `--protein` exits with status 2.
 
 use parblast::prelude::*;
-use parblast::seqdb::encode_aa_seq;
+use parblast::seqdb::encode_nt_seq;
 
 fn arg(key: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -25,22 +28,19 @@ fn main() -> std::io::Result<()> {
     if flag("--help") || std::env::args().len() == 1 {
         eprintln!(
             "usage: pb-formatdb (--in <fasta> | --synthetic <residues>) \
-             --out <dir> [--name nt] [--fragments N] [--protein] [--seed S]"
+             --out <dir> [--name nt] [--fragments N] [--seed S]"
         );
         return Ok(());
     }
     let out = std::path::PathBuf::from(arg("--out").unwrap_or_else(|| ".".into()));
     let name = arg("--name").unwrap_or_else(|| "db".into());
     let fragments: u32 = arg("--fragments").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let protein = flag("--protein");
-    let seq_type = if protein {
-        SeqType::Protein
-    } else {
-        SeqType::Nucleotide
-    };
+    if flag("--protein") {
+        eprintln!("pb-formatdb: --protein: only nucleotide databases are supported");
+        std::process::exit(2);
+    }
 
     let seqs: Vec<(String, Vec<u8>)> = if let Some(n) = arg("--synthetic") {
-        assert!(!protein, "--synthetic generates nucleotide databases");
         let total: u64 = n.parse().expect("--synthetic takes a residue count");
         let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(2003);
         let mut g = SyntheticNt::new(SyntheticConfig {
@@ -58,20 +58,13 @@ fn main() -> std::io::Result<()> {
         let records = FastaReader::open(&input)?.read_all()?;
         records
             .into_iter()
-            .map(|r| {
-                let codes = if protein {
-                    encode_aa_seq(&r.seq)
-                } else {
-                    parblast::seqdb::encode_nt_seq(&r.seq)
-                };
-                (r.defline(), codes)
-            })
+            .map(|r| (r.defline(), encode_nt_seq(&r.seq)))
             .collect()
     };
 
     let nseq = seqs.len();
     let residues: u64 = seqs.iter().map(|(_, c)| c.len() as u64).sum();
-    let infos = segment_into_fragments(&out, &name, seq_type, fragments, seqs)?;
+    let infos = segment_into_fragments(&out, &name, SeqType::Nucleotide, fragments, seqs)?;
     println!(
         "formatted {nseq} sequences / {residues} residues into {} fragment(s):",
         infos.len()

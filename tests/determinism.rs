@@ -87,7 +87,7 @@ fn trace_capture_does_not_change_the_outcome() {
 /// the full `Debug` rendering so any hit-for-hit deviation changes the
 /// digest.
 fn blastn_digest(seed: u64, gapped: bool) -> String {
-    use parblast::blast::{search_volume, DbStats, Program, SearchParams};
+    use parblast::blast::{search_volume, DbStats, SearchParams};
     use parblast::seqdb::blastdb::DbSequence;
     use parblast::seqdb::{
         extract_query, reverse_complement, SeqType, SyntheticConfig, SyntheticNt, Volume,
@@ -125,7 +125,7 @@ fn blastn_digest(seed: u64, gapped: bool) -> String {
     };
     let mut params = SearchParams::blastn();
     params.gapped = gapped;
-    let hits = search_volume(Program::Blastn, &query, &volume, &params, db);
+    let hits = search_volume(&query, &volume, &params, db);
     // Both strands must actually be exercised for the pin to mean anything.
     let frames: std::collections::BTreeSet<i8> = hits
         .iter()
@@ -246,7 +246,7 @@ fn batched_serving_is_byte_identical_to_sequential() {
 #[test]
 fn fused_batch_digest_matches_sequential() {
     use parblast::blast::baseline::search_blastn_baseline;
-    use parblast::blast::{DbStats, PreparedBatch, Program, ScanWorkspace, SearchParams};
+    use parblast::blast::{DbStats, PreparedBatch, ScanWorkspace, SearchParams};
     use parblast::seqdb::{
         extract_query, reverse_complement, PackedVolume, SeqType, SyntheticConfig, SyntheticNt,
         VolumeWriter,
@@ -307,8 +307,8 @@ fn fused_batch_digest_matches_sequential() {
         for gapped in [true, false] {
             let mut params = SearchParams::blastn();
             params.gapped = gapped;
-            let fused = PreparedBatch::new(Program::Blastn, &qrefs, &params, db)
-                .search(&packed, &mut ScanWorkspace::new());
+            let fused =
+                PreparedBatch::new(&qrefs, &params, db).search(&packed, &mut ScanWorkspace::new());
             let sequential: Vec<_> = qrefs
                 .iter()
                 .map(|q| search_blastn_baseline(q, &decoded, &params, db))

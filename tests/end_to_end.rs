@@ -70,7 +70,7 @@ fn fasta_to_search_pipeline() {
     }
     let src = seqs.iter().position(|(_, c)| c.len() >= 400).unwrap();
     let query = extract_query(&seqs[src].1, 400, 0.0, 3);
-    let hits = blastall(Program::Blastn, &query, &volume, &SearchParams::blastn());
+    let hits = blastall(&query, &volume, &SearchParams::blastn());
     assert_eq!(
         hits[0].subject_id,
         seqs[src].0.split_whitespace().next().unwrap()
@@ -132,7 +132,7 @@ fn segmented_search_equals_whole_database_search() {
             .collect(),
     };
     let params = SearchParams::blastn();
-    let whole = blastall(Program::Blastn, &query, &volume, &params);
+    let whole = blastall(&query, &volume, &params);
 
     // Parallel segmented search over 4 fragments, 3 workers.
     let infos =
@@ -192,62 +192,6 @@ fn segmented_search_equals_whole_database_search() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// All five BLAST programs run end to end on appropriate databases.
-#[test]
-fn all_five_programs_execute() {
-    use parblast::seqdb::encode_aa_seq;
-    let (seqs, _) = gen_db(60_000, 23);
-    let nt_volume = Volume {
-        seq_type: SeqType::Nucleotide,
-        sequences: seqs
-            .iter()
-            .map(|(d, c)| DbSequence {
-                defline: d.clone(),
-                codes: c.clone(),
-            })
-            .collect(),
-    };
-    let aa_volume = Volume {
-        seq_type: SeqType::Protein,
-        sequences: vec![DbSequence {
-            defline: "prot1 synthetic protein".into(),
-            codes: encode_aa_seq(b"MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFKALVLIAFAQYLQQC"),
-        }],
-    };
-    let nt_query = extract_query(&seqs[0].1, 300, 0.0, 5);
-    let aa_query = encode_aa_seq(b"MKWVTFISLLFLFSSAYSRGVFRRDAHKSE");
-    let mut pn = SearchParams::blastn();
-    pn.evalue = 10.0;
-    let mut pp = SearchParams::blastp();
-    pp.evalue = 1e3;
-
-    assert!(!blastall(Program::Blastn, &nt_query, &nt_volume, &pn).is_empty());
-    assert!(!blastall(Program::Blastp, &aa_query, &aa_volume, &pp).is_empty());
-    // blastx: translated nt query against the protein db — use a query
-    // that is the coding sequence of the protein (built by reverse lookup).
-    let mut coding = Vec::new();
-    'aa: for &aa in &aa_query {
-        for c1 in 0..4u8 {
-            for c2 in 0..4u8 {
-                for c3 in 0..4u8 {
-                    if parblast::blast::translate_codon(c1, c2, c3) == aa {
-                        coding.extend_from_slice(&[c1, c2, c3]);
-                        continue 'aa;
-                    }
-                }
-            }
-        }
-    }
-    assert!(!blastall(Program::Blastx, &coding, &aa_volume, &pp).is_empty());
-    // tblastn: protein query against a nt db containing the coding region.
-    let mut nt_with_gene = nt_volume.clone();
-    let mut host = nt_with_gene.sequences[0].codes.clone();
-    host.splice(50..50, coding.iter().copied());
-    nt_with_gene.sequences[0].codes = host;
-    assert!(!blastall(Program::Tblastn, &aa_query, &nt_with_gene, &pp).is_empty());
-    assert!(!blastall(Program::Tblastx, &coding, &nt_with_gene, &pp).is_empty());
-}
-
 /// The tabular report parses as 12 tab-separated columns for every hit.
 #[test]
 fn tabular_output_is_well_formed() {
@@ -263,7 +207,7 @@ fn tabular_output_is_well_formed() {
             .collect(),
     };
     let query = extract_query(&seqs[1].1, 500, 0.05, 31);
-    let hits = blastall(Program::Blastn, &query, &volume, &SearchParams::blastn());
+    let hits = blastall(&query, &volume, &SearchParams::blastn());
     let table = tabular("q1", &hits);
     assert!(!table.is_empty());
     for line in table.lines() {
