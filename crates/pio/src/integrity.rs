@@ -257,7 +257,7 @@ pub fn aligned_span(lo: u64, ln: u64, stripe_size: u64, local_len: u64) -> (u64,
 
 /// Read the stripe-aligned span covering `[lo, lo+ln)` of `path`.
 /// Returns `(aligned_start, aligned_bytes)`; the caller slices the
-/// requested range back out with [`slice_requested`].
+/// requested range back out.
 pub fn read_aligned(
     path: &Path,
     lo: u64,
@@ -271,12 +271,6 @@ pub fn read_aligned(
     let mut out = vec![0u8; alen as usize];
     f.read_exact(&mut out)?;
     Ok((start, out))
-}
-
-/// The requested `[lo, lo+ln)` bytes out of an aligned read.
-pub fn slice_requested(aligned_start: u64, aligned: &[u8], lo: u64, ln: u64) -> Vec<u8> {
-    let a = (lo - aligned_start) as usize;
-    aligned[a..a + ln as usize].to_vec()
 }
 
 /// Local stripe indices within an aligned span whose bytes do not match

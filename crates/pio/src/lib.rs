@@ -28,6 +28,6 @@ pub mod striped;
 pub use integrity::{corrupt_stripe_of, crc32c, is_corrupt, CorruptStripe, ScrubTotals, Scrubber};
 pub use layout::{LocalRange, MirroredLayout, ReadPart, ServerId, StripeLayout};
 pub use mirrored::{HealthMonitor, MirroredReader, MirroredStore, ResyncReport, ResyncState};
-pub use pool::{PendingRead, RateLimiter, ReaderPool};
+pub use pool::{RateLimiter, ReaderPool};
 pub use store::{copy_object, read_all, FileReader, LocalStore, ObjectReader, ObjectStore};
 pub use striped::{StripedReader, StripedStore};

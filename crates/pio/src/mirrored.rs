@@ -16,12 +16,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel;
 use parking_lot::Mutex;
 
 use crate::integrity;
 use crate::layout::{MirroredLayout, ServerId};
-use crate::pool::{self, PendingRead, RateLimiter, ReaderPool, ScatterSeg};
+use crate::pool::{self, LanePlan, RateLimiter, ReaderPool};
 use crate::store::{ObjectReader, ObjectStore};
 
 /// Where a server stands in the crash → rebuild → rejoin lifecycle.
@@ -53,13 +52,10 @@ pub struct HealthMonitor {
     alpha: f64,
     /// A server is hot when its latency exceeds `factor ×` the group median.
     factor: f64,
-    /// Artificial per-read delays for fault injection (seconds).
-    faults: Mutex<Vec<[f64; 2]>>,
-    /// Servers that returned a hard I/O error: excluded from every
-    /// subsequent plan until a resync brings them back (CEFT failover on
-    /// the real path — the mirror partner serves their ranges).
-    dead: Mutex<Vec<[bool; 2]>>,
-    /// Crash/rebuild lifecycle per server (see [`ResyncState`]).
+    /// Crash/rebuild lifecycle per server (see [`ResyncState`]). A server
+    /// that is not `Healthy` is dead: it returned a hard I/O error, and
+    /// every later plan routes its ranges to the mirror partner (CEFT
+    /// failover on the real path) until a resync brings it back.
     state: Mutex<Vec<[ResyncState; 2]>>,
     /// Stripes rewritten by read-repair and scrubbing.
     repaired: AtomicU64,
@@ -72,8 +68,6 @@ impl HealthMonitor {
             load: Mutex::new(vec![[(0.0, 0.0); 2]; n]),
             alpha: 0.3,
             factor: 4.0,
-            faults: Mutex::new(vec![[0.0; 2]; n]),
-            dead: Mutex::new(vec![[false; 2]; n]),
             state: Mutex::new(vec![[ResyncState::Healthy; 2]; n]),
             repaired: AtomicU64::new(0),
         }
@@ -81,22 +75,9 @@ impl HealthMonitor {
 
     /// Mark a server dead after a hard I/O error; all later plans route
     /// its ranges to the mirror partner, and its stripes are considered
-    /// stale until a resync completes.
+    /// stale until [`MirroredStore::resync_server`] has caught it up.
     pub fn mark_dead(&self, s: ServerId) {
-        self.dead.lock()[s.index as usize][s.group as usize] = true;
         self.state.lock()[s.index as usize][s.group as usize] = ResyncState::Degraded;
-    }
-
-    /// Try to bring a server back into rotation. Refused (returns
-    /// `false`, server stays excluded) while the server is `Degraded` or
-    /// `Rebuilding`: a revived-but-stale replica must not serve reads
-    /// before [`MirroredStore::resync_server`] has caught it up.
-    pub fn revive(&self, s: ServerId) -> bool {
-        if self.state.lock()[s.index as usize][s.group as usize] != ResyncState::Healthy {
-            return false;
-        }
-        self.dead.lock()[s.index as usize][s.group as usize] = false;
-        true
     }
 
     /// The server's position in the crash → rebuild → rejoin lifecycle.
@@ -113,7 +94,6 @@ impl HealthMonitor {
     /// rotation with a fresh latency history.
     pub fn complete_resync(&self, s: ServerId) {
         self.state.lock()[s.index as usize][s.group as usize] = ResyncState::Healthy;
-        self.dead.lock()[s.index as usize][s.group as usize] = false;
         self.load.lock()[s.index as usize][s.group as usize] = (0.0, 0.0);
     }
 
@@ -127,13 +107,13 @@ impl HealthMonitor {
         self.repaired.load(Ordering::Relaxed)
     }
 
-    /// Servers currently marked dead.
+    /// Servers currently dead: every server not `Healthy`.
     pub fn dead(&self) -> Vec<ServerId> {
-        let d = self.dead.lock();
+        let state = self.state.lock();
         let mut out = Vec::new();
-        for (i, pair) in d.iter().enumerate() {
-            for (g, &is_dead) in pair.iter().enumerate() {
-                if is_dead {
+        for (i, pair) in state.iter().enumerate() {
+            for (g, &st) in pair.iter().enumerate() {
+                if st != ResyncState::Healthy {
                     out.push(ServerId {
                         group: g as u8,
                         index: i as u32,
@@ -193,16 +173,6 @@ impl HealthMonitor {
         }
         out
     }
-
-    /// Inject an artificial delay on every read from `s` (fault-injection
-    /// hook standing in for a disk loaded by other applications).
-    pub fn inject_fault(&self, s: ServerId, delay_s: f64) {
-        self.faults.lock()[s.index as usize][s.group as usize] = delay_s;
-    }
-
-    fn fault_of(&self, s: ServerId) -> f64 {
-        self.faults.lock()[s.index as usize][s.group as usize]
-    }
 }
 
 /// RAID-10 mirrored store.
@@ -246,6 +216,12 @@ impl MirroredStore {
         self.pool.set_throttle(bytes_per_s);
     }
 
+    /// [`Self::set_io_throttle`] for one server only: a loaded disk, which
+    /// the health monitor sees as hot.
+    pub fn set_server_throttle(&self, s: ServerId, bytes_per_s: u64) {
+        self.pool.set_lane_throttle(self.lane_of(s), bytes_per_s);
+    }
+
     /// Server requests (lane jobs) issued through this store so far —
     /// the number list I/O collapses.
     pub fn server_requests(&self) -> u64 {
@@ -256,7 +232,8 @@ impl MirroredStore {
         s.group as usize * self.layout.group_size() as usize + s.index as usize
     }
 
-    /// The shared health monitor (for fault injection and inspection).
+    /// The shared health monitor (for inspection, and to mark a server
+    /// dead).
     pub fn monitor(&self) -> Arc<HealthMonitor> {
         Arc::clone(&self.monitor)
     }
@@ -322,8 +299,26 @@ impl ObjectStore for MirroredStore {
         fs::write(meta, data.len().to_string())
     }
 
+    /// A [`MirroredReader`], with both groups' checksum sidecars loaded
+    /// for lane-side verification and read-repair.
     fn open(&self, name: &str) -> io::Result<Box<dyn ObjectReader>> {
-        Ok(Box::new(self.open_reader(name)?))
+        let size = self.size(name)?;
+        let sums = (0..self.layout.group_size())
+            .map(|i| {
+                [0u8, 1].map(|group| {
+                    Arc::new(integrity::load_sums(
+                        &self.path_of(ServerId { group, index: i }, name),
+                    ))
+                })
+            })
+            .collect();
+        Ok(Box::new(MirroredReader {
+            store: self.clone(),
+            name: name.to_string(),
+            size,
+            sums,
+            flip: false,
+        }))
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
@@ -358,29 +353,6 @@ pub struct ResyncReport {
 }
 
 impl MirroredStore {
-    /// Open a concrete [`MirroredReader`] (what [`ObjectStore::open`]
-    /// boxes), with both groups' checksum sidecars loaded for lane-side
-    /// verification and read-repair.
-    pub fn open_reader(&self, name: &str) -> io::Result<MirroredReader> {
-        let size = self.size(name)?;
-        let sums = (0..self.layout.group_size())
-            .map(|i| {
-                [0u8, 1].map(|group| {
-                    Arc::new(integrity::load_sums(
-                        &self.path_of(ServerId { group, index: i }, name),
-                    ))
-                })
-            })
-            .collect();
-        Ok(MirroredReader {
-            store: self.clone(),
-            name: name.to_string(),
-            size,
-            sums,
-            flip: false,
-        })
-    }
-
     /// Verify every replica stripe of `name` against the sidecars, paced
     /// by `limiter`, and rewrite any corrupt stripe from its mirror
     /// partner (counted in [`HealthMonitor::repaired_stripes`]). Returns
@@ -505,297 +477,120 @@ pub struct MirroredReader {
     flip: bool,
 }
 
-impl ObjectReader for MirroredReader {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        // The blocking path rides the same persistent lanes as the async
-        // one: enqueue the per-server fetches, then wait on the completion.
-        self.read_at_async(offset, buf.len())?.wait_into(buf)
-    }
-
-    fn read_at_async(&mut self, offset: u64, len: usize) -> io::Result<PendingRead> {
-        if offset + len as u64 > self.size {
+impl MirroredReader {
+    /// The one read path: every `(offset, len)` of `regions`, concatenated
+    /// into `buf`, with ONE lane job per involved physical server carrying
+    /// every segment it serves. A contiguous read is a list of one region,
+    /// and each half of a region places at most one part per lane.
+    fn read_into(&mut self, regions: &[(u64, u64)], buf: &mut [u8]) -> io::Result<()> {
+        if regions.iter().any(|&(off, len)| off + len > self.size) {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "mirrored read past end of object",
             ));
         }
-        if len == 0 {
-            return Ok(PendingRead::ready(Vec::new()));
+        if buf.is_empty() {
+            return Ok(());
         }
+        // One flip per call: every region of a list follows the same
+        // dual-half orientation, and consecutive calls alternate it.
         let first_group = u8::from(self.flip);
         self.flip = !self.flip;
         let skips = self.store.monitor.skips();
-        // Dual-half schedule, planned part by part so each part's scatter
-        // segments are known at submission time (a skip-redirected part
-        // keeps its original half's offsets: both groups store identical
-        // striped layouts).
-        let half = len as u64 / 2;
-        let halves = [
-            (offset, half, first_group),
-            (offset + half, len as u64 - half, 1 - first_group),
-        ];
-        let (tx, rx) = channel::unbounded();
-        let mut scatters = Vec::new();
-        for &(ho, hl, group) in &halves {
-            if hl == 0 {
-                continue;
-            }
-            for r in self.store.layout.stripe.map_extent(ho, hl) {
-                let part = self.store.layout.place(r, group, &skips);
-                let shift = (ho - offset) as usize;
-                scatters.push(
-                    self.store
-                        .layout
-                        .stripe
-                        .scatter(ho, hl, r.server)
-                        .into_iter()
-                        .map(|(dst, src, n)| (dst + shift, src, n))
-                        .collect::<Vec<_>>(),
-                );
-                let idx = scatters.len() - 1;
-                let partner = self.store.layout.partner(part.server);
-                let path = self.store.path_of(part.server, &self.name);
-                let partner_path = self.store.path_of(partner, &self.name);
-                let stripe = self.store.layout.stripe.stripe_size;
-                let local_len = self.store.layout.stripe.server_share(self.size, r.server);
-                let psums = Arc::clone(&self.sums[r.server as usize][part.server.group as usize]);
-                let qsums = Arc::clone(&self.sums[r.server as usize][partner.group as usize]);
-                let mon = self.store.monitor();
-                let throttle = self.store.pool.throttle_handle();
-                let tx = tx.clone();
-                let lane = self.store.lane_of(part.server);
-                self.store.pool.submit(lane, move || {
-                    // Fetch the stripe-aligned span covering this part
-                    // (verification needs whole stripes).
-                    let fetch = |server: ServerId, path: &PathBuf| -> io::Result<(u64, Vec<u8>)> {
-                        let fault = mon.fault_of(server);
-                        let t0 = Instant::now();
-                        if fault > 0.0 {
-                            std::thread::sleep(std::time::Duration::from_secs_f64(fault));
-                        }
-                        let got = integrity::read_aligned(
-                            path,
-                            part.local_offset,
-                            part.len,
-                            stripe,
-                            local_len,
-                        )?;
-                        pool::pace(&throttle, part.len);
-                        mon.record(server, part.len, t0.elapsed().as_secs_f64());
-                        Ok(got)
-                    };
-                    let want = |start: u64, aligned: &[u8]| -> Vec<u8> {
-                        integrity::slice_requested(start, aligned, part.local_offset, part.len)
-                    };
-                    let res: io::Result<Vec<u8>> = (|| {
-                        match fetch(part.server, &path) {
-                            Ok((astart, aligned)) => {
-                                let bad = if psums.is_empty() {
-                                    Vec::new()
-                                } else {
-                                    integrity::bad_stripes(&aligned, astart, stripe, &psums)
-                                };
-                                if bad.is_empty() {
-                                    return Ok(want(astart, &aligned));
-                                }
-                                // Checksum mismatch: read-repair. Refetch
-                                // from the mirror partner, verify *its*
-                                // copy, rewrite the corrupt stripes (data
-                                // and sidecar), and serve the good bytes.
-                                // The server is NOT marked dead — one bad
-                                // stripe is a media flaw, not a crash.
-                                let (bstart, good) = fetch(partner, &partner_path)?;
-                                integrity::verify_aligned(
-                                    &partner_path,
-                                    &good,
-                                    bstart,
-                                    stripe,
-                                    &qsums,
-                                )?;
-                                if let Ok(n) =
-                                    integrity::repair_stripes(&path, bstart, &good, &bad, stripe)
-                                {
-                                    mon.note_repair(n);
-                                }
-                                Ok(want(bstart, &good))
-                            }
-                            // Hard error: the server lost its replica.
-                            // Mark it dead (later plans avoid it until a
-                            // resync completes) and serve this part from
-                            // the mirror partner — both groups hold
-                            // identical striped layouts.
-                            Err(_) => {
-                                mon.mark_dead(part.server);
-                                let (bstart, good) = fetch(partner, &partner_path)?;
-                                integrity::verify_aligned(
-                                    &partner_path,
-                                    &good,
-                                    bstart,
-                                    stripe,
-                                    &qsums,
-                                )?;
-                                Ok(want(bstart, &good))
-                            }
-                        }
-                    })();
-                    let _ = tx.send((idx, res));
-                });
-            }
-        }
-        Ok(PendingRead::in_flight(len, rx, scatters))
-    }
-
-    fn read_many_at(&mut self, regions: &[(u64, u64)]) -> io::Result<Vec<u8>> {
-        self.read_many_at_async(regions)?.wait()
-    }
-
-    fn read_many_at_async(&mut self, regions: &[(u64, u64)]) -> io::Result<PendingRead> {
-        for &(off, len) in regions {
-            if off + len > self.size {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "mirrored read past end of object",
-                ));
-            }
-        }
-        let total: usize = regions.iter().map(|&(_, l)| l as usize).sum();
-        if total == 0 {
-            return Ok(PendingRead::ready(Vec::new()));
-        }
-        // One flip per list: every region in the call follows the same
-        // dual-half orientation, exactly as a sequence of per-region reads
-        // would alternate had they been issued through `read_at_async`.
-        let first_group = u8::from(self.flip);
-        self.flip = !self.flip;
-        let skips = self.store.monitor.skips();
-        let n = self.store.layout.group_size() as usize;
-        // Aggregate: per physical server (lane), the list of
-        // (local_offset, len) segments it must serve — in list order so
-        // each lane reads its spans monotonically — plus the scatter plan
-        // rebasing every segment into the concatenated output buffer.
-        let mut segs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 2 * n];
-        let mut plans: Vec<Vec<ScatterSeg>> = vec![Vec::new(); 2 * n];
-        let mut dst_base = 0usize;
+        let layout = &self.store.layout;
+        let n = layout.group_size() as usize;
+        // Dual-half schedule: the first half of each region from one
+        // group, the second from the other. A skip-redirected part keeps
+        // its original half's offsets: both groups store identical striped
+        // layouts.
+        let mut plans = vec![LanePlan::default(); 2 * n];
+        let mut dst = 0usize;
         for &(off, len) in regions {
             let half = len / 2;
-            let halves = [
+            for (ho, hl, group) in [
                 (off, half, first_group),
                 (off + half, len - half, 1 - first_group),
-            ];
-            for &(ho, hl, group) in &halves {
-                if hl == 0 {
-                    continue;
-                }
-                for r in self.store.layout.stripe.map_extent(ho, hl) {
-                    let part = self.store.layout.place(r, group, &skips);
-                    let lane = self.store.lane_of(part.server);
-                    let shift = (ho - off) as usize + dst_base;
-                    let src_base: usize = segs[lane].iter().map(|&(_, l)| l as usize).sum();
-                    for (dst, src, count) in self.store.layout.stripe.scatter(ho, hl, r.server) {
-                        plans[lane].push((dst + shift, src + src_base, count));
-                    }
-                    segs[lane].push((part.local_offset, part.len));
+            ] {
+                for r in layout.stripe.map_extent(ho, hl) {
+                    let part = layout.place(r, group, &skips);
+                    let at = dst + (ho - off) as usize;
+                    plans[self.store.lane_of(part.server)].push(&layout.stripe, (ho, hl), r, at);
                 }
             }
-            dst_base += len as usize;
+            dst += len as usize;
         }
-        let (tx, rx) = channel::unbounded();
-        let mut scatters = Vec::new();
-        for lane in 0..2 * n {
-            let job_segs = std::mem::take(&mut segs[lane]);
-            if job_segs.is_empty() {
-                continue;
-            }
-            let idx = scatters.len();
-            scatters.push(std::mem::take(&mut plans[lane]));
+        self.store.pool.read(plans, buf, |lane| {
             let server = ServerId {
                 group: (lane / n) as u8,
                 index: (lane % n) as u32,
             };
-            let partner = self.store.layout.partner(server);
+            let partner = layout.partner(server);
             let path = self.store.path_of(server, &self.name);
             let partner_path = self.store.path_of(partner, &self.name);
-            let stripe = self.store.layout.stripe.stripe_size;
-            let local_len = self
-                .store
-                .layout
-                .stripe
-                .server_share(self.size, server.index);
+            let stripe = layout.stripe.stripe_size;
+            let local_len = layout.stripe.server_share(self.size, server.index);
             let psums = Arc::clone(&self.sums[server.index as usize][server.group as usize]);
             let qsums = Arc::clone(&self.sums[server.index as usize][partner.group as usize]);
+            let throttle = self.store.pool.throttle(lane);
+            let partner_throttle = self.store.pool.throttle(self.store.lane_of(partner));
             let mon = self.store.monitor();
-            let throttle = self.store.pool.throttle_handle();
-            let tx = tx.clone();
-            self.store.pool.submit(lane, move || {
-                // ONE job per server: walk this server's segments in list
-                // order, preserving the per-segment verify → read-repair →
-                // partner-failover ladder of the single-part path.
-                let res: io::Result<Vec<u8>> = (|| {
-                    let mut out =
-                        Vec::with_capacity(job_segs.iter().map(|&(_, l)| l as usize).sum());
-                    for (seg_off, seg_len) in job_segs {
-                        let fetch = |srv: ServerId, p: &PathBuf| -> io::Result<(u64, Vec<u8>)> {
-                            let fault = mon.fault_of(srv);
-                            let t0 = Instant::now();
-                            if fault > 0.0 {
-                                std::thread::sleep(std::time::Duration::from_secs_f64(fault));
-                            }
-                            let got =
-                                integrity::read_aligned(p, seg_off, seg_len, stripe, local_len)?;
-                            pool::pace(&throttle, seg_len);
-                            mon.record(srv, seg_len, t0.elapsed().as_secs_f64());
-                            Ok(got)
-                        };
-                        let want = |start: u64, aligned: &[u8]| -> Vec<u8> {
-                            integrity::slice_requested(start, aligned, seg_off, seg_len)
-                        };
-                        let bytes = match fetch(server, &path) {
-                            Ok((astart, aligned)) => {
-                                let bad = if psums.is_empty() {
-                                    Vec::new()
-                                } else {
-                                    integrity::bad_stripes(&aligned, astart, stripe, &psums)
-                                };
-                                if bad.is_empty() {
-                                    want(astart, &aligned)
-                                } else {
-                                    let (bstart, good) = fetch(partner, &partner_path)?;
-                                    integrity::verify_aligned(
-                                        &partner_path,
-                                        &good,
-                                        bstart,
-                                        stripe,
-                                        &qsums,
-                                    )?;
-                                    if let Ok(k) = integrity::repair_stripes(
-                                        &path, bstart, &good, &bad, stripe,
-                                    ) {
-                                        mon.note_repair(k);
-                                    }
-                                    want(bstart, &good)
-                                }
-                            }
-                            Err(_) => {
-                                mon.mark_dead(server);
-                                let (bstart, good) = fetch(partner, &partner_path)?;
-                                integrity::verify_aligned(
-                                    &partner_path,
-                                    &good,
-                                    bstart,
-                                    stripe,
-                                    &qsums,
-                                )?;
-                                want(bstart, &good)
-                            }
-                        };
-                        out.extend_from_slice(&bytes);
+            move |lo, ln| {
+                // Fetch the stripe-aligned span covering the segment
+                // (verification needs whole stripes), paced at the rate
+                // of the disk it comes from and timed for the monitor.
+                let fetch = |srv, path: &PathBuf, throttle: &AtomicU64| {
+                    let t0 = Instant::now();
+                    let got = integrity::read_aligned(path, lo, ln, stripe, local_len)?;
+                    pool::pace(throttle, ln);
+                    mon.record(srv, ln, t0.elapsed().as_secs_f64());
+                    io::Result::Ok(got)
+                };
+                let own = fetch(server, &path, &throttle);
+                let bad = match &own {
+                    Ok((start, aligned)) if !psums.is_empty() => {
+                        integrity::bad_stripes(aligned, *start, stripe, &psums)
                     }
-                    Ok(out)
-                })();
-                let _ = tx.send((idx, res));
-            });
-        }
-        Ok(PendingRead::in_flight(total, rx, scatters))
+                    Ok(_) => Vec::new(),
+                    // Hard error: the server lost its replica. Mark it
+                    // dead; later plans avoid it until a resync completes.
+                    Err(_) => {
+                        mon.mark_dead(server);
+                        Vec::new()
+                    }
+                };
+                match own {
+                    Ok(got) if bad.is_empty() => Ok(got),
+                    // A checksum mismatch or a hard error: serve the
+                    // segment from the mirror partner (both groups hold
+                    // identical striped layouts) once *its* copy verifies.
+                    // A mismatch is then read-repaired — the corrupt
+                    // stripes are rewritten, data and sidecar — but the
+                    // server is NOT marked dead: one bad stripe is a
+                    // media flaw, not a crash.
+                    _ => {
+                        let (start, good) = fetch(partner, &partner_path, &partner_throttle)?;
+                        integrity::verify_aligned(&partner_path, &good, start, stripe, &qsums)?;
+                        if let Ok(k) = integrity::repair_stripes(&path, start, &good, &bad, stripe)
+                        {
+                            mon.note_repair(k);
+                        }
+                        Ok((start, good))
+                    }
+                }
+            }
+        })
+    }
+}
+
+impl ObjectReader for MirroredReader {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.read_into(&[(offset, buf.len() as u64)], buf)
+    }
+
+    fn read_many_at(&mut self, regions: &[(u64, u64)]) -> io::Result<Vec<u8>> {
+        let mut out = vec![0u8; regions.iter().map(|&(_, l)| l as usize).sum()];
+        self.read_into(regions, &mut out)?;
+        Ok(out)
     }
 
     fn len(&mut self) -> io::Result<u64> {
@@ -940,13 +735,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_triggers_skip_detection() {
+    fn a_throttled_server_triggers_skip_detection() {
         let (p, m) = dirs("detect", 2);
         let st = MirroredStore::new(p.clone(), m.clone(), 256).unwrap();
         let data = pattern(64 * 1024);
         st.put("obj", &data).unwrap();
+        // A loaded disk: its 4 KiB of every 16 KiB read costs it ~40 ms,
+        // while its peers read from the page cache.
         let hot = ServerId { group: 0, index: 0 };
-        st.monitor().inject_fault(hot, 0.05);
+        st.set_server_throttle(hot, 100_000);
         let mut r = st.open("obj").unwrap();
         // A few reads train the EWMA; the hot server then gets skipped.
         let mut buf = vec![0u8; 16 * 1024];
@@ -1000,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn revive_is_refused_until_resync_completes() {
+    fn a_dead_server_is_excluded_until_resync_completes() {
         let (p, m) = dirs("revive", 2);
         let st = MirroredStore::new(p.clone(), m.clone(), 128).unwrap();
         let data = pattern(10_000);
@@ -1009,10 +806,7 @@ mod tests {
         st.monitor().mark_dead(dead);
         assert_eq!(st.monitor().dead(), vec![dead]);
         assert_eq!(st.monitor().resync_state(dead), ResyncState::Degraded);
-        // A bare revive (the old instant-rejoin path) must be refused:
-        // the server's stripes are stale until its partner rebuilds it.
-        assert!(!st.monitor().revive(dead));
-        assert_eq!(st.monitor().dead(), vec![dead]);
+        assert!(st.monitor().skips().contains(&dead));
         // Simulate the data loss the crash caused, then rebuild.
         fs::remove_file(m[0].join("obj")).unwrap();
         let report = st.resync_server(dead, 0).unwrap();
@@ -1102,39 +896,37 @@ mod tests {
     }
 
     #[test]
-    fn async_read_matches_sync_across_flip_states() {
-        let (p, m) = dirs("async", 3);
+    fn reads_match_the_object_across_flip_states() {
+        let (p, m) = dirs("flip", 3);
         let st = MirroredStore::new(p.clone(), m.clone(), 512).unwrap();
         let data = pattern(40_000);
         st.put("obj", &data).unwrap();
-        let mut sync_r = st.open("obj").unwrap();
-        let mut async_r = st.open("obj").unwrap();
-        // Both readers start at the same flip state; issue several reads so
-        // both group orders are exercised.
-        for (off, len) in [(0u64, 10_000usize), (513, 7777), (100, 1), (0, 40_000)] {
-            let mut want = vec![0u8; len];
-            sync_r.read_at(off, &mut want).unwrap();
-            let got = async_r.read_at_async(off, len).unwrap().wait().unwrap();
-            assert_eq!(got, want, "off={off} len={len}");
-            assert_eq!(&want[..], &data[off as usize..off as usize + len]);
-        }
-        cleanup(&p, &m);
-    }
-
-    #[test]
-    fn async_read_fails_over_to_partner_while_in_flight() {
-        let (p, m) = dirs("asyncdead", 2);
-        let st = MirroredStore::new(p.clone(), m.clone(), 128).unwrap();
-        let data = pattern(20_000);
-        st.put("obj", &data).unwrap();
-        // Kill a primary replica, then issue the read asynchronously: the
-        // in-flight part hits the dead server on its lane thread and must
-        // reroute to the mirror partner before completion.
-        fs::remove_file(p[1].join("obj")).unwrap();
         let mut r = st.open("obj").unwrap();
-        let pending = r.read_at_async(0, 20_000).unwrap();
-        assert_eq!(pending.wait().unwrap(), data);
-        assert_eq!(st.monitor().dead(), vec![ServerId { group: 0, index: 1 }]);
+        let want = |regions: &[(u64, u64)]| -> Vec<u8> {
+            regions
+                .iter()
+                .flat_map(|&(off, len)| data[off as usize..(off + len) as usize].to_vec())
+                .collect()
+        };
+        // Every call flips which group serves the first half, so running
+        // each read twice covers both orientations.
+        for (off, len) in [(0u64, 10_000u64), (513, 7777), (100, 1), (0, 40_000)] {
+            for _ in 0..2 {
+                let mut buf = vec![0u8; len as usize];
+                r.read_at(off, &mut buf).unwrap();
+                assert_eq!(buf, want(&[(off, len)]), "off={off} len={len}");
+            }
+        }
+        let list = [
+            (39_000u64, 1000u64),
+            (0, 3),
+            (512, 512),
+            (700, 20_000),
+            (0, 3),
+        ];
+        for _ in 0..2 {
+            assert_eq!(r.read_many_at(&list).unwrap(), want(&list));
+        }
         cleanup(&p, &m);
     }
 

@@ -1,16 +1,15 @@
-//! Persistent per-server reader threads and a completion-based
-//! nonblocking read API.
+//! Persistent per-server reader threads, and the one way striped and
+//! mirrored stores read through them.
 //!
-//! Before this module existed, every `read_at` on a striped or mirrored
-//! store spawned one OS thread per involved server and joined them before
-//! returning — tens of microseconds of spawn/join overhead on every call
-//! (measured ~32 µs for a one-server 64 KiB read). Now each store owns one
-//! long-lived thread per server directory (a *lane*, standing in for one
-//! PVFS I/O daemon); a read enqueues one fetch job per involved lane and
-//! either blocks on the completion (the classic `read_at`) or returns a
-//! [`PendingRead`] handle immediately (`read_at_async`) so the caller can
-//! overlap the wait with compute — the primitive the fragment-prefetch
-//! pipeline in `mpiblast` is built on.
+//! Each store owns one long-lived thread per server directory (a *lane*,
+//! standing in for one PVFS I/O daemon). Every read is a list of regions,
+//! and a contiguous read is a list of one: the store plans each lane's
+//! share of the list, the pool enqueues one fetch job per involved lane,
+//! and the caller blocks until every lane's bytes are scattered into its
+//! buffer. Before the lanes existed every
+//! read spawned and joined one OS thread per involved server — tens of
+//! microseconds (measured ~32 µs for a one-server 64 KiB read) on every
+//! call.
 
 use std::fmt;
 use std::io;
@@ -19,6 +18,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, Sender};
+
+use crate::layout::{LocalRange, StripeLayout};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -29,10 +30,11 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// threads exit when the owning store (all clones of it) is dropped.
 pub struct ReaderPool {
     lanes: Vec<Sender<Job>>,
-    /// Modeled disk bandwidth in bytes/second (0 = unthrottled). Used by
-    /// benchmarks to stand in for the paper's ~26 MB/s disks, where real
-    /// reads would be served from the page cache at memory speed.
-    throttle: Arc<AtomicU64>,
+    /// Modeled disk bandwidth of each lane in bytes/second (0 =
+    /// unthrottled). Benchmarks use it to stand in for the paper's ~26 MB/s
+    /// disks, where real reads would be served from the page cache at
+    /// memory speed; one slow lane is a loaded disk.
+    throttles: Vec<Arc<AtomicU64>>,
     /// Jobs ever submitted across all lanes — each stands in for one
     /// request at a PVFS I/O daemon, so benches read it to show the
     /// list-I/O request-count collapse on the real path.
@@ -55,7 +57,7 @@ impl ReaderPool {
             .collect();
         ReaderPool {
             lanes: senders,
-            throttle: Arc::new(AtomicU64::new(0)),
+            throttles: (0..lanes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             submitted: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -80,23 +82,78 @@ impl ReaderPool {
         self.submitted.load(Ordering::Relaxed)
     }
 
-    /// Model disk bandwidth: every fetched byte costs `1/bytes_per_s`
-    /// seconds of lane time on top of the real read (0 disables).
+    /// Model disk bandwidth on every lane: each fetched byte costs
+    /// `1/bytes_per_s` seconds of lane time on top of the real read (0
+    /// disables).
     pub fn set_throttle(&self, bytes_per_s: u64) {
-        self.throttle.store(bytes_per_s, Ordering::Relaxed);
+        for lane in 0..self.lanes() {
+            self.set_lane_throttle(lane, bytes_per_s);
+        }
     }
 
-    /// Shared handle to the throttle setting, for capture in fetch jobs.
-    pub fn throttle_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.throttle)
+    /// [`Self::set_throttle`] for one lane only: a disk slower than its
+    /// peers, the way a disk loaded by another application is.
+    pub(crate) fn set_lane_throttle(&self, lane: usize, bytes_per_s: u64) {
+        self.throttles[lane].store(bytes_per_s, Ordering::Relaxed);
+    }
+
+    /// Shared handle to `lane`'s throttle setting, for capture in fetch
+    /// jobs.
+    pub(crate) fn throttle(&self, lane: usize) -> Arc<AtomicU64> {
+        Arc::clone(&self.throttles[lane])
+    }
+
+    /// Read a region list into `buf`: one job per lane whose plan holds
+    /// segments, enqueued on that lane. The job fetches each segment in
+    /// list order with `fetcher(lane)`, which returns the aligned span
+    /// covering `(local_offset, len)` and where it starts, and copies the
+    /// requested bytes out of it once. Blocks until every job has
+    /// answered; returns the first error.
+    pub(crate) fn read<F>(
+        &self,
+        plans: Vec<LanePlan>,
+        buf: &mut [u8],
+        mut fetcher: impl FnMut(usize) -> F,
+    ) -> io::Result<()>
+    where
+        F: FnMut(u64, u64) -> io::Result<(u64, Vec<u8>)> + Send + 'static,
+    {
+        let (tx, rx) = channel::unbounded();
+        let mut scatters = Vec::new();
+        for (lane, plan) in plans.into_iter().enumerate() {
+            if plan.segs.is_empty() {
+                continue;
+            }
+            let (idx, tx, mut fetch) = (scatters.len(), tx.clone(), fetcher(lane));
+            let LanePlan { segs, scatter, len } = plan;
+            scatters.push(scatter);
+            self.submit(lane, move || {
+                let res =
+                    segs.into_iter()
+                        .try_fold(Vec::with_capacity(len), |mut out, (lo, ln)| {
+                            let (start, aligned) = fetch(lo, ln)?;
+                            let at = (lo - start) as usize;
+                            out.extend_from_slice(&aligned[at..at + ln as usize]);
+                            Ok(out)
+                        });
+                let _ = tx.send((idx, res));
+            });
+        }
+        drop(tx);
+        gather(buf, &rx, &scatters)
     }
 }
 
 impl fmt::Debug for ReaderPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let throttles: Vec<u64> = self
+            .throttles
+            .iter()
+            .map(|t| t.load(Ordering::Relaxed))
+            .collect();
         f.debug_struct("ReaderPool")
             .field("lanes", &self.lanes.len())
-            .field("throttle", &self.throttle.load(Ordering::Relaxed))
+            .field("throttles", &throttles)
             .finish()
     }
 }
@@ -157,118 +214,70 @@ impl RateLimiter {
     }
 }
 
-/// One fetched part's copy plan: `(dst, src, len)` — copy `len` bytes from
-/// offset `src` of the part's contiguous local bytes to offset `dst` of
-/// the logical read buffer.
-pub type ScatterSeg = (usize, usize, usize);
+/// One copy of a lane's bytes: `(dst, src, len)` — copy `len` bytes from
+/// offset `src` of the lane job's bytes to offset `dst` of the caller's
+/// buffer.
+type ScatterSeg = (usize, usize, usize);
 
-/// Completion handle for an in-flight read: the read was split into parts
-/// (one per involved server lane); each part delivers its bytes through a
-/// channel together with a precomputed scatter plan. Waiting assembles the
-/// logical buffer; until then the caller is free to compute.
-pub struct PendingRead {
+/// One lane's share of a region-list read: the `(local_offset, len)`
+/// segments its job fetches, in list order, and the copy plan that places
+/// the job's bytes (those segments back to back) in the caller's buffer.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LanePlan {
+    segs: Vec<(u64, u64)>,
+    scatter: Vec<ScatterSeg>,
+    /// Bytes the job returns: the segment lengths summed.
     len: usize,
-    ready: Option<Vec<u8>>,
-    rx: Option<Receiver<(usize, io::Result<Vec<u8>>)>>,
-    scatters: Vec<Vec<ScatterSeg>>,
 }
 
-impl PendingRead {
-    /// An already-completed read (used by sources with no async backend,
-    /// e.g. plain files behind the default [`crate::ObjectReader`] impl).
-    pub fn ready(data: Vec<u8>) -> Self {
-        PendingRead {
-            len: data.len(),
-            ready: Some(data),
-            rx: None,
-            scatters: Vec::new(),
+impl LanePlan {
+    /// Add `r`, server `r.server`'s share of the logical extent `(off,
+    /// len)` under `layout`, whose first byte lands at `dst` of the
+    /// caller's buffer.
+    pub(crate) fn push(
+        &mut self,
+        layout: &StripeLayout,
+        (off, len): (u64, u64),
+        r: LocalRange,
+        dst: usize,
+    ) {
+        for (d, s, n) in layout.scatter(off, len, r.server) {
+            self.scatter.push((dst + d, self.len + s, n));
         }
+        self.segs.push((r.local_offset, r.len));
+        self.len += r.len as usize;
     }
+}
 
-    /// A read in flight on pool lanes: `scatters[i]` is the copy plan for
-    /// the part that will arrive tagged `i` on `rx`.
-    pub fn in_flight(
-        len: usize,
-        rx: Receiver<(usize, io::Result<Vec<u8>>)>,
-        scatters: Vec<Vec<ScatterSeg>>,
-    ) -> Self {
-        PendingRead {
-            len,
-            ready: None,
-            rx: Some(rx),
-            scatters,
-        }
-    }
-
-    /// Logical length of the read.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for zero-length reads.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Block until every part has arrived and assemble them into `buf`
-    /// (which must be exactly the read's length). Returns the first part
-    /// error if any server failed.
-    pub fn wait_into(mut self, buf: &mut [u8]) -> io::Result<()> {
-        if buf.len() != self.len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("buffer is {} bytes, read is {}", buf.len(), self.len),
-            ));
-        }
-        if let Some(data) = self.ready.take() {
-            buf.copy_from_slice(&data);
-            return Ok(());
-        }
-        let rx = self.rx.take().unwrap_or_else(|| unreachable!());
-        let mut first_err = None;
-        // Drain every part even after an error so lane sends never linger.
-        for _ in 0..self.scatters.len() {
-            match rx.recv() {
-                Ok((idx, Ok(data))) => {
-                    for &(dst, src, n) in &self.scatters[idx] {
-                        buf[dst..dst + n].copy_from_slice(&data[src..src + n]);
-                    }
-                }
-                Ok((_, Err(e))) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                Err(_) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "reader pool disconnected mid-read",
-                    ))
+/// Wait for one answer per plan in `scatters` and copy each lane's bytes
+/// into `buf` by its plan. Every part is drained even after an error, so
+/// no lane job is still running when the read returns; the first error
+/// wins.
+fn gather(
+    buf: &mut [u8],
+    rx: &Receiver<(usize, io::Result<Vec<u8>>)>,
+    scatters: &[Vec<ScatterSeg>],
+) -> io::Result<()> {
+    let mut first_err = None;
+    for _ in scatters {
+        match rx.recv() {
+            Ok((idx, Ok(data))) => {
+                for &(dst, src, n) in &scatters[idx] {
+                    buf[dst..dst + n].copy_from_slice(&data[src..src + n]);
                 }
             }
+            Ok((_, Err(e))) => {
+                first_err.get_or_insert(e);
+            }
+            Err(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::BrokenPipe,
+                    "reader pool disconnected mid-read",
+                ))
+            }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
-
-    /// [`Self::wait_into`] an owned buffer.
-    pub fn wait(self) -> io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; self.len];
-        self.wait_into(&mut buf)?;
-        Ok(buf)
-    }
-}
-
-impl fmt::Debug for PendingRead {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PendingRead")
-            .field("len", &self.len)
-            .field("parts", &self.scatters.len())
-            .field("ready", &self.ready.is_some())
-            .finish()
-    }
+    first_err.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -313,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_read_assembles_scattered_parts() {
+    fn gather_assembles_scattered_parts() {
         let (tx, rx) = channel::unbounded();
         // Two parts interleaving 2-byte stripes of an 8-byte buffer.
         let scatters = vec![
@@ -322,29 +331,35 @@ mod tests {
         ];
         tx.send((1usize, Ok(vec![3u8, 3, 4, 4]))).unwrap();
         tx.send((0usize, Ok(vec![1u8, 1, 2, 2]))).unwrap();
-        let p = PendingRead::in_flight(8, rx, scatters);
-        assert_eq!(p.wait().unwrap(), vec![1, 1, 3, 3, 2, 2, 4, 4]);
+        let mut buf = [0u8; 8];
+        gather(&mut buf, &rx, &scatters).unwrap();
+        assert_eq!(buf, [1, 1, 3, 3, 2, 2, 4, 4]);
     }
 
     #[test]
-    fn pending_read_surfaces_part_errors() {
+    fn gather_surfaces_part_errors_after_draining_every_part() {
         let (tx, rx) = channel::unbounded();
-        tx.send((0usize, Ok(vec![0u8; 4]))).unwrap();
         tx.send((
-            1usize,
+            0usize,
             Err(io::Error::new(io::ErrorKind::NotFound, "replica gone")),
         ))
         .unwrap();
-        let p = PendingRead::in_flight(8, rx, vec![vec![(0, 0, 4)], vec![(4, 0, 4)]]);
-        assert_eq!(p.wait().unwrap_err().kind(), io::ErrorKind::NotFound);
+        tx.send((1usize, Ok(vec![9u8; 4]))).unwrap();
+        let mut buf = [0u8; 8];
+        let err = gather(&mut buf, &rx, &[vec![(0, 0, 4)], vec![(4, 0, 4)]]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(rx.is_empty(), "a part was left undrained");
     }
 
     #[test]
-    fn ready_read_needs_matching_buffer() {
-        let p = PendingRead::ready(vec![7u8; 3]);
-        assert_eq!(p.len(), 3);
-        let mut small = [0u8; 2];
-        assert!(p.wait_into(&mut small).is_err());
+    fn lane_throttles_are_independent() {
+        let pool = ReaderPool::new(3);
+        pool.set_throttle(1000);
+        pool.set_lane_throttle(1, 10);
+        let rates: Vec<u64> = (0..3)
+            .map(|l| pool.throttle(l).load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(rates, vec![1000, 10, 1000]);
     }
 
     #[test]

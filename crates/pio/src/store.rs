@@ -8,53 +8,40 @@
 //!   (PVFS);
 //! * [`crate::mirrored::MirroredStore`] — RAID-10 across 2×N server
 //!   directories with dual-half reads and hot-spot skipping (CEFT-PVFS).
+//!
+//! Every store hands out an [`ObjectReader`]: blocking positional reads,
+//! contiguous or as a region list.
 
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::integrity;
-use crate::pool::PendingRead;
 
 /// Positional reader handed out by stores.
+///
+/// A read is a list of regions, and a contiguous read is a list of one.
+/// The striped and mirrored readers serve both methods through one path
+/// that ships one lane job per involved server; plain files loop.
 pub trait ObjectReader: Send {
     /// Fill `buf` from `offset`; must read exactly `buf.len()` bytes.
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()>;
-    /// Start reading `len` bytes from `offset` without waiting for the
-    /// data: the returned [`PendingRead`] completes on its own threads and
-    /// the caller overlaps compute until [`PendingRead::wait_into`]. The
-    /// default implementation performs the read synchronously and returns
-    /// an already-completed handle, so plain sources stay correct; pool-
-    /// backed stores (striped/mirrored) override it with a true async
-    /// path.
-    fn read_at_async(&mut self, offset: u64, len: usize) -> io::Result<PendingRead> {
-        let mut buf = vec![0u8; len];
-        self.read_at(offset, &mut buf)?;
-        Ok(PendingRead::ready(buf))
-    }
     /// Read every `(offset, len)` region and return their bytes
     /// concatenated in list order (list I/O). Equivalent to one
-    /// [`ObjectReader::read_at`] per region; pool-backed stores override
-    /// the async variant to ship **one vectored lane job per server**
-    /// instead of one per region per server, which is the request
-    /// aggregation this crate's striped/mirrored readers are measured on.
+    /// [`ObjectReader::read_at`] per region, which is what the default
+    /// does; pool-backed stores override it to ship **one vectored lane
+    /// job per server** instead of one per region per server, which is
+    /// the request aggregation this crate's striped/mirrored readers are
+    /// measured on.
     fn read_many_at(&mut self, regions: &[(u64, u64)]) -> io::Result<Vec<u8>> {
-        self.read_many_at_async(regions)?.wait()
-    }
-    /// Start a vectored read of `regions` without waiting for the data.
-    /// The default performs the reads synchronously region by region and
-    /// returns an already-completed handle, so plain sources stay
-    /// correct.
-    fn read_many_at_async(&mut self, regions: &[(u64, u64)]) -> io::Result<PendingRead> {
-        let total: usize = regions.iter().map(|&(_, l)| l as usize).sum();
-        let mut out = vec![0u8; total];
+        let mut out = vec![0u8; regions.iter().map(|&(_, l)| l as usize).sum()];
         let mut at = 0usize;
         for &(off, len) in regions {
             let n = len as usize;
             self.read_at(off, &mut out[at..at + n])?;
             at += n;
         }
-        Ok(PendingRead::ready(out))
+        Ok(out)
     }
     /// Object length in bytes.
     fn len(&mut self) -> io::Result<u64>;

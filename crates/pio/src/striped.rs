@@ -10,11 +10,9 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crossbeam::channel;
-
 use crate::integrity;
 use crate::layout::StripeLayout;
-use crate::pool::{self, PendingRead, RateLimiter, ReaderPool, ScatterSeg};
+use crate::pool::{self, LanePlan, RateLimiter, ReaderPool};
 use crate::store::{ObjectReader, ObjectStore};
 
 /// RAID-0 store over N server directories.
@@ -48,6 +46,11 @@ impl StripedStore {
         self.pool.set_throttle(bytes_per_s);
     }
 
+    /// [`Self::set_io_throttle`] for one server only: a loaded disk.
+    pub fn set_server_throttle(&self, server: u32, bytes_per_s: u64) {
+        self.pool.set_lane_throttle(server as usize, bytes_per_s);
+    }
+
     /// Server requests (lane jobs) issued through this store so far —
     /// the number list I/O collapses.
     pub fn server_requests(&self) -> u64 {
@@ -66,23 +69,6 @@ impl StripedStore {
 
     fn server_path(&self, server: u32, name: &str) -> PathBuf {
         self.dirs[server as usize].join(name)
-    }
-
-    /// Open a concrete [`StripedReader`] (what [`ObjectStore::open`]
-    /// boxes), with each server's checksum sidecar loaded for lane-side
-    /// verification.
-    pub fn open_reader(&self, name: &str) -> io::Result<StripedReader> {
-        let size = self.size(name)?;
-        let sums = (0..self.servers())
-            .map(|i| Arc::new(integrity::load_sums(&self.server_path(i as u32, name))))
-            .collect();
-        Ok(StripedReader {
-            store: self.clone(),
-            name: name.to_string(),
-            size,
-            sums,
-            fault_delays: Vec::new(),
-        })
     }
 
     /// Verify every server's stripes of `name` against the sidecars,
@@ -133,8 +119,19 @@ impl ObjectStore for StripedStore {
         fs::write(meta, data.len().to_string())
     }
 
+    /// A [`StripedReader`], with each server's checksum sidecar loaded for
+    /// lane-side verification.
     fn open(&self, name: &str) -> io::Result<Box<dyn ObjectReader>> {
-        Ok(Box::new(self.open_reader(name)?))
+        let size = self.size(name)?;
+        let sums = (0..self.servers())
+            .map(|i| Arc::new(integrity::load_sums(&self.server_path(i as u32, name))))
+            .collect();
+        Ok(Box::new(StripedReader {
+            store: self.clone(),
+            name: name.to_string(),
+            size,
+            sums,
+        }))
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
@@ -166,157 +163,65 @@ pub struct StripedReader {
     /// Per-server checksum sidecars, loaded at open (empty = none on
     /// disk; those servers read unverified).
     sums: Vec<Arc<Vec<u32>>>,
-    /// Test/demo fault injection: artificial delay per server (seconds).
-    fault_delays: Vec<f64>,
 }
 
 impl StripedReader {
-    /// Inject an artificial per-read delay on `server` (testing hook used
-    /// by the hot-spot examples; a real deployment would see this as a
-    /// loaded disk).
-    pub fn set_fault(&mut self, server: usize, delay_s: f64) {
-        if self.fault_delays.len() < self.store.servers() {
-            self.fault_delays.resize(self.store.servers(), 0.0);
-        }
-        self.fault_delays[server] = delay_s;
-    }
-}
-
-impl ObjectReader for StripedReader {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        // The blocking path rides the same persistent lanes as the async
-        // one: enqueue the per-server fetches, then wait on the completion.
-        self.read_at_async(offset, buf.len())?.wait_into(buf)
-    }
-
-    fn read_at_async(&mut self, offset: u64, len: usize) -> io::Result<PendingRead> {
-        if offset + len as u64 > self.size {
+    /// The one read path: every `(offset, len)` of `regions`, concatenated
+    /// into `buf`, with ONE lane job per involved server carrying every
+    /// region's segment on that server. A contiguous read is a list of one
+    /// region, and `map_extent` gives it at most one range per server, so
+    /// it costs one job per server either way. Each segment is still
+    /// checksum-verified on its own, so a flipped bit surfaces the typed
+    /// corrupt error for exactly the region that covers it.
+    fn read_into(&self, regions: &[(u64, u64)], buf: &mut [u8]) -> io::Result<()> {
+        if regions.iter().any(|&(off, len)| off + len > self.size) {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "striped read past end of object",
             ));
         }
-        if len == 0 {
-            return Ok(PendingRead::ready(Vec::new()));
+        if buf.is_empty() {
+            return Ok(());
         }
-        let ranges = self.store.layout.map_extent(offset, len as u64);
-        let (tx, rx) = channel::unbounded();
-        let mut scatters = Vec::with_capacity(ranges.len());
-        for (idx, r) in ranges.iter().enumerate() {
-            scatters.push(self.store.layout.scatter(offset, len as u64, r.server));
-            let path = self.store.server_path(r.server, &self.name);
-            let (lo, ln) = (r.local_offset, r.len);
-            let stripe = self.store.layout.stripe_size;
-            let local_len = self.store.layout.server_share(self.size, r.server);
-            let sums = Arc::clone(&self.sums[r.server as usize]);
-            let delay = self
-                .fault_delays
-                .get(r.server as usize)
-                .copied()
-                .unwrap_or(0.0);
-            let throttle = self.store.pool.throttle_handle();
-            let tx = tx.clone();
-            self.store.pool.submit(r.server as usize, move || {
-                let res = (|| {
-                    if delay > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(delay));
-                    }
-                    // Fetch the stripe-aligned span covering the request
-                    // and verify every covered checksum before handing
-                    // any byte back. RAID-0 has no second copy, so a
-                    // mismatch is surfaced as the typed corrupt error
-                    // (PVFS's abort-and-reassign path picks it up).
-                    let (astart, aligned) =
-                        integrity::read_aligned(&path, lo, ln, stripe, local_len)?;
-                    pool::pace(&throttle, ln);
-                    integrity::verify_aligned(&path, &aligned, astart, stripe, &sums)?;
-                    Ok(integrity::slice_requested(astart, &aligned, lo, ln))
-                })();
-                let _ = tx.send((idx, res));
-            });
+        let layout = &self.store.layout;
+        let mut plans = vec![LanePlan::default(); self.store.servers()];
+        let mut dst = 0usize;
+        for &(off, len) in regions {
+            for r in layout.map_extent(off, len) {
+                plans[r.server as usize].push(layout, (off, len), r, dst);
+            }
+            dst += len as usize;
         }
-        Ok(PendingRead::in_flight(len, rx, scatters))
+        self.store.pool.read(plans, buf, |srv| {
+            let path = self.store.server_path(srv as u32, &self.name);
+            let stripe = layout.stripe_size;
+            let local_len = layout.server_share(self.size, srv as u32);
+            let sums = Arc::clone(&self.sums[srv]);
+            let throttle = self.store.pool.throttle(srv);
+            // Fetch the stripe-aligned span covering the segment and
+            // verify every covered checksum before handing any byte back.
+            // RAID-0 has no second copy, so a mismatch is surfaced as the
+            // typed corrupt error (PVFS's abort-and-reassign path picks it
+            // up).
+            move |lo, ln| {
+                let (start, aligned) = integrity::read_aligned(&path, lo, ln, stripe, local_len)?;
+                pool::pace(&throttle, ln);
+                integrity::verify_aligned(&path, &aligned, start, stripe, &sums)?;
+                Ok((start, aligned))
+            }
+        })
+    }
+}
+
+impl ObjectReader for StripedReader {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.read_into(&[(offset, buf.len() as u64)], buf)
     }
 
     fn read_many_at(&mut self, regions: &[(u64, u64)]) -> io::Result<Vec<u8>> {
-        self.read_many_at_async(regions)?.wait()
-    }
-
-    fn read_many_at_async(&mut self, regions: &[(u64, u64)]) -> io::Result<PendingRead> {
-        let total: usize = regions.iter().map(|&(_, l)| l as usize).sum();
-        for &(off, len) in regions {
-            if off + len > self.size {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "striped read past end of object",
-                ));
-            }
-        }
-        if total == 0 {
-            return Ok(PendingRead::ready(Vec::new()));
-        }
-        // List I/O: ONE vectored lane job per involved server, carrying
-        // every region's segment on that server, instead of one job per
-        // region per server. Scatter plans are rebased into the
-        // concatenated output buffer (dst) and the job's concatenated
-        // fetch (src); each segment is still checksum-verified on its
-        // own, so a flipped bit surfaces the typed corrupt error for
-        // exactly the region that covers it.
-        let servers = self.store.servers();
-        let mut segs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); servers];
-        let mut plans: Vec<Vec<ScatterSeg>> = vec![Vec::new(); servers];
-        let mut dst_base = 0usize;
-        for &(off, len) in regions {
-            for r in self.store.layout.map_extent(off, len) {
-                let srv = r.server as usize;
-                let src_base: usize = segs[srv].iter().map(|&(_, l)| l as usize).sum();
-                for (dst, src, n) in self.store.layout.scatter(off, len, r.server) {
-                    plans[srv].push((dst + dst_base, src + src_base, n));
-                }
-                segs[srv].push((r.local_offset, r.len));
-            }
-            dst_base += len as usize;
-        }
-        let (tx, rx) = channel::unbounded();
-        let mut scatters = Vec::new();
-        for srv in 0..servers {
-            let job_segs = std::mem::take(&mut segs[srv]);
-            if job_segs.is_empty() {
-                continue;
-            }
-            let idx = scatters.len();
-            scatters.push(std::mem::take(&mut plans[srv]));
-            let path = self.store.server_path(srv as u32, &self.name);
-            let stripe = self.store.layout.stripe_size;
-            let local_len = self.store.layout.server_share(self.size, srv as u32);
-            let sums = Arc::clone(&self.sums[srv]);
-            let delay = self.fault_delays.get(srv).copied().unwrap_or(0.0);
-            let throttle = self.store.pool.throttle_handle();
-            let tx = tx.clone();
-            self.store.pool.submit(srv, move || {
-                let res = (|| {
-                    // One aggregated request: the injected per-request
-                    // delay is paid once for the whole list.
-                    if delay > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(delay));
-                    }
-                    let mut out =
-                        Vec::with_capacity(job_segs.iter().map(|&(_, l)| l as usize).sum());
-                    for (lo, ln) in job_segs {
-                        let (astart, aligned) =
-                            integrity::read_aligned(&path, lo, ln, stripe, local_len)?;
-                        pool::pace(&throttle, ln);
-                        integrity::verify_aligned(&path, &aligned, astart, stripe, &sums)?;
-                        out.extend_from_slice(&integrity::slice_requested(
-                            astart, &aligned, lo, ln,
-                        ));
-                    }
-                    Ok(out)
-                })();
-                let _ = tx.send((idx, res));
-            });
-        }
-        Ok(PendingRead::in_flight(total, rx, scatters))
+        let mut out = vec![0u8; regions.iter().map(|&(_, l)| l as usize).sum()];
+        self.read_into(regions, &mut out)?;
+        Ok(out)
     }
 
     fn len(&mut self) -> io::Result<u64> {
@@ -355,7 +260,10 @@ mod tests {
             let data = pattern(size);
             st.put("obj", &data).unwrap();
             assert_eq!(st.size("obj").unwrap(), size as u64);
+            let before = st.server_requests();
             assert_eq!(read_all(&st, "obj").unwrap(), data, "size {size}");
+            // A zero-length read submits nothing.
+            assert_eq!(st.server_requests() == before, size == 0, "size {size}");
         }
         cleanup(&ds);
     }
@@ -415,42 +323,28 @@ mod tests {
     }
 
     #[test]
-    fn async_read_matches_sync_and_returns_before_the_data() {
-        let ds = dirs("async", 4);
-        let st = StripedStore::new(ds.clone(), 1024).unwrap();
-        let data = pattern(100_000);
-        st.put("obj", &data).unwrap();
-        let mut r = st.open_reader("obj").unwrap();
-        // Slow one server so the fetch takes a visible amount of time.
-        r.set_fault(1, 0.05);
-        let t0 = std::time::Instant::now();
-        let pending = r.read_at_async(0, 50_000).unwrap();
-        let submit = t0.elapsed();
-        let got = pending.wait().unwrap();
-        let total = t0.elapsed();
-        assert_eq!(&got[..], &data[..50_000]);
-        assert!(
-            submit < std::time::Duration::from_millis(40),
-            "submission blocked for {submit:?}"
-        );
-        assert!(total >= std::time::Duration::from_millis(50));
-        cleanup(&ds);
-    }
-
-    #[test]
-    fn concurrent_async_reads_share_the_lanes() {
+    fn concurrent_reads_from_several_threads_share_the_lanes() {
         let ds = dirs("concurrent", 3);
         let st = StripedStore::new(ds.clone(), 512).unwrap();
         let data = pattern(60_000);
         st.put("obj", &data).unwrap();
-        let mut r = st.open("obj").unwrap();
-        let pendings: Vec<_> = (0..8u64)
-            .map(|i| r.read_at_async(i * 7000, 5000).unwrap())
-            .collect();
-        for (i, p) in pendings.into_iter().enumerate() {
-            let off = i * 7000;
-            assert_eq!(p.wait().unwrap(), &data[off..off + 5000], "read {i}");
-        }
+        let before = st.server_requests();
+        std::thread::scope(|s| {
+            for i in 0..8usize {
+                let (st, data) = (&st, &data);
+                s.spawn(move || {
+                    let mut r = st.open("obj").unwrap();
+                    let mut buf = vec![0u8; 5000];
+                    for rep in 0..4 {
+                        let off = (i * 7000 + rep * 101) % (data.len() - buf.len());
+                        r.read_at(off as u64, &mut buf).unwrap();
+                        assert_eq!(&buf[..], &data[off..off + 5000], "thread {i} read {rep}");
+                    }
+                });
+            }
+        });
+        // Three servers, so no read ever costs more than three jobs.
+        assert!(st.server_requests() - before <= 8 * 4 * 3);
         cleanup(&ds);
     }
 

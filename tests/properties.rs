@@ -12,10 +12,7 @@ use parblast::pio::{
     read_all, MirroredLayout, MirroredStore, ObjectStore, ServerId, StripeLayout, StripedStore,
 };
 use parblast::pvfs::backoff_delay;
-use parblast::seqdb::{
-    pack_2bit, reverse_complement, to_ascii, unpack_2bit, PackedVolume, PackedVolumeStream,
-    SeqType, VolumeWriter,
-};
+use parblast::seqdb::{pack_2bit, reverse_complement, unpack_2bit};
 use parblast::serve::{AdmissionQueue, Priority, Query};
 use parblast::simcore::SimTime;
 
@@ -254,43 +251,6 @@ proptest! {
             let solo = byte_scan(q, &subject, word);
             prop_assert_eq!(&fused[i], &solo, "query {} diverged from its solo scan", i);
         }
-    }
-
-    /// Streaming volume construction equals the monolithic load: feeding
-    /// [`PackedVolumeStream`] arbitrary ragged chunk sizes — never aligned
-    /// to sequence or stripe boundaries — finishes with a volume identical
-    /// to what [`PackedVolume::read_from`] produces from the same bytes,
-    /// and `ready_seqs` grows monotonically to the full sequence count.
-    #[test]
-    fn packed_stream_equals_read_from_for_ragged_chunks(
-        seqs in proptest::collection::vec(
-            proptest::collection::vec(0u8..4, 0..60),
-            1..10,
-        ),
-        chunks in proptest::collection::vec(1usize..97, 1..40),
-    ) {
-        let mut buf = std::io::Cursor::new(Vec::new());
-        let mut w = VolumeWriter::new(&mut buf, SeqType::Nucleotide).unwrap();
-        for (i, s) in seqs.iter().enumerate() {
-            w.add_ascii(&format!("s{i} ragged-chunk prop"), &to_ascii(s)).unwrap();
-        }
-        w.finish().unwrap();
-        let bytes = buf.into_inner();
-        let whole = PackedVolume::read_from(&mut bytes.as_slice()).unwrap();
-
-        let mut src = bytes.as_slice();
-        let mut stream = PackedVolumeStream::begin(&mut src).unwrap();
-        let mut sizes = chunks.iter().cycle();
-        let mut prev_ready = 0usize;
-        while !stream.is_complete() {
-            let n = stream.feed(&mut src, *sizes.next().unwrap()).unwrap();
-            prop_assert!(n > 0, "feed must progress while incomplete");
-            prop_assert!(stream.ready_seqs() >= prev_ready, "ready_seqs shrank");
-            prev_ready = stream.ready_seqs();
-        }
-        prop_assert_eq!(stream.ready_seqs(), seqs.len());
-        let finished = stream.finish(&mut src).unwrap();
-        prop_assert_eq!(format!("{whole:?}"), format!("{finished:?}"));
     }
 
     /// Reverse complement is an involution and preserves length.
@@ -714,9 +674,10 @@ proptest! {
 
     /// List-I/O equivalence: `read_many_at` over an arbitrary region list
     /// — ragged tails, adjacent and repeated offsets included — returns
-    /// exactly the concatenation of per-region `read_at` calls, on both
-    /// the striped and the mirrored store, while submitting at most one
-    /// reader-pool job per server lane instead of one per region.
+    /// exactly the payload's bytes for those regions, concatenated, and so
+    /// does each region's own `read_at`, on both the striped and the
+    /// mirrored store. Either way a call submits at most one reader-pool
+    /// job per server lane: a list costs no more requests than one region.
     #[test]
     fn read_many_at_equals_concatenated_read_at(
         stripe in 1u64..700,
@@ -738,39 +699,36 @@ proptest! {
                 (off, len)
             })
             .collect();
-        let mut want = Vec::new();
-        // Striped.
-        let dirs: Vec<_> = (0..servers).map(|i| base.join(format!("s{i}"))).collect();
-        let st = StripedStore::new(dirs, stripe).unwrap();
+        let slice = |(off, len): (u64, u64)| &payload[off as usize..(off + len) as usize];
+        let want: Vec<u8> = regions.iter().flat_map(|&r| slice(r).to_vec()).collect();
+        let sdirs: Vec<_> = (0..servers).map(|i| base.join(format!("s{i}"))).collect();
+        let st = StripedStore::new(sdirs, stripe).unwrap();
         st.put("x", &payload).unwrap();
-        let mut r = st.open("x").unwrap();
-        for &(off, len) in &regions {
-            let mut buf = vec![0u8; len as usize];
-            r.read_at(off, &mut buf).unwrap();
-            want.extend_from_slice(&buf);
-        }
-        let before = st.server_requests();
-        let got = r.read_many_at(&regions).unwrap();
-        let jobs = st.server_requests() - before;
-        prop_assert_eq!(&got, &want);
-        prop_assert!(
-            jobs <= servers as u64,
-            "striped list shipped {jobs} jobs for {servers} servers"
-        );
-        // Mirrored: same bytes, at most one job per lane (2 groups).
         let p: Vec<_> = (0..servers).map(|i| base.join(format!("p{i}"))).collect();
         let m: Vec<_> = (0..servers).map(|i| base.join(format!("m{i}"))).collect();
         let mst = MirroredStore::new(p, m, stripe).unwrap();
         mst.put("x", &payload).unwrap();
-        let mut mr = mst.open("x").unwrap();
-        let before = mst.server_requests();
-        let mgot = mr.read_many_at(&regions).unwrap();
-        let mjobs = mst.server_requests() - before;
-        prop_assert_eq!(&mgot, &want);
-        prop_assert!(
-            mjobs <= 2 * servers as u64,
-            "mirrored list shipped {mjobs} jobs for {servers} servers"
-        );
+        // Striped: one lane per server; mirrored: two groups of them.
+        let stores: [(&dyn ObjectStore, &dyn Fn() -> u64, usize); 2] = [
+            (&st, &|| st.server_requests(), servers),
+            (&mst, &|| mst.server_requests(), 2 * servers),
+        ];
+        for (store, requests, lanes) in stores {
+            let mut r = store.open("x").unwrap();
+            for &region in &regions {
+                let mut buf = vec![0u8; region.1 as usize];
+                let before = requests();
+                r.read_at(region.0, &mut buf).unwrap();
+                let jobs = requests() - before;
+                prop_assert_eq!(&buf[..], slice(region));
+                prop_assert!(jobs <= lanes as u64, "read_at {:?} shipped {} jobs for {} lanes", region, jobs, lanes);
+            }
+            let before = requests();
+            let got = r.read_many_at(&regions).unwrap();
+            let jobs = requests() - before;
+            prop_assert_eq!(&got, &want);
+            prop_assert!(jobs <= lanes as u64, "list shipped {} jobs for {} lanes", jobs, lanes);
+        }
         std::fs::remove_dir_all(&base).ok();
     }
 
