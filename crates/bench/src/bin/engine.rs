@@ -20,21 +20,33 @@
 //!   fragment: seconds, query-bases searched per second, subject unpacks;
 //!   every rep's hits asserted identical to the reference kernel's, query
 //!   by query.
+//! * **extend stage** — one B=8 pass of the scan-bound mix taken apart:
+//!   the `ungapped` row extends every seed the pass extends, by
+//!   [`extend_ungapped_packed`] (the kernel's walk) and by
+//!   [`extend_ungapped`] (the reference's) with identity asserted per
+//!   seed; the `gapped_trigger` row runs every gapped extension the pass
+//!   triggers, per DP row and per DP cell. Each row is timed against whole
+//!   passes of the same reps (its share of a pass), and every rep's pass
+//!   is asserted identical to the reference kernel's.
 //! * **traceback** — [`banded_global_with`] alone, on the aligned ranges
 //!   the report-bound mix reports: HSPs and band cells per second.
 //!
 //! Writes `BENCH_engine.json` (CI archives it). The legacy byte scanner,
-//! the sequential per-query path and the six-matrix traceback these
-//! numbers used to be set against are gone; their last committed
-//! measurements are in EXPERIMENTS.md, "Retired paths".
+//! the sequential per-query path, the six-matrix traceback and the
+//! H-carried X-drop cell loop these numbers used to be set against are
+//! gone; their last committed measurements are in EXPERIMENTS.md,
+//! "Retired paths".
 
+use std::ops::Range;
 use std::time::Instant;
 
 use parblast_bench::{arg_u64, arg_value, print_table};
 use parblast_blast::baseline::search_blastn_baseline;
+use parblast_blast::lookup::MaskedContext;
 use parblast_blast::{
-    banded_global_with, BatchedNtLookup, DbStats, GappedWorkspace, Hit, PreparedBatch,
-    ScanWorkspace, SearchParams,
+    banded_global_with, dust_mask, extend_gapped_with, extend_ungapped, extend_ungapped_packed,
+    scorer_params, BatchedNtLookup, DbStats, DiagTracker, GappedWorkspace, Hit, PackedQuery,
+    PreparedBatch, ScanWorkspace, SearchParams, UngappedHsp, UngappedTable,
 };
 use parblast_seqdb::blastdb::DbSequence;
 use parblast_seqdb::{
@@ -361,6 +373,208 @@ fn main() {
     }
     scaling_json.push(']');
 
+    // --- the extend stage, kernel by kernel -----------------------------
+    // One B=8 pass of the scan-bound mix taken apart the way
+    // `PreparedBatch::search` runs it: every seed the diagonal check lets
+    // through is extended ungapped — by the packed walk the kernel runs and
+    // by the byte-wise walk the reference runs, on the same seeds — and
+    // every segment that reaches the gap trigger is extended gapped from
+    // its midpoint. Each rep times a whole pass too, so a row's share of a
+    // pass comes from the same stretch of clock.
+    let strands: Vec<Vec<u8>> = scan_bound
+        .iter()
+        .flat_map(|q| [q.clone(), reverse_complement(q)])
+        .collect();
+    let masks: Vec<Vec<(usize, usize)>> = strands
+        .iter()
+        .map(|c| params.dust.map(|d| dust_mask(c, d)).unwrap_or_default())
+        .collect();
+    let contexts: Vec<MaskedContext> = strands
+        .iter()
+        .zip(&masks)
+        .map(|(c, m)| (c.as_slice(), m.as_slice()))
+        .collect();
+    let lookup = BatchedNtLookup::build_masked(&contexts, params.word_size);
+    let (word, x_ungapped) = (params.word_size, params.x_drop_ungapped);
+    // (context, subject, qp, sp) of every extended seed, and its segment.
+    let mut extended: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let mut segments = Vec::new();
+    let mut trackers: Vec<DiagTracker> = strands.iter().map(|_| DiagTracker::new()).collect();
+    for (si, subject) in volume.sequences.iter().enumerate() {
+        let subject = &subject.codes;
+        for (t, q) in trackers.iter_mut().zip(&strands) {
+            t.begin(q.len() + subject.len() + 1);
+        }
+        lookup.scan_packed_batched(packed.packed(si), packed.seq_len(si), |c, qp, sp| {
+            let (c, qp, sp) = (c as usize, qp as usize, sp as usize);
+            let diag = sp + strands[c].len() - qp;
+            if trackers[c].get(diag).is_some_and(|end| sp < end as usize) {
+                return;
+            }
+            let hsp = extend_ungapped(
+                &strands[c],
+                subject,
+                qp,
+                sp,
+                word,
+                &params.scorer,
+                x_ungapped,
+            );
+            trackers[c].set(diag, hsp.s_end as u32);
+            extended.push((c, si, qp, sp));
+            segments.push(hsp);
+        });
+    }
+    let packed_strands: Vec<PackedQuery> = strands.iter().map(|c| PackedQuery::new(c)).collect();
+    let table = UngappedTable::new(&params.scorer);
+    let ungapped_packed = || -> Vec<UngappedHsp> {
+        extended
+            .iter()
+            .map(|&(c, si, qp, sp)| {
+                let (bytes, slen) = (packed.packed(si), packed.seq_len(si));
+                extend_ungapped_packed(
+                    &packed_strands[c],
+                    bytes,
+                    slen,
+                    qp,
+                    sp,
+                    word,
+                    &table,
+                    x_ungapped,
+                )
+            })
+            .collect()
+    };
+    let ungapped_bytes = || -> Vec<UngappedHsp> {
+        extended
+            .iter()
+            .map(|&(c, si, qp, sp)| {
+                let subject = &volume.sequences[si].codes;
+                extend_ungapped(
+                    &strands[c],
+                    subject,
+                    qp,
+                    sp,
+                    word,
+                    &params.scorer,
+                    x_ungapped,
+                )
+            })
+            .collect()
+    };
+    let gap_trigger = scorer_params(&params.scorer)
+        .expect("blastn statistics")
+        .raw_for_bits(params.gap_trigger_bits);
+    let anchors: Vec<(usize, usize, usize, usize)> = extended
+        .iter()
+        .zip(&segments)
+        .filter(|(_, h)| h.score >= gap_trigger)
+        .map(|(&(c, si, _, _), h)| (c, si, h.q_start + h.len() / 2, h.s_start + h.len() / 2))
+        .collect();
+    let gapped = |gws: &mut GappedWorkspace| -> Vec<(i32, Range<usize>, Range<usize>)> {
+        anchors
+            .iter()
+            .map(|&(c, si, q0, s0)| {
+                let subject = &volume.sequences[si].codes;
+                let (scorer, gaps, x) = (&params.scorer, params.gaps, params.x_drop_gapped);
+                extend_gapped_with(&strands[c], subject, q0, s0, scorer, gaps, x, gws)
+            })
+            .collect()
+    };
+    let mut gws = GappedWorkspace::new();
+    let want_gapped = gapped(&mut gws);
+    let (dp_rows, dp_cells) = (gws.dp_rows(), gws.dp_cells());
+    let pass_want = format!("{:?}", reference(&scan_bound, &volume, &params, db));
+    let pass_queries: Vec<&[u8]> = scan_bound.iter().map(Vec::as_slice).collect();
+    let (mut pass_t, mut packed_t, mut bytes_t, mut gapped_t) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    };
+    for _ in 0..reps {
+        let mut found = String::new();
+        pass_t.push(time(&mut || {
+            let hits = PreparedBatch::new(&pass_queries, &params, db).search(&packed, &mut ws);
+            found = format!("{hits:?}");
+        }));
+        assert_eq!(
+            found, pass_want,
+            "kernel must equal the reference (scan_bound, B=8)"
+        );
+        let mut got = Vec::new();
+        packed_t.push(time(&mut || got = std::hint::black_box(ungapped_packed())));
+        assert!(
+            got == segments,
+            "the packed walk must equal the byte-wise walk"
+        );
+        bytes_t.push(time(&mut || got = std::hint::black_box(ungapped_bytes())));
+        assert!(got == segments, "unstable byte-wise walk");
+        let mut got = Vec::new();
+        gapped_t.push(time(&mut || got = gapped(&mut gws)));
+        assert!(got == want_gapped, "unstable gapped extension");
+    }
+    let (pass_s, packed_s, bytes_s, gapped_s) = (
+        median(pass_t),
+        median(packed_t),
+        median(bytes_t),
+        median(gapped_t),
+    );
+    let ext_row = |stage: &str, n: usize, s: f64, cells: Option<(u64, u64)>| {
+        let (rows, per_row, cells, per_cell) = match cells {
+            Some((rows, cells)) => (
+                format!("{rows}"),
+                format!("{:.1}", s * 1e9 / rows as f64),
+                format!("{cells}"),
+                format!("{:.2}", s * 1e9 / cells as f64),
+            ),
+            None => Default::default(),
+        };
+        vec![
+            stage.into(),
+            format!("{n}"),
+            format!("{s:.5}"),
+            format!("{:.2}", n as f64 / s / 1e6),
+            format!("{:.0}", s * 1e9 / n as f64),
+            rows,
+            cells,
+            per_row,
+            per_cell,
+            format!("{:.3}", s / pass_s),
+        ]
+    };
+    let extend_rows = vec![
+        ext_row("ungapped, packed (kernel)", extended.len(), packed_s, None),
+        ext_row("ungapped, byte-wise (ref)", extended.len(), bytes_s, None),
+        ext_row(
+            "gapped_trigger (X-drop)",
+            anchors.len(),
+            gapped_s,
+            Some((dp_rows, dp_cells)),
+        ),
+    ];
+    let extend_json = format!(
+        "{{\"mix\": \"scan_bound\", \"batch\": 8, \"pass_s\": {pass_s:.6}, \
+         \"ungapped\": {{\"extensions\": {}, \"packed_s\": {packed_s:.6}, \
+         \"byte_wise_s\": {bytes_s:.6}, \"packed_per_s\": {:.0}, \"byte_wise_per_s\": {:.0}, \
+         \"speedup\": {:.3}, \"share_of_pass\": {:.4}, \"identical_to_byte_wise\": true}}, \
+         \"gapped_trigger\": {{\"extensions\": {}, \"dp_rows\": {dp_rows}, \
+         \"dp_cells\": {dp_cells}, \"s\": {gapped_s:.6}, \"per_s\": {:.0}, \
+         \"ns_per_row\": {:.2}, \"ns_per_cell\": {:.3}, \"share_of_pass\": {:.4}}}, \
+         \"identical_to_reference\": true}}",
+        extended.len(),
+        extended.len() as f64 / packed_s,
+        extended.len() as f64 / bytes_s,
+        bytes_s / packed_s,
+        packed_s / pass_s,
+        anchors.len(),
+        anchors.len() as f64 / gapped_s,
+        gapped_s * 1e9 / dp_rows as f64,
+        gapped_s * 1e9 / dp_cells as f64,
+        gapped_s / pass_s,
+    );
+
     // --- traceback alone ------------------------------------------------
     // What `finalize` hands the traceback kernel on the report-bound mix:
     // the aligned query and subject ranges of every plus-strand HSP.
@@ -466,6 +680,27 @@ fn main() {
         &batch_rows,
     );
 
+    println!(
+        "\nextend stage, scan-bound mix at B=8 (a whole pass: {:.4} s, {} seeds extended)\n",
+        pass_s,
+        extended.len()
+    );
+    print_table(
+        &[
+            "stage",
+            "extensions",
+            "time (s)",
+            "M ext/s",
+            "ns/ext",
+            "DP rows",
+            "DP cells",
+            "ns/row",
+            "ns/cell",
+            "of a pass",
+        ],
+        &extend_rows,
+    );
+
     println!();
     print_table(
         &[
@@ -510,6 +745,7 @@ fn main() {
          \"packed_bytes_per_s\": {:.0}, \"speedup\": {:.3}}},\n  \
          \"traceback\": {{\"hsps\": {}, \"band_cells\": {cells}, \"s\": {trace_s:.6}, \
          \"hsps_per_s\": {hsps_per_s:.0}, \"cells_per_s\": {cells_per_s:.0}}},\n  \
+         \"extend_stage\": {extend_json},\n  \
          \"batch_scaling\": {scaling_json}\n}}\n",
         volume.residues(),
         volume.sequences.len(),

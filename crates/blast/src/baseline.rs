@@ -5,15 +5,19 @@
 //! every subject arrives fully decoded (one byte per residue), each query
 //! strand is scanned on its own by a byte-at-a-time scanner over a
 //! full-CSR prefix-sum lookup (rebuilt with its two 16 MB sweeps for every
-//! query context), diagonals are tracked in a per-subject `HashMap`, and
-//! every gapped extension allocates fresh DP rows. It shares no lookup,
-//! scanner, tracker or workspace with the production kernel, which is what
-//! makes it an oracle: the proptests in `search.rs` and
-//! `tests/determinism.rs` compare the two on random batches, `bench --bin
-//! engine` asserts identity on every rep, and the golden digests in
-//! `tests/determinism.rs` were captured from it. Not for production use.
-//! It does share the Karlin–Altschul statistics ([`crate::karlin`]), which
-//! the digests pin on their own.
+//! query context), diagonals are tracked in a per-subject `HashMap`, seeds
+//! are extended one byte at a time ([`extend_ungapped`], which the
+//! production kernel no longer calls), and every gapped extension runs the
+//! five-row X-drop DP below on freshly allocated, reverse-copied rows. It
+//! shares no lookup, scanner, tracker, extension kernel or workspace with
+//! the production kernel, which is what makes it an oracle: the proptests
+//! in `search.rs` and `tests/determinism.rs` compare the two on random
+//! batches, `bench --bin engine` asserts identity on every rep, and the
+//! golden digests in `tests/determinism.rs` were captured from it. Not for
+//! production use. It does share the reporting stage's traceback
+//! ([`banded_global`] and [`align_stats`], pinned against their own oracle
+//! in `gapped.rs`) and the Karlin–Altschul statistics ([`crate::karlin`]),
+//! which the digests pin on their own.
 
 use std::collections::HashMap;
 
@@ -21,9 +25,13 @@ use parblast_seqdb::{reverse_complement, Volume};
 
 use crate::dust::{dust_mask, word_masked};
 use crate::extend::extend_ungapped;
-use crate::gapped::{align_stats, banded_global, extend_gapped};
+use crate::gapped::{align_stats, banded_global, ExtensionResult};
+use crate::matrix::{GapPenalties, Scorer};
 use crate::report::{Hit, Hsp};
 use crate::search::{rank, Candidate, DbStats, Karlin, SearchParams, StatsCtx, STRANDS};
+
+/// A dead DP cell.
+const NEG: i32 = i32::MIN / 4;
 
 /// The reference lookup, frozen alongside the kernel: full-CSR
 /// direct table built with a prefix-sum sweep over all 4^w cells (and a
@@ -200,6 +208,140 @@ fn push_candidate(
             gapped: false,
         });
     }
+}
+
+/// One-directional X-drop gapped extension from the beginnings of `query`
+/// and `subject`: the five-row DP `gapped::xdrop_extend_with` replaced,
+/// kept verbatim (previous and current `H`/`F` rows, a current `E` row,
+/// all `n + 1` long and allocated per call; a dead cell stores `NEG` in
+/// all three). The oracle `gapped.rs` pins its kernel against.
+#[allow(clippy::needless_range_loop)] // absolute-j indexing mirrors the DP recurrences
+pub(crate) fn xdrop_extend(
+    query: &[u8],
+    subject: &[u8],
+    scorer: &Scorer,
+    gaps: GapPenalties,
+    x_drop: i32,
+) -> ExtensionResult {
+    let n = subject.len();
+    if n == 0 || query.is_empty() {
+        return ExtensionResult {
+            score: 0,
+            q_ext: 0,
+            s_ext: 0,
+        };
+    }
+    let open_ext = gaps.open + gaps.extend;
+    let ext = gaps.extend;
+
+    let mut best = 0;
+    let mut best_cell = (0usize, 0usize);
+
+    // Previous row (absolute j indexing over [lo_prev, hi_prev]).
+    let mut lo_prev = 0usize;
+    let mut hi_prev = 0usize;
+    let mut h_prev = vec![0; n + 1];
+    let mut f_prev = vec![NEG; n + 1];
+    // Row 0: leading gap in the query.
+    for j in 1..=n {
+        let v = -gaps.open - ext * j as i32;
+        if v <= -x_drop {
+            break;
+        }
+        h_prev[j] = v;
+        hi_prev = j;
+    }
+
+    let mut h_row = vec![NEG; n + 1];
+    let mut e_row = vec![NEG; n + 1];
+    let mut f_row = vec![NEG; n + 1];
+
+    for i in 1..=query.len() {
+        let qc = query[i - 1];
+        let jlo = lo_prev;
+        let jhi = (hi_prev + 1).min(n);
+        let mut row_lo = usize::MAX;
+        let mut row_hi = 0usize;
+        for j in jlo..=jhi {
+            // F: gap in subject (vertical), from previous row same j.
+            let f = if j >= lo_prev && j <= hi_prev {
+                (h_prev[j] - open_ext).max(f_prev[j] - ext)
+            } else {
+                NEG
+            };
+            // E: gap in query (horizontal), from current row j-1.
+            let e = if j > jlo {
+                (h_row[j - 1] - open_ext).max(e_row[j - 1] - ext)
+            } else {
+                NEG
+            };
+            // M: diagonal from previous row j-1.
+            let m = if j >= 1 && j > lo_prev && j - 1 <= hi_prev && h_prev[j - 1] > NEG / 2 {
+                h_prev[j - 1] + scorer.score(qc, subject[j - 1])
+            } else {
+                NEG
+            };
+            let mut h = m.max(e).max(f);
+            if h < best - x_drop {
+                h = NEG;
+            }
+            h_row[j] = h;
+            e_row[j] = if h > NEG / 2 { e } else { NEG };
+            f_row[j] = if h > NEG / 2 { f } else { NEG };
+            if h > NEG / 2 {
+                if h > best {
+                    best = h;
+                    best_cell = (i, j);
+                }
+                if row_lo == usize::MAX {
+                    row_lo = j;
+                }
+                row_hi = j;
+            }
+        }
+        if row_lo == usize::MAX {
+            break; // row died: extension complete
+        }
+        // Current row becomes the previous row; clear only the touched span.
+        for j in jlo..=jhi {
+            h_prev[j] = h_row[j];
+            f_prev[j] = f_row[j];
+            h_row[j] = NEG;
+            e_row[j] = NEG;
+            f_row[j] = NEG;
+        }
+        lo_prev = row_lo;
+        hi_prev = row_hi;
+    }
+
+    ExtensionResult {
+        score: best,
+        q_ext: best_cell.0,
+        s_ext: best_cell.1,
+    }
+}
+
+/// Bidirectional gapped extension anchored at `(q0, s0)`, the anchor pair
+/// scored by the right half: [`xdrop_extend`] rightward, then leftward
+/// over reverse-copied prefixes. Returns `(score, q_range, s_range)`.
+pub(crate) fn extend_gapped(
+    query: &[u8],
+    subject: &[u8],
+    q0: usize,
+    s0: usize,
+    scorer: &Scorer,
+    gaps: GapPenalties,
+    x_drop: i32,
+) -> (i32, std::ops::Range<usize>, std::ops::Range<usize>) {
+    let right = xdrop_extend(&query[q0..], &subject[s0..], scorer, gaps, x_drop);
+    let left_q: Vec<u8> = query[..q0].iter().rev().copied().collect();
+    let left_s: Vec<u8> = subject[..s0].iter().rev().copied().collect();
+    let left = xdrop_extend(&left_q, &left_s, scorer, gaps, x_drop);
+    (
+        left.score + right.score,
+        (q0 - left.q_ext)..(q0 + right.q_ext),
+        (s0 - left.s_ext)..(s0 + right.s_ext),
+    )
 }
 
 fn finalize(

@@ -25,21 +25,26 @@ pub struct ExtensionResult {
 
 /// Reusable scratch for both gapped stages: one `h` and one `f` DP row,
 /// updated in place by the X-drop extension and by the traceback kernel,
-/// plus the traceback's byte matrix and its output ops. Everything only
-/// ever grows — the rows as far as the widest band any extension reached
-/// or the longest aligned subject range traced back, never to a whole
-/// subject's length — and nothing is cleared between calls (see
-/// [`xdrop_extend_with`] and [`banded_global_with`] for why no stale cell
-/// is ever read). `ScanWorkspace` recycles one of these across subjects,
-/// fragments and batched queries.
+/// the X-drop row's substitution scores, plus the traceback's byte matrix
+/// and its output ops. Everything only ever grows — the rows as far as the
+/// widest band any extension reached or the longest aligned subject range
+/// traced back, never to a whole subject's length — and nothing is cleared
+/// between calls (see [`xdrop_extend_with`] and [`banded_global_with`] for
+/// why no stale cell is ever read). `ScanWorkspace` recycles one of these
+/// across subjects, fragments and batched queries.
 #[derive(Debug, Default)]
 pub struct GappedWorkspace {
     h: Vec<i32>,
     f: Vec<i32>,
+    /// `s(q_i, ·)` for the columns of the X-drop row being computed.
+    sub: Vec<i32>,
     /// One byte per band cell, `(m + 1) × width` row-major ([`TB_SRC`]).
     bt: Vec<u8>,
     /// The last traceback's columns.
     ops: Vec<AlignOp>,
+    /// X-drop DP rows and cells computed so far, row 0 included.
+    rows: u64,
+    cells: u64,
 }
 
 impl GappedWorkspace {
@@ -48,13 +53,28 @@ impl GappedWorkspace {
         Self::default()
     }
 
-    /// Make column `j` addressable in both rows.
+    /// How many X-drop DP rows this workspace has computed (lifetime
+    /// count, row 0 of every extension included).
+    pub fn dp_rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// How many X-drop DP cells this workspace has computed (lifetime
+    /// count): the work of an extension, which depends on its band and not
+    /// on the subject's length.
+    pub fn dp_cells(&self) -> u64 {
+        self.cells
+    }
+
+    /// Make column `j` addressable in both rows and `j + 1` substitution
+    /// scores available.
     #[inline]
     fn ensure(&mut self, j: usize) {
         if j >= self.h.len() {
             let len = (j + 1).next_power_of_two().max(64);
             self.h.resize(len, NEG);
             self.f.resize(len, NEG);
+            self.sub.resize(len, 0);
         }
     }
 }
@@ -92,11 +112,12 @@ pub fn xdrop_extend(
 /// live(i,j) = H(i,j) >= best - x_drop
 /// ```
 ///
-/// Invariants that define the answers (pinned against the previous
-/// five-row implementation, kept as the test oracle):
+/// Invariants that define the answers (pinned against the five-row
+/// implementation the reference kernel in [`crate::baseline`] runs):
 ///
-/// * a dead cell stores `NEG` in `H` and `F` and carries `NEG` in `E`, so
-///   it breaks the `E` chain and contributes nothing to the row below;
+/// * a dead cell stores `NEG` in `H` and `F`, so it contributes nothing to
+///   the row below (and, as far as any live cell can tell, nothing to its
+///   right either);
 /// * row `i` spans columns `lo(i-1) ..= min(hi(i-1) + 1, n)` where
 ///   `lo`/`hi` are the first/last live columns of the row above: the band
 ///   grows at most one column to the right per row, however far `E`
@@ -106,10 +127,26 @@ pub fn xdrop_extend(
 ///   the first best cell in row-major order wins;
 /// * the extension ends at the first row with no live cell.
 ///
-/// `h`/`f` are updated in place: at column `j` they still hold row `i-1`
-/// until overwritten; `H(i-1,j-1)`, `H(i,j-1)` and `E(i,j-1)` ride in
-/// registers. Liveness is a select, not a branch — on unrelated sequences
-/// it is a coin flip per cell, and mispredicting it was most of the cost.
+/// How a row is computed. With `D(i,j) = max(H(i-1,j-1) + s, F(i,j))`,
+/// `H = max(D, E)` and, since `open >= 0`,
+/// `H - open - ext = max(D - open - ext, E - open - ext)` where the second
+/// term never beats `E - ext`:
+///
+/// ```text
+/// E(i,j+1) = max(E(i,j) - ext, D(i,j) - open - ext)
+/// ```
+///
+/// so the only values carried from cell to cell are `E` (a decaying
+/// running max) and `best` (a running max); `D` depends on the row above
+/// alone. `E` is not masked at dead cells: a dead cell's `H`, and so its
+/// `D` and its `E`, lie below `best - x_drop`, and `best` only grows, so
+/// what it passes right can only ever reach cells that are dead anyway.
+/// The *stored* `h` must be masked: a dead `H = best - x_drop - 1` plus a
+/// match would revive its diagonal successor. The row's substitution
+/// scores are computed in a pass of their own before the cell loop, and
+/// the best cell is recovered after it, only if the row raised `best`:
+/// it is the first column whose stored `h` equals the new `best` (an
+/// earlier cell with that value would have raised `best` first).
 ///
 /// No stale cell is read, although the rows are never cleared: row `i`
 /// reads `h[j]`/`f[j]` only for `j` in its own span, which lies inside
@@ -117,7 +154,7 @@ pub fn xdrop_extend(
 /// `i-1` (whose span contains its live columns; row 0 writes its whole
 /// span), and column `hi(i-1) + 1` is set to a dead sentinel before the
 /// row starts. The work done is the number of band cells, independent of
-/// the subject's length.
+/// the subject's length ([`GappedWorkspace::dp_cells`] counts them).
 pub fn xdrop_extend_with(
     query: &[u8],
     subject: &[u8],
@@ -152,72 +189,20 @@ fn xdrop_directed<const REV: bool>(
     )
 }
 
-/// What the cell loop carries from cell to cell. A row's live span is
-/// read back from the row afterwards instead, so the loop keeps few enough
-/// values live to stay in registers.
-struct Carry {
-    /// Running best score over all cells so far.
-    best: i32,
-    /// Column where the current row first raised `best`, if it did.
-    best_j: usize,
-    /// `H(i-1, j-1)`.
-    diag: i32,
-    /// `H(i, j-1)`.
-    h_left: i32,
-    /// `E(i, j-1)`.
-    e_left: i32,
-}
-
-/// Sentinel for [`Carry::best_j`]: the row has not raised `best`.
-const NO_COLUMN: usize = usize::MAX;
-
-#[derive(Clone, Copy)]
-struct Costs {
-    open_ext: i32,
-    ext: i32,
-    x_drop: i32,
-}
-
 /// `if c { a } else { b }` the compiler may not turn into a branch. On
-/// unrelated sequences every comparison in the cell is a coin flip, and a
+/// unrelated sequences every comparison in the cell is a coin flip (and so
+/// is whether a step of the ungapped walk sets a new best), and a
 /// conditional move costs a cycle where a mispredicted branch costs
 /// fifteen; left to itself LLVM's x86 back end converts the selects of a
 /// loop-carried chain like this one into branches.
 #[inline(always)]
-fn pick<T>(c: bool, a: T, b: T) -> T {
+pub(crate) fn pick<T>(c: bool, a: T, b: T) -> T {
     std::hint::select_unpredictable(c, a, b)
 }
 
 #[inline(always)]
 fn max(a: i32, b: i32) -> i32 {
     pick(a > b, a, b)
-}
-
-impl Carry {
-    /// One DP cell at column `j`; `h`/`f` hold row `i-1` on entry and row
-    /// `i` on return. `sub` is the substitution score of the pair.
-    #[inline(always)]
-    fn cell(&mut self, j: usize, sub: i32, h: &mut i32, f: &mut i32, c: Costs) {
-        let up = *h;
-        let fv = max(up - c.open_ext, *f - c.ext);
-        let ev = max(self.h_left - c.open_ext, self.e_left - c.ext);
-        let hv = max(max(self.diag + sub, ev), fv);
-        let live = hv >= self.best - c.x_drop;
-        let better = live & (hv > self.best);
-        self.best = pick(better, hv, self.best);
-        self.best_j = pick(better, j, self.best_j);
-        self.diag = up;
-        self.h_left = pick(live, hv, NEG);
-        self.e_left = pick(live, ev, NEG);
-        *h = self.h_left;
-        *f = pick(live, fv, NEG);
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// DP cells computed by this thread (row 0 included).
-    static CELLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 fn xdrop_kernel<const REV: bool>(
@@ -228,6 +213,9 @@ fn xdrop_kernel<const REV: bool>(
     x_drop: i32,
     ws: &mut GappedWorkspace,
 ) -> ExtensionResult {
+    // E from D is exact only for a non-negative open cost; a negative
+    // X-drop would let a cell raise `best` while dead.
+    debug_assert!(gaps.open >= 0 && gaps.extend >= 0 && x_drop >= 0);
     let (m, n) = (query.len(), subject.len());
     if m == 0 || n == 0 {
         return ExtensionResult {
@@ -236,11 +224,7 @@ fn xdrop_kernel<const REV: bool>(
             s_ext: 0,
         };
     }
-    let costs = Costs {
-        open_ext: gaps.open + gaps.extend,
-        ext: gaps.extend,
-        x_drop,
-    };
+    let (open_ext, ext) = (gaps.open + gaps.extend, gaps.extend);
     // Row 0: a leading gap in the query, as far as it stays live.
     let (mut lo, mut hi) = (0, 0);
     ws.ensure(0);
@@ -256,16 +240,10 @@ fn xdrop_kernel<const REV: bool>(
         ws.f[j] = NEG;
         hi = j;
     }
-    #[cfg(test)]
-    CELLS.with(|c| c.set(c.get() + hi as u64 + 1));
+    ws.rows += 1;
+    ws.cells += hi as u64 + 1;
+    let mut best = 0;
     let mut best_cell = (0, 0);
-    let mut carry = Carry {
-        best: 0,
-        best_j: NO_COLUMN,
-        diag: NEG,
-        h_left: NEG,
-        e_left: NEG,
-    };
     for i in 1..=m {
         let qc = if REV { query[m - i] } else { query[i - 1] };
         let (jlo, jhi) = (lo, (hi + 1).min(n));
@@ -274,46 +252,59 @@ fn xdrop_kernel<const REV: bool>(
             // F come out at exactly NEG, as if nothing were there.
             ws.ensure(jhi);
             ws.h[jhi] = NEG;
-            ws.f[jhi] = NEG + costs.ext;
+            ws.f[jhi] = NEG + ext;
         }
-        #[cfg(test)]
-        CELLS.with(|c| c.set(c.get() + (jhi - jlo) as u64 + 1));
-        carry.best_j = NO_COLUMN;
-        carry.diag = NEG;
-        carry.h_left = NEG;
-        carry.e_left = NEG + costs.ext; // E comes out at exactly NEG
-        let (h0, h) = ws.h[jlo..=jhi].split_first_mut().expect("jlo <= jhi");
-        let (f0, f) = ws.f[jlo..=jhi].split_first_mut().expect("jlo <= jhi");
-        // Column `jlo` has nothing to its left or on its diagonal (column 0
-        // pairs with no subject residue at all): only F can reach it.
-        carry.cell(jlo, 0, h0, f0, costs);
-        // The other columns pair with subject residues `jlo..jhi`, read
-        // back to front under `REV`.
-        let s = if REV {
-            &subject[n - jhi..n - jlo]
+        ws.rows += 1;
+        ws.cells += (jhi - jlo) as u64 + 1;
+        let GappedWorkspace { h, f, sub, .. } = ws;
+        let (h, f, sub) = (&mut h[jlo..=jhi], &mut f[jlo..=jhi], &mut sub[..=jhi - jlo]);
+        // Column `jlo` has nothing on its diagonal (column 0 pairs with no
+        // subject residue at all, and `jlo - 1` is dead above): only F can
+        // reach it. The other columns pair with subject residues
+        // `jlo..jhi`, read back to front under `REV`.
+        sub[0] = 0;
+        if REV {
+            let s = &subject[n - jhi..n - jlo];
+            for (d, &sc) in sub[1..].iter_mut().zip(s.iter().rev()) {
+                *d = score(qc, sc);
+            }
         } else {
-            &subject[jlo..jhi]
-        };
-        let w = h.len();
-        assert!(s.len() == w && f.len() == w);
-        for (k, (h, f)) in h.iter_mut().zip(f).enumerate() {
-            let sc = if REV { s[w - 1 - k] } else { s[k] };
-            carry.cell(jlo + 1 + k, score(qc, sc), h, f, costs);
+            for (d, &sc) in sub[1..].iter_mut().zip(&subject[jlo..jhi]) {
+                *d = score(qc, sc);
+            }
         }
-        if carry.best_j != NO_COLUMN {
-            best_cell = (i, carry.best_j);
+        let row_best = best;
+        // `H(i-1, j-1)` and `E(i, j)`; nothing lies left of column `jlo`.
+        let (mut diag, mut e) = (NEG, NEG);
+        for ((h, f), &s) in h.iter_mut().zip(f.iter_mut()).zip(sub.iter()) {
+            let up = *h;
+            let fv = max(up - open_ext, *f - ext);
+            let dv = max(diag + s, fv);
+            let hv = max(dv, e);
+            best = max(best, hv);
+            let live = hv >= best - x_drop;
+            *h = pick(live, hv, NEG);
+            *f = pick(live, fv, NEG);
+            e = max(e - ext, dv - open_ext);
+            diag = up;
+        }
+        if best > row_best {
+            let j = h
+                .iter()
+                .position(|&v| v == best)
+                .expect("the cell that set best");
+            best_cell = (i, jlo + j);
         }
         // The live span is what is left after trimming this row's dead
         // ends; cells die a few at a time, so both scans are short.
-        let row = &ws.h[jlo..=jhi];
-        let Some(first) = row.iter().position(|&h| h != NEG) else {
+        let Some(first) = h.iter().position(|&v| v != NEG) else {
             break; // row died: extension complete
         };
-        let last = row.iter().rposition(|&h| h != NEG).expect("a live cell");
+        let last = h.iter().rposition(|&v| v != NEG).expect("a live cell");
         (lo, hi) = (jlo + first, jlo + last);
     }
     ExtensionResult {
-        score: carry.best,
+        score: best,
         q_ext: best_cell.0,
         s_ext: best_cell.1,
     }
@@ -552,7 +543,7 @@ fn banded_kernel<'w>(
     if ws.bt.len() < (m + 1) * width {
         ws.bt.resize((m + 1) * width, 0);
     }
-    let GappedWorkspace { h, f, bt, ops } = ws;
+    let GappedWorkspace { h, f, bt, ops, .. } = ws;
     // Cell (i, j) has its byte at `i * width + j + band - i`.
     // Row 0: a leading gap in the query, as far as the band goes.
     h[0] = 0;
@@ -676,142 +667,15 @@ pub fn align_stats(query: &[u8], subject: &[u8], ops: &[AlignOp]) -> AlignStats 
     st
 }
 
-/// The five-row X-drop extension this module used before the in-place
-/// kernel, kept verbatim as the oracle the new kernel is pinned against.
+/// The six-matrix banded global alignment this module used before the
+/// flat traceback kernel, kept verbatim as the oracle it is pinned
+/// against. (The X-drop kernel's oracle is the reference kernel's own
+/// five-row DP, in [`crate::baseline`].)
 #[cfg(test)]
 mod oracle {
-    use super::{AlignOp, ExtensionResult, NEG};
+    use super::{AlignOp, NEG};
     use crate::matrix::{GapPenalties, Scorer};
 
-    #[allow(clippy::needless_range_loop)] // absolute-j indexing mirrors the DP recurrences
-    pub fn xdrop_extend(
-        query: &[u8],
-        subject: &[u8],
-        scorer: &Scorer,
-        gaps: GapPenalties,
-        x_drop: i32,
-    ) -> ExtensionResult {
-        let n = subject.len();
-        if n == 0 || query.is_empty() {
-            return ExtensionResult {
-                score: 0,
-                q_ext: 0,
-                s_ext: 0,
-            };
-        }
-        let open_ext = gaps.open + gaps.extend;
-        let ext = gaps.extend;
-
-        let mut best = 0;
-        let mut best_cell = (0usize, 0usize);
-
-        // Previous row (absolute j indexing over [lo_prev, hi_prev]).
-        let mut lo_prev = 0usize;
-        let mut hi_prev = 0usize;
-        let mut h_prev = vec![0; n + 1];
-        let mut f_prev = vec![NEG; n + 1];
-        // Row 0: leading gap in the query.
-        for j in 1..=n {
-            let v = -gaps.open - ext * j as i32;
-            if v <= -x_drop {
-                break;
-            }
-            h_prev[j] = v;
-            hi_prev = j;
-        }
-
-        let mut h_row = vec![NEG; n + 1];
-        let mut e_row = vec![NEG; n + 1];
-        let mut f_row = vec![NEG; n + 1];
-
-        for i in 1..=query.len() {
-            let qc = query[i - 1];
-            let jlo = lo_prev;
-            let jhi = (hi_prev + 1).min(n);
-            let mut row_lo = usize::MAX;
-            let mut row_hi = 0usize;
-            for j in jlo..=jhi {
-                // F: gap in subject (vertical), from previous row same j.
-                let f = if j >= lo_prev && j <= hi_prev {
-                    (h_prev[j] - open_ext).max(f_prev[j] - ext)
-                } else {
-                    NEG
-                };
-                // E: gap in query (horizontal), from current row j-1.
-                let e = if j > jlo {
-                    (h_row[j - 1] - open_ext).max(e_row[j - 1] - ext)
-                } else {
-                    NEG
-                };
-                // M: diagonal from previous row j-1.
-                let m = if j >= 1 && j > lo_prev && j - 1 <= hi_prev && h_prev[j - 1] > NEG / 2 {
-                    h_prev[j - 1] + scorer.score(qc, subject[j - 1])
-                } else {
-                    NEG
-                };
-                let mut h = m.max(e).max(f);
-                if h < best - x_drop {
-                    h = NEG;
-                }
-                h_row[j] = h;
-                e_row[j] = if h > NEG / 2 { e } else { NEG };
-                f_row[j] = if h > NEG / 2 { f } else { NEG };
-                if h > NEG / 2 {
-                    if h > best {
-                        best = h;
-                        best_cell = (i, j);
-                    }
-                    if row_lo == usize::MAX {
-                        row_lo = j;
-                    }
-                    row_hi = j;
-                }
-            }
-            if row_lo == usize::MAX {
-                break; // row died: extension complete
-            }
-            // Current row becomes the previous row; clear only the touched span.
-            for j in jlo..=jhi {
-                h_prev[j] = h_row[j];
-                f_prev[j] = f_row[j];
-                h_row[j] = NEG;
-                e_row[j] = NEG;
-                f_row[j] = NEG;
-            }
-            lo_prev = row_lo;
-            hi_prev = row_hi;
-        }
-
-        ExtensionResult {
-            score: best,
-            q_ext: best_cell.0,
-            s_ext: best_cell.1,
-        }
-    }
-
-    /// Bidirectional extension the old way: reverse-copy both prefixes.
-    pub fn extend_gapped(
-        query: &[u8],
-        subject: &[u8],
-        q0: usize,
-        s0: usize,
-        scorer: &Scorer,
-        gaps: GapPenalties,
-        x_drop: i32,
-    ) -> (i32, std::ops::Range<usize>, std::ops::Range<usize>) {
-        let right = xdrop_extend(&query[q0..], &subject[s0..], scorer, gaps, x_drop);
-        let left_q: Vec<u8> = query[..q0].iter().rev().copied().collect();
-        let left_s: Vec<u8> = subject[..s0].iter().rev().copied().collect();
-        let left = xdrop_extend(&left_q, &left_s, scorer, gaps, x_drop);
-        (
-            left.score + right.score,
-            (q0 - left.q_ext)..(q0 + right.q_ext),
-            (s0 - left.s_ext)..(s0 + right.s_ext),
-        )
-    }
-
-    /// The six-matrix banded global alignment this module used before the
-    /// flat traceback kernel, kept verbatim as its oracle.
     pub fn banded_global(
         query: &[u8],
         subject: &[u8],
@@ -965,6 +829,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline;
     use parblast_seqdb::encode_nt_seq;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1017,6 +882,43 @@ mod tests {
         assert_eq!(r.score, 20 - 9);
         assert_eq!(r.q_ext, 20);
         assert_eq!(r.s_ext, 22);
+    }
+
+    /// A dead cell stores `NEG`, not its `H`: the first pair mismatches
+    /// (−2, one below `best − x_drop`), and the three matches after it
+    /// would lift that diagonal to +1 had the dead cell kept its value.
+    #[test]
+    fn a_dead_cell_does_not_revive_its_diagonal() {
+        let (q, s) = (encode_nt_seq(b"CCGC"), encode_nt_seq(b"ACGC"));
+        let want = ExtensionResult {
+            score: 0,
+            q_ext: 0,
+            s_ext: 0,
+        };
+        assert_eq!(baseline::xdrop_extend(&q, &s, &nt_1_2(), g(), 1), want);
+        assert_eq!(xdrop_extend(&q, &s, &nt_1_2(), g(), 1), want);
+    }
+
+    /// The best cell is the first column holding the row's new `best`:
+    /// the last row here raises `best` at column 3 and again at column 4,
+    /// and column 5 ties column 4. Taking the last equal column, or the
+    /// first that beat the old `best`, picks 5 or 3. (A +1 reward cannot
+    /// raise `best` twice in one row, hence +2.)
+    #[test]
+    fn the_best_cell_is_the_first_to_reach_the_rows_best() {
+        let (q, s) = (encode_nt_seq(b"CACAAA"), encode_nt_seq(b"AAAAA"));
+        let scorer = Scorer::Nucleotide {
+            reward: 2,
+            penalty: -3,
+        };
+        let gaps = GapPenalties { open: 2, extend: 1 };
+        let want = ExtensionResult {
+            score: 2,
+            q_ext: 6,
+            s_ext: 4,
+        };
+        assert_eq!(baseline::xdrop_extend(&q, &s, &scorer, gaps, 8), want);
+        assert_eq!(xdrop_extend(&q, &s, &scorer, gaps, 8), want);
     }
 
     #[test]
@@ -1104,21 +1006,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// The in-place kernel returns what the five-row oracle returns:
-        /// one-directional and bidirectional, both scorers, unrelated and
-        /// related pairs, empty inputs included, with one workspace reused
-        /// (and so left dirty) across every case.
+        /// The in-place kernel returns what the reference kernel's
+        /// five-row DP returns: one-directional and bidirectional, both
+        /// scorers, every gap cost `open 0..=6 × extend 1..=3` (the E-from-D
+        /// row needs `open >= 0`, and `open == 0` is its edge), unrelated
+        /// and related pairs, empty inputs included, with one workspace
+        /// reused (and so left dirty) across every case.
         #[test]
         fn in_place_kernel_matches_five_row_oracle(
             seed in any::<u64>(),
             qlen in 0usize..160,
             slen in 0usize..220,
             x_drop in 5i32..45,
+            open in 0i32..=6,
+            extend in 1i32..=3,
             minus_two in any::<bool>(),
             related in any::<bool>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (scorer, gaps) = (if minus_two { nt_1_2() } else { nt() }, g());
+            let scorer = if minus_two { nt_1_2() } else { nt() };
+            let gaps = GapPenalties { open, extend };
             let q = residues(&mut rng, qlen, None);
             let s = if related {
                 residues(&mut rng, 0, Some(&q))
@@ -1132,12 +1039,12 @@ mod tests {
             }
             WS.with(|ws| {
                 let ws = &mut *ws.borrow_mut();
-                let want = oracle::xdrop_extend(&q, &s, &scorer, gaps, x_drop);
+                let want = baseline::xdrop_extend(&q, &s, &scorer, gaps, x_drop);
                 let got = xdrop_extend_with(&q, &s, &scorer, gaps, x_drop, ws);
-                prop_assert_eq!(got, want, "forward q={:?} s={:?}", &q, &s);
+                prop_assert_eq!(got, want, "forward {:?} q={:?} s={:?}", gaps, &q, &s);
                 let q0 = rng.random_range(0..q.len() + 1);
                 let s0 = rng.random_range(0..s.len() + 1);
-                let want = oracle::extend_gapped(&q, &s, q0, s0, &scorer, gaps, x_drop);
+                let want = baseline::extend_gapped(&q, &s, q0, s0, &scorer, gaps, x_drop);
                 let got = extend_gapped_with(&q, &s, q0, s0, &scorer, gaps, x_drop, ws);
                 prop_assert_eq!(got, want, "anchored at ({}, {}) q={:?} s={:?}", q0, s0, &q, &s);
                 Ok(())
@@ -1244,12 +1151,11 @@ mod tests {
         subject.splice(50_000..50_040, core.iter().copied());
         query.splice(180..220, core.iter().copied());
         let mut ws = GappedWorkspace::new();
-        let before = CELLS.with(|c| c.get());
         let got = extend_gapped_with(&query, &subject, 200, 50_020, &nt(), g(), 30, &mut ws);
-        let cells = CELLS.with(|c| c.get()) - before;
+        let cells = ws.dp_cells();
         assert_eq!(
             got,
-            oracle::extend_gapped(&query, &subject, 200, 50_020, &nt(), g(), 30)
+            baseline::extend_gapped(&query, &subject, 200, 50_020, &nt(), g(), 30)
         );
         assert!(got.0 >= 40, "the planted core aligns: {got:?}");
         assert!(cells < 10_000, "{cells} cells for a 40-nt core");

@@ -189,6 +189,11 @@ impl KarlinParams {
         (self.lambda * raw as f64 - self.k.ln()) / std::f64::consts::LN_2
     }
 
+    /// The least raw score whose bit score reaches `bits`.
+    pub fn raw_for_bits(&self, bits: f64) -> i32 {
+        ((bits * std::f64::consts::LN_2 + self.k.ln()) / self.lambda).ceil() as i32
+    }
+
     /// E-value of a raw score over an effective search space.
     pub fn evalue(&self, raw: i32, search_space: f64) -> f64 {
         search_space * (-self.lambda * raw as f64).exp() * self.k

@@ -44,7 +44,9 @@ pub mod search;
 pub mod workspace;
 
 pub use dust::{dust_mask, is_masked, word_masked, DustParams};
-pub use extend::{extend_ungapped, UngappedHsp};
+pub use extend::{
+    extend_ungapped, extend_ungapped_packed, PackedQuery, UngappedHsp, UngappedTable,
+};
 pub use gapped::{
     align_stats, banded_global, banded_global_with, extend_gapped, extend_gapped_with,
     xdrop_extend, xdrop_extend_with, AlignOp, AlignStats, GappedWorkspace,

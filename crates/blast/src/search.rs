@@ -12,7 +12,7 @@
 use parblast_seqdb::{reverse_complement, unpack_2bit_into, PackedVolume, Volume};
 
 use crate::dust::{dust_mask, DustParams};
-use crate::extend::extend_ungapped;
+use crate::extend::{extend_ungapped_packed, PackedQuery, UngappedTable};
 use crate::gapped::{align_stats, banded_global_with, extend_gapped_with, GappedWorkspace};
 use crate::karlin::{gapped_params, scorer_params, KarlinParams};
 use crate::lookup::{BatchedNtLookup, MaskedContext, MAX_BATCH_CONTEXTS};
@@ -128,10 +128,7 @@ impl Karlin {
         let Karlin { ungapped, gapped } = *self;
         let reporting = if params.gapped { gapped } else { ungapped };
         let space = reporting.search_space(query_len as u64, db.residues, db.nseq);
-        // Raw score that reaches gap_trigger bits under ungapped stats.
-        let gap_trigger_raw = ((params.gap_trigger_bits * std::f64::consts::LN_2 + ungapped.k.ln())
-            / ungapped.lambda)
-            .ceil() as i32;
+        let gap_trigger_raw = ungapped.raw_for_bits(params.gap_trigger_bits);
         // Raw score whose E-value equals the cutoff (quick pre-filter).
         let cutoff_raw = ((params.evalue / (reporting.k * space)).ln() / -reporting.lambda)
             .ceil()
@@ -207,46 +204,85 @@ impl ScanWorkspace {
     }
 
     /// How many subject unpacks this workspace has performed (lifetime
-    /// count). A pass unpacks a subject at most once, on its first seed
-    /// hit, however many queries of the batch go on to hit it.
+    /// count). A pass unpacks a subject at most once, the first time a
+    /// gapped extension or the reporting stage needs its bases, however
+    /// many queries of the batch go on to need them; a subject whose seeds
+    /// all die in ungapped extension is never unpacked.
     pub fn unpacks(&self) -> u64 {
         self.unpacks
     }
 }
 
+/// The subject being searched: its packed bases, and their unpacked form
+/// once something has needed it, in the workspace's shared buffer.
+struct Subject<'a> {
+    packed: &'a [u8],
+    len: usize,
+    buf: &'a mut Vec<u8>,
+    unpacked: bool,
+    unpacks: &'a mut u64,
+}
+
+impl Subject<'_> {
+    /// One byte per base, unpacked on the first call.
+    fn bases(&mut self) -> &[u8] {
+        if !self.unpacked {
+            unpack_2bit_into(self.packed, self.len, self.buf);
+            self.unpacked = true;
+            *self.unpacks += 1;
+        }
+        self.buf
+    }
+}
+
+/// A query strand in both forms the hit path reads.
+struct Strand {
+    codes: Vec<u8>,
+    packed: PackedQuery,
+}
+
+impl Strand {
+    fn new(codes: Vec<u8>) -> Self {
+        let packed = PackedQuery::new(&codes);
+        Strand { codes, packed }
+    }
+}
+
 /// One seed hit on strand `strand`: diagonal-redundancy check, ungapped
-/// extension, a gapped extension if the ungapped score reaches the
-/// trigger, candidate emission. Mirrors [`crate::baseline`] exactly, with
-/// the diagonal `HashMap` replaced by the flat tracker (`diag = s − q +
-/// qlen`).
+/// extension on the packed bases, a gapped extension if the ungapped score
+/// reaches the trigger, candidate emission. Mirrors [`crate::baseline`]
+/// exactly, with the diagonal `HashMap` replaced by the flat tracker
+/// (`diag = s − q + qlen`).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn nt_hit(
-    query: &[u8],
-    subject: &[u8],
+    query: &Strand,
+    subject: &mut Subject,
     qp: usize,
     sp: usize,
     word: usize,
     strand: i8,
     params: &SearchParams,
+    ungapped: &UngappedTable,
     st: &StatsCtx,
     diag_end: &mut DiagTracker,
     gws: &mut GappedWorkspace,
     out: &mut Vec<Candidate>,
 ) {
-    let diag = sp + query.len() - qp;
+    let diag = sp + query.codes.len() - qp;
     if let Some(end) = diag_end.get(diag) {
         if sp < end as usize {
             return;
         }
     }
-    let hsp = extend_ungapped(
-        query,
-        subject,
+    let hsp = extend_ungapped_packed(
+        &query.packed,
+        subject.packed,
+        subject.len,
         qp,
         sp,
         word,
-        &params.scorer,
+        ungapped,
         params.x_drop_ungapped,
     );
     diag_end.set(diag, hsp.s_end as u32);
@@ -254,8 +290,8 @@ fn nt_hit(
         // Anchor the gapped extension at the midpoint of the ungapped HSP.
         let mid = hsp.len() / 2;
         let (score, q_range, s_range) = extend_gapped_with(
-            query,
-            subject,
+            &query.codes,
+            subject.bases(),
             hsp.q_start + mid,
             hsp.s_start + mid,
             &params.scorer,
@@ -292,7 +328,7 @@ fn finalize(
     cands: &mut [Candidate],
     kept: &mut Vec<Candidate>,
     gws: &mut GappedWorkspace,
-    strands: &[Vec<u8>; 2],
+    strands: &[Strand; 2],
     subject: &[u8],
     params: &SearchParams,
     st: &StatsCtx,
@@ -319,7 +355,7 @@ fn finalize(
         if evalue > params.evalue {
             continue;
         }
-        let query = &strands[usize::from(c.strand < 0)];
+        let query = &strands[usize::from(c.strand < 0)].codes;
         let qslice = &query[c.q_range.clone()];
         let sslice = &subject[c.s_range.clone()];
         let (_, ops) = banded_global_with(qslice, sslice, &params.scorer, params.gaps, 16, gws);
@@ -416,33 +452,40 @@ pub fn search_packed_batch_with(
 /// Context index `2q` is query q's plus strand, `2q + 1` its minus
 /// strand — the order [`crate::baseline`] scans them.
 struct PreparedChunk {
-    strands: Vec<[Vec<u8>; 2]>,
+    strands: Vec<[Strand; 2]>,
     stats: Vec<StatsCtx>,
     lookup: BatchedNtLookup,
 }
 
 /// Everything a batch search needs that depends on the queries and not on
-/// the volume: both strands of every query, their DUST masks folded into
-/// one merged [`BatchedNtLookup`] per chunk of at most
-/// [`MAX_FUSED_BATCH`] queries, and the per-query statistics. It is
+/// the volume: both strands of every query (as codes and packed for the
+/// ungapped walk), their DUST masks folded into one merged
+/// [`BatchedNtLookup`] per chunk of at most [`MAX_FUSED_BATCH`] queries,
+/// the per-query statistics and the ungapped walk's step table. It is
 /// immutable after [`PreparedBatch::new`], so one instance serves every
 /// fragment of a job and every worker thread at once (each with its own
 /// [`ScanWorkspace`]); a batch of one query is the degenerate case
 /// and still scans both strands in a single pass.
 pub struct PreparedBatch<'a> {
     params: &'a SearchParams,
+    ungapped: UngappedTable,
     chunks: Vec<PreparedChunk>,
 }
 
 impl<'a> PreparedBatch<'a> {
-    /// Prepare `queries` for a search under `params`.
+    /// Prepare `queries`, 2-bit nucleotide codes, for a search under
+    /// `params`.
     pub fn new(queries: &[&[u8]], params: &'a SearchParams, db: DbStats) -> Self {
         let karlin = Karlin::new(params);
         let chunks = queries
             .chunks(MAX_FUSED_BATCH)
             .map(|chunk| PreparedChunk::new(chunk, params, &karlin, db))
             .collect();
-        PreparedBatch { params, chunks }
+        PreparedBatch {
+            params,
+            ungapped: UngappedTable::new(&params.scorer),
+            chunks,
+        }
     }
 
     /// Search one packed volume with the whole batch; one `Vec<Hit>` per
@@ -457,7 +500,7 @@ impl<'a> PreparedBatch<'a> {
     pub fn search(&self, volume: &PackedVolume, ws: &mut ScanWorkspace) -> Vec<Vec<Hit>> {
         self.chunks
             .iter()
-            .flat_map(|chunk| chunk.search(volume, self.params, ws))
+            .flat_map(|chunk| chunk.search(volume, self.params, &self.ungapped, ws))
             .collect()
     }
 }
@@ -468,20 +511,25 @@ impl PreparedChunk {
             .iter()
             .map(|q| karlin.for_query(params, q.len(), db))
             .collect();
-        let strands: Vec<[Vec<u8>; 2]> = queries
+        let strands: Vec<[Strand; 2]> = queries
             .iter()
-            .map(|q| [q.to_vec(), reverse_complement(q)])
+            .map(|q| [Strand::new(q.to_vec()), Strand::new(reverse_complement(q))])
             .collect();
         let masks: Vec<Vec<(usize, usize)>> = strands
             .iter()
             .flatten()
-            .map(|codes| params.dust.map(|d| dust_mask(codes, d)).unwrap_or_default())
+            .map(|s| {
+                params
+                    .dust
+                    .map(|d| dust_mask(&s.codes, d))
+                    .unwrap_or_default()
+            })
             .collect();
         let merged_ctxs: Vec<MaskedContext> = strands
             .iter()
             .flatten()
             .zip(&masks)
-            .map(|(codes, m)| (codes.as_slice(), m.as_slice()))
+            .map(|(s, m)| (s.codes.as_slice(), m.as_slice()))
             .collect();
         let lookup = BatchedNtLookup::build_masked(&merged_ctxs, params.word_size);
         PreparedChunk {
@@ -497,6 +545,7 @@ impl PreparedChunk {
         &self,
         volume: &PackedVolume,
         params: &SearchParams,
+        ungapped: &UngappedTable,
         ws: &mut ScanWorkspace,
     ) -> Vec<Vec<Hit>> {
         let PreparedChunk {
@@ -513,7 +562,7 @@ impl PreparedChunk {
         // the gapped rows simultaneously.
         let ScanWorkspace {
             ctx: ctx_ws,
-            subject,
+            subject: subject_buf,
             unpacks,
             cands,
             kept,
@@ -522,29 +571,30 @@ impl PreparedChunk {
 
         let mut per_query: Vec<Vec<Hit>> = (0..b).map(|_| Vec::new()).collect();
         for si in 0..volume.nseq() {
-            let bytes = volume.packed(si);
-            let slen = volume.seq_len(si);
-            let mut subject_valid = false;
+            let mut subject = Subject {
+                packed: volume.packed(si),
+                len: volume.seq_len(si),
+                buf: subject_buf,
+                unpacked: false,
+                unpacks,
+            };
             for (c, cs) in ctx_ws.iter_mut().enumerate().take(2 * b) {
                 cs.cands.clear();
-                cs.diag_end.begin(strands[c / 2][c % 2].len() + slen + 1);
+                cs.diag_end
+                    .begin(strands[c / 2][c % 2].codes.len() + subject.len + 1);
             }
-            lookup.scan_packed_batched(bytes, slen, |ctx, qp, sp| {
-                if !subject_valid {
-                    unpack_2bit_into(bytes, slen, subject);
-                    subject_valid = true;
-                    *unpacks += 1;
-                }
+            lookup.scan_packed_batched(subject.packed, subject.len, |ctx, qp, sp| {
                 let c = ctx as usize;
                 let cs = &mut ctx_ws[c];
                 nt_hit(
                     &strands[c / 2][c % 2],
-                    subject,
+                    &mut subject,
                     qp as usize,
                     sp as usize,
                     lookup.word,
                     STRANDS[c % 2],
                     params,
+                    ungapped,
                     &stats[c / 2],
                     &mut cs.diag_end,
                     gapped,
@@ -561,14 +611,12 @@ impl PreparedChunk {
                 if cands.is_empty() {
                     continue; // hitless subject: nothing to report
                 }
-                // Any candidate implies a seed hit, so the shared lazy
-                // unpack has filled `subject` by now.
                 let hsps = finalize(
                     cands,
                     kept,
                     gapped,
                     &strands[qi],
-                    subject,
+                    subject.bases(),
                     params,
                     &stats[qi],
                 );
@@ -1001,6 +1049,38 @@ mod tests {
         }
         let gapped = found.iter().flatten().flat_map(|h| &h.hsps);
         assert!(gapped.filter(|h| h.gap_opens > 0).count() >= 8);
+    }
+
+    /// A subject is unpacked the first time a gapped extension or the
+    /// report needs its bases, once a pass however many queries need them,
+    /// and not at all when its seeds die in ungapped extension.
+    #[test]
+    fn only_a_subject_something_needs_is_unpacked() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let query = random_nt(&mut rng, 300);
+        // A 12-base word of the query between two mismatches: it seeds,
+        // and its segment stays far below the gap trigger.
+        let mut seeded = random_nt(&mut rng, 2000);
+        seeded[500..512].copy_from_slice(&query[100..112]);
+        seeded[499] = (query[99] + 1) % 4;
+        seeded[512] = (query[112] + 1) % 4;
+        let mut holds = random_nt(&mut rng, 2000);
+        holds.splice(700..700, query.iter().copied());
+        let v = nt_volume(&[("seeded", seeded), ("holds", holds)]);
+        // Full-scale statistics, so that a 12-base segment reports nothing.
+        let db = DbStats {
+            residues: 2_700_000_000,
+            nseq: 1_760_000,
+        };
+        let params = SearchParams::blastn();
+        let mut ws = ScanWorkspace::new();
+        let found = PreparedBatch::new(&[&query, &query], &params, db)
+            .search(&PackedVolume::from_volume(&v), &mut ws);
+        for hits in &found {
+            let ids: Vec<&str> = hits.iter().map(|h| h.subject_id.as_str()).collect();
+            assert_eq!(ids, ["holds"]);
+        }
+        assert_eq!(ws.unpacks(), 1, "only the subject the queries hit");
     }
 
     #[test]
