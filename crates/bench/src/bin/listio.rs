@@ -86,6 +86,10 @@ fn sim_sweep(db_bytes: u64, chunk: u64, worker_counts: &[u32]) -> Vec<SimCell> {
                     "{name} workers={workers} list_io={list_io}: {:?}",
                     out.error
                 );
+                assert!(
+                    out.read_latency_us.p95 > 0.0,
+                    "{name} workers={workers} list_io={list_io}: no read latency recorded"
+                );
                 bytes[list_io as usize] = out.per_worker.iter().map(|w| w.bytes_read).sum();
                 cells.push(SimCell {
                     scheme: name,
@@ -289,12 +293,7 @@ fn main() {
                     if c.list_io { "on" } else { "off" }.into(),
                     format!("{}", c.server_reads),
                     format!("{}", c.list_regions),
-                    // Only the CEFT client keeps a read-latency histogram.
-                    if c.read_p95_us > 0.0 {
-                        format!("{:.0}", c.read_p95_us)
-                    } else {
-                        "-".into()
-                    },
+                    format!("{:.0}", c.read_p95_us),
                     format!("{:.2}", c.makespan_s),
                 ]
             })

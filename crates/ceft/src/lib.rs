@@ -16,7 +16,8 @@
 //! * **Duplex writes** — writes go to both groups before completing, the
 //!   cost of fault tolerance (Figure 7's slight CEFT overhead).
 //!
-//! The iod data path is shared with [`parblast_pvfs`].
+//! The iod data path and the client request engine are shared with
+//! [`parblast_pvfs`].
 
 #![warn(missing_docs)]
 
@@ -26,7 +27,7 @@ pub mod meta;
 pub mod monitor;
 pub mod msg;
 
-pub use client::{CeftClient, ReadMode, WriteProtocol};
+pub use client::{CeftClient, MirroredPlacement, ReadMode, WriteProtocol};
 pub use group::{MirroredLayout, ReadPart};
 pub use meta::{CeftMeta, SkipPolicy};
 pub use monitor::LoadMonitor;
@@ -49,10 +50,9 @@ pub struct Ceft {
     pub monitors: Vec<CompId>,
     /// Stripe size for new files.
     pub stripe_size: u64,
-    /// Client read mode applied by [`Ceft::add_client`].
-    pub read_mode: ReadMode,
-    /// Duplex write protocol applied by [`Ceft::add_client`].
-    pub write_protocol: WriteProtocol,
+    /// What every client from [`Ceft::add_client`] starts from: the two
+    /// groups plus the configured read mode and write protocol.
+    placement: MirroredPlacement,
     net: CompId,
 }
 
@@ -166,14 +166,19 @@ impl Ceft {
             eng.component_mut::<CeftMeta>(meta)
                 .set_rebuild(rate, primary.clone(), mirror.clone());
         }
+        let placement = MirroredPlacement::new(
+            primary.clone(),
+            mirror.clone(),
+            cfg.read_mode,
+            cfg.write_protocol,
+        );
         Ceft {
             meta: meta_addr,
             primary,
             mirror,
             monitors,
             stripe_size: cfg.stripe_size,
-            read_mode: cfg.read_mode,
-            write_protocol: cfg.write_protocol,
+            placement,
             net: cluster.net,
         }
     }
@@ -187,17 +192,13 @@ impl Ceft {
 
     /// Create a client component on `node`.
     pub fn add_client(&self, eng: &mut Engine<Ev>, node: u32) -> CompId {
-        let mut client = CeftClient::new(
+        eng.add(CeftClient::new(
             format!("ceft.client{node}"),
             node,
             self.net,
             self.meta,
-            self.primary.clone(),
-            self.mirror.clone(),
-        );
-        client.read_mode = self.read_mode;
-        client.write_protocol = self.write_protocol;
-        eng.add(client)
+            self.placement.clone(),
+        ))
     }
 }
 
@@ -299,7 +300,10 @@ mod tests {
         let v = log.borrow();
         let t_open = v[0].0;
         let t_done = v.last().unwrap().0;
-        let skipped = eng.component::<CeftClient>(client).skipped_parts();
+        let skipped = eng
+            .component::<CeftClient>(client)
+            .placement()
+            .skipped_parts();
         (t_done.saturating_sub(t_open).as_secs_f64(), skipped)
     }
 

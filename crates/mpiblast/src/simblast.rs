@@ -14,15 +14,16 @@
 //! * the master hands fragments to idle workers and the run ends when the
 //!   last fragment completes (makespan).
 
-use parblast_ceft::{Ceft, CeftClient, CeftConfig};
+use parblast_ceft::{Ceft, CeftClient, CeftConfig, MirroredPlacement};
 use parblast_hwsim::{
     start_stressor, Cluster, CpuMsg, DiskStressor, Envelope, Ev, FaultInjector, FaultSchedule,
     FsDone, FsMsg, HwParams, NetSend, StressorConfig,
 };
 use parblast_pvfs::{
-    ClientReq, ClientResp, Iod, Pvfs, PvfsClient, Region, RetryPolicy, CTRL_BYTES,
+    Client, ClientReq, ClientResp, Iod, Placement, Pvfs, PvfsClient, Region, RetryPolicy,
+    StripedPlacement, CTRL_BYTES,
 };
-use parblast_simcore::{CompId, Component, Ctx, Engine, SimTime, TraceEntry};
+use parblast_simcore::{CompId, Component, Ctx, Engine, LogHistogram, SimTime, TraceEntry};
 
 use crate::trace::{IoKind, Tracer};
 
@@ -242,8 +243,8 @@ pub struct SimOutcome {
     /// Online resyncs completed by the metadata server (CEFT with
     /// [`parblast_ceft::CeftConfig::resync_rate`] set).
     pub resyncs: u64,
-    /// Foreground read-latency tail across all CEFT clients, in
-    /// microseconds (zeroed for the other schemes). The integrity bench
+    /// Foreground read-latency tail across all PVFS or CEFT clients, in
+    /// microseconds (zeroed for the original scheme). The integrity bench
     /// compares this clean vs. during an online rebuild.
     pub read_latency_us: parblast_simcore::Percentiles,
     /// Event-delivery trace (empty unless
@@ -259,6 +260,27 @@ pub struct SimOutcome {
     pub server_list_reads: u64,
     /// Regions carried by those list requests in total.
     pub server_list_regions: u64,
+}
+
+/// Storage-client counters summed over a run's clients.
+#[derive(Default)]
+struct ClientTotals {
+    retries: u64,
+    failovers: u64,
+    repaired_stripes: u64,
+    read_hist: LogHistogram,
+}
+
+impl ClientTotals {
+    fn add<P: Placement + 'static>(&mut self, eng: &Engine<Ev>, clients: &[CompId]) {
+        for &c in clients {
+            let cl = eng.component::<Client<P>>(c);
+            self.retries += cl.retries();
+            self.failovers += cl.failovers();
+            self.repaired_stripes += cl.repaired_stripes();
+            self.read_hist.merge(cl.read_latency_hist());
+        }
+    }
 }
 
 /// Simulated file id of fragment 0; fragment `i` is file
@@ -1089,25 +1111,11 @@ pub fn run_simblast(cfg: &SimBlastConfig) -> SimOutcome {
     };
     let skipped_parts = ceft_clients
         .iter()
-        .map(|&c| {
-            eng.component::<parblast_ceft::CeftClient>(c)
-                .skipped_parts()
-        })
+        .map(|&c| eng.component::<CeftClient>(c).placement().skipped_parts())
         .sum();
-    let mut retries = 0u64;
-    let mut failovers = 0u64;
-    let mut repaired_stripes = 0u64;
-    for &c in &pvfs_clients {
-        retries += eng.component::<PvfsClient>(c).retries();
-    }
-    let mut read_hist = parblast_simcore::LogHistogram::new();
-    for &c in &ceft_clients {
-        let cl = eng.component::<CeftClient>(c);
-        retries += cl.retries();
-        failovers += cl.failovers();
-        repaired_stripes += cl.repaired_stripes();
-        read_hist.merge(cl.read_latency_hist());
-    }
+    let mut totals = ClientTotals::default();
+    totals.add::<StripedPlacement>(&eng, &pvfs_clients);
+    totals.add::<MirroredPlacement>(&eng, &ceft_clients);
     let resyncs = ceft_meta
         .map(|m| eng.component::<parblast_ceft::CeftMeta>(m).resync_stats().0)
         .unwrap_or(0);
@@ -1129,11 +1137,11 @@ pub fn run_simblast(cfg: &SimBlastConfig) -> SimOutcome {
         skipped_parts,
         completed,
         error,
-        retries,
-        failovers,
-        repaired_stripes,
+        retries: totals.retries,
+        failovers: totals.failovers,
+        repaired_stripes: totals.repaired_stripes,
         resyncs,
-        read_latency_us: read_hist.percentiles(),
+        read_latency_us: totals.read_hist.percentiles(),
         trace,
         server_reads,
         server_list_reads,

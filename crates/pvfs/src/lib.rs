@@ -28,7 +28,7 @@ pub mod layout {
     pub use parblast_pio::layout::{LocalRange, StripeLayout};
 }
 
-pub use client::{PvfsClient, ServerAddr};
+pub use client::{Client, Placement, PvfsClient, ServerAddr, StripedPlacement};
 pub use iod::Iod;
 pub use layout::{LocalRange, StripeLayout};
 pub use meta::{FileMeta, MetaServer};
@@ -102,7 +102,7 @@ impl Pvfs {
             node,
             self.net,
             self.meta,
-            self.iods.clone(),
+            StripedPlacement::new(self.iods.clone()),
         ))
     }
 }

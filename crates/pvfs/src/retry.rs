@@ -1,5 +1,6 @@
-//! Per-request timeout and bounded-exponential-backoff retry policy,
-//! shared by the PVFS and CEFT-PVFS clients.
+//! Per-request timeout and bounded-exponential-backoff retry policy of the
+//! storage client engine ([`crate::client::Client`]), which PVFS and
+//! CEFT-PVFS share.
 //!
 //! Original PVFS had no request retry at all: a dead iod simply hung every
 //! client (which is exactly what the `faults` experiment shows when the

@@ -81,6 +81,167 @@ fn trace_capture_does_not_change_the_outcome() {
     assert_eq!(a.failovers, b.failovers);
 }
 
+/// FNV-1a over one simulated run: the rendered event-delivery trace plus the
+/// makespan bits and every client and server counter the experiments report.
+fn sim_digest(out: &parblast::mpiblast::SimOutcome) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    eat(format!("{:?}", out.trace).as_bytes());
+    for x in [
+        out.makespan_s.to_bits(),
+        out.retries,
+        out.failovers,
+        out.repaired_stripes,
+        out.skipped_parts,
+        out.server_reads,
+        out.server_list_reads,
+        out.server_list_regions,
+    ] {
+        eat(&x.to_le_bytes());
+    }
+    h
+}
+
+/// Golden pin for the simulated storage clients: every client path the
+/// experiments drive — fan-out, part and list timeouts with backoff, open
+/// retries, failover, tail resend, read-repair, skip redirects, read-ahead,
+/// the primary-only ablation and the server-side write protocols — must
+/// replay event for event. Each digest covers the full delivery trace, so
+/// reordering two sends anywhere in a client changes it.
+#[test]
+fn sim_traces_are_pinned_across_client_changes() {
+    use parblast::ceft::{ReadMode, WriteProtocol};
+    use parblast::mpiblast::FRAG_FILE_BASE;
+
+    let s = SimTime::from_secs_f64;
+    let pvfs = || SimScheme::Pvfs {
+        servers: vec![0, 1, 2, 3],
+    };
+    let ceft = || SimScheme::Ceft {
+        primary: vec![0, 1],
+        mirror: vec![2, 3],
+    };
+    let base = |scheme: SimScheme, list_io: bool| SimBlastConfig {
+        nodes: 5,
+        workers: 4,
+        fragments: 4,
+        db_bytes: 64 << 20,
+        scheme,
+        master_node: 4,
+        warmup_s: 1.0,
+        horizon_s: 400.0,
+        list_io,
+        // 128 KiB chunks make each per-server list longer than one
+        // LIST_REGION_CAP batch, so a fault can land between batches.
+        chunk: if list_io { 128 << 10 } else { 8 << 20 },
+        capture_trace: true,
+        ..Default::default()
+    };
+    let mut cases: Vec<(String, SimBlastConfig)> = Vec::new();
+    for (name, scheme) in [("pvfs", pvfs()), ("ceft", ceft())] {
+        for list_io in [false, true] {
+            let tag = |case: &str| format!("{name}/list={list_io}/{case}");
+            cases.push((tag("clean"), base(scheme.clone(), list_io)));
+            let mut crash = base(scheme.clone(), list_io);
+            crash.faults = FaultSchedule::new().crash_server(s(1.5), 1);
+            if name == "ceft" {
+                crash.faults = crash.faults.revive_server(s(6.0), 1);
+            }
+            cases.push((tag("crash"), crash));
+            let mut corrupt = base(scheme.clone(), list_io);
+            corrupt.faults = FaultSchedule::new().corrupt_stripe(s(0.5), 0, FRAG_FILE_BASE, 0);
+            cases.push((tag("corrupt"), corrupt));
+            if name == "ceft" {
+                // The mirror copy (server 2 is primary 0's partner) is bad
+                // too: the failed-over read mismatches again and fails.
+                let mut both = base(scheme.clone(), list_io);
+                both.faults = FaultSchedule::new()
+                    .corrupt_stripe(s(0.5), 0, FRAG_FILE_BASE, 0)
+                    .corrupt_stripe(s(0.5), 2, FRAG_FILE_BASE, 0);
+                cases.push((tag("corrupt_both"), both));
+            }
+            // Replies from data-server node 1 arrive 11 s late: past the
+            // default 10 s timeout, so parts and lists time out and the late
+            // originals become duplicates.
+            let mut slow = base(scheme.clone(), list_io);
+            slow.faults =
+                FaultSchedule::new().delay_messages(s(1.2), Some(1), None, s(11.0), s(1.6));
+            cases.push((tag("slow_server"), slow));
+        }
+        // Opens reach the metadata node 11 s late: the open times out and
+        // is re-sent.
+        let mut slow_meta = base(scheme.clone(), false);
+        slow_meta.faults =
+            FaultSchedule::new().delay_messages(s(0.9), None, Some(4), s(11.0), s(1.1));
+        cases.push((format!("{name}/slow_meta"), slow_meta));
+        let mut ahead = base(scheme.clone(), false);
+        ahead.read_ahead = 2;
+        cases.push((format!("{name}/read_ahead"), ahead));
+    }
+    for list_io in [false, true] {
+        let mut hot = base(ceft(), list_io);
+        hot.stress_nodes = vec![1];
+        hot.warmup_s = 3.0;
+        hot.ceft.heartbeat = SimTime::from_secs(1);
+        cases.push((format!("ceft/list={list_io}/stressed"), hot));
+        let mut primary = base(ceft(), list_io);
+        primary.ceft.read_mode = ReadMode::PrimaryOnly;
+        cases.push((format!("ceft/list={list_io}/primary_only"), primary));
+    }
+    for protocol in [WriteProtocol::ServerSync, WriteProtocol::ServerAsync] {
+        let mut w = base(ceft(), false);
+        w.ceft.write_protocol = protocol;
+        w.result_writes = 8;
+        cases.push((format!("ceft/{protocol:?}"), w));
+    }
+
+    // Computed before the PVFS and CEFT-PVFS clients became one engine.
+    const GOLDEN: [(&str, u64); 28] = [
+        ("pvfs/list=false/clean", 0x71cfe31f46bcc4a4),
+        ("pvfs/list=false/crash", 0x467f1ff232d1e1c2),
+        ("pvfs/list=false/corrupt", 0x819c0c8e134b5128),
+        ("pvfs/list=false/slow_server", 0xf045fa9c1820b8b8),
+        ("pvfs/list=true/clean", 0x456d422d25188bf1),
+        ("pvfs/list=true/crash", 0xc39a4139590d83ea),
+        ("pvfs/list=true/corrupt", 0xac0cef49e2355722),
+        ("pvfs/list=true/slow_server", 0xf5bb3f2187315260),
+        ("pvfs/slow_meta", 0xf1f3f76a82838b84),
+        ("pvfs/read_ahead", 0x7e8d793a548ad1d4),
+        ("ceft/list=false/clean", 0x922e67231789368d),
+        ("ceft/list=false/crash", 0xb0b5649c4badc3d8),
+        ("ceft/list=false/corrupt", 0x2163de079b7e3f19),
+        ("ceft/list=false/corrupt_both", 0xb7bce1654b1c0095),
+        ("ceft/list=false/slow_server", 0xb352025a86388d14),
+        ("ceft/list=true/clean", 0xb1d2d3f3fd437542),
+        ("ceft/list=true/crash", 0x68b6506684085d2a),
+        ("ceft/list=true/corrupt", 0x9028915d81956d0c),
+        ("ceft/list=true/corrupt_both", 0xaf003223eed99e0f),
+        ("ceft/list=true/slow_server", 0xaf57e2ca0035a0b5),
+        ("ceft/slow_meta", 0x573a4071477d10c2),
+        ("ceft/read_ahead", 0x9817e1d9bea11c5b),
+        ("ceft/list=false/stressed", 0x785de9defa113293),
+        ("ceft/list=false/primary_only", 0x88b8125035c902b3),
+        ("ceft/list=true/stressed", 0x3cf56a09846e273d),
+        ("ceft/list=true/primary_only", 0x1dae4b769e3ab2c0),
+        ("ceft/ServerSync", 0xe1c4f2b188868192),
+        ("ceft/ServerAsync", 0x08c7ea5997e7dd06),
+    ];
+    assert_eq!(cases.len(), GOLDEN.len());
+    for ((name, cfg), (want_name, want)) in cases.iter().zip(GOLDEN) {
+        assert_eq!(name, want_name);
+        let digest = sim_digest(&run_simblast(cfg));
+        assert_eq!(
+            digest, want,
+            "{name}: the simulated run changed (digest 0x{digest:016x})"
+        );
+    }
+}
+
 /// Render a blastn `search_volume` outcome to a digest that pins every
 /// reported field: subject order, HSP order, raw/bit scores, E-values,
 /// coordinates on both strands, and alignment statistics. Uses FNV-1a over
