@@ -1,35 +1,9 @@
 //! §4.1 calibration check: simulated Bonnie (disk) and Netperf (network)
 //! against the paper's measured numbers.
 
-use parblast_bench::print_table;
+use parblast_bench::figures;
 use parblast_core::experiments::calibration;
 
 fn main() {
-    let c = calibration();
-    println!("Calibration vs paper (§4.1, PrairieFire cluster)\n");
-    print_table(
-        &["metric", "paper", "simulated"],
-        &[
-            vec![
-                "disk write (Bonnie), MB/s".into(),
-                "32".into(),
-                format!("{:.1}", c.disk_write_mbs),
-            ],
-            vec![
-                "disk read (Bonnie), MB/s".into(),
-                "26".into(),
-                format!("{:.1}", c.disk_read_mbs),
-            ],
-            vec![
-                "TCP over Myrinet (Netperf), MB/s".into(),
-                "~112".into(),
-                format!("{:.1}", c.net_mbs),
-            ],
-            vec![
-                "TCP CPU utilization".into(),
-                "47%".into(),
-                format!("{:.0}%", c.net_cpu_fraction * 100.0),
-            ],
-        ],
-    );
+    print!("{}", figures::calibration(&calibration()));
 }

@@ -30,6 +30,8 @@
 //!   is asserted identical to the reference kernel's.
 //! * **traceback** — [`banded_global_with`] alone, on the aligned ranges
 //!   the report-bound mix reports: HSPs and band cells per second.
+//! * **score statistics** — [`scorer_params`], the Karlin-Altschul solve
+//!   a batch runs once, per solve (printed, not in the JSON).
 //!
 //! Writes `BENCH_engine.json` (CI archives it). The legacy byte scanner,
 //! the sequential per-query path, the six-matrix traceback and the
@@ -40,7 +42,7 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use parblast_bench::{arg_u64, arg_value, print_table};
+use parblast_bench::{arg_u64, arg_value, median, print_table};
 use parblast_blast::baseline::search_blastn_baseline;
 use parblast_blast::lookup::MaskedContext;
 use parblast_blast::{
@@ -68,11 +70,6 @@ fn synth_volume_bytes(residues: u64, seed: u64) -> Vec<u8> {
     }
     w.finish().expect("finish");
     buf.into_inner()
-}
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 /// Length of the planted family's members (the whole-path benchmark's).
@@ -619,6 +616,24 @@ fn main() {
     );
     let (hsps_per_s, cells_per_s) = (pairs.len() as f64 / trace_s, cells as f64 / trace_s);
 
+    // --- score statistics -----------------------------------------------
+    // The Karlin-Altschul solve (lambda, K, H of the blastn scorer) that a
+    // batch runs once, timed over KARLIN_SOLVES solves per rep.
+    const KARLIN_SOLVES: usize = 1000;
+    let karlin = scorer_params(&params.scorer).expect("blastn statistics");
+    let karlin_s = median(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..KARLIN_SOLVES {
+                    let p = scorer_params(std::hint::black_box(&params.scorer));
+                    assert_eq!(p.as_ref(), Some(&karlin), "unstable Karlin solve");
+                }
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    );
+
     let scan_rows = [(1, seeds, scan_s), (8, seeds_b8, scan_b8_s)];
     let searched_bases = total_bases as f64 * nqueries as f64;
     let base_bps = searched_bases / base_s;
@@ -718,6 +733,17 @@ fn main() {
             format!("{trace_s:.5}"),
             format!("{hsps_per_s:.0}"),
             format!("{:.1}", cells_per_s / 1e6),
+        ]],
+    );
+
+    println!();
+    print_table(
+        &["stage", "solves", "time (s)", "us/solve"],
+        &[vec![
+            "Karlin-Altschul solve".into(),
+            format!("{KARLIN_SOLVES}"),
+            format!("{karlin_s:.5}"),
+            format!("{:.2}", karlin_s / KARLIN_SOLVES as f64 * 1e6),
         ]],
     );
 

@@ -2,7 +2,7 @@
 //! (8 workers, 8 fragments, 568-nt query). Prints the §4.2 statistics and
 //! writes the scatter data to `fig4_trace.tsv`.
 
-use parblast_bench::{arg_u64, print_table};
+use parblast_bench::{arg_u64, figures};
 use parblast_core::experiments::fig4;
 
 fn main() {
@@ -11,55 +11,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("parblast_fig4_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("workdir");
     let r = fig4(&dir, residues).expect("fig4 run");
-    let s = &r.summary;
-    println!("Figure 4: I/O access pattern of the parallel BLAST (real run)");
-    println!("database: {residues} residues, 8 fragments, 8 workers, blastn, 568-nt query\n");
-    print_table(
-        &["metric", "paper (2.7 GB nt)", "this run (scaled)"],
-        &[
-            vec!["total I/O ops".into(), "144".into(), format!("{}", s.ops)],
-            vec![
-                "reads".into(),
-                "89%".into(),
-                format!("{:.0}%", s.read_fraction * 100.0),
-            ],
-            vec![
-                "read size min".into(),
-                "13 B".into(),
-                format!("{} B", s.read_min),
-            ],
-            vec![
-                "read size max".into(),
-                "220 MB".into(),
-                format!("{:.1} MB", s.read_max as f64 / 1e6),
-            ],
-            vec![
-                "read size mean".into(),
-                "~10 MB".into(),
-                format!("{:.2} MB", s.read_mean / 1e6),
-            ],
-            vec![
-                "write size min".into(),
-                "50 B".into(),
-                format!("{} B", s.write_min),
-            ],
-            vec![
-                "write size max".into(),
-                "778 B".into(),
-                format!("{} B", s.write_max),
-            ],
-            vec![
-                "write size mean".into(),
-                "690 B".into(),
-                format!("{:.0} B", s.write_mean),
-            ],
-            vec![
-                "query found (hits)".into(),
-                "-".into(),
-                format!("{}", r.hits),
-            ],
-        ],
-    );
+    print!("{}", figures::fig4(&r, residues));
     let out = std::path::Path::new("fig4_trace.tsv");
     std::fs::write(out, &r.scatter_tsv).expect("write tsv");
     println!("\nscatter data -> {}", out.display());

@@ -1,30 +1,10 @@
 //! Figure 5: original vs over-PVFS under equal resources
 //! (nodes serve as both workers and data servers).
 
-use parblast_bench::{arg_u64, print_table};
+use parblast_bench::{arg_u64, figures};
 use parblast_core::experiments::{fig5, NT_BYTES};
 
 fn main() {
     let db = arg_u64("--db-bytes", NT_BYTES);
-    let rows = fig5(&[1, 2, 4, 8], db);
-    println!("Figure 5: execution time, original vs over-PVFS (same resources)");
-    println!(
-        "database: {:.2} GB (copy time excluded from the original, as in the paper)\n",
-        db as f64 / 1e9
-    );
-    print_table(
-        &["nodes", "original (s)", "over-PVFS (s)", "PVFS/orig"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.nodes.to_string(),
-                    format!("{:.1}", r.t_original),
-                    format!("{:.1}", r.t_pvfs),
-                    format!("{:.3}", r.t_pvfs / r.t_original),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("\nexpected shape: PVFS loses at 1 node, wins at 2-8 with shrinking gain");
+    print!("{}", figures::fig5(&fig5(&figures::FIG5_NODES, db), db));
 }

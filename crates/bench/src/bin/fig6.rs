@@ -1,46 +1,12 @@
 //! Figure 6: execution time across worker counts and PVFS data-server
 //! counts, with the original scheme as baseline.
 
-use parblast_bench::{arg_u64, print_table};
+use parblast_bench::{arg_u64, figures};
 use parblast_core::experiments::{fig6, NT_BYTES};
 
 fn main() {
     let db = arg_u64("--db-bytes", NT_BYTES);
-    let workers = [1u32, 2, 4, 8];
-    let servers = [1u32, 2, 4, 6, 8, 12, 16];
+    let (workers, servers) = (figures::FIG6_WORKERS, figures::FIG6_SERVERS);
     let cells = fig6(&workers, &servers, db);
-    println!("Figure 6: execution time (s) vs number of PVFS data servers");
-    println!(
-        "database: {:.2} GB; 'orig' = original scheme baseline\n",
-        db as f64 / 1e9
-    );
-    let mut headers: Vec<String> = vec!["workers".into(), "orig".into()];
-    headers.extend(servers.iter().map(|s| format!("s={s}")));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut rows = Vec::new();
-    for &w in &workers {
-        let mut row = vec![w.to_string()];
-        let base = cells
-            .iter()
-            .find(|c| c.workers == w && c.servers == 0)
-            .unwrap();
-        row.push(format!("{:.1}", base.t));
-        for &s in &servers {
-            let c = cells
-                .iter()
-                .find(|c| c.workers == w && c.servers == s)
-                .unwrap();
-            row.push(format!("{:.1}", c.t));
-        }
-        rows.push(row);
-    }
-    print_table(&headers_ref, &rows);
-    // §4.3 in-text claim: I/O ≈ 11 % of execution, original, 2 workers.
-    if let Some(c) = cells.iter().find(|c| c.workers == 2 && c.servers == 0) {
-        println!(
-            "\nI/O fraction (original, 2 workers): {:.1}%  (paper: ~11%)",
-            c.io_fraction * 100.0
-        );
-    }
-    println!("expected shape: times fall with servers, flatten by ~4-8, no gain (or slight loss) at 12-16");
+    print!("{}", figures::fig6(&cells, &workers, &servers, db));
 }

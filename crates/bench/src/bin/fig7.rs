@@ -1,32 +1,10 @@
 //! Figure 7: over-PVFS (8 data servers) vs over-CEFT-PVFS (4 mirroring 4)
 //! with the same total number of server nodes.
 
-use parblast_bench::{arg_u64, print_table};
+use parblast_bench::{arg_u64, figures};
 use parblast_core::experiments::{fig7, NT_BYTES};
 
 fn main() {
     let db = arg_u64("--db-bytes", NT_BYTES);
-    let rows = fig7(&[1, 2, 4, 8], db);
-    println!("Figure 7: PVFS (8 servers) vs CEFT-PVFS (4 mirroring 4)");
-    println!("database: {:.2} GB\n", db as f64 / 1e9);
-    print_table(
-        &[
-            "workers",
-            "over-PVFS (s)",
-            "over-CEFT-PVFS (s)",
-            "CEFT/PVFS",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.workers.to_string(),
-                    format!("{:.1}", r.t_pvfs),
-                    format!("{:.1}", r.t_ceft),
-                    format!("{:.3}", r.t_ceft / r.t_pvfs),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("\nexpected shape: CEFT slightly worse (more metadata), same read parallelism");
+    print!("{}", figures::fig7(&fig7(&figures::FIG7_WORKERS, db), db));
 }

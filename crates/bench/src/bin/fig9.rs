@@ -1,41 +1,10 @@
 //! Figure 9: all three schemes with one data-server disk stressed by the
 //! Figure 8 program (8 workers, 8 data servers).
 
-use parblast_bench::{arg_u64, print_table};
+use parblast_bench::{arg_u64, figures};
 use parblast_core::experiments::{fig9, NT_BYTES};
 
 fn main() {
     let db = arg_u64("--db-bytes", NT_BYTES);
-    let rows = fig9(db);
-    println!("Figure 9: one disk stressed (Figure 8 program), 8 workers / 8 servers");
-    println!("database: {:.2} GB\n", db as f64 / 1e9);
-    print_table(
-        &[
-            "scheme",
-            "no stress (s)",
-            "stressed (s)",
-            "factor",
-            "paper factor",
-            "skipped parts",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                let paper = match r.scheme {
-                    "original" => "10x",
-                    "over-PVFS" => "21x",
-                    _ => "2x",
-                };
-                vec![
-                    r.scheme.to_string(),
-                    format!("{:.1}", r.t_clean),
-                    format!("{:.1}", r.t_stressed),
-                    format!("{:.1}x", r.factor),
-                    paper.into(),
-                    r.skipped_parts.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("\nexpected shape: PVFS >> original >> CEFT degradation; CEFT skips the hot server");
+    print!("{}", figures::fig9(&fig9(db), db));
 }

@@ -23,19 +23,13 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parblast_bench::{arg_u64, arg_value, print_table};
+use parblast_bench::{arg_u64, arg_value, median, print_table};
 use parblast_blast::{DbStats, Program, SearchParams};
 use parblast_core::experiments::read_ahead_ablation;
 use parblast_core::mpiblast::{ParallelBlast, Parallelization, Scheme, Tracer};
 use parblast_core::pio::{read_all, ObjectStore, StripeLayout, StripedStore};
 use parblast_seqdb::blastdb::SeqType;
 use parblast_seqdb::{extract_query, segment_into_fragments, SyntheticConfig, SyntheticNt};
-
-/// Median of a sample of seconds.
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 // ---------------------------------------------------------- pool microbench
 

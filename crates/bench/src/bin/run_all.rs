@@ -1,152 +1,33 @@
 //! Regenerate every experiment in one go and print the full
-//! paper-vs-measured record (the data behind EXPERIMENTS.md).
+//! paper-vs-measured record (the data behind EXPERIMENTS.md), each figure
+//! through the same printer as its own binary.
 //!
 //! ```sh
 //! cargo run --release -p parblast-bench --bin run_all [--db-bytes N] [--residues N]
 //! ```
 
-use parblast_bench::{arg_u64, print_table};
+use parblast_bench::{arg_u64, figures};
 use parblast_core::experiments::*;
 
 fn main() {
     let db = arg_u64("--db-bytes", NT_BYTES);
     let residues = arg_u64("--residues", 64 << 20);
 
-    println!("=== Calibration (paper §4.1) ===\n");
-    let c = calibration();
-    print_table(
-        &["metric", "paper", "simulated"],
-        &[
-            vec![
-                "disk write MB/s".into(),
-                "32".into(),
-                format!("{:.1}", c.disk_write_mbs),
-            ],
-            vec![
-                "disk read MB/s".into(),
-                "26".into(),
-                format!("{:.1}", c.disk_read_mbs),
-            ],
-            vec![
-                "TCP MB/s".into(),
-                "~112".into(),
-                format!("{:.1}", c.net_mbs),
-            ],
-            vec![
-                "TCP CPU".into(),
-                "47%".into(),
-                format!("{:.0}%", c.net_cpu_fraction * 100.0),
-            ],
-        ],
-    );
+    print!("{}", figures::calibration(&calibration()));
 
-    println!("\n=== Figure 4 (real run, scaled database) ===\n");
     let dir = std::env::temp_dir().join(format!("parblast_runall_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("workdir");
     let f4 = fig4(&dir, residues).expect("fig4");
-    let s = &f4.summary;
-    println!(
-        "ops={} reads={:.0}% read sizes {}B..{:.1}MB mean {:.2}MB; writes {}..{}B; hits={}",
-        s.ops,
-        s.read_fraction * 100.0,
-        s.read_min,
-        s.read_max as f64 / 1e6,
-        s.read_mean / 1e6,
-        s.write_min,
-        s.write_max,
-        f4.hits
-    );
     std::fs::remove_dir_all(&dir).ok();
+    print!("\n{}", figures::fig4(&f4, residues));
 
-    println!("\n=== Figure 5 (same resources) ===\n");
-    let rows = fig5(&[1, 2, 4, 8], db);
-    print_table(
-        &["nodes", "original(s)", "PVFS(s)", "gain(s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.nodes.to_string(),
-                    format!("{:.1}", r.t_original),
-                    format!("{:.1}", r.t_pvfs),
-                    format!("{:+.1}", r.t_original - r.t_pvfs),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    print!("\n{}", figures::fig5(&fig5(&figures::FIG5_NODES, db), db));
 
-    println!("\n=== Figure 6 (server sweep) ===\n");
-    let workers = [1u32, 2, 4, 8];
-    let servers = [1u32, 2, 4, 6, 8, 12, 16];
+    let (workers, servers) = (figures::FIG6_WORKERS, figures::FIG6_SERVERS);
     let cells = fig6(&workers, &servers, db);
-    let mut headers: Vec<String> = vec!["workers".into(), "orig".into()];
-    headers.extend(servers.iter().map(|s| format!("s={s}")));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut rows = Vec::new();
-    for &w in &workers {
-        let mut row = vec![w.to_string()];
-        for s in std::iter::once(0u32).chain(servers.iter().copied()) {
-            let cell = cells
-                .iter()
-                .find(|c| c.workers == w && c.servers == s)
-                .unwrap();
-            row.push(format!("{:.1}", cell.t));
-        }
-        rows.push(row);
-    }
-    print_table(&headers_ref, &rows);
-    if let Some(c2) = cells.iter().find(|c| c.workers == 2 && c.servers == 0) {
-        println!(
-            "\nI/O fraction (original, 2 workers): {:.1}% (paper ~11%)",
-            c2.io_fraction * 100.0
-        );
-    }
+    print!("\n{}", figures::fig6(&cells, &workers, &servers, db));
 
-    println!("\n=== Figure 7 (PVFS 8 vs CEFT 4+4) ===\n");
-    let rows = fig7(&[1, 2, 4, 8], db);
-    print_table(
-        &["workers", "PVFS(s)", "CEFT(s)", "CEFT/PVFS"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.workers.to_string(),
-                    format!("{:.1}", r.t_pvfs),
-                    format!("{:.1}", r.t_ceft),
-                    format!("{:.3}", r.t_ceft / r.t_pvfs),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    print!("\n{}", figures::fig7(&fig7(&figures::FIG7_WORKERS, db), db));
 
-    println!("\n=== Figure 9 (one stressed disk) ===\n");
-    let rows = fig9(db);
-    print_table(
-        &[
-            "scheme",
-            "clean(s)",
-            "stressed(s)",
-            "factor",
-            "paper",
-            "skips",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                let paper = match r.scheme {
-                    "original" => "10x",
-                    "over-PVFS" => "21x",
-                    _ => "2x",
-                };
-                vec![
-                    r.scheme.to_string(),
-                    format!("{:.1}", r.t_clean),
-                    format!("{:.1}", r.t_stressed),
-                    format!("{:.1}x", r.factor),
-                    paper.into(),
-                    r.skipped_parts.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    print!("\n{}", figures::fig9(&fig9(db), db));
 }

@@ -1,13 +1,17 @@
 //! # parblast-bench
 //!
-//! Experiment harness: binaries that regenerate every figure of the
-//! paper's evaluation (run with `cargo run -p parblast-bench --release
-//! --bin <figN>`) and criterion micro-benchmarks (`cargo bench`).
+//! The measurement harness: one binary per experiment (run with `cargo
+//! run -p parblast-bench --release --bin <name>`), each printing its
+//! rows as tables and, for the layer benches, writing a `BENCH_*.json`.
+//! [`figures`] holds the one printer of each paper figure.
 
 #![warn(missing_docs)]
 
-/// Minimal fixed-width table printer for experiment output.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+pub mod figures;
+
+/// Render a fixed-width table: right-aligned cells, a dashed rule under
+/// the header, one line per row.
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -16,18 +20,32 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = String::new();
+    let mut line = |cells: &[String]| {
         let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
+        for (c, w) in cells.iter().zip(&widths) {
+            s.push_str(&format!("{c:>w$}  "));
         }
-        println!("{}", s.trim_end());
+        out.push_str(s.trim_end());
+        out.push('\n');
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
-        line(row.clone());
+        line(row);
     }
+    out
+}
+
+/// Print [`render_table`]'s table to stdout.
+pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", render_table(headers, rows));
+}
+
+/// Median of `samples` (the upper middle one for an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Parse `--key value` style arguments; returns the value for `key`.
@@ -75,5 +93,20 @@ mod tests {
             assert!(message.contains("--db-bytes"), "{message}");
             assert!(message.contains(&format!("`{bad}`")), "{message}");
         }
+    }
+
+    #[test]
+    fn a_table_is_right_aligned_under_a_dashed_rule() {
+        let rows = [vec!["1".to_string(), "12.5".to_string()]];
+        assert_eq!(
+            render_table(&["n", "time (s)"], &rows),
+            "n  time (s)\n-  --------\n1      12.5\n"
+        );
+    }
+
+    #[test]
+    fn the_median_of_an_even_count_is_the_upper_middle() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
     }
 }

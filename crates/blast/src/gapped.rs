@@ -80,27 +80,8 @@ impl GappedWorkspace {
 }
 
 /// X-drop gapped extension of `query` vs `subject` starting at their
-/// beginnings (callers slice to anchor). Affine gaps; `x_drop` in raw
-/// score units. Allocates fresh DP rows; hot paths should use
-/// [`xdrop_extend_with`].
-pub fn xdrop_extend(
-    query: &[u8],
-    subject: &[u8],
-    scorer: &Scorer,
-    gaps: GapPenalties,
-    x_drop: i32,
-) -> ExtensionResult {
-    xdrop_extend_with(
-        query,
-        subject,
-        scorer,
-        gaps,
-        x_drop,
-        &mut GappedWorkspace::new(),
-    )
-}
-
-/// [`xdrop_extend`] with caller-provided DP rows.
+/// beginnings (callers slice to anchor), in caller-provided DP rows.
+/// Affine gaps; `x_drop` in raw score units.
 ///
 /// The recurrence, with `best` the running maximum over all cells so far
 /// in row-major order:
@@ -311,32 +292,10 @@ fn xdrop_kernel<const REV: bool>(
 }
 
 /// Bidirectional gapped extension anchored at `(q0, s0)` (the anchor pair
-/// itself is scored by the right extension). Returns `(score, q_range,
-/// s_range)`. Allocating convenience wrapper over [`extend_gapped_with`].
-pub fn extend_gapped(
-    query: &[u8],
-    subject: &[u8],
-    q0: usize,
-    s0: usize,
-    scorer: &Scorer,
-    gaps: GapPenalties,
-    x_drop: i32,
-) -> (i32, std::ops::Range<usize>, std::ops::Range<usize>) {
-    extend_gapped_with(
-        query,
-        subject,
-        q0,
-        s0,
-        scorer,
-        gaps,
-        x_drop,
-        &mut GappedWorkspace::new(),
-    )
-}
-
-/// [`extend_gapped`] with reusable DP rows. The left half reads the two
-/// prefixes backwards in place, so an extension costs its band cells and
-/// nothing that grows with `q0` or `s0`.
+/// itself is scored by the right extension), in reusable DP rows. Returns
+/// `(score, q_range, s_range)`. The left half reads the two prefixes
+/// backwards in place, so an extension costs its band cells and nothing
+/// that grows with `q0` or `s0`.
 #[allow(clippy::too_many_arguments)]
 pub fn extend_gapped_with(
     query: &[u8],
@@ -843,7 +802,8 @@ mod tests {
     fn xdrop_perfect_extension() {
         let q = encode_nt_seq(b"ACGTACGTACGT");
         let s = q.clone();
-        let r = xdrop_extend(&q, &s, &nt(), g(), 20);
+        let mut ws = GappedWorkspace::new();
+        let r = xdrop_extend_with(&q, &s, &nt(), g(), 20, &mut ws);
         assert_eq!(r.score, 12);
         assert_eq!((r.q_ext, r.s_ext), (12, 12));
     }
@@ -852,7 +812,8 @@ mod tests {
     fn xdrop_stops_at_junk() {
         let q = encode_nt_seq(b"ACGTACGTCCCCCCCC");
         let s = encode_nt_seq(b"ACGTACGTGGGGGGGG");
-        let r = xdrop_extend(&q, &s, &nt(), g(), 6);
+        let mut ws = GappedWorkspace::new();
+        let r = xdrop_extend_with(&q, &s, &nt(), g(), 6, &mut ws);
         assert_eq!(r.score, 8);
         assert_eq!((r.q_ext, r.s_ext), (8, 8));
     }
@@ -863,7 +824,8 @@ mod tests {
         // bridge it: 8 matches, gap(2) = −9, then 12 more matches.
         let q = encode_nt_seq(b"ACGTACGTTTGCATGCATGC");
         let s = encode_nt_seq(b"ACGTACGTGGTTGCATGCATGC");
-        let r = xdrop_extend(&q, &s, &nt(), g(), 25);
+        let mut ws = GappedWorkspace::new();
+        let r = xdrop_extend_with(&q, &s, &nt(), g(), 25, &mut ws);
         // Best: 20 matches − gap cost 9 = 11.
         assert_eq!(r.score, 20 - 9);
         assert_eq!(r.q_ext, 20);
@@ -882,7 +844,8 @@ mod tests {
             s_ext: 0,
         };
         assert_eq!(baseline::xdrop_extend(&q, &s, &nt_1_2(), g(), 1), want);
-        assert_eq!(xdrop_extend(&q, &s, &nt_1_2(), g(), 1), want);
+        let mut ws = GappedWorkspace::new();
+        assert_eq!(xdrop_extend_with(&q, &s, &nt_1_2(), g(), 1, &mut ws), want);
     }
 
     /// The best cell is the first column holding the row's new `best`:
@@ -904,7 +867,8 @@ mod tests {
             s_ext: 4,
         };
         assert_eq!(baseline::xdrop_extend(&q, &s, &scorer, gaps, 8), want);
-        assert_eq!(xdrop_extend(&q, &s, &scorer, gaps, 8), want);
+        let mut ws = GappedWorkspace::new();
+        assert_eq!(xdrop_extend_with(&q, &s, &scorer, gaps, 8, &mut ws), want);
     }
 
     #[test]
@@ -912,7 +876,8 @@ mod tests {
         let q = encode_nt_seq(b"TTTTACGTACGTACGTTTTT");
         let s = encode_nt_seq(b"GGGGACGTACGTACGTGGGG");
         // Anchor inside the common core.
-        let (score, qr, sr) = extend_gapped(&q, &s, 8, 8, &nt(), g(), 8);
+        let mut ws = GappedWorkspace::new();
+        let (score, qr, sr) = extend_gapped_with(&q, &s, 8, 8, &nt(), g(), 8, &mut ws);
         assert_eq!(score, 12);
         assert_eq!(qr, 4..16);
         assert_eq!(sr, 4..16);
@@ -965,7 +930,7 @@ mod tests {
         let (score, ops) = banded_global_with(&q, &[], &nt(), g(), 2, &mut ws);
         assert_eq!(ops.len(), 3);
         assert_eq!(score, -(5 + 2 * 3));
-        let r = xdrop_extend(&[], &q, &nt(), g(), 10);
+        let r = xdrop_extend_with(&[], &q, &nt(), g(), 10, &mut ws);
         assert_eq!(r.score, 0);
     }
 

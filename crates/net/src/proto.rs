@@ -490,7 +490,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, FrameError> {
 
 /// Decode one complete frame from `buf`, which must contain exactly the
 /// frame — a short buffer and trailing garbage both decode as
-/// [`FrameError::Truncated`], mirroring `pvfs::decode_read_list`.
+/// [`FrameError::Truncated`].
 pub fn decode_frame(buf: &[u8]) -> Result<Frame, FrameError> {
     let (kind, len) = decode_header(buf)?;
     let end = FRAME_HEADER_LEN + len as usize;

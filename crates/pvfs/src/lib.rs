@@ -33,10 +33,9 @@ pub use iod::Iod;
 pub use layout::{LocalRange, StripeLayout};
 pub use meta::{FileMeta, MetaServer};
 pub use msg::{
-    decode_read_list, encode_read_list, list_req_wire_bytes, validate_regions, ClientReq,
-    ClientResp, IoError, IodRead, IodReadList, IodReadListResp, IodReadResp, IodWrite,
-    IodWriteResp, ListFrameError, MetaOpen, MetaOpenResp, Region, CTRL_BYTES, LIST_MAGIC,
-    LIST_REGION_CAP, LIST_VERSION,
+    list_req_wire_bytes, validate_regions, ClientReq, ClientResp, IoError, IodRead, IodReadList,
+    IodReadListResp, IodReadResp, IodWrite, IodWriteResp, ListFrameError, MetaOpen, MetaOpenResp,
+    Region, CTRL_BYTES, LIST_REGION_CAP,
 };
 pub use retry::{backoff_delay, RetryPolicy};
 

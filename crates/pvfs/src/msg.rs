@@ -38,7 +38,7 @@ impl Region {
     }
 }
 
-/// Why a `ReadList` frame or region list was rejected.
+/// Why a region list was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ListFrameError {
     /// The list carries no regions at all.
@@ -49,12 +49,6 @@ pub enum ListFrameError {
     Unsorted(usize),
     /// Region at this index overlaps the previous region.
     Overlap(usize),
-    /// The byte frame ended before the declared region count.
-    Truncated,
-    /// The frame does not start with [`LIST_MAGIC`].
-    BadMagic,
-    /// Unknown frame version.
-    BadVersion(u8),
 }
 
 impl std::fmt::Display for ListFrameError {
@@ -64,18 +58,9 @@ impl std::fmt::Display for ListFrameError {
             ListFrameError::ZeroLen(i) => write!(f, "region {i} has zero length"),
             ListFrameError::Unsorted(i) => write!(f, "region {i} is out of order"),
             ListFrameError::Overlap(i) => write!(f, "region {i} overlaps its predecessor"),
-            ListFrameError::Truncated => write!(f, "frame truncated"),
-            ListFrameError::BadMagic => write!(f, "bad frame magic"),
-            ListFrameError::BadVersion(v) => write!(f, "unknown frame version {v}"),
         }
     }
 }
-
-/// Magic number opening every `ReadList` wire frame (`"PVL1"` bytes).
-pub const LIST_MAGIC: u32 = 0x5056_4C31;
-
-/// Current `ReadList` frame version.
-pub const LIST_VERSION: u8 = 1;
 
 /// Check that `regions` form a valid list: non-empty, every region
 /// non-zero length, sorted by offset, no overlaps. Adjacent regions are
@@ -102,80 +87,13 @@ pub fn validate_regions(regions: &[Region]) -> Result<(), ListFrameError> {
     Ok(())
 }
 
-/// Wire size of an encoded `ReadList` request frame carrying `regions`
-/// regions: 33-byte header plus 16 bytes per region. This is what a
-/// client charges the network for one aggregated request (instead of
-/// [`CTRL_BYTES`] per stripe).
+/// Wire size of a `ReadList` request carrying `regions` regions: a
+/// 33-byte header (magic `u32`, version `u8`, token, file and first
+/// `u64`, count `u32`) plus 16 bytes per region (offset and len `u64`).
+/// This is what a client charges the network for one aggregated request
+/// (instead of [`CTRL_BYTES`] per stripe).
 pub fn list_req_wire_bytes(regions: usize) -> u64 {
     33 + 16 * regions as u64
-}
-
-/// Encode a `ReadList` request frame (little-endian):
-/// magic `u32`, version `u8`, token `u64`, file `u64`, first `u64`,
-/// count `u32`, then count × (offset `u64`, len `u64`).
-/// The list is validated first; invalid lists never hit the wire.
-pub fn encode_read_list(
-    token: u64,
-    file: u64,
-    first: u64,
-    regions: &[Region],
-) -> Result<Vec<u8>, ListFrameError> {
-    validate_regions(regions)?;
-    let mut out = Vec::with_capacity(list_req_wire_bytes(regions.len()) as usize);
-    out.extend_from_slice(&LIST_MAGIC.to_le_bytes());
-    out.push(LIST_VERSION);
-    out.extend_from_slice(&token.to_le_bytes());
-    out.extend_from_slice(&file.to_le_bytes());
-    out.extend_from_slice(&first.to_le_bytes());
-    out.extend_from_slice(&(regions.len() as u32).to_le_bytes());
-    for r in regions {
-        out.extend_from_slice(&r.offset.to_le_bytes());
-        out.extend_from_slice(&r.len.to_le_bytes());
-    }
-    Ok(out)
-}
-
-fn take<const N: usize>(buf: &[u8], at: &mut usize) -> Result<[u8; N], ListFrameError> {
-    let end = *at + N;
-    if end > buf.len() {
-        return Err(ListFrameError::Truncated);
-    }
-    let mut out = [0u8; N];
-    out.copy_from_slice(&buf[*at..end]);
-    *at = end;
-    Ok(out)
-}
-
-/// Decode and validate a `ReadList` request frame produced by
-/// [`encode_read_list`]. Returns `(token, file, first, regions)`.
-/// Rejects bad magic/version, truncated frames, trailing garbage, and
-/// any region list [`validate_regions`] would refuse — a server never
-/// acts on a malformed list.
-pub fn decode_read_list(frame: &[u8]) -> Result<(u64, u64, u64, Vec<Region>), ListFrameError> {
-    let mut at = 0usize;
-    let magic = u32::from_le_bytes(take::<4>(frame, &mut at)?);
-    if magic != LIST_MAGIC {
-        return Err(ListFrameError::BadMagic);
-    }
-    let version = take::<1>(frame, &mut at)?[0];
-    if version != LIST_VERSION {
-        return Err(ListFrameError::BadVersion(version));
-    }
-    let token = u64::from_le_bytes(take::<8>(frame, &mut at)?);
-    let file = u64::from_le_bytes(take::<8>(frame, &mut at)?);
-    let first = u64::from_le_bytes(take::<8>(frame, &mut at)?);
-    let count = u32::from_le_bytes(take::<4>(frame, &mut at)?) as usize;
-    let mut regions = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let offset = u64::from_le_bytes(take::<8>(frame, &mut at)?);
-        let len = u64::from_le_bytes(take::<8>(frame, &mut at)?);
-        regions.push(Region { offset, len });
-    }
-    if at != frame.len() {
-        return Err(ListFrameError::Truncated);
-    }
-    validate_regions(&regions)?;
-    Ok((token, file, first, regions))
 }
 
 /// Application-facing request to a PVFS client component.

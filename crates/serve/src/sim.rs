@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 
+use parblast_blast::MAX_FUSED_BATCH;
 use parblast_mpiblast::{run_simblast, SimBlastConfig};
 use parblast_simcore::{SimRng, SimTime};
 
@@ -71,10 +72,10 @@ impl ServiceModel {
             0.0
         };
         // Pass accounting mirrors the real runner: the kernel merges up
-        // to 8 queries into one scan pass per fragment.
+        // to MAX_FUSED_BATCH queries into one scan pass per fragment.
         let frags = u64::from(cfg.fragments.max(1));
         let per_query_passes = frags * u64::from(k);
-        let kernel_passes = frags * u64::from(k).div_ceil(8);
+        let kernel_passes = frags * (k as usize).div_ceil(MAX_FUSED_BATCH) as u64;
         let c = ScanPassCost {
             service_s: out.makespan_s,
             scan_s: out.makespan_s * io_share,
