@@ -25,7 +25,9 @@
 //!   [`extend_ungapped_packed`] (the kernel's walk) and by
 //!   [`extend_ungapped`] (the reference's) with identity asserted per
 //!   seed; the `gapped_trigger` row runs every gapped extension the pass
-//!   triggers, per DP row and per DP cell. Each row is timed against whole
+//!   triggers, per DP row and per DP cell, and names the X-drop row kernel
+//!   the CPU picked ([`xdrop_row_kernel`]) and how many extensions fell
+//!   back from it. Each row is timed against whole
 //!   passes of the same reps (its share of a pass), and every rep's pass
 //!   is asserted identical to the reference kernel's.
 //! * **traceback** — [`banded_global_with`] alone, on the aligned ranges
@@ -47,8 +49,8 @@ use parblast_blast::baseline::search_blastn_baseline;
 use parblast_blast::lookup::MaskedContext;
 use parblast_blast::{
     banded_global_with, dust_mask, extend_gapped_with, extend_ungapped, extend_ungapped_packed,
-    scorer_params, BatchedNtLookup, DbStats, DiagTracker, GappedWorkspace, Hit, PackedQuery,
-    PreparedBatch, ScanWorkspace, SearchParams, UngappedHsp, UngappedTable,
+    scorer_params, xdrop_row_kernel, BatchedNtLookup, DbStats, DiagTracker, GappedWorkspace, Hit,
+    PackedQuery, PreparedBatch, ScanWorkspace, SearchParams, UngappedHsp, UngappedTable,
 };
 use parblast_seqdb::blastdb::DbSequence;
 use parblast_seqdb::{
@@ -481,6 +483,7 @@ fn main() {
     let mut gws = GappedWorkspace::new();
     let want_gapped = gapped(&mut gws);
     let (dp_rows, dp_cells) = (gws.dp_rows(), gws.dp_cells());
+    let (kernel, fallbacks) = (xdrop_row_kernel(), gws.dp_fallbacks());
     let pass_want = format!("{:?}", reference(&scan_bound, &volume, &params, db));
     let pass_queries: Vec<&[u8]> = scan_bound.iter().map(Vec::as_slice).collect();
     let (mut pass_t, mut packed_t, mut bytes_t, mut gapped_t) =
@@ -545,7 +548,7 @@ fn main() {
         ext_row("ungapped, packed (kernel)", extended.len(), packed_s, None),
         ext_row("ungapped, byte-wise (ref)", extended.len(), bytes_s, None),
         ext_row(
-            "gapped_trigger (X-drop)",
+            &format!("gapped_trigger (X-drop, {kernel}, {fallbacks} fallbacks)"),
             anchors.len(),
             gapped_s,
             Some((dp_rows, dp_cells)),
@@ -557,7 +560,8 @@ fn main() {
          \"byte_wise_s\": {bytes_s:.6}, \"packed_per_s\": {:.0}, \"byte_wise_per_s\": {:.0}, \
          \"speedup\": {:.3}, \"share_of_pass\": {:.4}, \"identical_to_byte_wise\": true}}, \
          \"gapped_trigger\": {{\"extensions\": {}, \"dp_rows\": {dp_rows}, \
-         \"dp_cells\": {dp_cells}, \"s\": {gapped_s:.6}, \"per_s\": {:.0}, \
+         \"dp_cells\": {dp_cells}, \"kernel\": \"{kernel}\", \"fallbacks\": {fallbacks}, \
+         \"s\": {gapped_s:.6}, \"per_s\": {:.0}, \
          \"ns_per_row\": {:.2}, \"ns_per_cell\": {:.3}, \"share_of_pass\": {:.4}}}, \
          \"identical_to_reference\": true}}",
         extended.len(),

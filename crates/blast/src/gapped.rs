@@ -45,6 +45,8 @@ pub struct GappedWorkspace {
     /// X-drop DP rows and cells computed so far, row 0 included.
     rows: u64,
     cells: u64,
+    /// Extensions the register kernel handed back to the scalar one.
+    fallbacks: u64,
 }
 
 impl GappedWorkspace {
@@ -64,6 +66,14 @@ impl GappedWorkspace {
     /// on the subject's length.
     pub fn dp_cells(&self) -> u64 {
         self.cells
+    }
+
+    /// How many X-drop extensions the register row kernel started and
+    /// handed back to the scalar kernel because a row needed more than 32
+    /// lanes (lifetime count; see [`xdrop_extend_with`]). Their rows and
+    /// cells are counted once, by the scalar kernel.
+    pub fn dp_fallbacks(&self) -> u64 {
+        self.fallbacks
     }
 
     /// Make column `j` addressable in both rows and `j + 1` substitution
@@ -136,6 +146,16 @@ impl GappedWorkspace {
 /// span), and column `hi(i-1) + 1` is set to a dead sentinel before the
 /// row starts. The work done is the number of band cells, independent of
 /// the subject's length ([`GappedWorkspace::dp_cells`] counts them).
+///
+/// Two row kernels compute exactly this, and the CPU picks one
+/// ([`xdrop_row_kernel`] names it). The scalar kernel above runs
+/// everywhere. Where `avx512bw` is present, a row is one `zmm` register
+/// of 32 `i16` lanes instead, and `h`/`f` never leave registers (see
+/// `avx512::xdrop_rows`). It runs only when every value an extension can
+/// form fits `i16` with margin (`fits_i16`). An extension whose band
+/// would need a row wider than 32 columns restarts in the scalar kernel
+/// ([`GappedWorkspace::dp_fallbacks`] counts those), so both kernels count
+/// the same rows and cells.
 pub fn xdrop_extend_with(
     query: &[u8],
     subject: &[u8],
@@ -144,14 +164,74 @@ pub fn xdrop_extend_with(
     x_drop: i32,
     ws: &mut GappedWorkspace,
 ) -> ExtensionResult {
-    xdrop_directed::<false>(query, subject, scorer, gaps, x_drop, ws)
+    xdrop_directed::<false>(
+        RowKernel::detect(),
+        query,
+        subject,
+        scorer,
+        gaps,
+        x_drop,
+        ws,
+    )
 }
 
-/// Resolve the scorer once per extension so the cell loop sees a plain
-/// closure. `REV` extends from the *ends* of `query` and `subject`
-/// backwards (the left half of a bidirectional extension) without copying
-/// either.
+/// Which row kernel an X-drop extension asks for.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowKernel {
+    /// [`xdrop_kernel`]: a cell at a time, in the workspace's rows.
+    Scalar,
+    /// `avx512::xdrop_rows` where the CPU has `avx512bw`, else the scalar
+    /// kernel.
+    Register,
+}
+
+impl RowKernel {
+    /// The fastest kernel this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512bw") {
+            return RowKernel::Register;
+        }
+        RowKernel::Scalar
+    }
+}
+
+/// The X-drop row kernel this CPU runs: `"avx512bw"` (one row per
+/// register) or `"scalar"`.
+pub fn xdrop_row_kernel() -> &'static str {
+    match RowKernel::detect() {
+        RowKernel::Register => "avx512bw",
+        RowKernel::Scalar => "scalar",
+    }
+}
+
+/// Whether every value an X-drop extension of a `len`-long diagonal can
+/// form stays inside `i16`, with the register kernel's dead sentinel
+/// (−16 384) at least 8 192 below any live value: the best score is at
+/// most `|reward| · len ≤ 16 384`, and no live-derived value falls more
+/// than `x_drop + 2·open + 34·extend + |penalty| + |reward| ≤ 4 096`
+/// below zero (a 32-lane row decays `E` over at most 31 columns).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn fits_i16(reward: i32, penalty: i32, gaps: GapPenalties, x_drop: i32, len: usize) -> bool {
+    let (open, ext, x) = (
+        i64::from(gaps.open),
+        i64::from(gaps.extend),
+        i64::from(x_drop),
+    );
+    let (reward, penalty) = (i64::from(reward).abs(), i64::from(penalty).abs());
+    open >= 0
+        && ext >= 0
+        && x >= 0
+        && x + 2 * open + 34 * ext + penalty + reward <= 4096
+        && reward.saturating_mul(len as i64) <= 16_384
+}
+
+/// One X-drop extension by `kernel`. `REV` extends from the *ends* of
+/// `query` and `subject` backwards (the left half of a bidirectional
+/// extension) without copying either.
 fn xdrop_directed<const REV: bool>(
+    kernel: RowKernel,
     query: &[u8],
     subject: &[u8],
     scorer: &Scorer,
@@ -160,6 +240,28 @@ fn xdrop_directed<const REV: bool>(
     ws: &mut GappedWorkspace,
 ) -> ExtensionResult {
     let Scorer::Nucleotide { reward, penalty } = *scorer;
+    let len = query.len().min(subject.len());
+    #[cfg(target_arch = "x86_64")]
+    if kernel == RowKernel::Register
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && len > 0
+        && fits_i16(reward, penalty, gaps, x_drop, len)
+    {
+        // SAFETY: the CPU was just seen to support AVX-512BW, all that
+        // `xdrop_rows` needs to be sound (the two tests after it make its
+        // answer exact).
+        let rows =
+            unsafe { avx512::xdrop_rows::<REV>(query, subject, reward, penalty, gaps, x_drop) };
+        if let Some((result, rows, cells)) = rows {
+            ws.rows += rows;
+            ws.cells += cells;
+            return result;
+        }
+        // A row needed more than 32 lanes: start over, one cell at a time.
+        ws.fallbacks += 1;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (kernel, len);
     xdrop_kernel::<REV>(
         query,
         subject,
@@ -291,6 +393,243 @@ fn xdrop_kernel<const REV: bool>(
     }
 }
 
+/// The register row kernel: the X-drop DP of [`xdrop_kernel`] with one
+/// row in one `zmm` register of 32 `i16` lanes, lane `k` holding column
+/// `jlo + k`. A row of ~16 cells is one step, with no carry between steps
+/// and no store-to-load round trip: `h` and `f` stay in registers from row
+/// to row.
+///
+/// A row, with `D = max(H(i-1,j-1) + s, F)` as in the scalar kernel:
+///
+/// * the substitution scores select on a match mask computed a row ahead:
+///   one masked load of the 63 subject codes the next row can pair,
+///   compared with its query base, shifted by how far the row's first
+///   column moved;
+/// * `H(i-1,j-1)` is permuted straight out of the row above, and
+///   `E(k) = max_{l<k} D(l) − open − ext·(k−1−l)` is a five-step prefix
+///   max-plus scan;
+/// * `live = H >= best(k) − x_drop`, with `best(k)` the `best` carried in
+///   on a row that raises nothing, else a five-step prefix max over the
+///   row; dead lanes store `NEG` in `h` and `f`;
+/// * the best cell, when the row raised `best`, is the first lane holding
+///   the row's maximum, and the first and last live lanes are the live
+///   mask's trailing and leading zero counts;
+/// * `h` and `f` then shift down by the first live lane, so lane 0 is the
+///   next row's `jlo`, and the lanes shifted in are dead sentinels.
+///
+/// The exact `i16` arithmetic ([`fits_i16`] decides when it is exact) and
+/// these rules give the scalar kernel's score, best cell, spans and so
+/// rows and cells; the dead sentinels' exact values never matter, since
+/// anything formed from one lies far below `best − x_drop`.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use super::ExtensionResult;
+    use crate::matrix::GapPenalties;
+
+    /// Lanes in a row register: the widest row this kernel computes.
+    const LANES: usize = 32;
+    /// The dead sentinel; [`super::fits_i16`] keeps every live value at
+    /// least 8 192 above it.
+    const NEG: i16 = i16::MIN / 2;
+
+    /// Lane `k` holds `k`.
+    const IOTA: [i16; LANES] = {
+        let mut v = [0; LANES];
+        let mut k = 0;
+        while k < LANES {
+            v[k] = k as i16;
+            k += 1;
+        }
+        v
+    };
+
+    #[target_feature(enable = "avx512bw")]
+    #[inline]
+    fn vec(v: [i16; LANES]) -> __m512i {
+        // SAFETY: `[i16; 32]` and `__m512i` are both 64 plain bytes.
+        unsafe { std::mem::transmute::<[i16; LANES], __m512i>(v) }
+    }
+
+    /// The low `w` lanes, `1 <= w <= 32`.
+    fn low_lanes(w: usize) -> u32 {
+        u32::MAX >> (LANES - w)
+    }
+
+    /// `x` moved `S` lanes up: lane `k >= S` takes lane `k − S`, the lanes
+    /// below `S` take `fill`.
+    #[target_feature(enable = "avx512bw")]
+    #[inline]
+    fn up<const S: i16>(x: __m512i, fill: __m512i) -> __m512i {
+        match S {
+            2 => _mm512_alignr_epi32::<15>(x, fill),
+            4 => _mm512_alignr_epi32::<14>(x, fill),
+            8 => _mm512_alignr_epi32::<12>(x, fill),
+            16 => _mm512_alignr_epi32::<8>(x, fill),
+            _ => {
+                let idx = _mm512_sub_epi16(vec(IOTA), _mm512_set1_epi16(S));
+                _mm512_mask_permutexvar_epi16(fill, u32::MAX << S, idx, x)
+            }
+        }
+    }
+
+    /// Where query base `qc` equals the subject residue that lane `t` of
+    /// a row starting at column `jlo` pairs (`jlo + t − 1`, or `n − jlo −
+    /// t` under REV), for `t` in `1..64`: bit `t`. A row starting `d <=
+    /// 31` columns right of `jlo` reads its lane `k` at bit `d + k`. One
+    /// masked load of the 63 bytes, none out of bounds (masked-off bytes
+    /// are neither read nor faulted on).
+    #[target_feature(enable = "avx512bw")]
+    #[inline]
+    fn matches<const REV: bool>(subject: &[u8], jlo: usize, qc: u8) -> u64 {
+        let n = subject.len();
+        // Lanes `1..=avail` pair residues inside the subject.
+        let avail = (n - jlo).min(63);
+        let lanes = (u64::MAX >> (63 - avail)) & !1;
+        let qc = _mm512_set1_epi8(qc as i8);
+        if REV {
+            // Byte `b` is residue `n − jlo − 63 + b`, lane `63 − b`.
+            let base = subject.as_ptr().wrapping_add(n - jlo).wrapping_sub(63);
+            // SAFETY: the unmasked bytes are `subject[n − jlo − avail..n − jlo]`.
+            let v = unsafe { _mm512_maskz_loadu_epi8(lanes.reverse_bits(), base.cast()) };
+            _mm512_mask_cmpeq_epi8_mask(lanes.reverse_bits(), v, qc).reverse_bits()
+        } else {
+            // Byte `t` is residue `jlo + t − 1`.
+            let base = subject.as_ptr().wrapping_add(jlo).wrapping_sub(1);
+            // SAFETY: the unmasked bytes are `subject[jlo..jlo + avail]`.
+            let v = unsafe { _mm512_maskz_loadu_epi8(lanes, base.cast()) };
+            _mm512_mask_cmpeq_epi8_mask(lanes, v, qc)
+        }
+    }
+
+    /// One extension of [`super::xdrop_kernel`] (same arguments, the
+    /// scorer resolved), returning its result, rows and cells, or `None`
+    /// as soon as a row would need more than 32 lanes.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have seen the CPU support AVX-512BW. The result is
+    /// exact only for a non-empty `query` and `subject` and where
+    /// [`super::fits_i16`] admits the arguments.
+    #[target_feature(enable = "avx512bw")]
+    pub(super) fn xdrop_rows<const REV: bool>(
+        query: &[u8],
+        subject: &[u8],
+        reward: i32,
+        penalty: i32,
+        gaps: GapPenalties,
+        x_drop: i32,
+    ) -> Option<(ExtensionResult, u64, u64)> {
+        let (m, n) = (query.len(), subject.len());
+        let (open, ext) = (gaps.open, gaps.extend);
+        // Row 0: a leading gap in the query, as far as it stays live (a
+        // span past 32 lanes fails the width test of row 1).
+        let mut hi = 0;
+        while hi < n.min(LANES) && -open - ext * (hi as i32 + 1) > -x_drop {
+            hi += 1;
+        }
+        let neg = _mm512_set1_epi16(NEG);
+        // `NEG + ext` makes F come out at exactly NEG, as in the scalar
+        // kernel's new column.
+        let f_new = _mm512_set1_epi16(NEG + ext as i16);
+        let open_ext = _mm512_set1_epi16((open + ext) as i16);
+        let ext_by = |s: i32| _mm512_set1_epi16((ext * s) as i16);
+        let (ext1, ext2, ext4, ext8, ext16) =
+            (ext_by(1), ext_by(2), ext_by(4), ext_by(8), ext_by(16));
+        let (rew, pen) = (
+            _mm512_set1_epi16(reward as i16),
+            _mm512_set1_epi16(penalty as i16),
+        );
+        let xd = _mm512_set1_epi16(x_drop as i16);
+        let row0 = low_lanes((hi + 1).min(LANES));
+        let ramp = _mm512_sub_epi16(
+            _mm512_set1_epi16(-open as i16),
+            _mm512_mullo_epi16(vec(IOTA), ext1),
+        );
+        let mut h = _mm512_mask_blend_epi16(row0 & !1, neg, ramp);
+        h = _mm512_mask_mov_epi16(h, 1, _mm512_setzero_si512());
+        let mut f = _mm512_mask_blend_epi16(row0, f_new, neg);
+        // `H(i-1, j-1)`: `h` one lane up, nothing left of column 0.
+        let mut diag = up::<1>(h, neg);
+        let (mut rows, mut cells) = (1, hi as u64 + 1);
+        let mut lo = 0;
+        let mut best = _mm512_setzero_si512();
+        let mut best_cell = (0, 0);
+        let residue = |i: usize| if REV { query[m - i] } else { query[i - 1] };
+        // Row i's matches, in the window at the column row i-1 started.
+        let (mut window, mut hits) = (0, matches::<REV>(subject, 0, residue(1)));
+        for i in 1..=m {
+            let (jlo, jhi) = (lo, (hi + 1).min(n));
+            let w = jhi - jlo + 1;
+            if w > LANES {
+                return None;
+            }
+            rows += 1;
+            cells += w as u64;
+            let valid = low_lanes(w);
+            let s = _mm512_mask_blend_epi16((hits >> (jlo - window)) as u32, pen, rew);
+            if i < m {
+                // The next row starts at most 31 columns right of this one.
+                (window, hits) = (jlo, matches::<REV>(subject, jlo, residue(i + 1)));
+            }
+            let fv = _mm512_max_epi16(_mm512_subs_epi16(h, open_ext), _mm512_subs_epi16(f, ext1));
+            let dv = _mm512_max_epi16(_mm512_adds_epi16(diag, s), fv);
+            let x = _mm512_subs_epi16(dv, open_ext);
+            let mut e = _mm512_max_epi16(up::<1>(x, neg), _mm512_subs_epi16(up::<2>(x, neg), ext1));
+            e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<2>(e, neg), ext2));
+            e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<4>(e, neg), ext4));
+            e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<8>(e, neg), ext8));
+            e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<16>(e, neg), ext16));
+            // Lanes past the row read dead, so they raise nothing.
+            let hv = _mm512_mask_max_epi16(neg, valid, dv, e);
+            let live = if _mm512_mask_cmpgt_epi16_mask(valid, hv, best) == 0 {
+                // Most rows raise nothing: every cell is judged against
+                // the `best` carried in.
+                _mm512_mask_cmpge_epi16_mask(valid, hv, _mm512_subs_epi16(best, xd))
+            } else {
+                let mut p = _mm512_max_epi16(hv, up::<1>(hv, neg));
+                p = _mm512_max_epi16(p, up::<2>(p, neg));
+                p = _mm512_max_epi16(p, up::<4>(p, neg));
+                p = _mm512_max_epi16(p, up::<8>(p, neg));
+                p = _mm512_max_epi16(p, up::<16>(p, neg));
+                p = _mm512_max_epi16(p, best);
+                // The first lane holding the row's maximum is the first
+                // cell to reach it.
+                best = _mm512_permutexvar_epi16(_mm512_set1_epi16(LANES as i16 - 1), p);
+                let k = _mm512_mask_cmpeq_epi16_mask(valid, hv, best).trailing_zeros();
+                best_cell = (i, jlo + k as usize);
+                _mm512_mask_cmpge_epi16_mask(valid, hv, _mm512_subs_epi16(p, xd))
+            };
+            if live == 0 {
+                break; // row died: extension complete
+            }
+            let (first, last) = (
+                live.trailing_zeros(),
+                LANES as u32 - 1 - live.leading_zeros(),
+            );
+            // Lane k of the next row is lane `k + first` of this one; its
+            // diagonal, lane `k − 1 + first`.
+            let idx = _mm512_add_epi16(vec(IOTA), _mm512_set1_epi16(first as i16));
+            let keep = u32::MAX >> first;
+            let h_row = _mm512_mask_blend_epi16(live, neg, hv);
+            let f_row = _mm512_mask_blend_epi16(live, neg, fv);
+            h = _mm512_mask_permutexvar_epi16(neg, keep, idx, h_row);
+            f = _mm512_mask_permutexvar_epi16(f_new, keep, idx, f_row);
+            let idx = _mm512_sub_epi16(idx, _mm512_set1_epi16(1));
+            diag = _mm512_mask_permutexvar_epi16(neg, keep << 1, idx, h_row);
+            (lo, hi) = (jlo + first as usize, jlo + last as usize);
+        }
+        let score = _mm_cvtsi128_si32(_mm512_castsi512_si128(best)) as i16;
+        let result = ExtensionResult {
+            score: score.into(),
+            q_ext: best_cell.0,
+            s_ext: best_cell.1,
+        };
+        Some((result, rows, cells))
+    }
+}
+
 /// Bidirectional gapped extension anchored at `(q0, s0)` (the anchor pair
 /// itself is scored by the right extension), in reusable DP rows. Returns
 /// `(score, q_range, s_range)`. The left half reads the two prefixes
@@ -307,8 +646,36 @@ pub fn extend_gapped_with(
     x_drop: i32,
     ws: &mut GappedWorkspace,
 ) -> (i32, std::ops::Range<usize>, std::ops::Range<usize>) {
-    let right = xdrop_directed::<false>(&query[q0..], &subject[s0..], scorer, gaps, x_drop, ws);
-    let left = xdrop_directed::<true>(&query[..q0], &subject[..s0], scorer, gaps, x_drop, ws);
+    extend_gapped_by(
+        RowKernel::detect(),
+        query,
+        subject,
+        q0,
+        s0,
+        scorer,
+        gaps,
+        x_drop,
+        ws,
+    )
+}
+
+/// [`extend_gapped_with`] by `kernel`.
+#[allow(clippy::too_many_arguments)]
+fn extend_gapped_by(
+    kernel: RowKernel,
+    query: &[u8],
+    subject: &[u8],
+    q0: usize,
+    s0: usize,
+    scorer: &Scorer,
+    gaps: GapPenalties,
+    x_drop: i32,
+    ws: &mut GappedWorkspace,
+) -> (i32, std::ops::Range<usize>, std::ops::Range<usize>) {
+    let (q, s) = (&query[q0..], &subject[s0..]);
+    let right = xdrop_directed::<false>(kernel, q, s, scorer, gaps, x_drop, ws);
+    let (q, s) = (&query[..q0], &subject[..s0]);
+    let left = xdrop_directed::<true>(kernel, q, s, scorer, gaps, x_drop, ws);
     (
         left.score + right.score,
         (q0 - left.q_ext)..(q0 + right.q_ext),
@@ -958,15 +1325,74 @@ mod tests {
         out
     }
 
+    /// The row kernels this CPU runs, the scalar one first. Where
+    /// `avx512bw` is absent, says once that the register half is skipped.
+    fn kernels() -> Vec<RowKernel> {
+        if RowKernel::detect() == RowKernel::Register {
+            return vec![RowKernel::Scalar, RowKernel::Register];
+        }
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        SKIPPED.call_once(|| {
+            println!("avx512bw absent: the register row kernel's half of these tests was skipped")
+        });
+        vec![RowKernel::Scalar]
+    }
+
+    /// Every kernel on one case, in `ws`: the one-directional extension
+    /// from the starts of `q` and `s`, the one from their ends, and the
+    /// bidirectional one anchored at `(q0, s0)` each equal the reference
+    /// kernel's five-row DP, and every kernel costs the same DP rows and
+    /// cells. Returns the register kernel's fallbacks.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_kernels_match_oracle(
+        q: &[u8],
+        s: &[u8],
+        q0: usize,
+        s0: usize,
+        scorer: &Scorer,
+        gaps: GapPenalties,
+        x_drop: i32,
+        ws: &mut GappedWorkspace,
+    ) -> u64 {
+        let (rq, rs): (Vec<u8>, Vec<u8>) = (
+            q.iter().rev().copied().collect(),
+            s.iter().rev().copied().collect(),
+        );
+        let want = (
+            baseline::xdrop_extend(q, s, scorer, gaps, x_drop),
+            baseline::xdrop_extend(&rq, &rs, scorer, gaps, x_drop),
+            baseline::extend_gapped(q, s, q0, s0, scorer, gaps, x_drop),
+        );
+        let (mut costs, fallbacks) = (Vec::new(), ws.dp_fallbacks());
+        for kernel in kernels() {
+            let (rows, cells) = (ws.dp_rows(), ws.dp_cells());
+            let got = (
+                xdrop_directed::<false>(kernel, q, s, scorer, gaps, x_drop, ws),
+                xdrop_directed::<true>(kernel, q, s, scorer, gaps, x_drop, ws),
+                extend_gapped_by(kernel, q, s, q0, s0, scorer, gaps, x_drop, ws),
+            );
+            assert_eq!(
+                got, want,
+                "{kernel:?} {gaps:?} x_drop {x_drop} at ({q0}, {s0}) q={q:?} s={s:?}"
+            );
+            costs.push((kernel, ws.dp_rows() - rows, ws.dp_cells() - cells));
+        }
+        assert!(
+            costs.iter().all(|c| (c.1, c.2) == (costs[0].1, costs[0].2)),
+            "DP rows and cells differ by kernel: {costs:?} q={q:?} s={s:?}"
+        );
+        ws.dp_fallbacks() - fallbacks
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// The in-place kernel returns what the reference kernel's
-        /// five-row DP returns: one-directional and bidirectional, both
-        /// scorers, every gap cost `open 0..=6 × extend 1..=3` (the E-from-D
-        /// row needs `open >= 0`, and `open == 0` is its edge), unrelated
-        /// and related pairs, empty inputs included, with one workspace
-        /// reused (and so left dirty) across every case.
+        /// Both row kernels return what the reference kernel's five-row DP
+        /// returns, at the same DP row and cell cost: forward, backward and
+        /// bidirectional, both scorers, every gap cost `open 0..=6 × extend
+        /// 1..=3` (the E-from-D row needs `open >= 0`, and `open == 0` is
+        /// its edge), unrelated and related pairs, empty inputs included,
+        /// with one workspace reused (and so left dirty) across every case.
         #[test]
         fn in_place_kernel_matches_five_row_oracle(
             seed in any::<u64>(),
@@ -987,6 +1413,8 @@ mod tests {
             } else {
                 residues(&mut rng, slen, None)
             };
+            let q0 = rng.random_range(0..q.len() + 1);
+            let s0 = rng.random_range(0..s.len() + 1);
             // One workspace per test thread, never cleared.
             thread_local! {
                 static WS: std::cell::RefCell<GappedWorkspace> =
@@ -994,17 +1422,77 @@ mod tests {
             }
             WS.with(|ws| {
                 let ws = &mut *ws.borrow_mut();
-                let want = baseline::xdrop_extend(&q, &s, &scorer, gaps, x_drop);
-                let got = xdrop_extend_with(&q, &s, &scorer, gaps, x_drop, ws);
-                prop_assert_eq!(got, want, "forward {:?} q={:?} s={:?}", gaps, &q, &s);
-                let q0 = rng.random_range(0..q.len() + 1);
-                let s0 = rng.random_range(0..s.len() + 1);
-                let want = baseline::extend_gapped(&q, &s, q0, s0, &scorer, gaps, x_drop);
-                let got = extend_gapped_with(&q, &s, q0, s0, &scorer, gaps, x_drop, ws);
-                prop_assert_eq!(got, want, "anchored at ({}, {}) q={:?} s={:?}", q0, s0, &q, &s);
-                Ok(())
-            })?;
+                assert_kernels_match_oracle(&q, &s, q0, s0, &scorer, gaps, x_drop, ws);
+            });
         }
+    }
+
+    /// A band wider than 32 columns sends the register kernel back to the
+    /// scalar one, which starts over and counts every row once. With
+    /// `open 0` row 0 alone is 44 columns wide; with `open 20` row 0 has
+    /// 24 and the band outgrows 32 lanes a few rows in.
+    #[test]
+    fn a_row_wider_than_32_lanes_falls_back_and_still_matches() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let q = residues(&mut rng, 200, None);
+        let s = residues(&mut rng, 0, Some(&q));
+        let mut ws = GappedWorkspace::new();
+        for open in [0, 20] {
+            let gaps = GapPenalties { open, extend: 1 };
+            let fell_back = assert_kernels_match_oracle(&q, &s, 100, 100, &nt(), gaps, 44, &mut ws);
+            if kernels().contains(&RowKernel::Register) {
+                assert!(fell_back > 0, "open {open}: no fallback");
+            }
+        }
+    }
+
+    /// Subjects of 1..=40 bases, extended from both ends of the slice and
+    /// from its middle, in both directions: the register kernel's masked
+    /// loads start before, and end at, the subject's first and last byte.
+    #[test]
+    fn short_subjects_at_both_slice_ends() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut ws = GappedWorkspace::new();
+        for slen in 1..=40 {
+            // A subject that is its own allocation, and a query it is cut
+            // from with substitutions and indels.
+            let core = residues(&mut rng, slen, None);
+            let mut q = residues(&mut rng, 6, None);
+            q.extend(residues(&mut rng, 0, Some(&core)));
+            q.extend(residues(&mut rng, 6, None));
+            let s = core.into_boxed_slice();
+            for (scorer, x_drop) in [(nt(), 12), (nt_1_2(), 30)] {
+                for (q0, s0) in [
+                    (0, 0),
+                    (q.len(), s.len()),
+                    (6, 0),
+                    (q.len() - 6, s.len()),
+                    (q.len() / 2, slen / 2),
+                ] {
+                    let fell_back =
+                        assert_kernels_match_oracle(&q, &s, q0, s0, &scorer, g(), x_drop, &mut ws);
+                    assert_eq!(fell_back, 0);
+                }
+            }
+        }
+    }
+
+    /// A diagonal scoring past what `i16` holds with margin is the scalar
+    /// kernel's whatever the CPU: the guard declines it before any row
+    /// (no fallback), and the 17 000-base match still scores 17 000.
+    #[test]
+    fn a_query_past_the_i16_guard_runs_scalar() {
+        let (scorer, gaps) = (nt(), g());
+        assert!(fits_i16(1, -3, gaps, 30, 16_384));
+        assert!(!fits_i16(1, -3, gaps, 30, 17_000));
+        let mut rng = StdRng::seed_from_u64(16);
+        let q = residues(&mut rng, 17_000, None);
+        let mut ws = GappedWorkspace::new();
+        let fell_back =
+            assert_kernels_match_oracle(&q, &q, 8_500, 8_500, &scorer, gaps, 30, &mut ws);
+        assert_eq!(fell_back, 0);
+        let r = xdrop_extend_with(&q, &q, &scorer, gaps, 30, &mut ws);
+        assert_eq!((r.score, r.q_ext, r.s_ext), (17_000, 17_000, 17_000));
     }
 
     proptest! {
@@ -1098,26 +1586,40 @@ mod tests {
     fn extension_cost_does_not_depend_on_subject_length() {
         // A 40-nt seed region in the middle of a 100 kb random subject: the
         // extension leaves the seed, meets noise and dies within an X-drop
-        // of it. The DP must touch that neighbourhood only.
+        // of it. The DP must touch that neighbourhood only, whichever
+        // kernel runs it, and both kernels count the same cells.
         let mut rng = StdRng::seed_from_u64(14);
         let mut subject = residues(&mut rng, 100_000, None);
         let mut query = residues(&mut rng, 400, None);
         let core = residues(&mut rng, 40, None);
         subject.splice(50_000..50_040, core.iter().copied());
         query.splice(180..220, core.iter().copied());
-        let mut ws = GappedWorkspace::new();
-        let got = extend_gapped_with(&query, &subject, 200, 50_020, &nt(), g(), 30, &mut ws);
-        let cells = ws.dp_cells();
-        assert_eq!(
-            got,
-            baseline::extend_gapped(&query, &subject, 200, 50_020, &nt(), g(), 30)
-        );
-        assert!(got.0 >= 40, "the planted core aligns: {got:?}");
-        assert!(cells < 10_000, "{cells} cells for a 40-nt core");
-        assert!(
-            ws.h.len() < 1024 && ws.f.len() == ws.h.len(),
-            "rows grew to {} columns",
-            ws.h.len()
-        );
+        let want = baseline::extend_gapped(&query, &subject, 200, 50_020, &nt(), g(), 30);
+        assert!(want.0 >= 40, "the planted core aligns: {want:?}");
+        let mut costs = Vec::new();
+        for kernel in kernels() {
+            let mut ws = GappedWorkspace::new();
+            let got = extend_gapped_by(
+                kernel,
+                &query,
+                &subject,
+                200,
+                50_020,
+                &nt(),
+                g(),
+                30,
+                &mut ws,
+            );
+            assert_eq!(got, want, "{kernel:?}");
+            let cells = ws.dp_cells();
+            assert!(cells < 10_000, "{kernel:?}: {cells} cells for a 40-nt core");
+            assert!(
+                ws.h.len() < 1024 && ws.f.len() == ws.h.len(),
+                "{kernel:?}: rows grew to {} columns",
+                ws.h.len()
+            );
+            costs.push((ws.dp_rows(), cells, ws.dp_fallbacks()));
+        }
+        assert!(costs.iter().all(|&c| c == costs[0]), "{costs:?}");
     }
 }

@@ -173,7 +173,6 @@ pub fn copy_object(
         off += n as u64;
     }
     dst.put(name, &data)?;
-    let _ = io::copy(&mut io::empty(), &mut io::sink()); // keep Read in scope
     Ok(len)
 }
 
