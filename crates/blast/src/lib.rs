@@ -56,7 +56,7 @@ pub use lookup::{BatchedNtLookup, MAX_BATCH_CONTEXTS};
 pub use matrix::{GapPenalties, Scorer};
 pub use report::{tabular, Hit, Hsp};
 pub use search::{
-    search_packed_batch_with, search_packed_with, search_volume, search_volume_with,
+    fused_passes, search_packed_batch_with, search_packed_with, search_volume, search_volume_with,
     BatchScanWorkspace, DbStats, PreparedBatch, Program, ScanWorkspace, SearchParams,
     MAX_FUSED_BATCH,
 };

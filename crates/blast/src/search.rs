@@ -165,6 +165,14 @@ pub(crate) struct Candidate {
 /// [`PreparedBatch`].
 pub const MAX_FUSED_BATCH: usize = MAX_BATCH_CONTEXTS / 2;
 
+/// Seed-scan passes a batch of `queries` queries makes over one fragment:
+/// one per [`MAX_FUSED_BATCH`]-query chunk, `ceil(queries / MAX_FUSED_BATCH)`.
+/// The real runner, the serving model and the simulator all count passes
+/// with it.
+pub fn fused_passes(queries: u64) -> u64 {
+    queries.div_ceil(MAX_FUSED_BATCH as u64)
+}
+
 /// Per-context scratch for the fused scan: its own diagonal tracker
 /// (diagonal redundancy is a per-context notion) and its own candidate
 /// list (so the interleaved fused scan can be demuxed back into the
@@ -679,6 +687,16 @@ mod tests {
             residues: v.residues(),
             nseq: v.sequences.len() as u64,
         }
+    }
+
+    #[test]
+    fn fused_passes_is_one_per_chunk() {
+        let b = MAX_FUSED_BATCH as u64;
+        let got: Vec<u64> = [0, 1, b - 1, b, b + 1, 2 * b, 2 * b + 1]
+            .into_iter()
+            .map(fused_passes)
+            .collect();
+        assert_eq!(got, [0, 1, 1, 1, 2, 2, 3]);
     }
 
     #[test]

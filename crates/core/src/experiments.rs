@@ -648,7 +648,7 @@ pub fn serve_sweep(
     capacity: usize,
 ) -> Vec<ServeRow> {
     use parblast_hwsim::ArrivalProcess;
-    use parblast_serve::{BatchPolicy, Query, ScanSharingServer, ServiceModel, SimExecutor};
+    use parblast_serve::{Query, ScanSharingServer, ServiceModel, SimExecutor};
     use parblast_simcore::SimRng;
 
     let schemes: Vec<(&'static str, SimScheme)> = vec![
@@ -694,7 +694,7 @@ pub fn serve_sweep(
                 .collect();
             for &b in batch_caps {
                 let exec = SimExecutor::new(model.clone(), 7 + b as u64, 0.10);
-                let mut srv = ScanSharingServer::new(capacity, BatchPolicy { max_batch: b }, exec);
+                let mut srv = ScanSharingServer::new(capacity, b, exec);
                 let report = srv.run_open_loop(&arrivals);
                 out.push(ServeRow {
                     scheme: label,

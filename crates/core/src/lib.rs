@@ -81,8 +81,8 @@ pub mod prelude {
         SyntheticNt, Volume, VolumeWriter,
     };
     pub use parblast_serve::{
-        serve_batched, AdmissionQueue, BatchPolicy, Priority, Query, ScanSharingServer,
-        ServeReport, ServiceModel, SimExecutor,
+        serve_batched, AdmissionQueue, Priority, Query, ScanSharingServer, ServeReport,
+        ServiceModel, SimExecutor,
     };
 
     pub use crate::experiments;

@@ -21,7 +21,7 @@ use std::sync::{mpsc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use parblast_blast::{
-    DbStats, Hit, PreparedBatch, Program, ScanWorkspace, SearchParams, MAX_FUSED_BATCH,
+    fused_passes, DbStats, Hit, PreparedBatch, Program, ScanWorkspace, SearchParams,
 };
 use parblast_seqdb::PackedVolume;
 
@@ -145,7 +145,8 @@ pub struct BatchOutcome {
     /// Seconds search threads waited for fragment data.
     pub io_stall_s: f64,
     /// Seed-scan kernel passes executed (one fused pass serves up to
-    /// [`MAX_FUSED_BATCH`] queries per fragment).
+    /// [`MAX_FUSED_BATCH`](parblast_blast::MAX_FUSED_BATCH) queries per
+    /// fragment).
     pub kernel_passes: u64,
     /// Kernel passes the fused kernel avoided versus one scan per query
     /// (`queries × fragments − kernel_passes`).
@@ -201,7 +202,8 @@ impl ParallelBlast {
     /// the way production blastall streams query batches), so the database
     /// is still read only once in total. The batch's merged seed table
     /// scans each fragment's packed bytes once per
-    /// [`MAX_FUSED_BATCH`]-query chunk instead of once per query.
+    /// [`MAX_FUSED_BATCH`](parblast_blast::MAX_FUSED_BATCH)-query chunk
+    /// ([`fused_passes`]) instead of once per query.
     pub fn run_batch(&self, queries: &[Vec<u8>]) -> io::Result<BatchOutcome> {
         let t0 = Instant::now();
         let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
@@ -218,7 +220,7 @@ impl ParallelBlast {
         // One pass per chunk of the batch; a job that succeeds searched
         // every fragment exactly once.
         let nq = queries.len() as u64;
-        let passes_per_fragment = queries.len().div_ceil(MAX_FUSED_BATCH) as u64;
+        let passes_per_fragment = fused_passes(nq);
         let fragments = self.fragments.len() as u64;
         Ok(BatchOutcome {
             per_query,

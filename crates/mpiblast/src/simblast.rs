@@ -14,7 +14,7 @@
 //! * the master hands fragments to idle workers and the run ends when the
 //!   last fragment completes (makespan).
 
-use parblast_blast::MAX_FUSED_BATCH;
+use parblast_blast::fused_passes;
 use parblast_ceft::{Ceft, CeftClient, CeftConfig, MirroredPlacement};
 use parblast_hwsim::{
     start_stressor, Cluster, CpuMsg, DiskStressor, Envelope, Ev, FaultInjector, FaultSchedule,
@@ -93,10 +93,10 @@ pub struct SimBlastConfig {
     /// I/O stays per-pass; result writes scale by the batch size, and
     /// compute by [`SimBlastConfig::batch_compute_factor`] — the batch's
     /// merged lookup table scans each chunk's packed bytes once per
-    /// [`MAX_FUSED_BATCH`]-query chunk, so only the per-query *extension*
-    /// work scales with the batch (see [`FUSED_SCAN_FRAC`]). `1` (the
-    /// default) is the paper's single-query job and leaves the simulation
-    /// event-for-event unchanged.
+    /// [`MAX_FUSED_BATCH`](parblast_blast::MAX_FUSED_BATCH)-query chunk, so
+    /// only the per-query *extension* work scales with the batch (see
+    /// [`FUSED_SCAN_FRAC`]). `1` (the default) is the paper's single-query
+    /// job and leaves the simulation event-for-event unchanged.
     pub queries_per_pass: u32,
     /// Chunk read-ahead depth: how many chunks a worker keeps in flight
     /// or buffered *while computing*. `0` (the default) is the paper's
@@ -195,12 +195,12 @@ pub const FUSED_SCAN_FRAC: f64 = 0.78;
 impl SimBlastConfig {
     /// Compute-cost multiplier of one scan pass relative to a
     /// single-query pass. One scan per query would cost `B`; the kernel
-    /// executes `ceil(B / MAX_FUSED_BATCH)` merged scan passes and only
+    /// executes [`fused_passes`]`(B)` merged scan passes and only
     /// the extension share scales per query: `B − saved_passes ×
     /// FUSED_SCAN_FRAC`. A single-query pass costs exactly `1.0`.
     pub fn batch_compute_factor(&self) -> f64 {
-        let b = self.queries_per_pass.max(1);
-        let passes = b.div_ceil(MAX_FUSED_BATCH as u32);
+        let b = u64::from(self.queries_per_pass.max(1));
+        let passes = fused_passes(b);
         b as f64 - (b - passes) as f64 * FUSED_SCAN_FRAC
     }
 }

@@ -285,11 +285,6 @@ impl NetClient {
         self.budget.tokens()
     }
 
-    /// Observed p95 attempt latency in µs (feeds the hedge delay).
-    pub fn latency_p95_us(&self) -> u64 {
-        self.latency.p95_us()
-    }
-
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }

@@ -140,8 +140,8 @@ impl ResultStatus {
 }
 
 /// A point-in-time copy of the daemon's counters, served by the `Stats`
-/// frame without taking any shard lock (the counters are relaxed atomics;
-/// see `serve::metrics::ServeCounters`).
+/// frame without taking any shard lock: every field is a sum of relaxed
+/// atomics the daemon's threads bump as they answer (`net::server`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Submits accepted into an admission queue.

@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use parblast_serve::{AdmissionQueue, BatchResult, Query, ServeCounters, ServeMetrics};
+use parblast_serve::{AdmissionQueue, Query};
 use parblast_simcore::SimTime;
 use polling::{Event, Poller};
 
@@ -79,6 +79,10 @@ struct PendingQuery {
     conn: usize,
     id: u64,
     query: Vec<u8>,
+    // Set by a `Cancel` or by the reaper while the query is queued; the
+    // exec thread answers a flagged query with `Shed(Cancelled)`. The
+    // flag lives and dies with the slab entry.
+    cancelled: bool,
 }
 
 /// Shard state shared between its IO and exec threads.
@@ -86,9 +90,6 @@ struct ShardState {
     queue: AdmissionQueue,
     slab: Vec<Option<PendingQuery>>,
     free: Vec<usize>,
-    // `(conn, id)` pairs cancelled while still queued.
-    cancelled: Vec<(usize, u64)>,
-    metrics: ServeMetrics,
 }
 
 impl ShardState {
@@ -123,8 +124,13 @@ struct Shard {
     results_tx: channel::Sender<(usize, Vec<u8>)>,
     results_rx: channel::Receiver<(usize, Vec<u8>)>,
     poller: Poller,
+    // The shard's share of `StatsSnapshot`: answers sent (ok or failed),
+    // and what the successful batches reported.
     served: AtomicU64,
-    counters: Arc<ServeCounters>,
+    batches: AtomicU64,
+    bytes_read: AtomicU64,
+    kernel_passes: AtomicU64,
+    passes_saved: AtomicU64,
     exec_done: AtomicBool,
 }
 
@@ -167,16 +173,17 @@ impl Shared {
     }
 
     fn snapshot(&self) -> StatsSnapshot {
-        let mut agg = parblast_serve::CountersSnapshot::default();
-        let mut per_shard_served = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            let c = s.counters.snapshot();
-            agg.batches += c.batches;
-            agg.bytes_read += c.bytes_read;
-            agg.kernel_passes += c.kernel_passes;
-            agg.passes_saved += c.passes_saved;
-            per_shard_served.push(s.served.load(Ordering::Relaxed));
-        }
+        let sum = |field: fn(&Shard) -> &AtomicU64| -> u64 {
+            self.shards
+                .iter()
+                .map(|s| field(s).load(Ordering::Relaxed))
+                .sum()
+        };
+        let per_shard_served: Vec<u64> = self
+            .shards
+            .iter()
+            .map(|s| s.served.load(Ordering::Relaxed))
+            .collect();
         StatsSnapshot {
             accepted: self.accepted.load(Ordering::Relaxed),
             served: per_shard_served.iter().sum(),
@@ -185,10 +192,10 @@ impl Shared {
             shed_draining: self.shed_draining.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
-            batches: agg.batches,
-            bytes_read: agg.bytes_read,
-            kernel_passes: agg.kernel_passes,
-            passes_saved: agg.passes_saved,
+            batches: sum(|s| &s.batches),
+            bytes_read: sum(|s| &s.bytes_read),
+            kernel_passes: sum(|s| &s.kernel_passes),
+            passes_saved: sum(|s| &s.passes_saved),
             submits: self.submits.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             per_shard_served,
@@ -250,22 +257,21 @@ impl NetServer {
         let mut shard_vec = Vec::with_capacity(shards);
         for _ in 0..shards {
             let (results_tx, results_rx) = channel::unbounded();
-            let metrics = ServeMetrics::new();
-            let counters = metrics.counters();
             shard_vec.push(Shard {
                 state: Mutex::new(ShardState {
                     queue: AdmissionQueue::new(config.queue_capacity),
                     slab: Vec::new(),
                     free: Vec::new(),
-                    cancelled: Vec::new(),
-                    metrics,
                 }),
                 cv: Condvar::new(),
                 results_tx,
                 results_rx,
                 poller: Poller::new()?,
                 served: AtomicU64::new(0),
-                counters,
+                batches: AtomicU64::new(0),
+                bytes_read: AtomicU64::new(0),
+                kernel_passes: AtomicU64::new(0),
+                passes_saved: AtomicU64::new(0),
                 exec_done: AtomicBool::new(false),
             });
         }
@@ -546,17 +552,10 @@ fn io_thread(shared: Arc<Shared>, shard_ix: usize, conn_rx: channel::Receiver<Tc
                 let _ = conn.stream.shutdown(std::net::Shutdown::Both);
             }
             let mut st = shard.state.lock().unwrap();
-            let orphaned: Vec<(usize, u64)> = st
-                .slab
-                .iter()
-                .flatten()
-                .filter(|p| p.conn == key)
-                .map(|p| (key, p.id))
-                .collect();
             let mut flagged = false;
-            for pair in orphaned {
-                if !st.cancelled.contains(&pair) {
-                    st.cancelled.push(pair);
+            for p in st.slab.iter_mut().flatten() {
+                if p.conn == key && !p.cancelled {
+                    p.cancelled = true;
                     flagged = true;
                 }
             }
@@ -634,6 +633,7 @@ fn handle_frame(shared: &Arc<Shared>, shard_ix: usize, key: usize, conn: &mut Co
                 conn: key,
                 id,
                 query,
+                cancelled: false,
             });
             let q = Query {
                 id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
@@ -669,11 +669,11 @@ fn handle_frame(shared: &Arc<Shared>, shard_ix: usize, key: usize, conn: &mut Co
             let mut st = shard.state.lock().unwrap();
             let queued = st
                 .slab
-                .iter()
+                .iter_mut()
                 .flatten()
-                .any(|p| p.conn == key && p.id == id);
-            if queued && !st.cancelled.contains(&(key, id)) {
-                st.cancelled.push((key, id));
+                .find(|p| p.conn == key && p.id == id && !p.cancelled);
+            if let Some(p) = queued {
+                p.cancelled = true;
                 drop(st);
                 shard.cv.notify_one();
             }
@@ -739,8 +739,7 @@ fn exec_thread(
             let mut work = Vec::with_capacity(batch.len());
             for q in batch {
                 let p = st.remove(q.payload);
-                if let Some(pos) = st.cancelled.iter().position(|c| *c == (p.conn, p.id)) {
-                    st.cancelled.swap_remove(pos);
+                if p.cancelled {
                     shared.cancelled.fetch_add(1, Ordering::Relaxed);
                     let frame = Frame::Shed {
                         id: p.id,
@@ -786,11 +785,19 @@ fn exec_thread(
             continue;
         }
 
-        let start = shared.now();
         let queries: Vec<Vec<u8>> = work.iter().map(|(_, p)| p.query.clone()).collect();
         match runner.run_batch(&queries) {
             Ok(out) => {
-                let done = shared.now();
+                shard.batches.fetch_add(1, Ordering::Relaxed);
+                shard
+                    .bytes_read
+                    .fetch_add(out.bytes_read, Ordering::Relaxed);
+                shard
+                    .kernel_passes
+                    .fetch_add(out.kernel_passes, Ordering::Relaxed);
+                shard
+                    .passes_saved
+                    .fetch_add(out.passes_saved, Ordering::Relaxed);
                 for ((_, p), payload) in work.iter().zip(out.per_query) {
                     shard.served.fetch_add(1, Ordering::Relaxed);
                     let frame = Frame::Result {
@@ -800,21 +807,6 @@ fn exec_thread(
                     };
                     let _ = shard.results_tx.send((p.conn, encode_frame(&frame)));
                 }
-                let batch_q: Vec<Query> = work.iter().map(|(q, _)| *q).collect();
-                let res = BatchResult {
-                    service: done.saturating_sub(start),
-                    scan_s: out.scan_s,
-                    search_s: out.search_s,
-                    bytes_read: out.bytes_read,
-                    kernel_passes: out.kernel_passes,
-                    passes_saved: out.passes_saved,
-                };
-                shard
-                    .state
-                    .lock()
-                    .unwrap()
-                    .metrics
-                    .record_batch(&batch_q, start, done, &res);
             }
             Err(e) => {
                 // Zero result loss even on failure: every query in the

@@ -19,26 +19,13 @@
 use parblast_simcore::SimTime;
 
 use crate::metrics::{ServeMetrics, ServeReport};
-use crate::queue::{AdmissionQueue, Priority, Query};
-
-/// Batch-formation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Most queries one scan pass may carry (`B`). 1 disables sharing.
-    pub max_batch: usize,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy { max_batch: 8 }
-    }
-}
+use crate::queue::{AdmissionQueue, Query};
 
 /// Cost of one executed scan-sharing pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchResult {
-    /// Wall (or simulated) duration of the pass.
-    pub service: SimTime,
+    /// Wall (or simulated) duration of the pass, seconds.
+    pub service_s: f64,
     /// Portion spent scanning (I/O), seconds.
     pub scan_s: f64,
     /// Portion spent searching (compute), seconds.
@@ -67,8 +54,8 @@ pub trait BatchExecutor {
 pub struct ScanSharingServer<E> {
     /// Admission queue (capacity = backpressure bound).
     pub queue: AdmissionQueue,
-    /// Batch-formation policy.
-    pub policy: BatchPolicy,
+    /// Most queries one scan pass may carry (`B`). 1 disables sharing.
+    pub max_batch: usize,
     /// The batch executor (simulated or real).
     pub exec: E,
     /// Running metrics.
@@ -76,13 +63,13 @@ pub struct ScanSharingServer<E> {
 }
 
 impl<E: BatchExecutor> ScanSharingServer<E> {
-    /// New server with the given queue capacity.
-    pub fn new(capacity: usize, policy: BatchPolicy, exec: E) -> Self {
+    /// New server with the given queue capacity and batch cap.
+    pub fn new(capacity: usize, max_batch: usize, exec: E) -> Self {
         ScanSharingServer {
             queue: AdmissionQueue::new(capacity),
-            policy,
+            max_batch,
             exec,
-            metrics: ServeMetrics::new(),
+            metrics: ServeMetrics::default(),
         }
     }
 
@@ -114,74 +101,14 @@ impl<E: BatchExecutor> ScanSharingServer<E> {
                     None => break,
                 }
             }
-            let batch = self.queue.take_batch(self.policy.max_batch, t);
+            let batch = self.queue.take_batch(self.max_batch, t);
             if batch.is_empty() {
                 // Everything popped had expired; re-check the queue.
                 continue;
             }
-            // Deadlines are enforced twice: at dequeue (above) and again
-            // here with the clock the executor will actually run under.
-            // In this simulated loop `t` has not advanced, so this drops
-            // nothing — it pins the invariant the networked server relies
-            // on (no scan slot is ever spent on an already-dead query).
-            let (batch, _stale) = self.queue.expire_before_exec(batch, t);
-            if batch.is_empty() {
-                continue;
-            }
             let res = self.exec.execute(&batch, t);
-            let done = t.saturating_add(res.service);
+            let done = t.saturating_add(SimTime::from_secs_f64(res.service_s));
             self.metrics.record_batch(&batch, t, done, &res);
-            t = done;
-        }
-        self.metrics.report(&self.queue, t)
-    }
-
-    /// Serve a closed-loop workload: `clients` concurrent clients each
-    /// keep exactly one query outstanding (zero think time), re-issuing
-    /// the instant their previous result returns, until `total` queries
-    /// have been issued. Measures saturation throughput at a fixed
-    /// concurrency level.
-    pub fn run_closed_loop(&mut self, clients: usize, total: usize) -> ServeReport {
-        let clients = clients.max(1);
-        let mut issued = 0u64;
-        let mut pending: Vec<Query> = Vec::new();
-        let issue = |at: SimTime, issued: &mut u64| -> Option<Query> {
-            if *issued as usize >= total {
-                return None;
-            }
-            *issued += 1;
-            Some(Query {
-                id: *issued,
-                priority: Priority::Normal,
-                arrival: at,
-                deadline: None,
-                payload: (*issued - 1) as usize,
-            })
-        };
-        for _ in 0..clients.min(total) {
-            let q = issue(SimTime::ZERO, &mut issued).expect("initial quota");
-            pending.push(q);
-        }
-        let mut t = SimTime::ZERO;
-        while !pending.is_empty() || !self.queue.is_empty() {
-            // Completion times are non-decreasing, so pending arrivals are
-            // already in time order.
-            for q in pending.drain(..) {
-                let _ = self.queue.offer(q);
-            }
-            let batch = self.queue.take_batch(self.policy.max_batch, t);
-            if batch.is_empty() {
-                break;
-            }
-            let res = self.exec.execute(&batch, t);
-            let done = t.saturating_add(res.service);
-            self.metrics.record_batch(&batch, t, done, &res);
-            // Each served client immediately issues its next query.
-            for _ in 0..batch.len() {
-                if let Some(q) = issue(done, &mut issued) {
-                    pending.push(q);
-                }
-            }
             t = done;
         }
         self.metrics.report(&self.queue, t)
@@ -204,7 +131,7 @@ mod tests {
         fn execute(&mut self, batch: &[Query], _now: SimTime) -> BatchResult {
             let search = self.comp_s * batch.len() as f64;
             BatchResult {
-                service: SimTime::from_secs_f64(self.io_s + search),
+                service_s: self.io_s + search,
                 scan_s: self.io_s,
                 search_s: search,
                 bytes_read: self.pass_bytes,
@@ -228,7 +155,7 @@ mod tests {
             comp_s: 0.5,
             pass_bytes: 100,
         };
-        let mut srv = ScanSharingServer::new(64, BatchPolicy { max_batch: 8 }, exec);
+        let mut srv = ScanSharingServer::new(64, 8, exec);
         let r = srv.run_open_loop(&arrivals(10, 10.0));
         assert_eq!(r.served, 10);
         assert_eq!(r.batches, 10);
@@ -246,7 +173,7 @@ mod tests {
                 comp_s: 0.5,
                 pass_bytes: 1000,
             };
-            let mut srv = ScanSharingServer::new(1000, BatchPolicy { max_batch }, exec);
+            let mut srv = ScanSharingServer::new(1000, max_batch, exec);
             srv.run_open_loop(&arrivals(100, 0.5))
         };
         let unbatched = mk(1);
@@ -273,7 +200,7 @@ mod tests {
             comp_s: 0.0,
             pass_bytes: 10,
         };
-        let mut srv = ScanSharingServer::new(4, BatchPolicy { max_batch: 1 }, exec);
+        let mut srv = ScanSharingServer::new(4, 1, exec);
         let r = srv.run_open_loop(&arrivals(50, 0.1));
         assert!(r.rejected > 0, "{r:?}");
         assert_eq!(r.served + r.rejected, 50);
@@ -288,7 +215,7 @@ mod tests {
             comp_s: 0.0,
             pass_bytes: 10,
         };
-        let mut srv = ScanSharingServer::new(100, BatchPolicy { max_batch: 1 }, exec);
+        let mut srv = ScanSharingServer::new(100, 1, exec);
         let mut work = arrivals(20, 0.0);
         for q in &mut work {
             // Only ~3 can be served before 3 s.
@@ -300,21 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_batches_at_the_concurrency_level() {
-        let exec = Fixed {
-            io_s: 0.5,
-            comp_s: 0.5,
-            pass_bytes: 100,
-        };
-        let mut srv = ScanSharingServer::new(64, BatchPolicy { max_batch: 8 }, exec);
-        let r = srv.run_closed_loop(4, 40);
-        assert_eq!(r.served, 40);
-        // After the first batch, all 4 clients re-issue together.
-        assert!((r.mean_batch - 4.0).abs() < 0.5, "{}", r.mean_batch);
-        assert!(r.io_savings() > 3.0);
-    }
-
-    #[test]
     fn open_loop_is_deterministic() {
         let run = || {
             let exec = Fixed {
@@ -322,7 +234,7 @@ mod tests {
                 comp_s: 0.2,
                 pass_bytes: 77,
             };
-            let mut srv = ScanSharingServer::new(32, BatchPolicy { max_batch: 4 }, exec);
+            let mut srv = ScanSharingServer::new(32, 4, exec);
             srv.run_open_loop(&arrivals(60, 0.4))
         };
         assert_eq!(run(), run());

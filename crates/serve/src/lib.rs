@@ -18,7 +18,7 @@
 //!  ──────────▶ │  (capacity,      ──▶  take_batch(B) ──▶ exec   │──▶ results
 //!   open loop  │   deadlines,          one scan pass serves     │
 //!   (Poisson)  │   3 priorities)       the whole batch          │
-//!   or closed  │        │                   │                   │
+//!              │        │                   │ BatchResult       │
 //!              │     rejected           ServeMetrics            │
 //!              │  (backpressure)   wait/latency p50,p95,p99,    │
 //!              │                   scan/search split, bytes     │
@@ -27,17 +27,20 @@
 //!
 //! * [`queue`] — bounded admission queue: backpressure, per-query
 //!   deadlines, strict priority with FIFO inside each class.
-//! * [`batcher`] — the scan-sharing batch scheduler and its open-loop /
-//!   closed-loop serving drivers, generic over a [`BatchExecutor`].
+//! * [`batcher`] — the scan-sharing batch scheduler and its open-loop
+//!   serving driver, generic over a [`BatchExecutor`] that returns each
+//!   pass's cost as a [`BatchResult`].
 //! * [`sim`] — executor over the calibrated cluster simulator: probes
-//!   [`parblast_mpiblast::run_simblast`] once per batch size and replays
-//!   the cost deterministically (Poisson arrivals come from
-//!   [`parblast_hwsim::ArrivalProcess`]).
+//!   [`parblast_mpiblast::run_simblast`] once per batch size, caches the
+//!   pass cost as a [`BatchResult`] and replays it deterministically
+//!   (Poisson arrivals come from [`parblast_hwsim::ArrivalProcess`]).
 //! * [`real`] — executor over the real thread-pool runner /
 //!   `pio`-backed I/O schemes via [`parblast_mpiblast::ParallelBlast::run_batch`].
-//! * [`metrics`] — per-query/per-batch accounting on
+//! * [`metrics`] — the scheduler's per-query/per-batch accounting on
 //!   [`parblast_simcore::stats`]: queue wait, scan/search split, latency
-//!   percentiles, throughput, and I/O bytes saved versus unbatched.
+//!   percentiles, throughput, and I/O bytes saved versus unbatched. The
+//!   networked daemon (`parblast-net`) uses only [`AdmissionQueue`],
+//!   [`Query`] and [`Priority`] from this crate and counts for itself.
 
 #![warn(missing_docs)]
 
@@ -47,8 +50,8 @@ pub mod queue;
 pub mod real;
 pub mod sim;
 
-pub use batcher::{BatchExecutor, BatchPolicy, BatchResult, ScanSharingServer};
-pub use metrics::{CountersSnapshot, ServeCounters, ServeMetrics, ServeReport};
+pub use batcher::{BatchExecutor, BatchResult, ScanSharingServer};
+pub use metrics::{ServeMetrics, ServeReport};
 pub use queue::{AdmissionQueue, AdmitError, Priority, Query};
 pub use real::{serve_batched, serve_batched_scrubbed, RealServeOutcome};
-pub use sim::{ScanPassCost, ServiceModel, SimExecutor};
+pub use sim::{ServiceModel, SimExecutor};

@@ -2,151 +2,37 @@
 //!
 //! Latency and queue-wait land in microsecond [`LogHistogram`]s (so the
 //! p50/p95/p99 extraction spans milliseconds to hours without losing the
-//! tail); scan/search split, batch fill, and I/O byte counters accumulate
-//! in [`Summary`]s. A [`ServeReport`] freezes everything into the numbers
-//! `BENCH_serve.json` and EXPERIMENTS.md quote.
-//!
-//! The hot event counters (queries served, batches, bytes) live in a
-//! shared [`ServeCounters`] of **relaxed atomics** rather than plain
-//! fields: a networked daemon keeps `ServeMetrics` behind its shard lock
-//! for the histograms, but answers `Stats` frames from a
-//! [`ServeCounters::snapshot`] taken through a cloned [`std::sync::Arc`]
-//! handle — reporting never contends with admission or batch completion.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! tail); scan/search split and batch fill accumulate in [`Summary`]s,
+//! and the event counters (queries served, batches, bytes, kernel passes)
+//! are plain integers: the one recorder is the single-threaded
+//! [`crate::ScanSharingServer`] loop. A [`ServeReport`] freezes
+//! everything into the numbers `BENCH_serve.json` and EXPERIMENTS.md
+//! quote. (The networked daemon keeps its own relaxed-atomic counters,
+//! only those its `Stats` frame carries.)
 
 use parblast_simcore::{LogHistogram, Percentiles, SimTime, Summary};
 
 use crate::batcher::BatchResult;
 use crate::queue::{AdmissionQueue, Query};
 
-/// Lock-free serving counters: every field is a relaxed [`AtomicU64`],
-/// mutated on the batch-completion path and read by [`Self::snapshot`]
-/// without any lock.
-#[derive(Debug, Default)]
-pub struct ServeCounters {
-    served: AtomicU64,
-    batches: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_unbatched: AtomicU64,
-    deadline_hits: AtomicU64,
-    kernel_passes: AtomicU64,
-    passes_saved: AtomicU64,
-}
-
-/// A point-in-time copy of [`ServeCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CountersSnapshot {
-    /// Queries whose results were produced.
-    pub served: u64,
-    /// Scan-sharing batches executed.
-    pub batches: u64,
-    /// Database bytes actually read.
-    pub bytes_read: u64,
-    /// Bytes the same queries would have read unbatched.
-    pub bytes_unbatched: u64,
-    /// Served queries that met their deadline.
-    pub deadline_hits: u64,
-    /// Seed-scan kernel passes actually executed (the fused multi-query
-    /// kernel runs one merged pass per fragment per ≤8-query chunk).
-    pub kernel_passes: u64,
-    /// Kernel passes the fused kernel avoided versus per-query scanning.
-    pub passes_saved: u64,
-}
-
-impl ServeCounters {
-    /// Record one completed batch of `n` queries, of which
-    /// `deadline_hits` met their deadline; `kernel_passes` is the number
-    /// of seed-scan passes the batch actually executed and
-    /// `passes_saved` how many the fused kernel avoided versus the
-    /// per-query path.
-    pub fn record_batch(
-        &self,
-        n: u64,
-        bytes_read: u64,
-        deadline_hits: u64,
-        kernel_passes: u64,
-        passes_saved: u64,
-    ) {
-        self.served.fetch_add(n, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
-        self.bytes_unbatched
-            .fetch_add(bytes_read * n, Ordering::Relaxed);
-        self.deadline_hits
-            .fetch_add(deadline_hits, Ordering::Relaxed);
-        self.kernel_passes
-            .fetch_add(kernel_passes, Ordering::Relaxed);
-        self.passes_saved.fetch_add(passes_saved, Ordering::Relaxed);
-    }
-
-    /// Read every counter with relaxed ordering. Safe to call from any
-    /// thread at any time; never blocks the recording side.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            served: self.served.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_unbatched: self.bytes_unbatched.load(Ordering::Relaxed),
-            deadline_hits: self.deadline_hits.load(Ordering::Relaxed),
-            kernel_passes: self.kernel_passes.load(Ordering::Relaxed),
-            passes_saved: self.passes_saved.load(Ordering::Relaxed),
-        }
-    }
-
-    fn restore(snap: CountersSnapshot) -> Self {
-        ServeCounters {
-            served: AtomicU64::new(snap.served),
-            batches: AtomicU64::new(snap.batches),
-            bytes_read: AtomicU64::new(snap.bytes_read),
-            bytes_unbatched: AtomicU64::new(snap.bytes_unbatched),
-            deadline_hits: AtomicU64::new(snap.deadline_hits),
-            kernel_passes: AtomicU64::new(snap.kernel_passes),
-            passes_saved: AtomicU64::new(snap.passes_saved),
-        }
-    }
-}
-
 /// Running serving-layer metrics.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeMetrics {
     queue_wait_us: LogHistogram,
     latency_us: LogHistogram,
     scan_s: Summary,
     search_s: Summary,
     batch_fill: Summary,
-    counters: Arc<ServeCounters>,
-}
-
-impl Clone for ServeMetrics {
-    /// Deep copy: the clone gets its *own* counters (frozen at the
-    /// current values), not a handle onto the original's.
-    fn clone(&self) -> Self {
-        ServeMetrics {
-            queue_wait_us: self.queue_wait_us.clone(),
-            latency_us: self.latency_us.clone(),
-            scan_s: self.scan_s.clone(),
-            search_s: self.search_s.clone(),
-            batch_fill: self.batch_fill.clone(),
-            counters: Arc::new(ServeCounters::restore(self.counters.snapshot())),
-        }
-    }
+    served: u64,
+    batches: u64,
+    bytes_read: u64,
+    bytes_unbatched: u64,
+    deadline_hits: u64,
+    kernel_passes: u64,
+    passes_saved: u64,
 }
 
 impl ServeMetrics {
-    /// Fresh metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Shared handle to the lock-free counters: a daemon stores this once
-    /// and serves `Stats` requests from [`ServeCounters::snapshot`]
-    /// without touching the lock that guards the histograms.
-    pub fn counters(&self) -> Arc<ServeCounters> {
-        Arc::clone(&self.counters)
-    }
-
     /// Record one completed scan-sharing batch: `start` is when the batch
     /// left the queue, `done` when every query's result was ready.
     pub fn record_batch(
@@ -156,29 +42,26 @@ impl ServeMetrics {
         done: SimTime,
         res: &BatchResult,
     ) {
-        let mut deadline_hits = 0u64;
+        let n = batch.len() as u64;
         for q in batch {
             let wait = start.saturating_sub(q.arrival);
             let latency = done.saturating_sub(q.arrival);
             self.queue_wait_us.record(wait.as_nanos() / 1_000);
             self.latency_us.record(latency.as_nanos() / 1_000);
             if q.deadline.is_some_and(|d| done <= d) {
-                deadline_hits += 1;
+                self.deadline_hits += 1;
             }
         }
-        self.batch_fill.record(batch.len() as f64);
+        self.batch_fill.record(n as f64);
         self.scan_s.record(res.scan_s);
         self.search_s.record(res.search_s);
-        // Counter side (served, batches, bytes, unbatched-equivalent
-        // bytes — one full pass per query without scan sharing) goes
-        // through the relaxed atomics so snapshot readers never wait.
-        self.counters.record_batch(
-            batch.len() as u64,
-            res.bytes_read,
-            deadline_hits,
-            res.kernel_passes,
-            res.passes_saved,
-        );
+        self.served += n;
+        self.batches += 1;
+        self.bytes_read += res.bytes_read;
+        // Without scan sharing every query would read the pass alone.
+        self.bytes_unbatched += res.bytes_read * n;
+        self.kernel_passes += res.kernel_passes;
+        self.passes_saved += res.passes_saved;
     }
 
     /// Freeze into a report. `queue` supplies the admission counters,
@@ -190,15 +73,14 @@ impl ServeMetrics {
             p99: p.p99 / 1e6,
         };
         let duration_s = end.as_secs_f64();
-        let c = self.counters.snapshot();
         ServeReport {
-            served: c.served,
-            batches: c.batches,
+            served: self.served,
+            batches: self.batches,
             rejected: queue.rejected(),
             expired: queue.expired(),
             duration_s,
             throughput_qps: if duration_s > 0.0 {
-                c.served as f64 / duration_s
+                self.served as f64 / duration_s
             } else {
                 0.0
             },
@@ -209,11 +91,11 @@ impl ServeMetrics {
             mean_batch: self.batch_fill.mean(),
             scan_s_mean: self.scan_s.mean(),
             search_s_mean: self.search_s.mean(),
-            bytes_read: c.bytes_read,
-            bytes_unbatched: c.bytes_unbatched,
-            deadline_hits: c.deadline_hits,
-            kernel_passes: c.kernel_passes,
-            passes_saved: c.passes_saved,
+            bytes_read: self.bytes_read,
+            bytes_unbatched: self.bytes_unbatched,
+            deadline_hits: self.deadline_hits,
+            kernel_passes: self.kernel_passes,
+            passes_saved: self.passes_saved,
         }
     }
 }
@@ -290,10 +172,10 @@ mod tests {
 
     #[test]
     fn batch_accounting_and_savings() {
-        let mut m = ServeMetrics::new();
+        let mut m = ServeMetrics::default();
         let batch = vec![query(1, 0), query(2, 1)];
         let res = BatchResult {
-            service: SimTime::from_secs(3),
+            service_s: 3.0,
             scan_s: 1.0,
             search_s: 2.0,
             bytes_read: 100,
@@ -323,54 +205,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_snapshot_reads_without_the_metrics_handle() {
-        let mut m = ServeMetrics::new();
-        // A daemon grabs the counter handle once...
-        let counters = m.counters();
-        assert_eq!(counters.snapshot(), CountersSnapshot::default());
-        let res = BatchResult {
-            service: SimTime::from_secs(1),
-            scan_s: 0.5,
-            search_s: 0.5,
-            bytes_read: 40,
-            kernel_passes: 1,
-            passes_saved: 1,
-        };
-        m.record_batch(
-            &[query(1, 0), query(2, 0)],
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-            &res,
-        );
-        // ...and every later snapshot observes recorded batches with no
-        // access to (or locking of) the ServeMetrics itself.
-        let snap = counters.snapshot();
-        assert_eq!(snap.served, 2);
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.bytes_read, 40);
-        assert_eq!(snap.bytes_unbatched, 80);
-        // Clones freeze their own copy rather than sharing the atomics.
-        let clone = m.clone();
-        m.record_batch(
-            &[query(3, 2)],
-            SimTime::from_secs(2),
-            SimTime::from_secs(3),
-            &res,
-        );
-        assert_eq!(counters.snapshot().served, 3);
-        assert_eq!(clone.counters().snapshot().served, 2);
-    }
-
-    #[test]
     fn deadline_hits_counted_only_for_deadlined_queries() {
-        let mut m = ServeMetrics::new();
+        let mut m = ServeMetrics::default();
         let mut a = query(1, 0);
         a.deadline = Some(SimTime::from_secs(10));
         let mut b = query(2, 0);
         b.deadline = Some(SimTime::from_secs(1));
         let c = query(3, 0);
         let res = BatchResult {
-            service: SimTime::from_secs(2),
+            service_s: 2.0,
             scan_s: 0.5,
             search_s: 1.5,
             bytes_read: 10,

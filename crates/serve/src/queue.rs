@@ -108,11 +108,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Queries currently waiting.
     pub fn len(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
@@ -190,26 +185,6 @@ impl AdmissionQueue {
         }
         (batch, dropped)
     }
-
-    /// Second deadline gate: re-check an already-dequeued batch against a
-    /// fresh clock immediately before execution. Time can pass between
-    /// dequeue and the start of the scan pass (a networked server hands
-    /// batches to an executor thread), so a query that was live at
-    /// dequeue may be stale by execution; running it would waste a whole
-    /// scan-sharing slot on an answer nobody is waiting for. Returns the
-    /// surviving queries; the stale ones are counted in [`Self::expired`]
-    /// and returned separately so a server can still answer them.
-    pub fn expire_before_exec(
-        &mut self,
-        batch: Vec<Query>,
-        now: SimTime,
-    ) -> (Vec<Query>, Vec<Query>) {
-        let (stale, live): (Vec<Query>, Vec<Query>) = batch
-            .into_iter()
-            .partition(|q| q.deadline.is_some_and(|d| d < now));
-        self.expired += stale.len() as u64;
-        (live, stale)
-    }
 }
 
 #[cfg(test)]
@@ -267,31 +242,6 @@ mod tests {
         let batch = aq.take_batch(4, SimTime::from_secs(10));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].id, 2);
-        assert_eq!(aq.expired(), 1);
-    }
-
-    #[test]
-    fn expire_before_exec_drops_stale_counts_and_returns_them() {
-        let mut aq = AdmissionQueue::new(8);
-        let mut a = q(1, Priority::Normal);
-        a.deadline = Some(SimTime::from_secs(5));
-        let mut b = q(2, Priority::Normal);
-        b.deadline = Some(SimTime::from_secs(20));
-        let c = q(3, Priority::Normal); // no deadline: never expires
-        aq.offer(a).unwrap();
-        aq.offer(b).unwrap();
-        aq.offer(c).unwrap();
-
-        // All three are live at dequeue time...
-        let (batch, dropped) = aq.take_batch_with_expired(4, SimTime::from_secs(1));
-        assert_eq!(batch.len(), 3);
-        assert!(dropped.is_empty());
-        assert_eq!(aq.expired(), 0);
-
-        // ...but the clock has moved past `a`'s deadline by execution.
-        let (live, stale) = aq.expire_before_exec(batch, SimTime::from_secs(10));
-        assert_eq!(live.iter().map(|q| q.id).collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(stale.iter().map(|q| q.id).collect::<Vec<_>>(), vec![1]);
         assert_eq!(aq.expired(), 1);
     }
 

@@ -12,35 +12,18 @@
 
 use std::collections::HashMap;
 
-use parblast_blast::MAX_FUSED_BATCH;
+use parblast_blast::fused_passes;
 use parblast_mpiblast::{run_simblast, SimBlastConfig};
 use parblast_simcore::{SimRng, SimTime};
 
 use crate::batcher::{BatchExecutor, BatchResult};
 use crate::queue::Query;
 
-/// Cost of one scan-shared pass over the whole fragment set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScanPassCost {
-    /// Pass duration (job makespan), seconds.
-    pub service_s: f64,
-    /// Scan (I/O) share of the pass, seconds.
-    pub scan_s: f64,
-    /// Search (compute) share of the pass, seconds.
-    pub search_s: f64,
-    /// Database bytes read by the pass.
-    pub bytes_read: u64,
-    /// Seed-scan kernel passes the batch executes across all fragments.
-    pub kernel_passes: u64,
-    /// Kernel passes avoided versus one scan per query.
-    pub passes_saved: u64,
-}
-
 /// Pass-cost model probed from the calibrated simulator.
 #[derive(Debug, Clone)]
 pub struct ServiceModel {
     base: SimBlastConfig,
-    cache: HashMap<u32, ScanPassCost>,
+    cache: HashMap<u32, BatchResult>,
 }
 
 impl ServiceModel {
@@ -53,8 +36,9 @@ impl ServiceModel {
         }
     }
 
-    /// Cost of a pass carrying `k` queries (probed on first use).
-    pub fn cost(&mut self, k: u32) -> ScanPassCost {
+    /// Cost of a pass carrying `k` queries (probed on first use): the
+    /// job makespan, split into scan (I/O) and search (compute) shares.
+    pub fn cost(&mut self, k: u32) -> BatchResult {
         let k = k.max(1);
         if let Some(&c) = self.cache.get(&k) {
             return c;
@@ -75,8 +59,8 @@ impl ServiceModel {
         // to MAX_FUSED_BATCH queries into one scan pass per fragment.
         let frags = u64::from(cfg.fragments.max(1));
         let per_query_passes = frags * u64::from(k);
-        let kernel_passes = frags * (k as usize).div_ceil(MAX_FUSED_BATCH) as u64;
-        let c = ScanPassCost {
+        let kernel_passes = frags * fused_passes(u64::from(k));
+        let c = BatchResult {
             service_s: out.makespan_s,
             scan_s: out.makespan_s * io_share,
             search_s: out.makespan_s * (1.0 - io_share),
@@ -127,12 +111,10 @@ impl BatchExecutor for SimExecutor {
             1.0
         };
         BatchResult {
-            service: SimTime::from_secs_f64(c.service_s * f),
+            service_s: c.service_s * f,
             scan_s: c.scan_s * f,
             search_s: c.search_s * f,
-            bytes_read: c.bytes_read,
-            kernel_passes: c.kernel_passes,
-            passes_saved: c.passes_saved,
+            ..c
         }
     }
 }
@@ -193,8 +175,7 @@ mod tests {
         let mut ex = SimExecutor::new(m, 9, 0.0);
         let q = [Query::new(1, SimTime::ZERO), Query::new(2, SimTime::ZERO)];
         let r = ex.execute(&q, SimTime::ZERO);
-        assert_eq!(r.service, SimTime::from_secs_f64(c.service_s));
-        assert_eq!(r.bytes_read, c.bytes_read);
+        assert_eq!(r, c);
     }
 
     #[test]
@@ -203,7 +184,7 @@ mod tests {
             let mut ex = SimExecutor::new(ServiceModel::new(base()), seed, 0.25);
             let q = [Query::new(1, SimTime::ZERO)];
             (0..5)
-                .map(|_| ex.execute(&q, SimTime::ZERO).service)
+                .map(|_| ex.execute(&q, SimTime::ZERO).service_s)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));

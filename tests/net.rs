@@ -14,9 +14,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parblast::net::{
-    decode_frame, encode_frame, ClientConfig, EchoRunner, Frame, FrameError, FrameReader,
-    NetClient, NetServer, QuotaConfig, Response, ResultStatus, ServerConfig, ShedReason,
-    StatsSnapshot, FRAME_HEADER_LEN, MAX_FRAME_LEN, NET_MAGIC, NET_VERSION,
+    decode_frame, encode_frame, BatchRunner, ClientConfig, EchoRunner, Frame, FrameError,
+    FrameReader, NetClient, NetServer, QuotaConfig, Response, ResultStatus, RunnerError,
+    RunnerOutput, ServerConfig, ShedReason, StatsSnapshot, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+    NET_MAGIC, NET_VERSION,
 };
 use parblast::serve::Priority;
 use proptest::prelude::*;
@@ -596,6 +597,177 @@ fn expired_deadline_is_shed_as_expired() {
     assert_eq!(client.stats().unwrap().expired, 1);
     handle.drain();
     handle.join();
+}
+
+/// Both ledger identities a drained daemon must satisfy.
+fn assert_ledger_balances(stats: &StatsSnapshot) {
+    assert_eq!(
+        stats.submits,
+        stats.accepted + stats.shed_queue_full + stats.shed_quota + stats.shed_draining,
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.accepted,
+        stats.served + stats.expired + stats.cancelled,
+        "{stats:?}"
+    );
+}
+
+/// Read frames off a raw socket until one is complete.
+fn read_frame(sock: &mut std::net::TcpStream, reader: &mut FrameReader) -> Frame {
+    use std::io::Read;
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(frame) = reader.next_frame().expect("well-formed frame") {
+            return frame;
+        }
+        let n = sock.read(&mut buf).expect("daemon answers within 5 s");
+        assert!(n > 0, "daemon closed the connection");
+        reader.feed(&buf[..n]);
+    }
+}
+
+/// A query cancelled while queued that then expires is answered
+/// `Shed(Expired)`, and the cancel dies with it: a later Submit reusing
+/// the id on the same connection is searched, not shed `Cancelled`.
+/// Raw frames, because `NetClient` never reuses an id.
+#[test]
+fn cancel_then_expire_leaves_no_stale_cancel_for_a_reused_id() {
+    use std::io::Write;
+
+    let handle = echo_server(
+        ServerConfig {
+            shards: 1,
+            max_batch: 1,
+            ..Default::default()
+        },
+        Duration::from_millis(200),
+    );
+    let mut sock = std::net::TcpStream::connect(handle.addr()).unwrap();
+    sock.set_nodelay(true).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = FrameReader::new();
+    let submit = |id: u64, deadline_us: u64, query: &[u8]| {
+        encode_frame(&Frame::Submit {
+            id,
+            tenant: 0,
+            priority: Priority::Normal,
+            deadline_us,
+            query: query.to_vec(),
+        })
+    };
+
+    // With one shard and `max_batch` 1 the blocker is dequeued first and
+    // occupies the exec thread for 200 ms; query 7 is cancelled while
+    // queued behind it, and its 1 µs deadline lapses before the exec
+    // thread can dequeue it.
+    let mut burst = submit(1, 0, b"blocker");
+    burst.extend(submit(7, 1, b"doomed"));
+    burst.extend(encode_frame(&Frame::Cancel { id: 7 }));
+    sock.write_all(&burst).unwrap();
+
+    let mut blocker_ok = false;
+    let mut expired = false;
+    for _ in 0..2 {
+        match read_frame(&mut sock, &mut reader) {
+            Frame::Result {
+                id: 1,
+                status: ResultStatus::Ok,
+                ..
+            } => blocker_ok = true,
+            Frame::Shed {
+                id: 7,
+                reason: ShedReason::Expired,
+                ..
+            } => expired = true,
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert!(blocker_ok && expired);
+
+    // Same id, same connection, no deadline: it must be searched.
+    sock.write_all(&submit(7, 0, b"reused")).unwrap();
+    match read_frame(&mut sock, &mut reader) {
+        Frame::Result {
+            id: 7,
+            status: ResultStatus::Ok,
+            payload,
+        } => assert_eq!(payload, EchoRunner::expected(b"reused")),
+        other => panic!("reused id 7 must be searched, got {other:?}"),
+    }
+
+    handle.drain();
+    let stats = handle.join();
+    assert_eq!((stats.expired, stats.cancelled), (1, 0), "{stats:?}");
+    assert_eq!(stats.served, 2);
+    assert_ledger_balances(&stats);
+}
+
+/// Runner whose first batch fails and whose later batches succeed, each
+/// success reporting the same fixed pass cost.
+#[derive(Default)]
+struct FailsFirstRunner {
+    calls: std::sync::atomic::AtomicU64,
+}
+
+impl FailsFirstRunner {
+    const BYTES_READ: u64 = 1000;
+    const KERNEL_PASSES: u64 = 3;
+    const PASSES_SAVED: u64 = 5;
+}
+
+impl BatchRunner for FailsFirstRunner {
+    fn run_batch(&self, queries: &[Vec<u8>]) -> Result<RunnerOutput, RunnerError> {
+        use std::sync::atomic::Ordering;
+        if self.calls.fetch_add(1, Ordering::Relaxed) == 0 {
+            return Err(RunnerError::Other("first batch fails".into()));
+        }
+        Ok(RunnerOutput {
+            per_query: queries.iter().map(|q| EchoRunner::expected(q)).collect(),
+            scan_s: 0.0,
+            search_s: 0.0,
+            bytes_read: Self::BYTES_READ,
+            kernel_passes: Self::KERNEL_PASSES,
+            passes_saved: Self::PASSES_SAVED,
+        })
+    }
+}
+
+/// `served` counts every answer, failed or not; the batch and pass
+/// counters count only what successful batches reported.
+#[test]
+fn failed_batch_counts_as_served_but_not_as_a_pass() {
+    let handle = NetServer::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            shards: 1,
+            max_batch: 1,
+            ..Default::default()
+        },
+        Arc::new(FailsFirstRunner::default()),
+    )
+    .expect("bind loopback");
+    let mut client = NetClient::connect(&handle.addr().to_string()).unwrap();
+
+    let mut answers = Vec::new();
+    for q in [&b"first"[..], b"second", b"third"] {
+        let id = client.submit(q).unwrap();
+        let (got, resp) = client.recv_response().unwrap().expect("answer");
+        assert_eq!(got, id);
+        answers.push(resp);
+    }
+    assert!(matches!(answers[0], Response::Failed(_)), "{answers:?}");
+    assert_eq!(answers[1], Response::Ok(EchoRunner::expected(b"second")));
+    assert_eq!(answers[2], Response::Ok(EchoRunner::expected(b"third")));
+
+    handle.drain();
+    let stats = handle.join();
+    assert_eq!(stats.served, 3);
+    assert_eq!(stats.batches, 2);
+    assert_eq!(stats.bytes_read, 2 * FailsFirstRunner::BYTES_READ);
+    assert_eq!(stats.kernel_passes, 2 * FailsFirstRunner::KERNEL_PASSES);
+    assert_eq!(stats.passes_saved, 2 * FailsFirstRunner::PASSES_SAVED);
+    assert_ledger_balances(&stats);
 }
 
 /// The graceful-drain contract: when a `Drain` lands mid-load, every
