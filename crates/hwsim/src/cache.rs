@@ -179,15 +179,6 @@ impl PageCache {
         }
     }
 
-    /// Drop everything (e.g. to model a cold start between runs).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     /// Iterate over the blocks of `[offset, offset+len)` of `file`.
     pub fn blocks_of(&self, file: u64, offset: u64, len: u64) -> impl Iterator<Item = BlockKey> {
         let bs = self.block_size;

@@ -17,7 +17,6 @@ pub struct Cpu {
     ps: PsResource,
     pending: HashMap<PsJobId, (CompId, u64)>,
     generation: u64,
-    start: SimTime,
     injected: f64,
     name: String,
 }
@@ -29,7 +28,6 @@ impl Cpu {
             ps: PsResource::new(SimTime::ZERO, cpus),
             pending: HashMap::new(),
             generation: 0,
-            start: SimTime::ZERO,
             injected: 0.0,
             name: name.into(),
         }
@@ -68,11 +66,6 @@ impl Cpu {
     /// Total background CPU-seconds injected (e.g. TCP processing).
     pub fn injected_work(&self) -> f64 {
         self.injected
-    }
-
-    /// Simulation start time for utilization windows.
-    pub fn start_time(&self) -> SimTime {
-        self.start
     }
 }
 

@@ -99,11 +99,6 @@ impl LocalFs {
         }
     }
 
-    /// Drop every cached page (cold-start between experiment runs).
-    pub fn drop_caches(&mut self) {
-        self.cache.clear();
-    }
-
     /// `(ops, bytes)` read and written plus bytes served from cache.
     pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
         (
@@ -113,11 +108,6 @@ impl LocalFs {
             self.bytes_written,
             self.bytes_from_cache,
         )
-    }
-
-    /// Cache hit/miss/eviction counters.
-    pub fn cache_counters(&self) -> (u64, u64, u64) {
-        self.cache.counters()
     }
 
     fn unit_of(&self, st: &InFlight) -> (u64, u64) {

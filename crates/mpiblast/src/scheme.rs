@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use parblast_pio::{
     copy_object, LocalStore, MirroredStore, ObjectReader, ObjectStore, RateLimiter, Scrubber,
-    StripedStore,
+    Store, StripedStore,
 };
 use parblast_seqdb::ReadAt;
 
@@ -31,6 +31,37 @@ pub enum Scheme {
     Ceft(MirroredStore),
 }
 
+/// The store a scheme keeps its fragments in: the original scheme's
+/// shared directory, or the striped engine both parallel schemes share
+/// (one copy for PVFS, two for CEFT-PVFS).
+trait Storage: ObjectStore {
+    fn set_io_throttle(&self, bytes_per_s: u64);
+    /// One paced verification pass over `name`: the corrupt stripes it
+    /// found, repaired or not.
+    fn scrub(&self, name: &str, limiter: &mut RateLimiter) -> io::Result<u64>;
+}
+
+impl Storage for LocalStore {
+    /// The original scheme's reads go through the OS page cache like the
+    /// paper's local disks, so there is no disk to pace.
+    fn set_io_throttle(&self, _: u64) {}
+
+    fn scrub(&self, name: &str, limiter: &mut RateLimiter) -> io::Result<u64> {
+        Ok(self.scrub_object(name, limiter)?.len() as u64)
+    }
+}
+
+impl<const COPIES: usize> Storage for Store<COPIES> {
+    fn set_io_throttle(&self, bytes_per_s: u64) {
+        Store::set_io_throttle(self, bytes_per_s);
+    }
+
+    fn scrub(&self, name: &str, limiter: &mut RateLimiter) -> io::Result<u64> {
+        let (repaired, unrepairable) = self.scrub_object(name, limiter)?;
+        Ok(repaired + unrepairable.len() as u64)
+    }
+}
+
 impl Scheme {
     /// Human-readable scheme name (matches the paper's labels).
     pub fn name(&self) -> &'static str {
@@ -38,6 +69,14 @@ impl Scheme {
             Scheme::Local { .. } => "original",
             Scheme::Pvfs(_) => "over-PVFS",
             Scheme::Ceft(_) => "over-CEFT-PVFS",
+        }
+    }
+
+    fn storage(&self) -> &dyn Storage {
+        match self {
+            Scheme::Local { src, .. } => src,
+            Scheme::Pvfs(st) => st,
+            Scheme::Ceft(st) => st,
         }
     }
 
@@ -56,8 +95,8 @@ impl Scheme {
                 let copy = t0.elapsed();
                 Ok((wd.open(fragment)?, copy))
             }
-            Scheme::Pvfs(st) => Ok((st.open(fragment)?, std::time::Duration::ZERO)),
-            Scheme::Ceft(st) => Ok((st.open(fragment)?, std::time::Duration::ZERO)),
+            // Read in place.
+            _ => Ok((self.storage().open(fragment)?, std::time::Duration::ZERO)),
         }
     }
 
@@ -66,21 +105,13 @@ impl Scheme {
     /// whose reads go through the OS page cache like the paper's local
     /// disks. Benchmarks use this to stand in for ~26 MB/s 2003 disks.
     pub fn set_io_throttle(&self, bytes_per_s: u64) {
-        match self {
-            Scheme::Local { .. } => {}
-            Scheme::Pvfs(st) => st.set_io_throttle(bytes_per_s),
-            Scheme::Ceft(st) => st.set_io_throttle(bytes_per_s),
-        }
+        self.storage().set_io_throttle(bytes_per_s);
     }
 
     /// Store fragments into the scheme's backing storage (setup step:
     /// `mpiformatdb` output distributed to where the scheme expects it).
     pub fn load_fragment(&self, fragment: &str, data: &[u8]) -> io::Result<()> {
-        match self {
-            Scheme::Local { src, .. } => src.put(fragment, data),
-            Scheme::Pvfs(st) => st.put(fragment, data),
-            Scheme::Ceft(st) => st.put(fragment, data),
-        }
+        self.storage().put(fragment, data)
     }
 
     /// Start a background scrub over `fragments`: every stored stripe is
@@ -90,52 +121,15 @@ impl Scheme {
     /// the schemes without redundancy only report them. Runs pass after
     /// pass until [`Scrubber::stop`], which returns the totals.
     pub fn start_scrub(&self, fragments: &[String], bytes_per_s: u64) -> Scrubber {
-        let names: Vec<String> = fragments.to_vec();
+        let (scheme, names) = (self.clone(), fragments.to_vec());
         let mut limiter = RateLimiter::new(bytes_per_s);
-        match self {
-            Scheme::Local { src, .. } => {
-                let store = src.clone();
-                Scrubber::spawn(move || {
-                    names
-                        .iter()
-                        .map(|n| {
-                            store
-                                .scrub_object(n, &mut limiter)
-                                .map(|v| v.len() as u64)
-                                .unwrap_or(0)
-                        })
-                        .sum()
-                })
-            }
-            Scheme::Pvfs(st) => {
-                let store = st.clone();
-                Scrubber::spawn(move || {
-                    names
-                        .iter()
-                        .map(|n| {
-                            store
-                                .scrub_object(n, &mut limiter)
-                                .map(|v| v.len() as u64)
-                                .unwrap_or(0)
-                        })
-                        .sum()
-                })
-            }
-            Scheme::Ceft(st) => {
-                let store = st.clone();
-                Scrubber::spawn(move || {
-                    names
-                        .iter()
-                        .map(|n| {
-                            store
-                                .scrub_object(n, &mut limiter)
-                                .map(|(repaired, bad)| repaired + bad.len() as u64)
-                                .unwrap_or(0)
-                        })
-                        .sum()
-                })
-            }
-        }
+        Scrubber::spawn(move || {
+            let storage = scheme.storage();
+            names
+                .iter()
+                .map(|n| storage.scrub(n, &mut limiter).unwrap_or(0))
+                .sum()
+        })
     }
 
     /// Build a Local scheme rooted at `base` for `workers` workers.

@@ -7,11 +7,10 @@
 //! distributions (13 B – 220 MB reads with a ~10 MB mean in the original).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use parblast_simcore::SimTime;
-use parking_lot::Mutex;
 
 /// Operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +67,7 @@ impl std::fmt::Debug for Tracer {
                     Clock::Sim(_) => "sim",
                 },
             )
-            .field("events", &self.inner.events.lock().len())
+            .field("events", &self.inner.events.lock().expect("tracer").len())
             .finish()
     }
 }
@@ -124,7 +123,7 @@ impl Tracer {
             return;
         }
         let t = self.now_s();
-        self.inner.events.lock().push(TraceEvent {
+        self.inner.events.lock().expect("tracer").push(TraceEvent {
             t,
             kind,
             bytes,
@@ -134,7 +133,7 @@ impl Tracer {
 
     /// Snapshot of all events, in time order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut v = self.inner.events.lock().clone();
+        let mut v = self.inner.events.lock().expect("tracer").clone();
         v.sort_by(|a, b| a.t.total_cmp(&b.t));
         v
     }

@@ -26,11 +26,11 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use parblast_serve::{AdmissionQueue, Query};
 use parblast_simcore::SimTime;
 use polling::{Event, Poller};
@@ -120,9 +120,9 @@ impl ShardState {
 struct Shard {
     state: Mutex<ShardState>,
     cv: Condvar,
-    // Exec → IO: encoded response frames routed by connection key.
-    results_tx: channel::Sender<(usize, Vec<u8>)>,
-    results_rx: channel::Receiver<(usize, Vec<u8>)>,
+    // Exec → IO: encoded response frames routed by connection key. The
+    // one receiver belongs to the shard's IO thread.
+    results_tx: Sender<(usize, Vec<u8>)>,
     poller: Poller,
     // The shard's share of `StatsSnapshot`: answers sent (ok or failed),
     // and what the successful batches reported.
@@ -255,8 +255,10 @@ impl NetServer {
         let shards = config.shards.max(1);
 
         let mut shard_vec = Vec::with_capacity(shards);
+        let mut results_rxs = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (results_tx, results_rx) = channel::unbounded();
+            let (results_tx, results_rx) = mpsc::channel();
+            results_rxs.push(results_rx);
             shard_vec.push(Shard {
                 state: Mutex::new(ShardState {
                     queue: AdmissionQueue::new(config.queue_capacity),
@@ -265,7 +267,6 @@ impl NetServer {
                 }),
                 cv: Condvar::new(),
                 results_tx,
-                results_rx,
                 poller: Poller::new()?,
                 served: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
@@ -298,14 +299,14 @@ impl NetServer {
         let mut threads = Vec::new();
         // Per-shard connection hand-off channels.
         let mut conn_txs = Vec::with_capacity(shards);
-        for shard_ix in 0..shards {
-            let (conn_tx, conn_rx) = channel::unbounded::<TcpStream>();
+        for (shard_ix, results_rx) in results_rxs.into_iter().enumerate() {
+            let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
             conn_txs.push(conn_tx);
             let sh = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("net-io-{shard_ix}"))
-                    .spawn(move || io_thread(sh, shard_ix, conn_rx))?,
+                    .spawn(move || io_thread(sh, shard_ix, conn_rx, results_rx))?,
             );
             let sh = Arc::clone(&shared);
             let rn = Arc::clone(&runner);
@@ -333,11 +334,7 @@ impl NetServer {
 
 /// Accept loop: poll the listener, hand new connections to shards
 /// round-robin, exit when draining.
-fn accept_thread(
-    shared: Arc<Shared>,
-    listener: TcpListener,
-    conn_txs: Vec<channel::Sender<TcpStream>>,
-) {
+fn accept_thread(shared: Arc<Shared>, listener: TcpListener, conn_txs: Vec<Sender<TcpStream>>) {
     let _ = shared.accept_poller.add(&listener, Event::readable(0));
     let mut next = 0usize;
     let mut events = Vec::new();
@@ -411,7 +408,12 @@ impl Conn {
 /// Shard IO loop: poll owned connections, decode frames, apply admission,
 /// route exec results back out, and during drain keep flushing until
 /// every accepted query's answer is on the wire.
-fn io_thread(shared: Arc<Shared>, shard_ix: usize, conn_rx: channel::Receiver<TcpStream>) {
+fn io_thread(
+    shared: Arc<Shared>,
+    shard_ix: usize,
+    conn_rx: Receiver<TcpStream>,
+    results_rx: Receiver<(usize, Vec<u8>)>,
+) {
     let shard = &shared.shards[shard_ix];
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key = 0usize;
@@ -424,7 +426,7 @@ fn io_thread(shared: Arc<Shared>, shard_ix: usize, conn_rx: channel::Receiver<Tc
             .wait(&mut events, Some(Duration::from_millis(25)));
 
         // New connections from the acceptor.
-        while let Some(stream) = conn_rx.try_recv() {
+        while let Ok(stream) = conn_rx.try_recv() {
             let key = next_key;
             next_key += 1;
             let _ = shard.poller.add(&stream, Event::readable(key));
@@ -442,16 +444,7 @@ fn io_thread(shared: Arc<Shared>, shard_ix: usize, conn_rx: channel::Receiver<Tc
             );
         }
 
-        // Exec results → owning connection's outbox. A result whose
-        // connection is gone is dropped (the client hung up on us).
-        // Every routed message answers exactly one accepted Submit, so
-        // it releases one in-flight slot.
-        while let Some((key, bytes)) = shard.results_rx.try_recv() {
-            if let Some(conn) = conns.get_mut(&key) {
-                conn.outbox.extend_from_slice(&bytes);
-                conn.inflight = conn.inflight.saturating_sub(1);
-            }
-        }
+        route_results(&results_rx, &mut conns);
 
         // Readable connections: pull bytes, decode, handle.
         let ready: Vec<usize> = events
@@ -566,16 +559,31 @@ fn io_thread(shared: Arc<Shared>, shard_ix: usize, conn_rx: channel::Receiver<Tc
         }
 
         // Drain exit: admission stopped, exec finished everything it will
-        // ever get, all results routed, all outboxes flushed.
-        if shared.draining.load(Ordering::SeqCst)
-            && shard.exec_done.load(Ordering::SeqCst)
-            && shard.results_rx.is_empty()
-            && conns.values().all(|c| c.outbox.is_empty())
-        {
-            for (_, conn) in conns.iter() {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        // ever get, all results routed, all outboxes flushed. `exec_done`
+        // is read before the channel is drained, so every result the exec
+        // thread will ever send is already queued; one routed to a live
+        // connection leaves its outbox to flush on the next pass.
+        if shared.draining.load(Ordering::SeqCst) && shard.exec_done.load(Ordering::SeqCst) {
+            route_results(&results_rx, &mut conns);
+            if conns.values().all(|c| c.outbox.is_empty()) {
+                for (_, conn) in conns.iter() {
+                    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+                }
+                return;
             }
-            return;
+        }
+    }
+}
+
+/// Exec results → owning connection's outbox, until the channel is empty.
+/// A result whose connection is gone is dropped (the client hung up on
+/// us). Every routed message answers exactly one accepted Submit, so it
+/// releases one in-flight slot.
+fn route_results(results_rx: &Receiver<(usize, Vec<u8>)>, conns: &mut HashMap<usize, Conn>) {
+    while let Ok((key, bytes)) = results_rx.try_recv() {
+        if let Some(conn) = conns.get_mut(&key) {
+            conn.outbox.extend_from_slice(&bytes);
+            conn.inflight = conn.inflight.saturating_sub(1);
         }
     }
 }

@@ -128,11 +128,6 @@ pub fn stripe_sums(data: &[u8], stripe_size: u64) -> Vec<u32> {
         .collect()
 }
 
-/// Sidecar file name for an object (`{name}.sums` in the same directory).
-pub fn sums_name(name: &str) -> String {
-    format!("{name}.sums")
-}
-
 /// Sidecar path for an object file path.
 pub fn sums_path(object: &Path) -> PathBuf {
     let mut os = object.as_os_str().to_owned();

@@ -7,10 +7,14 @@
 //!   local disk" scheme);
 //! * [`StripedStore`] — PVFS-style RAID-0: 64 KB round-robin striping over
 //!   N server directories, with one parallel reader thread per server;
-//! * [`MirroredStore`] — CEFT-PVFS-style RAID-10: duplexed writes to a
-//!   primary and a mirror group, dual-half reads that double the degree of
-//!   parallelism, and latency-EWMA hot-spot detection that *skips* slow
-//!   servers by redirecting their ranges to the mirror partner.
+//! * [`MirroredStore`] — CEFT-PVFS-style RAID-10: the same striping kept
+//!   twice, in a primary and a mirror group, with dual-half reads that
+//!   double the degree of parallelism and latency-based hot-spot detection
+//!   that *skips* slow servers by redirecting their ranges to the mirror
+//!   partner.
+//!
+//! The last two are one engine, [`Store`], that differs only in how many
+//! copies it keeps: one put, read, verify and scrub path ([`engine`]).
 //!
 //! The striping mathematics ([`layout`]) is shared with the simulated
 //! PVFS/CEFT-PVFS crates, so the simulator and the real library cannot
@@ -18,16 +22,16 @@
 
 #![warn(missing_docs)]
 
+pub mod engine;
 pub mod integrity;
 pub mod layout;
-pub mod mirrored;
+pub mod monitor;
 pub mod pool;
 pub mod store;
-pub mod striped;
 
+pub use engine::{MirroredStore, ResyncReport, Store, StripedStore};
 pub use integrity::{corrupt_stripe_of, crc32c, is_corrupt, CorruptStripe, ScrubTotals, Scrubber};
 pub use layout::{LocalRange, MirroredLayout, ReadPart, ServerId, StripeLayout};
-pub use mirrored::{HealthMonitor, MirroredReader, MirroredStore, ResyncReport, ResyncState};
+pub use monitor::{HealthMonitor, ResyncState};
 pub use pool::{RateLimiter, ReaderPool};
 pub use store::{copy_object, read_all, FileReader, LocalStore, ObjectReader, ObjectStore};
-pub use striped::{StripedReader, StripedStore};

@@ -4,10 +4,10 @@
 //! implementations mirror the paper's three I/O schemes:
 //!
 //! * [`LocalStore`] — one plain directory (a worker's local disk);
-//! * [`crate::striped::StripedStore`] — RAID-0 across N server directories
-//!   (PVFS);
-//! * [`crate::mirrored::MirroredStore`] — RAID-10 across 2×N server
-//!   directories with dual-half reads and hot-spot skipping (CEFT-PVFS).
+//! * [`crate::StripedStore`] — RAID-0 across N server directories (PVFS);
+//! * [`crate::MirroredStore`] — RAID-10 across 2×N server directories with
+//!   dual-half reads and hot-spot skipping (CEFT-PVFS), the same engine
+//!   ([`crate::Store`]) keeping a second copy.
 //!
 //! Every store hands out an [`ObjectReader`]: blocking positional reads,
 //! contiguous or as a region list.
@@ -21,8 +21,8 @@ use crate::integrity;
 /// Positional reader handed out by stores.
 ///
 /// A read is a list of regions, and a contiguous read is a list of one.
-/// The striped and mirrored readers serve both methods through one path
-/// that ships one lane job per involved server; plain files loop.
+/// The striped engine serves both methods through one path that ships one
+/// lane job per involved server; plain files loop.
 pub trait ObjectReader: Send {
     /// Fill `buf` from `offset`; must read exactly `buf.len()` bytes.
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()>;
@@ -31,8 +31,7 @@ pub trait ObjectReader: Send {
     /// [`ObjectReader::read_at`] per region, which is what the default
     /// does; pool-backed stores override it to ship **one vectored lane
     /// job per server** instead of one per region per server, which is
-    /// the request aggregation this crate's striped/mirrored readers are
-    /// measured on.
+    /// the request aggregation this crate's striped engine is measured on.
     fn read_many_at(&mut self, regions: &[(u64, u64)]) -> io::Result<Vec<u8>> {
         let mut out = vec![0u8; regions.iter().map(|&(_, l)| l as usize).sum()];
         let mut at = 0usize;

@@ -399,13 +399,29 @@ impl PackedVolume {
 
     /// Read the header, then locate the regions behind it: `(offset,
     /// len)` of the index, the packed data and the deflines, in the order
-    /// both readers fetch them.
+    /// both readers fetch them. The header is checked before anything is
+    /// sized from it: data, index and deflines must follow it in that
+    /// order and end inside the file, or the volume is `InvalidData`.
     fn layout<R: ReadAt>(src: &mut R) -> io::Result<(SeqType, [(u64, u64); 3])> {
         let header = Volume::read_header(src)?;
+        let len = src.len()?;
+        let index_len = header.nseq.checked_mul(INDEX_ENTRY_LEN);
+        let index_end = index_len.and_then(|n| header.index_offset.checked_add(n));
+        let ordered = index_end.is_some_and(|end| {
+            HEADER_LEN <= header.index_offset
+                && end <= header.defline_offset
+                && header.defline_offset <= len
+        });
+        if !ordered {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "volume header regions out of order or past the end of the file",
+            ));
+        }
         let regions = [
             (header.index_offset, header.nseq * INDEX_ENTRY_LEN),
             (HEADER_LEN, header.index_offset - HEADER_LEN),
-            (header.defline_offset, src.len()? - header.defline_offset),
+            (header.defline_offset, len - header.defline_offset),
         ];
         Ok((header.seq_type, regions))
     }
@@ -505,21 +521,28 @@ fn parse_index(index: &[u8], data_len: usize, def_len: usize) -> io::Result<Vec<
     index
         .chunks_exact(INDEX_ENTRY_LEN as usize)
         .map(|e| {
-            let data_start = (get_u64(e, 0) - HEADER_LEN) as usize;
-            let nres = get_u64(e, 8) as usize;
-            let def_start = get_u64(e, 16) as usize;
-            let dlen = get_u64(e, 24) as usize;
-            if data_start + nres.div_ceil(4) > data_len || def_start + dlen > def_len {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "volume index entry out of bounds",
-                ));
-            }
+            let nres = get_u64(e, 8);
+            let (def_start, dlen) = (get_u64(e, 16), get_u64(e, 24));
+            let fits = |start: u64, len: u64, region: usize| {
+                start
+                    .checked_add(len)
+                    .is_some_and(|end| end <= region as u64)
+            };
+            let data_start = get_u64(e, 0)
+                .checked_sub(HEADER_LEN)
+                .filter(|&start| fits(start, nres.div_ceil(4), data_len))
+                .filter(|_| fits(def_start, dlen, def_len))
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "volume index entry out of bounds",
+                    )
+                })?;
             Ok(PackedEntry {
-                data_start,
-                nres,
-                def_start,
-                def_len: dlen,
+                data_start: data_start as usize,
+                nres: nres as usize,
+                def_start: def_start as usize,
+                def_len: dlen as usize,
             })
         })
         .collect()
@@ -670,6 +693,44 @@ mod tests {
         let err = Volume::read_header(&mut bytes.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("type 7"), "{err}");
+    }
+
+    #[test]
+    fn every_reader_rejects_a_header_whose_regions_do_not_fit() {
+        // Valid magic, version and type, but the offsets behind them are
+        // wrong: the index before the end of the header, the deflines past
+        // the end of the file, an index too long to count in a u64.
+        let bytes = build(SeqType::Nucleotide, &[("a", b"ACGT"), ("b", b"GG")]);
+        let past_end = bytes.len() as u64 + 100;
+        for (field, value) in [(32, 16u64), (40, past_end), (16, u64::MAX / 8)] {
+            let mut bad = bytes.clone();
+            bad[field..field + 8].copy_from_slice(&value.to_le_bytes());
+            for (reader, got) in [
+                PackedVolume::read_from(&mut bad.as_slice()),
+                PackedVolume::read_from_listio(&mut bad.as_slice()),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let err = got.expect_err("a header that does not fit must not load");
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "reader {reader}, field {field} = {value}: {err}"
+                );
+            }
+        }
+        // The same for an index entry whose data offset points into the
+        // header.
+        let mut bad = bytes.clone();
+        let entry = get_u64(&bad, 32) as usize;
+        bad[entry..entry + 8].copy_from_slice(&0u64.to_le_bytes());
+        for got in [
+            PackedVolume::read_from(&mut bad.as_slice()),
+            PackedVolume::read_from_listio(&mut bad.as_slice()),
+        ] {
+            assert_eq!(got.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::time::SimTime;
 #[derive(Debug, Clone)]
 pub struct FcfsStation {
     free_at: SimTime,
-    busy: TimeWeighted,
     served: u64,
     busy_ns: u64,
 }
@@ -29,7 +28,6 @@ impl FcfsStation {
     pub fn new(t0: SimTime) -> Self {
         FcfsStation {
             free_at: t0,
-            busy: TimeWeighted::new(t0, 0.0),
             served: 0,
             busy_ns: 0,
         }
@@ -75,11 +73,6 @@ impl FcfsStation {
         // Busy time cannot exceed wall time even though free_at may be in
         // the future; clamp.
         (self.busy_time().as_secs_f64() / span).min(1.0)
-    }
-
-    /// Expose the busy tracker for custom instrumentation.
-    pub fn busy_tracker(&mut self) -> &mut TimeWeighted {
-        &mut self.busy
     }
 }
 
@@ -241,11 +234,6 @@ impl PsResource {
     /// Time-averaged number of active jobs.
     pub fn average_load(&self, now: SimTime) -> f64 {
         self.load.average(now)
-    }
-
-    /// Fraction of server capacity in use right now.
-    pub fn utilization_now(&self) -> f64 {
-        (self.jobs.len() as f64 / self.servers).min(1.0)
     }
 }
 
