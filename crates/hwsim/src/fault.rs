@@ -221,7 +221,6 @@ pub struct FaultInjector {
     servers: HashMap<usize, Vec<CompId>>,
     disks: HashMap<u32, CompId>,
     net: Option<CompId>,
-    injected: u64,
     name: String,
 }
 
@@ -236,7 +235,6 @@ impl FaultInjector {
             servers: HashMap::new(),
             disks: HashMap::new(),
             net: None,
-            injected: 0,
             name: "fault-injector".into(),
         }
     }
@@ -258,11 +256,6 @@ impl FaultInjector {
         self.net = Some(net);
     }
 
-    /// Faults applied so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
     /// Add the injector to `eng` and arm its first timer. Returns the
     /// injector's component id (useful for inspection after the run).
     pub fn install(self, eng: &mut Engine<Ev>) -> CompId {
@@ -275,7 +268,6 @@ impl FaultInjector {
     }
 
     fn apply(&mut self, ctx: &mut Ctx<'_, Ev>, fault: Fault) {
-        self.injected += 1;
         match fault {
             Fault::ServerCrash { server } => {
                 for &comp in self.servers.get(&server).into_iter().flatten() {

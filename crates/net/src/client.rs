@@ -1,7 +1,7 @@
 //! The blocking client library.
 //!
 //! [`NetClient`] speaks the [`crate::proto`] frame protocol over one
-//! *pooled* TCP connection and layers the full resilience stack on top:
+//! *pooled* TCP connection and layers the resilience stack on top:
 //!
 //! * **Pooled retries** — a retry reuses the existing connection when it
 //!   is healthy (a server-side `Failed` does not invalidate the socket);
@@ -14,12 +14,14 @@
 //!   [`ClientError::CircuitOpen`] instead of dialing a corpse; after a
 //!   cooldown a single half-open probe decides whether to close it.
 //! * **Deadline propagation** — `config.deadline_us` is an end-to-end
-//!   budget: every attempt (and every hedge) stamps its `Submit` with the
-//!   budget *remaining now*, so the server's dequeue- and pre-execution
-//!   deadline checks act on truth rather than the original allowance.
-//! * **Hedged Submits** ([`HedgeConfig`]) — once armed, a second Submit
-//!   races the primary after an adaptive p95 delay; the first definitive
-//!   answer wins and the loser is cancelled via the `Cancel` frame.
+//!   budget: every attempt stamps its `Submit` with the budget *remaining
+//!   now*, so the server's dequeue- and pre-execution deadline checks act
+//!   on truth rather than the original allowance.
+//!
+//! An attempt has exactly one `Submit` in flight. When it times out, the
+//! client sends `Cancel` for it so the server frees the slot, and a late
+//! answer to it is skipped by id while a later attempt waits. Every reply
+//! wait, for a query or an admin frame, goes through one loop.
 //!
 //! The deterministic/transient split is unchanged from PR 1: `Shed` and
 //! `Corrupt` are answers, not losses — they short-circuit; timeouts,
@@ -35,10 +37,7 @@ use parblast_pvfs::{backoff_delay, RetryPolicy};
 use parblast_serve::Priority;
 
 use crate::proto::{encode_frame, Frame, FrameError, ResultStatus, ShedReason, StatsSnapshot};
-use crate::resilience::{
-    BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, HedgeConfig, LatencyTracker,
-    RetryBudget,
-};
+use crate::resilience::{BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, RetryBudget};
 
 /// What a [`Dialer`] must hand back: a blocking byte stream with a
 /// settable read timeout. `TcpStream` is the production impl;
@@ -97,8 +96,6 @@ pub struct ClientConfig {
     /// Circuit-breaker knobs (defaults trip after 8 consecutive
     /// transport failures, 500 ms cooldown).
     pub breaker: BreakerConfig,
-    /// Hedged-Submit knobs (disabled by default).
-    pub hedge: HedgeConfig,
 }
 
 impl Default for ClientConfig {
@@ -110,7 +107,6 @@ impl Default for ClientConfig {
             retry: RetryPolicy::default(),
             budget: BudgetConfig::default(),
             breaker: BreakerConfig::default(),
-            hedge: HedgeConfig::default(),
         }
     }
 }
@@ -200,10 +196,6 @@ pub struct ClientCounters {
     pub budget_exhausted: u64,
     /// Calls refused by an open breaker.
     pub breaker_fast_fails: u64,
-    /// Hedge Submits sent.
-    pub hedges_sent: u64,
-    /// Queries won by the hedge rather than the primary.
-    pub hedge_wins: u64,
 }
 
 struct Conn {
@@ -211,10 +203,56 @@ struct Conn {
     reader: crate::proto::FrameReader,
 }
 
-enum RecvOut {
-    Frame(Frame),
+/// How a reply wait ended.
+enum Wait<T> {
+    /// The frame the caller was waiting for, as its picker returned it.
+    Got(T),
+    /// The server closed the connection.
     Eof,
+    /// The wait's deadline passed.
     TimedOut,
+}
+
+/// The one mapping from a server answer to a [`Response`]: `Some` for a
+/// `Result` or `Shed` frame, `None` for an admin reply.
+fn response(frame: Frame) -> Option<(u64, Response)> {
+    match frame {
+        Frame::Result {
+            id,
+            status,
+            payload,
+        } => Some((
+            id,
+            match status {
+                ResultStatus::Ok => Response::Ok(payload),
+                ResultStatus::Corrupt => Response::Corrupt(payload),
+                ResultStatus::Failed => Response::Failed(payload),
+            },
+        )),
+        Frame::Shed {
+            id,
+            reason,
+            retry_after_us,
+        } => Some((id, Response::Shed(reason, retry_after_us))),
+        _ => None,
+    }
+}
+
+impl Response {
+    /// The payload of an `Ok` answer; every other answer as the error
+    /// [`NetClient::query`] surfaces for it.
+    fn into_payload(self) -> Result<Vec<u8>, ClientError> {
+        let text = |p: Vec<u8>| String::from_utf8_lossy(&p).into_owned();
+        match self {
+            Response::Ok(payload) => Ok(payload),
+            Response::Corrupt(payload) => Err(ClientError::Corrupt(text(payload))),
+            Response::Failed(payload) => Err(ClientError::Failed(text(payload))),
+            Response::Shed(reason, retry_after_us) => Err(ClientError::Shed {
+                reason,
+                retry_after_us,
+            }),
+        }
+    }
 }
 
 /// A blocking client over one pooled connection to the daemon.
@@ -226,7 +264,6 @@ pub struct NetClient {
     next_id: u64,
     budget: RetryBudget,
     breaker: CircuitBreaker,
-    latency: LatencyTracker,
     epoch: Instant,
     counters: ClientCounters,
 }
@@ -257,17 +294,11 @@ impl NetClient {
             next_id: 1,
             budget: RetryBudget::new(config.budget),
             breaker: CircuitBreaker::new(config.breaker),
-            latency: LatencyTracker::new(),
             epoch: Instant::now(),
             counters: ClientCounters::default(),
         };
         client.ensure_conn()?;
         Ok(client)
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> ClientConfig {
-        self.config
     }
 
     /// Resilience counters.
@@ -324,16 +355,25 @@ impl NetClient {
         }
     }
 
-    /// Read until a frame decodes, the connection ends, or `until`
-    /// passes. `until = None` blocks indefinitely.
-    fn recv_frame_until(&mut self, until: Option<Instant>) -> Result<RecvOut, ClientError> {
+    /// The one reply wait: read frames, handing each to `pick` and
+    /// skipping those it declines, until it takes one, the connection
+    /// ends, or `until` passes. `until = None` blocks indefinitely and
+    /// never ends in [`Wait::TimedOut`].
+    fn wait_for<T>(
+        &mut self,
+        until: Option<Instant>,
+        mut pick: impl FnMut(Frame) -> Option<T>,
+    ) -> Result<Wait<T>, ClientError> {
         let mut buf = [0u8; 16 * 1024];
         loop {
             let conn = self.conn.as_mut().ok_or_else(|| {
                 ClientError::Io(io::Error::new(io::ErrorKind::NotConnected, "not connected"))
             })?;
             match conn.reader.next_frame() {
-                Ok(Some(f)) => return Ok(RecvOut::Frame(f)),
+                Ok(Some(f)) => match pick(f) {
+                    Some(t) => return Ok(Wait::Got(t)),
+                    None => continue,
+                },
                 Ok(None) => {}
                 Err(e) => return Err(ClientError::Protocol(e)),
             }
@@ -342,37 +382,41 @@ impl NetClient {
                 Some(u) => {
                     let rem = u.saturating_duration_since(Instant::now());
                     if rem.is_zero() {
-                        return Ok(RecvOut::TimedOut);
+                        return Ok(Wait::TimedOut);
                     }
                     conn.stream.set_read_timeout(Some(rem))?;
                 }
             }
             match conn.stream.read(&mut buf) {
-                Ok(0) => return Ok(RecvOut::Eof),
+                Ok(0) => return Ok(Wait::Eof),
                 Ok(n) => conn.reader.feed(&buf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // A timed read that woke early loops back to the deadline
+                // check above; an untimed read must never time out.
                 Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(RecvOut::TimedOut)
-                }
+                    if until.is_some()
+                        && matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) => {}
                 Err(e) => return Err(ClientError::Io(e)),
             }
         }
     }
 
-    /// Blocking read of the next frame from the server. `Ok(None)` means
-    /// the server closed the connection cleanly (drain complete).
-    fn recv_frame(&mut self) -> Result<Option<Frame>, ClientError> {
-        match self.recv_frame_until(None)? {
-            RecvOut::Frame(f) => Ok(Some(f)),
-            RecvOut::Eof => Ok(None),
-            RecvOut::TimedOut => Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "unexpected timeout on an untimed read",
+    /// Send an admin `request`, then wait for the reply `pick` takes.
+    /// EOF before it is `UnexpectedEof`.
+    fn request<T>(
+        &mut self,
+        request: Frame,
+        pick: impl FnMut(Frame) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        self.send(&request)?;
+        match self.wait_for(None, pick)? {
+            Wait::Got(t) => Ok(t),
+            Wait::Eof | Wait::TimedOut => Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("connection closed before the reply to {request:?}"),
             ))),
         }
     }
@@ -399,30 +443,11 @@ impl NetClient {
 
     /// Blocking read of the next `Result`/`Shed` for any outstanding
     /// submit. `Ok(None)` = server closed the connection (drained).
+    /// Out-of-band admin replies are skipped.
     pub fn recv_response(&mut self) -> Result<Option<(u64, Response)>, ClientError> {
-        loop {
-            match self.recv_frame()? {
-                None => return Ok(None),
-                Some(Frame::Result {
-                    id,
-                    status,
-                    payload,
-                }) => {
-                    let resp = match status {
-                        ResultStatus::Ok => Response::Ok(payload),
-                        ResultStatus::Corrupt => Response::Corrupt(payload),
-                        ResultStatus::Failed => Response::Failed(payload),
-                    };
-                    return Ok(Some((id, resp)));
-                }
-                Some(Frame::Shed {
-                    id,
-                    reason,
-                    retry_after_us,
-                }) => return Ok(Some((id, Response::Shed(reason, retry_after_us)))),
-                // Out-of-band admin replies are skipped here.
-                Some(_) => continue,
-            }
+        match self.wait_for(None, response)? {
+            Wait::Got(r) => Ok(Some(r)),
+            Wait::Eof | Wait::TimedOut => Ok(None),
         }
     }
 
@@ -433,48 +458,30 @@ impl NetClient {
 
     /// Ask the daemon for its counter snapshot.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        self.send(&Frame::Stats)?;
-        loop {
-            match self.recv_frame()? {
-                None => {
-                    return Err(ClientError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed before StatsReply",
-                    )))
-                }
-                Some(Frame::StatsReply(s)) => return Ok(s),
-                Some(_) => continue,
-            }
-        }
+        self.request(Frame::Stats, |f| match f {
+            Frame::StatsReply(s) => Some(s),
+            _ => None,
+        })
     }
 
     /// Start a graceful drain; returns the queued+in-flight count the
     /// server acknowledged. After this, the server finishes outstanding
     /// work, flushes results, and closes every connection.
     pub fn drain(&mut self) -> Result<u64, ClientError> {
-        self.send(&Frame::Drain)?;
-        loop {
-            match self.recv_frame()? {
-                None => {
-                    return Err(ClientError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed before DrainAck",
-                    )))
-                }
-                Some(Frame::DrainAck { queued }) => return Ok(queued),
-                Some(_) => continue,
-            }
-        }
+        self.request(Frame::Drain, |f| match f {
+            Frame::DrainAck { queued } => Some(queued),
+            _ => None,
+        })
     }
 
     /// One blocking query under the full resilience stack: submit, wait
-    /// for the matching response (hedging a second Submit if armed), and
-    /// on a *transient* failure retry after `backoff_delay(attempt)` —
-    /// if the retry budget has a token, the breaker is closed, and the
-    /// end-to-end deadline has room. The pooled connection is reused
-    /// across attempts whenever it is still healthy; only transport
-    /// failures force a re-dial. `Shed` and `Corrupt` short-circuit:
-    /// they are deterministic answers, not losses.
+    /// for the matching response, and on a *transient* failure retry
+    /// after `backoff_delay(attempt)` — if the retry budget has a token,
+    /// the breaker is closed, and the end-to-end deadline has room. The
+    /// pooled connection is reused across attempts whenever it is still
+    /// healthy; only transport failures force a re-dial. `Shed` and
+    /// `Corrupt` short-circuit: they are deterministic answers, not
+    /// losses.
     pub fn query(&mut self, query: &[u8]) -> Result<Vec<u8>, ClientError> {
         let policy = self.config.retry;
         let overall: Option<Instant> = if self.config.deadline_us > 0 {
@@ -509,11 +516,9 @@ impl NetClient {
                     return Err(ClientError::DeadlineExceeded);
                 }
             }
-            let t0 = Instant::now();
             match self.query_attempt(query, overall) {
                 Ok(payload) => {
                     self.budget.deposit();
-                    self.latency.record_us(t0.elapsed().as_micros() as u64);
                     return Ok(payload);
                 }
                 // Deterministic outcomes: retrying cannot help. An open
@@ -576,6 +581,9 @@ impl NetClient {
         }
     }
 
+    /// One Submit and the wait for its answer. A `Result` or `Shed` for
+    /// any other id is stale, the late answer to an earlier attempt that
+    /// timed out, and is skipped.
     fn attempt_inner(
         &mut self,
         query: &[u8],
@@ -593,114 +601,31 @@ impl NetClient {
             until = Some(until.map_or(o, |u| u.min(o)));
         }
         let deadline_us = self.remaining_us(overall)?;
-        let primary = self
-            .submit_with_deadline(query, deadline_us)
-            .map_err(ClientError::Io)?;
-        let mut outstanding = vec![primary];
-        let mut hedge_at: Option<Instant> = self
-            .latency
-            .hedge_delay_us(&self.config.hedge)
-            .map(|us| Instant::now() + Duration::from_micros(us));
-
-        loop {
-            let wake = match (until, hedge_at) {
-                (Some(u), Some(h)) => Some(u.min(h)),
-                (Some(u), None) => Some(u),
-                (None, h) => h,
-            };
-            match self.recv_frame_until(wake) {
-                Err(e) => {
-                    self.drop_conn();
-                    return Err(e);
+        let id = self.submit_with_deadline(query, deadline_us)?;
+        match self.wait_for(until, |f| response(f).filter(|(got, _)| *got == id)) {
+            Ok(Wait::Got((_, answer))) => answer.into_payload(),
+            Ok(Wait::TimedOut) => {
+                // Attempt over: release the server's slot before giving
+                // up on this attempt.
+                let _ = self.cancel(id);
+                if overall.is_some_and(|o| Instant::now() >= o) {
+                    return Err(ClientError::DeadlineExceeded);
                 }
-                Ok(RecvOut::Eof) => {
-                    self.drop_conn();
-                    return Err(ClientError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed before result",
-                    )));
-                }
-                Ok(RecvOut::TimedOut) => {
-                    let now = Instant::now();
-                    if let Some(h) = hedge_at {
-                        if now >= h {
-                            // The primary is past its p95: race a hedge
-                            // with the budget remaining *now*.
-                            hedge_at = None;
-                            let rem = self.remaining_us(overall)?;
-                            match self.submit_with_deadline(query, rem) {
-                                Ok(id) => {
-                                    self.counters.hedges_sent += 1;
-                                    outstanding.push(id);
-                                }
-                                Err(e) => return Err(ClientError::Io(e)),
-                            }
-                            continue;
-                        }
-                    }
-                    if until.is_some_and(|u| now >= u) {
-                        // Attempt over: release the server's slots before
-                        // giving up on this attempt.
-                        for id in outstanding {
-                            let _ = self.cancel(id);
-                        }
-                        if overall.is_some_and(|o| now >= o) {
-                            return Err(ClientError::DeadlineExceeded);
-                        }
-                        return Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "attempt timed out",
-                        )));
-                    }
-                    continue;
-                }
-                Ok(RecvOut::Frame(Frame::Result {
-                    id,
-                    status,
-                    payload,
-                })) if outstanding.contains(&id) => match status {
-                    ResultStatus::Ok => {
-                        if id != primary {
-                            self.counters.hedge_wins += 1;
-                        }
-                        for other in outstanding.into_iter().filter(|x| *x != id) {
-                            let _ = self.cancel(other);
-                        }
-                        return Ok(payload);
-                    }
-                    ResultStatus::Corrupt => {
-                        for other in outstanding.into_iter().filter(|x| *x != id) {
-                            let _ = self.cancel(other);
-                        }
-                        return Err(ClientError::Corrupt(
-                            String::from_utf8_lossy(&payload).into_owned(),
-                        ));
-                    }
-                    ResultStatus::Failed => {
-                        outstanding.retain(|x| *x != id);
-                        if outstanding.is_empty() {
-                            return Err(ClientError::Failed(
-                                String::from_utf8_lossy(&payload).into_owned(),
-                            ));
-                        }
-                    }
-                },
-                Ok(RecvOut::Frame(Frame::Shed {
-                    id,
-                    reason,
-                    retry_after_us,
-                })) if outstanding.contains(&id) => {
-                    outstanding.retain(|x| *x != id);
-                    if outstanding.is_empty() {
-                        return Err(ClientError::Shed {
-                            reason,
-                            retry_after_us,
-                        });
-                    }
-                }
-                // Stale responses (cancelled losers, timed-out earlier
-                // attempts) and out-of-band admin replies.
-                Ok(RecvOut::Frame(_)) => continue,
+                Err(ClientError::Io(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "attempt timed out",
+                )))
+            }
+            Ok(Wait::Eof) => {
+                self.drop_conn();
+                Err(ClientError::Io(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed before result",
+                )))
+            }
+            Err(e) => {
+                self.drop_conn();
+                Err(e)
             }
         }
     }

@@ -31,12 +31,12 @@
 //!   to in-process [`parblast_serve::serve_batched`].
 //! * [`client`] — the blocking client with the PR 1 timeout/retry/backoff
 //!   policy (`Shed` and `Corrupt` are deterministic → never retried),
-//!   pooled-connection retries, a retry budget, a circuit breaker,
-//!   deadline propagation, and hedged Submits.
+//!   pooled-connection retries, a retry budget, a circuit breaker, and
+//!   deadline propagation; one Submit in flight per attempt.
 //! * [`chaos`] — deterministic socket fault injection ([`FaultyStream`],
 //!   [`ChaosDialer`]) replaying seeded `hwsim` socket-fault schedules.
 //! * [`resilience`] — the pure client-side state machines
-//!   ([`RetryBudget`], [`CircuitBreaker`], [`LatencyTracker`]).
+//!   ([`RetryBudget`], [`CircuitBreaker`]).
 
 #![warn(missing_docs)]
 
@@ -57,9 +57,6 @@ pub use proto::{
     ShedReason, StatsSnapshot, FRAME_HEADER_LEN, MAX_FRAME_LEN, NET_MAGIC, NET_VERSION,
 };
 pub use quota::{QuotaConfig, TenantQuotas};
-pub use resilience::{
-    BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, HedgeConfig, LatencyTracker,
-    RetryBudget,
-};
+pub use resilience::{BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, RetryBudget};
 pub use runner::{BatchRunner, BlastRunner, EchoRunner, RunnerError, RunnerOutput};
 pub use server::{NetServer, ServerConfig, ServerHandle};

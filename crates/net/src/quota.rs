@@ -58,11 +58,6 @@ impl TenantQuotas {
         }
     }
 
-    /// The configured shape.
-    pub fn config(&self) -> QuotaConfig {
-        self.cfg
-    }
-
     /// Try to take one token from `tenant`'s bucket at `now_ns`
     /// (monotonic nanoseconds). `Ok(())` admits; `Err(retry_after_us)`
     /// sheds, with a hint of how long until a token accrues.

@@ -1,7 +1,6 @@
-//! Client-side resilience primitives: retry budgets, circuit breaking,
-//! and adaptive hedging.
+//! Client-side resilience primitives: retry budgets and circuit breaking.
 //!
-//! All three are deterministic state machines over explicit inputs — no
+//! Both are deterministic state machines over explicit inputs — no
 //! hidden clocks, no randomness — so unit tests drive them with synthetic
 //! nanosecond timestamps and chaos runs replay identically.
 //!
@@ -19,15 +18,6 @@
 //!   churn) until `cooldown_ns` elapses, after which exactly one probe is
 //!   let through (`HalfOpen`); probe success closes the breaker, probe
 //!   failure re-opens it with a fresh cooldown.
-//! * [`LatencyTracker`] + [`HedgeConfig`] — a [`LogHistogram`] of attempt
-//!   latencies whose p95 (clamped to `[min_delay_us, max_delay_us]`)
-//!   becomes the hedging delay: if the primary Submit has not answered
-//!   within that time, a second Submit for the same query is raced
-//!   against it and the loser is cancelled. Hedging only arms once
-//!   `min_samples` successes have been observed — before that, there is
-//!   no p95 worth trusting.
-
-use parblast_simcore::LogHistogram;
 
 /// Knobs for [`RetryBudget`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,78 +217,6 @@ impl CircuitBreaker {
     }
 }
 
-/// Knobs for hedged Submits. Disabled by default: hedging doubles worst-
-/// case server load, so it is an explicit opt-in.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HedgeConfig {
-    /// Arm hedging at all?
-    pub enabled: bool,
-    /// Successful attempts observed before the adaptive delay is trusted.
-    pub min_samples: u64,
-    /// Lower clamp on the hedge delay (µs) — never hedge faster than this.
-    pub min_delay_us: u64,
-    /// Upper clamp on the hedge delay (µs).
-    pub max_delay_us: u64,
-    /// Fixed hedge delay in µs (0 = adaptive p95). Tests pin this to make
-    /// hedge firing deterministic.
-    pub fixed_us: u64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            enabled: false,
-            min_samples: 16,
-            min_delay_us: 1_000,
-            max_delay_us: 1_000_000,
-            fixed_us: 0,
-        }
-    }
-}
-
-/// Histogram of successful-attempt latencies feeding the hedge delay.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyTracker {
-    hist: LogHistogram,
-}
-
-impl LatencyTracker {
-    /// Empty tracker.
-    pub fn new() -> Self {
-        LatencyTracker::default()
-    }
-
-    /// Record one successful attempt's latency.
-    pub fn record_us(&mut self, us: u64) {
-        self.hist.record(us);
-    }
-
-    /// Successful attempts recorded.
-    pub fn samples(&self) -> u64 {
-        self.hist.summary().count()
-    }
-
-    /// Observed p95 latency in µs (0 with no samples).
-    pub fn p95_us(&self) -> u64 {
-        self.hist.p95() as u64
-    }
-
-    /// The hedge delay to use now, or `None` if hedging should not arm
-    /// (disabled, or not enough samples for an adaptive delay).
-    pub fn hedge_delay_us(&self, cfg: &HedgeConfig) -> Option<u64> {
-        if !cfg.enabled {
-            return None;
-        }
-        if cfg.fixed_us > 0 {
-            return Some(cfg.fixed_us);
-        }
-        if self.samples() < cfg.min_samples {
-            return None;
-        }
-        Some(self.p95_us().clamp(cfg.min_delay_us, cfg.max_delay_us))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,59 +359,5 @@ mod tests {
         br.record_failure(1_000);
         assert!(!br.allow(0));
         assert!(br.allow(1_100));
-    }
-
-    #[test]
-    fn hedge_disabled_or_cold_returns_none() {
-        let t = LatencyTracker::new();
-        assert_eq!(t.hedge_delay_us(&HedgeConfig::default()), None);
-        let armed = HedgeConfig {
-            enabled: true,
-            min_samples: 4,
-            ..Default::default()
-        };
-        let mut t = LatencyTracker::new();
-        t.record_us(100);
-        assert_eq!(t.hedge_delay_us(&armed), None, "below min_samples");
-    }
-
-    #[test]
-    fn hedge_adaptive_delay_tracks_p95_with_clamps() {
-        let cfg = HedgeConfig {
-            enabled: true,
-            min_samples: 10,
-            min_delay_us: 50,
-            max_delay_us: 5_000,
-            fixed_us: 0,
-        };
-        let mut t = LatencyTracker::new();
-        for _ in 0..100 {
-            t.record_us(1_000);
-        }
-        let d = t.hedge_delay_us(&cfg).unwrap();
-        assert!((500..=2_000).contains(&d), "p95 ≈ 1 ms, got {d} µs");
-        // Fast server: p95 below the floor clamps up.
-        let mut fast = LatencyTracker::new();
-        for _ in 0..100 {
-            fast.record_us(1);
-        }
-        assert_eq!(fast.hedge_delay_us(&cfg), Some(50));
-        // Slow server: p95 above the ceiling clamps down.
-        let mut slow = LatencyTracker::new();
-        for _ in 0..100 {
-            slow.record_us(1_000_000);
-        }
-        assert_eq!(slow.hedge_delay_us(&cfg), Some(5_000));
-    }
-
-    #[test]
-    fn hedge_fixed_delay_overrides_adaptive() {
-        let cfg = HedgeConfig {
-            enabled: true,
-            fixed_us: 777,
-            ..Default::default()
-        };
-        let t = LatencyTracker::new();
-        assert_eq!(t.hedge_delay_us(&cfg), Some(777), "fixed needs no samples");
     }
 }

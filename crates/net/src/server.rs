@@ -647,8 +647,11 @@ fn handle_frame(shared: &Arc<Shared>, shard_ix: usize, key: usize, conn: &mut Co
                 id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
                 priority,
                 arrival,
-                deadline: (deadline_us > 0)
-                    .then(|| arrival.saturating_add(SimTime::from_nanos(deadline_us * 1_000))),
+                // The client's deadline is an unchecked u64; one too far
+                // away to represent in nanoseconds is the far future.
+                deadline: (deadline_us > 0).then(|| {
+                    arrival.saturating_add(SimTime::from_nanos(deadline_us.saturating_mul(1_000)))
+                }),
                 payload,
             };
             match st.queue.offer(q) {

@@ -5,8 +5,9 @@
 //! from a script), pinning each resilience mechanism in isolation:
 //! deadline propagation shrinks across attempts, the retry budget stops
 //! a retry storm, the circuit breaker opens/half-opens/recloses, `Shed`
-//! and `Corrupt` are never retried, hedges fire and cancel their losers,
-//! and retries reuse the pooled connection instead of re-dialing.
+//! and `Corrupt` are never retried, a timed-out attempt is cancelled on
+//! the wire and its late answer skipped, and retries reuse the pooled
+//! connection instead of re-dialing.
 //!
 //! The *conformance* half runs a real daemon over loopback TCP under
 //! [`ChaosDialer`] fault schedules — resets, short ops, stalls — across
@@ -26,8 +27,8 @@ use std::time::Duration;
 
 use parblast::net::{
     encode_frame, BreakerConfig, BreakerState, BudgetConfig, ChaosDialer, ClientConfig,
-    ClientError, ClientStream, Dialer, EchoRunner, Frame, FrameReader, HedgeConfig, NetClient,
-    NetServer, ResultStatus, ServerConfig, ShedReason,
+    ClientError, ClientStream, Dialer, EchoRunner, Frame, FrameReader, NetClient, NetServer,
+    ResultStatus, ServerConfig, ShedReason,
 };
 use parblast::simcore::SimTime;
 use parblast_hwsim::SocketChaosProfile;
@@ -49,8 +50,8 @@ enum Mode {
     Shed(ShedReason),
     /// `Result::Corrupt` forever.
     Corrupt,
-    /// Never answer the first Submit; echo from the second on (the
-    /// hedge-win script).
+    /// Never answer the first Submit in time: on the second, first send
+    /// the late `Result` for the first id (payload `b"stale"`), then echo.
     SilentThenEcho,
     /// Every read fails with `ConnectionReset` (transport death).
     ResetOnRead,
@@ -107,11 +108,24 @@ impl FakeState {
                     status: ResultStatus::Corrupt,
                     payload: b"bad volume".to_vec(),
                 }),
-                Mode::SilentThenEcho => (self.submits_seen >= 2).then(|| Frame::Result {
-                    id,
-                    status: ResultStatus::Ok,
-                    payload: EchoRunner::expected(query),
-                }),
+                Mode::SilentThenEcho if self.submits_seen >= 2 => {
+                    let first = self.received.iter().find_map(|f| match f {
+                        Frame::Submit { id, .. } => Some(*id),
+                        _ => None,
+                    });
+                    let stale = Frame::Result {
+                        id: first.expect("the first Submit was received"),
+                        status: ResultStatus::Ok,
+                        payload: b"stale".to_vec(),
+                    };
+                    self.out.extend_from_slice(&encode_frame(&stale));
+                    Some(Frame::Result {
+                        id,
+                        status: ResultStatus::Ok,
+                        payload: EchoRunner::expected(query),
+                    })
+                }
+                Mode::SilentThenEcho => None,
                 Mode::ResetOnRead => None,
             };
             if let Some(r) = reply {
@@ -390,30 +404,23 @@ fn shed_and_corrupt_are_never_retried() {
     }
 }
 
-/// A silent primary triggers a hedged Submit after the fixed delay; the
-/// hedge wins and the loser is cancelled on the wire.
+/// An attempt that times out cancels its Submit on the wire; the late
+/// answer to it, arriving while the retry waits, is skipped by id.
 #[test]
-fn hedge_fires_wins_and_cancels_the_loser() {
+fn timed_out_attempt_is_cancelled_and_its_late_answer_skipped() {
     let dialer = FakeDialer::new(Mode::SilentThenEcho);
     let config = ClientConfig {
-        retry: fast_retry(0),
-        hedge: HedgeConfig {
-            enabled: true,
-            fixed_us: 10_000, // hedge after 10 ms, well under the timeout
-            ..Default::default()
-        },
+        retry: fast_retry(1),
         ..Default::default()
     };
     let mut client = NetClient::connect_with_dialer("fake", config, dialer.clone()).unwrap();
-    let got = client.query(b"hedged").unwrap();
-    assert_eq!(got, EchoRunner::expected(b"hedged"));
+    let got = client.query(b"retried").unwrap();
+    assert_eq!(got, EchoRunner::expected(b"retried"));
 
-    let c = client.counters();
-    assert_eq!((c.hedges_sent, c.hedge_wins), (1, 1));
-    let deadlines = dialer.submit_deadlines();
-    assert_eq!(deadlines.len(), 2, "primary + hedge");
-    // The abandoned primary was cancelled so the server frees its slot.
-    assert_eq!(dialer.cancelled_ids().len(), 1);
+    assert_eq!(client.counters().retries, 1);
+    assert_eq!(dialer.submit_deadlines().len(), 2, "first attempt + retry");
+    // The abandoned first Submit was cancelled so the server frees its slot.
+    assert_eq!(dialer.cancelled_ids(), [1]);
 }
 
 // ---------------------------------------------------------------------

@@ -703,6 +703,60 @@ fn cancel_then_expire_leaves_no_stale_cancel_for_a_reused_id() {
     assert_ledger_balances(&stats);
 }
 
+/// A Submit's `deadline_us` is the client's unchecked `u64`. One too far
+/// away to represent in nanoseconds is the far future: it neither panics
+/// the shard nor wraps into a deadline that has already passed (the
+/// smallest overflowing value wraps to 384 ns). Raw frames, because
+/// `NetClient` only sends deadlines it computed itself.
+#[test]
+fn deadline_beyond_the_clock_is_served_not_expired() {
+    use std::io::Write;
+
+    let handle = echo_server(
+        ServerConfig {
+            shards: 1,
+            ..Default::default()
+        },
+        Duration::ZERO,
+    );
+    let mut sock = std::net::TcpStream::connect(handle.addr()).unwrap();
+    sock.set_nodelay(true).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = FrameReader::new();
+    let far = [(1u64, u64::MAX), (2, u64::MAX / 1_000 + 1)];
+    for (id, deadline_us) in far {
+        sock.write_all(&encode_frame(&Frame::Submit {
+            id,
+            tenant: 0,
+            priority: Priority::Normal,
+            deadline_us,
+            query: b"far".to_vec(),
+        }))
+        .unwrap();
+    }
+
+    let mut answered = HashSet::new();
+    for _ in far {
+        match read_frame(&mut sock, &mut reader) {
+            Frame::Result {
+                id,
+                status: ResultStatus::Ok,
+                payload,
+            } => {
+                assert_eq!(payload, EchoRunner::expected(b"far"));
+                assert!(answered.insert(id), "id {id} answered twice");
+            }
+            other => panic!("a far deadline must be served, got {other:?}"),
+        }
+    }
+    assert_eq!(answered, HashSet::from([1, 2]));
+
+    handle.drain();
+    let stats = handle.join();
+    assert_eq!((stats.served, stats.expired), (2, 0), "{stats:?}");
+    assert_ledger_balances(&stats);
+}
+
 /// Runner whose first batch fails and whose later batches succeed, each
 /// success reporting the same fixed pass cost.
 #[derive(Default)]
