@@ -93,8 +93,11 @@ pub struct RunOutcome {
     pub hits: Vec<Hit>,
     /// Wall-clock seconds (copy time *included*; see `copy_s`).
     pub wall_s: f64,
-    /// Total fragment-copy seconds across workers (the paper subtracts
-    /// the average copy time from the original scheme's total).
+    /// Total fragment-staging seconds across workers: the original
+    /// scheme's freshness check of each private copy plus any copy it
+    /// made, which is only a (worker, fragment)'s first job or one after
+    /// the source changed (the paper subtracts the average copy time
+    /// from the original scheme's total). Zero for the other schemes.
     pub copy_s: f64,
     /// Seconds spent fetching fragment bytes, summed across fetch threads
     /// (copy + read + volume decode).
@@ -438,7 +441,9 @@ impl ParallelBlast {
 
     /// Fetch one fragment through the scheme and decode it: the fetch
     /// thread's whole job. The read sequence through [`TracedSource`] is
-    /// exactly the sequential path's, whichever thread issues it.
+    /// exactly the sequential path's, whichever thread issues it. A failed
+    /// fetch is reported to the scheme before the task is, so a corrupt
+    /// private copy is gone by the time the master hands out the retry.
     fn fetch_volume(
         &self,
         worker: usize,
@@ -446,13 +451,20 @@ impl ParallelBlast {
         clocks: &IoClocks,
     ) -> io::Result<PackedVolume> {
         let t0 = Instant::now();
-        let (reader, copy) = self.scheme.open_for_worker(worker, fragment)?;
-        let mut src = TracedSource::new(reader, self.tracer.clone(), worker as u32);
-        let volume = if self.list_io {
-            PackedVolume::read_from_listio(&mut src)?
-        } else {
-            PackedVolume::read_from(&mut src)?
-        };
+        let fetched = self
+            .scheme
+            .open_for_worker(worker, fragment)
+            .and_then(|(reader, copy)| {
+                let mut src = TracedSource::new(reader, self.tracer.clone(), worker as u32);
+                let volume = if self.list_io {
+                    PackedVolume::read_from_listio(&mut src)
+                } else {
+                    PackedVolume::read_from(&mut src)
+                };
+                volume.map(|v| (v, copy))
+            });
+        let (volume, copy) =
+            fetched.inspect_err(|e| self.scheme.fetch_failed(worker, fragment, e))?;
         IoClocks::add(&clocks.copy_ns, copy);
         IoClocks::add(&clocks.fetch_ns, t0.elapsed());
         Ok(volume)
@@ -475,9 +487,24 @@ mod tests {
     /// Build a small synthetic database split into `frags` fragments,
     /// loaded into `scheme`; returns (fragment names, query, db stats).
     fn setup(base: &Path, scheme: &Scheme, frags: u32) -> (Vec<String>, Vec<u8>, DbStats) {
+        let (formatted, query, db) = format_db(&base.join("fmt"), 77, frags);
+        let mut names = vec![];
+        for (name, bytes) in formatted {
+            scheme.load_fragment(&name, &bytes).unwrap();
+            names.push(name);
+        }
+        (names, query, db)
+    }
+
+    /// Formatted fragments: `(object name, volume bytes)`.
+    type Formatted = Vec<(String, Vec<u8>)>;
+
+    /// The synthetic database of `seed`, formatted into `frags` fragments
+    /// under `dir`: (fragments, query, db stats).
+    fn format_db(dir: &Path, seed: u64, frags: u32) -> (Formatted, Vec<u8>, DbStats) {
         let mut g = SyntheticNt::new(SyntheticConfig {
             total_residues: 400_000,
-            seed: 77,
+            seed,
             ..Default::default()
         });
         let mut seqs = vec![];
@@ -489,21 +516,20 @@ mod tests {
             residues: g.residues(),
             nseq: g.sequences(),
         };
-        let dir = base.join("fmt");
-        let infos = segment_into_fragments(&dir, "nt", SeqType::Nucleotide, frags, seqs).unwrap();
-        let mut names = vec![];
-        for info in infos {
-            let bytes = std::fs::read(&info.path).unwrap();
-            let name = info
-                .path
-                .file_name()
-                .unwrap()
-                .to_string_lossy()
-                .into_owned();
-            scheme.load_fragment(&name, &bytes).unwrap();
-            names.push(name);
-        }
-        (names, query, db)
+        let infos = segment_into_fragments(dir, "nt", SeqType::Nucleotide, frags, seqs).unwrap();
+        let formatted = infos
+            .iter()
+            .map(|info| {
+                let name = info
+                    .path
+                    .file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .into_owned();
+                (name, std::fs::read(&info.path).unwrap())
+            })
+            .collect();
+        (formatted, query, db)
     }
 
     fn run_with(scheme: Scheme, base: &Path, workers: usize) -> RunOutcome {
@@ -962,6 +988,157 @@ mod tests {
             out.io_stall_s,
             out.io_fetch_s
         );
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// The original scheme's job over 4 fragments staged under `base/io`,
+    /// with `workers` workers, and its query.
+    fn original_job(base: &Path, workers: usize) -> (ParallelBlast, Vec<u8>) {
+        let scheme = Scheme::local_at(&base.join("io"), workers).unwrap();
+        let (fragments, query, db) = setup(base, &scheme, 4);
+        let job = ParallelBlast {
+            program: Program::Blastn,
+            params: SearchParams::blastn(),
+            db,
+            fragments,
+            workers,
+            scheme,
+            tracer: Tracer::disabled(),
+            parallelization: Parallelization::DatabaseSegmentation,
+            prefetch: true,
+            list_io: false,
+        };
+        (job, query)
+    }
+
+    /// The hits of one job, as bytes to compare.
+    fn hits_of(job: &ParallelBlast, query: &[u8]) -> String {
+        let hits = job.run(query).unwrap().hits;
+        assert!(!hits.is_empty(), "vacuous comparison");
+        format!("{hits:?}")
+    }
+
+    fn private_copy(base: &Path, worker: usize, name: &str) -> PathBuf {
+        base.join("io").join(format!("worker{worker}")).join(name)
+    }
+
+    fn flip_byte(path: &Path) {
+        let mut raw = std::fs::read(path).unwrap();
+        let at = raw.len() / 2;
+        raw[at] ^= 0x20;
+        std::fs::write(path, &raw).unwrap();
+    }
+
+    #[test]
+    fn a_second_job_rewrites_no_private_copy() {
+        let base = tmp("reuse");
+        let (job, query) = original_job(&base, 1);
+        let first = hits_of(&job, &query);
+        let stamps = || -> Vec<(PathBuf, std::time::SystemTime)> {
+            let mut files: Vec<_> = std::fs::read_dir(base.join("io").join("worker0"))
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    (e.path(), e.metadata().unwrap().modified().unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = stamps();
+        assert_eq!(before.len(), 2 * job.fragments.len(), "data + sidecar each");
+        // Let the clock move on, so a rewrite would show in the stamps.
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        assert_eq!(hits_of(&job, &query), first);
+        assert_eq!(stamps(), before, "a private copy was rewritten");
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn a_replaced_source_fragment_is_copied_again() {
+        let base = tmp("replaced");
+        let (job, query) = original_job(&base, 2);
+        let before = hits_of(&job, &query);
+        // Every worker holds a copy of every fragment, so whichever worker
+        // is handed the replaced one has an old copy to find stale.
+        for w in 0..2 {
+            for name in &job.fragments {
+                job.scheme.open_for_worker(w, name).unwrap();
+            }
+        }
+        // The same fragment name over another database's bytes.
+        let (other, _, _) = format_db(&base.join("other"), 78, 4);
+        let name = &job.fragments[0];
+        let bytes = &other.iter().find(|(n, _)| n == name).unwrap().1;
+        job.scheme.load_fragment(name, bytes).unwrap();
+        let after = hits_of(&job, &query);
+        assert_ne!(after, before, "the replacement must change the answer");
+
+        // A scheme staged from scratch over the new bytes.
+        let fresh_base = base.join("fresh");
+        let (mut fresh, _) = original_job(&fresh_base, 2);
+        fresh.scheme.load_fragment(name, bytes).unwrap();
+        fresh.db = job.db;
+        assert_eq!(after, hits_of(&fresh, &query));
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn a_corrupt_private_copy_is_deleted_and_copied_again() {
+        let base = tmp("heal");
+        let (job, query) = original_job(&base, 2);
+        let first = hits_of(&job, &query);
+        // Every worker holds fragment 0, and every copy has a flipped byte.
+        let name = &job.fragments[0];
+        for w in 0..2 {
+            job.scheme.open_for_worker(w, name).unwrap();
+            flip_byte(&private_copy(&base, w, name));
+        }
+        assert_eq!(hits_of(&job, &query), first);
+        // The copy the retry made verifies; a worker that was not handed
+        // fragment 0 still holds its flipped copy until it reads it.
+        let clean = (0..2).filter(|&w| {
+            let copy = private_copy(&base, w, name);
+            let sums = parblast_pio::integrity::load_sums(&copy);
+            std::fs::read(&copy)
+                .is_ok_and(|bytes| parblast_pio::integrity::stripe_sums(&bytes, 64 << 10) == sums)
+        });
+        assert!(clean.count() >= 1, "no worker holds a clean copy");
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn a_corrupt_source_fragment_is_a_typed_error() {
+        let base = tmp("bad_src");
+        let (job, query) = original_job(&base, 2);
+        flip_byte(&base.join("io").join("shared").join(&job.fragments[0]));
+        let err = job.run(&query).unwrap_err();
+        assert!(parblast_pio::is_corrupt(&err), "{err}");
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn the_scrub_deletes_a_corrupt_private_copy_and_the_next_job_copies_it() {
+        let base = tmp("scrub_private");
+        let (job, query) = original_job(&base, 2);
+        let first = hits_of(&job, &query);
+        let name = &job.fragments[0];
+        job.scheme.open_for_worker(0, name).unwrap();
+        let copy = private_copy(&base, 0, name);
+        flip_byte(&copy);
+        let scrub = job.scheme.start_scrub(&job.fragments, 0);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while copy.exists() {
+            assert!(
+                Instant::now() < deadline,
+                "the scrub never removed the copy"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let totals = scrub.stop();
+        assert!(totals.corrupt_found >= 1, "{totals:?}");
+        assert!(!parblast_pio::integrity::sums_path(&copy).exists());
+        assert_eq!(hits_of(&job, &query), first);
         std::fs::remove_dir_all(&base).ok();
     }
 }

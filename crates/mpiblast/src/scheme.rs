@@ -4,8 +4,8 @@ use std::io;
 use std::path::PathBuf;
 
 use parblast_pio::{
-    copy_object, LocalStore, MirroredStore, ObjectReader, ObjectStore, RateLimiter, Scrubber,
-    Store, StripedStore,
+    copy_object, integrity, LocalStore, MirroredStore, ObjectReader, ObjectStore, RateLimiter,
+    Scrubber, Store, StripedStore,
 };
 use parblast_seqdb::ReadAt;
 
@@ -15,8 +15,11 @@ use crate::trace::{IoKind, Tracer};
 #[derive(Clone)]
 pub enum Scheme {
     /// Original mpiBLAST: fragments live in a shared source directory and
-    /// each worker copies its assigned fragment to a private local
-    /// directory before searching it with conventional I/O.
+    /// each worker searches its own private copy, with conventional I/O.
+    /// As in mpiBLAST, a fragment is copied into the worker's private
+    /// directory only when the copy there is missing or stale, so one
+    /// copy serves every later job of that worker. Every read of either
+    /// directory is verified against the object's checksum sidecar.
     Local {
         /// Source of formatted fragments (the shared storage).
         src: LocalStore,
@@ -80,8 +83,21 @@ impl Scheme {
         }
     }
 
-    /// Prepare a fragment for `worker` and return a reader plus the copy
-    /// time (the paper measures and subtracts the copy).
+    /// The per-worker private directories: the original scheme's, none
+    /// for the schemes that read in place.
+    fn private_copies(&self) -> &[LocalStore] {
+        match self {
+            Scheme::Local { workdirs, .. } => workdirs,
+            _ => &[],
+        }
+    }
+
+    /// Prepare a fragment for `worker` and return a verifying reader plus
+    /// the staging time (the paper measures and subtracts the copy). The
+    /// original scheme copies the fragment into the worker's private
+    /// directory unless the copy there is already current, and the time
+    /// covers that check and any copy; the other schemes read in place
+    /// and take no time here.
     pub fn open_for_worker(
         &self,
         worker: usize,
@@ -91,12 +107,24 @@ impl Scheme {
             Scheme::Local { src, workdirs } => {
                 let wd = &workdirs[worker % workdirs.len()];
                 let t0 = std::time::Instant::now();
-                copy_object(src, wd, fragment, 1 << 20)?;
+                if !is_current_copy(src, wd, fragment) {
+                    copy_object(src, wd, fragment)?;
+                }
                 let copy = t0.elapsed();
                 Ok((wd.open(fragment)?, copy))
             }
             // Read in place.
             _ => Ok((self.storage().open(fragment)?, std::time::Duration::ZERO)),
+        }
+    }
+
+    /// A fetch of `fragment` by `worker` failed with `err`. A corrupt
+    /// private copy is deleted, data and sidecar, so the retry copies it
+    /// afresh from the source; any other failure leaves storage alone.
+    pub(crate) fn fetch_failed(&self, worker: usize, fragment: &str, err: &io::Error) {
+        let copies = self.private_copies();
+        if integrity::is_corrupt(err) && !copies.is_empty() {
+            let _ = copies[worker % copies.len()].delete(fragment);
         }
     }
 
@@ -118,17 +146,28 @@ impl Scheme {
     /// re-read and verified against its checksum sidecar, paced to at most
     /// `bytes_per_s` (0 = unpaced) so foreground searches keep their disk
     /// bandwidth. CEFT rewrites corrupt stripes from the mirror partner;
-    /// the schemes without redundancy only report them. Runs pass after
-    /// pass until [`Scrubber::stop`], which returns the totals.
+    /// the schemes without redundancy only report them. The original
+    /// scheme's pass also walks every worker's private copy that exists,
+    /// and deletes a corrupt one, so the worker's next job copies it
+    /// afresh. Runs pass after pass until [`Scrubber::stop`], which
+    /// returns the totals.
     pub fn start_scrub(&self, fragments: &[String], bytes_per_s: u64) -> Scrubber {
         let (scheme, names) = (self.clone(), fragments.to_vec());
         let mut limiter = RateLimiter::new(bytes_per_s);
         Scrubber::spawn(move || {
             let storage = scheme.storage();
-            names
-                .iter()
-                .map(|n| storage.scrub(n, &mut limiter).unwrap_or(0))
-                .sum()
+            let mut found = 0;
+            for name in &names {
+                found += storage.scrub(name, &mut limiter).unwrap_or(0);
+                for copy in scheme.private_copies() {
+                    let bad = copy.scrub(name, &mut limiter).unwrap_or(0);
+                    if bad > 0 {
+                        let _ = copy.delete(name);
+                    }
+                    found += bad;
+                }
+            }
+            found
         })
     }
 
@@ -162,6 +201,21 @@ impl Scheme {
             .map(|i| base.join(format!("mirror{i}")))
             .collect();
         Ok(Scheme::Ceft(MirroredStore::new(p, m, stripe)?))
+    }
+}
+
+/// Is `copy`'s object `name` current with `src`'s? It is when both
+/// checksum sidecars hold the same bytes and both data files the same
+/// length. [`LocalStore`]'s put writes the sidecar last, so a matching
+/// sidecar means the copy's data write finished. A source with no
+/// sidecar has nothing to compare and is always copied.
+fn is_current_copy(src: &LocalStore, copy: &LocalStore, name: &str) -> bool {
+    let sums = |st: &LocalStore| std::fs::read(integrity::sums_path(&st.path_of(name))).ok();
+    match (sums(src), src.size(name)) {
+        (Some(want), Ok(len)) if !want.is_empty() => {
+            sums(copy) == Some(want) && copy.size(name).is_ok_and(|l| l == len)
+        }
+        _ => false,
     }
 }
 

@@ -15,8 +15,11 @@
 //! returned. A mismatch surfaces as a typed corrupt error
 //! ([`corrupt_stripe_of`]) so callers can distinguish "the bytes are
 //! wrong" (not retryable, repairable from a mirror) from "the server is
-//! gone" (fail over / retry). A file with *no* sidecar is read unverified
-//! — objects written before checksums existed, or placed by hand.
+//! gone" (fail over / retry). [`crate::LocalStore`] readers verify the
+//! same way, checking whole stripes in the caller's buffer and re-reading
+//! only a partly covered edge stripe. A file with *no* sidecar is read
+//! unverified — objects written before checksums existed, or placed by
+//! hand.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -31,8 +34,9 @@ pub const DEFAULT_STRIPE: u64 = 64 << 10;
 
 // CRC32C (Castagnoli), reflected polynomial — the checksum iSCSI and ext4
 // use for exactly this job, and the one x86 has an instruction for. Every
-// put and every verified read checksums every byte, so this runs at the
-// SSE4.2 `crc32` rate where the CPU has it and slice-by-8 where it has
+// put, every verified read (striped and local alike) and every scrub
+// checksums every byte, so this runs three interleaved SSE4.2 `crc32`
+// streams where the CPU has the instruction and slice-by-8 where it has
 // not. Tables built at compile time; no dependencies.
 const POLY: u32 = 0x82F6_3B78;
 
@@ -71,6 +75,74 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 static TABLES: [[u32; 256]; 8] = build_tables();
 
+/// Bytes in each of the three hardware streams of one round.
+#[cfg(target_arch = "x86_64")]
+const STREAM: usize = 4096;
+
+/// A CRC state is a vector over GF(2), and running it through zero bytes
+/// is a linear map: a 32×32 bit matrix, stored as the image of each bit.
+#[cfg(target_arch = "x86_64")]
+const fn gf2_apply(m: &[u32; 32], v: u32) -> u32 {
+    let mut out = 0;
+    let mut j = 0;
+    while j < 32 {
+        if v >> j & 1 != 0 {
+            out ^= m[j];
+        }
+        j += 1;
+    }
+    out
+}
+
+/// `SHIFT[k][b]` is the CRC state `b << 8k` after 4 096 zero bytes, so
+/// [`shift_stream`] moves a state past one stream in four lookups. Built
+/// from the one-zero-byte map squared twelve times (2^12 = 4 096).
+#[cfg(target_arch = "x86_64")]
+const fn build_shift() -> [[u32; 256]; 4] {
+    let byte = build_tables()[0];
+    let mut m = [0u32; 32];
+    let mut j = 0;
+    while j < 32 {
+        let s = 1u32 << j;
+        m[j] = (s >> 8) ^ byte[(s & 0xFF) as usize];
+        j += 1;
+    }
+    let mut squarings = 0;
+    while squarings < 12 {
+        let mut sq = [0u32; 32];
+        let mut j = 0;
+        while j < 32 {
+            sq[j] = gf2_apply(&m, m[j]);
+            j += 1;
+        }
+        m = sq;
+        squarings += 1;
+    }
+    let mut shift = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            shift[k][b] = gf2_apply(&m, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    shift
+}
+
+#[cfg(target_arch = "x86_64")]
+static SHIFT: [[u32; 256]; 4] = build_shift();
+
+/// The CRC state `crc` carried past [`STREAM`] zero bytes.
+#[cfg(target_arch = "x86_64")]
+fn shift_stream(crc: u32) -> u32 {
+    SHIFT[0][(crc & 0xFF) as usize]
+        ^ SHIFT[1][((crc >> 8) & 0xFF) as usize]
+        ^ SHIFT[2][((crc >> 16) & 0xFF) as usize]
+        ^ SHIFT[3][(crc >> 24) as usize]
+}
+
 /// CRC32C of `data`.
 pub fn crc32c(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
@@ -82,17 +154,40 @@ pub fn crc32c(data: &[u8]) -> u32 {
     crc32c_slice8(data)
 }
 
-/// The hardware path: one `crc32` instruction per eight bytes.
+/// The hardware path. One `crc32` instruction per eight bytes has a
+/// three-cycle latency and a one-cycle issue rate, so a single chain runs
+/// at a third of the unit's speed. Each 12 KiB round therefore runs three
+/// 4 KiB streams side by side, the second and third from state 0, and
+/// folds them by linearity: CRC(s, A‖B) = shift(CRC(s, A)) ^ CRC(0, B).
+/// The tail runs as one stream.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 fn crc32c_sse42(data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut words = data.chunks_exact(8);
-    let mut crc = u64::from(!0u32);
-    for w in &mut words {
-        crc = _mm_crc32_u64(crc, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+    let mut crc = !0u32;
+    let mut rounds = data.chunks_exact(3 * STREAM);
+    for round in &mut rounds {
+        let (a, rest) = round.split_at(STREAM);
+        let (b, c) = rest.split_at(STREAM);
+        let (mut ca, mut cb, mut cc) = (u64::from(crc), 0u64, 0u64);
+        let words = a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(c.chunks_exact(8));
+        for ((wa, wb), wc) in words {
+            ca = _mm_crc32_u64(ca, word(wa));
+            cb = _mm_crc32_u64(cb, word(wb));
+            cc = _mm_crc32_u64(cc, word(wc));
+        }
+        crc = shift_stream(shift_stream(ca as u32) ^ cb as u32) ^ cc as u32;
     }
-    let mut crc = crc as u32;
+    let mut words = rounds.remainder().chunks_exact(8);
+    let mut wide = u64::from(crc);
+    for w in &mut words {
+        wide = _mm_crc32_u64(wide, word(w));
+    }
+    let mut crc = wide as u32;
     for &b in words.remainder() {
         crc = _mm_crc32_u8(crc, b);
     }
@@ -158,11 +253,13 @@ pub fn decode_sums(bytes: &[u8]) -> Vec<u32> {
 /// length, never truncated first: ext4 (`auto_da_alloc`) takes
 /// truncate-to-zero-then-rewrite for "replace via truncate" and writes
 /// every new block to the device when the file is closed, and the next
-/// truncate waits for that write-out. The original scheme replaces each
-/// worker's private copy of every fragment on every job; through
-/// `File::create` a job would send its whole database to the disk and run
-/// at the disk's speed. Overwritten in place, the pages stay dirty in the
-/// page cache like those of any other write.
+/// truncate waits for that write-out. Objects are replaced often — the
+/// original scheme re-copies a worker's private copy whenever its source
+/// changes, and set-up re-puts every fragment of a reused store — and
+/// through `File::create` each replacement would go to the disk at the
+/// disk's speed. Overwritten in place, the pages stay dirty in the page
+/// cache like those of any other write. A reader racing the overwrite may
+/// see mixed bytes; the sidecar, written after the data, convicts them.
 pub(crate) fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut f = OpenOptions::new()
         .write(true)
@@ -470,21 +567,50 @@ mod tests {
         !crc
     }
 
+    /// The dispatched path (hardware where this CPU has SSE4.2),
+    /// slice-by-8 and the old loop agree on `bytes` from every start
+    /// alignment within a word, so sidecars written by any of them verify
+    /// under any other.
+    fn paths_agree(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
+        for start in 0..8.min(bytes.len() + 1) {
+            let data = &bytes[start..];
+            let want = crc32c_bytewise(data);
+            proptest::prop_assert_eq!(crc32c_slice8(data), want, "slice-by-8 from {}", start);
+            proptest::prop_assert_eq!(crc32c(data), want, "dispatched from {}", start);
+        }
+        Ok(())
+    }
+
     proptest::proptest! {
-        /// The dispatched path (hardware where this CPU has SSE4.2),
-        /// slice-by-8 and the old loop agree on every length up to 4 KiB
-        /// at every start alignment within a word, so sidecars written by
-        /// any of them verify under any other.
+        /// Every length up to 4 KiB, where the word and tail loops meet.
         #[test]
         fn crc32c_paths_agree(
             bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4104),
         ) {
-            for start in 0..8.min(bytes.len() + 1) {
-                let data = &bytes[start..];
-                let want = crc32c_bytewise(data);
-                proptest::prop_assert_eq!(crc32c_slice8(data), want, "slice-by-8 from {}", start);
-                proptest::prop_assert_eq!(crc32c(data), want, "dispatched from {}", start);
-            }
+            paths_agree(&bytes)?;
+        }
+
+        /// Up to 200 KiB: many of the hardware path's 12 KiB three-stream
+        /// rounds, and a tail.
+        #[test]
+        fn crc32c_paths_agree_across_three_stream_rounds(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200 << 10),
+        ) {
+            paths_agree(&bytes)?;
+        }
+    }
+
+    #[test]
+    fn crc32c_at_the_round_edges() {
+        // One byte short of a round, exactly one, one over; a 64 KiB
+        // stripe (five rounds and a 4 KiB tail) and that plus a ragged tail.
+        let data: Vec<u8> = (0..65_543u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in [3 * 4096 - 1, 3 * 4096, 3 * 4096 + 1, 65_536, 65_543] {
+            let want = crc32c_bytewise(&data[..len]);
+            assert_eq!(crc32c_slice8(&data[..len]), want, "slice-by-8, {len} bytes");
+            assert_eq!(crc32c(&data[..len]), want, "dispatched, {len} bytes");
         }
     }
 

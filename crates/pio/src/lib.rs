@@ -34,4 +34,4 @@ pub use integrity::{corrupt_stripe_of, crc32c, is_corrupt, CorruptStripe, ScrubT
 pub use layout::{LocalRange, MirroredLayout, ReadPart, ServerId, StripeLayout};
 pub use monitor::{HealthMonitor, ResyncState};
 pub use pool::{RateLimiter, ReaderPool};
-pub use store::{copy_object, read_all, FileReader, LocalStore, ObjectReader, ObjectStore};
+pub use store::{copy_object, read_all, LocalStore, ObjectReader, ObjectStore};

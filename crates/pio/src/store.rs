@@ -10,11 +10,12 @@
 //!   ([`crate::Store`]) keeping a second copy.
 //!
 //! Every store hands out an [`ObjectReader`]: blocking positional reads,
-//! contiguous or as a region list.
+//! contiguous or as a region list, each verified against the object's
+//! checksum sidecar ([`crate::integrity`]).
 
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::integrity;
 
@@ -63,6 +64,8 @@ pub trait ObjectStore {
 }
 
 /// Plain single-directory store: the "original mpiBLAST" local-disk path.
+/// [`ObjectStore::put`] writes the data file, then its checksum sidecar;
+/// reads verify against the sidecar.
 #[derive(Debug, Clone)]
 pub struct LocalStore {
     dir: PathBuf,
@@ -82,27 +85,67 @@ impl LocalStore {
     }
 }
 
-/// File-backed positional reader.
-pub struct FileReader {
+/// A reader over one [`LocalStore`] object. The sidecar is loaded once,
+/// at open, and every read is verified against it, as the striped
+/// engine's reads are: the requested range is read straight into the
+/// caller's buffer, each stripe lying wholly inside it is checked there,
+/// and only a partly covered edge stripe is read whole into `scratch` to
+/// be checked. An empty sidecar reads unverified.
+struct LocalReader {
+    path: PathBuf,
     file: File,
+    len: u64,
+    sums: Vec<u32>,
+    scratch: Vec<u8>,
 }
 
-impl FileReader {
-    /// Open a file as a reader.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        Ok(FileReader {
-            file: File::open(path)?,
-        })
+impl LocalReader {
+    fn read_exact_at(file: &mut File, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(buf)
+    }
+
+    /// Stripe `k` against its sidecar entry; a missing entry fails closed.
+    fn check(&self, k: u64, stripe: &[u8]) -> io::Result<()> {
+        match self.sums.get(k as usize) {
+            Some(&want) if integrity::crc32c(stripe) == want => Ok(()),
+            _ => Err(integrity::corrupt_error(&self.path, k)),
+        }
     }
 }
 
-impl ObjectReader for FileReader {
+impl ObjectReader for LocalReader {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)
+        let end = offset
+            .checked_add(buf.len() as u64)
+            .filter(|&end| end <= self.len)
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "read past end of object")
+            })?;
+        Self::read_exact_at(&mut self.file, offset, buf)?;
+        if self.sums.is_empty() || buf.is_empty() {
+            return Ok(());
+        }
+        let s = integrity::DEFAULT_STRIPE;
+        for k in offset / s..end.div_ceil(s) {
+            let (lo, hi) = (k * s, ((k + 1) * s).min(self.len));
+            let (a, b) = (lo.max(offset), hi.min(end));
+            let dst = &mut buf[(a - offset) as usize..(b - offset) as usize];
+            if (a, b) == (lo, hi) {
+                self.check(k, dst)?;
+                continue;
+            }
+            self.scratch.resize((hi - lo) as usize, 0);
+            Self::read_exact_at(&mut self.file, lo, &mut self.scratch)?;
+            self.check(k, &self.scratch)?;
+            // Serve the bytes that were checked, not the first read's.
+            dst.copy_from_slice(&self.scratch[(a - lo) as usize..(b - lo) as usize]);
+        }
+        Ok(())
     }
+
     fn len(&mut self) -> io::Result<u64> {
-        Ok(self.file.metadata()?.len())
+        Ok(self.len)
     }
 }
 
@@ -125,8 +168,20 @@ impl ObjectStore for LocalStore {
         integrity::write_sums(&path, data, integrity::DEFAULT_STRIPE)
     }
 
+    /// A reader that verifies every read against the sidecar as it was at
+    /// open; a replaced object needs a new reader.
     fn open(&self, name: &str) -> io::Result<Box<dyn ObjectReader>> {
-        Ok(Box::new(FileReader::open(&self.path_of(name))?))
+        let path = self.path_of(name);
+        let file = File::open(&path)?;
+        let len = file.metadata()?.len();
+        let sums = integrity::load_sums(&path);
+        Ok(Box::new(LocalReader {
+            path,
+            file,
+            len,
+            sums,
+            scratch: Vec::new(),
+        }))
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
@@ -152,27 +207,14 @@ pub fn read_all(store: &dyn ObjectStore, name: &str) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Copy an object between stores in `chunk`-sized pieces (the paper's
-/// "copy the fragment to local disk" step), returning bytes copied.
-pub fn copy_object(
-    src: &dyn ObjectStore,
-    dst: &dyn ObjectStore,
-    name: &str,
-    chunk: usize,
-) -> io::Result<u64> {
-    let mut r = src.open(name)?;
-    let len = r.len()?;
-    let mut data = Vec::with_capacity(len as usize);
-    let mut off = 0u64;
-    let mut buf = vec![0u8; chunk.max(1)];
-    while off < len {
-        let n = ((len - off) as usize).min(buf.len());
-        r.read_at(off, &mut buf[..n])?;
-        data.extend_from_slice(&buf[..n]);
-        off += n as u64;
-    }
+/// Copy an object between stores (the paper's "copy the fragment to
+/// local disk" step), returning bytes copied. The source is read in one
+/// verified read into the buffer that is put, so a corrupt source is the
+/// typed corrupt error and nothing is written.
+pub fn copy_object(src: &dyn ObjectStore, dst: &dyn ObjectStore, name: &str) -> io::Result<u64> {
+    let data = read_all(src, name)?;
     dst.put(name, &data)?;
-    Ok(len)
+    Ok(data.len() as u64)
 }
 
 #[cfg(test)]
@@ -245,7 +287,7 @@ mod tests {
         let b = LocalStore::new(&d2).unwrap();
         let data: Vec<u8> = (0..300_000u32).map(|i| (i * 7 % 256) as u8).collect();
         a.put("db", &data).unwrap();
-        let n = copy_object(&a, &b, "db", 64 << 10).unwrap();
+        let n = copy_object(&a, &b, "db").unwrap();
         assert_eq!(n, data.len() as u64);
         assert_eq!(read_all(&b, "db").unwrap(), data);
         fs::remove_dir_all(&d1).ok();
@@ -286,6 +328,83 @@ mod tests {
         let mut r = st.open("x").unwrap();
         let mut buf = vec![0u8; 10];
         assert!(r.read_at(0, &mut buf).is_err());
+        let past_max = r.read_at(u64::MAX, &mut buf).unwrap_err();
+        assert_eq!(past_max.kind(), io::ErrorKind::UnexpectedEof);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn missing_sidecar_reads_unverified() {
+        let dir = tmp("nosums");
+        let st = LocalStore::new(&dir).unwrap();
+        let data: Vec<u8> = (0..150_000u32).map(|i| (i % 241) as u8).collect();
+        st.put("frag", &data).unwrap();
+        integrity::remove_sums(&st.path_of("frag"));
+        let mut raw = data.clone();
+        raw[70_000] ^= 0x10;
+        fs::write(st.path_of("frag"), &raw).unwrap();
+        assert_eq!(read_all(&st, "frag").unwrap(), raw);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_corrupt_source_is_not_copied() {
+        let (d1, d2) = (tmp("cpbad1"), tmp("cpbad2"));
+        let (a, b) = (LocalStore::new(&d1).unwrap(), LocalStore::new(&d2).unwrap());
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i * 11 % 256) as u8).collect();
+        a.put("db", &data).unwrap();
+        let mut raw = data.clone();
+        raw[140_000] ^= 0x01;
+        fs::write(a.path_of("db"), &raw).unwrap();
+        let err = copy_object(&a, &b, "db").unwrap_err();
+        assert_eq!(
+            integrity::corrupt_stripe_of(&err),
+            Some(140_000 / integrity::DEFAULT_STRIPE)
+        );
+        assert!(b.open("db").is_err(), "nothing was written");
+        fs::remove_dir_all(&d1).ok();
+        fs::remove_dir_all(&d2).ok();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Any `(offset, len)` range of an object, starting and ending on
+        /// or off stripe boundaries, reads back exactly; one flipped byte
+        /// anywhere in a stripe the range touches (inside the range or in
+        /// the unrequested part of an edge stripe) fails the read with
+        /// that stripe's typed corrupt error.
+        #[test]
+        fn verified_reads_are_exact_and_name_a_flipped_stripe(
+            len in 1usize..400_000,
+            a in proptest::prelude::any::<u64>(),
+            b in proptest::prelude::any::<u64>(),
+            c in proptest::prelude::any::<u64>(),
+        ) {
+            let dir = tmp("prop");
+            let st = LocalStore::new(&dir).unwrap();
+            let data: Vec<u8> = (0..len as u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8).collect();
+            st.put("frag", &data).unwrap();
+            let off = a % len as u64;
+            let n = b % (len as u64 - off + 1);
+            let mut buf = vec![0u8; n as usize];
+            st.open("frag").unwrap().read_at(off, &mut buf).unwrap();
+            proptest::prop_assert_eq!(&buf[..], &data[off as usize..(off + n) as usize]);
+
+            let s = integrity::DEFAULT_STRIPE;
+            let lo = off / s * s;
+            let hi = ((off + n).div_ceil(s) * s).min(len as u64).max(lo + 1);
+            let at = lo + c % (hi - lo);
+            let mut raw = data.clone();
+            raw[at as usize] ^= 0x80;
+            fs::write(st.path_of("frag"), &raw).unwrap();
+            let got = st.open("frag").unwrap().read_at(off, &mut buf);
+            if n == 0 {
+                proptest::prop_assert!(got.is_ok(), "an empty read touches no stripe");
+            } else {
+                let err = got.unwrap_err();
+                proptest::prop_assert_eq!(integrity::corrupt_stripe_of(&err), Some(at / s));
+            }
+        }
     }
 }
