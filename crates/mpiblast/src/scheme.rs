@@ -4,7 +4,7 @@ use std::io;
 use std::path::PathBuf;
 
 use parblast_pio::{
-    copy_object, integrity, LocalStore, MirroredStore, ObjectReader, ObjectStore, RateLimiter,
+    copy_if_stale, is_corrupt, LocalStore, MirroredStore, ObjectReader, ObjectStore, RateLimiter,
     Scrubber, Store, StripedStore,
 };
 use parblast_seqdb::ReadAt;
@@ -107,9 +107,7 @@ impl Scheme {
             Scheme::Local { src, workdirs } => {
                 let wd = &workdirs[worker % workdirs.len()];
                 let t0 = std::time::Instant::now();
-                if !is_current_copy(src, wd, fragment) {
-                    copy_object(src, wd, fragment)?;
-                }
+                copy_if_stale(src, wd, fragment)?;
                 let copy = t0.elapsed();
                 Ok((wd.open(fragment)?, copy))
             }
@@ -123,7 +121,7 @@ impl Scheme {
     /// afresh from the source; any other failure leaves storage alone.
     pub(crate) fn fetch_failed(&self, worker: usize, fragment: &str, err: &io::Error) {
         let copies = self.private_copies();
-        if integrity::is_corrupt(err) && !copies.is_empty() {
+        if is_corrupt(err) && !copies.is_empty() {
             let _ = copies[worker % copies.len()].delete(fragment);
         }
     }
@@ -201,21 +199,6 @@ impl Scheme {
             .map(|i| base.join(format!("mirror{i}")))
             .collect();
         Ok(Scheme::Ceft(MirroredStore::new(p, m, stripe)?))
-    }
-}
-
-/// Is `copy`'s object `name` current with `src`'s? It is when both
-/// checksum sidecars hold the same bytes and both data files the same
-/// length. [`LocalStore`]'s put writes the sidecar last, so a matching
-/// sidecar means the copy's data write finished. A source with no
-/// sidecar has nothing to compare and is always copied.
-fn is_current_copy(src: &LocalStore, copy: &LocalStore, name: &str) -> bool {
-    let sums = |st: &LocalStore| std::fs::read(integrity::sums_path(&st.path_of(name))).ok();
-    match (sums(src), src.size(name)) {
-        (Some(want), Ok(len)) if !want.is_empty() => {
-            sums(copy) == Some(want) && copy.size(name).is_ok_and(|l| l == len)
-        }
-        _ => false,
     }
 }
 

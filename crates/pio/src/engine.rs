@@ -1,18 +1,21 @@
 //! The one real storage engine behind both parallel schemes.
 //!
-//! An object is striped round-robin over the N server directories of a
-//! *copy*, and a [`Store`] keeps `COPIES` identical copies in groups of N
-//! directories. One copy is PVFS (RAID-0, [`StripedStore`]); two are
-//! CEFT-PVFS (RAID-10, [`MirroredStore`]): writes are duplexed, and reads
-//! follow the dual-half schedule, doubling the directories (disks) that
-//! serve one read. The copy count comes from the constructor's directory
-//! groups; everything else is one code path:
+//! An object is striped round-robin over the N servers of a *copy*, and a
+//! [`Store`] keeps `COPIES` identical copies in groups of N servers. One
+//! copy is PVFS (RAID-0, [`StripedStore`]); two are CEFT-PVFS (RAID-10,
+//! [`MirroredStore`]): writes are duplexed, and reads follow the dual-half
+//! schedule, doubling the directories (disks) that serve one read. The
+//! copy count comes from the constructor's directory groups; everything
+//! else is one code path:
 //!
-//! * one persistent reader lane per physical server, group-major (the
-//!   per-server I/O daemons, on a single machine where "servers" are
-//!   directories, typically on different disks or mount points);
-//! * per-server checksum sidecars, verified on the lanes before any byte
-//!   is handed back;
+//! * each server is a [`LocalStore`] over its directory (the per-server
+//!   I/O daemon's local disk, on a single machine where "servers" are
+//!   directories, typically on different disks or mount points) whose
+//!   stripes are the engine's: it holds the server's stripes back to back
+//!   and their checksum sidecar, and its put, delete and scrub are the
+//!   engine's;
+//! * one persistent reader lane per server, group-major, whose every
+//!   fetch is the one verified range read of [`crate::integrity`];
 //! * a [`HealthMonitor`] fed by every segment's read time.
 //!
 //! A read splits each region into one piece per copy and ships one lane job
@@ -23,24 +26,24 @@
 //! error is the answer, and PVFS's abort-and-reassign path picks it up.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::integrity;
+use crate::integrity::{self, VerifiedFile};
 use crate::layout::{MirroredLayout, ServerId};
 use crate::monitor::HealthMonitor;
 use crate::pool::{self, LanePlan, RateLimiter, ReaderPool};
-use crate::store::{ObjectReader, ObjectStore};
+use crate::store::{LocalStore, ObjectReader, ObjectStore};
 
 /// A striped store keeping `COPIES` identical copies of every object.
 #[derive(Debug, Clone)]
 pub struct Store<const COPIES: usize> {
-    /// Server directories, group-major: lane `g × N + i` is server `i` of
-    /// copy `g`.
-    dirs: Arc<Vec<PathBuf>>,
+    /// One local store per server, group-major: lane `g × N + i` is
+    /// server `i` of copy `g`.
+    lanes: Arc<Vec<LocalStore>>,
     /// The per-copy stripe layout, and which server mirrors which.
     layout: MirroredLayout,
     monitor: Arc<HealthMonitor>,
@@ -77,15 +80,16 @@ impl<const COPIES: usize> Store<COPIES> {
             groups.iter().all(|g| g.len() == n),
             "mirror group must match primary group"
         );
-        let dirs: Vec<PathBuf> = groups.into_iter().flatten().collect();
-        for d in &dirs {
-            fs::create_dir_all(d)?;
-        }
+        let lanes: Vec<LocalStore> = groups
+            .into_iter()
+            .flatten()
+            .map(|d| LocalStore::with_stripe(d, stripe_size))
+            .collect::<io::Result<_>>()?;
         Ok(Store {
             layout: MirroredLayout::new(stripe_size, n as u32),
             monitor: Arc::new(HealthMonitor::new(n, COPIES)),
-            pool: Arc::new(ReaderPool::new(dirs.len())),
-            dirs: Arc::new(dirs),
+            pool: Arc::new(ReaderPool::new(lanes.len())),
+            lanes: Arc::new(lanes),
         })
     }
 
@@ -125,13 +129,15 @@ impl<const COPIES: usize> Store<COPIES> {
         }
     }
 
-    fn path_of(&self, s: ServerId, name: &str) -> PathBuf {
-        self.dirs[self.lane_of(s)].join(name)
+    fn server(&self, s: ServerId) -> &LocalStore {
+        &self.lanes[self.lane_of(s)]
     }
 
-    /// The logical size record, next to server 0 of the first copy.
-    fn meta_path(&self, name: &str) -> PathBuf {
-        self.dirs[0].join(format!("{name}.meta"))
+    /// Copy `group`'s logical size record, beside its first server. Every
+    /// copy keeps one, so any copy alone can open the object.
+    fn meta_path(&self, group: usize, name: &str) -> PathBuf {
+        let first = group * self.layout.group_size() as usize;
+        self.lanes[first].path_of(&format!("{name}.meta"))
     }
 
     /// The server holding `s`'s stripes in the other copy; `None` with
@@ -164,15 +170,15 @@ impl<const COPIES: usize> Store<COPIES> {
         let s = self.layout.stripe.stripe_size;
         let mut repaired = 0u64;
         let mut unrepairable = Vec::new();
-        for (lane, dir) in self.dirs.iter().enumerate() {
+        for (lane, local) in self.lanes.iter().enumerate() {
             let server = self.server_of(lane);
-            let path = dir.join(name);
-            for k in integrity::scrub_file(&path, s, limiter)? {
+            for k in local.scrub_object(name, limiter)? {
                 let source = self
                     .partner(server)
-                    .map(|p| verified_stripe(&self.path_of(p, name), k, s, limiter));
+                    .map(|p| verified_stripe(self.server(p), name, k, limiter));
                 match source {
                     Some(Ok((start, bytes))) => {
+                        let path = local.path_of(name);
                         repaired += integrity::repair_stripes(&path, start, &bytes, &[k], s)?;
                     }
                     _ => unrepairable.push((server, k)),
@@ -184,22 +190,23 @@ impl<const COPIES: usize> Store<COPIES> {
     }
 }
 
-/// Local stripe `k` of `path`, read (paced by `limiter`) and checked
-/// against its sidecar before a repair may copy from it.
+/// Local stripe `k` of `name` on `server`, read (paced by `limiter`) and
+/// verified before a repair may copy from it.
 fn verified_stripe(
-    path: &Path,
+    server: &LocalStore,
+    name: &str,
     k: u64,
-    s: u64,
     limiter: &mut RateLimiter,
 ) -> io::Result<(u64, Vec<u8>)> {
-    let plen = fs::metadata(path)?.len();
-    let ln = s.min(plen.saturating_sub(k * s));
+    let mut r = server.reader(name)?;
+    let (start, s) = (k * r.at.stripe, r.at.stripe);
+    let ln = s.min(r.at.len.saturating_sub(start));
     if ln == 0 {
-        return Err(integrity::corrupt_error(path, k));
+        return Err(integrity::corrupt_error(&r.at.path, k));
     }
-    let (start, bytes) = integrity::read_aligned(path, k * s, ln, s, plen)?;
+    let mut bytes = vec![0u8; ln as usize];
+    r.read_at(start, &mut bytes)?;
     limiter.consume(ln);
-    integrity::verify_aligned(path, &bytes, start, s, &integrity::load_sums(path))?;
     Ok((start, bytes))
 }
 
@@ -208,65 +215,67 @@ impl<const COPIES: usize> ObjectStore for Store<COPIES> {
         let n = self.layout.group_size() as usize;
         let stripes = || data.chunks(self.layout.stripe.stripe_size as usize);
         // Every copy holds the same striped layout — server i's local file
-        // is stripes i, i + N, … concatenated — so the per-server checksum
+        // is stripes i, i + N, … back to back — so the per-server checksum
         // sidecars are computed once and written to each copy.
         let mut sums: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (k, chunk) in stripes().enumerate() {
             sums[k % n].push(integrity::crc32c(chunk));
         }
-        for group in self.dirs.chunks(n) {
-            let mut files: Vec<File> = group
-                .iter()
-                .map(|d| File::create(d.join(name)))
-                .collect::<io::Result<_>>()?;
-            for (k, chunk) in stripes().enumerate() {
-                files[k % n].write_all(chunk)?;
-            }
-            for mut f in files {
-                f.flush()?;
-            }
-            for (d, server_sums) in group.iter().zip(&sums) {
-                let side = integrity::sums_path(&d.join(name));
-                fs::write(side, integrity::encode_sums(server_sums))?;
-            }
+        for (lane, server) in self.lanes.iter().enumerate() {
+            let i = lane % n;
+            server.put_parts(name, stripes().skip(i).step_by(n), Some(&sums[i]))?;
         }
         // Record the logical size (stripe math alone cannot recover it
         // when the last stripe is partial and groups are uneven).
-        fs::write(self.meta_path(name), data.len().to_string())
+        let size = data.len().to_string();
+        for g in 0..COPIES {
+            integrity::replace_file(&self.meta_path(g, name), [size.as_bytes()])?;
+        }
+        Ok(())
     }
 
     /// A reader with every server's checksum sidecar loaded for lane-side
     /// verification (and, with a mirror, read-repair).
     fn open(&self, name: &str) -> io::Result<Box<dyn ObjectReader>> {
         let size = self.size(name)?;
-        let sums = self
-            .dirs
+        let replicas = self
+            .lanes
             .iter()
-            .map(|d| Arc::new(integrity::load_sums(&d.join(name))))
+            .enumerate()
+            .map(|(lane, local)| {
+                let server = self.server_of(lane);
+                let len = self.layout.stripe.server_share(size, server.index);
+                Arc::new(Replica {
+                    server,
+                    at: local.verified(name, len),
+                    throttle: self.pool.throttle(lane),
+                })
+            })
             .collect();
         Ok(Box::new(Reader {
             store: self.clone(),
-            name: name.to_string(),
             size,
-            sums,
+            replicas,
             turn: 0,
         }))
     }
 
+    /// The first size record that exists, in copy order.
     fn size(&self, name: &str) -> io::Result<u64> {
-        let s = fs::read_to_string(self.meta_path(name))?;
+        let record = |g| fs::read_to_string(self.meta_path(g, name));
+        let s = (1..COPIES).fold(record(0), |got, g| got.or_else(|_| record(g)))?;
         s.trim()
             .parse()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad meta: {e}")))
     }
 
     fn delete(&self, name: &str) -> io::Result<()> {
-        for d in self.dirs.iter() {
-            let p = d.join(name);
-            integrity::remove_sums(&p);
-            let _ = fs::remove_file(p);
+        for server in self.lanes.iter() {
+            server.delete(name)?;
         }
-        let _ = fs::remove_file(self.meta_path(name));
+        for g in 0..COPIES {
+            let _ = fs::remove_file(self.meta_path(g, name));
+        }
         Ok(())
     }
 }
@@ -292,53 +301,27 @@ impl Store<2> {
     pub fn resync_server(&self, s: ServerId, bytes_per_s: u64) -> io::Result<ResyncReport> {
         self.monitor.begin_resync(s);
         let mut limiter = RateLimiter::new(bytes_per_s);
-        let stripe = self.layout.stripe.stripe_size;
-        let src_dir = &self.dirs[self.lane_of(self.layout.partner(s))];
-        let dst_dir = &self.dirs[self.lane_of(s)];
-        // Deterministic object order: sorted data-file names (sidecars and
-        // size metadata ride along with their object).
-        let mut names: Vec<String> = fs::read_dir(src_dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| !n.ends_with(".meta") && !n.ends_with(".sums"))
-            .collect();
-        names.sort();
+        let (src, dst) = (self.server(self.layout.partner(s)), self.server(s));
         let mut report = ResyncReport::default();
-        for name in names {
-            let src = src_dir.join(&name);
-            let dst = dst_dir.join(&name);
-            let sums = integrity::load_sums(&src);
-            let mut f = File::open(&src)?;
-            let len = f.metadata()?.len();
-            let mut out = File::create(&dst)?;
-            let mut buf = vec![0u8; stripe.max(1) as usize];
-            let mut off = 0u64;
-            let mut k = 0u64;
-            while off < len {
-                let n = ((len - off) as usize).min(buf.len());
-                f.seek(SeekFrom::Start(off))?;
-                f.read_exact(&mut buf[..n])?;
-                limiter.consume(n as u64);
-                // The partner is the only good copy left — verify every
-                // stripe before it becomes the rebuilt replica.
-                if !sums.is_empty() {
-                    match sums.get(k as usize) {
-                        Some(&want) if integrity::crc32c(&buf[..n]) == want => {}
-                        _ => return Err(integrity::corrupt_error(&src, k)),
-                    }
-                }
-                out.write_all(&buf[..n])?;
-                off += n as u64;
-                k += 1;
+        // Deterministic object order: sorted names.
+        for name in src.names()? {
+            if name.ends_with(".meta") {
+                // A copy's first server also holds the size record.
+                let record = fs::read(src.path_of(&name))?;
+                integrity::replace_file(&dst.path_of(&name), [&record[..]])?;
+                continue;
             }
-            out.flush()?;
-            if sums.is_empty() {
-                integrity::remove_sums(&dst);
-            } else {
-                fs::write(integrity::sums_path(&dst), integrity::encode_sums(&sums))?;
-            }
+            // The partner is the only good copy left: one verified read of
+            // its whole file, then the put that rebuilds this one, with
+            // the partner's sidecar (or none, when it has none).
+            let mut from = src.reader(&name)?;
+            let mut data = vec![0u8; from.at.len as usize];
+            from.read_at(0, &mut data)?;
+            limiter.consume(from.at.len);
+            let sums = (!from.at.sums.is_empty()).then_some(&from.at.sums[..]);
+            dst.put_parts(&name, [&data[..]], sums)?;
             report.objects += 1;
-            report.bytes += len;
+            report.bytes += from.at.len;
         }
         self.monitor.complete_resync(s);
         Ok(report)
@@ -348,13 +331,13 @@ impl Store<2> {
 /// A reader over one object of a [`Store`].
 struct Reader<const COPIES: usize> {
     store: Store<COPIES>,
-    name: String,
     size: u64,
-    /// Checksum sidecar per lane, loaded at open (empty = none on disk;
-    /// that server reads unverified). Read-repair rewrites the on-disk
-    /// copy, so a reader holding a stale cached sidecar only risks
-    /// re-repairing (identical bytes), never serving bad data.
-    sums: Vec<Arc<Vec<u32>>>,
+    /// Every server's copy of the object, by lane, each with the sidecar
+    /// loaded at open (empty = none on disk; that server reads
+    /// unverified). Read-repair rewrites the on-disk copy, so a reader
+    /// holding a stale cached sidecar only risks re-repairing (identical
+    /// bytes), never serving bad data.
+    replicas: Vec<Arc<Replica>>,
     /// The copy that serves the first piece of every region in the next
     /// call.
     turn: usize,
@@ -363,22 +346,11 @@ struct Reader<const COPIES: usize> {
 /// One server's copy of the object, as a lane job reads it.
 struct Replica {
     server: ServerId,
-    path: PathBuf,
-    sums: Arc<Vec<u32>>,
+    at: VerifiedFile,
     throttle: Arc<AtomicU64>,
 }
 
 impl<const COPIES: usize> Reader<COPIES> {
-    fn replica(&self, server: ServerId) -> Replica {
-        let lane = self.store.lane_of(server);
-        Replica {
-            server,
-            path: self.store.path_of(server, &self.name),
-            sums: Arc::clone(&self.sums[lane]),
-            throttle: self.store.pool.throttle(lane),
-        }
-    }
-
     /// Refuse a region that ends past the object (or past `u64::MAX`).
     fn check_bounds(&self, regions: &[(u64, u64)]) -> io::Result<()> {
         let past_end =
@@ -410,7 +382,7 @@ impl<const COPIES: usize> Reader<COPIES> {
         self.turn = (self.turn + 1) % COPIES;
         let skips = self.store.skips();
         let layout = &self.store.layout;
-        let mut plans = vec![LanePlan::default(); self.store.dirs.len()];
+        let mut plans = vec![LanePlan::default(); self.store.lanes.len()];
         let mut dst = 0usize;
         for &(off, len) in regions {
             // One piece per copy: the whole region with one copy, the
@@ -429,67 +401,62 @@ impl<const COPIES: usize> Reader<COPIES> {
             dst += len as usize;
         }
         self.store.pool.read(plans, buf, |lane| {
-            let own = self.replica(self.store.server_of(lane));
-            let partner = self.store.partner(own.server).map(|p| self.replica(p));
-            let stripe = layout.stripe.stripe_size;
-            let local_len = layout.stripe.server_share(self.size, own.server.index);
+            let own = Arc::clone(&self.replicas[lane]);
+            let partner = self
+                .store
+                .partner(own.server)
+                .map(|p| Arc::clone(&self.replicas[self.store.lane_of(p)]));
             let mon = self.store.monitor();
-            move |lo, ln| {
-                // Fetch the stripe-aligned span covering the segment
-                // (verification needs whole stripes), paced at the rate
-                // of the disk it comes from and timed for the monitor.
-                let fetch = |r: &Replica| {
+            let mut scratch = Vec::new();
+            move |lo, dst: &mut [u8]| {
+                // The verified range read of `r`'s file straight into
+                // `buf`, paced at the rate of the disk it comes from and
+                // timed for the monitor unless the file could not be read.
+                let ln = dst.len() as u64;
+                let fetch = |r: &Replica, off, buf: &mut [u8], scratch: &mut Vec<u8>| {
                     let t0 = Instant::now();
-                    let got = integrity::read_aligned(&r.path, lo, ln, stripe, local_len)?;
-                    pool::pace(&r.throttle, ln);
-                    mon.record(r.server, ln, t0.elapsed().as_secs_f64());
-                    io::Result::Ok(got)
-                };
-                let got = fetch(&own);
-                let bad = match &got {
-                    Ok((start, aligned)) if !own.sums.is_empty() => {
-                        integrity::bad_stripes(aligned, *start, stripe, &own.sums)
+                    let got =
+                        File::open(&r.at.path).and_then(|f| r.at.read_at(&f, off, buf, scratch));
+                    if got.as_ref().map_or_else(integrity::is_corrupt, |()| true) {
+                        pool::pace(&r.throttle, ln);
+                        mon.record(r.server, ln, t0.elapsed().as_secs_f64());
                     }
-                    _ => Vec::new(),
+                    got
                 };
+                let Err(err) = fetch(&own, lo, dst, &mut scratch) else {
+                    return Ok(());
+                };
+                // No second copy: the hard error, or the typed corrupt
+                // error for the first bad stripe, is the answer.
                 let Some(partner) = &partner else {
-                    // No second copy: the hard error, or the typed corrupt
-                    // error for the first bad stripe, is the answer.
-                    let got = got?;
-                    return match bad.first() {
-                        Some(&k) => Err(integrity::corrupt_error(&own.path, k)),
-                        None => Ok(got),
-                    };
+                    return Err(err);
                 };
-                match got {
-                    Ok(got) if bad.is_empty() => Ok(got),
-                    // A checksum mismatch or a hard error: serve the
-                    // segment from the mirror partner once *its* copy
-                    // verifies. A mismatch is then read-repaired — the
-                    // corrupt stripes are rewritten, data and sidecar —
-                    // but only a hard error marks the server dead (later
-                    // plans avoid it until a resync completes): one bad
-                    // stripe is a media flaw, not a crash.
-                    got => {
-                        if got.is_err() {
-                            mon.mark_dead(own.server);
-                        }
-                        let (start, good) = fetch(partner)?;
-                        integrity::verify_aligned(
-                            &partner.path,
-                            &good,
-                            start,
-                            stripe,
-                            &partner.sums,
-                        )?;
-                        if let Ok(k) =
-                            integrity::repair_stripes(&own.path, start, &good, &bad, stripe)
-                        {
-                            mon.note_repair(k);
-                        }
-                        Ok((start, good))
-                    }
+                // A checksum mismatch or a hard error: serve the segment
+                // from the stripe-aligned span of the mirror partner once
+                // *its* copy verifies. A mismatch is then read-repaired —
+                // every bad stripe of the span is rewritten, data and
+                // sidecar — but only a hard error marks the server dead
+                // (later plans avoid it until a resync completes): one bad
+                // stripe is a media flaw, not a crash.
+                let stripe = own.at.stripe;
+                let bad = if integrity::is_corrupt(&err) {
+                    let span = integrity::read_aligned(&own.at.path, lo, ln, stripe, own.at.len);
+                    span.map_or_else(
+                        |_| Vec::new(),
+                        |(start, got)| integrity::bad_stripes(&got, start, stripe, &own.at.sums),
+                    )
+                } else {
+                    mon.mark_dead(own.server);
+                    Vec::new()
+                };
+                let (start, len) = integrity::aligned_span(lo, ln, stripe, partner.at.len);
+                let mut good = vec![0u8; len as usize];
+                fetch(partner, start, &mut good, &mut scratch)?;
+                if let Ok(k) = integrity::repair_stripes(&own.at.path, start, &good, &bad, stripe) {
+                    mon.note_repair(k);
                 }
+                dst.copy_from_slice(&good[(lo - start) as usize..][..dst.len()]);
+                Ok(())
             }
         })
     }
@@ -519,6 +486,7 @@ mod tests {
     use super::*;
     use crate::monitor::ResyncState;
     use crate::store::read_all;
+    use std::path::Path;
 
     fn striped_dirs(tag: &str, n: usize) -> Vec<PathBuf> {
         (0..n)
@@ -638,10 +606,17 @@ mod tests {
         let ds = striped_dirs("del", 3);
         let st = StripedStore::new(ds.clone(), 64).unwrap();
         st.put("obj", &pattern(1000)).unwrap();
+        // One copy, one size record: beside server 0 only.
+        let records = |d: &PathBuf| d.join("obj.meta").exists();
+        assert_eq!(
+            ds.iter().map(records).collect::<Vec<_>>(),
+            [true, false, false]
+        );
         st.delete("obj").unwrap();
         assert!(st.open("obj").is_err());
         for d in &ds {
             assert!(!d.join("obj").exists());
+            assert!(!records(d));
         }
         cleanup(&ds);
     }
@@ -995,11 +970,111 @@ mod tests {
         let (p, m) = mirrored_dirs("del", 2);
         let st = MirroredStore::new(p.clone(), m.clone(), 256).unwrap();
         st.put("obj", &pattern(1000)).unwrap();
+        assert!(p[0].join("obj.meta").exists() && m[0].join("obj.meta").exists());
         st.delete("obj").unwrap();
         for d in p.iter().chain(&m) {
             assert!(!d.join("obj").exists());
             assert!(!integrity::sums_path(&d.join("obj")).exists());
+            assert!(!d.join("obj.meta").exists());
         }
+        cleanup(p.iter().chain(&m));
+    }
+
+    /// After a put, every server file is a fresh striping of `data`, every
+    /// sidecar that file's stripe sums, every copy's size record the
+    /// length, the scrub finds nothing and the object reads back.
+    fn assert_holds_exactly<const C: usize>(st: &Store<C>, groups: &[&[PathBuf]], data: &[u8]) {
+        let s = st.layout.stripe.stripe_size;
+        for group in groups {
+            let n = group.len();
+            for (i, d) in group.iter().enumerate() {
+                let want: Vec<u8> = data
+                    .chunks(s as usize)
+                    .skip(i)
+                    .step_by(n)
+                    .flatten()
+                    .copied()
+                    .collect();
+                let file = fs::read(d.join("obj")).unwrap();
+                assert_eq!(file, want, "server {i}, {} bytes", data.len());
+                let sums = integrity::load_sums(&d.join("obj"));
+                assert_eq!(sums, integrity::stripe_sums(&file, s));
+            }
+            let record = fs::read_to_string(group[0].join("obj.meta")).unwrap();
+            assert_eq!(record, data.len().to_string());
+        }
+        let (repaired, unrepairable) = st
+            .scrub_object("obj", &mut RateLimiter::unlimited())
+            .unwrap();
+        assert_eq!((repaired, unrepairable), (0, vec![]));
+        assert_eq!(read_all(st, "obj").unwrap(), data);
+    }
+
+    #[test]
+    fn put_replaces_in_place_and_cuts_to_length_on_both_copy_counts() {
+        let ds = striped_dirs("replace", 3);
+        let (p, m) = mirrored_dirs("replace", 3);
+        let striped = StripedStore::new(ds.clone(), 16 << 10).unwrap();
+        let mirrored = MirroredStore::new(p.clone(), m.clone(), 16 << 10).unwrap();
+        // Longer, shorter (also across a stripe boundary), longer, empty.
+        for (len, salt) in [(300_000, 1), (70_000, 2), (500_000, 3), (0, 4), (10, 5)] {
+            let data: Vec<u8> = (0..len).map(|i: u32| ((i ^ salt) % 251) as u8).collect();
+            striped.put("obj", &data).unwrap();
+            assert_holds_exactly(&striped, &[&ds], &data);
+            mirrored.put("obj", &data).unwrap();
+            assert_holds_exactly(&mirrored, &[&p, &m], &data);
+        }
+        cleanup(ds.iter().chain(&p).chain(&m));
+    }
+
+    #[test]
+    fn losing_primary_zero_keeps_every_object_readable_and_resync_restores_it() {
+        let (p, m) = mirrored_dirs("meta", 2);
+        let st = MirroredStore::new(p.clone(), m.clone(), 128).unwrap();
+        let data = pattern(10_000);
+        st.put("obj", &data).unwrap();
+        // Primary 0 loses its stripe file, its sidecar and its size record.
+        let obj = p[0].join("obj");
+        let lost = [
+            obj.clone(),
+            integrity::sums_path(&obj),
+            p[0].join("obj.meta"),
+        ];
+        let kept: Vec<Vec<u8>> = lost.iter().map(|f| fs::read(f).unwrap()).collect();
+        for f in &lost {
+            fs::remove_file(f).unwrap();
+        }
+        assert_eq!(read_all(&st, "obj").unwrap(), data);
+        let report = st
+            .resync_server(ServerId { group: 0, index: 0 }, 0)
+            .unwrap();
+        assert_eq!(report.objects, 1);
+        for (f, want) in lost.iter().zip(&kept) {
+            assert_eq!(&fs::read(f).unwrap(), want, "{}", f.display());
+        }
+        assert_eq!(read_all(&st, "obj").unwrap(), data);
+        cleanup(p.iter().chain(&m));
+    }
+
+    #[test]
+    fn resync_from_a_partner_with_no_sidecar_rebuilds_no_sidecar() {
+        let (p, m) = mirrored_dirs("resync_nosums", 2);
+        let st = MirroredStore::new(p.clone(), m.clone(), 128).unwrap();
+        let data = pattern(9_000);
+        st.put("obj", &data).unwrap();
+        for d in p.iter().chain(&m) {
+            integrity::remove_sums(&d.join("obj"));
+        }
+        let target = ServerId { group: 1, index: 1 };
+        flip_bit(&m[1].join("obj"), 7, 0x04);
+        st.resync_server(target, 0).unwrap();
+        let rebuilt = m[1].join("obj");
+        assert!(!integrity::sums_path(&rebuilt).exists());
+        assert_eq!(
+            fs::read(&rebuilt).unwrap(),
+            fs::read(p[1].join("obj")).unwrap()
+        );
+        assert_eq!(read_all(&st, "obj").unwrap(), data);
         cleanup(p.iter().chain(&m));
     }
 }

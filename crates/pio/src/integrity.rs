@@ -1,25 +1,25 @@
 //! End-to-end data integrity for the real I/O path: per-stripe CRC32C
 //! checksums, verified reads, and stripe repair.
 //!
-//! Every store writes a *sums sidecar* next to each object file: for a
-//! local file of `L` bytes it holds `ceil(L / stripe_size)` little-endian
-//! `u32` CRC32C values, one per stripe of the local file (the last stripe
-//! may be partial). Striped and mirrored stores keep one sidecar per
-//! server directory covering that server's local stripes; [`crate::
-//! LocalStore`] keeps one for the whole object using
-//! [`DEFAULT_STRIPE`]-sized stripes.
+//! Every local object file has a *sums sidecar* next to it: for a file of
+//! `L` bytes it holds `ceil(L / stripe_size)` little-endian `u32` CRC32C
+//! values, one per stripe of the file (the last stripe may be partial).
+//! Every object file is a [`crate::LocalStore`] object: a plain store's
+//! files use [`DEFAULT_STRIPE`]-sized stripes, and each server of a
+//! striped or mirrored store is a `LocalStore` whose stripes are the
+//! engine's, so a server's sidecar covers that server's local stripes.
 //!
-//! Readers verify on the lane threads: a requested local range is rounded
-//! out to stripe boundaries (clamped to the local file length), every
-//! covered stripe is checked, and only then is the requested sub-range
-//! returned. A mismatch surfaces as a typed corrupt error
-//! ([`corrupt_stripe_of`]) so callers can distinguish "the bytes are
-//! wrong" (not retryable, repairable from a mirror) from "the server is
-//! gone" (fail over / retry). [`crate::LocalStore`] readers verify the
-//! same way, checking whole stripes in the caller's buffer and re-reading
-//! only a partly covered edge stripe. A file with *no* sidecar is read
-//! unverified — objects written before checksums existed, or placed by
-//! hand.
+//! Every read goes through one verified range read: the requested range
+//! is read straight into the caller's slice, each stripe lying wholly
+//! inside it is checked there, and a partly covered edge stripe is re-read
+//! whole into a scratch buffer, which also serves those edge bytes. A
+//! mismatch surfaces as a typed corrupt error ([`corrupt_stripe_of`]) so
+//! callers can distinguish "the bytes are wrong" (not retryable,
+//! repairable from a mirror) from "the server is gone" (fail over /
+//! retry). Only read-repair reads a stripe-aligned span
+//! ([`read_aligned`]) to find every bad stripe of it. A file with *no*
+//! sidecar is read unverified — objects written before checksums existed,
+//! or placed by hand.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -248,38 +248,37 @@ pub fn decode_sums(bytes: &[u8]) -> Vec<u32> {
         .collect()
 }
 
-/// Make `bytes` the whole content of `path`, creating the file if it is
-/// missing. An existing file is overwritten in place and then cut to
-/// length, never truncated first: ext4 (`auto_da_alloc`) takes
-/// truncate-to-zero-then-rewrite for "replace via truncate" and writes
-/// every new block to the device when the file is closed, and the next
-/// truncate waits for that write-out. Objects are replaced often — the
-/// original scheme re-copies a worker's private copy whenever its source
-/// changes, and set-up re-puts every fragment of a reused store — and
-/// through `File::create` each replacement would go to the disk at the
-/// disk's speed. Overwritten in place, the pages stay dirty in the page
-/// cache like those of any other write. A reader racing the overwrite may
-/// see mixed bytes; the sidecar, written after the data, convicts them.
-pub(crate) fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Make `parts`, back to back, the whole content of `path`, creating the
+/// file if it is missing. An existing file is overwritten in place and
+/// then cut to length, never truncated first: ext4 (`auto_da_alloc`)
+/// takes truncate-to-zero-then-rewrite for "replace via truncate" and
+/// writes every new block to the device when the file is closed, and the
+/// next truncate waits for that write-out. Objects are replaced often —
+/// the original scheme re-copies a worker's private copy whenever its
+/// source changes, and set-up re-puts every fragment of a reused store,
+/// whichever scheme keeps it — and through `File::create` each
+/// replacement would go to the disk at the disk's speed. Overwritten in
+/// place, the pages stay dirty in the page cache like those of any other
+/// write. A reader racing the overwrite may see mixed bytes; the sidecar,
+/// written after the data, convicts them.
+pub(crate) fn replace_file<'a>(
+    path: &Path,
+    parts: impl IntoIterator<Item = &'a [u8]>,
+) -> io::Result<()> {
     let mut f = OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(false)
         .open(path)?;
-    f.write_all(bytes)?;
-    if f.metadata()?.len() != bytes.len() as u64 {
-        f.set_len(bytes.len() as u64)?;
+    let mut len = 0u64;
+    for part in parts {
+        f.write_all(part)?;
+        len += part.len() as u64;
+    }
+    if f.metadata()?.len() != len {
+        f.set_len(len)?;
     }
     Ok(())
-}
-
-/// Write the sidecar for `object` (a data file already on disk) from its
-/// in-memory bytes.
-pub fn write_sums(object: &Path, data: &[u8], stripe_size: u64) -> io::Result<()> {
-    replace_file(
-        &sums_path(object),
-        &encode_sums(&stripe_sums(data, stripe_size)),
-    )
 }
 
 /// Load the sidecar of `object`; empty when missing (= read unverified).
@@ -337,6 +336,68 @@ pub fn is_corrupt(err: &io::Error) -> bool {
     corrupt_stripe_of(err).is_some()
 }
 
+/// One local file as a verified read sees it: its path (which a corrupt
+/// error names), its length, its stripe size, and the sidecar loaded for
+/// it earlier (empty = none on disk: the file reads unverified).
+#[derive(Debug, Clone)]
+pub(crate) struct VerifiedFile {
+    pub(crate) path: PathBuf,
+    pub(crate) len: u64,
+    pub(crate) stripe: u64,
+    pub(crate) sums: Arc<[u32]>,
+}
+
+impl VerifiedFile {
+    /// The one verified range read: `[off, off + buf.len())` of `file`
+    /// straight into `buf`, every stripe the range touches checked against
+    /// the sidecar. A stripe lying wholly inside `buf` is checked in place;
+    /// a partly covered edge stripe is re-read whole into `scratch` and
+    /// checked there, and its bytes in `buf` are the checked ones. A
+    /// missing sidecar entry fails closed, and the first bad stripe is the
+    /// typed [`corrupt_error`].
+    pub(crate) fn read_at(
+        &self,
+        file: &File,
+        off: u64,
+        buf: &mut [u8],
+        scratch: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        let end = off
+            .checked_add(buf.len() as u64)
+            .filter(|&end| end <= self.len)
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "read past end of object")
+            })?;
+        read_exact_at(file, off, buf)?;
+        if self.sums.is_empty() || buf.is_empty() {
+            return Ok(());
+        }
+        let s = self.stripe;
+        for k in off / s..end.div_ceil(s) {
+            let (lo, hi) = (k * s, ((k + 1) * s).min(self.len));
+            let (a, b) = (lo.max(off), hi.min(end));
+            let dst = &mut buf[(a - off) as usize..(b - off) as usize];
+            let whole = (a, b) == (lo, hi);
+            if !whole {
+                scratch.resize((hi - lo) as usize, 0);
+                read_exact_at(file, lo, scratch)?;
+                dst.copy_from_slice(&scratch[(a - lo) as usize..(b - lo) as usize]);
+            }
+            let stripe = if whole { &*dst } else { &scratch[..] };
+            match self.sums.get(k as usize) {
+                Some(&want) if crc32c(stripe) == want => {}
+                _ => return Err(corrupt_error(&self.path, k)),
+            }
+        }
+        Ok(())
+    }
+}
+
+fn read_exact_at(mut file: &File, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
 /// Round the local range `[lo, lo+ln)` out to stripe boundaries, clamped
 /// to the local file length. Returns `(start, len)` of the aligned span.
 pub fn aligned_span(lo: u64, ln: u64, stripe_size: u64, local_len: u64) -> (u64, u64) {
@@ -358,10 +419,8 @@ pub fn read_aligned(
     local_len: u64,
 ) -> io::Result<(u64, Vec<u8>)> {
     let (start, alen) = aligned_span(lo, ln, stripe_size, local_len);
-    let mut f = File::open(path)?;
-    f.seek(SeekFrom::Start(start))?;
     let mut out = vec![0u8; alen as usize];
-    f.read_exact(&mut out)?;
+    read_exact_at(&File::open(path)?, start, &mut out)?;
     Ok((start, out))
 }
 
@@ -383,24 +442,6 @@ pub fn bad_stripes(aligned: &[u8], start: u64, stripe_size: u64, sums: &[u32]) -
             }
         })
         .collect()
-}
-
-/// Verify an aligned span, returning the typed corrupt error for the
-/// first bad stripe. Empty `sums` (no sidecar) verifies vacuously.
-pub fn verify_aligned(
-    path: &Path,
-    aligned: &[u8],
-    start: u64,
-    stripe_size: u64,
-    sums: &[u32],
-) -> io::Result<()> {
-    if sums.is_empty() {
-        return Ok(());
-    }
-    match bad_stripes(aligned, start, stripe_size, sums).first() {
-        Some(&k) => Err(corrupt_error(path, k)),
-        None => Ok(()),
-    }
 }
 
 /// Rewrite `bad` local stripes of `path` (data file *and* sidecar entry)
@@ -438,46 +479,6 @@ pub fn repair_stripes(
     data_f.flush()?;
     sums_f.flush()?;
     Ok(bad.len() as u64)
-}
-
-/// Verify one whole local file against its sidecar, returning the corrupt
-/// local stripe indices (empty sidecar = nothing to verify). The walk is
-/// paced by `limiter` so a background scrub cannot starve foreground
-/// reads of disk bandwidth.
-pub fn scrub_file(
-    path: &Path,
-    stripe_size: u64,
-    limiter: &mut crate::pool::RateLimiter,
-) -> io::Result<Vec<u64>> {
-    let sums = load_sums(path);
-    if sums.is_empty() {
-        return Ok(Vec::new());
-    }
-    let s = stripe_size.max(1);
-    let mut f = File::open(path)?;
-    let len = f.metadata()?.len();
-    let mut bad = Vec::new();
-    let mut buf = vec![0u8; s as usize];
-    let mut off = 0u64;
-    let mut k = 0u64;
-    while off < len {
-        let n = ((len - off) as usize).min(buf.len());
-        f.seek(SeekFrom::Start(off))?;
-        f.read_exact(&mut buf[..n])?;
-        limiter.consume(n as u64);
-        match sums.get(k as usize) {
-            Some(&want) if crc32c(&buf[..n]) == want => {}
-            _ => bad.push(k),
-        }
-        off += n as u64;
-        k += 1;
-    }
-    // A sidecar longer than the file means stripes were lost (truncated
-    // file): report them too so a mirrored scrub repairs the tail.
-    for extra in k..sums.len() as u64 {
-        bad.push(extra);
-    }
-    Ok(bad)
 }
 
 /// A background scrub thread: repeatedly runs `pass` until stopped.
@@ -659,26 +660,22 @@ mod tests {
 
     #[test]
     fn repair_rewrites_data_and_sidecar() {
+        use crate::store::{LocalStore, ObjectStore};
         let dir = std::env::temp_dir().join(format!("pio_integrity_{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("obj");
+        let st = LocalStore::with_stripe(&dir, 256).unwrap();
+        let p = st.path_of("obj");
         let good: Vec<u8> = (0..1000u32).map(|i| (i * 13 % 251) as u8).collect();
-        fs::write(&p, &good).unwrap();
-        write_sums(&p, &good, 256).unwrap();
+        st.put("obj", &good).unwrap();
         // Corrupt stripe 2 on disk.
         let mut broken = good.clone();
         broken[600] ^= 0xFF;
         fs::write(&p, &broken).unwrap();
-        assert_eq!(
-            scrub_file(&p, 256, &mut RateLimiter::unlimited()).unwrap(),
-            vec![2]
-        );
+        let scrub = |st: &LocalStore| st.scrub_object("obj", &mut RateLimiter::unlimited());
+        assert_eq!(scrub(&st).unwrap(), vec![2]);
         let n = repair_stripes(&p, 0, &good, &[2], 256).unwrap();
         assert_eq!(n, 1);
         assert_eq!(fs::read(&p).unwrap(), good);
-        assert!(scrub_file(&p, 256, &mut RateLimiter::unlimited())
-            .unwrap()
-            .is_empty());
+        assert!(scrub(&st).unwrap().is_empty());
         fs::remove_dir_all(&dir).ok();
     }
 

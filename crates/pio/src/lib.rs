@@ -15,6 +15,9 @@
 //!
 //! The last two are one engine, [`Store`], that differs only in how many
 //! copies it keeps: one put, read, verify and scrub path ([`engine`]).
+//! Each of its servers is a [`LocalStore`], so one local object layer
+//! writes, deletes, scrubs and — with one verified range read — reads
+//! every object file on disk.
 //!
 //! The striping mathematics ([`layout`]) is shared with the simulated
 //! PVFS/CEFT-PVFS crates, so the simulator and the real library cannot
@@ -34,4 +37,4 @@ pub use integrity::{corrupt_stripe_of, crc32c, is_corrupt, CorruptStripe, ScrubT
 pub use layout::{LocalRange, MirroredLayout, ReadPart, ServerId, StripeLayout};
 pub use monitor::{HealthMonitor, ResyncState};
 pub use pool::{RateLimiter, ReaderPool};
-pub use store::{copy_object, read_all, LocalStore, ObjectReader, ObjectStore};
+pub use store::{copy_if_stale, read_all, LocalStore, ObjectReader, ObjectStore};

@@ -1,12 +1,13 @@
 //! Persistent per-server reader threads, and the one way the striped
 //! engine ([`crate::Store`]) reads through them.
 //!
-//! Each store owns one long-lived thread per server directory (a *lane*,
-//! standing in for one PVFS I/O daemon). Every read is a list of regions,
-//! and a contiguous read is a list of one: the store plans each lane's
-//! share of the list, the pool enqueues one fetch job per involved lane,
-//! and the caller blocks until every lane's bytes are scattered into its
-//! buffer. Before the lanes existed every
+//! Each store owns one long-lived thread per server (a *lane*, standing in
+//! for one PVFS I/O daemon serving its [`crate::LocalStore`]). Every read
+//! is a list of regions, and a contiguous read is a list of one: the
+//! store plans each lane's share of the list, the pool enqueues one fetch
+//! job per involved lane, each job reads its segments straight into its
+//! own bytes, and the caller blocks until every lane's bytes are
+//! scattered into its buffer. Before the lanes existed every
 //! read spawned and joined one OS thread per involved server — tens of
 //! microseconds (measured ~32 µs for a one-server 64 KiB read) on every
 //! call.
@@ -62,11 +63,6 @@ impl ReaderPool {
         }
     }
 
-    /// Number of lanes (server threads).
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Enqueue `job` on `lane`; it runs after everything already queued
     /// there.
     pub fn submit(&self, lane: usize, job: impl FnOnce() + Send + 'static) {
@@ -86,8 +82,8 @@ impl ReaderPool {
     /// `1/bytes_per_s` seconds of lane time on top of the real read (0
     /// disables).
     pub fn set_throttle(&self, bytes_per_s: u64) {
-        for lane in 0..self.lanes() {
-            self.set_lane_throttle(lane, bytes_per_s);
+        for t in &self.throttles {
+            t.store(bytes_per_s, Ordering::Relaxed);
         }
     }
 
@@ -105,10 +101,10 @@ impl ReaderPool {
 
     /// Read a region list into `buf`: one job per lane whose plan holds
     /// segments, enqueued on that lane. The job fetches each segment in
-    /// list order with `fetcher(lane)`, which returns the aligned span
-    /// covering `(local_offset, len)` and where it starts, and copies the
-    /// requested bytes out of it once. Blocks until every job has
-    /// answered; returns the first error.
+    /// list order with `fetcher(lane)`, which fills the slice it is given
+    /// with the local range starting at the offset it is given, straight
+    /// into the job's bytes. Blocks until every job has answered; returns
+    /// the first error.
     pub(crate) fn read<F>(
         &self,
         plans: Vec<LanePlan>,
@@ -116,7 +112,7 @@ impl ReaderPool {
         mut fetcher: impl FnMut(usize) -> F,
     ) -> io::Result<()>
     where
-        F: FnMut(u64, u64) -> io::Result<(u64, Vec<u8>)> + Send + 'static,
+        F: FnMut(u64, &mut [u8]) -> io::Result<()> + Send + 'static,
     {
         let (tx, rx) = mpsc::channel();
         let mut scatters = Vec::new();
@@ -128,15 +124,14 @@ impl ReaderPool {
             let LanePlan { segs, scatter, len } = plan;
             scatters.push(scatter);
             self.submit(lane, move || {
-                let res =
-                    segs.into_iter()
-                        .try_fold(Vec::with_capacity(len), |mut out, (lo, ln)| {
-                            let (start, aligned) = fetch(lo, ln)?;
-                            let at = (lo - start) as usize;
-                            out.extend_from_slice(&aligned[at..at + ln as usize]);
-                            Ok(out)
-                        });
-                let _ = tx.send((idx, res));
+                let mut out = vec![0u8; len];
+                let mut at = 0usize;
+                let res = segs.into_iter().try_for_each(|(lo, ln)| {
+                    let dst = &mut out[at..at + ln as usize];
+                    at += dst.len();
+                    fetch(lo, dst)
+                });
+                let _ = tx.send((idx, res.map(|()| out)));
             });
         }
         drop(tx);

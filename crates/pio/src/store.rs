@@ -9,15 +9,19 @@
 //!   dual-half reads and hot-spot skipping (CEFT-PVFS), the same engine
 //!   ([`crate::Store`]) keeping a second copy.
 //!
-//! Every store hands out an [`ObjectReader`]: blocking positional reads,
+//! Every object file on disk is a [`LocalStore`] object: each server of
+//! the engine is a `LocalStore` over its directory, with the engine's
+//! stripe size, so one put, delete and scrub serve every scheme. Every
+//! store hands out an [`ObjectReader`]: blocking positional reads,
 //! contiguous or as a region list, each verified against the object's
-//! checksum sidecar ([`crate::integrity`]).
+//! checksum sidecar by the one verified range read in
+//! [`crate::integrity`].
 
 use std::fs::{self, File};
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::path::PathBuf;
 
-use crate::integrity;
+use crate::integrity::{self, VerifiedFile};
 
 /// Positional reader handed out by stores.
 ///
@@ -63,125 +67,149 @@ pub trait ObjectStore {
     fn delete(&self, name: &str) -> io::Result<()>;
 }
 
-/// Plain single-directory store: the "original mpiBLAST" local-disk path.
-/// [`ObjectStore::put`] writes the data file, then its checksum sidecar;
-/// reads verify against the sidecar.
+/// Plain single-directory store: the "original mpiBLAST" local-disk path,
+/// and each server of the striped engine. [`ObjectStore::put`] writes the
+/// data file, then its checksum sidecar; reads verify against the
+/// sidecar.
 #[derive(Debug, Clone)]
 pub struct LocalStore {
     dir: PathBuf,
+    /// Bytes per checksummed stripe: [`integrity::DEFAULT_STRIPE`], or
+    /// the engine's stripe size for one of its servers.
+    stripe: u64,
 }
 
 impl LocalStore {
     /// Create (the directory is created if missing).
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
+        Self::with_stripe(dir, integrity::DEFAULT_STRIPE)
+    }
+
+    /// A store checksumming `stripe`-byte stripes: one engine server.
+    pub(crate) fn with_stripe(dir: impl Into<PathBuf>, stripe: u64) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(LocalStore { dir })
+        Ok(LocalStore { dir, stripe })
     }
 
     /// Path of an object.
     pub fn path_of(&self, name: &str) -> PathBuf {
         self.dir.join(name)
     }
-}
 
-/// A reader over one [`LocalStore`] object. The sidecar is loaded once,
-/// at open, and every read is verified against it, as the striped
-/// engine's reads are: the requested range is read straight into the
-/// caller's buffer, each stripe lying wholly inside it is checked there,
-/// and only a partly covered edge stripe is read whole into `scratch` to
-/// be checked. An empty sidecar reads unverified.
-struct LocalReader {
-    path: PathBuf,
-    file: File,
-    len: u64,
-    sums: Vec<u32>,
-    scratch: Vec<u8>,
-}
-
-impl LocalReader {
-    fn read_exact_at(file: &mut File, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(buf)
+    /// Names of the objects here, sorted; a sidecar is not an object.
+    pub(crate) fn names(&self) -> io::Result<Vec<String>> {
+        let mut names: Vec<String> = fs::read_dir(&self.dir)?
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| !n.ends_with(".sums"))
+            .collect();
+        names.sort();
+        Ok(names)
     }
 
-    /// Stripe `k` against its sidecar entry; a missing entry fails closed.
-    fn check(&self, k: u64, stripe: &[u8]) -> io::Result<()> {
-        match self.sums.get(k as usize) {
-            Some(&want) if integrity::crc32c(stripe) == want => Ok(()),
-            _ => Err(integrity::corrupt_error(&self.path, k)),
-        }
-    }
-}
-
-impl ObjectReader for LocalReader {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        let end = offset
-            .checked_add(buf.len() as u64)
-            .filter(|&end| end <= self.len)
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "read past end of object")
-            })?;
-        Self::read_exact_at(&mut self.file, offset, buf)?;
-        if self.sums.is_empty() || buf.is_empty() {
+    /// Write `name` as `parts` back to back — overwritten in place and cut
+    /// to length — and then its sidecar: `sums`, or none at all.
+    pub(crate) fn put_parts<'a>(
+        &self,
+        name: &str,
+        parts: impl IntoIterator<Item = &'a [u8]>,
+        sums: Option<&[u32]>,
+    ) -> io::Result<()> {
+        let path = self.path_of(name);
+        integrity::replace_file(&path, parts)?;
+        let Some(sums) = sums else {
+            integrity::remove_sums(&path);
             return Ok(());
-        }
-        let s = integrity::DEFAULT_STRIPE;
-        for k in offset / s..end.div_ceil(s) {
-            let (lo, hi) = (k * s, ((k + 1) * s).min(self.len));
-            let (a, b) = (lo.max(offset), hi.min(end));
-            let dst = &mut buf[(a - offset) as usize..(b - offset) as usize];
-            if (a, b) == (lo, hi) {
-                self.check(k, dst)?;
-                continue;
-            }
-            self.scratch.resize((hi - lo) as usize, 0);
-            Self::read_exact_at(&mut self.file, lo, &mut self.scratch)?;
-            self.check(k, &self.scratch)?;
-            // Serve the bytes that were checked, not the first read's.
-            dst.copy_from_slice(&self.scratch[(a - lo) as usize..(b - lo) as usize]);
-        }
-        Ok(())
+        };
+        integrity::replace_file(
+            &integrity::sums_path(&path),
+            [&integrity::encode_sums(sums)[..]],
+        )
     }
 
-    fn len(&mut self) -> io::Result<u64> {
-        Ok(self.len)
+    /// `name` as a verified read sees it, `len` bytes long, with its
+    /// sidecar as it is now.
+    pub(crate) fn verified(&self, name: &str, len: u64) -> VerifiedFile {
+        let path = self.path_of(name);
+        VerifiedFile {
+            sums: integrity::load_sums(&path).into(),
+            path,
+            len,
+            stripe: self.stripe,
+        }
     }
-}
 
-impl LocalStore {
+    /// A verifying reader over `name` (see [`ObjectStore::open`]).
+    pub(crate) fn reader(&self, name: &str) -> io::Result<LocalReader> {
+        let file = File::open(self.path_of(name))?;
+        let at = self.verified(name, file.metadata()?.len());
+        Ok(LocalReader {
+            file,
+            at,
+            scratch: Vec::new(),
+        })
+    }
+
     /// Verify an object against its checksum sidecar, returning corrupt
-    /// stripe indices (empty = clean or no sidecar to check).
+    /// stripe indices (empty = clean or no sidecar to check). Each stripe
+    /// is one verified read, paced by `limiter` so a background scrub
+    /// cannot starve foreground reads of disk bandwidth.
     pub fn scrub_object(
         &self,
         name: &str,
         limiter: &mut crate::pool::RateLimiter,
     ) -> io::Result<Vec<u64>> {
-        integrity::scrub_file(&self.path_of(name), integrity::DEFAULT_STRIPE, limiter)
+        if integrity::load_sums(&self.path_of(name)).is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut r = self.reader(name)?;
+        let (s, len) = (self.stripe, r.at.len);
+        let mut stripe = vec![0u8; s as usize];
+        let mut bad = Vec::new();
+        // A sidecar longer than the file means stripes were lost (a
+        // truncated file): they are reported too, so a mirrored scrub
+        // repairs the tail.
+        for k in 0..len.div_ceil(s).max(r.at.sums.len() as u64) {
+            let n = s.min(len.saturating_sub(k * s));
+            match r.read_at(k * s, &mut stripe[..n as usize]) {
+                Ok(()) if n > 0 => {}
+                Err(e) if n > 0 && !integrity::is_corrupt(&e) => return Err(e),
+                _ => bad.push(k),
+            }
+            limiter.consume(n);
+        }
+        Ok(bad)
+    }
+}
+
+/// A reader over one [`LocalStore`] object: the sidecar is loaded once,
+/// at open, and every read is the one verified range read against it.
+pub(crate) struct LocalReader {
+    file: File,
+    pub(crate) at: VerifiedFile,
+    scratch: Vec<u8>,
+}
+
+impl ObjectReader for LocalReader {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.at.read_at(&self.file, offset, buf, &mut self.scratch)
+    }
+
+    fn len(&mut self) -> io::Result<u64> {
+        Ok(self.at.len)
     }
 }
 
 impl ObjectStore for LocalStore {
     fn put(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        let path = self.path_of(name);
-        integrity::replace_file(&path, data)?;
-        integrity::write_sums(&path, data, integrity::DEFAULT_STRIPE)
+        let sums = integrity::stripe_sums(data, self.stripe);
+        self.put_parts(name, [data], Some(&sums))
     }
 
     /// A reader that verifies every read against the sidecar as it was at
     /// open; a replaced object needs a new reader.
     fn open(&self, name: &str) -> io::Result<Box<dyn ObjectReader>> {
-        let path = self.path_of(name);
-        let file = File::open(&path)?;
-        let len = file.metadata()?.len();
-        let sums = integrity::load_sums(&path);
-        Ok(Box::new(LocalReader {
-            path,
-            file,
-            len,
-            sums,
-            scratch: Vec::new(),
-        }))
+        Ok(Box::new(self.reader(name)?))
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
@@ -191,9 +219,8 @@ impl ObjectStore for LocalStore {
     fn delete(&self, name: &str) -> io::Result<()> {
         integrity::remove_sums(&self.path_of(name));
         match fs::remove_file(self.path_of(name)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
         }
     }
 }
@@ -207,14 +234,25 @@ pub fn read_all(store: &dyn ObjectStore, name: &str) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Copy an object between stores (the paper's "copy the fragment to
-/// local disk" step), returning bytes copied. The source is read in one
-/// verified read into the buffer that is put, so a corrupt source is the
-/// typed corrupt error and nothing is written.
-pub fn copy_object(src: &dyn ObjectStore, dst: &dyn ObjectStore, name: &str) -> io::Result<u64> {
-    let data = read_all(src, name)?;
-    dst.put(name, &data)?;
-    Ok(data.len() as u64)
+/// Copy `name` from `src` into `dst` (the paper's "copy the fragment to
+/// local disk") unless `dst`'s copy is current — both sidecars hold the
+/// same bytes and both data files the same length — and say whether it
+/// copied. The sidecar is written last, so a matching one means the data
+/// write finished; a source with no sidecar is always copied. The source
+/// is one verified read, so a corrupt one is the typed corrupt error and
+/// nothing is written.
+pub fn copy_if_stale(src: &LocalStore, dst: &LocalStore, name: &str) -> io::Result<bool> {
+    let sums = |st: &LocalStore| fs::read(integrity::sums_path(&st.path_of(name))).ok();
+    let current = match (sums(src), src.size(name)) {
+        (Some(want), Ok(len)) if !want.is_empty() => {
+            sums(dst) == Some(want) && dst.size(name).is_ok_and(|l| l == len)
+        }
+        _ => false,
+    };
+    if !current {
+        dst.put(name, &read_all(src, name)?)?;
+    }
+    Ok(!current)
 }
 
 #[cfg(test)]
@@ -287,9 +325,10 @@ mod tests {
         let b = LocalStore::new(&d2).unwrap();
         let data: Vec<u8> = (0..300_000u32).map(|i| (i * 7 % 256) as u8).collect();
         a.put("db", &data).unwrap();
-        let n = copy_object(&a, &b, "db").unwrap();
-        assert_eq!(n, data.len() as u64);
+        assert!(copy_if_stale(&a, &b, "db").unwrap());
         assert_eq!(read_all(&b, "db").unwrap(), data);
+        // Current now: the second call copies nothing.
+        assert!(!copy_if_stale(&a, &b, "db").unwrap());
         fs::remove_dir_all(&d1).ok();
         fs::remove_dir_all(&d2).ok();
     }
@@ -356,7 +395,7 @@ mod tests {
         let mut raw = data.clone();
         raw[140_000] ^= 0x01;
         fs::write(a.path_of("db"), &raw).unwrap();
-        let err = copy_object(&a, &b, "db").unwrap_err();
+        let err = copy_if_stale(&a, &b, "db").unwrap_err();
         assert_eq!(
             integrity::corrupt_stripe_of(&err),
             Some(140_000 / integrity::DEFAULT_STRIPE)
@@ -373,37 +412,51 @@ mod tests {
         /// or off stripe boundaries, reads back exactly; one flipped byte
         /// anywhere in a stripe the range touches (inside the range or in
         /// the unrequested part of an edge stripe) fails the read with
-        /// that stripe's typed corrupt error.
+        /// that stripe's typed corrupt error. Both the plain store and a
+        /// striped store of several servers with small stripes, where
+        /// stripe `k` of the object is local stripe `k / N` of server
+        /// `k mod N`, read through the one verified range read.
         #[test]
         fn verified_reads_are_exact_and_name_a_flipped_stripe(
             len in 1usize..400_000,
             a in proptest::prelude::any::<u64>(),
             b in proptest::prelude::any::<u64>(),
             c in proptest::prelude::any::<u64>(),
+            servers in 2usize..5,
+            stripe_kib in 1u64..9,
         ) {
             let dir = tmp("prop");
-            let st = LocalStore::new(&dir).unwrap();
+            let iods: Vec<PathBuf> = (0..servers).map(|i| dir.join(format!("iod{i}"))).collect();
+            let local = LocalStore::new(&dir).unwrap();
+            let striped = crate::StripedStore::new(iods.clone(), stripe_kib << 10).unwrap();
             let data: Vec<u8> = (0..len as u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8).collect();
-            st.put("frag", &data).unwrap();
             let off = a % len as u64;
             let n = b % (len as u64 - off + 1);
-            let mut buf = vec![0u8; n as usize];
-            st.open("frag").unwrap().read_at(off, &mut buf).unwrap();
-            proptest::prop_assert_eq!(&buf[..], &data[off as usize..(off + n) as usize]);
+            let cases = [
+                (&local as &dyn ObjectStore, integrity::DEFAULT_STRIPE, vec![dir.clone()]),
+                (&striped, stripe_kib << 10, iods),
+            ];
+            for (store, s, dirs) in cases {
+                store.put("frag", &data).unwrap();
+                let mut buf = vec![0u8; n as usize];
+                store.open("frag").unwrap().read_at(off, &mut buf).unwrap();
+                proptest::prop_assert_eq!(&buf[..], &data[off as usize..(off + n) as usize]);
 
-            let s = integrity::DEFAULT_STRIPE;
-            let lo = off / s * s;
-            let hi = ((off + n).div_ceil(s) * s).min(len as u64).max(lo + 1);
-            let at = lo + c % (hi - lo);
-            let mut raw = data.clone();
-            raw[at as usize] ^= 0x80;
-            fs::write(st.path_of("frag"), &raw).unwrap();
-            let got = st.open("frag").unwrap().read_at(off, &mut buf);
-            if n == 0 {
-                proptest::prop_assert!(got.is_ok(), "an empty read touches no stripe");
-            } else {
-                let err = got.unwrap_err();
-                proptest::prop_assert_eq!(integrity::corrupt_stripe_of(&err), Some(at / s));
+                let lo = off / s * s;
+                let hi = ((off + n).div_ceil(s) * s).min(len as u64).max(lo + 1);
+                let at = lo + c % (hi - lo);
+                let (k, nd) = (at / s, dirs.len() as u64);
+                let file = dirs[(k % nd) as usize].join("frag");
+                let mut raw = fs::read(&file).unwrap();
+                raw[(k / nd * s + at % s) as usize] ^= 0x80;
+                fs::write(&file, &raw).unwrap();
+                let got = store.open("frag").unwrap().read_at(off, &mut buf);
+                if n == 0 {
+                    proptest::prop_assert!(got.is_ok(), "an empty read touches no stripe");
+                } else {
+                    let err = got.unwrap_err();
+                    proptest::prop_assert_eq!(integrity::corrupt_stripe_of(&err), Some(k / nd));
+                }
             }
         }
     }
