@@ -8,7 +8,9 @@
 //!   table windows and packed bytes per second, and as a fraction of what
 //!   a pass that only reads the same packed bytes reaches in this process
 //!   (the scan's roofline; the fragment is cache-resident, so that is
-//!   cache bandwidth and not DRAM's).
+//!   cache bandwidth and not DRAM's). Each row names the kernel that runs
+//!   the first two stages ([`scan_kernel`]) and is timed in interleaved
+//!   reps against the scalar stages, with the same seeds asserted.
 //! * **fragment search** — the worker inner loop for a single-query job:
 //!   read the volume bytes, search every query as a batch of one, report
 //!   hits. Timed in interleaved pairs against the reference kernel
@@ -49,8 +51,9 @@ use parblast_blast::baseline::search_blastn_baseline;
 use parblast_blast::lookup::MaskedContext;
 use parblast_blast::{
     banded_global_with, dust_mask, extend_gapped_with, extend_ungapped, extend_ungapped_packed,
-    scorer_params, xdrop_row_kernel, BatchedNtLookup, DbStats, DiagTracker, GappedWorkspace, Hit,
-    PackedQuery, PreparedBatch, ScanWorkspace, SearchParams, UngappedHsp, UngappedTable,
+    scan_kernel, scorer_params, xdrop_row_kernel, BatchedNtLookup, DbStats, DiagTracker,
+    GappedWorkspace, Hit, PackedQuery, PreparedBatch, ScanWorkspace, SearchParams, SurvivorBlock,
+    UngappedHsp, UngappedTable,
 };
 use parblast_seqdb::blastdb::DbSequence;
 use parblast_seqdb::{
@@ -169,7 +172,9 @@ fn main() {
         })
         .fold(f64::INFINITY, f64::min);
     // Seeds and median seconds of one scan of the fragment with both
-    // strands of every query of `pool`.
+    // strands of every query of `pool`: by the stages this CPU dispatches
+    // to, and by the scalar stages, timed in interleaved reps, with the
+    // same seeds asserted every rep.
     let scan_row = |pool: &[Vec<u8>]| {
         let strands: Vec<Vec<u8>> = pool
             .iter()
@@ -177,26 +182,34 @@ fn main() {
             .collect();
         let contexts: Vec<&[u8]> = strands.iter().map(|c| c.as_slice()).collect();
         let lookup = BatchedNtLookup::build(&contexts, params.word_size);
-        let scan = || {
+        let scalar = BatchedNtLookup::build(&contexts, params.word_size).scalar();
+        let mut block = SurvivorBlock::default();
+        let mut scan = |lookup: &BatchedNtLookup| {
             let mut n = 0u64;
             for i in 0..packed.nseq() {
-                lookup.scan_packed_batched(packed.packed(i), packed.seq_len(i), |_, _, _| n += 1);
+                lookup.scan_packed_batched(
+                    packed.packed(i),
+                    packed.seq_len(i),
+                    &mut block,
+                    |_, _, _| n += 1,
+                );
             }
             n
         };
-        let seeds = scan();
-        let scan_s = median(
-            (0..reps)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    assert_eq!(scan(), seeds, "unstable scan");
-                    t0.elapsed().as_secs_f64()
-                })
-                .collect(),
-        );
-        (seeds, scan_s)
+        let seeds = scan(&lookup);
+        assert_eq!(scan(&scalar), seeds, "the scan kernels disagree");
+        let (mut times, mut scalar_times) = (Vec::new(), Vec::new());
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            assert_eq!(scan(&lookup), seeds, "unstable scan");
+            times.push(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            assert_eq!(scan(&scalar), seeds, "unstable scalar scan");
+            scalar_times.push(t0.elapsed().as_secs_f64());
+        }
+        (seeds, median(times), median(scalar_times))
     };
-    let (seeds, scan_s) = scan_row(&queries[..1]);
+    let (seeds, scan_s, scalar_scan_s) = scan_row(&queries[..1]);
 
     // --- end-to-end fragment search -------------------------------------
     // The two kernels are timed in interleaved pairs (after one warmup
@@ -261,7 +274,7 @@ fn main() {
             extract_query(&src, 568.min(src.len()), 0.03, 100 + i)
         })
         .collect();
-    let (seeds_b8, scan_b8_s) = scan_row(&scan_bound);
+    let (seeds_b8, scan_b8_s, scalar_scan_b8_s) = scan_row(&scan_bound);
     let hot = &volume.sequences[7 % volume.sequences.len()].codes;
     let extend_bound: Vec<Vec<u8>> = (0..8u64)
         .map(|i| extract_query(hot, 568.min(hot.len()), 0.02, 200 + i))
@@ -394,6 +407,7 @@ fn main() {
         .map(|(c, m)| (c.as_slice(), m.as_slice()))
         .collect();
     let lookup = BatchedNtLookup::build_masked(&contexts, params.word_size);
+    let mut block = SurvivorBlock::default();
     let (word, x_ungapped) = (params.word_size, params.x_drop_ungapped);
     // (context, subject, qp, sp) of every extended seed, and its segment.
     let mut extended: Vec<(usize, usize, usize, usize)> = Vec::new();
@@ -404,25 +418,30 @@ fn main() {
         for (t, q) in trackers.iter_mut().zip(&strands) {
             t.begin(q.len() + subject.len() + 1);
         }
-        lookup.scan_packed_batched(packed.packed(si), packed.seq_len(si), |c, qp, sp| {
-            let (c, qp, sp) = (c as usize, qp as usize, sp as usize);
-            let diag = sp + strands[c].len() - qp;
-            if trackers[c].get(diag).is_some_and(|end| sp < end as usize) {
-                return;
-            }
-            let hsp = extend_ungapped(
-                &strands[c],
-                subject,
-                qp,
-                sp,
-                word,
-                &params.scorer,
-                x_ungapped,
-            );
-            trackers[c].set(diag, hsp.s_end as u32);
-            extended.push((c, si, qp, sp));
-            segments.push(hsp);
-        });
+        lookup.scan_packed_batched(
+            packed.packed(si),
+            packed.seq_len(si),
+            &mut block,
+            |c, qp, sp| {
+                let (c, qp, sp) = (c as usize, qp as usize, sp as usize);
+                let diag = sp + strands[c].len() - qp;
+                if trackers[c].get(diag).is_some_and(|end| sp < end as usize) {
+                    return;
+                }
+                let hsp = extend_ungapped(
+                    &strands[c],
+                    subject,
+                    qp,
+                    sp,
+                    word,
+                    &params.scorer,
+                    x_ungapped,
+                );
+                trackers[c].set(diag, hsp.s_end as u32);
+                extended.push((c, si, qp, sp));
+                segments.push(hsp);
+            },
+        );
     }
     let packed_strands: Vec<PackedQuery> = strands.iter().map(|c| PackedQuery::new(c)).collect();
     let table = UngappedTable::new(&params.scorer);
@@ -638,7 +657,10 @@ fn main() {
             .collect(),
     );
 
-    let scan_rows = [(1, seeds, scan_s), (8, seeds_b8, scan_b8_s)];
+    let scan_rows = [
+        (1, seeds, scan_s, scalar_scan_s),
+        (8, seeds_b8, scan_b8_s, scalar_scan_b8_s),
+    ];
     let searched_bases = total_bases as f64 * nqueries as f64;
     let base_bps = searched_bases / base_s;
     let kernel_bps = searched_bases / kernel_s;
@@ -649,22 +671,28 @@ fn main() {
     print_table(
         &[
             "seed scan",
+            "kernel",
             "seeds",
             "time (s)",
             "Mbases/s",
             "Mwindows/s",
             "packed MB/s",
             "of a read pass",
+            "scalar Mbases/s",
+            "vs scalar",
         ],
-        &scan_rows.map(|(b, seeds, s)| {
+        &scan_rows.map(|(b, seeds, s, scalar_s)| {
             vec![
                 format!("packed, both strands, B={b}"),
+                scan_kernel().into(),
                 format!("{seeds}"),
                 format!("{s:.4}"),
                 format!("{:.1}", total_bases as f64 / s / 1e6),
                 format!("{:.1}", windows as f64 / s / 1e6),
                 format!("{:.1}", packed_bytes as f64 / s / 1e6),
                 format!("{:.3}", stream_s / s),
+                format!("{:.1}", total_bases as f64 / scalar_s / 1e6),
+                format!("{:.2}x", scalar_s / s),
             ]
         }),
     );
@@ -752,15 +780,21 @@ fn main() {
     );
 
     let scan_json = scan_rows
-        .map(|(b, seeds, s)| {
+        .map(|(b, seeds, s, scalar_s)| {
             format!(
-                "{{\"batch\": {b}, \"seeds\": {seeds}, \"packed_s\": {s:.6}, \
+                "{{\"batch\": {b}, \"kernel\": \"{}\", \"seeds\": {seeds}, \
+                 \"packed_s\": {s:.6}, \
                  \"packed_bases_per_s\": {:.0}, \"windows_per_s\": {:.0}, \
-                 \"packed_bytes_per_s\": {:.0}, \"frac_of_mem\": {:.4}}}",
+                 \"packed_bytes_per_s\": {:.0}, \"frac_of_mem\": {:.4}, \
+                 \"scalar_s\": {scalar_s:.6}, \"scalar_bases_per_s\": {:.0}, \
+                 \"speedup_vs_scalar\": {:.3}}}",
+                scan_kernel(),
                 total_bases as f64 / s,
                 windows as f64 / s,
                 packed_bytes as f64 / s,
-                stream_s / s
+                stream_s / s,
+                total_bases as f64 / scalar_s,
+                scalar_s / s
             )
         })
         .join(", ");

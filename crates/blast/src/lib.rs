@@ -52,7 +52,7 @@ pub use gapped::{
     AlignOp, AlignStats, GappedWorkspace,
 };
 pub use karlin::{gapped_params, scorer_params, ungapped_params, KarlinParams};
-pub use lookup::{BatchedNtLookup, MAX_BATCH_CONTEXTS};
+pub use lookup::{scan_kernel, BatchedNtLookup, SurvivorBlock, MAX_BATCH_CONTEXTS};
 pub use matrix::{GapPenalties, Scorer};
 pub use report::{tabular, Hit, Hsp};
 pub use search::{

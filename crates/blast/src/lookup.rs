@@ -25,15 +25,16 @@ const LEAD: usize = 4;
 /// Stage one reads the subject in chunks of 12 bases (three packed
 /// bytes): a whole number of windows at every stride 1..=4.
 const CHUNK_BASES: usize = 12;
-/// Most survivors of one pass of stage one; the block lives on the
-/// scanner's stack.
+/// Most survivors of one pass of stage one ([`SurvivorBlock`]).
 const BLOCK: usize = 1024;
 /// Chunks per pass of stage one: at stride 1 every base of a chunk is a
 /// window and all may survive.
 const BLOCK_CHUNKS: usize = BLOCK / CHUNK_BASES;
 
 /// One query position of one context, filed under the cell of the
-/// `lut_w`-mer that starts there.
+/// `lut_w`-mer that starts there. Three `u32` words with no padding, so
+/// that the register stages can gather its fields by word.
+#[repr(C)]
 #[derive(Clone, Copy, Default)]
 struct Entry {
     /// The 16 query bases `[qpos − 4, qpos + 12)`, 2 bits each, first base
@@ -42,10 +43,62 @@ struct Entry {
     around: u32,
     /// Query position of the cell's `lut_w`-mer.
     qpos: u32,
-    ctx: u8,
+    ctx: u16,
     /// Bit `o` set iff the `W`-mer starting at `qpos − o` lies inside the
     /// query and outside every masked interval.
-    seedable: u8,
+    seedable: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 12);
+
+/// Stage one's survivors of one pass over a subject: the starts of the
+/// windows whose cell is present. A scan writes every slot it reads, so
+/// one block serves any number of scans without being cleared; each
+/// thread keeps its own (a [`ScanWorkspace`] holds one).
+///
+/// [`ScanWorkspace`]: crate::ScanWorkspace
+pub struct SurvivorBlock(Box<[u32; BLOCK]>);
+
+impl Default for SurvivorBlock {
+    fn default() -> Self {
+        SurvivorBlock(Box::new([0; BLOCK]))
+    }
+}
+
+/// Which routines run stages one and two of a scan.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ScanKernel {
+    /// `filter` and `confirm`: a window at a time, at every stride and on
+    /// every CPU; the reference for the other.
+    Scalar,
+    /// `avx512::filter` and `avx512::confirm`: 16 windows per
+    /// instruction, at stride 4 (`W` = 11 or 12).
+    Avx512,
+}
+
+impl ScanKernel {
+    /// The fastest kernel this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+        {
+            return ScanKernel::Avx512;
+        }
+        ScanKernel::Scalar
+    }
+}
+
+/// The kernel this CPU runs stages one and two of a scan at `W` = 11 and
+/// 12 with: `"avx512"` (16 windows per instruction) or `"scalar"`. Smaller
+/// words always run the scalar stages.
+pub fn scan_kernel() -> &'static str {
+    match ScanKernel::detect() {
+        ScanKernel::Avx512 => "avx512",
+        ScanKernel::Scalar => "scalar",
+    }
 }
 
 /// The blastn seed lookup: merges up to [`MAX_BATCH_CONTEXTS`] query
@@ -85,6 +138,9 @@ pub struct BatchedNtLookup {
     pv: Box<[u64; PV_WORDS]>,
     first: Vec<u32>,
     entries: Vec<Entry>,
+    /// `Avx512` only where the CPU was seen to support it, at stride 4,
+    /// and with every entry's words addressable by an `i32` lane.
+    kernel: ScanKernel,
 }
 
 /// The 32 subject bases from `p − LEAD` on as one big-endian word (first
@@ -150,16 +206,16 @@ impl BatchedNtLookup {
             // Rolled so that inside the loop it holds bases
             // `[qpos − 4, qpos + 12)`.
             let mut around = (0..15 - LEAD).fold(0u32, |a, i| a << 2 | code(i));
-            let mut seedable = 0u8;
+            let mut seedable = 0u16;
             for qpos in 0..=query.len() - lut_w {
                 around = around << 2 | code(qpos + 15 - LEAD);
                 let ok = qpos + word <= query.len() && !word_masked(mask, qpos, word);
-                seedable = (seedable << 1 | ok as u8) & ((1 << stride) - 1);
+                seedable = (seedable << 1 | ok as u16) & ((1 << stride) - 1);
                 if seedable != 0 {
                     found.push(Entry {
                         around,
                         qpos: qpos as u32,
-                        ctx: ctx as u8,
+                        ctx: ctx as u16,
                         seedable,
                     });
                 }
@@ -196,6 +252,11 @@ impl BatchedNtLookup {
             *at -= 1;
             entries[*at as usize] = *e;
         }
+        let kernel = if stride == STRIDE_MAX && 3 * entries.len() <= i32::MAX as usize {
+            ScanKernel::detect()
+        } else {
+            ScanKernel::Scalar
+        };
         BatchedNtLookup {
             word,
             lut_w,
@@ -205,7 +266,16 @@ impl BatchedNtLookup {
             pv,
             first,
             entries,
+            kernel,
         }
+    }
+
+    /// This lookup with the scalar stages, whatever the CPU: the portable
+    /// path, and the reference the register stages are checked and timed
+    /// against.
+    pub fn scalar(mut self) -> Self {
+        self.kernel = ScanKernel::Scalar;
+        self
     }
 
     /// Whether any context has a seedable word in `cell`, as 0 or 1.
@@ -270,17 +340,25 @@ impl BatchedNtLookup {
         for (o, &mask) in self.offset_masks.iter().enumerate() {
             equal |= u8::from(differ & mask == 0) << o;
         }
-        equal & e.seedable
+        equal & e.seedable as u8
     }
 
-    /// Stage two over `out[..n]`, the survivors of stage one: keep, in
-    /// order, the windows whose cell's first entry matches at some offset
-    /// (or whose cell has more entries than that one), return how many.
-    /// Branch-free like stage one, and for the same reason: five survivors
-    /// in six share only their `lut_w`-mer with a query.
-    fn confirm(&self, packed: &[u8], out: &mut [u32; BLOCK], n: usize) -> usize {
-        let mut kept = 0;
-        for i in 0..n {
+    /// Stage two over `out[from..n]`, survivors of stage one: keep, in
+    /// order and onto `out[kept..]`, the windows whose cell's first entry
+    /// matches at some offset (or whose cell has more entries than that
+    /// one); return the new `kept`. Branch-free like stage one, and for
+    /// the same reason: five survivors in six share only their
+    /// `lut_w`-mer with a query.
+    fn confirm(
+        &self,
+        packed: &[u8],
+        out: &mut [u32; BLOCK],
+        mut kept: usize,
+        from: usize,
+        n: usize,
+    ) -> usize {
+        debug_assert!(kept <= from);
+        for i in from..n {
             let p = out[i];
             let (around, at) = self.candidates(packed, p as usize);
             let (e, next) = (&self.entries[at], &self.entries[at + 1]);
@@ -312,10 +390,32 @@ impl BatchedNtLookup {
             }
             for e in entries() {
                 if self.offsets_matching(e, around) >> o & 1 != 0 {
-                    f(e.ctx as u16, e.qpos - o as u32, (p - o) as u32);
+                    f(e.ctx, e.qpos - o as u32, (p - o) as u32);
                 }
             }
         }
+    }
+
+    /// Stages one and two over chunks `c0..c1` of `packed`, each of
+    /// which must have its eight bytes inside it: the confirmed windows in
+    /// `out[..n]`, in order; returns `n`.
+    fn survivors(&self, packed: &[u8], c0: usize, c1: usize, out: &mut [u32; BLOCK]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if self.kernel == ScanKernel::Avx512 && packed.len() <= i32::MAX as usize / 4 {
+            // SAFETY: `kernel` is `Avx512` only where `build_masked` saw
+            // the CPU support AVX-512 F, BW and VL, all these need.
+            return unsafe {
+                let n = avx512::filter(&self.pv, packed, c0, c1, out);
+                avx512::confirm(self, packed, out, n)
+            };
+        }
+        let n = match self.stride {
+            1 => self.filter::<1>(packed, c0, c1, out),
+            2 => self.filter::<2>(packed, c0, c1, out),
+            3 => self.filter::<3>(packed, c0, c1, out),
+            _ => self.filter::<4>(packed, c0, c1, out),
+        };
+        self.confirm(packed, out, 0, 0, n)
     }
 
     /// Scan a 2-bit packed subject of `nbases` residues ONCE for the
@@ -324,19 +424,22 @@ impl BatchedNtLookup {
     /// `lut_w` bases are read straight from the packed bytes
     /// ([`pack_2bit`] layout), a block at a time, in three stages — a
     /// branch-free filter through the presence vector that collects the
-    /// surviving windows, a branch-free comparison of each survivor's
-    /// neighbourhood with its cell's first entry on packed words, and
-    /// the ordered report of what is left. For each context `c`, the
-    /// subsequence of calls with `ctx == c` is every unmasked exact word
-    /// match of that context against the subject, ordered by subject
-    /// position and then query position — the fused pass is a strict
-    /// interleaving of the B per-context scans.
+    /// surviving windows in `block`, a branch-free comparison of each
+    /// survivor's neighbourhood with its cell's first entry on packed
+    /// words, and the ordered report of what is left. For each context
+    /// `c`, the subsequence of calls with `ctx == c` is every unmasked
+    /// exact word match of that context against the subject, ordered by
+    /// subject position and then query position — the fused pass is a
+    /// strict interleaving of the B per-context scans. The first two
+    /// stages run 16 windows per instruction where [`scan_kernel`] says
+    /// so, with the same survivors as the scalar stages.
     ///
     /// [`pack_2bit`]: parblast_seqdb::pack_2bit
     pub fn scan_packed_batched<F: FnMut(u16, u32, u32)>(
         &self,
         packed: &[u8],
         nbases: usize,
+        block: &mut SurvivorBlock,
         mut f: F,
     ) {
         if nbases < self.word {
@@ -348,17 +451,10 @@ impl BatchedNtLookup {
         let last = nbases - self.lut_w;
         // Chunks of windows only, with all eight bytes in `packed`.
         let chunks = ((last + 1) / CHUNK_BASES).min(packed.len().saturating_sub(5) / 3);
-        let mut survivors = [0u32; BLOCK];
+        let out = &mut *block.0;
         for c0 in (0..chunks).step_by(BLOCK_CHUNKS) {
-            let c1 = (c0 + BLOCK_CHUNKS).min(chunks);
-            let n = match self.stride {
-                1 => self.filter::<1>(packed, c0, c1, &mut survivors),
-                2 => self.filter::<2>(packed, c0, c1, &mut survivors),
-                3 => self.filter::<3>(packed, c0, c1, &mut survivors),
-                _ => self.filter::<4>(packed, c0, c1, &mut survivors),
-            };
-            let n = self.confirm(packed, &mut survivors, n);
-            for &p in &survivors[..n] {
+            let n = self.survivors(packed, c0, (c0 + BLOCK_CHUNKS).min(chunks), out);
+            for &p in &out[..n] {
                 self.report(packed, nbases, p as usize, &mut f);
             }
         }
@@ -369,6 +465,176 @@ impl BatchedNtLookup {
                 self.report(packed, nbases, p, &mut f);
             }
         }
+    }
+}
+
+/// Stages one and two at stride 4 in AVX-512: 16 windows per instruction,
+/// the same survivors in the same order as the scalar stages.
+///
+/// At stride 4 (`W` = 11 or 12, `lut_w` = 8) window `j` of a subject
+/// starts at base `4j` and its cell is exactly the packed byte pair `j`,
+/// `j + 1`: no shifting across bytes, so 16 cells are two byte loads
+/// widened to 32-bit lanes.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use super::{BatchedNtLookup, BLOCK, BLOCK_CHUNKS, PV_WORDS};
+
+    /// Windows per register.
+    const LANES: usize = 16;
+
+    /// The low `n` lanes, `n <= 16`.
+    fn low_lanes(n: usize) -> __mmask16 {
+        ((1u32 << n) - 1) as __mmask16
+    }
+
+    /// Stage one ([`BatchedNtLookup::filter`] at stride 4): for each
+    /// group of 16 windows, form the cells, gather their `pv` words
+    /// (`cell >> 5` as 32-bit words), test bit `cell & 31`, and compress
+    /// the starts of the present windows onto `out[n..]`. The last group
+    /// of a pass loads through a lane mask, so no byte past `3·c1` is read.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(super) fn filter(
+        pv: &[u64; PV_WORDS],
+        packed: &[u8],
+        c0: usize,
+        c1: usize,
+        out: &mut [u32; BLOCK],
+    ) -> usize {
+        debug_assert!(c1 - c0 <= BLOCK_CHUNKS);
+        // Windows `j0..j1`; the last one's cell ends at byte `j1`.
+        let (j0, j1) = (3 * c0, 3 * c1);
+        let bytes = &packed[j0..=j1];
+        let steps = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60);
+        let (one, low5) = (_mm512_set1_epi32(1), _mm512_set1_epi32(31));
+        let mut n = 0;
+        for g in (0..j1 - j0).step_by(LANES) {
+            let m = low_lanes((j1 - j0 - g).min(LANES));
+            // SAFETY: lane `k` of `m` reads `bytes[g + k]` and
+            // `bytes[g + k + 1]`, and `g + k + 1 <= j1 - j0`, the last
+            // index of `bytes`; masked-off bytes are neither read nor
+            // faulted on.
+            let (hi, lo) = unsafe {
+                (
+                    _mm_maskz_loadu_epi8(m, bytes.as_ptr().add(g).cast()),
+                    _mm_maskz_loadu_epi8(m, bytes.as_ptr().add(g + 1).cast()),
+                )
+            };
+            let cell = _mm512_or_si512(
+                _mm512_slli_epi32::<8>(_mm512_cvtepu8_epi32(hi)),
+                _mm512_cvtepu8_epi32(lo),
+            );
+            // SAFETY: `cell < 2^16`, so `cell >> 5` indexes one of the
+            // 2 048 32-bit words of `pv` (word `2w` is the low half of
+            // `pv[w]` on this little-endian target).
+            let words = unsafe {
+                _mm512_i32gather_epi32::<4>(_mm512_srli_epi32::<5>(cell), pv.as_ptr().cast())
+            };
+            let bit = _mm512_sllv_epi32(one, _mm512_and_si512(cell, low5));
+            let present = _mm512_mask_test_epi32_mask(m, words, bit);
+            // Window starts fit an `i32`: the caller keeps `packed` under
+            // 2^29 bytes.
+            let starts = _mm512_add_epi32(_mm512_set1_epi32((4 * (j0 + g)) as i32), steps);
+            let slot = &mut out[n..n + LANES];
+            // SAFETY: `slot` is 16 `u32`s, one 64-byte unaligned store.
+            unsafe {
+                _mm512_storeu_si512(
+                    slot.as_mut_ptr().cast(),
+                    _mm512_maskz_compress_epi32(present, starts),
+                )
+            };
+            n += present.count_ones() as usize;
+        }
+        n
+    }
+
+    /// Stage two ([`BatchedNtLookup::confirm`] at stride 4) over
+    /// `out[..n]`: per whole group of 16 survivors, gather the subject's 16
+    /// bases around each window, its cell's first entry and that entry's
+    /// successor, compare on lane masks, and compress the kept windows
+    /// onto `out[kept..]` in order. Five gathers cost the same for one
+    /// lane as for sixteen, so the last `n % 16` survivors go through the
+    /// scalar routine. Every gather index is clamped into its array, so no
+    /// lane reads outside it whatever `out` holds.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(super) fn confirm(
+        lk: &BatchedNtLookup,
+        packed: &[u8],
+        out: &mut [u32; BLOCK],
+        n: usize,
+    ) -> usize {
+        let entries = &lk.entries;
+        // With no four bytes or no entry beside the sentinel there is
+        // nothing to gather (and no window survives stage one).
+        let (Some(last_byte), Some(last_entry)) =
+            (packed.len().checked_sub(4), entries.len().checked_sub(2))
+        else {
+            return lk.confirm(packed, out, 0, 0, n);
+        };
+        // At stride 4 cells are 16 bits wide.
+        assert!(lk.first.len() == 1 << 16, "stride 4 files words by 8 bases");
+        let (zero, one) = (_mm512_setzero_si512(), _mm512_set1_epi32(1));
+        // Reverses the bytes of every 32-bit lane.
+        let bswap = _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
+        let (last_byte, last_entry) = (
+            _mm512_set1_epi32(last_byte as i32),
+            _mm512_set1_epi32(last_entry as i32),
+        );
+        let cell_mask = _mm512_set1_epi32(lk.cell_mask as i32);
+        let words = entries.as_ptr().cast::<i32>();
+        let mut kept = 0;
+        let whole = n - n % LANES;
+        for i in (0..whole).step_by(LANES) {
+            let group = &out[i..i + LANES];
+            // SAFETY: `group` is 16 `u32`s, one 64-byte unaligned load.
+            let p = unsafe { _mm512_loadu_si512(group.as_ptr().cast()) };
+            // Window `j` has the subject's 16 bases from `4j − 4` in bytes
+            // `j − 1 .. j + 3`, big-endian; window 0 reads bytes 0..4 and
+            // shifts a zero byte in.
+            let j = _mm512_srli_epi32::<2>(p);
+            let at = _mm512_min_epi32(_mm512_max_epi32(_mm512_sub_epi32(j, one), zero), last_byte);
+            // SAFETY: every `at` lies in `0..=packed.len() − 4`.
+            let raw = unsafe { _mm512_i32gather_epi32::<1>(at, packed.as_ptr().cast()) };
+            let be = _mm512_shuffle_epi8(raw, bswap);
+            let around = _mm512_mask_srli_epi32(be, _mm512_cmpeq_epi32_mask(j, zero), be, 8);
+            let cell = _mm512_and_si512(_mm512_srli_epi32::<8>(around), _mm512_set1_epi32(0xffff));
+            // SAFETY: `cell < 2^16 = first.len()`, asserted above.
+            let first = unsafe { _mm512_i32gather_epi32::<4>(cell, lk.first.as_ptr().cast()) };
+            // Entry `e` is words `3e .. 3e + 3`: `around`, `qpos`, and
+            // `ctx | seedable << 16`.
+            let e = _mm512_min_epi32(first, last_entry);
+            let w = _mm512_add_epi32(_mm512_slli_epi32::<1>(e), e);
+            // SAFETY: `e <= entries.len() − 2`, so words `3e ..= 3e + 3`
+            // lie inside `entries`, whose `3·len` words fit an `i32`
+            // (`build_masked` picks this kernel only then).
+            let (e_around, e_meta, next_around) = unsafe {
+                (
+                    _mm512_i32gather_epi32::<4>(w, words),
+                    _mm512_i32gather_epi32::<4>(_mm512_add_epi32(w, _mm512_set1_epi32(2)), words),
+                    _mm512_i32gather_epi32::<4>(_mm512_add_epi32(w, _mm512_set1_epi32(3)), words),
+                )
+            };
+            let alone = _mm512_test_epi32_mask(_mm512_xor_si512(e_around, next_around), cell_mask);
+            let differ = _mm512_xor_si512(e_around, around);
+            let mut equal = 0;
+            for (o, &mask) in lk.offset_masks.iter().enumerate() {
+                equal |= _mm512_testn_epi32_mask(differ, _mm512_set1_epi32(mask as i32))
+                    & _mm512_test_epi32_mask(e_meta, _mm512_set1_epi32(1 << (16 + o)));
+            }
+            let hit = !alone | equal;
+            let slot = &mut out[kept..kept + LANES];
+            // SAFETY: `slot` is 16 `u32`s; `kept <= i`, so the store
+            // overwrites no survivor not yet loaded.
+            unsafe {
+                _mm512_storeu_si512(
+                    slot.as_mut_ptr().cast(),
+                    _mm512_maskz_compress_epi32(hit, p),
+                )
+            };
+            kept += hit.count_ones() as usize;
+        }
+        lk.confirm(packed, out, kept, whole, n)
     }
 }
 
@@ -411,18 +677,52 @@ mod tests {
         out
     }
 
-    /// The callback sequence of one scan of `subject` (packed here).
-    fn scan_batch(lk: &BatchedNtLookup, subject: &[u8]) -> Vec<(u16, u32, u32)> {
-        let mut calls = vec![];
-        lk.scan_packed_batched(&pack_2bit(subject), subject.len(), |ctx, qp, sp| {
-            calls.push((ctx, qp, sp))
+    /// Whether this CPU runs the register stages. Where it does not, says
+    /// once that their half of these tests was skipped.
+    fn simd_runs() -> bool {
+        if ScanKernel::detect() == ScanKernel::Avx512 {
+            return true;
+        }
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        SKIPPED.call_once(|| {
+            println!("AVX-512 absent: the register scan stages' half of these tests was skipped")
         });
+        false
+    }
+
+    /// The callback sequence of one scan of `subject` (packed here), by
+    /// the scalar stages and by the stages `lk` dispatches to, which must
+    /// agree.
+    fn scan_batch(lk: &mut BatchedNtLookup, subject: &[u8]) -> Vec<(u16, u32, u32)> {
+        let packed = pack_2bit(subject);
+        // One block for both kernels: neither may depend on what the
+        // other left in it.
+        let mut block = SurvivorBlock::default();
+        let mut scan = |lk: &BatchedNtLookup| {
+            let mut calls = vec![];
+            lk.scan_packed_batched(&packed, subject.len(), &mut block, |ctx, qp, sp| {
+                calls.push((ctx, qp, sp))
+            });
+            calls
+        };
+        let dispatched = lk.kernel;
+        if lk.stride == STRIDE_MAX {
+            assert_eq!(dispatched == ScanKernel::Avx512, simd_runs());
+        }
+        lk.kernel = ScanKernel::Scalar;
+        let scalar = scan(lk);
+        lk.kernel = dispatched;
+        let calls = scan(lk);
+        assert_eq!(
+            calls, scalar,
+            "the {dispatched:?} stages disagree with the scalar ones"
+        );
         calls
     }
 
     /// Scan `subject` with a lookup of one context.
     fn scan_one(query: &[u8], word: usize, subject: &[u8]) -> Vec<(u32, u32)> {
-        scan_batch(&BatchedNtLookup::build(&[query], word), subject)
+        scan_batch(&mut BatchedNtLookup::build(&[query], word), subject)
             .into_iter()
             .map(|(ctx, qp, sp)| {
                 assert_eq!(ctx, 0);
@@ -511,12 +811,12 @@ mod tests {
         let a = encode_nt_seq(b"GCCGGTTAAGT"); // subject[3..14]
         let b = encode_nt_seq(b"ACGCCGGTTAA"); // subject[1..12]
         assert_eq!(subject[4..12], eight[..]);
-        let lk = BatchedNtLookup::build(&[&a, &b], 11);
-        assert_eq!(scan_batch(&lk, &subject), vec![(1, 0, 1), (0, 0, 3)]);
+        let mut lk = BatchedNtLookup::build(&[&a, &b], 11);
+        assert_eq!(scan_batch(&mut lk, &subject), vec![(1, 0, 1), (0, 0, 3)]);
         // With context 0's word broken the cell's first entry matches
         // nowhere, and its second still does.
         let subject = encode_nt_seq(b"TACGCCGGTTAAGAGTGTGTGTGTGTGTGTGTGTGTGTGTGTGT");
-        assert_eq!(scan_batch(&lk, &subject), vec![(1, 0, 1)]);
+        assert_eq!(scan_batch(&mut lk, &subject), vec![(1, 0, 1)]);
     }
 
     #[test]
@@ -564,7 +864,7 @@ mod tests {
             }));
             for word in [4usize, 8, 11, 12] {
                 let ctxs: Vec<MaskedContext> = queries.iter().map(|q| (&q[..], &[][..])).collect();
-                let calls = scan_batch(&BatchedNtLookup::build_masked(&ctxs, word), &subject);
+                let calls = scan_batch(&mut BatchedNtLookup::build_masked(&ctxs, word), &subject);
                 assert_eq!(
                     calls,
                     brute_force_batch(&ctxs, &subject, word),
@@ -586,10 +886,10 @@ mod tests {
             .map(|c| random_bases(600, 12345 + c as u32))
             .collect();
         let ctxs: Vec<MaskedContext> = queries.iter().map(|q| (&q[..], &[][..])).collect();
-        let lk = BatchedNtLookup::build_masked(&ctxs, 11);
+        let mut lk = BatchedNtLookup::build_masked(&ctxs, 11);
         let mut subject = queries[3][100..400].to_vec();
         subject.extend(random_bases(300, 777));
-        let calls = scan_batch(&lk, &subject);
+        let calls = scan_batch(&mut lk, &subject);
         assert_eq!(calls, brute_force_batch(&ctxs, &subject, 11));
         assert!(calls.iter().filter(|c| c.0 == 3).count() >= 290);
     }
@@ -651,8 +951,75 @@ mod tests {
                 .zip(&masks)
                 .map(|(q, m)| (q.as_slice(), m.as_slice()))
                 .collect();
-            let lk = BatchedNtLookup::build_masked(&ctxs, word);
-            prop_assert_eq!(scan_batch(&lk, &subject), brute_force_batch(&ctxs, &subject, word));
+            let mut lk = BatchedNtLookup::build_masked(&ctxs, word);
+            prop_assert_eq!(scan_batch(&mut lk, &subject), brute_force_batch(&ctxs, &subject, word));
+        }
+
+        /// The register stages keep exactly the scalar stages' survivors,
+        /// in order, after stage one and after stage two: `W` 11 and 12,
+        /// 1..=16 contexts (odd ones DUST-masked, and every query carries
+        /// a low-complexity run for DUST to find), subjects spliced from
+        /// the queries at lengths around a 16-window register, a whole
+        /// 85-chunk pass and the tail past the last chunk, and every pass
+        /// a scan makes over them.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn simd_stages_keep_the_scalar_survivors(
+            word in 11usize..=12,
+            queries in proptest::collection::vec(
+                (proptest::collection::vec(0u8..4, 20..120), 0usize..4),
+                1..MAX_BATCH_CONTEXTS + 1,
+            ),
+            edge in 0usize..4,
+            delta in 0usize..80,
+            splices in proptest::collection::vec((0usize..16, 0usize..120, 8usize..60, 0usize..2200), 0..40),
+            seed in any::<u32>(),
+        ) {
+            if simd_runs() {
+                // Query `c`: random bases, then a dinucleotide repeat.
+                let queries: Vec<Vec<u8>> = queries
+                    .into_iter()
+                    .map(|(mut q, unit)| {
+                        q.extend((0..40).map(|i| [unit as u8, (unit as u8 + 1) % 4][i % 2]));
+                        q
+                    })
+                    .collect();
+                let masks: Vec<Vec<(usize, usize)>> = queries
+                    .iter()
+                    .enumerate()
+                    .map(|(c, q)| if c % 2 == 1 { crate::dust::dust_mask(q, Default::default()) } else { vec![] })
+                    .collect();
+                let ctxs: Vec<MaskedContext> =
+                    queries.iter().zip(&masks).map(|(q, m)| (q.as_slice(), m.as_slice())).collect();
+                let lk = BatchedNtLookup::build_masked(&ctxs, word);
+                prop_assert_eq!(lk.kernel, ScanKernel::Avx512);
+                // Bases at a register's, a pass's or two passes' edge,
+                // give or take 40.
+                let edge = [0, 64, BLOCK_CHUNKS * CHUNK_BASES, 2 * BLOCK_CHUNKS * CHUNK_BASES][edge];
+                let mut subject = random_bases((edge + delta).saturating_sub(40), seed);
+                for (c, from, len, at) in splices {
+                    let q = &queries[c % queries.len()];
+                    let piece = &q[from.min(q.len())..(from + len).min(q.len())];
+                    let at = at.min(subject.len());
+                    let fits = piece.len().min(subject.len() - at);
+                    subject[at..at + fits].copy_from_slice(&piece[..fits]);
+                }
+                let packed = pack_2bit(&subject);
+                let last = subject.len().saturating_sub(lk.lut_w);
+                let chunks = ((last + 1) / CHUNK_BASES).min(packed.len().saturating_sub(5) / 3);
+                let (mut scalar, mut simd) = ([0u32; BLOCK], [0u32; BLOCK]);
+                for c0 in (0..chunks).step_by(BLOCK_CHUNKS) {
+                    let c1 = (c0 + BLOCK_CHUNKS).min(chunks);
+                    let n = lk.filter::<4>(&packed, c0, c1, &mut scalar);
+                    // SAFETY: `simd_runs` saw AVX-512 F, BW and VL.
+                    let m = unsafe { avx512::filter(&lk.pv, &packed, c0, c1, &mut simd) };
+                    prop_assert_eq!(&simd[..m], &scalar[..n], "stage one, chunks {}..{}", c0, c1);
+                    let n = lk.confirm(&packed, &mut scalar, 0, 0, n);
+                    // SAFETY: as above.
+                    let m = unsafe { avx512::confirm(&lk, &packed, &mut simd, m) };
+                    prop_assert_eq!(&simd[..m], &scalar[..n], "stage two, chunks {}..{}", c0, c1);
+                }
+            }
         }
     }
 

@@ -15,7 +15,7 @@ use crate::dust::{dust_mask, DustParams};
 use crate::extend::{extend_ungapped_packed, PackedQuery, UngappedTable};
 use crate::gapped::{align_stats, banded_global_with, extend_gapped_with, GappedWorkspace};
 use crate::karlin::{gapped_params, scorer_params, KarlinParams};
-use crate::lookup::{BatchedNtLookup, MaskedContext, MAX_BATCH_CONTEXTS};
+use crate::lookup::{BatchedNtLookup, MaskedContext, SurvivorBlock, MAX_BATCH_CONTEXTS};
 use crate::matrix::{GapPenalties, Scorer};
 use crate::report::{Hit, Hsp};
 use crate::workspace::DiagTracker;
@@ -184,15 +184,16 @@ struct CtxScratch {
     cands: Vec<Candidate>,
 }
 
-/// Reusable per-thread scratch for every search entry point: per-context
-/// diagonal trackers and candidate lists, ONE shared subject-unpack
-/// buffer, and the candidate lists and gapped-DP rows of the reporting
-/// stage. One workspace serves any number of searches — subjects,
-/// fragments and batches all recycle the same memory, which grows to the
-/// largest subject and batch seen, so the per-subject scan path performs
-/// no heap allocation at all.
+/// Reusable per-thread scratch for every search entry point: the seed
+/// scan's survivor block, per-context diagonal trackers and candidate
+/// lists, ONE shared subject-unpack buffer, and the candidate lists and
+/// gapped-DP rows of the reporting stage. One workspace serves any number
+/// of searches — subjects, fragments and batches all recycle the same
+/// memory, which grows to the largest subject and batch seen, so the
+/// per-subject scan path performs no heap allocation at all.
 #[derive(Default)]
 pub struct ScanWorkspace {
+    survivors: SurvivorBlock,
     ctx: Vec<CtxScratch>,
     subject: Vec<u8>,
     unpacks: u64,
@@ -566,9 +567,10 @@ impl PreparedChunk {
             ws.ctx.resize_with(2 * b, CtxScratch::default);
         }
         // Split the workspace into disjoint field borrows once: the scan
-        // closure needs the context scratch, the shared unpack buffer, and
-        // the gapped rows simultaneously.
+        // takes the survivor block while its closure needs the context
+        // scratch, the shared unpack buffer, and the gapped rows.
         let ScanWorkspace {
+            survivors,
             ctx: ctx_ws,
             subject: subject_buf,
             unpacks,
@@ -591,7 +593,7 @@ impl PreparedChunk {
                 cs.diag_end
                     .begin(strands[c / 2][c % 2].codes.len() + subject.len + 1);
             }
-            lookup.scan_packed_batched(subject.packed, subject.len, |ctx, qp, sp| {
+            lookup.scan_packed_batched(subject.packed, subject.len, survivors, |ctx, qp, sp| {
                 let c = ctx as usize;
                 let cs = &mut ctx_ws[c];
                 nt_hit(

@@ -59,22 +59,31 @@ pub fn reverse_complement(codes: &[u8]) -> Vec<u8> {
 /// like NCBI's ncbi2na).
 pub fn pack_2bit(codes: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(codes.len().div_ceil(4));
-    let mut quads = codes.chunks_exact(4);
-    // Four bases per output byte; formatting a database is mostly this.
-    out.extend(
-        quads
-            .by_ref()
-            .map(|q| (q[0] & 3) << 6 | (q[1] & 3) << 4 | (q[2] & 3) << 2 | (q[3] & 3)),
-    );
-    let tail = quads.remainder();
-    if !tail.is_empty() {
-        out.push(
-            tail.iter()
-                .enumerate()
-                .fold(0, |b, (i, &c)| b | (c & 3) << (6 - 2 * i)),
-        );
-    }
+    pack_2bit_onto(codes, &mut out);
     out
+}
+
+/// [`pack_2bit`] appended to `out`. Formatting a database is mostly this,
+/// so the bytes are written into a pre-sized slice from fixed four-code
+/// chunks, each read as one little-endian word and packed by shifts, a
+/// loop the compiler vectorises.
+pub(crate) fn pack_2bit_onto(codes: &[u8], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + codes.len().div_ceil(4), 0);
+    let bytes = &mut out[start..];
+    let (quads, tail) = codes.as_chunks::<4>();
+    for (b, q) in bytes.iter_mut().zip(quads) {
+        // Codes `c0..c3` in bytes 0..3 of `w`; `c0` lands in bits 6..7
+        // of the low byte, `c1` in 4..5, `c2` in 2..3, `c3` in 0..1.
+        let w = u32::from_le_bytes(*q) & 0x0303_0303;
+        *b = (w << 6 | w >> 4 | w >> 14 | w >> 24) as u8;
+    }
+    if let Some(last) = bytes.get_mut(quads.len()) {
+        *last = tail
+            .iter()
+            .enumerate()
+            .fold(0, |b, (i, &c)| b | (c & 3) << (6 - 2 * i));
+    }
 }
 
 /// Unpack `len` 2-bit nucleotide codes from packed bytes.
@@ -189,6 +198,31 @@ mod tests {
             let packed = pack_2bit(&codes);
             assert_eq!(packed.len(), len.div_ceil(4));
             assert_eq!(unpack_2bit(&packed, len), codes);
+        }
+    }
+
+    proptest::proptest! {
+        /// Packing equals a byte-by-byte reference at every length and
+        /// tail, with the bits above each code set, onto an empty vector
+        /// and onto one that already holds bytes.
+        #[test]
+        fn pack_equals_bytewise_reference(
+            codes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2000),
+            before in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..9),
+        ) {
+            let reference: Vec<u8> = (0..codes.len().div_ceil(4))
+                .map(|j| {
+                    (0..4).fold(0, |b, i| {
+                        let c = codes.get(4 * j + i).map_or(0, |&c| c & 3);
+                        b | c << (6 - 2 * i)
+                    })
+                })
+                .collect();
+            proptest::prop_assert_eq!(pack_2bit(&codes), reference.clone());
+            let mut onto = before.clone();
+            pack_2bit_onto(&codes, &mut onto);
+            proptest::prop_assert_eq!(&onto[..before.len()], &before[..]);
+            proptest::prop_assert_eq!(&onto[before.len()..], &reference[..]);
         }
     }
 

@@ -19,7 +19,7 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::alphabet::{encode_nt_seq, pack_2bit, unpack_2bit_into};
+use crate::alphabet::{encode_nt_seq, pack_2bit_onto, unpack_2bit_into};
 
 /// Magic bytes of a volume file.
 pub const MAGIC: [u8; 4] = *b"PBDB";
@@ -229,15 +229,14 @@ impl<W: Write + Seek> VolumeWriter<W> {
 
     /// Append one sequence given as 2-bit nucleotide codes.
     pub fn add_codes(&mut self, defline: &str, codes: &[u8]) -> io::Result<()> {
-        let bytes = pack_2bit(codes);
         let def = defline.as_bytes();
         put_u64(&mut self.index, self.data_cursor);
         put_u64(&mut self.index, codes.len() as u64);
         put_u64(&mut self.index, self.deflines.len() as u64);
         put_u64(&mut self.index, def.len() as u64);
         self.deflines.extend_from_slice(def);
-        self.pending.extend_from_slice(&bytes);
-        self.data_cursor += bytes.len() as u64;
+        pack_2bit_onto(codes, &mut self.pending);
+        self.data_cursor += codes.len().div_ceil(4) as u64;
         self.nseq += 1;
         self.residues += codes.len() as u64;
         if self.pending.len() >= WRITE_CHUNK {
@@ -439,7 +438,7 @@ impl PackedVolume {
                 def_start: deflines.len(),
                 def_len: s.defline.len(),
             });
-            data.extend_from_slice(&pack_2bit(&s.codes));
+            pack_2bit_onto(&s.codes, &mut data);
             deflines.extend_from_slice(s.defline.as_bytes());
         }
         PackedVolume {
@@ -551,6 +550,7 @@ fn parse_index(index: &[u8], data_len: usize, def_len: usize) -> io::Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::pack_2bit;
     use std::io::Cursor;
 
     fn build(seq_type: SeqType, seqs: &[(&str, &[u8])]) -> Vec<u8> {
@@ -617,7 +617,7 @@ mod tests {
                 assert_eq!(p.id(i), s.id());
                 p.unpack_into(i, &mut buf);
                 assert_eq!(buf, s.codes, "seq {i}");
-                assert_eq!(p.packed(i), crate::alphabet::pack_2bit(&s.codes));
+                assert_eq!(p.packed(i), pack_2bit(&s.codes));
             }
             // Packing the decoded volume gives back what the file held.
             let repacked = PackedVolume::from_volume(&v);

@@ -40,9 +40,15 @@ fn byte_scan(query: &[u8], subject: &[u8], word: usize) -> Vec<(u32, u32)> {
 fn scan_packed_batched(contexts: &[&[u8]], subject: &[u8], word: usize) -> Vec<Vec<(u32, u32)>> {
     let lookup = parblast::blast::BatchedNtLookup::build(contexts, word);
     let mut per_context = vec![Vec::new(); contexts.len()];
-    lookup.scan_packed_batched(&pack_2bit(subject), subject.len(), |ctx, qp, sp| {
-        per_context[ctx as usize].push((qp, sp));
-    });
+    let mut block = parblast::blast::SurvivorBlock::default();
+    lookup.scan_packed_batched(
+        &pack_2bit(subject),
+        subject.len(),
+        &mut block,
+        |ctx, qp, sp| {
+            per_context[ctx as usize].push((qp, sp));
+        },
+    );
     per_context
 }
 
