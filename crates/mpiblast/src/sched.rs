@@ -37,7 +37,7 @@ pub enum Failure {
 ///   waits while a peer holds nothing and a task is pending, so one
 ///   worker's prefetch cannot take a task an idle peer would start on;
 /// * [`Claim::Finished`] comes only when nothing is pending or held.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Master {
     /// Unclaimed tasks; the last is handed out next.
     pending: Vec<usize>,
@@ -114,6 +114,7 @@ impl Master {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn tasks_go_out_last_first() {
@@ -190,6 +191,127 @@ mod tests {
         m.done(1, 0);
         assert_eq!(m.claim(0), Claim::Finished);
         assert_eq!(m.claim(1), Claim::Finished);
+    }
+
+    /// A job as the walker sees it: the master, and what the workers
+    /// were handed and reported.
+    #[derive(Clone)]
+    struct Job {
+        m: Master,
+        held: Vec<Vec<usize>>,
+        done: Vec<u32>,
+        fails: Vec<u32>,
+        fatal: Vec<bool>,
+    }
+
+    /// Two orders that reach the same master and the same reports reach
+    /// the same future, so each state is walked once.
+    type State = (
+        Vec<usize>,
+        Vec<Option<usize>>,
+        Vec<u32>,
+        Vec<u32>,
+        Vec<bool>,
+    );
+
+    /// Every claim / done / failed order from `j` on: each worker may
+    /// claim, and report any task it holds done or failed.
+    fn walk(j: Job, seen: &mut HashSet<State>, finished: &mut u64) {
+        let state = (
+            j.m.pending.clone(),
+            j.m.holder.clone(),
+            j.m.failures.clone(),
+            j.done.clone(),
+            j.fatal.clone(),
+        );
+        if !seen.insert(state) {
+            return;
+        }
+        let (workers, slots) = (j.held.len(), j.m.slots);
+        let pending = !j.m.pending.is_empty();
+        let peer_idle = j.held.iter().any(Vec::is_empty);
+        let mut moved = false;
+        for w in 0..workers {
+            let mut next = j.clone();
+            let held = j.held[w].len();
+            match next.m.claim(w) {
+                Claim::Task(t) => {
+                    assert!(!j.fatal[t] && j.done[t] == 0, "task {t} handed out again");
+                    assert!(held < slots, "worker {w} over its {slots} slots");
+                    assert!(
+                        held == 0 || !peer_idle,
+                        "a second slot taken while a peer is idle"
+                    );
+                    next.held[w].push(t);
+                    moved = true;
+                    walk(next, seen, finished);
+                }
+                Claim::Wait => assert!(
+                    if pending {
+                        held >= slots || (held > 0 && peer_idle)
+                    } else {
+                        j.held.iter().any(|h| !h.is_empty())
+                    },
+                    "worker {w} told to wait for nothing"
+                ),
+                Claim::Finished => {
+                    assert!(!pending && !j.held.iter().any(|h| !h.is_empty()));
+                    let any_fatal = j.fatal.contains(&true);
+                    for t in 0..j.done.len() {
+                        if any_fatal {
+                            assert_eq!(j.done[t] + u32::from(j.fatal[t]), 1, "task {t}");
+                        } else {
+                            assert_eq!(j.done[t], 1, "task {t} not done exactly once");
+                        }
+                    }
+                    *finished += 1;
+                    moved = true;
+                }
+            }
+        }
+        for w in 0..workers {
+            for (k, &t) in j.held[w].iter().enumerate() {
+                let mut next = j.clone();
+                next.held[w].remove(k);
+                next.m.done(w, t);
+                next.done[t] += 1;
+                walk(next, seen, finished);
+
+                let mut next = j.clone();
+                next.held[w].remove(k);
+                let verdict = next.m.failed(w, t);
+                next.fails[t] += 1;
+                assert!(
+                    next.fails[t] <= MAX_ATTEMPTS,
+                    "task {t} failed past MAX_ATTEMPTS"
+                );
+                assert_eq!(verdict == Failure::Fatal, next.fails[t] == MAX_ATTEMPTS);
+                next.fatal[t] = verdict == Failure::Fatal;
+                walk(next, seen, finished);
+                moved = true;
+            }
+        }
+        assert!(moved, "no worker can claim, report or finish");
+    }
+
+    #[test]
+    fn every_claim_and_report_order_finishes_each_task_once() {
+        for workers in 1..=3 {
+            for tasks in 0..=4 {
+                for slots in 1..=2 {
+                    let job = Job {
+                        m: Master::new(tasks, workers, slots),
+                        held: vec![Vec::new(); workers],
+                        done: vec![0; tasks],
+                        fails: vec![0; tasks],
+                        fatal: vec![false; tasks],
+                    };
+                    let (mut seen, mut finished) = (HashSet::new(), 0);
+                    walk(job, &mut seen, &mut finished);
+                    assert!(finished > 0, "{workers}×{tasks}×{slots}: no order finished");
+                }
+            }
+        }
     }
 
     proptest! {

@@ -21,10 +21,12 @@
 //!   rejection, round-trip proptests.
 //! * [`server`] — the thread-per-core daemon: an acceptor hands
 //!   connections round-robin to shards; each shard pairs a poll(2) IO
-//!   thread with a batch-exec thread over the PR 5
-//!   [`parblast_serve::AdmissionQueue`]. Per-tenant token buckets shed
-//!   over-quota traffic with typed reasons; graceful drain answers every
-//!   accepted query before closing a single socket.
+//!   thread with a batch-exec thread around the PR 5
+//!   [`parblast_serve::AdmissionQueue`] in one shard ledger. Per-tenant
+//!   token buckets shed over-quota traffic with typed reasons; graceful
+//!   drain answers every accepted query before closing a single socket.
+//!   The ledger (`ledger`, crate-private) is one shard's admission state
+//!   as a pure state machine, its tests walking every event order.
 //! * [`quota`] — the token buckets.
 //! * [`runner`] — the execution bridge ([`BlastRunner`] over the real
 //!   `pio` store, [`EchoRunner`] for tests); results are byte-identical
@@ -42,6 +44,7 @@
 
 pub mod chaos;
 pub mod client;
+mod ledger;
 pub mod proto;
 pub mod quota;
 pub mod resilience;

@@ -139,9 +139,9 @@ impl ResultStatus {
     }
 }
 
-/// A point-in-time copy of the daemon's counters, served by the `Stats`
-/// frame without taking any shard lock: every field is a sum of relaxed
-/// atomics the daemon's threads bump as they answer (`net::server`).
+/// A copy of the daemon's counters, served by the `Stats` frame: every
+/// field is a sum over the shards' ledgers, each shard's counters copied
+/// under its lock, so each shard's share is consistent (`net::server`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Submits accepted into an admission queue.

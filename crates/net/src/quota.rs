@@ -8,8 +8,9 @@
 //!
 //! The bucket map is shared by every shard (quota is per tenant, not per
 //! tenant-per-shard, so a tenant cannot multiply its allowance by
-//! spreading connections). The critical section is a few float ops; the
-//! hot counters the Stats frame reads live outside it as relaxed atomics.
+//! spreading connections). The critical section is a few float ops, taken
+//! inside a shard's ledger lock once the drain and per-connection gates
+//! have passed; the Stats counters live in the shard ledgers.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

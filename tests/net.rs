@@ -919,6 +919,51 @@ fn drain_under_load_loses_no_accepted_query() {
     assert!(stats.accepted > 0);
 }
 
+/// `DrainAck{queued}` counts the batch that is running, not only the
+/// queries still queued: with one shard and `max_batch` 1, the first
+/// query runs for 300 ms while the second waits behind it, and both are
+/// still to be answered when the `Drain` lands.
+#[test]
+fn drain_ack_counts_the_running_batch() {
+    use std::io::Write;
+
+    let handle = echo_server(
+        ServerConfig {
+            shards: 1,
+            max_batch: 1,
+            ..Default::default()
+        },
+        Duration::from_millis(300),
+    );
+    let mut client = NetClient::connect(&handle.addr().to_string()).unwrap();
+    let ids = [
+        client.submit(b"running").unwrap(),
+        client.submit(b"queued").unwrap(),
+    ];
+    std::thread::sleep(Duration::from_millis(50));
+
+    let mut admin = std::net::TcpStream::connect(handle.addr()).unwrap();
+    admin
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    admin.write_all(&encode_frame(&Frame::Drain)).unwrap();
+    match read_frame(&mut admin, &mut FrameReader::new()) {
+        Frame::DrainAck { queued } => assert_eq!(queued, 2, "one running, one queued"),
+        other => panic!("expected DrainAck, got {other:?}"),
+    }
+
+    let mut answered = HashSet::new();
+    for _ in ids {
+        let (id, resp) = client.recv_response().unwrap().expect("answer");
+        assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+        assert!(answered.insert(id), "id {id} answered twice");
+    }
+    assert_eq!(answered, HashSet::from(ids));
+    let stats = handle.join();
+    assert_eq!(stats.served, 2, "{stats:?}");
+    assert_ledger_balances(&stats);
+}
+
 // ---------------------------------------------------------------------
 // Hardening: fault-injected connections, pipelining caps, slowloris.
 // ---------------------------------------------------------------------
