@@ -474,24 +474,25 @@ struct PreparedChunk {
 /// immutable after [`PreparedBatch::new`], so one instance serves every
 /// fragment of a job and every worker thread at once (each with its own
 /// [`ScanWorkspace`]); a batch of one query is the degenerate case
-/// and still scans both strands in a single pass.
-pub struct PreparedBatch<'a> {
-    params: &'a SearchParams,
+/// and still scans both strands in a single pass. It keeps its own copy
+/// of the parameters, so it can outlive the job that prepared it.
+pub struct PreparedBatch {
+    params: SearchParams,
     ungapped: UngappedTable,
     chunks: Vec<PreparedChunk>,
 }
 
-impl<'a> PreparedBatch<'a> {
+impl PreparedBatch {
     /// Prepare `queries`, 2-bit nucleotide codes, for a search under
     /// `params`.
-    pub fn new(queries: &[&[u8]], params: &'a SearchParams, db: DbStats) -> Self {
+    pub fn new(queries: &[&[u8]], params: &SearchParams, db: DbStats) -> Self {
         let karlin = Karlin::new(params);
         let chunks = queries
             .chunks(MAX_FUSED_BATCH)
             .map(|chunk| PreparedChunk::new(chunk, params, &karlin, db))
             .collect();
         PreparedBatch {
-            params,
+            params: params.clone(),
             ungapped: UngappedTable::new(&params.scorer),
             chunks,
         }
@@ -509,7 +510,7 @@ impl<'a> PreparedBatch<'a> {
     pub fn search(&self, volume: &PackedVolume, ws: &mut ScanWorkspace) -> Vec<Vec<Hit>> {
         self.chunks
             .iter()
-            .flat_map(|chunk| chunk.search(volume, self.params, &self.ungapped, ws))
+            .flat_map(|chunk| chunk.search(volume, &self.params, &self.ungapped, ws))
             .collect()
     }
 }

@@ -8,13 +8,17 @@
 //!   from the master, pull them through one of the three I/O [`scheme`]s
 //!   (local copy / striped / mirrored), run the real search engine, and
 //!   their results are merged by score. Every store access is recorded by
-//!   the [`trace`] instrumentation (Figure 4).
+//!   the [`trace`] instrumentation (Figure 4). The workers are a
+//!   [`WorkerPool`], started per call or kept by a server, whose one
+//!   master hands out the tasks of every batch submitted to it, the older
+//!   batch first.
 //! * [`simblast`] — the **simulated twin** driving the calibrated cluster
 //!   models, used to regenerate the paper's timing figures (5, 6, 7, 9) at
 //!   the full 2.7 GB scale.
 
 #![warn(missing_docs)]
 
+mod pool;
 pub mod runner;
 pub(crate) mod sched;
 pub mod scheme;
@@ -22,6 +26,7 @@ pub mod simblast;
 pub mod trace;
 
 pub use parblast_pio::{ScrubTotals, Scrubber};
+pub use pool::WorkerPool;
 pub use runner::{BatchOutcome, ParallelBlast, Parallelization, RunOutcome};
 pub use scheme::{Scheme, TracedSource};
 pub use simblast::{

@@ -5,29 +5,28 @@
 //! mutex, the same state machine the simulator drives; each
 //! worker pulls its fragment's bytes through the configured I/O scheme,
 //! runs the search engine, records small result writes, and keeps its
-//! hits; once every worker is done the hits are merged by alignment score.
+//! hits; once every fragment is searched the hits are merged by alignment
+//! score.
 //!
-//! Each worker is a *pair* of threads: a fetch thread that claims and
-//! pulls fragment bytes through the I/O scheme and a search thread that
-//! runs the engine. With [`ParallelBlast::prefetch`] on, a worker holds two
-//! slots, so fragment k+1 is fetched while fragment k is searched and the
-//! I/O time hides behind compute; with it off it holds one and the pair
-//! degenerates to the sequential fetch-then-search loop. Results and
-//! traced reads are identical either way — only the overlap changes.
+//! Each worker is a *pair* of threads of a [`WorkerPool`]: a fetch thread
+//! that claims and pulls fragment bytes through the I/O scheme and a
+//! search thread that runs the engine. With [`ParallelBlast::prefetch`]
+//! on, a worker holds two slots, so fragment k+1 is fetched while fragment
+//! k is searched and the I/O time hides behind compute; with it off it
+//! holds one and the pair degenerates to the sequential fetch-then-search
+//! loop. Results and traced reads are identical either way — only the
+//! overlap changes.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
-use parblast_blast::{
-    fused_passes, DbStats, Hit, PreparedBatch, Program, ScanWorkspace, SearchParams,
-};
+use parblast_blast::{DbStats, Hit, Program, SearchParams};
 use parblast_seqdb::PackedVolume;
 
-use crate::sched::{Claim, Failure, Master};
+use crate::pool::{IoClocks, WorkerPool};
 use crate::scheme::{Scheme, TracedSource};
-use crate::trace::{IoKind, Tracer};
+use crate::trace::Tracer;
 
 /// The two parallelization approaches of §2.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +51,7 @@ pub enum Parallelization {
 }
 
 /// A configured parallel BLAST job.
+#[derive(Clone)]
 pub struct ParallelBlast {
     /// Which program to run: always blastn, the one the paper uses. The
     /// field stays because `benchmark/` is frozen and builds this struct
@@ -110,32 +110,6 @@ pub struct RunOutcome {
     pub per_fragment: Vec<(usize, f64)>,
 }
 
-/// Nanosecond clocks shared by the worker threads of one run.
-#[derive(Debug, Default)]
-struct IoClocks {
-    copy_ns: AtomicU64,
-    fetch_ns: AtomicU64,
-    stall_ns: AtomicU64,
-}
-
-impl IoClocks {
-    fn add(cell: &AtomicU64, d: Duration) {
-        cell.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-    fn secs(cell: &AtomicU64) -> f64 {
-        cell.load(Ordering::Relaxed) as f64 / 1e9
-    }
-}
-
-/// One searched task, as its search thread keeps it.
-struct Searched {
-    batch: usize,
-    worker: usize,
-    search_s: f64,
-    /// Hits per query of the batch, for this fragment alone.
-    per_query: Vec<Vec<Hit>>,
-}
-
 /// Per-query result of a batch run.
 #[derive(Debug)]
 pub struct BatchOutcome {
@@ -162,7 +136,7 @@ pub struct BatchOutcome {
 /// with the smaller of its two E-values (each piece has its own search
 /// space), and sorted by score, then coordinates, so the merged list does
 /// not depend on which piece was searched first.
-fn merge_hit(hits: &mut Vec<Hit>, hit: Hit) {
+pub(crate) fn merge_hit(hits: &mut Vec<Hit>, hit: Hit) {
     let Some(existing) = hits.iter_mut().find(|h| h.subject_id == hit.subject_id) else {
         hits.push(hit);
         return;
@@ -188,7 +162,7 @@ fn merge_hit(hits: &mut Vec<Hit>, hit: Hit) {
 /// mpiBLAST's score-ordered merge, and keep the best `max_hits`. The
 /// subject id breaks ties so the order does not depend on which fragment
 /// arrived first.
-fn rank_merged(hits: &mut Vec<Hit>, max_hits: usize) {
+pub(crate) fn rank_merged(hits: &mut Vec<Hit>, max_hits: usize) {
     hits.sort_by(|a, b| {
         a.best_evalue()
             .partial_cmp(&b.best_evalue())
@@ -206,33 +180,10 @@ impl ParallelBlast {
     /// is still read only once in total. The batch's merged seed table
     /// scans each fragment's packed bytes once per
     /// [`MAX_FUSED_BATCH`](parblast_blast::MAX_FUSED_BATCH)-query chunk
-    /// ([`fused_passes`]) instead of once per query.
+    /// ([`fused_passes`](parblast_blast::fused_passes)) instead of once per
+    /// query. Starts a [`WorkerPool`] for the call and shuts it down after.
     pub fn run_batch(&self, queries: &[Vec<u8>]) -> io::Result<BatchOutcome> {
-        let t0 = Instant::now();
-        let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
-        let mut per_query: Vec<Vec<Hit>> = vec![Vec::new(); queries.len()];
-        let (clocks, searched) = self.pipeline(&[refs], |_| {})?;
-        for searched in searched {
-            for (merged, found) in per_query.iter_mut().zip(searched.per_query) {
-                merged.extend(found);
-            }
-        }
-        for hits in &mut per_query {
-            rank_merged(hits, self.params.max_hits);
-        }
-        // One pass per chunk of the batch; a job that succeeds searched
-        // every fragment exactly once.
-        let nq = queries.len() as u64;
-        let passes_per_fragment = fused_passes(nq);
-        let fragments = self.fragments.len() as u64;
-        Ok(BatchOutcome {
-            per_query,
-            wall_s: t0.elapsed().as_secs_f64(),
-            io_fetch_s: IoClocks::secs(&clocks.fetch_ns),
-            io_stall_s: IoClocks::secs(&clocks.stall_ns),
-            kernel_passes: fragments * passes_per_fragment,
-            passes_saved: fragments * (nq - passes_per_fragment),
-        })
+        WorkerPool::start(Arc::new(self.clone())).run_batch(queries)
     }
 
     /// Split the query into `pieces` overlapping windows (§2.2's query
@@ -250,193 +201,26 @@ impl ParallelBlast {
             .collect()
     }
 
+    /// The windows [`Self::run`] searches a query of `query_len` residues
+    /// as: database segmentation searches every fragment with the whole
+    /// query; query segmentation searches every fragment once *per piece*
+    /// — the whole database is read `pieces` times, the §2.2 I/O overhead.
+    pub(crate) fn query_windows_of(&self, query_len: usize) -> Vec<(usize, usize)> {
+        match self.parallelization {
+            Parallelization::DatabaseSegmentation => vec![(0, query_len)],
+            Parallelization::QuerySegmentation { pieces, overlap } => {
+                Self::query_windows(query_len, pieces, overlap)
+            }
+        }
+    }
+
     /// Run the job for one query: a batch of one per query window (both
     /// strands in one pass over each fragment), plus what the paper's job
     /// has and a served batch does not — query segmentation and the traced
-    /// result writes.
+    /// result writes. Starts a [`WorkerPool`] for the call and shuts it
+    /// down after.
     pub fn run(&self, query: &[u8]) -> io::Result<RunOutcome> {
-        let t0 = Instant::now();
-        // Database segmentation searches every fragment with the whole
-        // query; query segmentation searches every fragment once *per
-        // piece* — the whole database is read `pieces` times, the §2.2 I/O
-        // overhead.
-        let windows = match self.parallelization {
-            Parallelization::DatabaseSegmentation => vec![(0, query.len())],
-            Parallelization::QuerySegmentation { pieces, overlap } => {
-                Self::query_windows(query.len(), pieces, overlap)
-            }
-        };
-        let batches: Vec<Vec<&[u8]>> = windows
-            .iter()
-            .map(|&(offset, len)| vec![&query[offset..offset + len]])
-            .collect();
-        let (clocks, searched) = self.pipeline(&batches, |searched| {
-            let hits = &mut searched.per_query[0];
-            // Map piece coordinates back onto the query.
-            let q_offset = windows[searched.batch].0;
-            for hit in hits.iter_mut() {
-                for h in &mut hit.hsps {
-                    h.q_start += q_offset;
-                    h.q_end += q_offset;
-                }
-            }
-            // Small result write, as instrumented in the paper's Figure 4
-            // (temporary result files of 50–778 bytes).
-            let table = parblast_blast::tabular("query", hits);
-            let result_bytes = table.len().clamp(50, 778) as u64;
-            self.tracer
-                .record(searched.worker as u32, IoKind::Write, result_bytes);
-        })?;
-        let mut hits: Vec<Hit> = Vec::new();
-        let mut per_fragment = Vec::new();
-        for searched in searched {
-            per_fragment.push((searched.worker, searched.search_s));
-            for hit in searched.per_query.into_iter().flatten() {
-                merge_hit(&mut hits, hit);
-            }
-        }
-        rank_merged(&mut hits, self.params.max_hits);
-        Ok(RunOutcome {
-            hits,
-            wall_s: t0.elapsed().as_secs_f64(),
-            copy_s: IoClocks::secs(&clocks.copy_ns),
-            io_fetch_s: IoClocks::secs(&clocks.fetch_ns),
-            io_stall_s: IoClocks::secs(&clocks.stall_ns),
-            per_fragment,
-        })
-    }
-
-    /// The job behind [`Self::run`] and [`Self::run_batch`]: every fragment
-    /// is searched with every batch of `batches`, one task per (batch,
-    /// fragment) pair, handed out by a [`Master`] of one slot per worker,
-    /// two with [`Self::prefetch`]. As in the simulator, the master first
-    /// hands every worker one task in turn; then each worker is a fetch
-    /// thread, which claims tasks and fetches their fragments, and a search
-    /// thread, which searches them, runs `after_search` on each task's hits
-    /// and reports the task done or failed; a held task fills its slot until
-    /// it is reported. Returns every search thread's results once all have
-    /// joined, or the first fatal failure's error.
-    fn pipeline(
-        &self,
-        batches: &[Vec<&[u8]>],
-        after_search: impl Fn(&mut Searched) + Sync,
-    ) -> io::Result<(IoClocks, Vec<Searched>)> {
-        // Strands, masks, statistics and the merged lookup depend on the
-        // queries alone: built once per batch, by whichever search thread
-        // first has a fetch for it in flight to hide the work behind, and
-        // shared by every worker and fragment from then on.
-        let prepared: Vec<OnceLock<PreparedBatch>> =
-            batches.iter().map(|_| OnceLock::new()).collect();
-        let prepare = |batch: usize| {
-            prepared[batch]
-                .get_or_init(|| PreparedBatch::new(&batches[batch], &self.params, self.db))
-        };
-        let nfrag = self.fragments.len();
-        let slots = if self.prefetch { 2 } else { 1 };
-        let workers = self.workers.max(1);
-        let mut sched = Master::new(batches.len() * nfrag, workers, slots);
-        let first: Vec<Option<usize>> = (0..workers)
-            .map(|w| match sched.claim(w) {
-                Claim::Task(task) => Some(task),
-                Claim::Wait | Claim::Finished => None,
-            })
-            .collect();
-        // The master, and the error of the first task that failed for good.
-        let master = Mutex::new((sched, None::<io::Error>));
-        let wake = Condvar::new();
-        // Blocks while the master says wait; `None` once the job is over.
-        let claim = |w: usize| {
-            let mut m = master.lock().expect("master");
-            loop {
-                match m.0.claim(w) {
-                    Claim::Task(task) => {
-                        wake.notify_all();
-                        return Some(task);
-                    }
-                    Claim::Wait => m = wake.wait(m).expect("master"),
-                    Claim::Finished => return None,
-                }
-            }
-        };
-        let report = |w: usize, task: usize, r: io::Result<()>| {
-            let mut m = master.lock().expect("master");
-            match r {
-                Ok(()) => m.0.done(w, task),
-                // A retried task goes to the next claim: a CEFT-backed
-                // scheme will have failed over to the mirror by then.
-                Err(e) => {
-                    if m.0.failed(w, task) == Failure::Fatal {
-                        m.1.get_or_insert(e);
-                    }
-                }
-            }
-            wake.notify_all();
-        };
-        let clocks = IoClocks::default();
-
-        let searched = std::thread::scope(|scope| {
-            let pairs: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (clocks, prepare, claim, report) = (&clocks, &prepare, &claim, &report);
-                    let first = first[w];
-                    let after_search = &after_search;
-                    // Worker pair: the fetcher tells the search thread each
-                    // task it claims (so the batch is prepared while the
-                    // fetch runs), then hands over the fetched volume. One
-                    // read of each fragment serves the whole batch;
-                    // nucleotide data stays 2-bit packed.
-                    let (task_tx, task_rx) = mpsc::channel::<usize>();
-                    let (vol_tx, vol_rx) = mpsc::channel::<io::Result<PackedVolume>>();
-                    scope.spawn(move || {
-                        let mut next = first.or_else(|| claim(w));
-                        while let Some(task) = next {
-                            let fragment = &self.fragments[task % nfrag];
-                            let sent = task_tx.send(task).is_ok()
-                                && vol_tx.send(self.fetch_volume(w, fragment, clocks)).is_ok();
-                            if !sent {
-                                break;
-                            }
-                            next = claim(w);
-                        }
-                    });
-                    scope.spawn(move || {
-                        // One workspace per worker: scan and DP buffers are
-                        // recycled across every task it runs.
-                        let mut ws = ScanWorkspace::new();
-                        let mut found = Vec::new();
-                        for task in task_rx {
-                            let batch = task / nfrag;
-                            let prepared = prepare(batch);
-                            let w0 = Instant::now();
-                            let fetched = vol_rx.recv().expect("fetcher alive");
-                            IoClocks::add(&clocks.stall_ns, w0.elapsed());
-                            let r = fetched.map(|volume| {
-                                let s0 = Instant::now();
-                                let mut searched = Searched {
-                                    batch,
-                                    worker: w,
-                                    search_s: 0.0,
-                                    per_query: prepared.search(&volume, &mut ws),
-                                };
-                                after_search(&mut searched);
-                                searched.search_s = s0.elapsed().as_secs_f64();
-                                found.push(searched);
-                            });
-                            report(w, task, r);
-                        }
-                        found
-                    })
-                })
-                .collect();
-            pairs
-                .into_iter()
-                .flat_map(|pair| pair.join().expect("search thread"))
-                .collect()
-        });
-        match master.into_inner().expect("master").1 {
-            Some(e) => Err(e),
-            None => Ok((clocks, searched)),
-        }
+        WorkerPool::start(Arc::new(self.clone())).run(query)
     }
 
     /// Fetch one fragment through the scheme and decode it: the fetch
@@ -444,7 +228,7 @@ impl ParallelBlast {
     /// exactly the sequential path's, whichever thread issues it. A failed
     /// fetch is reported to the scheme before the task is, so a corrupt
     /// private copy is gone by the time the master hands out the retry.
-    fn fetch_volume(
+    pub(crate) fn fetch_volume(
         &self,
         worker: usize,
         fragment: &str,
@@ -474,9 +258,11 @@ impl ParallelBlast {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::IoKind;
     use parblast_seqdb::blastdb::SeqType;
     use parblast_seqdb::{extract_query, segment_into_fragments, SyntheticConfig, SyntheticNt};
     use std::path::{Path, PathBuf};
+    use std::time::Duration;
 
     fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("runner_{tag}_{}", std::process::id()));

@@ -1,7 +1,10 @@
 //! mpiBLAST's master (§2.2) as a state machine over task indices, with no
-//! clock and no threads. The simulator's master component and the
-//! runner's fetch threads both drive it, so both hand out the same
-//! fragments in the same order and give up on the same attempt.
+//! clock and no threads. The simulator's master component and the worker
+//! pool's fetch threads both drive it, so both hand out the same
+//! fragments in the same order and give up on the same attempt. The pool
+//! appends one batch of tasks per submitted job while earlier ones run.
+
+use std::collections::BTreeMap;
 
 /// Hand-outs of one task before its failure fails the job.
 pub const MAX_ATTEMPTS: u32 = 3;
@@ -28,26 +31,38 @@ pub enum Failure {
 }
 
 /// Pending tasks, who holds what, and each task's failures. The rules:
-/// * tasks are handed out last-first;
-/// * a failed task goes back on top, so the worker it failed on, idle
-///   again, claims it next;
-/// * after a [`Failure::Fatal`] pending tasks are still handed out and
-///   retried;
+/// * tasks come in batches ([`Self::append`]), numbered on from the last
+///   batch's; an older batch's pending tasks are all handed out before any
+///   of a newer one's, and within a batch tasks go out last-first;
+/// * a failed task goes back on top of its own batch's pending tasks, so
+///   the worker it failed on, idle again, claims it next unless an older
+///   batch still has a task pending;
+/// * after a [`Failure::Fatal`] pending tasks, of its batch and of every
+///   other, are still handed out and retried;
 /// * a worker holds at most `slots` tasks, and a claim for a second slot
 ///   waits while a peer holds nothing and a task is pending, so one
 ///   worker's prefetch cannot take a task an idle peer would start on;
 /// * [`Claim::Finished`] comes only when nothing is pending or held.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Master {
     /// Unclaimed tasks; the last is handed out next.
     pending: Vec<usize>,
     /// Tasks held, per worker.
     held: Vec<usize>,
-    /// The worker holding each task.
-    holder: Vec<Option<usize>>,
-    /// Failures so far, per task.
-    failures: Vec<u32>,
+    /// Every task pending or held.
+    live: BTreeMap<usize, Live>,
+    /// The id the next appended task gets.
+    next: usize,
     slots: usize,
+}
+
+/// A task still pending or held.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Live {
+    /// The first task of its batch.
+    batch: usize,
+    holder: Option<usize>,
+    failures: u32,
 }
 
 impl Master {
@@ -55,13 +70,37 @@ impl Master {
     /// each.
     pub fn new(tasks: usize, workers: usize, slots: usize) -> Self {
         assert!(workers > 0 && slots > 0, "a master needs a worker slot");
-        Master {
-            pending: (0..tasks).collect(),
+        let mut m = Master {
+            pending: Vec::new(),
             held: vec![0; workers],
-            holder: vec![None; tasks],
-            failures: vec![0; tasks],
+            live: BTreeMap::new(),
+            next: 0,
             slots,
+        };
+        m.append(tasks);
+        m
+    }
+
+    /// Add a batch of `tasks` tasks beneath every pending one; returns the
+    /// first of their ids, which run on from the last batch's.
+    pub fn append(&mut self, tasks: usize) -> usize {
+        let first = self.next;
+        self.next += tasks;
+        self.pending.splice(0..0, first..self.next);
+        for task in first..self.next {
+            let live = Live {
+                batch: first,
+                holder: None,
+                failures: 0,
+            };
+            self.live.insert(task, live);
         }
+        first
+    }
+
+    /// Whether `worker` holds no task.
+    pub fn idle(&self, worker: usize) -> bool {
+        self.held[worker] == 0
     }
 
     /// `worker` asks for a task.
@@ -79,34 +118,44 @@ impl Master {
         }
         self.pending.pop();
         self.held[worker] += 1;
-        self.holder[task] = Some(worker);
+        self.live
+            .get_mut(&task)
+            .expect("a pending task is live")
+            .holder = Some(worker);
         Claim::Task(task)
     }
 
     /// `worker` finished `task`.
     pub fn done(&mut self, worker: usize, task: usize) {
         self.release(worker, task);
+        self.live.remove(&task);
     }
 
     /// `worker` failed on `task`.
     pub fn failed(&mut self, worker: usize, task: usize) -> Failure {
-        self.release(worker, task);
-        self.failures[task] += 1;
-        if self.failures[task] >= MAX_ATTEMPTS {
-            Failure::Fatal
-        } else {
-            self.pending.push(task);
-            Failure::Retry
+        let live = self.release(worker, task);
+        live.failures += 1;
+        if live.failures >= MAX_ATTEMPTS {
+            self.live.remove(&task);
+            return Failure::Fatal;
         }
+        let batch = live.batch;
+        // Above its own batch and every newer one, below any older one.
+        let at = self
+            .pending
+            .partition_point(|t| self.live[t].batch >= batch);
+        self.pending.insert(at, task);
+        Failure::Retry
     }
 
-    fn release(&mut self, worker: usize, task: usize) {
-        assert_eq!(
-            self.holder[task].take(),
-            Some(worker),
-            "task {task} reported by a worker that does not hold it"
-        );
+    fn release(&mut self, worker: usize, task: usize) -> &mut Live {
+        let live = self.live.get_mut(&task);
+        let live = live
+            .filter(|l| l.holder == Some(worker))
+            .unwrap_or_else(|| panic!("task {task} reported by a worker that does not hold it"));
+        live.holder = None;
         self.held[worker] -= 1;
+        live
     }
 }
 
@@ -193,44 +242,74 @@ mod tests {
         assert_eq!(m.claim(1), Claim::Finished);
     }
 
-    /// A job as the walker sees it: the master, and what the workers
-    /// were handed and reported.
-    #[derive(Clone)]
+    /// One appended batch as the walker sees it: its tasks, and a
+    /// standalone master of its size whose one worker is never told to
+    /// wait, which must hand out the same tasks in the same order.
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct Batch {
+        first: usize,
+        tasks: usize,
+        alone: Master,
+    }
+
+    /// A job as the walker sees it: the master, its batches, the size of
+    /// the batch still to append, and what the workers were handed and
+    /// reported (per task id).
+    #[derive(Clone, PartialEq, Eq, Hash)]
     struct Job {
         m: Master,
+        batches: Vec<Batch>,
+        later: Option<usize>,
         held: Vec<Vec<usize>>,
         done: Vec<u32>,
         fails: Vec<u32>,
         fatal: Vec<bool>,
     }
 
-    /// Two orders that reach the same master and the same reports reach
-    /// the same future, so each state is walked once.
-    type State = (
-        Vec<usize>,
-        Vec<Option<usize>>,
-        Vec<u32>,
-        Vec<u32>,
-        Vec<bool>,
-    );
+    impl Job {
+        fn batch_of(&self, task: usize) -> usize {
+            self.batches
+                .iter()
+                .rposition(|b| b.first <= task)
+                .expect("an appended task")
+        }
 
-    /// Every claim / done / failed order from `j` on: each worker may
-    /// claim, and report any task it holds done or failed.
-    fn walk(j: Job, seen: &mut HashSet<State>, finished: &mut u64) {
-        let state = (
-            j.m.pending.clone(),
-            j.m.holder.clone(),
-            j.m.failures.clone(),
-            j.done.clone(),
-            j.fatal.clone(),
-        );
-        if !seen.insert(state) {
+        /// Whether batch `b` has a task neither held nor finished.
+        fn pending(&self, b: usize) -> bool {
+            let Batch { first, tasks, .. } = self.batches[b];
+            (first..first + tasks).any(|t| {
+                self.done[t] == 0 && !self.fatal[t] && !self.held.iter().flatten().any(|&h| h == t)
+            })
+        }
+    }
+
+    /// Every claim / done / failed / append order from `j` on: each worker
+    /// may claim, and report any task it holds done or failed, and the
+    /// batch still to come may be appended at any point. Two orders that
+    /// reach the same state reach the same future, so each state is
+    /// walked once.
+    fn walk(j: Job, seen: &mut HashSet<Job>, finished: &mut u64) {
+        if !seen.insert(j.clone()) {
             return;
         }
         let (workers, slots) = (j.held.len(), j.m.slots);
-        let pending = !j.m.pending.is_empty();
+        let pending = (0..j.batches.len()).any(|b| j.pending(b));
         let peer_idle = j.held.iter().any(Vec::is_empty);
         let mut moved = false;
+        if let Some(tasks) = j.later {
+            let mut next = j.clone();
+            let first = next.m.append(tasks);
+            assert_eq!(first, j.done.len() - tasks, "batch ids do not run on");
+            let alone = Master::new(tasks, 1, tasks.max(1));
+            next.batches.push(Batch {
+                first,
+                tasks,
+                alone,
+            });
+            next.later = None;
+            moved = true;
+            walk(next, seen, finished);
+        }
         for w in 0..workers {
             let mut next = j.clone();
             let held = j.held[w].len();
@@ -241,6 +320,17 @@ mod tests {
                     assert!(
                         held == 0 || !peer_idle,
                         "a second slot taken while a peer is idle"
+                    );
+                    let b = j.batch_of(t);
+                    assert!(
+                        (0..b).all(|older| !j.pending(older)),
+                        "task {t} of batch {b} handed out while an older batch has one pending"
+                    );
+                    let first = j.batches[b].first;
+                    assert_eq!(
+                        next.batches[b].alone.claim(0),
+                        Claim::Task(t - first),
+                        "batch {b} hands out another order than a master of its own"
                     );
                     next.held[w].push(t);
                     moved = true;
@@ -256,30 +346,42 @@ mod tests {
                 ),
                 Claim::Finished => {
                     assert!(!pending && !j.held.iter().any(|h| !h.is_empty()));
-                    let any_fatal = j.fatal.contains(&true);
-                    for t in 0..j.done.len() {
-                        if any_fatal {
-                            assert_eq!(j.done[t] + u32::from(j.fatal[t]), 1, "task {t}");
-                        } else {
-                            assert_eq!(j.done[t], 1, "task {t} not done exactly once");
+                    // A fatal failure answers for its own batch alone.
+                    for &Batch { first, tasks, .. } in &j.batches {
+                        let batch = first..first + tasks;
+                        let fatal = batch.clone().any(|t| j.fatal[t]);
+                        for t in batch {
+                            if fatal {
+                                assert_eq!(j.done[t] + u32::from(j.fatal[t]), 1, "task {t}");
+                            } else {
+                                assert_eq!(j.done[t], 1, "task {t} not done exactly once");
+                            }
                         }
                     }
-                    *finished += 1;
+                    *finished += u64::from(j.later.is_none());
                     moved = true;
                 }
             }
         }
         for w in 0..workers {
             for (k, &t) in j.held[w].iter().enumerate() {
+                let b = j.batch_of(t);
+                let local = t - j.batches[b].first;
                 let mut next = j.clone();
                 next.held[w].remove(k);
                 next.m.done(w, t);
+                next.batches[b].alone.done(0, local);
                 next.done[t] += 1;
                 walk(next, seen, finished);
 
                 let mut next = j.clone();
                 next.held[w].remove(k);
                 let verdict = next.m.failed(w, t);
+                assert_eq!(
+                    next.batches[b].alone.failed(0, local),
+                    verdict,
+                    "task {t}: another verdict than its batch's own master"
+                );
                 next.fails[t] += 1;
                 assert!(
                     next.fails[t] <= MAX_ATTEMPTS,
@@ -294,21 +396,37 @@ mod tests {
         assert!(moved, "no worker can claim, report or finish");
     }
 
+    /// Every order of ≤ 3 workers × slots {1, 2} over one batch of ≤ 4
+    /// tasks, or over two batches of ≤ 4 tasks in all, the second appended
+    /// at any point of the first's run (before, during or after it).
     #[test]
     fn every_claim_and_report_order_finishes_each_task_once() {
+        let singles = (0..=4).map(|tasks| (tasks, None));
+        let pairs = (1..=3).flat_map(|a| (0..=4 - a).map(move |b| (a, Some(b))));
+        let shapes: Vec<(usize, Option<usize>)> = singles.chain(pairs).collect();
         for workers in 1..=3 {
-            for tasks in 0..=4 {
+            for &(tasks, later) in &shapes {
                 for slots in 1..=2 {
+                    let total = tasks + later.unwrap_or(0);
                     let job = Job {
                         m: Master::new(tasks, workers, slots),
+                        batches: vec![Batch {
+                            first: 0,
+                            tasks,
+                            alone: Master::new(tasks, 1, tasks.max(1)),
+                        }],
+                        later,
                         held: vec![Vec::new(); workers],
-                        done: vec![0; tasks],
-                        fails: vec![0; tasks],
-                        fatal: vec![false; tasks],
+                        done: vec![0; total],
+                        fails: vec![0; total],
+                        fatal: vec![false; total],
                     };
                     let (mut seen, mut finished) = (HashSet::new(), 0);
                     walk(job, &mut seen, &mut finished);
-                    assert!(finished > 0, "{workers}×{tasks}×{slots}: no order finished");
+                    assert!(
+                        finished > 0,
+                        "{workers} workers × {tasks}+{later:?} tasks × {slots} slots: no order finished"
+                    );
                 }
             }
         }

@@ -16,6 +16,12 @@ use crate::server::ServerConfig;
 /// Where an answer goes: the connection's key and the client's query id.
 pub(crate) type Route = (usize, u64);
 
+/// Batches one shard runs at once. A second is taken only while a full
+/// `max_batch` is queued, or while draining, so batches stay full and the
+/// second one's fragments start as soon as a worker of the first has
+/// nothing left of it to search.
+pub(crate) const LANES: usize = 2;
+
 /// One take: `Shed` frames (with their connections) for expired and
 /// cancelled queries, and the moved-out bytes of the rest with the route
 /// of each one's `Result`, to hand back to [`ShardLedger::answer`].
@@ -37,7 +43,8 @@ struct Pending {
 }
 
 /// One shard's `AdmissionQueue`, queued queries with their cancel flags,
-/// per-connection in-flight counts, drain state, and `StatsReply` counters.
+/// per-connection in-flight counts, running batches, drain state, and
+/// `StatsReply` counters.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardLedger {
     queue: AdmissionQueue,
@@ -48,6 +55,8 @@ pub(crate) struct ShardLedger {
     /// Accepted-but-unanswered queries per connection; a connection with
     /// none has no entry.
     inflight: HashMap<usize, usize>,
+    /// Batches taken and not yet answered.
+    running: usize,
     draining: bool,
     /// This shard's counters; `per_shard_served` stays empty.
     stats: StatsSnapshot,
@@ -69,6 +78,7 @@ impl ShardLedger {
             max_inflight_per_conn: config.max_inflight_per_conn.max(1),
             pending: HashMap::new(),
             inflight: HashMap::new(),
+            running: 0,
             draining: false,
             stats: StatsSnapshot::default(),
         }
@@ -155,16 +165,27 @@ impl ShardLedger {
         }
     }
 
+    /// Whether [`Self::take_batch`] may start a batch now: with none
+    /// running, or with one of [`LANES`] running while a full `max_batch`
+    /// is queued or the shard drains.
+    pub fn may_take(&self) -> bool {
+        self.running == 0
+            || (self.running < LANES && (self.draining || self.queue.len() >= self.max_batch))
+    }
+
     /// The next batch of at most `max_batch` queries, strict priority then
-    /// FIFO; `None` once draining with nothing queued (no later `submit` is
-    /// admitted). The one expiry test is the queue's, and it wins over a
-    /// cancel flag.
+    /// FIFO, or an empty one while [`Self::may_take`] says no; `None` once
+    /// draining with nothing queued (no later `submit` is admitted). The
+    /// one expiry test is the queue's, and it wins over a cancel flag.
     pub fn take_batch(&mut self, now: SimTime) -> Option<Batch> {
-        let (batch, expired) = self.queue.take_batch_with_expired(self.max_batch, now);
-        if batch.is_empty() && expired.is_empty() && self.draining {
+        if self.draining && self.queue.is_empty() {
             return None;
         }
         let mut out = Batch::default();
+        if !self.may_take() {
+            return Some(out);
+        }
+        let (batch, expired) = self.queue.take_batch_with_expired(self.max_batch, now);
         let expired = expired.into_iter().map(|q| (q, true));
         for (q, expired) in expired.chain(batch.into_iter().map(|q| (q, false))) {
             let p = self
@@ -186,6 +207,7 @@ impl ShardLedger {
             };
             out.sheds.push((p.conn, shed(p.id, reason, 0)));
         }
+        self.running += usize::from(!out.queries.is_empty());
         Some(out)
     }
 
@@ -194,6 +216,7 @@ impl ShardLedger {
     /// failed (its queries are answered with error Results, counted as
     /// served but not as a pass).
     pub fn answer(&mut self, routes: &[Route], ran: Option<&RunnerOutput>) {
+        self.running -= 1;
         for &(conn, _) in routes {
             self.unmark(conn);
         }
@@ -250,10 +273,11 @@ impl ShardLedger {
 mod tests {
     //! The ledger enumerator: every event order of 2 connections × 3 ids
     //! × {submit, cancel, expire, take, answer, fail, evict, drain} up to
-    //! [`DEPTH`] events, each prefix then driven to a full drain. A model
-    //! beside the ledger says what each query may be answered with, so a
-    //! wrong answer, a lost or doubled one, a leak or a broken identity
-    //! fails with the event order that led to it.
+    //! [`DEPTH`] events, with up to [`LANES`] batches running at once and
+    //! either one answered first, each prefix then driven to a full drain.
+    //! A model beside the ledger says what each query may be answered
+    //! with, so a wrong answer, a lost or doubled one, a leak or a broken
+    //! identity fails with the event order that led to it.
 
     use super::*;
 
@@ -295,8 +319,10 @@ mod tests {
         Cancel(usize, usize),
         Expire,
         Take,
-        Answer,
-        Fail,
+        /// Answer the `k`th running batch.
+        Answer(usize),
+        /// Fail the `k`th running batch.
+        Fail(usize),
         Evict(usize),
         Drain,
     }
@@ -308,7 +334,8 @@ mod tests {
         tokens: u32,
         q: [[Q; IDS]; CONNS],
         live: [bool; CONNS],
-        running: Vec<Route>,
+        /// Batches taken and not yet answered, oldest first.
+        running: Vec<Vec<Route>>,
         drain_called: bool,
         drained: bool,
         /// The counters the ledger must show.
@@ -380,14 +407,14 @@ mod tests {
                 ev.push(Event::Expire);
             }
             if !self.drained
-                && self.running.is_empty()
+                && self.running.len() < LANES
                 && (self.drain_called || self.queued().next().is_some())
             {
                 ev.push(Event::Take);
             }
-            if !self.running.is_empty() {
-                ev.push(Event::Answer);
-                ev.push(Event::Fail);
+            for k in 0..self.running.len() {
+                ev.push(Event::Answer(k));
+                ev.push(Event::Fail(k));
             }
             if !self.drain_called {
                 ev.push(Event::Drain);
@@ -428,21 +455,21 @@ mod tests {
                     }
                 }
                 Event::Take => self.take(),
-                Event::Answer | Event::Fail => {
+                Event::Answer(k) | Event::Fail(k) => {
                     let out = cost();
-                    let ran = matches!(e, Event::Answer).then_some(&out);
-                    self.ledger.answer(&self.running, ran);
-                    for &(c, id) in &self.running {
+                    let ran = matches!(e, Event::Answer(_)).then_some(&out);
+                    let routes = self.running.remove(k);
+                    self.ledger.answer(&routes, ran);
+                    for &(c, id) in &routes {
                         self.q[c][id as usize] = Q::Idle;
                     }
-                    self.want.served += self.running.len() as u64;
+                    self.want.served += routes.len() as u64;
                     if ran.is_some() {
                         self.want.batches += 1;
                         self.want.bytes_read += out.bytes_read;
                         self.want.kernel_passes += out.kernel_passes;
                         self.want.passes_saved += out.passes_saved;
                     }
-                    self.running.clear();
                 }
                 Event::Evict(c) => {
                     let timed_out = c == 0;
@@ -555,11 +582,24 @@ mod tests {
 
         fn take(&mut self) {
             let was_queued: Vec<(usize, usize, Q)> = self.queued().collect();
+            // The take rule: a second batch only with a full one queued,
+            // or while draining.
+            let may_take = self.running.is_empty()
+                || (self.running.len() < LANES
+                    && (self.drain_called || was_queued.len() >= MAX_BATCH));
             match self.ledger.take_batch(self.now) {
                 None => {
                     ensure!(self, self.drain_called, "Drained without a drain");
                     ensure!(self, was_queued.is_empty(), "Drained with queries queued");
                     self.drained = true;
+                }
+                Some(b) if !may_take => {
+                    ensure!(
+                        self,
+                        b.sheds.is_empty() && b.queries.is_empty(),
+                        "a second batch taken with {} of {MAX_BATCH} queued and no drain",
+                        was_queued.len()
+                    );
                 }
                 Some(b) => {
                     ensure!(
@@ -633,7 +673,9 @@ mod tests {
                         taken == MAX_BATCH || waiting == 0,
                         "batch left a live query behind while short"
                     );
-                    self.running = b.routes;
+                    if !b.routes.is_empty() {
+                        self.running.push(b.routes);
+                    }
                 }
             }
         }
@@ -670,6 +712,13 @@ mod tests {
                 pending == self.queued().count() && pending == self.ledger.queue.len(),
                 "a pending query leaked or was lost"
             );
+            ensure!(
+                self,
+                self.ledger.running == self.running.len(),
+                "the ledger runs {} batches, the model {}",
+                self.ledger.running,
+                self.running.len()
+            );
         }
 
         /// Drain, then answer and take until `Drained`; nothing may be
@@ -678,17 +727,21 @@ mod tests {
             if !self.drain_called {
                 self.apply(Event::Drain);
             }
-            for _ in 0..2 * (CONNS * IDS + 1) {
-                if self.drained {
+            for _ in 0..2 * (CONNS * IDS + LANES) {
+                if self.drained && self.running.is_empty() {
                     break;
                 }
                 self.apply(if self.running.is_empty() {
                     Event::Take
                 } else {
-                    Event::Answer
+                    Event::Answer(0)
                 });
             }
-            ensure!(self, self.drained, "the shard never drained");
+            ensure!(
+                self,
+                self.drained && self.running.is_empty(),
+                "the shard never drained"
+            );
             ensure!(
                 self,
                 self.q.iter().flatten().all(|q| *q == Q::Idle),

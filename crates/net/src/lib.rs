@@ -21,7 +21,7 @@
 //!   rejection, round-trip proptests.
 //! * [`server`] — the thread-per-core daemon: an acceptor hands
 //!   connections round-robin to shards; each shard pairs a poll(2) IO
-//!   thread with a batch-exec thread around the PR 5
+//!   thread with two batch-exec lanes around the serving layer's
 //!   [`parblast_serve::AdmissionQueue`] in one shard ledger. Per-tenant
 //!   token buckets shed over-quota traffic with typed reasons; graceful
 //!   drain answers every accepted query before closing a single socket.

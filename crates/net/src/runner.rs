@@ -1,9 +1,9 @@
-//! The execution bridge: what a shard's exec thread calls to turn a
+//! The execution bridge: what a shard's exec lanes call to turn a
 //! scan-sharing batch of raw query bytes into rendered result payloads.
 //!
-//! [`BlastRunner`] is the production implementation — it drives
-//! [`parblast_mpiblast::ParallelBlast::run_batch`] against the real `pio`
-//! store and renders each query's merged hits with
+//! [`BlastRunner`] is the production implementation — it runs every batch
+//! on one resident [`WorkerPool`] over the real `pio` store, so batches
+//! submitted at once share its workers, and renders each query's merged hits with
 //! [`parblast_blast::tabular`], the *same* rendering
 //! `serve::serve_batched` uses, so a result served over the wire is
 //! byte-identical to one computed in-process (pinned across seeds in
@@ -12,10 +12,11 @@
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parblast_blast::tabular;
-use parblast_mpiblast::ParallelBlast;
+use parblast_mpiblast::{ParallelBlast, WorkerPool};
 
 /// Why a batch failed to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +60,8 @@ pub struct RunnerOutput {
     pub passes_saved: u64,
 }
 
-/// Something that can execute a scan-sharing batch of raw queries.
+/// Something that can execute a scan-sharing batch of raw queries. A shard
+/// may call it from two exec lanes at once.
 pub trait BatchRunner: Send + Sync {
     /// Run `queries` as one batch; return one payload per query, in order.
     fn run_batch(&self, queries: &[Vec<u8>]) -> Result<RunnerOutput, RunnerError>;
@@ -76,22 +78,25 @@ fn classify(e: io::Error) -> RunnerError {
 /// The production runner: a configured [`ParallelBlast`] job over the
 /// real `pio` store. One `run_batch` call is one scan-sharing pass —
 /// every fragment is fetched once and searched with every query in the
-/// batch.
+/// batch — on the one [`WorkerPool`] the runner starts at its first batch
+/// and joins when it is dropped; concurrent calls share its workers.
 pub struct BlastRunner {
     /// The underlying parallel job (scheme, fragments, workers, params).
-    pub job: ParallelBlast,
+    pub job: Arc<ParallelBlast>,
     /// Database bytes one full pass reads (the staged fragment bytes),
     /// reported per batch so the serving counters can track I/O savings.
     pub bytes_per_pass: u64,
+    pool: OnceLock<WorkerPool>,
 }
 
 impl BlastRunner {
     /// Wrap `job`; `bytes_per_pass` is the summed size of its staged
-    /// fragments (pass 0 if unknown).
+    /// fragments (pass 0 if unknown). Starts no thread.
     pub fn new(job: ParallelBlast, bytes_per_pass: u64) -> Self {
         BlastRunner {
-            job,
+            job: Arc::new(job),
             bytes_per_pass,
+            pool: OnceLock::new(),
         }
     }
 }
@@ -99,7 +104,10 @@ impl BlastRunner {
 impl BatchRunner for BlastRunner {
     fn run_batch(&self, queries: &[Vec<u8>]) -> Result<RunnerOutput, RunnerError> {
         let t0 = Instant::now();
-        let out = self.job.run_batch(queries).map_err(classify)?;
+        let pool = self
+            .pool
+            .get_or_init(|| WorkerPool::start(Arc::clone(&self.job)));
+        let out = pool.run_batch(queries).map_err(classify)?;
         let wall = t0.elapsed().as_secs_f64();
         Ok(RunnerOutput {
             per_query: out

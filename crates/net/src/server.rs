@@ -7,14 +7,15 @@
 //!                      off)      │    │   decode frames → ledger.submit: │
 //!                                │    │   drain? conn cap? quota? full?  │
 //!                                │    │   typed Shed · else enqueue      │
-//!                                └──▶ │ exec thread: ledger.take_batch ─▶│
+//!                                └──▶ │ 2 exec lanes: ledger.take_batch ▶│
 //!                                     │   BatchRunner (one scan pass)    │
 //!                                     │   → Result frames → IO outbox    │
 //!                                     └──────────────────────────────────┘
 //! ```
 //!
-//! Each shard owns its connections, a batch-exec thread, and one
-//! `ShardLedger` (`net::ledger`) behind one `Mutex` + `Condvar`: the ledger
+//! Each shard owns its connections, two batch-exec lanes (the second
+//! started at the shard's first batch), and one `ShardLedger`
+//! (`net::ledger`) behind one `Mutex` + `Condvar`: the ledger
 //! makes every admission, cancel, expiry and answer decision and keeps
 //! every counter the `Stats` frame sums; this module moves bytes between
 //! sockets and ledgers. Across shards only the quota map is shared.
@@ -200,7 +201,7 @@ impl NetServer {
         for shard_ix in 0..shards {
             let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
             // Exec → IO: encoded answers routed by connection key. The exec
-            // thread owns the one sender, so the IO thread sees the channel
+            // lanes own the senders, so the IO thread sees the channel
             // disconnect only after receiving every answer.
             let (results_tx, results_rx) = mpsc::channel();
             conn_txs.push(conn_tx);
@@ -425,8 +426,8 @@ fn io_thread(
             shared.ledger(shard_ix).evict(key, timed_out);
         }
 
-        // Drain exit: the exec thread saw its ledger drained and exited,
-        // every answer it sent is routed, and every outbox is flushed.
+        // Drain exit: both exec lanes saw their ledger drained and exited,
+        // every answer they sent is routed, and every outbox is flushed.
         if exec_gone && conns.values().all(|c| c.outbox.is_empty()) {
             for (_, conn) in conns.iter() {
                 let _ = conn.stream.shutdown(std::net::Shutdown::Both);
@@ -438,7 +439,7 @@ fn io_thread(
 
 /// Exec results → owning connection's outbox, until the channel is empty.
 /// A result whose connection is gone is dropped (the client hung up on
-/// us). True once the exec thread has exited and all it sent is routed.
+/// us). True once both exec lanes have exited and all they sent is routed.
 fn route_results(
     results_rx: &Receiver<(usize, Vec<u8>)>,
     conns: &mut HashMap<usize, Conn>,
@@ -494,15 +495,46 @@ fn handle_frame(shared: &Shared, shard_ix: usize, key: usize, conn: &mut Conn, f
     }
 }
 
-/// Shard exec loop: take scan-sharing batches from the ledger, run them,
-/// route the answers. A batch's Results are counted under the lock of the
-/// next take, so a batch costs one lock, and no answer reaches the IO
-/// thread before the ledger has counted it.
+/// A shard's exec thread: its first exec lane, which starts the second,
+/// in a scope of its own, when it takes its first batch, so a daemon that
+/// never runs a batch starts no lane thread and a drained one has joined
+/// both.
 fn exec_thread(
     shared: Arc<Shared>,
     shard_ix: usize,
     runner: Arc<dyn BatchRunner>,
     results_tx: Sender<(usize, Vec<u8>)>,
+) {
+    let (shared, runner) = (&*shared, &*runner);
+    std::thread::scope(|scope| {
+        let mut peer_tx = Some(results_tx.clone());
+        let mut start_peer = || {
+            if let Some(tx) = peer_tx.take() {
+                // Without it the shard runs one batch at a time.
+                let _ = std::thread::Builder::new()
+                    .name(format!("net-exec-{shard_ix}b"))
+                    .spawn_scoped(scope, move || {
+                        exec_lane(shared, shard_ix, runner, tx, &mut || {})
+                    });
+            }
+        };
+        exec_lane(shared, shard_ix, runner, results_tx, &mut start_peer);
+    });
+}
+
+/// Shard exec lane: take scan-sharing batches from the ledger, run them,
+/// route the answers. A batch's Results are counted under the lock of the
+/// next take, so a batch costs one lock, and no answer reaches the IO
+/// thread before the ledger has counted it. The ledger lets a shard's two
+/// lanes run two batches at once only while a full one is queued, and
+/// the runner's one worker pool hands the older batch's fragments out
+/// first.
+fn exec_lane(
+    shared: &Shared,
+    shard_ix: usize,
+    runner: &dyn BatchRunner,
+    results_tx: Sender<(usize, Vec<u8>)>,
+    start_peer: &mut dyn FnMut(),
 ) {
     let shard = &shared.shards[shard_ix];
     // Encoded answers the ledger has counted, not yet sent to IO.
@@ -529,6 +561,10 @@ fn exec_thread(
                 .0;
             taken = ledger.take_batch(shared.now());
         }
+        // A full batch left queued is the other lane's to take.
+        if taken.as_ref().is_some_and(|b| !b.queries.is_empty()) && ledger.may_take() {
+            shard.cv.notify_one();
+        }
         drop(ledger);
         for (conn, shed) in taken.iter().flat_map(|b| &b.sheds) {
             outgoing.push((*conn, encode_frame(shed)));
@@ -549,6 +585,7 @@ fn exec_thread(
         if batch.queries.is_empty() {
             continue;
         }
+        start_peer();
 
         let mut result = runner.run_batch(&batch.queries);
         let answers = match &mut result {

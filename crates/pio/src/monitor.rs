@@ -16,7 +16,7 @@ use crate::layout::ServerId;
 /// stripes, so reads must keep avoiding it until its partner has rebuilt
 /// it: `Degraded` (dead, not yet rebuilding) → `Rebuilding` (copy from
 /// partner in progress) → `Healthy` (caught up, serving reads again).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResyncState {
     /// In rotation; stripes are trusted.
     Healthy,
@@ -139,9 +139,12 @@ impl HealthMonitor {
 
     /// Servers currently considered hot or dead (skippable). Dead servers
     /// are always skipped; hot ones only once enough latency samples exist
-    /// to compute a median.
+    /// to compute a median, and never while a mirror partner is dead: a
+    /// hot server is then the only copy left to read, and skipping both
+    /// would send the read back to the dead one.
     pub fn skips(&self) -> Vec<ServerId> {
         let mut out = self.dead();
+        let dead = out.len();
         // Per-byte latency; 0 for a server with no samples yet.
         let latency: Vec<f64> = lock(&self.load)
             .iter()
@@ -158,7 +161,8 @@ impl HealthMonitor {
         }
         for (slot, &v) in latency.iter().enumerate() {
             let s = self.server(slot);
-            if v > self.factor * median && !out.contains(&s) {
+            let partner_dead = out[..dead].iter().any(|d| d.index == s.index && d != &s);
+            if v > self.factor * median && !out.contains(&s) && !partner_dead {
                 out.push(s);
             }
         }
@@ -169,6 +173,7 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// One 512 KB stripe read and one 64-byte header read at the paced
     /// rate of the whole-path benchmark's servers (8 MB/s; a header costs
@@ -223,6 +228,171 @@ mod tests {
         assert_eq!(mon.skips(), vec![]);
         mon.record(slow, STRIPE_READ.0, STRIPE_READ.1);
         assert_eq!(mon.skips(), vec![]);
+    }
+
+    /// One event of the lifecycle walker, on server `usize` of a 2 + 2
+    /// store (group-major: 0 and 1 are the primaries).
+    #[derive(Debug, Clone, Copy)]
+    enum Event {
+        Dead(usize),
+        Begin(usize),
+        Complete(usize),
+        Hot(usize),
+        Cool(usize),
+    }
+
+    const WALK_DEPTH: usize = 6;
+    const STRIPE: u64 = 64 << 10;
+
+    fn walk_server(i: usize) -> ServerId {
+        ServerId {
+            group: (i / 2) as u8,
+            index: (i % 2) as u32,
+        }
+    }
+
+    /// Everything the walk's future depends on: the monitor's lifecycle
+    /// states and decayed sums (as bits), and which servers were marked
+    /// dead with no completed resync since.
+    type Key = (Vec<ResyncState>, Vec<(u64, u64)>, [bool; 4]);
+
+    fn key(mon: &HealthMonitor, out: [bool; 4]) -> Key {
+        let load = lock(&mon.load)
+            .iter()
+            .map(|&(s, r)| (s.to_bits(), r.to_bits()))
+            .collect();
+        (lock(&mon.state).clone(), load, out)
+    }
+
+    fn monitor(k: &Key) -> HealthMonitor {
+        let mon = HealthMonitor::new(2, 2);
+        *lock(&mon.state) = k.0.clone();
+        *lock(&mon.load) =
+            k.1.iter()
+                .map(|&(s, r)| (f64::from_bits(s), f64::from_bits(r)))
+                .collect();
+        mon
+    }
+
+    /// Every plan of a mirrored read the store could make now: dual-half
+    /// in both orientations over both stripes of both servers, and each
+    /// group alone. No part may go to a server that is `Degraded` or
+    /// `Rebuilding`, or was marked dead and has not completed a resync
+    /// since, unless its partner is out too (then no live copy is left).
+    fn check_plans(mon: &HealthMonitor, out: [bool; 4], path: &[Event]) {
+        let layout = crate::layout::MirroredLayout::new(STRIPE, 2);
+        let skips = mon.skips();
+        let excluded = |s: ServerId| {
+            let slot = s.group as usize * 2 + s.index as usize;
+            out[slot] || mon.resync_state(s) != ResyncState::Healthy
+        };
+        let len = 4 * STRIPE;
+        for group in 0..2u8 {
+            let plans = [
+                layout.plan_read(0, len, group, &skips),
+                layout.plan_single_group(0, len, group, &skips),
+            ];
+            for parts in plans {
+                assert_eq!(parts.iter().map(|p| p.len).sum::<u64>(), len, "{path:?}");
+                for p in parts {
+                    assert!(
+                        !excluded(p.server) || excluded(layout.partner(p.server)),
+                        "a plan reads {:?} ({:?}) while its partner is live\n  after {path:?}",
+                        p.server,
+                        mon.resync_state(p.server),
+                    );
+                }
+            }
+        }
+    }
+
+    fn walk(k: Key, path: &mut Vec<Event>, seen: &mut HashMap<Key, usize>, states: &mut u64) {
+        let depth = WALK_DEPTH - path.len();
+        if seen.get(&k).is_some_and(|&d| d >= depth) {
+            return;
+        }
+        seen.insert(k.clone(), depth);
+        *states += 1;
+        if depth == 0 {
+            return;
+        }
+        let events = (0..4).flat_map(|i| {
+            [
+                Event::Dead(i),
+                Event::Begin(i),
+                Event::Complete(i),
+                Event::Hot(i),
+                Event::Cool(i),
+            ]
+        });
+        for e in events {
+            let mon = monitor(&k);
+            let mut out = k.2;
+            let want = match e {
+                Event::Dead(i) => {
+                    mon.mark_dead(walk_server(i));
+                    out[i] = true;
+                    Some((i, ResyncState::Degraded))
+                }
+                Event::Begin(i) => {
+                    mon.begin_resync(walk_server(i));
+                    Some((i, ResyncState::Rebuilding))
+                }
+                Event::Complete(i) => {
+                    mon.complete_resync(walk_server(i));
+                    out[i] = false;
+                    Some((i, ResyncState::Healthy))
+                }
+                Event::Hot(i) => {
+                    mon.record(walk_server(i), STRIPE_READ.0, 10.0 * STRIPE_READ.1);
+                    None
+                }
+                Event::Cool(i) => {
+                    mon.record(walk_server(i), STRIPE_READ.0, STRIPE_READ.1);
+                    None
+                }
+            };
+            path.push(e);
+            if let Some((i, state)) = want {
+                assert_eq!(mon.resync_state(walk_server(i)), state, "after {path:?}");
+            }
+            check_plans(&mon, out, path);
+            walk(key(&mon, out), path, seen, states);
+            path.pop();
+        }
+    }
+
+    /// Every order of up to six lifecycle events (mark dead, begin and
+    /// complete a resync, a hot or a cool read) on any server of a 2 + 2
+    /// store, each followed by every mirrored plan the store could make.
+    /// Orders that reach the same monitor are walked on once.
+    #[test]
+    fn every_lifecycle_order_keeps_plans_off_excluded_servers() {
+        let mon = HealthMonitor::new(2, 2);
+        let (mut seen, mut states) = (HashMap::new(), 0);
+        walk(
+            key(&mon, [false; 4]),
+            &mut Vec::new(),
+            &mut seen,
+            &mut states,
+        );
+        assert!(states > 10_000, "only {states} states walked");
+    }
+
+    /// The order the walker found: a server dies while its partner is
+    /// hot. The partner is the only live copy, so it is not skipped.
+    #[test]
+    fn a_hot_server_whose_partner_is_dead_is_still_read() {
+        let mon = HealthMonitor::new(2, 2);
+        let (dead, hot) = (walk_server(0), walk_server(2));
+        mon.record(walk_server(1), STRIPE_READ.0, STRIPE_READ.1);
+        mon.record(walk_server(3), STRIPE_READ.0, STRIPE_READ.1);
+        mon.record(hot, STRIPE_READ.0, 10.0 * STRIPE_READ.1);
+        assert_eq!(mon.skips(), vec![hot]);
+        mon.mark_dead(dead);
+        assert_eq!(mon.skips(), vec![dead]);
+        mon.complete_resync(dead);
+        assert_eq!(mon.skips(), vec![hot]);
     }
 
     #[test]

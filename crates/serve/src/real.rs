@@ -1,22 +1,24 @@
 //! Scan-sharing over the real thread-pool runner.
 //!
 //! The real-path counterpart of [`crate::sim`]: batches drain through
-//! [`ParallelBlast::run_batch`], so every fragment is pulled through the
+//! one [`WorkerPool`] per call ([`WorkerPool::run_batch`], what
+//! [`ParallelBlast::run_batch`] runs), so every fragment is pulled through the
 //! configured I/O scheme (local copy / striped PVFS / mirrored CEFT-PVFS
 //! via `pio`) exactly once per batch and searched with every query in the
 //! batch. Results per query are rendered to the same tabular report the
 //! single-query path produces — byte-identical to running each query
-//! alone, which `tests/determinism.rs` enforces. Each worker thread
-//! keeps one reusable `ScanWorkspace` for its whole job, so every query
+//! alone, which `tests/determinism.rs` enforces. Each search thread
+//! keeps one reusable `ScanWorkspace` for the whole call, so every query
 //! in every batch recycles the same diagonal trackers, subject-unpack
 //! buffer, and gapped-DP rows — the packed-scan hot path allocates
 //! nothing per subject no matter how many queries a batch carries.
 
 use std::io;
+use std::sync::Arc;
 use std::time::Instant;
 
 use parblast_blast::tabular;
-use parblast_mpiblast::{ParallelBlast, ScrubTotals};
+use parblast_mpiblast::{ParallelBlast, ScrubTotals, WorkerPool};
 
 /// Outcome of serving a query list through scan-sharing batches.
 #[derive(Debug)]
@@ -65,8 +67,9 @@ pub fn serve_batched_scrubbed(
     let mut batches = 0u64;
     let mut kernel_passes = 0u64;
     let mut passes_saved = 0u64;
+    let pool = WorkerPool::start(Arc::new(job.clone()));
     for chunk in queries.chunks(max_batch.max(1)) {
-        let out = job.run_batch(chunk)?;
+        let out = pool.run_batch(chunk)?;
         batches += 1;
         kernel_passes += out.kernel_passes;
         passes_saved += out.passes_saved;

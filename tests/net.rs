@@ -532,21 +532,22 @@ fn cancel_answers_with_shed_cancelled() {
     );
     let mut client = NetClient::connect(&handle.addr().to_string()).unwrap();
 
-    // q1 occupies the exec thread for 200 ms; q2 waits in the queue long
-    // enough for the cancel to land.
+    // q1 and its twin occupy both exec lanes for 200 ms; q2 waits in the
+    // queue long enough for the cancel to land.
     let q1 = client.submit(b"first").unwrap();
+    let twin = client.submit(b"first").unwrap();
     std::thread::sleep(Duration::from_millis(50));
     let q2 = client.submit(b"second").unwrap();
     client.cancel(q2).unwrap();
 
-    let mut got_ok = false;
+    let mut got_ok = 0;
     let mut got_cancel = false;
-    for _ in 0..2 {
+    for _ in 0..3 {
         match client.recv_response().unwrap().unwrap() {
             (id, Response::Ok(payload)) => {
-                assert_eq!(id, q1);
+                assert!(id == q1 || id == twin, "{id}");
                 assert_eq!(payload, EchoRunner::expected(b"first"));
-                got_ok = true;
+                got_ok += 1;
             }
             (id, Response::Shed(ShedReason::Cancelled, _)) => {
                 assert_eq!(id, q2);
@@ -555,7 +556,7 @@ fn cancel_answers_with_shed_cancelled() {
             other => panic!("unexpected response {other:?}"),
         }
     }
-    assert!(got_ok && got_cancel);
+    assert!(got_ok == 2 && got_cancel);
     assert_eq!(client.stats().unwrap().cancelled, 1);
     handle.drain();
     handle.join();
@@ -582,7 +583,11 @@ fn expired_deadline_is_shed_as_expired() {
     )
     .unwrap();
 
-    let b = blocker.submit(b"slow").unwrap();
+    // Two slow batches occupy both exec lanes.
+    let b = [
+        blocker.submit(b"slow").unwrap(),
+        blocker.submit(b"slow").unwrap(),
+    ];
     std::thread::sleep(Duration::from_millis(50));
     let e = client.submit(b"doomed").unwrap();
 
@@ -590,9 +595,11 @@ fn expired_deadline_is_shed_as_expired() {
         (id, Response::Shed(ShedReason::Expired, _)) => assert_eq!(id, e),
         other => panic!("unexpected response {other:?}"),
     }
-    match blocker.recv_response().unwrap().unwrap() {
-        (id, Response::Ok(_)) => assert_eq!(id, b),
-        other => panic!("unexpected response {other:?}"),
+    for _ in b {
+        match blocker.recv_response().unwrap().unwrap() {
+            (id, Response::Ok(_)) => assert!(b.contains(&id), "{id}"),
+            other => panic!("unexpected response {other:?}"),
+        }
     }
     assert_eq!(client.stats().unwrap().expired, 1);
     handle.drain();
@@ -657,24 +664,25 @@ fn cancel_then_expire_leaves_no_stale_cancel_for_a_reused_id() {
         })
     };
 
-    // With one shard and `max_batch` 1 the blocker is dequeued first and
-    // occupies the exec thread for 200 ms; query 7 is cancelled while
-    // queued behind it, and its 1 µs deadline lapses before the exec
-    // thread can dequeue it.
+    // With one shard and `max_batch` 1 the two blockers are dequeued
+    // first and occupy both exec lanes for 200 ms; query 7 is cancelled
+    // while queued behind them, and its 1 µs deadline lapses before an
+    // exec lane can dequeue it.
     let mut burst = submit(1, 0, b"blocker");
+    burst.extend(submit(2, 0, b"blocker"));
     burst.extend(submit(7, 1, b"doomed"));
     burst.extend(encode_frame(&Frame::Cancel { id: 7 }));
     sock.write_all(&burst).unwrap();
 
-    let mut blocker_ok = false;
+    let mut blockers_ok = 0;
     let mut expired = false;
-    for _ in 0..2 {
+    for _ in 0..3 {
         match read_frame(&mut sock, &mut reader) {
             Frame::Result {
-                id: 1,
+                id: 1 | 2,
                 status: ResultStatus::Ok,
                 ..
-            } => blocker_ok = true,
+            } => blockers_ok += 1,
             Frame::Shed {
                 id: 7,
                 reason: ShedReason::Expired,
@@ -683,7 +691,7 @@ fn cancel_then_expire_leaves_no_stale_cancel_for_a_reused_id() {
             other => panic!("unexpected frame {other:?}"),
         }
     }
-    assert!(blocker_ok && expired);
+    assert!(blockers_ok == 2 && expired);
 
     // Same id, same connection, no deadline: it must be searched.
     sock.write_all(&submit(7, 0, b"reused")).unwrap();
@@ -699,7 +707,7 @@ fn cancel_then_expire_leaves_no_stale_cancel_for_a_reused_id() {
     handle.drain();
     let stats = handle.join();
     assert_eq!((stats.expired, stats.cancelled), (1, 0), "{stats:?}");
-    assert_eq!(stats.served, 2);
+    assert_eq!(stats.served, 3);
     assert_ledger_balances(&stats);
 }
 
@@ -785,6 +793,83 @@ impl BatchRunner for FailsFirstRunner {
             passes_saved: Self::PASSES_SAVED,
         })
     }
+}
+
+/// Echoes like [`EchoRunner`], holding each batch for `hold`, and keeps the
+/// most batches it ever ran at once.
+struct OverlapRunner {
+    hold: Duration,
+    now: std::sync::atomic::AtomicU64,
+    most: std::sync::atomic::AtomicU64,
+}
+
+impl OverlapRunner {
+    fn new(hold: Duration) -> Self {
+        OverlapRunner {
+            hold,
+            now: Default::default(),
+            most: Default::default(),
+        }
+    }
+
+    fn most(&self) -> u64 {
+        self.most.load(std::sync::atomic::Ordering::SeqCst)
+    }
+}
+
+impl BatchRunner for OverlapRunner {
+    fn run_batch(&self, queries: &[Vec<u8>]) -> Result<RunnerOutput, RunnerError> {
+        use std::sync::atomic::Ordering::SeqCst;
+        let running = self.now.fetch_add(1, SeqCst) + 1;
+        self.most.fetch_max(running, SeqCst);
+        std::thread::sleep(self.hold);
+        self.now.fetch_sub(1, SeqCst);
+        EchoRunner::default().run_batch(queries)
+    }
+}
+
+/// A shard runs a second batch beside the first only while a full one is
+/// queued: a lone query waits for the running batch, and the query that
+/// fills its batch starts the second lane; never more than two run.
+#[test]
+fn a_second_batch_runs_beside_the_first_only_when_full() {
+    let runner = Arc::new(OverlapRunner::new(Duration::from_millis(300)));
+    let handle = NetServer::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            shards: 1,
+            max_batch: 2,
+            ..Default::default()
+        },
+        runner.clone(),
+    )
+    .expect("bind loopback");
+    let mut client = NetClient::connect(&handle.addr().to_string()).unwrap();
+    let mut ids = HashSet::new();
+    ids.insert(client.submit(b"first").unwrap());
+    std::thread::sleep(Duration::from_millis(50));
+    ids.insert(client.submit(b"alone").unwrap());
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(runner.most(), 1, "a partial batch ran beside the first");
+    ids.insert(client.submit(b"fills it").unwrap());
+    // And a full batch behind the two running ones waits for a lane.
+    for q in [&b"third"[..], b"batch"] {
+        ids.insert(client.submit(q).unwrap());
+    }
+    for _ in 0..5 {
+        let (id, resp) = client.recv_response().unwrap().expect("answer");
+        assert!(ids.remove(&id), "exactly one answer per id");
+        assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    }
+    assert_eq!(
+        runner.most(),
+        2,
+        "the full batch did not run beside the first"
+    );
+    handle.drain();
+    let stats = handle.join();
+    assert_eq!((stats.served, stats.batches), (5, 3), "{stats:?}");
+    assert_ledger_balances(&stats);
 }
 
 /// `served` counts every answer, failed or not; the batch and pass
@@ -919,10 +1004,11 @@ fn drain_under_load_loses_no_accepted_query() {
     assert!(stats.accepted > 0);
 }
 
-/// `DrainAck{queued}` counts the batch that is running, not only the
-/// queries still queued: with one shard and `max_batch` 1, the first
-/// query runs for 300 ms while the second waits behind it, and both are
-/// still to be answered when the `Drain` lands.
+/// `DrainAck{queued}` counts the batches that are running, not only the
+/// queries still queued: with one shard and `max_batch` 1, the first two
+/// queries run for 300 ms on the shard's two exec lanes while the third
+/// waits behind them, and all three are still to be answered when the
+/// `Drain` lands.
 #[test]
 fn drain_ack_counts_the_running_batch() {
     use std::io::Write;
@@ -938,6 +1024,7 @@ fn drain_ack_counts_the_running_batch() {
     let mut client = NetClient::connect(&handle.addr().to_string()).unwrap();
     let ids = [
         client.submit(b"running").unwrap(),
+        client.submit(b"running too").unwrap(),
         client.submit(b"queued").unwrap(),
     ];
     std::thread::sleep(Duration::from_millis(50));
@@ -948,7 +1035,7 @@ fn drain_ack_counts_the_running_batch() {
         .unwrap();
     admin.write_all(&encode_frame(&Frame::Drain)).unwrap();
     match read_frame(&mut admin, &mut FrameReader::new()) {
-        Frame::DrainAck { queued } => assert_eq!(queued, 2, "one running, one queued"),
+        Frame::DrainAck { queued } => assert_eq!(queued, 3, "two running, one queued"),
         other => panic!("expected DrainAck, got {other:?}"),
     }
 
@@ -960,7 +1047,7 @@ fn drain_ack_counts_the_running_batch() {
     }
     assert_eq!(answered, HashSet::from(ids));
     let stats = handle.join();
-    assert_eq!(stats.served, 2, "{stats:?}");
+    assert_eq!(stats.served, 3, "{stats:?}");
     assert_ledger_balances(&stats);
 }
 
