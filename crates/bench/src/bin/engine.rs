@@ -33,7 +33,11 @@
 //!   passes of the same reps (its share of a pass), and every rep's pass
 //!   is asserted identical to the reference kernel's.
 //! * **traceback** — [`banded_global_with`] alone, on the aligned ranges
-//!   the report-bound mix reports: HSPs and band cells per second.
+//!   the report-bound mix reports: HSPs and band cells per second, the row
+//!   kernel it dispatched to ([`traceback_kernel`]) and how many
+//!   tracebacks fell back to the scalar one, timed in interleaved reps
+//!   against the scalar kernel ([`banded_global_scalar`]) with score and
+//!   ops asserted identical every rep.
 //! * **score statistics** — [`scorer_params`], the Karlin-Altschul solve
 //!   a batch runs once, per solve (printed, not in the JSON).
 //!
@@ -47,13 +51,13 @@ use std::ops::Range;
 use std::time::Instant;
 
 use parblast_bench::{arg_u64, arg_value, median, print_table};
-use parblast_blast::baseline::search_blastn_baseline;
+use parblast_blast::baseline::{banded_global_scalar, search_blastn_baseline};
 use parblast_blast::lookup::MaskedContext;
 use parblast_blast::{
     banded_global_with, dust_mask, extend_gapped_with, extend_ungapped, extend_ungapped_packed,
-    scan_kernel, scorer_params, xdrop_row_kernel, BatchedNtLookup, DbStats, DiagTracker,
-    GappedWorkspace, Hit, PackedQuery, PreparedBatch, ScanWorkspace, SearchParams, SurvivorBlock,
-    UngappedHsp, UngappedTable,
+    scan_kernel, scorer_params, traceback_kernel, xdrop_row_kernel, AlignOp, BatchedNtLookup,
+    DbStats, DiagTracker, GappedWorkspace, Hit, PackedQuery, PreparedBatch, ScanWorkspace,
+    SearchParams, SurvivorBlock, UngappedHsp, UngappedTable,
 };
 use parblast_seqdb::blastdb::DbSequence;
 use parblast_seqdb::{
@@ -616,28 +620,49 @@ fn main() {
         .iter()
         .map(|(q, s)| band_cells(q.len(), s.len(), 16))
         .sum();
-    let mut gws = GappedWorkspace::new();
-    let mut trace = || {
+    let want_trace: Vec<(i32, Vec<AlignOp>)> = {
+        let mut gws = GappedWorkspace::new();
         pairs
             .iter()
-            .map(|(q, s)| banded_global_with(q, s, &params.scorer, params.gaps, 16, &mut gws).0)
-            .sum::<i32>()
-    };
-    let checksum = trace();
-    let trace_s = median(
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                assert_eq!(
-                    std::hint::black_box(trace()),
-                    checksum,
-                    "unstable traceback"
-                );
-                t0.elapsed().as_secs_f64()
+            .map(|(q, s)| {
+                let (score, ops) =
+                    banded_global_scalar(q, s, &params.scorer, params.gaps, 16, &mut gws);
+                (score, ops.to_vec())
             })
-            .collect(),
-    );
+            .collect()
+    };
+    // Every traceback of one pass by the dispatched kernel (or, with
+    // `scalar`, by the scalar one), each asserted equal to the scalar
+    // kernel's first answer.
+    let trace = |scalar: bool, gws: &mut GappedWorkspace| {
+        let t0 = Instant::now();
+        for ((q, s), want) in pairs.iter().zip(&want_trace) {
+            let (score, ops) = if scalar {
+                banded_global_scalar(q, s, &params.scorer, params.gaps, 16, gws)
+            } else {
+                banded_global_with(q, s, &params.scorer, params.gaps, 16, gws)
+            };
+            assert!(
+                score == want.0 && ops == want.1,
+                "the traceback kernels must agree"
+            );
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut gws, mut scalar_ws) = (GappedWorkspace::new(), GappedWorkspace::new());
+    trace(false, &mut gws);
+    let trace_fallbacks = gws.traceback_fallbacks();
+    let (mut trace_t, mut scalar_trace_t) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        trace_t.push(trace(false, &mut gws));
+        scalar_trace_t.push(trace(true, &mut scalar_ws));
+    }
+    let (trace_s, scalar_trace_s) = (median(trace_t), median(scalar_trace_t));
     let (hsps_per_s, cells_per_s) = (pairs.len() as f64 / trace_s, cells as f64 / trace_s);
+    let (ns_per_cell, scalar_ns_per_cell) = (
+        trace_s * 1e9 / cells as f64,
+        scalar_trace_s * 1e9 / cells as f64,
+    );
 
     // --- score statistics -----------------------------------------------
     // The Karlin-Altschul solve (lambda, K, H of the blastn scorer) that a
@@ -749,23 +774,38 @@ fn main() {
     );
 
     println!();
+    let trace_row = |kernel: &str, s: f64| {
+        vec![
+            kernel.into(),
+            format!("{}", pairs.len()),
+            format!("{cells}"),
+            format!("{s:.5}"),
+            format!("{:.0}", pairs.len() as f64 / s),
+            format!("{:.1}", cells as f64 / s / 1e6),
+            format!("{:.2}", s * 1e9 / cells as f64),
+        ]
+    };
     print_table(
         &[
-            "stage",
+            "traceback",
             "HSPs",
             "band cells",
             "time (s)",
             "HSPs/s",
             "Mcells/s",
+            "ns/cell",
         ],
-        &[vec![
-            "traceback".into(),
-            format!("{}", pairs.len()),
-            format!("{cells}"),
-            format!("{trace_s:.5}"),
-            format!("{hsps_per_s:.0}"),
-            format!("{:.1}", cells_per_s / 1e6),
-        ]],
+        &[
+            trace_row(
+                &format!("{} ({trace_fallbacks} fallbacks)", traceback_kernel()),
+                trace_s,
+            ),
+            trace_row("scalar", scalar_trace_s),
+        ],
+    );
+    println!(
+        "(the dispatched kernel {:.2}x the scalar one, ops identical every rep)",
+        scalar_trace_s / trace_s
     );
 
     println!();
@@ -807,8 +847,11 @@ fn main() {
          \"fragment_search\": {{\"baseline_s\": {:.6}, \"packed_s\": {:.6}, \
          \"baseline_bases_per_s\": {:.0}, \"packed_bases_per_s\": {:.0}, \
          \"packed_bytes_per_s\": {:.0}, \"speedup\": {:.3}}},\n  \
-         \"traceback\": {{\"hsps\": {}, \"band_cells\": {cells}, \"s\": {trace_s:.6}, \
-         \"hsps_per_s\": {hsps_per_s:.0}, \"cells_per_s\": {cells_per_s:.0}}},\n  \
+         \"traceback\": {{\"kernel\": \"{}\", \"fallbacks\": {trace_fallbacks}, \"hsps\": {}, \
+         \"band_cells\": {cells}, \"s\": {trace_s:.6}, \"hsps_per_s\": {hsps_per_s:.0}, \
+         \"cells_per_s\": {cells_per_s:.0}, \"ns_per_cell\": {ns_per_cell:.3}, \
+         \"scalar_s\": {scalar_trace_s:.6}, \"scalar_ns_per_cell\": {scalar_ns_per_cell:.3}, \
+         \"speedup_vs_scalar\": {:.3}, \"identical_to_scalar\": true}},\n  \
          \"extend_stage\": {extend_json},\n  \
          \"batch_scaling\": {scaling_json}\n}}\n",
         volume.residues(),
@@ -826,7 +869,9 @@ fn main() {
         kernel_bps,
         kernel_bytes_per_s,
         kernel_bps / base_bps,
+        traceback_kernel(),
         pairs.len(),
+        scalar_trace_s / trace_s,
     );
     std::fs::write(&out, &payload).expect("write BENCH_engine.json");
     println!(

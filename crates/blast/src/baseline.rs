@@ -14,10 +14,12 @@
 //! in `search.rs` and `tests/determinism.rs` compare the two on random
 //! batches, `bench --bin engine` asserts identity on every rep, and the
 //! golden digests in `tests/determinism.rs` were captured from it. Not for
-//! production use. It does share the reporting stage's traceback
-//! ([`banded_global_with`] and [`align_stats`], pinned against their own oracle
-//! in `gapped.rs`) and the Karlin–Altschul statistics ([`crate::karlin`]),
-//! which the digests pin on their own.
+//! production use. It does share the reporting stage's traceback and
+//! [`align_stats`] (pinned against their own oracle in `gapped.rs`), but
+//! always through the scalar row kernel ([`banded_global_scalar`]), never
+//! the register one the production kernel dispatches to; and the
+//! Karlin–Altschul statistics ([`crate::karlin`]), which the digests pin on
+//! their own.
 
 use std::collections::HashMap;
 
@@ -25,13 +27,37 @@ use parblast_seqdb::{reverse_complement, Volume};
 
 use crate::dust::{dust_mask, word_masked};
 use crate::extend::extend_ungapped;
-use crate::gapped::{align_stats, banded_global_with, ExtensionResult, GappedWorkspace};
+use crate::gapped::{
+    align_stats, banded_global_by, AlignOp, ExtensionResult, GappedWorkspace, RowKernel,
+};
 use crate::matrix::{GapPenalties, Scorer};
 use crate::report::{Hit, Hsp};
 use crate::search::{rank, Candidate, DbStats, Karlin, SearchParams, StatsCtx, STRANDS};
 
 /// A dead DP cell.
 const NEG: i32 = i32::MIN / 4;
+
+/// [`crate::banded_global_with`] by its scalar row kernel whatever the
+/// CPU: the reporting traceback the reference runs, and what `bench --bin
+/// engine` times the dispatched kernel against.
+pub fn banded_global_scalar<'w>(
+    query: &[u8],
+    subject: &[u8],
+    scorer: &Scorer,
+    gaps: GapPenalties,
+    extra_band: usize,
+    ws: &'w mut GappedWorkspace,
+) -> (i32, &'w [AlignOp]) {
+    banded_global_by(
+        RowKernel::Scalar,
+        query,
+        subject,
+        scorer,
+        gaps,
+        extra_band,
+        ws,
+    )
+}
 
 /// The reference lookup, frozen alongside the kernel: full-CSR
 /// direct table built with a prefix-sum sweep over all 4^w cells (and a
@@ -379,7 +405,7 @@ fn finalize(
         let qslice = &query[c.q_range.clone()];
         let sslice = &subject[c.s_range.clone()];
         let (_, ops) =
-            banded_global_with(qslice, sslice, &params.scorer, params.gaps, 16, &mut gws);
+            banded_global_scalar(qslice, sslice, &params.scorer, params.gaps, 16, &mut gws);
         let stats = align_stats(qslice, sslice, ops);
         let (q_start, q_end) = if c.strand < 0 {
             (query.len() - c.q_range.end, query.len() - c.q_range.start)

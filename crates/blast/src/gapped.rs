@@ -47,6 +47,8 @@ pub struct GappedWorkspace {
     cells: u64,
     /// Extensions the register kernel handed back to the scalar one.
     fallbacks: u64,
+    /// Tracebacks the register kernel left to the scalar one.
+    trace_fallbacks: u64,
 }
 
 impl GappedWorkspace {
@@ -74,6 +76,14 @@ impl GappedWorkspace {
     /// cells are counted once, by the scalar kernel.
     pub fn dp_fallbacks(&self) -> u64 {
         self.fallbacks
+    }
+
+    /// How many tracebacks ran the scalar kernel on a CPU with the
+    /// register one, because the band was wider than 64 lanes or the
+    /// scores could leave `i16` (lifetime count; see
+    /// [`banded_global_with`]).
+    pub fn traceback_fallbacks(&self) -> u64 {
+        self.trace_fallbacks
     }
 
     /// Make column `j` addressable in both rows and `j + 1` substitution
@@ -175,14 +185,15 @@ pub fn xdrop_extend_with(
     )
 }
 
-/// Which row kernel an X-drop extension asks for.
+/// Which row kernel an X-drop extension or a traceback asks for.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowKernel {
-    /// [`xdrop_kernel`]: a cell at a time, in the workspace's rows.
+pub(crate) enum RowKernel {
+    /// [`xdrop_kernel`] or [`banded_kernel`]: a cell at a time, in the
+    /// workspace's rows.
     Scalar,
-    /// `avx512::xdrop_rows` where the CPU has `avx512bw`, else the scalar
-    /// kernel.
+    /// `avx512::xdrop_rows` or `avx512::banded_rows` where the CPU has
+    /// `avx512bw`, else the scalar kernel.
     Register,
 }
 
@@ -474,6 +485,20 @@ mod avx512 {
         }
     }
 
+    /// The exclusive max-plus scan `E(k) = max_{l<k} x(l) − ext·(k−1−l)`
+    /// over the 32 lanes of `x`, `fill` left of lane 0, in five steps (the
+    /// first takes two shifts at once); `decay` is `ext·{1, 2, 4, 8, 16}`.
+    #[target_feature(enable = "avx512bw")]
+    #[inline]
+    fn e_scan(x: __m512i, decay: &[__m512i; 5], fill: __m512i) -> __m512i {
+        let shifted = _mm512_subs_epi16(up::<2>(x, fill), decay[0]);
+        let mut e = _mm512_max_epi16(up::<1>(x, fill), shifted);
+        e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<2>(e, fill), decay[1]));
+        e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<4>(e, fill), decay[2]));
+        e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<8>(e, fill), decay[3]));
+        _mm512_max_epi16(e, _mm512_subs_epi16(up::<16>(e, fill), decay[4]))
+    }
+
     /// Where query base `qc` equals the subject residue that lane `t` of
     /// a row starting at column `jlo` pairs (`jlo + t − 1`, or `n − jlo −
     /// t` under REV), for `t` in `1..64`: bit `t`. A row starting `d <=
@@ -535,8 +560,8 @@ mod avx512 {
         let f_new = _mm512_set1_epi16(NEG + ext as i16);
         let open_ext = _mm512_set1_epi16((open + ext) as i16);
         let ext_by = |s: i32| _mm512_set1_epi16((ext * s) as i16);
-        let (ext1, ext2, ext4, ext8, ext16) =
-            (ext_by(1), ext_by(2), ext_by(4), ext_by(8), ext_by(16));
+        let decay = [ext_by(1), ext_by(2), ext_by(4), ext_by(8), ext_by(16)];
+        let ext1 = decay[0];
         let (rew, pen) = (
             _mm512_set1_epi16(reward as i16),
             _mm512_set1_epi16(penalty as i16),
@@ -576,11 +601,7 @@ mod avx512 {
             let fv = _mm512_max_epi16(_mm512_subs_epi16(h, open_ext), _mm512_subs_epi16(f, ext1));
             let dv = _mm512_max_epi16(_mm512_adds_epi16(diag, s), fv);
             let x = _mm512_subs_epi16(dv, open_ext);
-            let mut e = _mm512_max_epi16(up::<1>(x, neg), _mm512_subs_epi16(up::<2>(x, neg), ext1));
-            e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<2>(e, neg), ext2));
-            e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<4>(e, neg), ext4));
-            e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<8>(e, neg), ext8));
-            e = _mm512_max_epi16(e, _mm512_subs_epi16(up::<16>(e, neg), ext16));
+            let e = e_scan(x, &decay, neg);
             // Lanes past the row read dead, so they raise nothing.
             let hv = _mm512_mask_max_epi16(neg, valid, dv, e);
             let live = if _mm512_mask_cmpgt_epi16_mask(valid, hv, best) == 0 {
@@ -627,6 +648,212 @@ mod avx512 {
             s_ext: best_cell.1,
         };
         Some((result, rows, cells))
+    }
+
+    /// Lanes in a traceback row: two registers.
+    pub(super) const BAND_LANES: usize = 2 * LANES;
+    /// The traceback kernel's out-of-band sentinel;
+    /// [`super::fits_i16_global`] keeps every value derived from a cell
+    /// inside the matrix at least 8 192 above it.
+    const TB_NEG: i16 = -24_576;
+
+    /// Lanes `from..=to` of a two-register row, clipped to it.
+    fn lanes(from: isize, to: isize) -> u64 {
+        let (from, to) = (from.max(0), to.min(BAND_LANES as isize - 1));
+        if from > to {
+            0
+        } else {
+            (u64::MAX >> (63 - to)) & (u64::MAX << from)
+        }
+    }
+
+    /// The low and the high register's halves of a row's lane mask.
+    fn halves(k: u64) -> (u32, u32) {
+        (k as u32, (k >> 32) as u32)
+    }
+
+    /// A row's lane mask from its registers' halves.
+    fn joined(lo: u32, hi: u32) -> u64 {
+        u64::from(lo) | u64::from(hi) << 32
+    }
+
+    /// Rows `1..=m` of [`super::banded_kernel`] (same arguments, the
+    /// scorer resolved and the band given) in band coordinates: lane `d`
+    /// of row `i` is column `j = i − band + d`, and a row is two
+    /// registers, lanes `0..32` and `32..64`. So:
+    ///
+    /// * `M`'s source `H(i−1, j−1)` is the same lane of the row above, and
+    ///   `M` is `TB_NEG` on the lanes with `j ≤ 0` (the `> NEG/2` guard:
+    ///   nothing else in the band has an out-of-band diagonal);
+    /// * `F`'s sources are the row above one lane down, with `TB_NEG`
+    ///   shifted in at lane `width − 1`, new to the band;
+    /// * `E` is the same exclusive max-plus scan of `D − open − ext` as in
+    ///   `xdrop_rows` ("E from D"), over each register, the low register's
+    ///   last `E` carried into the high one decaying by `ext` a lane;
+    /// * the choices are lane masks: `F` and `E` open on `>=`, the
+    ///   diagonal wins on `M >= E && M >= F`, else `E` on `E >= F`; "`E`
+    ///   extended" is `H − open − ext < E − ext` of the lane to the left
+    ///   (a mask shifted by one lane), which at a left band edge is
+    ///   `TB_NEG − open − ext < TB_NEG − ext`, i.e. `open > 0`, and at
+    ///   column 0 never;
+    /// * row `i`'s traceback bytes are `bt[i·width..][..width]`, one
+    ///   masked byte store of the lanes with `0 ≤ j ≤ n` (the cells the
+    ///   scalar kernel writes).
+    ///
+    /// Every cell of the band with `0 ≤ j ≤ n` has a finite `H`; its `E`
+    /// derives from the sentinel only at a left band edge or column 0, its
+    /// `F` only at the right edge, and exactly where the scalar kernel's do
+    /// from `NEG`, so every comparison there comes out as the scalar
+    /// kernel's. Lanes with `j < 0` or `j > n` hold values no cell with
+    /// `0 ≤ j ≤ n` reads: `E` flows right, `F` down its own column, `M`
+    /// down its own diagonal. Row 0 is the caller's. Returns `H(m, n)`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have seen the CPU support AVX-512BW. The result is
+    /// exact only for a non-empty `query` and `subject`, `2·band + 1 ≤ 64`
+    /// and where [`super::fits_i16_global`] admits the arguments.
+    #[target_feature(enable = "avx512bw")]
+    pub(super) fn banded_rows(
+        query: &[u8],
+        subject: &[u8],
+        reward: i32,
+        penalty: i32,
+        gaps: GapPenalties,
+        band: usize,
+        bt: &mut [u8],
+    ) -> i32 {
+        let (m, n) = (query.len(), subject.len());
+        let width = 2 * band + 1;
+        // Keeps every byte store inside `bt`.
+        assert!(width <= BAND_LANES && bt.len() >= (m + 1) * width);
+        let (open, ext) = (gaps.open, gaps.extend);
+        let neg = _mm512_set1_epi16(TB_NEG);
+        let open_ext = _mm512_set1_epi16((open + ext) as i16);
+        let ext_by = |s: i32| _mm512_set1_epi16((ext * s) as i16);
+        let decay = [ext_by(1), ext_by(2), ext_by(4), ext_by(8), ext_by(16)];
+        let iota = vec(IOTA);
+        // `E` carried into lane `t` of the high register.
+        let ramp = _mm512_mullo_epi16(iota, decay[0]);
+        let (rew, pen) = (
+            _mm512_set1_epi16(reward as i16),
+            _mm512_set1_epi16(penalty as i16),
+        );
+        // F reads lane `d + 1` of the row above. The permutes copy their
+        // index where the mask is clear, so those lanes of the index are
+        // the sentinel.
+        let (below_lo, below_hi) = halves((u64::MAX >> (64 - width)) >> 1);
+        let idx_lo = _mm512_add_epi16(iota, _mm512_set1_epi16(1));
+        let idx_hi = _mm512_add_epi16(iota, _mm512_set1_epi16(LANES as i16 + 1));
+        let idx_lo = _mm512_mask_blend_epi16(below_lo, neg, idx_lo);
+        let idx_hi = _mm512_mask_blend_epi16(below_hi, neg, idx_hi);
+        let down = |(lo, hi): (__m512i, __m512i)| {
+            (
+                _mm512_mask2_permutex2var_epi16(lo, idx_lo, below_lo, hi),
+                _mm512_mask2_permutex2var_epi16(lo, idx_hi, below_hi, hi),
+            )
+        };
+        let last = _mm512_set1_epi16(LANES as i16 - 1);
+        let byte = |v: u8| _mm512_set1_epi8(v as i8);
+        let (src_e, src_f) = (byte(super::SRC_E), byte(super::SRC_F));
+        let (e_bit, f_bit) = (byte(1 << super::TB_E_EXT), byte(1 << super::TB_F_EXT));
+        let edge = u64::from(open > 0);
+        let band_lanes = u64::MAX >> (64 - width);
+        // Row 0: a leading gap in the query, as far as the band goes.
+        let mut row = [TB_NEG; BAND_LANES];
+        row[band] = 0;
+        for j in 1..=band.min(n) {
+            row[band + j] = (-open - ext * j as i32) as i16;
+        }
+        // SAFETY: `[i16; 64]` is two registers' worth of plain bytes.
+        let [mut h_lo, mut h_hi] =
+            unsafe { std::mem::transmute::<[i16; BAND_LANES], [__m512i; 2]>(row) };
+        let (mut f_lo, mut f_hi) = (neg, neg);
+        let n = n as isize;
+        for (i, &qc) in (1..).zip(query) {
+            // The column of lane 0.
+            let c = i as isize - band as isize;
+            // Lanes with `1 ≤ j ≤ n` pair `qc` with subject residue `j − 1`.
+            let paired = lanes(1 - c, n - c);
+            let base = subject.as_ptr().wrapping_offset(c - 1);
+            // SAFETY: the unmasked bytes are subject residues `j − 1` for
+            // `1 ≤ j ≤ n` (masked-off bytes are neither read nor faulted on).
+            let codes = unsafe { _mm512_maskz_loadu_epi8(paired, base.cast()) };
+            let hits = _mm512_mask_cmpeq_epi8_mask(paired, codes, _mm512_set1_epi8(qc as i8));
+            let (hits_lo, hits_hi) = halves(hits);
+            let (diag_lo, diag_hi) = halves(lanes(1 - c, BAND_LANES as isize));
+            let m_lo = _mm512_mask_adds_epi16(
+                neg,
+                diag_lo,
+                h_lo,
+                _mm512_mask_blend_epi16(hits_lo, pen, rew),
+            );
+            let m_hi = _mm512_mask_adds_epi16(
+                neg,
+                diag_hi,
+                h_hi,
+                _mm512_mask_blend_epi16(hits_hi, pen, rew),
+            );
+            let (up_lo, up_hi) = down((h_lo, h_hi));
+            let (upf_lo, upf_hi) = down((f_lo, f_hi));
+            let (fo_lo, fo_hi) = (
+                _mm512_subs_epi16(up_lo, open_ext),
+                _mm512_subs_epi16(up_hi, open_ext),
+            );
+            let (fx_lo, fx_hi) = (
+                _mm512_subs_epi16(upf_lo, decay[0]),
+                _mm512_subs_epi16(upf_hi, decay[0]),
+            );
+            let f_ext = joined(
+                _mm512_cmplt_epi16_mask(fo_lo, fx_lo),
+                _mm512_cmplt_epi16_mask(fo_hi, fx_hi),
+            );
+            (f_lo, f_hi) = (
+                _mm512_max_epi16(fo_lo, fx_lo),
+                _mm512_max_epi16(fo_hi, fx_hi),
+            );
+            let (d_lo, d_hi) = (_mm512_max_epi16(m_lo, f_lo), _mm512_max_epi16(m_hi, f_hi));
+            let (x_lo, x_hi) = (
+                _mm512_subs_epi16(d_lo, open_ext),
+                _mm512_subs_epi16(d_hi, open_ext),
+            );
+            let e_lo = e_scan(x_lo, &decay, neg);
+            // `E` at lane 32: `max(x(31), E(31) − ext)`, in every lane.
+            let carry = _mm512_max_epi16(x_lo, _mm512_subs_epi16(e_lo, decay[0]));
+            let carry = _mm512_permutexvar_epi16(last, carry);
+            let e_hi = _mm512_max_epi16(e_scan(x_hi, &decay, neg), _mm512_subs_epi16(carry, ramp));
+            (h_lo, h_hi) = (_mm512_max_epi16(d_lo, e_lo), _mm512_max_epi16(d_hi, e_hi));
+            let from_diag = joined(
+                _mm512_mask_cmpge_epi16_mask(_mm512_cmpge_epi16_mask(m_lo, e_lo), m_lo, f_lo),
+                _mm512_mask_cmpge_epi16_mask(_mm512_cmpge_epi16_mask(m_hi, e_hi), m_hi, f_hi),
+            );
+            let from_e = joined(
+                _mm512_cmpge_epi16_mask(e_lo, f_lo),
+                _mm512_cmpge_epi16_mask(e_hi, f_hi),
+            );
+            let opens_below = joined(
+                _mm512_cmplt_epi16_mask(
+                    _mm512_subs_epi16(h_lo, open_ext),
+                    _mm512_subs_epi16(e_lo, decay[0]),
+                ),
+                _mm512_cmplt_epi16_mask(
+                    _mm512_subs_epi16(h_hi, open_ext),
+                    _mm512_subs_epi16(e_hi, decay[0]),
+                ),
+            );
+            let e_ext = (opens_below << 1 | edge) & !lanes(-c, -c);
+            let mut v = _mm512_maskz_mov_epi8(!from_diag & from_e, src_e);
+            v = _mm512_mask_mov_epi8(v, !(from_diag | from_e), src_f);
+            v = _mm512_mask_add_epi8(v, e_ext, v, e_bit);
+            v = _mm512_mask_add_epi8(v, f_ext, v, f_bit);
+            let store = lanes(-c, n - c) & band_lanes;
+            // SAFETY: the stored bytes are lanes `< width` of row `i`,
+            // inside `bt` (asserted above).
+            unsafe { _mm512_mask_storeu_epi8(bt.as_mut_ptr().add(i * width).cast(), store, v) };
+        }
+        // SAFETY: as for row 0.
+        let row = unsafe { std::mem::transmute::<[__m512i; 2], [i16; BAND_LANES]>([h_lo, h_hi]) };
+        row[n as usize + band - m].into()
     }
 }
 
@@ -739,24 +966,35 @@ pub struct AlignStats {
 ///   choices; an `H` cell that says "diagonal" on row or column 0 falls
 ///   back to the gap that leaves the matrix (no finite path produces one).
 ///
-/// `h`/`f` hold one row, indexed by subject column and updated in place as
-/// in [`xdrop_extend_with`]: at column `j` they still hold row `i-1` until
-/// overwritten, and `H(i-1,j-1)`, `H(i,j-1)`, `E(i,j-1)` ride in
-/// registers. Each cell's three choices go into ONE traceback byte (bits
-/// 0–1 the source of `H`: 0 diagonal, 1 `E`, 2 `F`; bit 2 set if `E`
-/// extended; bit 3 set if `F` did) of a flat `(m+1) × width` buffer. The
-/// row's windows of `h`, `f`, the traceback bytes and the subject are cut
-/// *before* the cell loop, which then zips four equally long slices and
-/// carries no bounds check, and every comparison is a select, the
-/// nucleotide match test included — off the main diagonal each is a coin
-/// flip.
+/// Each cell's three choices go into ONE traceback byte (bits 0–1 the
+/// source of `H`: 0 diagonal, 1 `E`, 2 `F`; bit 2 set if `E` extended;
+/// bit 3 set if `F` did) of a flat `(m+1) × width` buffer, row `i` at
+/// `i·width`, cell `(i, j)` at lane `j + band − i` of it. Two row kernels
+/// fill that buffer, and the CPU and the input pick one
+/// ([`traceback_kernel`] names the CPU's):
+///
+/// * the scalar kernel runs everywhere: a cell at a time, `h`/`f` one
+///   row each indexed by subject column and updated in place as in
+///   [`xdrop_extend_with`], every comparison a select (off the main
+///   diagonal each is a coin flip);
+/// * where `avx512bw` is present, a row is two `zmm` registers of 32
+///   `i16` lanes in band coordinates instead (see `avx512::banded_rows`),
+///   and a row's bytes are one masked store. It runs when the band is at
+///   most 64 lanes wide (`|m − n| ≤ 15` at the `extra_band` of 16 that
+///   `finalize` passes) and every value the alignment can form fits
+///   `i16` (`fits_i16_global`); otherwise the scalar kernel runs
+///   ([`GappedWorkspace::traceback_fallbacks`] counts those).
+///
+/// Both write the same byte for every cell of the band with `0 ≤ j ≤ n`,
+/// so the walk back, which is shared, returns the same ops.
 ///
 /// No stale cell is read, although nothing is cleared between calls: row
-/// `i` reads `h[j]`/`f[j]` for its own columns `max(i-band, 0) ..=
-/// min(i+band, n)` and `h` of the column before them. All but the last
-/// were written by row `i-1` (row 0 writes its whole span); the last, when
-/// it is `i + band`, is new to the band and set to `NEG` before the row
-/// starts. The walk back visits only cells whose value is finite, and
+/// `i` of the scalar kernel reads `h[j]`/`f[j]` for its own columns
+/// `max(i-band, 0) ..= min(i+band, n)` and `h` of the column before them.
+/// All but the last were written by row `i-1` (row 0 writes its whole
+/// span); the last, when it is `i + band`, is new to the band and set to
+/// `NEG` before the row starts. The register kernel keeps its rows in
+/// registers. The walk back visits only cells whose value is finite, and
 /// those were all written by this call.
 pub fn banded_global_with<'w>(
     query: &[u8],
@@ -766,13 +1004,113 @@ pub fn banded_global_with<'w>(
     extra_band: usize,
     ws: &'w mut GappedWorkspace,
 ) -> (i32, &'w [AlignOp]) {
+    banded_global_by(
+        RowKernel::detect(),
+        query,
+        subject,
+        scorer,
+        gaps,
+        extra_band,
+        ws,
+    )
+}
+
+/// The traceback row kernel this CPU runs where the band and the scores
+/// allow: `"avx512bw"` (a row in two registers) or `"scalar"`.
+pub fn traceback_kernel() -> &'static str {
+    xdrop_row_kernel()
+}
+
+/// Whether every value the register traceback kernel forms for an `m` by
+/// `n` alignment stays inside `i16`, at least 8 192 above its out-of-band
+/// sentinel (−24 576): no cell scores more than `sub·min(m, n)` with
+/// `sub = max(|reward|, |penalty|)`, and none less than the in-band path
+/// into it that runs down the diagonal and then gaps, at most `open +
+/// max(sub, extend)·(m + n)` below zero; one more gap step costs `open +
+/// 2·extend`, and the `E` scan's constants reach `31·extend`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn fits_i16_global(reward: i32, penalty: i32, gaps: GapPenalties, m: usize, n: usize) -> bool {
+    let (open, ext) = (i64::from(gaps.open), i64::from(gaps.extend));
+    let sub = i64::from(reward).abs().max(i64::from(penalty).abs());
+    let (m, n) = (m as i64, n as i64);
+    open >= 0
+        && ext >= 0
+        && (2 * open + 64 * ext).saturating_add(sub.max(ext).saturating_mul(m + n)) <= 16_384
+        && sub.saturating_mul(m.min(n) + 1) <= 16_384
+}
+
+/// [`banded_global_with`] by `kernel`.
+pub(crate) fn banded_global_by<'w>(
+    kernel: RowKernel,
+    query: &[u8],
+    subject: &[u8],
+    scorer: &Scorer,
+    gaps: GapPenalties,
+    extra_band: usize,
+    ws: &'w mut GappedWorkspace,
+) -> (i32, &'w [AlignOp]) {
     let Scorer::Nucleotide { reward, penalty } = *scorer;
+    let (m, n) = (query.len(), subject.len());
+    ws.ops.clear();
+    if m == 0 || n == 0 {
+        // One end-to-end gap, or nothing at all.
+        let (op, len) = if m == 0 {
+            (AlignOp::InsSubject, n)
+        } else {
+            (AlignOp::InsQuery, m)
+        };
+        ws.ops.resize(len, op);
+        let score = if len == 0 { 0 } else { -gaps.cost(len as i32) };
+        return (score, &ws.ops);
+    }
+    let band = m.abs_diff(n) + extra_band.max(1);
+    let width = 2 * band + 1;
+    if ws.bt.len() < (m + 1) * width {
+        ws.bt.resize((m + 1) * width, 0);
+    }
+    // Row 0: a leading gap in the query, as far as the band goes.
+    for j in 1..=band.min(n) {
+        ws.bt[band + j] = SRC_E | ((j > 1) as u8) << TB_E_EXT;
+    }
+    let score = banded_rows(kernel, query, subject, reward, penalty, gaps, band, ws);
+    walk_back(&ws.bt, band, m, n, &mut ws.ops);
+    (score, &ws.ops)
+}
+
+/// Rows `1..=m` of a traceback by `kernel` into `ws.bt`; returns `H(m, n)`.
+#[allow(clippy::too_many_arguments)]
+fn banded_rows(
+    kernel: RowKernel,
+    query: &[u8],
+    subject: &[u8],
+    reward: i32,
+    penalty: i32,
+    gaps: GapPenalties,
+    band: usize,
+    ws: &mut GappedWorkspace,
+) -> i32 {
+    #[cfg(target_arch = "x86_64")]
+    if kernel == RowKernel::Register && std::arch::is_x86_feature_detected!("avx512bw") {
+        let (m, n) = (query.len(), subject.len());
+        if 2 * band < avx512::BAND_LANES && fits_i16_global(reward, penalty, gaps, m, n) {
+            // SAFETY: the CPU was just seen to support AVX-512BW, the band
+            // fits the register pair and `bt` holds `(m + 1)·width` bytes,
+            // all that `banded_rows` needs (`fits_i16_global` makes its
+            // answer exact).
+            return unsafe {
+                avx512::banded_rows(query, subject, reward, penalty, gaps, band, &mut ws.bt)
+            };
+        }
+        ws.trace_fallbacks += 1;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = kernel;
     banded_kernel(
         query,
         subject,
         |a, b| pick(a == b, reward, penalty),
         gaps,
-        extra_band,
+        band,
         ws,
     )
 }
@@ -827,43 +1165,31 @@ impl TraceCarry {
     }
 }
 
-fn banded_kernel<'w>(
+/// The scalar row kernel: rows `1..=m` of the band a cell at a time, in
+/// the workspace's `h`/`f` rows; the row windows of `h`, `f`, the
+/// traceback bytes and the subject are cut *before* the cell loop, which
+/// then zips four equally long slices and carries no bounds check, and
+/// `H(i-1,j-1)`, `H(i,j-1)`, `E(i,j-1)` ride in registers. Returns
+/// `H(m, n)`.
+fn banded_kernel(
     query: &[u8],
     subject: &[u8],
     score: impl Fn(u8, u8) -> i32,
     gaps: GapPenalties,
-    extra_band: usize,
-    ws: &'w mut GappedWorkspace,
-) -> (i32, &'w [AlignOp]) {
+    band: usize,
+    ws: &mut GappedWorkspace,
+) -> i32 {
     let (m, n) = (query.len(), subject.len());
-    ws.ops.clear();
-    if m == 0 || n == 0 {
-        // One end-to-end gap, or nothing at all.
-        let (op, len) = if m == 0 {
-            (AlignOp::InsSubject, n)
-        } else {
-            (AlignOp::InsQuery, m)
-        };
-        ws.ops.resize(len, op);
-        let score = if len == 0 { 0 } else { -gaps.cost(len as i32) };
-        return (score, &ws.ops);
-    }
-    let band = m.abs_diff(n) + extra_band.max(1);
     let width = 2 * band + 1;
     let (open_ext, ext) = (gaps.open + gaps.extend, gaps.extend);
     ws.ensure(n);
-    if ws.bt.len() < (m + 1) * width {
-        ws.bt.resize((m + 1) * width, 0);
-    }
-    let GappedWorkspace { h, f, bt, ops, .. } = ws;
-    // Cell (i, j) has its byte at `i * width + j + band - i`.
+    let GappedWorkspace { h, f, bt, .. } = ws;
     // Row 0: a leading gap in the query, as far as the band goes.
     h[0] = 0;
     f[0] = NEG;
     for j in 1..=band.min(n) {
         h[j] = -gaps.open - ext * j as i32;
         f[j] = NEG;
-        bt[band + j] = SRC_E | ((j > 1) as u8) << TB_E_EXT;
     }
     for i in 1..=m {
         let qc = query[i - 1];
@@ -903,7 +1229,14 @@ fn banded_kernel<'w>(
             carry.cell(score(qc, sc), h, f, b);
         }
     }
-    let score = h[n];
+    h[n]
+}
+
+/// The walk back from `(m, n)` in `H` through the traceback bytes of a
+/// band `band` cells either side of the diagonal, into `ops` (front to
+/// back).
+fn walk_back(bt: &[u8], band: usize, m: usize, n: usize, ops: &mut Vec<AlignOp>) {
+    let width = 2 * band + 1;
     let (mut i, mut j) = (m, n);
     let mut state = SRC_DIAG;
     while i > 0 || j > 0 {
@@ -935,7 +1268,6 @@ fn banded_kernel<'w>(
         }
     }
     ops.reverse();
-    (score, ops)
 }
 
 /// Compute alignment statistics by walking ops over the aligned ranges.
@@ -1495,28 +1827,88 @@ mod tests {
         assert_eq!((r.score, r.q_ext, r.s_ext), (17_000, 17_000, 17_000));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(300))]
+    /// One traceback by every kernel this CPU runs, in `ws`: each returns
+    /// the six-matrix oracle's score and ops, and the register kernel
+    /// writes the scalar kernel's byte for every cell of the band with
+    /// `0 ≤ j ≤ n` but `(0, 0)`, which the walk back never reads and
+    /// neither kernel writes (the buffer is scribbled over in between, so
+    /// a byte left from the scalar run cannot pass for one). Returns the
+    /// traceback fallbacks the register run counted.
+    fn assert_tracebacks_match_oracle(
+        q: &[u8],
+        s: &[u8],
+        scorer: &Scorer,
+        gaps: GapPenalties,
+        extra_band: usize,
+        ws: &mut GappedWorkspace,
+    ) -> u64 {
+        let (m, n) = (q.len(), s.len());
+        let want = oracle::banded_global(q, s, scorer, gaps, extra_band);
+        let band = m.abs_diff(n) + extra_band.max(1);
+        let width = 2 * band + 1;
+        let in_band = |i: usize, j: usize| j + band >= i && j <= i + band && (i, j) != (0, 0);
+        let (mut scalar_bytes, mut fallbacks) = (Vec::new(), 0);
+        for kernel in kernels() {
+            if kernel == RowKernel::Register {
+                ws.bt.fill(0xF0);
+            }
+            let before = ws.traceback_fallbacks();
+            let (score, ops) = banded_global_by(kernel, q, s, scorer, gaps, extra_band, ws);
+            assert_eq!(
+                (score, ops),
+                (want.0, want.1.as_slice()),
+                "{kernel:?} {gaps:?} band +{extra_band} q={q:?} s={s:?}"
+            );
+            if m == 0 || n == 0 {
+                continue;
+            }
+            let bytes = ws.bt[..(m + 1) * width].to_vec();
+            if kernel == RowKernel::Scalar {
+                scalar_bytes = bytes;
+                continue;
+            }
+            fallbacks = ws.traceback_fallbacks() - before;
+            for i in 0..=m {
+                for j in (0..=n).filter(|&j| in_band(i, j)) {
+                    let at = i * width + j + band - i;
+                    assert_eq!(
+                        bytes[at], scalar_bytes[at],
+                        "byte of ({i}, {j}): {gaps:?} band +{extra_band} q={q:?} s={s:?}"
+                    );
+                }
+            }
+        }
+        fallbacks
+    }
 
-        /// The flat kernel returns the score and the very ops the
-        /// six-matrix oracle returns: both scorers, unrelated pairs and
-        /// pairs related through substitutions and indels, either side
-        /// empty, every band width the callers and tests use, with one
-        /// workspace reused (and so left dirty, by X-drop extensions too)
-        /// across every case.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Every traceback kernel returns the score and the very ops the
+        /// six-matrix oracle returns, and the register kernel writes the
+        /// scalar kernel's traceback bytes: both scorers, every gap cost
+        /// `open 0..=6 × extend 1..=3`, unrelated pairs and pairs related
+        /// through substitutions and indels, `|m − n|` up to 40 (so the
+        /// band `finalize` uses falls both sides of 64 lanes), either side
+        /// empty or one residue, every band width the callers and tests
+        /// use, with one workspace reused (and so left dirty, by X-drop
+        /// extensions too) across every case.
         #[test]
-        fn flat_traceback_matches_six_matrix_oracle(
+        fn traceback_kernels_match_six_matrix_oracle(
             seed in any::<u64>(),
             m in 0usize..=600,
             skew in -40isize..=40,
-            empty in 0u32..10,
-            band_ix in 0usize..5,
+            edge in 0u32..12,
+            band_ix in 0usize..7,
+            open in 0i32..=6,
+            extend in 1i32..=3,
             minus_two in any::<bool>(),
             related in any::<bool>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let extra_band = [0, 1, 3, 8, 16][band_ix];
-            let (scorer, gaps) = (if minus_two { nt_1_2() } else { nt() }, g());
+            let extra_band = [0, 1, 3, 8, 16, 16, 16][band_ix];
+            let scorer = if minus_two { nt_1_2() } else { nt() };
+            let gaps = GapPenalties { open, extend };
             let mut q = residues(&mut rng, m, None);
             let mut s = if related {
                 residues(&mut rng, 0, Some(&q))
@@ -1525,9 +1917,11 @@ mod tests {
             };
             // |m − n| <= 40 either way, so the oracle's matrices stay small.
             s.truncate(m + 40);
-            match empty {
+            match edge {
                 0 => q.clear(),
                 1 => s.clear(),
+                2 => q.truncate(1),
+                3 => s.truncate(1),
                 _ => {}
             }
             thread_local! {
@@ -1536,16 +1930,56 @@ mod tests {
             }
             WS.with(|ws| {
                 let ws = &mut *ws.borrow_mut();
-                let want = oracle::banded_global(&q, &s, &scorer, gaps, extra_band);
-                let got = banded_global_with(&q, &s, &scorer, gaps, extra_band, ws);
-                prop_assert_eq!(
-                    (got.0, got.1), (want.0, want.1.as_slice()),
-                    "band +{} q={:?} s={:?}", extra_band, &q, &s
-                );
+                let fell_back =
+                    assert_tracebacks_match_oracle(&q, &s, &scorer, gaps, extra_band, ws);
+                let width = 2 * (q.len().abs_diff(s.len()) + extra_band.max(1)) + 1;
+                if kernels().contains(&RowKernel::Register) && !q.is_empty() && !s.is_empty() {
+                    assert_eq!(fell_back, u64::from(width > 64), "width {width}");
+                }
                 // Leave X-drop's leftovers in the rows for the next case.
                 xdrop_extend_with(&q, &s, &scorer, gaps, 30, ws);
-                Ok(())
-            })?;
+            });
+        }
+    }
+
+    /// A band 65 lanes wide (`|m − n| = 16` at band +16) is the scalar
+    /// kernel's, counted as a fallback, and still matches; at `|m − n| =
+    /// 15` the band is 63 lanes and the register kernel takes it.
+    #[test]
+    fn a_band_wider_than_64_lanes_falls_back_and_still_matches() {
+        let mut rng = StdRng::seed_from_u64(65);
+        let q = residues(&mut rng, 300, None);
+        let mut s = residues(&mut rng, 0, Some(&q));
+        s.resize(q.len() + 16, 2);
+        let mut ws = GappedWorkspace::new();
+        for (cut, fallbacks) in [(0, 1), (1, 0)] {
+            let s = &s[..s.len() - cut];
+            let fell_back = assert_tracebacks_match_oracle(&q, s, &nt(), g(), 16, &mut ws);
+            if kernels().contains(&RowKernel::Register) {
+                assert_eq!(fell_back, fallbacks, "|m - n| = {}", 16 - cut);
+            }
+        }
+        let dispatched = banded_global_with(&q, &s, &nt(), g(), 16, &mut ws).0;
+        assert_eq!(dispatched, oracle::banded_global(&q, &s, &nt(), g(), 16).0);
+    }
+
+    /// Lengths both sides of the `i16` guard: at `m + n = 5 415` the
+    /// blastn scores fit and the register kernel runs, one residue more
+    /// and the scalar kernel does, counted; both match the oracle.
+    #[test]
+    fn a_traceback_past_the_i16_guard_runs_scalar() {
+        assert!(fits_i16_global(1, -3, g(), 2_708, 2_707));
+        assert!(!fits_i16_global(1, -3, g(), 2_708, 2_708));
+        let mut rng = StdRng::seed_from_u64(16);
+        let q = residues(&mut rng, 2_708, None);
+        let mut s = residues(&mut rng, 0, Some(&q));
+        s.resize(2_708, 1);
+        let mut ws = GappedWorkspace::new();
+        for (slen, fallbacks) in [(2_707, 0), (2_708, 1)] {
+            let fell_back = assert_tracebacks_match_oracle(&q, &s[..slen], &nt(), g(), 16, &mut ws);
+            if kernels().contains(&RowKernel::Register) {
+                assert_eq!(fell_back, fallbacks, "n = {slen}");
+            }
         }
     }
 

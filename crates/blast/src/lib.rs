@@ -48,8 +48,8 @@ pub use extend::{
     extend_ungapped, extend_ungapped_packed, PackedQuery, UngappedHsp, UngappedTable,
 };
 pub use gapped::{
-    align_stats, banded_global_with, extend_gapped_with, xdrop_extend_with, xdrop_row_kernel,
-    AlignOp, AlignStats, GappedWorkspace,
+    align_stats, banded_global_with, extend_gapped_with, traceback_kernel, xdrop_extend_with,
+    xdrop_row_kernel, AlignOp, AlignStats, GappedWorkspace,
 };
 pub use karlin::{gapped_params, scorer_params, ungapped_params, KarlinParams};
 pub use lookup::{scan_kernel, BatchedNtLookup, SurvivorBlock, MAX_BATCH_CONTEXTS};
