@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parblast_bench::{arg_u64, arg_value, print_table};
+use parblast_bench::{arg_u64, arg_value, open_loop, print_table};
 use parblast_core::hwsim::ArrivalProcess;
 use parblast_core::net::{
     ClientConfig, ClientError, EchoRunner, NetClient, NetServer, QuotaConfig, ServerConfig,
@@ -70,15 +70,7 @@ fn run_client(
             return report;
         }
     };
-    let start = Instant::now();
-    for (i, at) in arrivals.iter().enumerate() {
-        // Open-loop pacing: submit at the scheduled arrival (or immediately
-        // if the previous response put us behind schedule).
-        let elapsed = start.elapsed().as_secs_f64();
-        let due = at.as_secs_f64();
-        if due > elapsed {
-            std::thread::sleep(Duration::from_secs_f64(due - elapsed));
-        }
+    open_loop(Instant::now(), &arrivals, |i, _| {
         let payload = format!("t{tenant}s{stream}q{i}");
         let t0 = Instant::now();
         match client.query(payload.as_bytes()) {
@@ -109,11 +101,12 @@ fn run_client(
             // The daemon drained and closed the socket: stop offering load.
             Err(ClientError::Io(_)) => {
                 report.io_stopped = 1;
-                break;
+                return false;
             }
             Err(e) => panic!("unexpected client error: {e:?}"),
         }
-    }
+        true
+    });
     report
 }
 

@@ -7,7 +7,34 @@
 
 #![warn(missing_docs)]
 
+use std::time::{Duration, Instant};
+
+use parblast_core::simcore::SimTime;
+
 pub mod figures;
+
+/// Open-loop pacing, shared by the serving benches: call `submit(i, due)`
+/// for each arrival `i` at `due = start + arrivals[i]`, sleeping until
+/// then. An arrival that is already due (an earlier call returned late)
+/// goes out at once, so lateness piles up in the latency a caller
+/// measures from `due` instead of stretching the schedule. Stops early
+/// when `submit` returns `false`.
+pub fn open_loop(
+    start: Instant,
+    arrivals: &[SimTime],
+    mut submit: impl FnMut(usize, Instant) -> bool,
+) {
+    for (i, at) in arrivals.iter().enumerate() {
+        let due = start + Duration::from_nanos(at.as_nanos());
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        if !submit(i, due) {
+            break;
+        }
+    }
+}
 
 /// Render a fixed-width table: right-aligned cells, a dashed rule under
 /// the header, one line per row.
