@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parblast_bench::{arg_u64, arg_value, open_loop, print_table};
-use parblast_core::hwsim::ArrivalProcess;
+use parblast_core::hwsim::poisson_arrivals;
 use parblast_core::net::{
     ClientConfig, ClientError, EchoRunner, NetClient, NetServer, QuotaConfig, ServerConfig,
     ShedReason,
@@ -52,7 +52,7 @@ fn run_client(
     stream: u64,
 ) -> ClientReport {
     let n = (rate_qps * duration.as_secs_f64()).ceil() as usize;
-    let arrivals = ArrivalProcess::Poisson { rate_qps }.times(n, &mut SimRng::new(stream));
+    let arrivals = poisson_arrivals(rate_qps, n, &mut SimRng::new(stream));
     let mut report = ClientReport {
         tenant,
         offered: n as u64,

@@ -648,7 +648,7 @@ pub fn serve_sweep(
     queries: usize,
     capacity: usize,
 ) -> Vec<ServeRow> {
-    use parblast_hwsim::ArrivalProcess;
+    use parblast_hwsim::poisson_arrivals;
     use parblast_serve::{Query, ScanSharingServer, ServiceModel, SimExecutor};
     use parblast_simcore::SimRng;
 
@@ -686,8 +686,7 @@ pub fn serve_sweep(
         let s1 = model.cost(1).service_s;
         for &load in loads {
             let rate = load / s1;
-            let times =
-                ArrivalProcess::Poisson { rate_qps: rate }.times(queries, &mut SimRng::new(2003));
+            let times = poisson_arrivals(rate, queries, &mut SimRng::new(2003));
             let arrivals: Vec<Query> = times
                 .iter()
                 .enumerate()

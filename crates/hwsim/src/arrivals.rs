@@ -1,62 +1,25 @@
-//! Workload arrival processes for the serving layer.
+//! Workload arrivals for the serving benchmarks.
 //!
 //! The paper runs exactly one query; a serving experiment needs a stream
-//! of them. An [`ArrivalProcess`] turns a target rate into a deterministic
+//! of them. [`poisson_arrivals`] turns a target rate into a deterministic
 //! list of arrival instants using the seeded simulation RNG — the same
 //! `(config, seed) → trace` purity contract as the rest of the simulator.
 
 use parblast_simcore::{SimRng, SimTime};
 
-/// How query arrivals are spaced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalProcess {
-    /// Open-loop Poisson arrivals: exponential inter-arrival times with
-    /// mean `1 / rate_qps`. The standard heavy-traffic model for
-    /// independent users hitting a service.
-    Poisson {
-        /// Mean arrival rate, queries per second.
-        rate_qps: f64,
-    },
-    /// Open-loop deterministic pacing: one arrival every `1 / rate_qps`
-    /// seconds. Useful for isolating queueing effects from arrival
-    /// burstiness.
-    Periodic {
-        /// Arrival rate, queries per second.
-        rate_qps: f64,
-    },
-}
-
-impl ArrivalProcess {
-    /// The process's mean rate, queries per second.
-    pub fn rate_qps(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_qps } | ArrivalProcess::Periodic { rate_qps } => {
-                rate_qps
-            }
-        }
-    }
-
-    /// Generate `n` arrival instants starting at `t = 0`, non-decreasing.
-    /// Periodic processes ignore the RNG; Poisson processes draw from it,
-    /// so the same seed reproduces the same workload.
-    pub fn times(&self, n: usize, rng: &mut SimRng) -> Vec<SimTime> {
-        let mut out = Vec::with_capacity(n);
-        let mut t = 0.0f64;
-        for i in 0..n {
-            match *self {
-                ArrivalProcess::Poisson { rate_qps } => {
-                    assert!(rate_qps > 0.0, "Poisson rate must be positive");
-                    t += rng.exponential(1.0 / rate_qps);
-                }
-                ArrivalProcess::Periodic { rate_qps } => {
-                    assert!(rate_qps > 0.0, "periodic rate must be positive");
-                    t = i as f64 / rate_qps;
-                }
-            }
-            out.push(SimTime::from_secs_f64(t));
-        }
-        out
-    }
+/// `n` open-loop Poisson arrival instants from `t = 0`, non-decreasing:
+/// exponential inter-arrival times with mean `1 / rate_qps`, the standard
+/// heavy-traffic model for independent users hitting a service. The
+/// draws come from `rng`, so the same seed reproduces the same workload.
+pub fn poisson_arrivals(rate_qps: f64, n: usize, rng: &mut SimRng) -> Vec<SimTime> {
+    assert!(rate_qps > 0.0, "Poisson rate must be positive");
+    let mut t = 0.0f64;
+    (0..n)
+        .map(|_| {
+            t += rng.exponential(1.0 / rate_qps);
+            SimTime::from_secs_f64(t)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -66,8 +29,7 @@ mod tests {
     #[test]
     fn poisson_mean_interarrival_close_to_rate() {
         let mut rng = SimRng::new(7);
-        let p = ArrivalProcess::Poisson { rate_qps: 50.0 };
-        let times = p.times(20_000, &mut rng);
+        let times = poisson_arrivals(50.0, 20_000, &mut rng);
         let span = times.last().unwrap().as_secs_f64();
         let rate = times.len() as f64 / span;
         assert!((rate - 50.0).abs() / 50.0 < 0.05, "measured rate {rate}");
@@ -75,33 +37,18 @@ mod tests {
 
     #[test]
     fn poisson_is_deterministic_per_seed() {
-        let p = ArrivalProcess::Poisson { rate_qps: 10.0 };
-        let a = p.times(100, &mut SimRng::new(42));
-        let b = p.times(100, &mut SimRng::new(42));
-        let c = p.times(100, &mut SimRng::new(43));
+        let a = poisson_arrivals(10.0, 100, &mut SimRng::new(42));
+        let b = poisson_arrivals(10.0, 100, &mut SimRng::new(42));
+        let c = poisson_arrivals(10.0, 100, &mut SimRng::new(43));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn times_are_non_decreasing() {
-        let mut rng = SimRng::new(3);
-        for p in [
-            ArrivalProcess::Poisson { rate_qps: 5.0 },
-            ArrivalProcess::Periodic { rate_qps: 5.0 },
-        ] {
-            let times = p.times(500, &mut rng);
-            for w in times.windows(2) {
-                assert!(w[0] <= w[1]);
-            }
+        let times = poisson_arrivals(5.0, 500, &mut SimRng::new(3));
+        for w in times.windows(2) {
+            assert!(w[0] <= w[1]);
         }
-    }
-
-    #[test]
-    fn periodic_is_exact() {
-        let mut rng = SimRng::new(1);
-        let times = ArrivalProcess::Periodic { rate_qps: 4.0 }.times(5, &mut rng);
-        assert_eq!(times[0], SimTime::ZERO);
-        assert_eq!(times[4], SimTime::from_secs(1));
     }
 }

@@ -29,7 +29,7 @@ pub mod net;
 pub mod params;
 pub mod stressor;
 
-pub use arrivals::ArrivalProcess;
+pub use arrivals::poisson_arrivals;
 pub use cache::{BlockKey, PageCache};
 pub use cluster::{Cluster, NodeIds};
 pub use cpu::Cpu;

@@ -33,7 +33,7 @@
 //! * [`sim`] — executor over the calibrated cluster simulator: probes
 //!   [`parblast_mpiblast::run_simblast`] once per batch size, caches the
 //!   pass cost as a [`BatchResult`] and replays it deterministically
-//!   (Poisson arrivals come from [`parblast_hwsim::ArrivalProcess`]).
+//!   (Poisson arrivals come from [`parblast_hwsim::poisson_arrivals`]).
 //! * [`real`] — executor over the real thread-pool runner /
 //!   `pio`-backed I/O schemes via [`parblast_mpiblast::ParallelBlast::run_batch`].
 //! * [`metrics`] — the scheduler's per-query/per-batch accounting on
