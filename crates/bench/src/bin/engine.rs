@@ -21,6 +21,11 @@
 //!   fragment: seconds, query-bases searched per second, subject unpacks;
 //!   every rep's hits asserted identical to the reference kernel's, query
 //!   by query.
+//! * **B=8 split** — the scan-bound mix's eight queries as one B=8 pass,
+//!   as its two B=4 halves and as eight B=1 passes on the same fragment:
+//!   seconds and seeds per pass, interleaved reps, hits asserted identical
+//!   every rep. The scaling rows take prefixes of a pool; this row holds
+//!   the queries fixed.
 //! * **extend stage** — one B=8 pass of the scan-bound mix taken apart:
 //!   the `ungapped` row extends every seed the pass extends, by
 //!   [`extend_ungapped_packed`] (the kernel's walk) and by
@@ -86,6 +91,25 @@ const FAMILY_LEN: usize = 1500;
 /// DP cells of a banded global alignment of `m` × `n` residues: rows
 /// `1..=m`, each `|m − n| + extra_band` columns either side of the diagonal,
 /// clipped to the matrix.
+/// The seed table of both strands of every query of `pool`.
+fn strand_lookup(pool: &[Vec<u8>], word: usize) -> BatchedNtLookup {
+    let strands: Vec<Vec<u8>> = pool
+        .iter()
+        .flat_map(|q| [q.clone(), reverse_complement(q)])
+        .collect();
+    let contexts: Vec<&[u8]> = strands.iter().map(|c| c.as_slice()).collect();
+    BatchedNtLookup::build(&contexts, word)
+}
+
+/// Seeds one scan of every subject of `packed` with `lookup` yields.
+fn count_seeds(lookup: &BatchedNtLookup, packed: &PackedVolume, block: &mut SurvivorBlock) -> u64 {
+    let mut n = 0u64;
+    for i in 0..packed.nseq() {
+        lookup.scan_packed_batched(packed.packed(i), packed.seq_len(i), block, |_, _, _| n += 1);
+    }
+    n
+}
+
 fn band_cells(m: usize, n: usize, extra_band: usize) -> u64 {
     let band = m.abs_diff(n) + extra_band;
     (1..=m)
@@ -179,26 +203,10 @@ fn main() {
     // to, and by the scalar stages, timed in interleaved reps, with the
     // same seeds asserted every rep.
     let scan_row = |pool: &[Vec<u8>]| {
-        let strands: Vec<Vec<u8>> = pool
-            .iter()
-            .flat_map(|q| [q.clone(), reverse_complement(q)])
-            .collect();
-        let contexts: Vec<&[u8]> = strands.iter().map(|c| c.as_slice()).collect();
-        let lookup = BatchedNtLookup::build(&contexts, params.word_size);
-        let scalar = BatchedNtLookup::build(&contexts, params.word_size).scalar();
+        let lookup = strand_lookup(pool, params.word_size);
+        let scalar = strand_lookup(pool, params.word_size).scalar();
         let mut block = SurvivorBlock::default();
-        let mut scan = |lookup: &BatchedNtLookup| {
-            let mut n = 0u64;
-            for i in 0..packed.nseq() {
-                lookup.scan_packed_batched(
-                    packed.packed(i),
-                    packed.seq_len(i),
-                    &mut block,
-                    |_, _, _| n += 1,
-                );
-            }
-            n
-        };
+        let mut scan = |lookup: &BatchedNtLookup| count_seeds(lookup, &packed, &mut block);
         let seeds = scan(&lookup);
         assert_eq!(scan(&scalar), seeds, "the scan kernels disagree");
         let (mut times, mut scalar_times) = (Vec::new(), Vec::new());
@@ -397,6 +405,82 @@ fn main() {
         }
     }
     scaling_json.push(']');
+
+    // --- one B=8 pass against its own halves and singles -----------------
+    // The scaling rows take prefixes of each pool, so B=8 adds queries
+    // 5-8 to B=4's and a rate that falls from B=4 to B=8 may be theirs,
+    // not the batch's. Here the scan-bound mix's eight queries are
+    // searched as one B=8 pass, as its two B=4 halves and as eight B=1
+    // passes, in interleaved reps, with identical hits asserted every rep.
+    let want = format!("{:?}", reference(&scan_bound, &volume, &params, db));
+    let split_search = |b: usize, ws: &mut ScanWorkspace| -> Vec<Vec<Hit>> {
+        scan_bound
+            .chunks(b)
+            .flat_map(|chunk| {
+                let qs: Vec<&[u8]> = chunk.iter().map(Vec::as_slice).collect();
+                PreparedBatch::new(&qs, &params, db).search(&packed, ws)
+            })
+            .collect()
+    };
+    let splits = [
+        (8usize, "one B=8 pass"),
+        (4, "two B=4 passes"),
+        (1, "eight B=1 passes"),
+    ];
+    let mut split_times = vec![Vec::with_capacity(reps); splits.len()];
+    for _ in 0..reps {
+        for (times, &(b, _)) in split_times.iter_mut().zip(&splits) {
+            let t0 = Instant::now();
+            let found = split_search(b, &mut ws);
+            times.push(t0.elapsed().as_secs_f64());
+            assert_eq!(
+                format!("{found:?}"),
+                want,
+                "split into B={b} changed the hits"
+            );
+        }
+    }
+    let mut block = SurvivorBlock::default();
+    let split_seeds: Vec<Vec<u64>> = splits
+        .iter()
+        .map(|&(b, _)| {
+            scan_bound
+                .chunks(b)
+                .map(|chunk| {
+                    count_seeds(&strand_lookup(chunk, params.word_size), &packed, &mut block)
+                })
+                .collect()
+        })
+        .collect();
+    let split_s: Vec<f64> = split_times.into_iter().map(median).collect();
+    let split_rows: Vec<Vec<String>> = splits
+        .iter()
+        .zip(&split_s)
+        .zip(&split_seeds)
+        .map(|((&(_, name), &s), seeds)| {
+            let seeds: Vec<String> = seeds.iter().map(u64::to_string).collect();
+            vec![
+                name.into(),
+                seeds.join(" + "),
+                format!("{s:.4}"),
+                format!("{:.2}", s / split_s[0]),
+            ]
+        })
+        .collect();
+    let split_json = splits
+        .iter()
+        .zip(&split_s)
+        .zip(&split_seeds)
+        .map(|((&(b, _), s), seeds)| {
+            let seeds: Vec<String> = seeds.iter().map(u64::to_string).collect();
+            format!(
+                "{{\"batch\": {b}, \"passes\": {}, \"seeds\": [{}], \"s\": {s:.6}}}",
+                seeds.len(),
+                seeds.join(", ")
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
 
     // --- the extend stage, kernel by kernel -----------------------------
     // One B=8 pass of the scan-bound mix taken apart the way
@@ -761,6 +845,12 @@ fn main() {
         &batch_rows,
     );
 
+    println!("\nthe scan-bound mix's eight queries, split three ways on the same fragment\n");
+    print_table(
+        &["split", "seeds per pass", "time (s)", "vs one B=8 pass"],
+        &split_rows,
+    );
+
     println!(
         "\nextend stage, scan-bound mix at B=8 (a whole pass: {:.4} s, {} seeds extended)\n",
         pass_s,
@@ -862,7 +952,8 @@ fn main() {
          \"scalar_s\": {scalar_trace_s:.6}, \"scalar_ns_per_cell\": {scalar_ns_per_cell:.3}, \
          \"speedup_vs_scalar\": {:.3}, \"identical_to_scalar\": true}},\n  \
          \"extend_stage\": {extend_json},\n  \
-         \"batch_scaling\": {scaling_json}\n}}\n",
+         \"batch_scaling\": {scaling_json},\n  \
+         \"b8_split\": [{split_json}]\n}}\n",
         volume.residues(),
         volume.sequences.len(),
         db.residues,

@@ -57,7 +57,7 @@ pub use matrix::{GapPenalties, Scorer};
 pub use report::{tabular, Hit, Hsp};
 pub use search::{
     fused_passes, search_packed_batch_with, search_packed_with, search_volume, search_volume_with,
-    BatchScanWorkspace, DbStats, PreparedBatch, Program, ScanWorkspace, SearchParams,
+    BatchScanWorkspace, DbStats, Found, PreparedBatch, Program, ScanWorkspace, SearchParams,
     MAX_FUSED_BATCH,
 };
 pub use workspace::DiagTracker;

@@ -9,7 +9,7 @@
 //! there; [`crate::baseline`] is the independent reference the tests
 //! compare it with.
 
-use parblast_seqdb::{reverse_complement, unpack_2bit_into, PackedVolume, Volume};
+use parblast_seqdb::{reverse_complement, unpack_2bit_into, Deflines, PackedVolume, Volume};
 
 use crate::dust::{dust_mask, DustParams};
 use crate::extend::{extend_ungapped_packed, PackedQuery, UngappedTable};
@@ -507,11 +507,64 @@ impl PreparedBatch {
     /// to one [`crate::baseline`] search per query: same candidates in the
     /// same insertion order, so every downstream tie-break (stable score
     /// sort, containment cull, E-value ranking) resolves identically.
+    ///
+    /// Every hit is named from the volume's deflines, so the volume must
+    /// hold the deflines of the subjects it reports ([`PackedVolume::read_from`]).
     pub fn search(&self, volume: &PackedVolume, ws: &mut ScanWorkspace) -> Vec<Vec<Hit>> {
-        self.chunks
+        self.find(volume, ws).name(volume.deflines())
+    }
+
+    /// [`Self::search`] without the naming: the hits wait for their
+    /// subjects' deflines, which [`Found::subjects`] lists. A volume read
+    /// by [`PackedVolume::read_sequences`] is searched this way.
+    pub fn find(&self, volume: &PackedVolume, ws: &mut ScanWorkspace) -> Found {
+        Found {
+            per_query: self
+                .chunks
+                .iter()
+                .flat_map(|chunk| chunk.search(volume, &self.params, &self.ungapped, ws))
+                .collect(),
+        }
+    }
+}
+
+/// A batch's hits on one volume before their subjects are named: one list
+/// per query, ranked, each hit knowing its subject's index in the volume.
+/// The only way out is [`Found::name`], so every reported
+/// [`Hit::subject_id`] comes from a defline read from the volume.
+#[derive(Debug)]
+pub struct Found {
+    per_query: Vec<Vec<Hit>>,
+}
+
+impl Found {
+    /// The subjects that produced hits, ascending, each once.
+    pub fn subjects(&self) -> Vec<usize> {
+        let mut subjects: Vec<usize> = self
+            .per_query
             .iter()
-            .flat_map(|chunk| chunk.search(volume, &self.params, &self.ungapped, ws))
-            .collect()
+            .flatten()
+            .map(|h| h.subject_index)
+            .collect();
+        subjects.sort_unstable();
+        subjects.dedup();
+        subjects
+    }
+
+    /// Name every hit after the first word of its subject's defline; one
+    /// `Vec<Hit>` per query, in input order.
+    ///
+    /// # Panics
+    ///
+    /// If `deflines` lacks a subject of [`Self::subjects`].
+    pub fn name(self, deflines: &Deflines) -> Vec<Vec<Hit>> {
+        let mut per_query = self.per_query;
+        for hit in per_query.iter_mut().flatten() {
+            hit.subject_id = deflines.id(hit.subject_index).unwrap_or_else(|| {
+                panic!("the defline of subject {} was not read", hit.subject_index)
+            });
+        }
+        per_query
     }
 }
 
@@ -633,7 +686,7 @@ impl PreparedChunk {
                 );
                 if !hsps.is_empty() {
                     hits.push(Hit {
-                        subject_id: volume.id(si),
+                        subject_id: String::new(),
                         subject_index: si,
                         hsps,
                     });

@@ -12,13 +12,19 @@
 //! returns when its own batch's last task is done, and a fatal failure
 //! fails that batch alone.
 //!
+//! A worker's fetch thread does a task's I/O and its search thread the
+//! compute: the search thread hands a task whose search produced hits back
+//! to its own fetch thread, which reads the hit subjects' deflines through
+//! the reader that fetched the fragment, names the hits and reports the
+//! task, while the search thread goes on to its next fragment.
+//!
 //! [`ParallelBlast::run`] and [`ParallelBlast::run_batch`] start a pool
 //! for the call and shut it down after it; a server keeps one
 //! ([`WorkerPool::start`]) and submits every batch to it, from as many
 //! threads as it likes. Each search thread keeps one [`ScanWorkspace`] for
 //! the pool's whole life.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -26,26 +32,33 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parblast_blast::{fused_passes, Hit, PreparedBatch, ScanWorkspace};
-use parblast_seqdb::PackedVolume;
+use parblast_blast::{fused_passes, Found, Hit, PreparedBatch, ScanWorkspace};
+use parblast_seqdb::{DeflineRead, Deflines};
 
-use crate::runner::{merge_hit, rank_merged, BatchOutcome, ParallelBlast, RunOutcome};
+use crate::runner::{merge_hit, rank_merged, BatchOutcome, Fetched, ParallelBlast, RunOutcome};
 use crate::sched::{Claim, Failure, Master};
+use crate::scheme::TracedSource;
 use crate::trace::IoKind;
 
 const POOL_LOCK: &str = "a pool thread panicked holding the master";
 
-/// Nanosecond clocks shared by the worker threads of one batch.
+/// Nanosecond clocks and the byte count shared by the worker threads of
+/// one batch.
 #[derive(Debug, Default)]
 pub(crate) struct IoClocks {
     pub(crate) copy_ns: AtomicU64,
     pub(crate) fetch_ns: AtomicU64,
     stall_ns: AtomicU64,
+    /// Bytes delivered by the batch's reads.
+    pub(crate) bytes: AtomicU64,
 }
 
 impl IoClocks {
     pub(crate) fn add(cell: &AtomicU64, d: Duration) {
         cell.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+    }
+    pub(crate) fn add_bytes(cell: &AtomicU64, bytes: u64) {
+        cell.fetch_add(bytes, Ordering::Relaxed);
     }
     fn secs(cell: &AtomicU64) -> f64 {
         cell.load(Ordering::Relaxed) as f64 / 1e9
@@ -107,6 +120,22 @@ struct Running {
 /// index there, and its id in the master.
 type Handed = (Arc<Work>, usize, usize);
 
+/// A searched task whose hits wait for their subjects' deflines, handed
+/// back to its worker's fetch thread with the reader that fetched it.
+struct Naming {
+    task: Handed,
+    src: TracedSource,
+    found: Found,
+    read: DeflineRead,
+    search_s: f64,
+}
+
+/// What a fetch thread does next.
+enum Job {
+    Fetch(Handed),
+    Name(Naming),
+}
+
 struct State {
     master: Master,
     /// Running batches by the id of their first task.
@@ -114,6 +143,9 @@ struct State {
     /// A worker's first task of a batch that found it idle, until its
     /// fetch thread picks it up.
     handed: Vec<Option<usize>>,
+    /// Per worker, searched tasks waiting for its fetch thread to read
+    /// their deflines.
+    naming: Vec<VecDeque<Naming>>,
     closing: bool,
 }
 
@@ -186,11 +218,16 @@ impl Core {
         }
     }
 
-    /// Blocks while the master says wait; `None` once the pool is closing
-    /// and nothing is left.
-    fn claim(&self, w: usize) -> Option<Handed> {
+    /// Worker `w`'s fetch thread's next job: a searched task to name
+    /// first, as it finishes a task, else a task to fetch. Blocks while
+    /// there is neither and the master says wait; `None` once the pool is
+    /// closing and nothing is left.
+    fn next_job(&self, w: usize) -> Option<Job> {
         let mut s = self.lock();
         loop {
+            if let Some(naming) = s.naming[w].pop_front() {
+                return Some(Job::Name(naming));
+            }
             let task = match s.handed[w].take() {
                 Some(task) => Some(task),
                 None => match s.master.claim(w) {
@@ -206,10 +243,16 @@ impl Core {
             };
             if let Some(task) = task {
                 let (first, run) = s.batch_of(task);
-                return Some((Arc::clone(&run.work), task - first, task));
+                return Some(Job::Fetch((Arc::clone(&run.work), task - first, task)));
             }
             s = self.work.wait(s).expect(POOL_LOCK);
         }
+    }
+
+    /// Hand a searched task to worker `w`'s fetch thread for naming.
+    fn hand_back(&self, w: usize, naming: Naming) {
+        self.lock().naming[w].push_back(naming);
+        self.work.notify_all();
     }
 
     fn report(&self, w: usize, task: usize, r: io::Result<Searched>) {
@@ -242,30 +285,45 @@ impl Core {
 
     /// Worker `w`'s fetch thread: claim a task, tell the search thread
     /// (so the batch is prepared while the fetch runs), fetch its
-    /// fragment and hand the volume over. One read of each fragment
+    /// fragment's sequences and hand them over; and name the hits of the
+    /// tasks the search thread hands back. One read of each fragment
     /// serves a whole set; nucleotide data stays 2-bit packed.
-    fn fetch(&self, w: usize, tasks: Sender<Handed>, volumes: Sender<io::Result<PackedVolume>>) {
-        let nfrag = self.job.fragments.len();
-        while let Some((work, task, id)) = self.claim(w) {
-            let fragment = &self.job.fragments[task % nfrag];
-            let sent = tasks.send((Arc::clone(&work), task, id)).is_ok()
-                && volumes
-                    .send(self.job.fetch_volume(w, fragment, &work.clocks))
-                    .is_ok();
-            if !sent {
-                break;
+    fn fetch(&self, w: usize, tasks: Sender<Handed>, volumes: Sender<io::Result<Fetched>>) {
+        let job = &*self.job;
+        let nfrag = job.fragments.len();
+        while let Some(next) = self.next_job(w) {
+            match next {
+                Job::Fetch((work, task, id)) => {
+                    let fragment = &job.fragments[task % nfrag];
+                    let sent = tasks.send((Arc::clone(&work), task, id)).is_ok()
+                        && volumes
+                            .send(job.fetch_volume(w, fragment, &work.clocks))
+                            .is_ok();
+                    if !sent {
+                        break;
+                    }
+                }
+                Job::Name(Naming {
+                    task: (work, task, id),
+                    src,
+                    found,
+                    read,
+                    search_s,
+                }) => {
+                    let fragment = &job.fragments[task % nfrag];
+                    let named = job.name_hits(w, fragment, src, found, &read, &work.clocks);
+                    let r =
+                        named.map(|per_query| self.searched(w, &work, task, per_query, search_s));
+                    self.report(w, id, r);
+                }
             }
         }
     }
 
     /// Worker `w`'s search thread: search each fetched volume with its
-    /// set and report the task done or failed.
-    fn search(
-        &self,
-        w: usize,
-        tasks: Receiver<Handed>,
-        volumes: Receiver<io::Result<PackedVolume>>,
-    ) {
+    /// set; report a task without hits done, or a failed fetch, and hand a
+    /// task with hits back to the fetch thread to name.
+    fn search(&self, w: usize, tasks: Receiver<Handed>, volumes: Receiver<io::Result<Fetched>>) {
         let job = &*self.job;
         let nfrag = job.fragments.len();
         let mut ws = ScanWorkspace::new();
@@ -278,29 +336,69 @@ impl Core {
             let w0 = Instant::now();
             let fetched = volumes.recv().expect("fetcher alive");
             IoClocks::add(&work.clocks.stall_ns, w0.elapsed());
-            let r = fetched.map(|volume| {
-                let s0 = Instant::now();
-                let mut per_query = prepared.search(&volume, &mut ws);
-                if work.run_job {
-                    let hits = &mut per_query[0];
-                    for hit in hits.iter_mut() {
-                        for h in &mut hit.hsps {
-                            h.q_start += set.offset;
-                            h.q_end += set.offset;
-                        }
-                    }
-                    // Temporary result files of 50–778 bytes.
-                    let table = parblast_blast::tabular("query", hits);
-                    let result_bytes = table.len().clamp(50, 778) as u64;
-                    job.tracer.record(w as u32, IoKind::Write, result_bytes);
+            let Fetched { volume, src } = match fetched {
+                Ok(fetched) => fetched,
+                Err(e) => {
+                    self.report(w, id, Err(e));
+                    continue;
                 }
-                Searched {
-                    worker: w,
-                    search_s: s0.elapsed().as_secs_f64(),
-                    per_query,
+            };
+            let s0 = Instant::now();
+            let found = prepared.find(&volume, &mut ws);
+            let search_s = s0.elapsed().as_secs_f64();
+            let read = volume.defline_read(found.subjects());
+            drop(volume);
+            if read.is_empty() {
+                let per_query = found.name(&Deflines::default());
+                let searched = self.searched(w, &work, task, per_query, search_s);
+                self.report(w, id, Ok(searched));
+            } else {
+                let task = (work, task, id);
+                self.hand_back(
+                    w,
+                    Naming {
+                        task,
+                        src,
+                        found,
+                        read,
+                        search_s,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Task `task` of `work`, searched by worker `w` in `search_s`, with
+    /// its hits named: a query-segmented run's hits map back onto the
+    /// whole query, and its small result write is traced.
+    fn searched(
+        &self,
+        w: usize,
+        work: &Work,
+        task: usize,
+        mut per_query: Vec<Vec<Hit>>,
+        search_s: f64,
+    ) -> Searched {
+        if work.run_job {
+            let set = &work.sets[task / self.job.fragments.len()];
+            let hits = &mut per_query[0];
+            for hit in hits.iter_mut() {
+                for h in &mut hit.hsps {
+                    h.q_start += set.offset;
+                    h.q_end += set.offset;
                 }
-            });
-            self.report(w, id, r);
+            }
+            // Temporary result files of 50–778 bytes.
+            let table = parblast_blast::tabular("query", hits);
+            let result_bytes = table.len().clamp(50, 778) as u64;
+            self.job
+                .tracer
+                .record(w as u32, IoKind::Write, result_bytes);
+        }
+        Searched {
+            worker: w,
+            search_s,
+            per_query,
         }
     }
 }
@@ -322,6 +420,7 @@ impl WorkerPool {
             master: Master::new(0, workers, slots),
             running: BTreeMap::new(),
             handed: vec![None; workers],
+            naming: (0..workers).map(|_| VecDeque::new()).collect(),
             closing: false,
         };
         let core = Arc::new(Core {
@@ -378,6 +477,7 @@ impl WorkerPool {
             io_stall_s: IoClocks::secs(&work.clocks.stall_ns),
             kernel_passes: fragments * passes_per_fragment,
             passes_saved: fragments * (nq - passes_per_fragment),
+            bytes_read: work.clocks.bytes.load(Ordering::Relaxed),
         })
     }
 

@@ -203,11 +203,14 @@ impl Scheme {
 }
 
 /// Adapter: a traced [`ObjectReader`] usable as a [`parblast_seqdb::ReadAt`]
-/// source for volume decoding, recording every access.
+/// source for volume decoding, recording every access and counting the
+/// bytes it delivered.
 pub struct TracedSource {
     reader: Box<dyn ObjectReader>,
     tracer: Tracer,
     worker: u32,
+    /// Bytes delivered since the last [`TracedSource::take_bytes`].
+    bytes: u64,
 }
 
 impl TracedSource {
@@ -217,15 +220,27 @@ impl TracedSource {
             reader,
             tracer,
             worker,
+            bytes: 0,
         }
+    }
+
+    /// Bytes the reads delivered since the last call: exactly the bytes
+    /// of the read events traced meanwhile, whether the tracer records
+    /// them or not.
+    pub(crate) fn take_bytes(&mut self) -> u64 {
+        std::mem::take(&mut self.bytes)
+    }
+
+    fn record(&mut self, len: u64) {
+        self.bytes += len;
+        self.tracer.record(self.worker, IoKind::Read, len);
     }
 }
 
 impl ReadAt for TracedSource {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         self.reader.read_at(offset, buf)?;
-        self.tracer
-            .record(self.worker, IoKind::Read, buf.len() as u64);
+        self.record(buf.len() as u64);
         Ok(())
     }
     fn read_many_at(&mut self, regions: &[(u64, u64)]) -> io::Result<Vec<u8>> {
@@ -235,7 +250,7 @@ impl ReadAt for TracedSource {
         // one `read_at` at a time.
         let out = self.reader.read_many_at(regions)?;
         for &(_, len) in regions {
-            self.tracer.record(self.worker, IoKind::Read, len);
+            self.record(len);
         }
         Ok(out)
     }

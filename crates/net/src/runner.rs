@@ -51,7 +51,8 @@ pub struct RunnerOutput {
     pub scan_s: f64,
     /// Seconds the pass spent computing.
     pub search_s: f64,
-    /// Database bytes the pass read (0 when the executor cannot tell).
+    /// Database bytes the pass's reads delivered (0 when the executor
+    /// cannot tell).
     pub bytes_read: u64,
     /// Seed-scan kernel passes the batch executed across all fragments
     /// (the fused kernel merges up to 8 queries into one pass).
@@ -83,19 +84,17 @@ fn classify(e: io::Error) -> RunnerError {
 pub struct BlastRunner {
     /// The underlying parallel job (scheme, fragments, workers, params).
     pub job: Arc<ParallelBlast>,
-    /// Database bytes one full pass reads (the staged fragment bytes),
-    /// reported per batch so the serving counters can track I/O savings.
-    pub bytes_per_pass: u64,
     pool: OnceLock<WorkerPool>,
 }
 
 impl BlastRunner {
-    /// Wrap `job`; `bytes_per_pass` is the summed size of its staged
-    /// fragments (pass 0 if unknown). Starts no thread.
-    pub fn new(job: ParallelBlast, bytes_per_pass: u64) -> Self {
+    /// Wrap `job`. Starts no thread. Each batch reports the database bytes
+    /// its reads delivered; the second argument, once the staged size
+    /// reported in their place, is unused and stays because `benchmark/`
+    /// passes it.
+    pub fn new(job: ParallelBlast, _bytes_per_pass: u64) -> Self {
         BlastRunner {
             job: Arc::new(job),
-            bytes_per_pass,
             pool: OnceLock::new(),
         }
     }
@@ -117,7 +116,7 @@ impl BatchRunner for BlastRunner {
                 .collect(),
             scan_s: out.io_fetch_s,
             search_s: (wall - out.io_stall_s).max(0.0),
-            bytes_read: self.bytes_per_pass,
+            bytes_read: out.bytes_read,
             kernel_passes: out.kernel_passes,
             passes_saved: out.passes_saved,
         })

@@ -16,7 +16,8 @@
 //!   engine's;
 //! * one persistent reader lane per server, group-major, whose every
 //!   fetch is the one verified range read of [`crate::integrity`];
-//! * a [`HealthMonitor`] fed by every segment's read time.
+//! * a [`HealthMonitor`] fed one sample per lane job: the bytes the job
+//!   read from a server and the seconds they took.
 //!
 //! A read splits each region into one piece per copy and ships one lane job
 //! per involved server. With a second copy a hot or dead server is skipped
@@ -32,10 +33,10 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::integrity::{self, VerifiedFile};
+use crate::integrity::{self, StripeCache, VerifiedFile};
 use crate::layout::{MirroredLayout, ServerId};
 use crate::monitor::HealthMonitor;
-use crate::pool::{self, LanePlan, RateLimiter, ReaderPool};
+use crate::pool::{self, LaneFetch, LanePlan, RateLimiter, ReaderPool};
 use crate::store::{LocalStore, ObjectReader, ObjectStore};
 
 /// A striped store keeping `COPIES` identical copies of every object.
@@ -405,60 +406,122 @@ impl<const COPIES: usize> Reader<COPIES> {
             let partner = self
                 .store
                 .partner(own.server)
-                .map(|p| Arc::clone(&self.replicas[self.store.lane_of(p)]));
-            let mon = self.store.monitor();
-            let mut scratch = Vec::new();
-            move |lo, dst: &mut [u8]| {
-                // The verified range read of `r`'s file straight into
-                // `buf`, paced at the rate of the disk it comes from and
-                // timed for the monitor unless the file could not be read.
-                let ln = dst.len() as u64;
-                let fetch = |r: &Replica, off, buf: &mut [u8], scratch: &mut Vec<u8>| {
-                    let t0 = Instant::now();
-                    let got =
-                        File::open(&r.at.path).and_then(|f| r.at.read_at(&f, off, buf, scratch));
-                    if got.as_ref().map_or_else(integrity::is_corrupt, |()| true) {
-                        pool::pace(&r.throttle, ln);
-                        mon.record(r.server, ln, t0.elapsed().as_secs_f64());
-                    }
-                    got
-                };
-                let Err(err) = fetch(&own, lo, dst, &mut scratch) else {
-                    return Ok(());
-                };
-                // No second copy: the hard error, or the typed corrupt
-                // error for the first bad stripe, is the answer.
-                let Some(partner) = &partner else {
-                    return Err(err);
-                };
-                // A checksum mismatch or a hard error: serve the segment
-                // from the stripe-aligned span of the mirror partner once
-                // *its* copy verifies. A mismatch is then read-repaired —
-                // every bad stripe of the span is rewritten, data and
-                // sidecar — but only a hard error marks the server dead
-                // (later plans avoid it until a resync completes): one bad
-                // stripe is a media flaw, not a crash.
-                let stripe = own.at.stripe;
-                let bad = if integrity::is_corrupt(&err) {
-                    let span = integrity::read_aligned(&own.at.path, lo, ln, stripe, own.at.len);
-                    span.map_or_else(
-                        |_| Vec::new(),
-                        |(start, got)| integrity::bad_stripes(&got, start, stripe, &own.at.sums),
-                    )
-                } else {
-                    mon.mark_dead(own.server);
-                    Vec::new()
-                };
-                let (start, len) = integrity::aligned_span(lo, ln, stripe, partner.at.len);
-                let mut good = vec![0u8; len as usize];
-                fetch(partner, start, &mut good, &mut scratch)?;
-                if let Ok(k) = integrity::repair_stripes(&own.at.path, start, &good, &bad, stripe) {
-                    mon.note_repair(k);
-                }
-                dst.copy_from_slice(&good[(lo - start) as usize..][..dst.len()]);
-                Ok(())
+                .map(|p| ReplicaRead::new(Arc::clone(&self.replicas[self.store.lane_of(p)])));
+            LaneRead {
+                own: ReplicaRead::new(own),
+                partner,
+                mon: self.store.monitor(),
             }
         })
+    }
+}
+
+/// One lane job's reads of one replica: its file, opened at the job's
+/// first segment and kept for the rest, the stripe cache that checks each
+/// stripe once per job, and the bytes and seconds the job read from it.
+struct ReplicaRead {
+    replica: Arc<Replica>,
+    file: Option<File>,
+    cache: StripeCache,
+    bytes: u64,
+    secs: f64,
+}
+
+impl ReplicaRead {
+    fn new(replica: Arc<Replica>) -> Self {
+        ReplicaRead {
+            replica,
+            file: None,
+            cache: StripeCache::default(),
+            bytes: 0,
+            secs: 0.0,
+        }
+    }
+
+    /// The verified range read of the replica's file straight into `buf`,
+    /// timed for the monitor unless the file could not be read.
+    fn fetch(&mut self, off: u64, buf: &mut [u8]) -> io::Result<()> {
+        let t0 = Instant::now();
+        let file = match &mut self.file {
+            Some(file) => file,
+            empty => empty.insert(File::open(&self.replica.at.path)?),
+        };
+        let got = self.replica.at.read_at(file, off, buf, &mut self.cache);
+        if got.as_ref().map_or_else(integrity::is_corrupt, |()| true) {
+            self.bytes += buf.len() as u64;
+            self.secs += t0.elapsed().as_secs_f64();
+        }
+        got
+    }
+
+    /// Pace the job's bytes at the rate of the disk they came from, then
+    /// give the monitor the job as one sample: its bytes and its seconds.
+    /// A job of many small pieces is then weighed by its bytes, as one
+    /// stripe read is, and cannot wash out the server's history.
+    fn finish(self, mon: &HealthMonitor) {
+        if self.bytes == 0 {
+            return;
+        }
+        let t0 = Instant::now();
+        pool::pace(&self.replica.throttle, self.bytes);
+        let secs = self.secs + t0.elapsed().as_secs_f64();
+        mon.record(self.replica.server, self.bytes, secs);
+    }
+}
+
+/// One lane job of a [`Reader`]: its server's replica and, with a second
+/// copy, the mirror partner's, which serves a segment the own replica
+/// cannot.
+struct LaneRead {
+    own: ReplicaRead,
+    partner: Option<ReplicaRead>,
+    mon: Arc<HealthMonitor>,
+}
+
+impl LaneFetch for LaneRead {
+    fn fetch(&mut self, lo: u64, dst: &mut [u8]) -> io::Result<()> {
+        let ln = dst.len() as u64;
+        let Err(err) = self.own.fetch(lo, dst) else {
+            return Ok(());
+        };
+        // No second copy: the hard error, or the typed corrupt error for
+        // the first bad stripe, is the answer.
+        let Some(partner) = &mut self.partner else {
+            return Err(err);
+        };
+        // A checksum mismatch or a hard error: serve the segment from the
+        // stripe-aligned span of the mirror partner once *its* copy
+        // verifies. A mismatch is then read-repaired — every bad stripe of
+        // the span is rewritten, data and sidecar — but only a hard error
+        // marks the server dead (later plans avoid it until a resync
+        // completes): one bad stripe is a media flaw, not a crash.
+        let own = &self.own.replica;
+        let stripe = own.at.stripe;
+        let bad = if integrity::is_corrupt(&err) {
+            let span = integrity::read_aligned(&own.at.path, lo, ln, stripe, own.at.len);
+            span.map_or_else(
+                |_| Vec::new(),
+                |(start, got)| integrity::bad_stripes(&got, start, stripe, &own.at.sums),
+            )
+        } else {
+            self.mon.mark_dead(own.server);
+            Vec::new()
+        };
+        let (start, len) = integrity::aligned_span(lo, ln, stripe, partner.replica.at.len);
+        let mut good = vec![0u8; len as usize];
+        partner.fetch(start, &mut good)?;
+        if let Ok(k) = integrity::repair_stripes(&own.at.path, start, &good, &bad, stripe) {
+            self.mon.note_repair(k);
+        }
+        dst.copy_from_slice(&good[(lo - start) as usize..][..dst.len()]);
+        Ok(())
+    }
+
+    fn finish(self) {
+        self.own.finish(&self.mon);
+        if let Some(partner) = self.partner {
+            partner.finish(&self.mon);
+        }
     }
 }
 
@@ -802,6 +865,74 @@ mod tests {
         r.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf[..], &data[..16 * 1024]);
         cleanup(p.iter().chain(&m));
+    }
+
+    #[test]
+    fn a_lane_job_of_tiny_pieces_after_stripe_reads_flags_nobody() {
+        // Every server of a 4 + 4 store at the same paced rate. A
+        // stripe-sized history, then one list read of 20 pieces of 100
+        // bytes inside one stripe: server 0 of each copy serves half of
+        // every piece in one lane job. Timed piece by piece, each piece's fixed cost made the
+        // server look many times slower per byte than its peers and
+        // washed its stripe history out; one sample per job weighs the
+        // job by its bytes.
+        let (p, m) = mirrored_dirs("tiny_pieces", 4);
+        let stripe = 64 << 10;
+        let st = MirroredStore::new(p.clone(), m.clone(), stripe).unwrap();
+        let data = pattern(8 * stripe as usize);
+        st.put("obj", &data).unwrap();
+        st.set_io_throttle(8_000_000);
+        let mut r = st.open("obj").unwrap();
+        let mut buf = vec![0u8; data.len()];
+        for _ in 0..10 {
+            r.read_at(0, &mut buf).unwrap();
+        }
+        assert_eq!(st.monitor().skips(), vec![]);
+        let pieces: Vec<(u64, u64)> = (0..20).map(|i| (10_000 + 300 * i, 100)).collect();
+        let got = r.read_many_at(&pieces).unwrap();
+        let want: Vec<u8> = pieces
+            .iter()
+            .flat_map(|&(off, len)| data[off as usize..(off + len) as usize].to_vec())
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            st.monitor().skips(),
+            vec![],
+            "a job of small pieces made a server look hot"
+        );
+        cleanup(p.iter().chain(&m));
+    }
+
+    #[test]
+    fn a_lane_job_opens_its_file_and_checks_a_stripe_once() {
+        let ds = striped_dirs("once", 1);
+        let st = StripedStore::new(ds.clone(), 1024).unwrap();
+        let data = pattern(4096);
+        st.put("obj", &data).unwrap();
+        let replica = Arc::new(Replica {
+            server: ServerId { group: 0, index: 0 },
+            at: st.lanes[0].verified("obj", data.len() as u64),
+            throttle: st.pool.throttle(0),
+        });
+        let mut job = ReplicaRead::new(replica);
+        let mut piece = [0u8; 10];
+        job.fetch(1030, &mut piece).unwrap();
+        assert_eq!(piece, data[1030..1040]);
+        // Stripe 1 is now wrong on disk, and then the file is gone: the
+        // job's later pieces inside stripe 1 still come from the checked
+        // bytes it holds, through the file it opened.
+        let file = ds[0].join("obj");
+        flip_bit(&file, 1500, 0x10);
+        fs::remove_file(&file).unwrap();
+        for at in (1100..2000).step_by(50) {
+            job.fetch(at, &mut piece).unwrap();
+            assert_eq!(piece, data[at as usize..at as usize + 10], "piece at {at}");
+        }
+        assert_eq!(job.bytes, 19 * 10);
+        // Stripe 2 was never checked: the open file serves it.
+        job.fetch(2100, &mut piece).unwrap();
+        assert_eq!(piece, data[2100..2110]);
+        cleanup(&ds);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! striped or mirrored store is a `LocalStore` whose stripes are the
 //! engine's, so a server's sidecar covers that server's local stripes.
 //!
-//! Every read goes through one verified range read: the requested range
-//! is read straight into the caller's slice, each stripe lying wholly
-//! inside it is checked there, and a partly covered edge stripe is re-read
-//! whole into a scratch buffer, which also serves those edge bytes. A
+//! Every read goes through one verified range read: the stripes lying
+//! wholly inside the requested range are read straight into the caller's
+//! slice and checked there, and a partly covered edge stripe is read whole
+//! into the reader's stripe cache, checked, and serves those edge bytes —
+//! and every later read inside the same stripe, without a second read or
+//! check. A
 //! mismatch surfaces as a typed corrupt error ([`corrupt_stripe_of`]) so
 //! callers can distinguish "the bytes are wrong" (not retryable,
 //! repairable from a mirror) from "the server is gone" (fail over /
@@ -350,17 +352,18 @@ pub(crate) struct VerifiedFile {
 impl VerifiedFile {
     /// The one verified range read: `[off, off + buf.len())` of `file`
     /// straight into `buf`, every stripe the range touches checked against
-    /// the sidecar. A stripe lying wholly inside `buf` is checked in place;
-    /// a partly covered edge stripe is re-read whole into `scratch` and
-    /// checked there, and its bytes in `buf` are the checked ones. A
-    /// missing sidecar entry fails closed, and the first bad stripe is the
-    /// typed [`corrupt_error`].
+    /// the sidecar. The stripes lying wholly inside `buf` are read in one
+    /// call and checked in place; a partly covered edge stripe comes out
+    /// of `cache`, which reads and checks it whole first unless it already
+    /// holds it, so consecutive small reads inside one stripe read and
+    /// check it once. A missing sidecar entry fails closed, and the first
+    /// bad stripe is the typed [`corrupt_error`].
     pub(crate) fn read_at(
         &self,
         file: &File,
         off: u64,
         buf: &mut [u8],
-        scratch: &mut Vec<u8>,
+        cache: &mut StripeCache,
     ) -> io::Result<()> {
         let end = off
             .checked_add(buf.len() as u64)
@@ -368,28 +371,66 @@ impl VerifiedFile {
             .ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "read past end of object")
             })?;
-        read_exact_at(file, off, buf)?;
         if self.sums.is_empty() || buf.is_empty() {
-            return Ok(());
+            return read_exact_at(file, off, buf);
         }
         let s = self.stripe;
-        for k in off / s..end.div_ceil(s) {
-            let (lo, hi) = (k * s, ((k + 1) * s).min(self.len));
-            let (a, b) = (lo.max(off), hi.min(end));
-            let dst = &mut buf[(a - off) as usize..(b - off) as usize];
-            let whole = (a, b) == (lo, hi);
-            if !whole {
-                scratch.resize((hi - lo) as usize, 0);
-                read_exact_at(file, lo, scratch)?;
-                dst.copy_from_slice(&scratch[(a - lo) as usize..(b - lo) as usize]);
-            }
-            let stripe = if whole { &*dst } else { &scratch[..] };
-            match self.sums.get(k as usize) {
-                Some(&want) if crc32c(stripe) == want => {}
-                _ => return Err(corrupt_error(&self.path, k)),
+        let stripe_end = |k: u64| ((k + 1) * s).min(self.len);
+        let (mut k, last) = (off / s, end.div_ceil(s));
+        while k < last {
+            let (lo, hi) = (k * s, stripe_end(k));
+            if lo >= off && hi <= end {
+                // A run of whole stripes: one read, checked stripe by stripe.
+                let run = (k..last).take_while(|&j| stripe_end(j) <= end).count() as u64;
+                let dst = &mut buf[(lo - off) as usize..(stripe_end(k + run - 1) - off) as usize];
+                read_exact_at(file, lo, dst)?;
+                for (j, stripe) in (k..).zip(dst.chunks(s as usize)) {
+                    self.check(j, stripe)?;
+                }
+                k += run;
+            } else {
+                let (a, b) = (lo.max(off), hi.min(end));
+                let stripe = cache.stripe(self, file, k)?;
+                buf[(a - off) as usize..(b - off) as usize]
+                    .copy_from_slice(&stripe[(a - lo) as usize..(b - lo) as usize]);
+                k += 1;
             }
         }
         Ok(())
+    }
+
+    /// Check local stripe `k`'s bytes against the sidecar.
+    fn check(&self, k: u64, stripe: &[u8]) -> io::Result<()> {
+        match self.sums.get(k as usize) {
+            Some(&want) if crc32c(stripe) == want => Ok(()),
+            _ => Err(corrupt_error(&self.path, k)),
+        }
+    }
+}
+
+/// The last partly read stripe a [`VerifiedFile::read_at`] checked, kept
+/// so that the next read inside the same stripe copies out of it instead
+/// of reading and checking it again. It holds one file's bytes, so each
+/// reader of a file keeps its own.
+#[derive(Debug, Default)]
+pub(crate) struct StripeCache {
+    stripe: Option<u64>,
+    bytes: Vec<u8>,
+}
+
+impl StripeCache {
+    /// Local stripe `k` of `at`, read from `file` and checked unless held.
+    fn stripe(&mut self, at: &VerifiedFile, file: &File, k: u64) -> io::Result<&[u8]> {
+        if self.stripe != Some(k) {
+            self.stripe = None;
+            let lo = k * at.stripe;
+            self.bytes
+                .resize(((k + 1) * at.stripe).min(at.len) as usize - lo as usize, 0);
+            read_exact_at(file, lo, &mut self.bytes)?;
+            at.check(k, &self.bytes)?;
+            self.stripe = Some(k);
+        }
+        Ok(&self.bytes)
     }
 }
 

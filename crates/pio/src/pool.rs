@@ -100,20 +100,16 @@ impl ReaderPool {
     }
 
     /// Read a region list into `buf`: one job per lane whose plan holds
-    /// segments, enqueued on that lane. The job fetches each segment in
-    /// list order with `fetcher(lane)`, which fills the slice it is given
-    /// with the local range starting at the offset it is given, straight
-    /// into the job's bytes. Blocks until every job has answered; returns
-    /// the first error.
-    pub(crate) fn read<F>(
+    /// segments, enqueued on that lane. The job takes its [`LaneFetch`]
+    /// from `fetcher(lane)`, fetches each segment in list order straight
+    /// into the job's bytes, and finishes the fetch before it answers.
+    /// Blocks until every job has answered; returns the first error.
+    pub(crate) fn read<F: LaneFetch>(
         &self,
         plans: Vec<LanePlan>,
         buf: &mut [u8],
         mut fetcher: impl FnMut(usize) -> F,
-    ) -> io::Result<()>
-    where
-        F: FnMut(u64, &mut [u8]) -> io::Result<()> + Send + 'static,
-    {
+    ) -> io::Result<()> {
         let (tx, rx) = mpsc::channel();
         let mut scatters = Vec::new();
         for (lane, plan) in plans.into_iter().enumerate() {
@@ -129,14 +125,24 @@ impl ReaderPool {
                 let res = segs.into_iter().try_for_each(|(lo, ln)| {
                     let dst = &mut out[at..at + ln as usize];
                     at += dst.len();
-                    fetch(lo, dst)
+                    fetch.fetch(lo, dst)
                 });
+                fetch.finish();
                 let _ = tx.send((idx, res.map(|()| out)));
             });
         }
         drop(tx);
         gather(buf, &rx, &scatters)
     }
+}
+
+/// What one lane job does with its segments.
+pub(crate) trait LaneFetch: Send + 'static {
+    /// Fill `dst` with the local range starting at `lo`.
+    fn fetch(&mut self, lo: u64, dst: &mut [u8]) -> io::Result<()>;
+    /// Called once after the job's last segment, or its first failed one,
+    /// before the job answers.
+    fn finish(self);
 }
 
 impl fmt::Debug for ReaderPool {

@@ -21,7 +21,7 @@ use std::fs::{self, File};
 use std::io;
 use std::path::PathBuf;
 
-use crate::integrity::{self, VerifiedFile};
+use crate::integrity::{self, StripeCache, VerifiedFile};
 
 /// Positional reader handed out by stores.
 ///
@@ -146,7 +146,7 @@ impl LocalStore {
         Ok(LocalReader {
             file,
             at,
-            scratch: Vec::new(),
+            cache: StripeCache::default(),
         })
     }
 
@@ -187,12 +187,12 @@ impl LocalStore {
 pub(crate) struct LocalReader {
     file: File,
     pub(crate) at: VerifiedFile,
-    scratch: Vec<u8>,
+    cache: StripeCache,
 }
 
 impl ObjectReader for LocalReader {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        self.at.read_at(&self.file, offset, buf, &mut self.scratch)
+        self.at.read_at(&self.file, offset, buf, &mut self.cache)
     }
 
     fn len(&mut self) -> io::Result<u64> {

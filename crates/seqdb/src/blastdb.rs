@@ -11,9 +11,13 @@
 //! Reading goes through the [`ReadAt`] trait so the same decoder works over
 //! a plain file, an in-memory buffer, or the `pio` striped/mirrored stores —
 //! and so the application-level I/O tracer can observe every access. The
-//! access pattern mirrors BLAST's: a small header read, an index read, then
-//! one large read of the whole data region (the paper's Figure 4 reads of
-//! up to 220 MB).
+//! read comes in two steps, the way BLAST touches a memory-mapped volume:
+//! first the sequences ([`PackedVolume::read_sequences`]: a small header
+//! read, an index read, then one large read of the whole data region, the
+//! paper's Figure 4 reads of up to 220 MB), then, after the search, the
+//! deflines of the subjects it reports ([`PackedVolume::defline_read`],
+//! one list request). [`PackedVolume::read_from`] does both for every
+//! subject.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -329,76 +333,91 @@ struct PackedEntry {
     data_start: usize,
     /// Residue count.
     nres: usize,
-    /// Defline byte range inside the defline blob.
-    def_start: usize,
-    def_len: usize,
+    /// Defline byte range inside the defline region.
+    def_start: u64,
+    def_len: u64,
 }
 
 /// A volume decoded only to its storage representation: the data stays
 /// 2-bit packed (4 bases per byte). This is the zero-copy substrate of the
 /// packed-scan blastn kernel — the scanner reads its table windows directly
 /// from these bytes and only subjects that produce seed hits are ever
-/// unpacked (into a caller-provided reusable buffer).
+/// unpacked (into a caller-provided reusable buffer). Its deflines are
+/// those read so far: every subject's after [`Self::read_from`], none
+/// after [`Self::read_sequences`].
 #[derive(Debug, Clone)]
 pub struct PackedVolume {
     /// Residue type.
     pub seq_type: SeqType,
     data: Vec<u8>,
     entries: Vec<PackedEntry>,
-    deflines: Vec<u8>,
+    /// File offset of the defline region.
+    defline_offset: u64,
+    deflines: Deflines,
 }
 
 impl PackedVolume {
-    /// Read a whole volume through any [`ReadAt`] source without unpacking.
-    /// Performs the exact same access sequence as [`Volume::read_from`]
-    /// (header → index → bulk data → deflines), so I/O traces are
-    /// identical between the two readers.
+    /// Read a whole volume through any [`ReadAt`] source without unpacking:
+    /// [`Self::read_sequences`], then every subject's defline in one
+    /// [`DeflineRead`]. The deflines of a formatted volume lie back to
+    /// back, so that is one region, and the access sequence is BLAST's
+    /// header → index → bulk data → deflines.
     pub fn read_from<R: ReadAt>(src: &mut R) -> io::Result<PackedVolume> {
+        let mut volume = Self::read_sequences(src)?;
+        volume.deflines = volume.defline_read(0..volume.nseq()).read(src)?;
+        Ok(volume)
+    }
+
+    /// Read the header, the index and the packed data, and no defline: a
+    /// search needs only these, and [`Self::defline_read`] fetches the
+    /// deflines of the subjects it reports afterwards. One large read for
+    /// the entire data region.
+    pub fn read_sequences<R: ReadAt>(src: &mut R) -> io::Result<PackedVolume> {
         let (seq_type, [index, data, deflines]) = Self::layout(src)?;
         let mut read = |(offset, len): (u64, u64)| {
             let mut buf = vec![0u8; len as usize];
             src.read_at(offset, &mut buf).map(|()| buf)
         };
         let index = read(index)?;
-        // One large read for the entire packed data region.
         let data = read(data)?;
-        let deflines = read(deflines)?;
-        let entries = parse_index(&index, data.len(), deflines.len())?;
-        Ok(PackedVolume {
-            seq_type,
-            data,
-            entries,
-            deflines,
-        })
+        let entries = parse_index(&index, data.len(), deflines.1)?;
+        Ok(Self::without_deflines(seq_type, data, entries, deflines.0))
     }
 
-    /// [`PackedVolume::read_from`] over list I/O: after the header, the
-    /// index, packed data, and defline regions travel in ONE vectored
-    /// [`ReadAt::read_many_at`] call — one aggregated request per storage
-    /// server instead of one per region — listed in the same
-    /// index → data → deflines order the plain reader visits them, so the
+    /// [`Self::read_sequences`] over list I/O: after the header, the index
+    /// and the packed data travel in ONE vectored [`ReadAt::read_many_at`]
+    /// call — one aggregated request per storage server instead of one per
+    /// region — listed in the order the plain reader visits them, so the
     /// traced read sequence (and of course the decoded volume) is
     /// identical. The data region is not copied out of the list's bytes:
-    /// the index is parsed where it lies, the deflines are split off the
-    /// end, and the data shifts down over the index.
-    pub fn read_from_listio<R: ReadAt>(src: &mut R) -> io::Result<PackedVolume> {
-        let (seq_type, regions) = Self::layout(src)?;
-        let mut data = src.read_many_at(&regions)?;
-        let index_len = regions[0].1 as usize;
-        let deflines = data.split_off(index_len + regions[1].1 as usize);
-        let entries = parse_index(&data[..index_len], data.len() - index_len, deflines.len())?;
-        data.drain(..index_len);
-        Ok(PackedVolume {
+    /// the index is parsed where it lies and the data shifts down over it.
+    pub fn read_sequences_listio<R: ReadAt>(src: &mut R) -> io::Result<PackedVolume> {
+        let (seq_type, [index, data, deflines]) = Self::layout(src)?;
+        let mut bytes = src.read_many_at(&[index, data])?;
+        let index_len = index.1 as usize;
+        let entries = parse_index(&bytes[..index_len], data.1 as usize, deflines.1)?;
+        bytes.drain(..index_len);
+        Ok(Self::without_deflines(seq_type, bytes, entries, deflines.0))
+    }
+
+    fn without_deflines(
+        seq_type: SeqType,
+        data: Vec<u8>,
+        entries: Vec<PackedEntry>,
+        defline_offset: u64,
+    ) -> PackedVolume {
+        PackedVolume {
             seq_type,
             data,
             entries,
-            deflines,
-        })
+            defline_offset,
+            deflines: Deflines::default(),
+        }
     }
 
     /// Read the header, then locate the regions behind it: `(offset,
     /// len)` of the index, the packed data and the deflines, in the order
-    /// both readers fetch them. The header is checked before anything is
+    /// a whole volume is read. The header is checked before anything is
     /// sized from it: data, index and deflines must follow it in that
     /// order and end inside the file, or the volume is `InvalidData`.
     fn layout<R: ReadAt>(src: &mut R) -> io::Result<(SeqType, [(u64, u64); 3])> {
@@ -426,25 +445,26 @@ impl PackedVolume {
     }
 
     /// Pack a decoded volume: the inverse of [`Self::to_volume`]. Lossless,
-    /// because nucleotide codes are always `0..4`.
+    /// because nucleotide codes are always `0..4`. It holds every defline.
     pub fn from_volume(volume: &Volume) -> PackedVolume {
         let mut data = Vec::new();
-        let mut deflines = Vec::new();
+        let mut deflines = Deflines::default();
         let mut entries = Vec::with_capacity(volume.sequences.len());
-        for s in &volume.sequences {
+        for (i, s) in volume.sequences.iter().enumerate() {
             entries.push(PackedEntry {
                 data_start: data.len(),
                 nres: s.codes.len(),
-                def_start: deflines.len(),
-                def_len: s.defline.len(),
+                def_start: deflines.bytes.len() as u64,
+                def_len: s.defline.len() as u64,
             });
             pack_2bit_onto(&s.codes, &mut data);
-            deflines.extend_from_slice(s.defline.as_bytes());
+            deflines.push(i, s.defline.as_bytes());
         }
         PackedVolume {
             seq_type: volume.seq_type,
             data,
             entries,
+            defline_offset: 0,
             deflines,
         }
     }
@@ -471,19 +491,52 @@ impl PackedVolume {
         &self.data[e.data_start..e.data_start + e.nres.div_ceil(4)]
     }
 
-    /// Defline of sequence `i`.
-    pub fn defline(&self, i: usize) -> std::borrow::Cow<'_, str> {
-        let e = &self.entries[i];
-        String::from_utf8_lossy(&self.deflines[e.def_start..e.def_start + e.def_len])
+    /// The deflines read so far.
+    pub fn deflines(&self) -> &Deflines {
+        &self.deflines
     }
 
-    /// Identifier of sequence `i`: first word of its defline.
+    /// Defline of sequence `i`.
+    ///
+    /// # Panics
+    ///
+    /// If the volume was read without it ([`Self::read_sequences`]).
+    pub fn defline(&self, i: usize) -> std::borrow::Cow<'_, str> {
+        self.deflines
+            .get(i)
+            .unwrap_or_else(|| panic!("the defline of subject {i} was not read"))
+    }
+
+    /// Identifier of sequence `i`: first word of its defline (panics as
+    /// [`Self::defline`] does).
     pub fn id(&self, i: usize) -> String {
-        self.defline(i)
-            .split_whitespace()
-            .next()
-            .unwrap_or("")
-            .to_string()
+        first_word(&self.defline(i))
+    }
+
+    /// Where the deflines of `subjects` lie in the volume file, to be read
+    /// by whoever holds a reader of it. Each subject counts once, and
+    /// ranges that touch merge into one region, so every subject of a
+    /// formatted volume makes one region: its whole defline blob.
+    pub fn defline_read(&self, subjects: impl IntoIterator<Item = usize>) -> DeflineRead {
+        let mut subjects: Vec<usize> = subjects.into_iter().collect();
+        subjects.sort_unstable();
+        subjects.dedup();
+        let mut read = DeflineRead {
+            lens: Vec::with_capacity(subjects.len()),
+            regions: Vec::new(),
+            subjects,
+        };
+        for &i in &read.subjects {
+            let e = &self.entries[i];
+            read.lens.push(e.def_len as usize);
+            let offset = self.defline_offset + e.def_start;
+            match read.regions.last_mut() {
+                Some((at, len)) if *at + *len == offset => *len += e.def_len,
+                _ if e.def_len == 0 => {}
+                _ => read.regions.push((offset, e.def_len)),
+            }
+        }
+        read
     }
 
     /// Unpack sequence `i` into a reusable buffer (replacing its contents).
@@ -491,7 +544,8 @@ impl PackedVolume {
         unpack_2bit_into(self.packed(i), self.entries[i].nres, out)
     }
 
-    /// Decode every sequence into a [`Volume`], one byte per residue.
+    /// Decode every sequence into a [`Volume`], one byte per residue
+    /// (panics as [`Self::defline`] does).
     pub fn to_volume(&self) -> Volume {
         let mut sequences = Vec::with_capacity(self.entries.len());
         for i in 0..self.entries.len() {
@@ -514,22 +568,105 @@ impl PackedVolume {
     }
 }
 
+fn first_word(defline: &str) -> String {
+    defline.split_whitespace().next().unwrap_or("").to_string()
+}
+
+/// The deflines of chosen subjects of a volume and where they lie in its
+/// file ([`PackedVolume::defline_read`]). It holds no borrow of the
+/// volume, so the thread that keeps the volume's reader can read them
+/// while the volume itself is gone.
+#[derive(Debug, Clone, Default)]
+pub struct DeflineRead {
+    /// Subject indices, ascending.
+    subjects: Vec<usize>,
+    /// Their defline lengths.
+    lens: Vec<usize>,
+    /// `(offset, len)` file regions holding those deflines back to back.
+    regions: Vec<(u64, u64)>,
+}
+
+impl DeflineRead {
+    /// True when no subject was chosen: there is nothing to read.
+    pub fn is_empty(&self) -> bool {
+        self.subjects.is_empty()
+    }
+
+    /// The `(offset, len)` file regions the read asks for.
+    pub fn regions(&self) -> &[(u64, u64)] {
+        &self.regions
+    }
+
+    /// Read the deflines from `src`, the volume's file: one
+    /// [`ReadAt::read_many_at`] over [`Self::regions`], none when nothing
+    /// was chosen.
+    pub fn read<R: ReadAt>(&self, src: &mut R) -> io::Result<Deflines> {
+        let bytes = if self.regions.is_empty() {
+            Vec::new()
+        } else {
+            src.read_many_at(&self.regions)?
+        };
+        let ends = self
+            .lens
+            .iter()
+            .scan(0, |end, &n| {
+                *end += n;
+                Some(*end)
+            })
+            .collect();
+        Ok(Deflines {
+            subjects: self.subjects.clone(),
+            ends,
+            bytes,
+        })
+    }
+}
+
+/// The deflines of some subjects of a volume, as read from it.
+#[derive(Debug, Clone, Default)]
+pub struct Deflines {
+    /// Subject indices, ascending.
+    subjects: Vec<usize>,
+    /// `ends[k]` is where the defline of `subjects[k]` ends in `bytes`.
+    ends: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl Deflines {
+    fn push(&mut self, subject: usize, defline: &[u8]) {
+        self.subjects.push(subject);
+        self.bytes.extend_from_slice(defline);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The defline of `subject`, if it was read.
+    pub fn get(&self, subject: usize) -> Option<std::borrow::Cow<'_, str>> {
+        let k = self.subjects.binary_search(&subject).ok()?;
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        Some(String::from_utf8_lossy(&self.bytes[start..self.ends[k]]))
+    }
+
+    /// Identifier of `subject`, the first word of its defline, if it was
+    /// read.
+    pub fn id(&self, subject: usize) -> Option<String> {
+        self.get(subject).map(|d| first_word(&d))
+    }
+}
+
 /// Parse a volume index, checking every entry against the lengths of the
 /// data and defline regions it points into.
-fn parse_index(index: &[u8], data_len: usize, def_len: usize) -> io::Result<Vec<PackedEntry>> {
+fn parse_index(index: &[u8], data_len: usize, def_len: u64) -> io::Result<Vec<PackedEntry>> {
     index
         .chunks_exact(INDEX_ENTRY_LEN as usize)
         .map(|e| {
             let nres = get_u64(e, 8);
             let (def_start, dlen) = (get_u64(e, 16), get_u64(e, 24));
-            let fits = |start: u64, len: u64, region: usize| {
-                start
-                    .checked_add(len)
-                    .is_some_and(|end| end <= region as u64)
+            let fits = |start: u64, len: u64, region: u64| {
+                start.checked_add(len).is_some_and(|end| end <= region)
             };
             let data_start = get_u64(e, 0)
                 .checked_sub(HEADER_LEN)
-                .filter(|&start| fits(start, nres.div_ceil(4), data_len))
+                .filter(|&start| fits(start, nres.div_ceil(4), data_len as u64))
                 .filter(|_| fits(def_start, dlen, def_len))
                 .ok_or_else(|| {
                     io::Error::new(
@@ -540,8 +677,8 @@ fn parse_index(index: &[u8], data_len: usize, def_len: usize) -> io::Result<Vec<
             Ok(PackedEntry {
                 data_start: data_start as usize,
                 nres: nres as usize,
-                def_start: def_start as usize,
-                def_len: dlen as usize,
+                def_start,
+                def_len: dlen,
             })
         })
         .collect()
@@ -668,6 +805,44 @@ mod tests {
     }
 
     #[test]
+    fn a_defline_read_fetches_only_the_chosen_subjects_and_names_them_as_read_from_does() {
+        let seqs: [(&str, &[u8]); 4] = [
+            ("s0 first", b"ACGTACGTA"),
+            ("s1", b"GGCC"),
+            ("s2 third one", b"ACGTTT"),
+            ("s3 last", b"TTTTGGGGA"),
+        ];
+        let bytes = build(SeqType::Nucleotide, &seqs);
+        let whole = PackedVolume::read_from(&mut bytes.as_slice()).unwrap();
+        for reader in [
+            PackedVolume::read_sequences::<&[u8]>,
+            PackedVolume::read_sequences_listio::<&[u8]>,
+        ] {
+            let volume = reader(&mut bytes.as_slice()).unwrap();
+            assert_eq!(volume.nseq(), 4);
+            assert!(volume.deflines().get(0).is_none(), "no defline was read");
+            for i in 0..4 {
+                assert_eq!(volume.packed(i), whole.packed(i));
+            }
+            // Chosen out of order and twice; 2 and 3 lie side by side.
+            let read = volume.defline_read([3, 0, 2, 3]);
+            let d = |i: usize| seqs[i].0.len() as u64;
+            let at = |i: usize| bytes.len() as u64 - (i..4).map(d).sum::<u64>();
+            assert_eq!(read.regions(), [(at(0), d(0)), (at(2), d(2) + d(3))]);
+            let names = read.read(&mut bytes.as_slice()).unwrap();
+            for i in [0, 2, 3] {
+                assert_eq!(names.get(i).unwrap(), whole.defline(i));
+                assert_eq!(names.id(i).unwrap(), whole.id(i));
+            }
+            assert_eq!(names.get(1), None);
+            // Nothing chosen: nothing to read.
+            let none = volume.defline_read([]);
+            assert!(none.is_empty() && none.regions().is_empty());
+            assert!(none.read(&mut &[][..]).unwrap().get(0).is_none());
+        }
+    }
+
+    #[test]
     fn every_reader_rejects_a_protein_volume_naming_its_type() {
         // A well-formed volume whose header says type 1, the protein
         // volumes of earlier formats.
@@ -678,7 +853,7 @@ mod tests {
             Volume::read_header(&mut src()).map(drop),
             Volume::read_from(&mut src()).map(drop),
             PackedVolume::read_from(&mut src()).map(drop),
-            PackedVolume::read_from_listio(&mut src()).map(drop),
+            PackedVolume::read_sequences_listio(&mut src()).map(drop),
         ];
         for (reader, got) in errors.into_iter().enumerate() {
             let err = got.expect_err("a protein volume must not load");
@@ -707,7 +882,7 @@ mod tests {
             bad[field..field + 8].copy_from_slice(&value.to_le_bytes());
             for (reader, got) in [
                 PackedVolume::read_from(&mut bad.as_slice()),
-                PackedVolume::read_from_listio(&mut bad.as_slice()),
+                PackedVolume::read_sequences_listio(&mut bad.as_slice()),
             ]
             .into_iter()
             .enumerate()
@@ -727,7 +902,7 @@ mod tests {
         bad[entry..entry + 8].copy_from_slice(&0u64.to_le_bytes());
         for got in [
             PackedVolume::read_from(&mut bad.as_slice()),
-            PackedVolume::read_from_listio(&mut bad.as_slice()),
+            PackedVolume::read_sequences_listio(&mut bad.as_slice()),
         ] {
             assert_eq!(got.unwrap_err().kind(), io::ErrorKind::InvalidData);
         }

@@ -25,7 +25,10 @@ pub use alphabet::{
     complement_nt, decode_nt, encode_nt, encode_nt_seq, pack_2bit, reverse_complement, unpack_2bit,
     unpack_2bit_into,
 };
-pub use blastdb::{DbSequence, PackedVolume, ReadAt, SeqType, Volume, VolumeHeader, VolumeWriter};
+pub use blastdb::{
+    DbSequence, DeflineRead, Deflines, PackedVolume, ReadAt, SeqType, Volume, VolumeHeader,
+    VolumeWriter,
+};
 pub use fasta::{FastaReader, FastaRecord, FastaWriter};
 pub use segment::{fragment_path, segment_into_fragments, FragmentInfo};
 pub use synthetic::{extract_query, to_ascii, SyntheticConfig, SyntheticNt};

@@ -569,3 +569,167 @@ fn real_pvfs_reports_error_after_server_loss() {
     }
     std::fs::remove_dir_all(&base).ok();
 }
+
+#[test]
+fn real_ceft_primary_lost_between_fetch_and_defline_read_gives_identical_answers() {
+    // A worker's fetch thread keeps the reader that fetched a fragment and
+    // reads the hit subjects' deflines through it after the search. A
+    // primary that dies in between must fail those reads over to the
+    // mirror like any other: the same steps, with the kill between them.
+    use parblast::blast::PreparedBatch;
+    use parblast::mpiblast::TracedSource;
+    use parblast::pio::ServerId;
+    use parblast_blast::ScanWorkspace;
+    use parblast_seqdb::PackedVolume;
+
+    let base = tmp("ceft_deflines");
+    let ceft = Scheme::ceft_at(&base.join("c"), 2, 16 << 10).unwrap();
+    let (fragments, query, db) = setup(&base, &ceft);
+    let baseline = job(ceft.clone(), fragments.clone(), db)
+        .run(&query)
+        .unwrap();
+    assert!(!baseline.hits.is_empty(), "planted query must be found");
+    let params = SearchParams::blastn();
+    let prepared = PreparedBatch::new(&[&query], &params, db);
+    let mut ws = ScanWorkspace::new();
+    let mut fetched = Vec::new();
+    let mut want = Vec::new();
+    for name in &fragments {
+        let (reader, _) = ceft.open_for_worker(0, name).unwrap();
+        let mut src = TracedSource::new(reader, Tracer::disabled(), 0);
+        let volume = PackedVolume::read_sequences(&mut src).unwrap();
+        let found = prepared.find(&volume, &mut ws);
+        let read = volume.defline_read(found.subjects());
+        // What the fragment answers read whole, before any loss.
+        let (mut whole, _) = ceft.open_for_worker(0, name).unwrap();
+        let mut raw = vec![0u8; whole.len().unwrap() as usize];
+        whole.read_at(0, &mut raw).unwrap();
+        let volume = PackedVolume::read_from(&mut raw.as_slice()).unwrap();
+        want.push(format!("{:?}", prepared.search(&volume, &mut ws)));
+        fetched.push((src, found, read));
+    }
+    assert!(
+        fetched.iter().any(|(_, _, read)| !read.is_empty()),
+        "no fragment has a hit to name"
+    );
+
+    // Primary 1 holds the stripes the deflines lie in. Unpaced reads of
+    // a few kilobytes may have made it look hot; a fresh history puts it
+    // back in the plans, so the defline reads go to it and find it gone.
+    let Scheme::Ceft(store) = &ceft else {
+        unreachable!()
+    };
+    let lost = ServerId { group: 0, index: 1 };
+    store.monitor().complete_resync(lost);
+    kill_server_dir(&base.join("c").join("primary1"));
+    for ((mut src, found, read), want) in fetched.into_iter().zip(want) {
+        let deflines = read.read(&mut src).unwrap();
+        assert_eq!(format!("{:?}", found.name(&deflines)), want);
+    }
+    assert_eq!(
+        store.monitor().dead(),
+        vec![lost],
+        "no defline read met the lost primary"
+    );
+    // And a whole job over the degraded store answers as before.
+    let degraded = job(ceft, fragments, db).run(&query).unwrap();
+    assert_eq!(
+        format!("{:?}", degraded.hits),
+        format!("{:?}", baseline.hits)
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn real_original_corrupt_defline_stripe_in_a_private_copy_is_retried_with_identical_hits() {
+    // Short sequences, so a fragment's deflines fill whole 64 KiB stripes
+    // of their own past its header, data and index: a flipped byte there
+    // is met only by the read of the hit subjects' deflines. That read
+    // fails the task as a corrupt fetch does: the private copy is deleted,
+    // the task is retried, the retry copies the fragment afresh.
+    use parblast_seqdb::PackedVolume;
+    const STRIPE: u64 = 64 << 10;
+
+    let base = tmp("orig_deflines");
+    let mut g = SyntheticNt::new(SyntheticConfig {
+        total_residues: 500_000,
+        mean_len: 150.0,
+        len_cv: 1.0,
+        seed: 31,
+        ..Default::default()
+    });
+    let seqs: Vec<(String, Vec<u8>)> = std::iter::from_fn(|| g.next()).collect();
+    let db = DbStats {
+        residues: g.residues(),
+        nseq: g.sequences(),
+    };
+    let infos =
+        segment_into_fragments(&base.join("fmt"), "nt", SeqType::Nucleotide, 2, seqs).unwrap();
+    let name = infos[0]
+        .path
+        .file_name()
+        .unwrap()
+        .to_string_lossy()
+        .into_owned();
+    let raw = std::fs::read(&infos[0].path).unwrap();
+    let volume = PackedVolume::read_from(&mut raw.as_slice()).unwrap();
+    let header = parblast_seqdb::Volume::read_header(&mut raw.as_slice()).unwrap();
+    let clean_stripe = header.defline_offset.div_ceil(STRIPE);
+    assert!(
+        (clean_stripe + 1) * STRIPE <= raw.len() as u64,
+        "no stripe holds deflines alone"
+    );
+    // The longest subject whose defline lies in that stripe.
+    let in_stripe = |i: usize| {
+        let (at, _) = volume.defline_read([i]).regions()[0];
+        at / STRIPE == clean_stripe
+    };
+    let subject = (0..volume.nseq())
+        .filter(|&i| in_stripe(i))
+        .max_by_key(|&i| volume.seq_len(i))
+        .unwrap();
+    let mut codes = Vec::new();
+    volume.unpack_into(subject, &mut codes);
+    let query = extract_query(&codes, 400, 0.02, 5);
+
+    let scheme = Scheme::local_at(&base.join("io"), 2).unwrap();
+    let mut fragments = vec![];
+    for info in &infos {
+        let n = info
+            .path
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
+        scheme
+            .load_fragment(&n, &std::fs::read(&info.path).unwrap())
+            .unwrap();
+        fragments.push(n);
+    }
+    let job = job(scheme, fragments, db);
+    let first = job.run(&query).unwrap();
+    assert_eq!(
+        first.hits[0].subject_id,
+        volume.id(subject),
+        "planted subject not top"
+    );
+
+    // Every worker holds the fragment, each copy with a flipped byte in
+    // the defline stripe.
+    let copy = |w: usize| base.join("io").join(format!("worker{w}")).join(&name);
+    for w in 0..2 {
+        job.scheme.open_for_worker(w, &name).unwrap();
+        let mut bytes = std::fs::read(copy(w)).unwrap();
+        bytes[(clean_stripe * STRIPE) as usize + 7] ^= 0x20;
+        std::fs::write(copy(w), &bytes).unwrap();
+    }
+    let again = job.run(&query).unwrap();
+    assert_eq!(format!("{:?}", again.hits), format!("{:?}", first.hits));
+    // The worker that searched the fragment found its copy corrupt and
+    // copied it afresh.
+    assert!(
+        (0..2).any(|w| std::fs::read(copy(w)).unwrap() == raw),
+        "no private copy was copied again"
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
