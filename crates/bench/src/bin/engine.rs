@@ -88,9 +88,6 @@ fn synth_volume_bytes(residues: u64, seed: u64) -> Vec<u8> {
 /// Length of the planted family's members (the whole-path benchmark's).
 const FAMILY_LEN: usize = 1500;
 
-/// DP cells of a banded global alignment of `m` × `n` residues: rows
-/// `1..=m`, each `|m − n| + extra_band` columns either side of the diagonal,
-/// clipped to the matrix.
 /// The seed table of both strands of every query of `pool`.
 fn strand_lookup(pool: &[Vec<u8>], word: usize) -> BatchedNtLookup {
     let strands: Vec<Vec<u8>> = pool
@@ -110,6 +107,9 @@ fn count_seeds(lookup: &BatchedNtLookup, packed: &PackedVolume, block: &mut Surv
     n
 }
 
+/// DP cells of a banded global alignment of `m` × `n` residues: rows
+/// `1..=m`, each `|m − n| + extra_band` columns either side of the diagonal,
+/// clipped to the matrix.
 fn band_cells(m: usize, n: usize, extra_band: usize) -> u64 {
     let band = m.abs_diff(n) + extra_band;
     (1..=m)

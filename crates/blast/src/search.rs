@@ -538,17 +538,10 @@ pub struct Found {
 }
 
 impl Found {
-    /// The subjects that produced hits, ascending, each once.
-    pub fn subjects(&self) -> Vec<usize> {
-        let mut subjects: Vec<usize> = self
-            .per_query
-            .iter()
-            .flatten()
-            .map(|h| h.subject_index)
-            .collect();
-        subjects.sort_unstable();
-        subjects.dedup();
-        subjects
+    /// The subject of every hit, in hit order: a subject appears once
+    /// for each of its hits.
+    pub fn subjects(&self) -> impl Iterator<Item = usize> + '_ {
+        self.per_query.iter().flatten().map(|h| h.subject_index)
     }
 
     /// Name every hit after the first word of its subject's defline; one

@@ -33,7 +33,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parblast_blast::{fused_passes, Found, Hit, PreparedBatch, ScanWorkspace};
-use parblast_seqdb::{DeflineRead, Deflines};
+use parblast_seqdb::DeflineRead;
 
 use crate::runner::{merge_hit, rank_merged, BatchOutcome, Fetched, ParallelBlast, RunOutcome};
 use crate::sched::{Claim, Failure, Master};
@@ -120,8 +120,9 @@ struct Running {
 /// index there, and its id in the master.
 type Handed = (Arc<Work>, usize, usize);
 
-/// A searched task whose hits wait for their subjects' deflines, handed
-/// back to its worker's fetch thread with the reader that fetched it.
+/// A searched task whose hits wait for their subjects' deflines, with the
+/// reader that fetched its fragment: handed back to its worker's fetch
+/// thread when there are deflines to read.
 struct Naming {
     task: Handed,
     src: TracedSource,
@@ -303,19 +304,7 @@ impl Core {
                         break;
                     }
                 }
-                Job::Name(Naming {
-                    task: (work, task, id),
-                    src,
-                    found,
-                    read,
-                    search_s,
-                }) => {
-                    let fragment = &job.fragments[task % nfrag];
-                    let named = job.name_hits(w, fragment, src, found, &read, &work.clocks);
-                    let r =
-                        named.map(|per_query| self.searched(w, &work, task, per_query, search_s));
-                    self.report(w, id, r);
-                }
+                Job::Name(naming) => self.name(w, naming),
             }
         }
     }
@@ -348,24 +337,36 @@ impl Core {
             let search_s = s0.elapsed().as_secs_f64();
             let read = volume.defline_read(found.subjects());
             drop(volume);
-            if read.is_empty() {
-                let per_query = found.name(&Deflines::default());
-                let searched = self.searched(w, &work, task, per_query, search_s);
-                self.report(w, id, Ok(searched));
+            let naming = Naming {
+                task: (work, task, id),
+                src,
+                found,
+                read,
+                search_s,
+            };
+            if naming.read.is_empty() {
+                self.name(w, naming);
             } else {
-                let task = (work, task, id);
-                self.hand_back(
-                    w,
-                    Naming {
-                        task,
-                        src,
-                        found,
-                        read,
-                        search_s,
-                    },
-                );
+                self.hand_back(w, naming);
             }
         }
+    }
+
+    /// Read the deflines of `naming`'s hit subjects (none for a task
+    /// without hits), name its hits and report the task.
+    fn name(&self, w: usize, naming: Naming) {
+        let Naming {
+            task: (work, task, id),
+            src,
+            found,
+            read,
+            search_s,
+        } = naming;
+        let job = &*self.job;
+        let fragment = &job.fragments[task % job.fragments.len()];
+        let named = job.name_hits(w, fragment, src, found, &read, &work.clocks);
+        let r = named.map(|per_query| self.searched(w, &work, task, per_query, search_s));
+        self.report(w, id, r);
     }
 
     /// Task `task` of `work`, searched by worker `w` in `search_s`, with

@@ -304,6 +304,7 @@ mod tests {
     use crate::trace::IoKind;
     use parblast_seqdb::blastdb::SeqType;
     use parblast_seqdb::{extract_query, segment_into_fragments, SyntheticConfig, SyntheticNt};
+    use std::collections::BTreeSet;
     use std::path::{Path, PathBuf};
     use std::time::Duration;
 
@@ -593,10 +594,9 @@ mod tests {
             let volume = PackedVolume::read_from(&mut raw.as_slice()).unwrap();
             let header = parblast_seqdb::Volume::read_header(&mut raw.as_slice()).unwrap();
             let found = prepared.search(&volume, &mut ws);
-            let mut subjects: Vec<usize> =
+            // Counted here from the hits, not by `defline_read`.
+            let subjects: BTreeSet<usize> =
                 found.iter().flatten().map(|h| h.subject_index).collect();
-            subjects.sort_unstable();
-            subjects.dedup();
             let deflines: usize = subjects.iter().map(|&i| volume.defline(i).len()).sum();
             bytes += header.defline_offset + deflines as u64;
             for (all, hits) in merged.iter_mut().zip(found) {

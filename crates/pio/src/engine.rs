@@ -36,7 +36,7 @@ use std::time::Instant;
 use crate::integrity::{self, StripeCache, VerifiedFile};
 use crate::layout::{MirroredLayout, ServerId};
 use crate::monitor::HealthMonitor;
-use crate::pool::{self, LaneFetch, LanePlan, RateLimiter, ReaderPool};
+use crate::pool::{self, LanePlan, RateLimiter, ReaderPool};
 use crate::store::{LocalStore, ObjectReader, ObjectStore};
 
 /// A striped store keeping `COPIES` identical copies of every object.
@@ -407,11 +407,12 @@ impl<const COPIES: usize> Reader<COPIES> {
                 .store
                 .partner(own.server)
                 .map(|p| ReplicaRead::new(Arc::clone(&self.replicas[self.store.lane_of(p)])));
-            LaneRead {
+            let job = LaneRead {
                 own: ReplicaRead::new(own),
                 partner,
                 mon: self.store.monitor(),
-            }
+            };
+            move |segs, out: &mut [u8]| job.run(segs, out)
         })
     }
 }
@@ -455,9 +456,13 @@ impl ReplicaRead {
     }
 
     /// Pace the job's bytes at the rate of the disk they came from, then
-    /// give the monitor the job as one sample: its bytes and its seconds.
-    /// A job of many small pieces is then weighed by its bytes, as one
-    /// stripe read is, and cannot wash out the server's history.
+    /// give the monitor the job as one sample, its bytes and its seconds,
+    /// if it read at least one stripe. A job of many small pieces is
+    /// weighed as one read, and a job of less than a stripe (a header, an
+    /// index, a few deflines) not at all: its fixed cost (the open, the
+    /// calls) would make a server look several times slower per byte
+    /// than its peers, and a skipped server is not read again to show
+    /// otherwise.
     fn finish(self, mon: &HealthMonitor) {
         if self.bytes == 0 {
             return;
@@ -465,7 +470,9 @@ impl ReplicaRead {
         let t0 = Instant::now();
         pool::pace(&self.replica.throttle, self.bytes);
         let secs = self.secs + t0.elapsed().as_secs_f64();
-        mon.record(self.replica.server, self.bytes, secs);
+        if self.bytes >= self.replica.at.stripe {
+            mon.record(self.replica.server, self.bytes, secs);
+        }
     }
 }
 
@@ -478,7 +485,25 @@ struct LaneRead {
     mon: Arc<HealthMonitor>,
 }
 
-impl LaneFetch for LaneRead {
+impl LaneRead {
+    /// Fetch each `(local_offset, len)` of `segs` into `out`, back to
+    /// back, stopping at the first failed one; then give the monitor the
+    /// job's samples.
+    fn run(mut self, segs: Vec<(u64, u64)>, out: &mut [u8]) -> io::Result<()> {
+        let mut at = 0usize;
+        let res = segs.into_iter().try_for_each(|(lo, ln)| {
+            let dst = &mut out[at..at + ln as usize];
+            at += dst.len();
+            self.fetch(lo, dst)
+        });
+        self.own.finish(&self.mon);
+        if let Some(partner) = self.partner {
+            partner.finish(&self.mon);
+        }
+        res
+    }
+
+    /// Fill `dst` with the local range starting at `lo`.
     fn fetch(&mut self, lo: u64, dst: &mut [u8]) -> io::Result<()> {
         let ln = dst.len() as u64;
         let Err(err) = self.own.fetch(lo, dst) else {
@@ -515,13 +540,6 @@ impl LaneFetch for LaneRead {
         }
         dst.copy_from_slice(&good[(lo - start) as usize..][..dst.len()]);
         Ok(())
-    }
-
-    fn finish(self) {
-        self.own.finish(&self.mon);
-        if let Some(partner) = self.partner {
-            partner.finish(&self.mon);
-        }
     }
 }
 
@@ -899,6 +917,42 @@ mod tests {
             st.monitor().skips(),
             vec![],
             "a job of small pieces made a server look hot"
+        );
+        cleanup(p.iter().chain(&m));
+    }
+
+    #[test]
+    fn small_reads_on_an_unpaced_store_flag_nobody() {
+        // Unpaced, a stripe comes from the page cache in tens of
+        // microseconds, and a read of a few hundred bytes costs about as
+        // much (the open, the stripe check): per byte, hundreds of times
+        // more. Sampled, ten such reads of a fragment's index or deflines
+        // made server 0 of each copy look hot, and a skipped server is
+        // not read again to show otherwise.
+        let (p, m) = mirrored_dirs("small_unpaced", 4);
+        let stripe = 64 << 10;
+        let st = MirroredStore::new(p.clone(), m.clone(), stripe).unwrap();
+        let data = pattern(8 * stripe as usize);
+        st.put("obj", &data).unwrap();
+        let mut r = st.open("obj").unwrap();
+        let mut buf = vec![0u8; data.len()];
+        for _ in 0..10 {
+            r.read_at(0, &mut buf).unwrap();
+        }
+        assert_eq!(st.monitor().skips(), vec![]);
+        for k in 0..10u64 {
+            let pieces = [(1_000 + 400 * k, 120), (1_200 + 400 * k, 80)];
+            let got = r.read_many_at(&pieces).unwrap();
+            let want: Vec<u8> = pieces
+                .iter()
+                .flat_map(|&(off, len)| data[off as usize..(off + len) as usize].to_vec())
+                .collect();
+            assert_eq!(got, want);
+        }
+        assert_eq!(
+            st.monitor().skips(),
+            vec![],
+            "reads of less than a stripe made a server look hot"
         );
         cleanup(p.iter().chain(&m));
     }
