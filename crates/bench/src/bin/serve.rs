@@ -1,5 +1,5 @@
-//! Serving-layer benchmark, real engine and simulator. Prints three tables
-//! and writes them to `BENCH_serve.json`, which CI archives.
+//! Serving-layer benchmark on the real engine. Prints two tables and
+//! writes them to `BENCH_serve.json`, which CI archives.
 //!
 //! * **cap table** — a scan-bound query stream served by [`serve_batched`]
 //!   (one resident pool per call) at batch caps 1, 2, 4 and 8; every
@@ -19,9 +19,7 @@
 //!   byte counter (what its batches' reads delivered) must equal the
 //!   traced bytes, and cap 8 must read
 //!   at most [`SWEEP_PREDICTED_VS_CAP1`] of cap 1's bytes with a lower
-//!   p95 (EXPERIMENTS.md, "Serving sweep").
-//! * **simulated sweep** — batch cap × offered load × scheme, with
-//!   Poisson arrivals on the calibrated simulator.
+//!   p95 (EXPERIMENTS.md, "The real daemon").
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -29,7 +27,6 @@ use std::time::Instant;
 
 use parblast_bench::{arg_u64, arg_value, median, open_loop, print_table};
 use parblast_core::blast::{DbStats, Program, SearchParams};
-use parblast_core::experiments::{serve_sweep, ServeRow, NT_BYTES, SERVE_SEARCH_RATE};
 use parblast_core::hwsim::poisson_arrivals;
 use parblast_core::mpiblast::{IoKind, ParallelBlast, Parallelization, Scheme, Tracer};
 use parblast_core::net::{
@@ -41,7 +38,6 @@ use parblast_core::seqdb::{extract_query, segment_into_fragments, SyntheticConfi
 use parblast_core::serve::serve_batched;
 use parblast_core::simcore::{SimRng, SimTime};
 
-const LOADS: [f64; 2] = [0.7, 1.45];
 const BATCH_CAPS: [usize; 4] = [1, 2, 4, 8];
 /// The daemon table's caps: unbatched against the daemon's largest
 /// fused batch.
@@ -66,8 +62,9 @@ const LOAD: f64 = 1.45;
 const C1_RUNS: usize = 3;
 const ARRIVAL_SEED: u64 = 2003;
 /// The most of cap 1's database bytes cap 8 may read in the daemon table:
-/// what the simulated sweep predicts for the same case. Its over-PVFS row
-/// at load 1.45, B = 8 has `io_savings` 1.852, and 1 / 1.852 = 0.540.
+/// what the simulated sweep, retired since (EXPERIMENTS.md, "Retired
+/// paths"), predicted for the same case. Its over-PVFS row at load 1.45,
+/// B = 8 had `io_savings` 1.852, and 1 / 1.852 = 0.540.
 const SWEEP_PREDICTED_VS_CAP1: f64 = 0.540;
 
 /// One table row as `(column, value)` pairs: printed under `column` and
@@ -189,6 +186,10 @@ fn cap_table(job: &ParallelBlast, queries: &[Vec<u8>], reps: usize) -> Vec<Row> 
     }
     let fused_s: Vec<f64> = times.into_iter().map(median).collect();
     let qps: Vec<f64> = fused_s.iter().map(|s| queries.len() as f64 / s).collect();
+    // The table is unpaced and CPU-bound, so the VM's speed moves it: this
+    // fired in 2 of 99 runs at the defaults on a correct tree (2-vCPU VM;
+    // the later one 541.4 vs 563.1 q/s, straight after a release build),
+    // and cap 4 / cap 1 read 1.06-2.13 in the rest.
     assert!(
         qps[2] > qps[0],
         "batch cap 4 must out-serve cap 1: {:.2} vs {:.2} queries/s",
@@ -385,7 +386,7 @@ fn daemon_table(base: &Path, queries: &[Vec<u8>], n: usize) -> String {
         })
         .collect();
     // Batching must share reads, at least as well as the simulated sweep
-    // predicts, and must shorten the tail.
+    // predicted, and must shorten the tail.
     assert!(
         b8.traced_bytes < b1.traced_bytes,
         "cap 8 must read fewer database bytes than cap 1: {} vs {}",
@@ -424,60 +425,8 @@ fn daemon_table(base: &Path, queries: &[Vec<u8>], n: usize) -> String {
     json
 }
 
-fn json(rows: &[ServeRow], db: u64, queries: u64, capacity: u64) -> String {
-    let pct = |p: &parblast_core::simcore::Percentiles| {
-        format!(
-            "{{\"p50\":{:.4},\"p95\":{:.4},\"p99\":{:.4}}}",
-            p.p50, p.p95, p.p99
-        )
-    };
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"scheme\":\"{}\",\"load\":{},\"max_batch\":{},\"arrival_qps\":{:.5},\
-                 \"service_s\":{:.4},\"served\":{},\"rejected\":{},\"expired\":{},\
-                 \"batches\":{},\"mean_batch\":{:.3},\"bytes_read\":{},\
-                 \"bytes_unbatched\":{},\"io_savings\":{:.3},\"throughput_qps\":{:.5},\
-                 \"duration_s\":{:.2},\"mean_wait_s\":{:.3},\"mean_latency_s\":{:.3},\
-                 \"scan_s_mean\":{:.3},\"search_s_mean\":{:.3},\
-                 \"wait_s\":{},\"latency_s\":{}}}",
-                r.scheme,
-                r.load,
-                r.max_batch,
-                r.arrival_qps,
-                r.service_s,
-                r.report.served,
-                r.report.rejected,
-                r.report.expired,
-                r.report.batches,
-                r.report.mean_batch,
-                r.report.bytes_read,
-                r.report.bytes_unbatched,
-                r.report.io_savings(),
-                r.report.throughput_qps,
-                r.report.duration_s,
-                r.report.mean_wait_s,
-                r.report.mean_latency_s,
-                r.report.scan_s_mean,
-                r.report.search_s_mean,
-                pct(&r.report.wait),
-                pct(&r.report.latency),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"serve\",\n  \"db_bytes\": {db},\n  \
-         \"search_rate\": {SERVE_SEARCH_RATE},\n  \"queries\": {queries},\n  \
-         \"capacity\": {capacity},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        cells.join(",\n")
-    )
-}
-
 fn main() {
-    let db = arg_u64("--db-bytes", NT_BYTES);
     let queries = arg_u64("--queries", 200) as usize;
-    let capacity = arg_u64("--capacity", 4096) as usize;
     let residues = arg_u64("--residues", 2_000_000);
     let real_queries = arg_u64("--real-queries", 32) as usize;
     let reps = arg_u64("--reps", 3) as usize;
@@ -495,67 +444,17 @@ fn main() {
     print_rows(&cap_rows);
     let daemon = daemon_table(&base, &real, queries);
     std::fs::remove_dir_all(&base).ok();
-    println!();
-
-    let rows = serve_sweep(db, &LOADS, &BATCH_CAPS, queries, capacity);
-    println!("Serving sweep: scan-sharing batch cap x offered load x scheme");
-    println!(
-        "database: {:.2} GB, {} Poisson arrivals per cell, queue capacity {}\n",
-        db as f64 / 1e9,
-        queries,
-        capacity
-    );
-    print_table(
-        &[
-            "scheme",
-            "load",
-            "B",
-            "qps",
-            "served",
-            "batches",
-            "mean B",
-            "IO saved",
-            "p50 (s)",
-            "p95 (s)",
-            "p99 (s)",
-            "thr (q/s)",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.scheme.to_string(),
-                    format!("{:.2}", r.load),
-                    r.max_batch.to_string(),
-                    format!("{:.3}", r.arrival_qps),
-                    r.report.served.to_string(),
-                    r.report.batches.to_string(),
-                    format!("{:.2}", r.report.mean_batch),
-                    format!("{:.2}x", r.report.io_savings()),
-                    format!("{:.1}", r.report.latency.p50),
-                    format!("{:.1}", r.report.latency.p95),
-                    format!("{:.1}", r.report.latency.p99),
-                    format!("{:.3}", r.report.throughput_qps),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let mut payload = json(&rows, db, queries as u64, capacity as u64);
-    let marker = "\n  \"rows\": [";
-    let at = payload.find(marker).expect("rows marker");
-    payload.insert_str(
-        at,
-        &format!(
-            "\n  \"real_engine\": {},\n  \"daemon\": {daemon},",
-            json_rows(&cap_rows)
-        ),
+    let payload = format!(
+        "{{\n  \"experiment\": \"serve\",\n  \"queries\": {queries},\n  \"real_engine\": {},\n  \
+         \"daemon\": {daemon}\n}}\n",
+        json_rows(&cap_rows)
     );
     std::fs::write(&out, &payload).expect("write BENCH_serve.json");
     println!(
         "\nwrote {out}\nchecked: no answer depends on its batch cap and cap 4 out-serves cap 1; \
          every daemon answer equals in-process serve_batched byte for byte, the daemon's byte \
          counter equals the traced store reads, and cap 8 reads at most \
-         {SWEEP_PREDICTED_VS_CAP1:.3} of cap 1's bytes (the simulated sweep's prediction) with \
-         the lower p95"
+         {SWEEP_PREDICTED_VS_CAP1:.3} of cap 1's bytes (the retired simulated sweep's \
+         prediction) with the lower p95"
     );
 }

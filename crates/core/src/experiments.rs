@@ -597,119 +597,6 @@ pub fn integrity(db_bytes: u64, rate_caps_mbs: &[f64]) -> Vec<IntegrityRow> {
     out
 }
 
-/// Per-worker scan rate for the *serving* workload, bytes/second.
-///
-/// The paper's single 568-nt query is compute-heavy (≈2.3 MB/s per
-/// worker, I/O ≈11% of the run). A serving workload is dominated by
-/// short interactive queries whose per-byte search cost is far lower, so
-/// the database scan is a much larger share of each pass (≈45–55% here).
-/// That is precisely the regime where scan sharing pays: the I/O half of
-/// the pass is amortized over the whole batch.
-///
-/// 32 MB/s is what the packed-scan kernel searched per 568-nt query when
-/// this constant was set. The kernel has since grown ≈7× faster
-/// (`fragment_search.packed_bytes_per_s` in `BENCH_engine.json`, ≈241
-/// MB/s per core), so the sweep overprices a pass's compute; the value
-/// stays because the sweep's rows are pinned. `bench --bin serve`'s
-/// daemon table measures the same batching on the current kernel.
-pub const SERVE_SEARCH_RATE: f64 = 32e6;
-
-/// One serving-sweep row: one (scheme, offered load, batch cap) cell.
-#[derive(Debug, Clone)]
-pub struct ServeRow {
-    /// Scheme label.
-    pub scheme: &'static str,
-    /// Offered load relative to unbatched capacity (λ · S₁).
-    pub load: f64,
-    /// Scan-sharing batch cap `B` (1 = no sharing).
-    pub max_batch: usize,
-    /// Poisson arrival rate, queries/second.
-    pub arrival_qps: f64,
-    /// Unbatched single-pass service time S₁, seconds.
-    pub service_s: f64,
-    /// Frozen serving-run metrics.
-    pub report: parblast_serve::ServeReport,
-}
-
-/// Serving sweep: batch cap × offered load × scheme (8 workers; PVFS on
-/// 8 servers, CEFT on 4+4), `queries` Poisson arrivals per cell.
-///
-/// Per scheme, the service model probes the calibrated simulator once per
-/// batch size (a genuine `run_simblast` with `queries_per_pass = k`) and
-/// the arrival rate is set to `load / S₁` — `load > 1` offers more
-/// traffic than unbatched serving can absorb, so without scan sharing
-/// the queue grows without bound while batch caps ≥ 4 stay stable. The
-/// same arrival sequence (seed 2003) drives every batch cap, so cells in
-/// a (scheme, load) group are directly comparable.
-pub fn serve_sweep(
-    db_bytes: u64,
-    loads: &[f64],
-    batch_caps: &[usize],
-    queries: usize,
-    capacity: usize,
-) -> Vec<ServeRow> {
-    use parblast_hwsim::poisson_arrivals;
-    use parblast_serve::{Query, ScanSharingServer, ServiceModel, SimExecutor};
-    use parblast_simcore::SimRng;
-
-    let schemes: Vec<(&'static str, SimScheme)> = vec![
-        ("original", SimScheme::Original),
-        (
-            "over-PVFS",
-            SimScheme::Pvfs {
-                servers: (0..8).collect(),
-            },
-        ),
-        (
-            "over-CEFT-PVFS",
-            SimScheme::Ceft {
-                primary: (0..4).collect(),
-                mirror: (4..8).collect(),
-            },
-        ),
-    ];
-    let cap_max = batch_caps.iter().copied().max().unwrap_or(1) as u32;
-    let mut out = Vec::new();
-    for (label, scheme) in schemes {
-        let mut cfg = sim_base(8, 9, scheme);
-        cfg.db_bytes = db_bytes;
-        cfg.search_rate = SERVE_SEARCH_RATE;
-        // Compute grows sublinearly in batch size
-        // (`SimBlastConfig::batch_compute_factor`), as `bench --bin serve`
-        // measures on the real path.
-        let mut model = ServiceModel::new(cfg);
-        // Probe every batch size once up front; the executors below clone
-        // the warmed cache and never touch the simulator again.
-        for k in 1..=cap_max {
-            model.cost(k);
-        }
-        let s1 = model.cost(1).service_s;
-        for &load in loads {
-            let rate = load / s1;
-            let times = poisson_arrivals(rate, queries, &mut SimRng::new(2003));
-            let arrivals: Vec<Query> = times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| Query::new(i as u64, t))
-                .collect();
-            for &b in batch_caps {
-                let exec = SimExecutor::new(model.clone(), 7 + b as u64, 0.10);
-                let mut srv = ScanSharingServer::new(capacity, b, exec);
-                let report = srv.run_open_loop(&arrivals);
-                out.push(ServeRow {
-                    scheme: label,
-                    load,
-                    max_batch: b,
-                    arrival_qps: rate,
-                    service_s: s1,
-                    report,
-                });
-            }
-        }
-    }
-    out
-}
-
 /// Figure 4 output: the real run's trace.
 #[derive(Debug)]
 pub struct Fig4Result {
@@ -829,44 +716,6 @@ mod tests {
         for r in &rows {
             let ratio = r.t_ceft / r.t_pvfs;
             assert!(ratio > 0.9 && ratio < 1.35, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn serve_batching_saves_io_and_improves_p95_under_saturation() {
-        // At an arrival rate where unbatched serving saturates, a batch
-        // cap of 4 cuts database-read bytes ≥2× and improves p95 latency,
-        // under all three schemes. The fused kernel raised batched
-        // capacity (cap-4 passes cost ~1.7 single-query units of compute,
-        // not 4), so saturating the batched server's queue enough to fill
-        // its batches takes a higher offered load than the pre-fused 1.45.
-        let rows = serve_sweep(SMALL_DB, &[2.5], &[1, 4], 120, 4096);
-        for scheme in ["original", "over-PVFS", "over-CEFT-PVFS"] {
-            let cell = |b: usize| {
-                rows.iter()
-                    .find(|r| r.scheme == scheme && r.max_batch == b)
-                    .unwrap()
-            };
-            let (un, b4) = (cell(1), cell(4));
-            assert_eq!(un.report.served, 120, "{scheme}");
-            assert_eq!(b4.report.served, 120, "{scheme}");
-            assert!(
-                b4.report.bytes_read * 2 <= un.report.bytes_read,
-                "{scheme}: batched bytes {} vs unbatched {}",
-                b4.report.bytes_read,
-                un.report.bytes_read
-            );
-            assert!(b4.report.io_savings() >= 2.0, "{scheme}");
-            assert!(
-                b4.report.latency.p95 < un.report.latency.p95,
-                "{scheme}: batched p95 {:.1} vs unbatched {:.1}",
-                b4.report.latency.p95,
-                un.report.latency.p95
-            );
-            assert!(
-                b4.report.throughput_qps > un.report.throughput_qps,
-                "{scheme}"
-            );
         }
     }
 

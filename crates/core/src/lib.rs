@@ -59,8 +59,20 @@ pub use parblast_net as net;
 pub use parblast_pio as pio;
 pub use parblast_pvfs as pvfs;
 pub use parblast_seqdb as seqdb;
-pub use parblast_serve as serve;
 pub use parblast_simcore as simcore;
+
+pub mod serve {
+    //! The serving names under one path. Nothing is defined here:
+    //! [`AdmissionQueue`], [`AdmitError`], [`Priority`] and [`Query`] live
+    //! in [`net::queue`](crate::net::queue), the daemon's admission queue;
+    //! [`serve_batched`], [`serve_batched_scrubbed`] and
+    //! [`RealServeOutcome`] live in
+    //! [`mpiblast::serve`](crate::mpiblast::serve), in-process scan-sharing
+    //! over the real engine.
+
+    pub use parblast_mpiblast::serve::{serve_batched, serve_batched_scrubbed, RealServeOutcome};
+    pub use parblast_net::queue::{AdmissionQueue, AdmitError, Priority, Query};
+}
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
@@ -68,10 +80,13 @@ pub mod prelude {
         blastall, tabular, DbStats, GapPenalties, Hit, Hsp, Program, Scorer, SearchParams,
     };
     pub use parblast_mpiblast::{
-        run_simblast, ParallelBlast, Parallelization, RunOutcome, Scheme, SimBlastConfig,
-        SimOutcome, SimScheme, TraceSummary, Tracer,
+        run_simblast, serve_batched, ParallelBlast, Parallelization, RunOutcome, Scheme,
+        SimBlastConfig, SimOutcome, SimScheme, TraceSummary, Tracer,
     };
-    pub use parblast_net::{BlastRunner, ClientConfig, NetClient, NetServer, ServerConfig};
+    pub use parblast_net::{
+        AdmissionQueue, BlastRunner, ClientConfig, NetClient, NetServer, Priority, Query,
+        ServerConfig,
+    };
     pub use parblast_pio::{
         LocalStore, MirroredStore, ObjectReader, ObjectStore, ServerId, StripedStore,
     };
@@ -79,10 +94,6 @@ pub mod prelude {
     pub use parblast_seqdb::{
         extract_query, segment_into_fragments, FastaReader, FastaWriter, SeqType, SyntheticConfig,
         SyntheticNt, Volume, VolumeWriter,
-    };
-    pub use parblast_serve::{
-        serve_batched, AdmissionQueue, Priority, Query, ScanSharingServer, ServeReport,
-        ServiceModel, SimExecutor,
     };
 
     pub use crate::experiments;

@@ -12,6 +12,9 @@
 //!   [`WorkerPool`], started per call or kept by a server, whose one
 //!   master hands out the tasks of every batch submitted to it, the older
 //!   batch first.
+//! * [`serve`] — [`serve_batched`]: a query list served in scan-sharing
+//!   batches over one pool, the in-process oracle every networked answer
+//!   is checked against.
 //! * [`simblast`] — the **simulated twin** driving the calibrated cluster
 //!   models, used to regenerate the paper's timing figures (5, 6, 7, 9) at
 //!   the full 2.7 GB scale.
@@ -22,6 +25,7 @@ mod pool;
 pub mod runner;
 pub(crate) mod sched;
 pub mod scheme;
+pub mod serve;
 pub mod simblast;
 pub mod trace;
 
@@ -29,6 +33,7 @@ pub use parblast_pio::{ScrubTotals, Scrubber};
 pub use pool::WorkerPool;
 pub use runner::{BatchOutcome, ParallelBlast, Parallelization, RunOutcome};
 pub use scheme::{Scheme, TracedSource};
+pub use serve::{serve_batched, serve_batched_scrubbed, RealServeOutcome};
 pub use simblast::{
     run_simblast, SimBlastConfig, SimOutcome, SimScheme, WorkerStats, FRAG_FILE_BASE,
 };

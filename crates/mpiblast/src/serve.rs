@@ -1,6 +1,6 @@
 //! Scan-sharing over the real thread-pool runner.
 //!
-//! The real-path counterpart of [`crate::sim`]: batches drain through
+//! In-process serving over the real engine: batches drain through
 //! one [`WorkerPool`] per call ([`WorkerPool::run_batch`], what
 //! [`ParallelBlast::run_batch`] runs), so every fragment is pulled through the
 //! configured I/O scheme (local copy / striped PVFS / mirrored CEFT-PVFS
@@ -18,7 +18,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parblast_blast::tabular;
-use parblast_mpiblast::{ParallelBlast, ScrubTotals, WorkerPool};
+
+use crate::{ParallelBlast, ScrubTotals, WorkerPool};
 
 /// Outcome of serving a query list through scan-sharing batches.
 #[derive(Debug)]
@@ -90,8 +91,8 @@ pub fn serve_batched_scrubbed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IoKind, Parallelization, Scheme, Tracer};
     use parblast_blast::{DbStats, Program, SearchParams};
-    use parblast_mpiblast::{IoKind, Parallelization, Scheme, Tracer};
     use parblast_seqdb::blastdb::SeqType;
     use parblast_seqdb::{extract_query, segment_into_fragments, SyntheticConfig, SyntheticNt};
     use std::path::{Path, PathBuf};

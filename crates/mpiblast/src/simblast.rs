@@ -14,7 +14,6 @@
 //! * the master hands fragments to idle workers and the run ends when the
 //!   last fragment completes (makespan).
 
-use parblast_blast::fused_passes;
 use parblast_ceft::{Ceft, CeftClient, CeftConfig, MirroredPlacement};
 use parblast_hwsim::{
     start_stressor, Cluster, CpuMsg, DiskStressor, Envelope, Ev, FaultInjector, FaultSchedule,
@@ -88,16 +87,6 @@ pub struct SimBlastConfig {
     pub result_writes: u32,
     /// Result write size in bytes (Figure 4: mean 690 B).
     pub result_write_bytes: u64,
-    /// Queries sharing each fragment scan (the serving layer's
-    /// scan-sharing batch). One fragment read serves the whole batch, so
-    /// I/O stays per-pass; result writes scale by the batch size, and
-    /// compute by [`SimBlastConfig::batch_compute_factor`] — the batch's
-    /// merged lookup table scans each chunk's packed bytes once per
-    /// [`MAX_FUSED_BATCH`](parblast_blast::MAX_FUSED_BATCH)-query chunk, so
-    /// only the per-query *extension* work scales with the batch (see
-    /// [`FUSED_SCAN_FRAC`]). `1` (the default) is the paper's single-query
-    /// job and leaves the simulation event-for-event unchanged.
-    pub queries_per_pass: u32,
     /// Chunk read-ahead depth: how many chunks a worker keeps in flight
     /// or buffered *while computing*. `0` (the default) is the paper's
     /// synchronous loop — read, then compute, then read — and leaves the
@@ -160,7 +149,6 @@ impl Default for SimBlastConfig {
             compute_cv: 0.30,
             result_writes: 2,
             result_write_bytes: 690,
-            queries_per_pass: 1,
             read_ahead: 0,
             list_io: false,
             io_tracer: None,
@@ -174,34 +162,6 @@ impl Default for SimBlastConfig {
             horizon_s: 40_000.0,
             capture_trace: false,
         }
-    }
-}
-
-/// Fraction of a single-query fragment search the kernel *shares* across
-/// the batch: the seed-scan pass over the packed bytes. The
-/// remaining `1 − FUSED_SCAN_FRAC` is per-query work (ungapped/gapped
-/// extension, finalization) that still scales with the batch size.
-///
-/// Provenance: the fused-vs-sequential batch-scaling curve `bench --bin
-/// engine` measured on the scan-bound mix while the per-query scan still
-/// existed (EXPERIMENTS.md, "Retired paths"). Solving the model's
-/// fused/sequential time ratio `(B − (B − passes) × f) / B` (with
-/// `passes = ceil(B/8)`) for `f` at the measured cells gives f = 0.83 at
-/// B=4 (measured ratio 0.374) and f = 0.72 at B=8 (ratio 0.373); this
-/// constant is their mean. The model pins `factor(1) = 1` so an unbatched
-/// sim keeps the calibrated single-query service time.
-pub const FUSED_SCAN_FRAC: f64 = 0.78;
-
-impl SimBlastConfig {
-    /// Compute-cost multiplier of one scan pass relative to a
-    /// single-query pass. One scan per query would cost `B`; the kernel
-    /// executes [`fused_passes`]`(B)` merged scan passes and only
-    /// the extension share scales per query: `B − saved_passes ×
-    /// FUSED_SCAN_FRAC`. A single-query pass costs exactly `1.0`.
-    pub fn batch_compute_factor(&self) -> f64 {
-        let b = u64::from(self.queries_per_pass.max(1));
-        let passes = fused_passes(b);
-        b as f64 - (b - passes) as f64 * FUSED_SCAN_FRAC
     }
 }
 
@@ -492,10 +452,6 @@ struct SimWorker {
     compute_cv: f64,
     result_writes: u32,
     result_write_bytes: u64,
-    batch: u32,
-    /// Per-pass compute multiplier ([`SimBlastConfig::batch_compute_factor`]),
-    /// sublinear in `batch`.
-    compute_factor: f64,
     read_ahead: u32,
     list_io: bool,
     tracer: Option<Tracer>,
@@ -587,12 +543,10 @@ impl SimWorker {
 
     /// Start scanning one delivered chunk. blastall runs one search
     /// thread per CPU (the paper reports ≈99 % CPU busy on the dual-CPU
-    /// nodes): two parallel jobs, the chunk is done when both finish. A
-    /// scan-sharing batch multiplies the compute (every query scans the
-    /// chunk) but not the read.
+    /// nodes): two parallel jobs, the chunk is done when both finish.
     fn start_compute(&mut self, ctx: &mut Ctx<'_, Ev>, len: u64) {
         let factor = ctx.rng().lognormal_mean_cv(1.0, self.compute_cv);
-        let work = len as f64 * self.compute_factor / self.search_rate * factor;
+        let work = len as f64 / self.search_rate * factor;
         self.cpu_pending = 2;
         for _ in 0..2 {
             ctx.send(
@@ -655,9 +609,7 @@ impl Component<Ev> for SimWorker {
                         if let JobMsg::Assign { fragment, size } = *msg {
                             self.fragment = Some((fragment, size));
                             self.offset = 0;
-                            // Every query in the scan-sharing batch writes
-                            // its own small result files.
-                            self.writes_left = self.result_writes * self.batch;
+                            self.writes_left = self.result_writes;
                             ctx.send(
                                 self.client,
                                 Ev::User(Envelope::local(ClientReq::Open {
@@ -1008,8 +960,6 @@ pub fn run_simblast(cfg: &SimBlastConfig) -> SimOutcome {
                 compute_cv: cfg.compute_cv,
                 result_writes: cfg.result_writes,
                 result_write_bytes: cfg.result_write_bytes,
-                batch: cfg.queries_per_pass.max(1),
-                compute_factor: cfg.batch_compute_factor(),
                 read_ahead: cfg.read_ahead,
                 list_io: cfg.list_io,
                 tracer: cfg.io_tracer.clone(),
@@ -1085,16 +1035,15 @@ pub fn run_simblast(cfg: &SimBlastConfig) -> SimOutcome {
     let mut per_worker = Vec::new();
     let mut io = 0.0;
     let mut bytes = 0u64;
-    let batch_factor = cfg.batch_compute_factor();
     for &(_, wcomp) in &worker_ids {
         let w = eng.component::<SimWorker>(wcomp);
         let mut st = w.stats;
-        st.compute_s = st.bytes_read as f64 * batch_factor / cfg.search_rate;
+        st.compute_s = st.bytes_read as f64 / cfg.search_rate;
         per_worker.push(st);
         io += st.io_s;
         bytes += st.bytes_read;
     }
-    let compute = bytes as f64 * batch_factor / cfg.search_rate;
+    let compute = bytes as f64 / cfg.search_rate;
     let io_fraction = if io + compute > 0.0 {
         io / (io + compute)
     } else {
@@ -1170,35 +1119,6 @@ mod tests {
             out.io_fraction > 0.06 && out.io_fraction < 0.2,
             "io_fraction = {}",
             out.io_fraction
-        );
-    }
-
-    #[test]
-    fn batched_pass_amortizes_io_and_the_scan_share_of_compute() {
-        let mut cfg = small(SimScheme::Original, 2, 3);
-        let one = run_simblast(&cfg);
-        assert_eq!(cfg.batch_compute_factor(), 1.0, "b=1 is the paper's job");
-        cfg.queries_per_pass = 4;
-        let four = run_simblast(&cfg);
-        // Same single database pass...
-        let bytes = |o: &SimOutcome| o.per_worker.iter().map(|w| w.bytes_read).sum::<u64>();
-        assert_eq!(bytes(&four), cfg.db_bytes / 2 * 2);
-        assert_eq!(bytes(&four), bytes(&one));
-        // ...and 4 queries' worth of extension work but one shared scan:
-        // 4 − 3 × FUSED_SCAN_FRAC ≈ 1.66 single-query computes, against
-        // the closed form B = 4 of one scan per query.
-        assert!((cfg.batch_compute_factor() - (4.0 - 3.0 * FUSED_SCAN_FRAC)).abs() < 1e-12);
-        let compute = |o: &SimOutcome| o.per_worker.iter().map(|w| w.compute_s).sum::<f64>();
-        let ratio = compute(&four) / compute(&one);
-        assert!(ratio > 1.0 && ratio < 0.6 * 4.0, "compute ratio {ratio}");
-        let (t1, t4) = (one.makespan_s, four.makespan_s);
-        assert!(t4 > t1 && t4 < t1 * 2.0, "t1={t1} t4={t4}");
-        // I/O fraction shrinks when the read is shared.
-        assert!(
-            four.io_fraction < one.io_fraction,
-            "io_fraction {} !< {}",
-            four.io_fraction,
-            one.io_fraction
         );
     }
 

@@ -33,8 +33,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::queue::Priority;
 use parblast_pvfs::{backoff_delay, RetryPolicy};
-use parblast_serve::Priority;
 
 use crate::proto::{encode_frame, Frame, FrameError, ResultStatus, ShedReason, StatsSnapshot};
 use crate::resilience::{BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, RetryBudget};

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use parblast_serve::{AdmissionQueue, Priority, Query};
+use crate::queue::{AdmissionQueue, Priority, Query};
 use parblast_simcore::SimTime;
 
 use crate::proto::{Frame, ShedReason, StatsSnapshot};

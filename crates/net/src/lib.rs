@@ -21,16 +21,18 @@
 //!   rejection, round-trip proptests.
 //! * [`server`] — the thread-per-core daemon: an acceptor hands
 //!   connections round-robin to shards; each shard pairs a poll(2) IO
-//!   thread with two batch-exec lanes around the serving layer's
-//!   [`parblast_serve::AdmissionQueue`] in one shard ledger. Per-tenant
+//!   thread with two batch-exec lanes around the [`queue`]'s
+//!   [`AdmissionQueue`] in one shard ledger. Per-tenant
 //!   token buckets shed over-quota traffic with typed reasons; graceful
 //!   drain answers every accepted query before closing a single socket.
 //!   The ledger (`ledger`, crate-private) is one shard's admission state
 //!   as a pure state machine, its tests walking every event order.
+//! * [`queue`] — the bounded admission queue: backpressure, per-query
+//!   deadlines, strict priority with FIFO inside each class.
 //! * [`quota`] — the token buckets.
 //! * [`runner`] — the execution bridge ([`BlastRunner`] over the real
 //!   `pio` store, [`EchoRunner`] for tests); results are byte-identical
-//!   to in-process [`parblast_serve::serve_batched`].
+//!   to in-process [`parblast_mpiblast::serve_batched`].
 //! * [`client`] — the blocking client with the PR 1 timeout/retry/backoff
 //!   policy (`Shed` and `Corrupt` are deterministic → never retried),
 //!   pooled-connection retries, a retry budget, a circuit breaker, and
@@ -46,6 +48,7 @@ pub mod chaos;
 pub mod client;
 mod ledger;
 pub mod proto;
+pub mod queue;
 pub mod quota;
 pub mod resilience;
 pub mod runner;
@@ -59,6 +62,7 @@ pub use proto::{
     decode_frame, decode_header, encode_frame, Frame, FrameError, FrameReader, ResultStatus,
     ShedReason, StatsSnapshot, FRAME_HEADER_LEN, MAX_FRAME_LEN, NET_MAGIC, NET_VERSION,
 };
+pub use queue::{AdmissionQueue, AdmitError, Priority, Query};
 pub use quota::{QuotaConfig, TenantQuotas};
 pub use resilience::{BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, RetryBudget};
 pub use runner::{BatchRunner, BlastRunner, EchoRunner, RunnerError, RunnerOutput};

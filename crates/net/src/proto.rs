@@ -18,7 +18,7 @@
 //! or one `Shed` (this is the zero-result-loss contract graceful drain
 //! preserves).
 
-use parblast_serve::Priority;
+use crate::queue::Priority;
 
 /// Magic number opening every frame (`"PBN1"` bytes, read as LE `u32`).
 pub const NET_MAGIC: u32 = 0x314E_4250;

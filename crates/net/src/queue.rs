@@ -35,8 +35,8 @@ impl Priority {
 }
 
 /// One admitted unit of work: an opaque query plus its serving metadata.
-/// `payload` indexes the caller's query storage (the sim path never
-/// dereferences it; the real path uses it to find the query bytes).
+/// `payload` indexes the caller's query storage (the daemon's shard ledger
+/// uses it to find the query bytes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Query {
     /// Caller-assigned identifier (unique per workload).
@@ -91,9 +91,6 @@ impl std::error::Error for AdmitError {}
 pub struct AdmissionQueue {
     capacity: usize,
     lanes: [VecDeque<Query>; 3],
-    admitted: u64,
-    rejected: u64,
-    expired: u64,
 }
 
 impl AdmissionQueue {
@@ -102,9 +99,6 @@ impl AdmissionQueue {
         AdmissionQueue {
             capacity: capacity.max(1),
             lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            admitted: 0,
-            rejected: 0,
-            expired: 0,
         }
     }
 
@@ -118,39 +112,20 @@ impl AdmissionQueue {
         self.lanes.iter().all(VecDeque::is_empty)
     }
 
-    /// Total queries admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Total queries refused for lack of space (backpressure).
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Total queries dropped because their deadline passed while queued.
-    pub fn expired(&self) -> u64 {
-        self.expired
-    }
-
-    /// Offer a query for admission. Full queue → `Err(QueueFull)` and the
-    /// rejection counter ticks.
+    /// Offer a query for admission. Full queue → `Err(QueueFull)`.
     pub fn offer(&mut self, q: Query) -> Result<(), AdmitError> {
         if self.len() >= self.capacity {
-            self.rejected += 1;
             return Err(AdmitError::QueueFull {
                 capacity: self.capacity,
             });
         }
-        self.admitted += 1;
         self.lanes[q.priority as usize].push_back(q);
         Ok(())
     }
 
     /// Take the next scan-sharing batch: up to `max` queries, strict
     /// priority across classes, FIFO within a class. Queries whose
-    /// deadline is `< now` are dropped (counted in [`Self::expired`]) and
-    /// never occupy a batch slot.
+    /// deadline is `< now` are dropped and never occupy a batch slot.
     pub fn take_batch(&mut self, max: usize, now: SimTime) -> Vec<Query> {
         self.take_batch_with_expired(max, now).0
     }
@@ -171,10 +146,7 @@ impl AdmissionQueue {
                 match lane.pop_front() {
                     None => break,
                     Some(q) => match q.deadline {
-                        Some(d) if d < now => {
-                            self.expired += 1;
-                            dropped.push(q);
-                        }
+                        Some(d) if d < now => dropped.push(q),
                         _ => batch.push(q),
                     },
                 }
@@ -210,8 +182,6 @@ mod tests {
             aq.offer(q(3, Priority::Normal)),
             Err(AdmitError::QueueFull { capacity: 2 })
         );
-        assert_eq!(aq.admitted(), 2);
-        assert_eq!(aq.rejected(), 1);
         // Draining frees space again.
         assert_eq!(aq.take_batch(2, SimTime::ZERO).len(), 2);
         assert!(aq.offer(q(3, Priority::Normal)).is_ok());
@@ -242,7 +212,6 @@ mod tests {
         let batch = aq.take_batch(4, SimTime::from_secs(10));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].id, 2);
-        assert_eq!(aq.expired(), 1);
     }
 
     #[test]
@@ -256,7 +225,6 @@ mod tests {
         assert_eq!(batch.len(), 1);
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].id, 1);
-        assert_eq!(aq.expired(), 1);
     }
 
     #[test]

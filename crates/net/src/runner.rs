@@ -5,7 +5,7 @@
 //! on one resident [`WorkerPool`] over the real `pio` store, so batches
 //! submitted at once share its workers, and renders each query's merged hits with
 //! [`parblast_blast::tabular`], the *same* rendering
-//! `serve::serve_batched` uses, so a result served over the wire is
+//! [`parblast_mpiblast::serve_batched`] uses, so a result served over the wire is
 //! byte-identical to one computed in-process (pinned across seeds in
 //! `tests/determinism.rs`). [`EchoRunner`] is a deterministic stand-in
 //! for protocol and scheduling tests that must not pay for real searches.

@@ -986,27 +986,3 @@ fn daemon_results_are_byte_identical_to_in_process_serving() {
         std::fs::remove_dir_all(&base).ok();
     }
 }
-
-/// The serving sweep — simulator probes, Poisson arrivals, batch-queue
-/// replay, percentile extraction — is a pure function of its
-/// configuration: two identical invocations agree on every report field.
-#[test]
-fn serve_sweep_is_a_pure_function_of_config() {
-    use parblast::experiments::serve_sweep;
-
-    let run = || serve_sweep(64 << 20, &[1.2], &[1, 4], 40, 256);
-    let a = run();
-    let b = run();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(
-            x.arrival_qps, y.arrival_qps,
-            "{} B={}",
-            x.scheme, x.max_batch
-        );
-        assert_eq!(x.report, y.report, "{} B={}", x.scheme, x.max_batch);
-    }
-    // Batching must actually change the outcome (the reports are not
-    // trivially equal across cells).
-    assert_ne!(a[0].report, a[1].report);
-}

@@ -14,7 +14,7 @@ use parblast::pio::{
 };
 use parblast::pvfs::backoff_delay;
 use parblast::seqdb::{pack_2bit, reverse_complement, unpack_2bit};
-use parblast::serve::{AdmissionQueue, Priority, Query};
+use parblast::serve::{AdmissionQueue, AdmitError, Priority, Query};
 use parblast::simcore::SimTime;
 
 /// Every exact `word`-mer match of `query` in the decoded `subject` as
@@ -405,6 +405,7 @@ proptest! {
         let mut model: [std::collections::VecDeque<u64>; 3] = Default::default();
         let mut next_id = 0u64;
         let mut model_rejected = 0u64;
+        let (mut admitted, mut rejected) = (0u64, 0u64);
         let mut served: Vec<u64> = Vec::new();
         let take = |q: &mut AdmissionQueue,
                         model: &mut [std::collections::VecDeque<u64>; 3],
@@ -446,6 +447,13 @@ proptest! {
                     let full =
                         model.iter().map(|l| l.len()).sum::<usize>() >= capacity.max(1);
                     prop_assert_eq!(res.is_err(), full, "offer vs model fullness");
+                    match res {
+                        Ok(()) => admitted += 1,
+                        Err(AdmitError::QueueFull { capacity: c }) => {
+                            prop_assert_eq!(c, capacity.max(1));
+                            rejected += 1;
+                        }
+                    }
                     if full {
                         model_rejected += 1;
                     } else {
@@ -460,16 +468,16 @@ proptest! {
         while !q.is_empty() {
             take(&mut q, &mut model, &mut served, 4)?;
         }
-        prop_assert_eq!(q.rejected(), model_rejected);
-        prop_assert_eq!(served.len() as u64, q.admitted());
+        prop_assert_eq!(rejected, model_rejected);
+        prop_assert_eq!(served.len() as u64, admitted);
         // Exactly once: ids are unique by construction, so set size matches.
         let uniq: std::collections::HashSet<u64> = served.iter().copied().collect();
         prop_assert_eq!(uniq.len(), served.len());
     }
 
     /// Deadlines: a query whose deadline has passed is never handed to a
-    /// batch, and every admitted query is either served or counted
-    /// expired.
+    /// batch, and every admitted query is either served or handed back
+    /// expired, past its deadline.
     #[test]
     fn expired_queries_are_dropped_never_served(
         deadlines in proptest::collection::vec(
@@ -491,9 +499,12 @@ proptest! {
             .unwrap();
         }
         let mut now = SimTime::ZERO;
-        let mut served = 0u64;
+        let (mut served, mut expired) = (0u64, 0u64);
         while !q.is_empty() {
-            let batch = q.take_batch(batch_max, now);
+            let (batch, dropped) = q.take_batch_with_expired(batch_max, now);
+            for d in &dropped {
+                prop_assert!(d.deadline.is_some_and(|d| d < now), "query {} expired early", d.id);
+            }
             for b in &batch {
                 prop_assert!(
                     b.deadline.is_none_or(|d| d >= now),
@@ -503,9 +514,10 @@ proptest! {
                 );
             }
             served += batch.len() as u64;
+            expired += dropped.len() as u64;
             now = now.saturating_add(SimTime::from_secs(step_s));
         }
-        prop_assert_eq!(served + q.expired(), deadlines.len() as u64);
+        prop_assert_eq!(served + expired, deadlines.len() as u64);
     }
 }
 
